@@ -1,0 +1,9 @@
+"""Make ``repro`` importable for ``python -m pytest benchmarks/e2e`` run
+from the repository root without ``PYTHONPATH=src``."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
