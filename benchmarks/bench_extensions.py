@@ -3,12 +3,12 @@ exhaustive decoder sub-universe, the universal O(n²) scheme, and the
 asynchronous engine."""
 
 from repro.core import UniversalLCP
+from repro.engine import ExecutionPlan, decide_hiding
 from repro.experiments import run_experiment
 from repro.graphs import grid_graph, cycle_graph
 from repro.graphs.coloring import chromatic_number
 from repro.local import Instance
 from repro.local.async_simulator import simulate_views_async
-from repro.neighborhood import hiding_verdict_up_to
 
 
 def test_ext_chromatic_experiment(benchmark):
@@ -28,7 +28,7 @@ def test_ext_decoder_universe_experiment(benchmark):
 def test_chromatic_number_of_neighborhood_graph(benchmark):
     from repro.core import DegreeOneLCP
 
-    verdict = hiding_verdict_up_to(DegreeOneLCP(), 4)
+    verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
     graph = verdict.ngraph.to_graph()
     chi = benchmark(lambda: chromatic_number(graph, max_k=6))
     assert chi == 3

@@ -2,12 +2,12 @@
 accepting neighborhood graph and finding the odd cycle."""
 
 from repro.core import DegreeOneLCP
+from repro.engine import ExecutionPlan, decide_hiding
 from repro.experiments import run_experiment
 from repro.experiments.figures import degree_one_witness_instances
 from repro.neighborhood import (
     build_neighborhood_graph,
     hiding_verdict_from_instances,
-    hiding_verdict_up_to,
 )
 
 
@@ -37,7 +37,9 @@ def test_odd_cycle_detection(benchmark):
 
 def test_full_lemma31_sweep_n4(benchmark):
     verdict = benchmark.pedantic(
-        lambda: hiding_verdict_up_to(DegreeOneLCP(), 4), rounds=1, iterations=1
+        lambda: decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy,
+        rounds=1,
+        iterations=1,
     )
     assert verdict.hiding is True
 

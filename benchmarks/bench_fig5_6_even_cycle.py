@@ -2,11 +2,12 @@
 witnesses and the odd closed walk in V(D, 6)."""
 
 from repro.core import EvenCycleLCP
+from repro.engine import ExecutionPlan, decide_hiding
 from repro.experiments import run_experiment
 from repro.experiments.figures import even_cycle_witness_instances
 from repro.graphs import cycle_graph
 from repro.local import Instance
-from repro.neighborhood import build_neighborhood_graph, hiding_verdict_up_to
+from repro.neighborhood import build_neighborhood_graph
 
 
 def test_fig5_6_experiment(benchmark):
@@ -40,6 +41,8 @@ def test_witness_neighborhood_graph(benchmark):
 
 def test_full_lemma31_sweep_n6(benchmark):
     verdict = benchmark.pedantic(
-        lambda: hiding_verdict_up_to(EvenCycleLCP(), 6), rounds=1, iterations=1
+        lambda: decide_hiding(EvenCycleLCP(), 6, ExecutionPlan()).legacy,
+        rounds=1,
+        iterations=1,
     )
     assert verdict.hiding is True

@@ -3,12 +3,12 @@ odd-cycle witnesses for the hiding schemes, and extraction-decoder
 compilation + execution for the revealing baseline."""
 
 from repro.core import RevealingLCP
+from repro.engine import ExecutionPlan, decide_hiding
 from repro.experiments import run_experiment
 from repro.graphs import cycle_graph, path_graph
 from repro.local import Instance
 from repro.neighborhood import (
     build_extraction_decoder,
-    hiding_verdict_up_to,
     run_extraction,
 )
 
@@ -20,7 +20,7 @@ def test_lem32_experiment(benchmark):
 
 def test_revealing_sweep_and_compile(benchmark):
     def compile_decoder():
-        verdict = hiding_verdict_up_to(RevealingLCP(), 4)
+        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan()).legacy
         return build_extraction_decoder(verdict.ngraph, 2)
 
     decoder = benchmark.pedantic(compile_decoder, rounds=1, iterations=1)
@@ -29,7 +29,7 @@ def test_revealing_sweep_and_compile(benchmark):
 
 def test_extraction_execution(benchmark):
     lcp = RevealingLCP()
-    verdict = hiding_verdict_up_to(lcp, 4)
+    verdict = decide_hiding(lcp, 4, ExecutionPlan()).legacy
     decoder = build_extraction_decoder(verdict.ngraph, 2)
     instance = Instance.build(cycle_graph(4), id_bound=4)
     labeled = instance.with_labeling(lcp.prover.certify(instance))
@@ -39,7 +39,7 @@ def test_extraction_execution(benchmark):
 
 def test_extraction_table_lookup_throughput(benchmark):
     lcp = RevealingLCP()
-    verdict = hiding_verdict_up_to(lcp, 4)
+    verdict = decide_hiding(lcp, 4, ExecutionPlan()).legacy
     decoder = build_extraction_decoder(verdict.ngraph, 2)
     instance = Instance.build(path_graph(4), id_bound=4)
     labeled = instance.with_labeling(lcp.prover.certify(instance))

@@ -17,7 +17,9 @@ Subcommands
     Print every node's certified view and its verdict.
 ``repro hiding <scheme> --n N``
     Decide hiding via the streaming early-exit engine (or
-    ``--materialized`` for the classic full-build pipeline).  The scheme
+    ``--backend materialized`` for the classic full-build pipeline);
+    both run the numpy kernels when numpy is importable
+    (``REPRO_DISABLE_NUMPY=1`` forces the scalar loops).  The scheme
     may equivalently be given as ``--scheme``; ``--trace`` prints the
     run's span tree, ``--trace-out FILE`` writes a full run report, and
     ``--profile`` prints the span self-time table plus a
@@ -211,7 +213,13 @@ def _resolve_hiding_scheme(args: argparse.Namespace) -> str:
 
 
 def cmd_hiding(args: argparse.Namespace) -> int:
-    from .engine import RunContext, decide_hiding, resolve_plan  # noqa: PLC0415
+    from .engine import (  # noqa: PLC0415
+        BACKEND_MATERIALIZED,
+        BACKEND_STREAMING,
+        ExecutionPlan,
+        RunContext,
+        decide_hiding,
+    )
     from .perf import GLOBAL_STATS, PerfStats  # noqa: PLC0415
     from .perf.config import CONFIG  # noqa: PLC0415
 
@@ -227,31 +235,17 @@ def cmd_hiding(args: argparse.Namespace) -> int:
     else:
         stats = PerfStats() if args.perf_stats else GLOBAL_STATS
         ctx = RunContext(stats=stats)
+    # "auto" here means streaming: this command exists to run the early exit.
+    backend = args.backend if args.backend not in (None, "auto") else BACKEND_STREAMING
+    plan = ExecutionPlan(
+        backend=backend,
+        workers=args.workers,
+        disk_cache=not (backend == BACKEND_MATERIALIZED or args.no_disk_cache),
+        symmetry=args.symmetry,
+    ).resolve()
     detach_progress = _attach_progress(ctx.progress)
-    materialized_route = (
-        args.backend == "materialized" if args.backend is not None
-        else args.materialized
-    )
-    if args.backend is not None and args.materialized and not materialized_route:
-        raise SystemExit(
-            f"repro hiding: --backend {args.backend} conflicts with --materialized"
-        )
     try:
-        with CONFIG.overridden(
-            disk_cache_dir=args.cache_dir,
-            # The default route is the auto rule: streaming, upgraded to the
-            # vectorized kernel backend when numpy is importable.
-            streaming=not materialized_route,
-        ):
-            # The routing decision (flags -> backend/caches) is the engine's
-            # plan resolver; the CLI only translates its vocabulary.
-            disk_cache = False if materialized_route else not args.no_disk_cache
-            plan = resolve_plan(
-                backend=args.backend if args.backend is not None else "auto",
-                workers=args.workers,
-                disk_cache=disk_cache,
-                symmetry=args.symmetry,
-            )
+        with CONFIG.overridden(disk_cache_dir=args.cache_dir):
             verdict = decide_hiding(lcp, args.n, plan, ctx=ctx)
     finally:
         detach_progress()
@@ -319,18 +313,18 @@ def _csv_ints(text: str | None) -> tuple[int | None, ...]:
 
 def cmd_frontier_run(args: argparse.Namespace) -> int:
     from .campaign import CampaignSpec, build_frontier_report, run_campaign  # noqa: PLC0415
-    from .engine import resolve_plan  # noqa: PLC0415
+    from .engine import ExecutionPlan  # noqa: PLC0415
     from .perf.config import CONFIG  # noqa: PLC0415
 
     schemes = tuple(part for part in args.schemes.split(",") if part)
     families = tuple(part for part in args.family.split(",") if part)
     with CONFIG.overridden(disk_cache_dir=args.cache_dir):
-        plan = resolve_plan(
+        plan = ExecutionPlan(
             backend=args.backend if args.backend is not None else "auto",
             workers=args.workers,
             disk_cache=False if args.no_disk_cache else None,
             symmetry=args.symmetry,
-        )
+        ).resolve()
         spec = CampaignSpec.sweep(
             schemes,
             n_max=args.n_max,
@@ -649,22 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
     hiding_parser.add_argument(
         "--n", type=int, required=True, metavar="N", help="sweep bound (max nodes)"
     )
-    hiding_parser.add_argument(
-        "--materialized",
-        action="store_true",
-        help="use the classic full-build pipeline instead of streaming",
-    )
     from .engine import available_backends  # noqa: PLC0415
 
     hiding_parser.add_argument(
         "--backend",
         default=None,
-        # Derived from the live registry: capability-gated backends
-        # (vectorized without numpy) drop out of the choices and of the
-        # unknown-name error alike.
         choices=["auto", *available_backends()],
-        help="engine backend to run (default: auto — streaming, upgraded "
-        "to vectorized when numpy is importable; see `repro hiding` docs)",
+        help="engine backend to run (default: auto — streaming; "
+        "materialized builds all of V(D, n) first and skips the disk cache)",
     )
     hiding_parser.add_argument(
         "--workers",

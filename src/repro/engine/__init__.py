@@ -1,6 +1,6 @@
 """The hiding-decision engine: one entrypoint, declarative plans.
 
-This package unifies the repository's three hiding-decision paths
+This package unifies the repository's hiding-decision paths
 (materialized sweep, streaming early-exit sweep, parallel builds of
 either) behind a single pipeline::
 
@@ -9,8 +9,8 @@ either) behind a single pipeline::
     print(verdict.summary())
     print(verdict.provenance.summary())   # backend, cache tier, wall time
 
-* :class:`ExecutionPlan` — *how* to decide: backend × workers ×
-  early-exit/warm-start × cache tiers.  Unset fields resolve against the
+* :class:`ExecutionPlan` — *how* to decide: backend × kernel × workers
+  × early-exit/warm-start × cache tiers.  Unset fields resolve against the
   session's :class:`~repro.perf.config.PerfConfig`.
 * :func:`decide_hiding` — *what* to decide; returns a :class:`Verdict`
   envelope (decision + canonical witness + graph + :class:`Provenance`).
@@ -20,11 +20,6 @@ either) behind a single pipeline::
   ship, new tiers plug into a context.
 * :func:`register_backend` — the backend registry; new sweep strategies
   plug in without touching any call site.
-
-The legacy keyword surfaces (``hiding_verdict_up_to(streaming=...)``,
-``streaming_hiding_verdict_up_to``) remain as deprecation shims that
-translate through :func:`resolve_plan` — the one place the
-streaming-vs-materialized routing decision lives.
 """
 
 from .backends import (
@@ -32,7 +27,6 @@ from .backends import (
     Backend,
     MaterializedBackend,
     StreamingBackend,
-    VectorizedBackend,
     available_backends,
     clear_warm_states,
     get_backend,
@@ -44,9 +38,7 @@ from .plan import (
     BACKEND_AUTO,
     BACKEND_MATERIALIZED,
     BACKEND_STREAMING,
-    BACKEND_VECTORIZED,
     ExecutionPlan,
-    resolve_plan,
 )
 from .stores import DiskVerdictStore, MemoryVerdictStore, VerdictStore
 from .verdict import Provenance, Verdict
@@ -56,7 +48,6 @@ __all__ = [
     "BACKEND_AUTO",
     "BACKEND_MATERIALIZED",
     "BACKEND_STREAMING",
-    "BACKEND_VECTORIZED",
     "Backend",
     "DiskVerdictStore",
     "ExecutionPlan",
@@ -65,7 +56,6 @@ __all__ = [
     "Provenance",
     "RunContext",
     "StreamingBackend",
-    "VectorizedBackend",
     "Verdict",
     "VerdictStore",
     "available_backends",
@@ -75,6 +65,5 @@ __all__ = [
     "decide_hiding",
     "get_backend",
     "register_backend",
-    "resolve_plan",
     "shared_memory_store",
 ]

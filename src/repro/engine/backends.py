@@ -4,7 +4,7 @@ A backend answers one question — *is* ``V(D, n)`` *k-colorable?* — under
 the contract that the ``hiding`` flag, the canonical stream-order
 witness, and (on conclusive non-hiding sweeps) the complete graph and
 coloring are byte-identical across backends, worker counts, and cache
-tiers.  Three ship today:
+tiers.  Two ship today:
 
 * ``materialized`` — build all of ``V(D, n)`` (serial or process-pool),
   then decide: BFS bipartition / DSATUR coloring on the finished graph.
@@ -14,9 +14,10 @@ tiers.  Three ship today:
 * ``streaming`` — the fused early-exit engine of
   :mod:`repro.neighborhood.streaming`: incremental decision per builder
   event, optional cross-``n`` warm start, stop at the first witness.
-* ``vectorized`` — the streaming engine with the numpy batch kernel of
-  :mod:`repro.kernel` evaluating the unanimity sweeps block-wise;
-  capability-gated on numpy (see :class:`VectorizedBackend`).
+
+Both read the plan's ``kernel`` mode: unless it is ``"off"``, the numpy
+kernels of :mod:`repro.kernel` evaluate the unanimity sweeps block-wise
+and run orderly generation's canonicalization searches in batches.
 
 Registering a new backend is one class + one :func:`register_backend`
 call — sharded sweeps, async workers, or remote executors plug in here
@@ -42,7 +43,7 @@ from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
 from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS
-from ..kernel import KERNEL_BATCH, kernel_available
+from ..kernel import KERNEL_BATCH
 from ..symmetry.prune import SymmetryAccount
 from .context import RunContext
 from .plan import ExecutionPlan
@@ -59,19 +60,9 @@ ENGINE_VERSION = 1
 class Backend:
     """One way to run a hiding sweep.  Subclasses override :meth:`run`;
     :meth:`shortcut` may answer from backend-private state (the
-    streaming warm-start witness) before any cache tier is consulted.
-    :meth:`available` gates capability-dependent backends (the
-    vectorized kernel backend needs numpy): unavailable backends stay
-    registered but are hidden from :func:`available_backends` and
-    rejected by :func:`get_backend` with an actionable message."""
+    streaming warm-start witness) before any cache tier is consulted."""
 
     name: str = "?"
-
-    def available(self) -> bool:
-        return True
-
-    def unavailable_reason(self) -> str | None:
-        return None
 
     def shortcut(
         self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext
@@ -95,21 +86,15 @@ def get_backend(name: str) -> Backend:
     backend = _BACKENDS.get(name)
     if backend is None:
         raise ValueError(
-            f"unknown backend {name!r}; known: {', '.join(available_backends())}"
-        )
-    if not backend.available():
-        raise ValueError(
-            f"backend {name!r} is unavailable: {backend.unavailable_reason()}"
+            f"unknown backend {name!r}; known: auto, {', '.join(available_backends())}"
         )
     return backend
 
 
 def available_backends() -> list[str]:
-    """Names of the backends that can run in this process, in
-    registration order.  Capability-gated backends (``vectorized``)
-    drop out when their dependency is missing, so surfaces deriving
-    choices from this list (the CLI's ``--backend``) stay honest."""
-    return [name for name, backend in _BACKENDS.items() if backend.available()]
+    """Names of the registered backends, in registration order (the
+    CLI's ``--backend`` choices derive from this list)."""
+    return list(_BACKENDS)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +114,7 @@ def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     deliberately absent — verdicts are byte-identical for any.  Orbit
     pruning is part of the identity (early-exit counts may differ between
     regimes); the orderly-vs-legacy generation mode and the generation
-    kernel are not (byte-identical streams).  A raised
+    kernel mode are not (byte-identical streams).  A raised
     ``kernel_labeling_limit`` *is* part of the identity — it admits
     labeling spaces the base limit refuses, changing sweep content
     (resolve already normalized it to ``None`` wherever it is a no-op)."""
@@ -184,7 +169,7 @@ def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
     # (whose early-exit instance counts can legitimately differ).
     if _symmetry_effective(lcp, plan):
         key["symmetry"] = "on"
-    # Only when set (vectorized route, above the base limit): the raised
+    # Only when set (kernel route, above the base limit): the raised
     # admission limit changes sweep content, and pre-existing entries
     # keep their addresses when it is off.
     if plan.kernel_labeling_limit is not None:
@@ -243,6 +228,7 @@ def _envelope(
         n=n,
         workers=plan.workers or 0,
         early_exit=plan.early_exit,
+        kernel=KERNEL_BATCH if plan.kernel != "off" else None,
         instances_scanned=g.instances_scanned,
         views=g.order,
         edges=g.size,
@@ -310,7 +296,6 @@ def _run_sharded(
     consumer,
     into,
     account,
-    kernel: str | None,
     flags: dict,
     lo: int = 0,
 ):
@@ -331,7 +316,6 @@ def _run_sharded(
         into=into,
         account=account,
         lo=lo,
-        kernel=kernel,
         sweep_key=disk_key(lcp, n, plan),
     )
     flags["shard_count"] = outcome.shard_count
@@ -393,9 +377,7 @@ class MaterializedBackend(Backend):
         account = SymmetryAccount() if pruned else None
         sharded = _sharding_effective(lcp, plan, n)
         meter = _ThroughputMeter(ctx)
-        with CONFIG.overridden(
-            symmetry=plan.symmetry, generation_kernel=plan.generation_kernel
-        ):
+        with CONFIG.overridden(symmetry=plan.symmetry, kernel=plan.kernel):
             with ctx.tracer.span("sweep", n=n, sharded=sharded) as sweep:
                 with ctx.tracer.span(
                     "symmetry:generate", n=n, mode=plan.symmetry
@@ -434,7 +416,6 @@ class MaterializedBackend(Backend):
                         consumer=tracker,
                         into=into,
                         account=account,
-                        kernel=None,
                         flags=shard_flags,
                     )
                 else:
@@ -445,6 +426,7 @@ class MaterializedBackend(Backend):
                             **_enumeration_bounds(plan),
                             symmetry=plan.symmetry if pruned else "off",
                             account=account,
+                            stats=ctx.stats,
                         ),
                         lcp,
                         n,
@@ -509,22 +491,19 @@ class StreamingBackend(Backend):
     """Fused incremental decision with early exit and warm starts."""
 
     name = "streaming"
-    #: Inner-loop evaluator for the unanimity sweeps (``None`` = scalar);
-    #: the vectorized subclass sets ``"batch"``.
-    kernel: str | None = None
 
     @contextmanager
-    def _kernel_span(self, ctx: RunContext):
-        """Wrap the build in a ``kernel:<name>`` span whose attributes
-        report the batch counters the sweep accumulated (no-op for the
-        scalar streaming backend)."""
-        if self.kernel is None:
+    def _kernel_span(self, plan: ExecutionPlan, ctx: RunContext):
+        """Wrap the build in a ``kernel:batch`` span whose attributes
+        report the batch counters the sweep accumulated (no-op with
+        ``kernel="off"``)."""
+        if plan.kernel == "off":
             yield None
             return
         before_batches = ctx.stats.get("kernel_batches")
         before_labelings = ctx.stats.get("kernel_labelings")
         with ctx.tracer.span(
-            f"kernel:{self.kernel}", block_size=CONFIG.kernel_block_size
+            f"kernel:{KERNEL_BATCH}", block_size=CONFIG.kernel_block_size
         ) as span:
             try:
                 yield span
@@ -561,7 +540,6 @@ class StreamingBackend(Backend):
             ctx,
             warm_witness_hit=True,
             symmetry_pruned=_symmetry_effective(lcp, plan),
-            kernel=self.kernel,
         )
 
     def run(self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict:
@@ -580,7 +558,7 @@ class StreamingBackend(Backend):
         shard_flags: dict = {}
         meter = _ThroughputMeter(ctx)
         with CONFIG.overridden(
-            symmetry=plan.symmetry, generation_kernel=plan.generation_kernel
+            symmetry=plan.symmetry, kernel=plan.kernel
         ), ctx.stats.time_stage("streaming_sweep"):
             with ctx.tracer.span(
                 "sweep", n=n, early_exit=plan.early_exit, sharded=sharded
@@ -615,7 +593,6 @@ class StreamingBackend(Backend):
                                 **_enumeration_bounds(plan),
                                 symmetry=symmetry,
                                 account=account,
-                                kernel=self.kernel,
                                 stats=ctx.stats,
                             ),
                             lcp,
@@ -647,14 +624,13 @@ class StreamingBackend(Backend):
                                 **_enumeration_bounds(plan),
                                 symmetry=symmetry,
                                 account=account,
-                                kernel=self.kernel,
                                 stats=ctx.stats,
                             ),
                             lcp,
                             n,
                             ctx,
                         )
-                with self._kernel_span(ctx):
+                with self._kernel_span(plan, ctx):
                     if sharded:
                         _run_sharded(
                             lcp,
@@ -665,7 +641,6 @@ class StreamingBackend(Backend):
                             consumer=engine,
                             into=engine.ngraph,
                             account=account,
-                            kernel=self.kernel,
                             flags=shard_flags,
                             lo=lo,
                         )
@@ -702,43 +677,10 @@ class StreamingBackend(Backend):
             ctx,
             warm_started=warm_started,
             symmetry_pruned=pruned,
-            kernel=self.kernel,
             **shard_flags,
             **meter.flags(elapsed),
         )
 
 
-# ----------------------------------------------------------------------
-# Vectorized backend (streaming semantics, numpy batch kernel)
-# ----------------------------------------------------------------------
-
-
-class VectorizedBackend(StreamingBackend):
-    """Streaming semantics with the numpy batch kernel in the unanimity
-    loop (:mod:`repro.kernel`): labelings are materialized block-wise as
-    ``(batch, nodes)`` index matrices and decoder acceptance reduces to
-    boolean table gathers.  Verdicts, witnesses, ``seen`` sets, and every
-    account total at every yield point are identical to ``streaming`` —
-    only the inner-loop arithmetic changes — so the plan-equivalence
-    suite holds it to the same fingerprints.  Requires numpy; when the
-    labeling space of some base cannot be indexed the sweep falls back
-    to the scalar loop for that base only."""
-
-    name = "vectorized"
-    kernel = KERNEL_BATCH
-
-    def available(self) -> bool:
-        return kernel_available()
-
-    def unavailable_reason(self) -> str | None:
-        if kernel_available():
-            return None
-        return (
-            "numpy is not importable (install it via `pip install -e .[fast]`; "
-            "if REPRO_DISABLE_NUMPY is set, unset it)"
-        )
-
-
 register_backend(MaterializedBackend())
 register_backend(StreamingBackend())
-register_backend(VectorizedBackend())

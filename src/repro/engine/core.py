@@ -1,8 +1,8 @@
 """`decide_hiding` — the single entrypoint for every hiding decision.
 
-Every surface (CLI, experiment runner, benchmarks, library callers, and
-the legacy keyword shims) answers "does ``D`` hide a ``k``-coloring up
-to ``n``?" through this one function.  The tier order per decision:
+Every surface (CLI, experiment runner, benchmarks, library callers)
+answers "does ``D`` hide a ``k``-coloring up to ``n``?" through this one
+function.  The tier order per decision:
 
 1. **memory memo** — a hit returns the originally produced envelope
    object as-is (``is``-level memo semantics);

@@ -11,11 +11,7 @@ the plan is reusable across schemes and sweeps.
 Fields left at ``None`` are resolved against a :class:`~repro.perf.config.
 PerfConfig` at decision time (:meth:`ExecutionPlan.resolve`), so a plan
 built once by a surface (CLI, runner, benchmark) picks up the session's
-knobs without re-reading globals itself.  :func:`resolve_plan` is the
-single translation from the legacy keyword vocabulary
-(``streaming=``/``workers=``/``disk_cache=``) into a plan — the CLI and
-the deprecation shims both delegate to it, so the streaming-vs-
-materialized choice lives in exactly one place.
+knobs without re-reading globals itself.
 """
 
 from __future__ import annotations
@@ -24,13 +20,10 @@ from dataclasses import dataclass, replace
 
 from ..perf.config import CONFIG, PerfConfig
 
-#: Known backend names; "auto" defers to ``PerfConfig.streaming`` (and,
-#: on the streaming route, upgrades to the vectorized kernel backend
-#: when numpy is importable).
+#: Known backend names; "auto" defers to ``PerfConfig.streaming``.
 BACKEND_AUTO = "auto"
 BACKEND_MATERIALIZED = "materialized"
 BACKEND_STREAMING = "streaming"
-BACKEND_VECTORIZED = "vectorized"
 
 
 @dataclass(frozen=True)
@@ -39,12 +32,7 @@ class ExecutionPlan:
 
     * ``backend`` — ``"materialized"`` (build all of ``V(D, n)``, then
       decide), ``"streaming"`` (fused incremental decision, early exit),
-      ``"vectorized"`` (streaming semantics with the numpy batch kernel
-      of :mod:`repro.kernel` in the unanimity loop; requires numpy), or
-      ``"auto"``: the ``CONFIG.streaming`` knob picks the route, and the
-      streaming route upgrades itself to ``vectorized`` when numpy is
-      importable — verdicts, witnesses, and provenance counts are
-      byte-identical either way.
+      or ``"auto"``: the ``CONFIG.streaming`` knob picks the route.
     * ``workers`` — processes for the enumeration scan; ``None`` defers
       to ``CONFIG.workers``, ``0``/``1`` mean serial.  The verdict is
       byte-identical for every worker count (the parallel builder
@@ -70,24 +58,22 @@ class ExecutionPlan:
       ``Provenance.instances_scanned``, so full-sweep provenance is
       regime-independent; when pruning is effective the sweep's disk
       identity is tagged so pre-symmetry cache entries are never misread.
-    * ``generation_kernel`` — the generation-side kernel mode (``"auto"``
-      | ``"on"`` | ``"off"``): whether orderly generation and its
-      emission labeling run the batched canonicalization searches of
-      :mod:`repro.kernel.generate` instead of the scalar DFS.  ``None``
-      defers to ``CONFIG.generation_kernel``; ``"on"`` is rejected at
-      resolve time when numpy is missing.  Levels and emission streams
-      are byte-identical either way, so this knob never enters a cache
-      identity.
+    * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
+      :mod:`repro.kernel`, for both the unanimity pass and orderly
+      generation, on every backend.  ``None`` defers to
+      ``CONFIG.kernel``; resolve normalizes ``"auto"`` to ``"off"`` when
+      numpy is unavailable.  Streams and verdicts are byte-identical
+      either way, so this knob never enters a cache identity.
     * ``kernel_labeling_limit`` — an elevated admission limit for the
       exhaustive unanimity pass, honored only where the batch kernel
-      actually evaluates the labelings (``vectorized`` backend *and*
+      actually evaluates the labelings (``kernel`` not ``"off"`` *and*
       :func:`repro.kernel.batch.kernel_supports` for the base) — the
       block-streamed kernel can afford spaces the scalar loop must
       refuse.  ``None`` (the default) leaves every route at
       ``labeling_limit``, so scalar-route behavior is unchanged; when it
       admits new spaces it changes sweep content, so a set value is part
       of the sweep's cache identity (resolve normalizes it to ``None``
-      on non-vectorized backends and when it does not exceed
+      with ``kernel="off"`` and when it does not exceed
       ``labeling_limit``, where it is a no-op).
     * ``graph_family`` — a registered named graph family
       (:data:`repro.graphs.families.GRAPH_FAMILIES`) restricting the
@@ -129,7 +115,7 @@ class ExecutionPlan:
     include_all_accepted_labelings: bool = True
     labeling_limit: int = 20_000
     symmetry: str | None = None
-    generation_kernel: str | None = None
+    kernel: str | None = None
     kernel_labeling_limit: int | None = None
     graph_family: str = "all"
     alphabet_limit: int | None = None
@@ -144,7 +130,7 @@ class ExecutionPlan:
             and self.warm_start is not None
             and self.disk_cache is not None
             and self.symmetry is not None
-            and self.generation_kernel is not None
+            and self.kernel is not None
             and self.sharding is not None
             and self.shard_depth is not None
         )
@@ -160,18 +146,10 @@ class ExecutionPlan:
         config = config if config is not None else CONFIG
         backend = self.backend
         if backend == BACKEND_AUTO:
-            if config.streaming:
-                from ..kernel import kernel_available  # noqa: PLC0415
+            backend = BACKEND_STREAMING if config.streaming else BACKEND_MATERIALIZED
+        from .backends import get_backend  # noqa: PLC0415
 
-                backend = (
-                    BACKEND_VECTORIZED if kernel_available() else BACKEND_STREAMING
-                )
-            else:
-                backend = BACKEND_MATERIALIZED
-        if backend not in (BACKEND_MATERIALIZED, BACKEND_STREAMING):
-            from .backends import get_backend  # noqa: PLC0415
-
-            get_backend(backend)  # raises for unknown or unavailable names
+        get_backend(backend)  # raises for unknown names
         workers = self.workers if self.workers is not None else config.workers
         warm = self.warm_start if self.warm_start is not None else config.warm_start
         disk = self.disk_cache if self.disk_cache is not None else config.disk_cache
@@ -180,25 +158,13 @@ class ExecutionPlan:
             raise ValueError(
                 f"unknown symmetry mode {symmetry!r}; known: auto, on, off"
             )
-        generation = (
-            self.generation_kernel
-            if self.generation_kernel is not None
-            else config.generation_kernel
-        )
-        if generation not in ("auto", "on", "off"):
-            raise ValueError(
-                f"unknown generation_kernel mode {generation!r}; "
-                "known: auto, on, off"
-            )
-        if generation == "on":
-            from ..kernel import kernel_available  # noqa: PLC0415
+        kernel = self.kernel if self.kernel is not None else config.kernel
+        if kernel not in ("auto", "off"):
+            raise ValueError(f"unknown kernel mode {kernel!r}; known: auto, off")
+        from ..kernel import kernel_available  # noqa: PLC0415
 
-            if not kernel_available():
-                raise ValueError(
-                    "generation_kernel='on' requires numpy (install it via "
-                    "`pip install -e .[fast]`; if REPRO_DISABLE_NUMPY is "
-                    "set, unset it) — use 'auto' for a silent fallback"
-                )
+        if not kernel_available():
+            kernel = "off"
         raised_limit = self.kernel_labeling_limit
         if raised_limit is not None:
             if raised_limit <= 0:
@@ -207,7 +173,7 @@ class ExecutionPlan:
                 )
             # A raised limit is a no-op off the kernel route or at/below
             # the base limit; normalize those plans to one cache identity.
-            if backend != BACKEND_VECTORIZED or raised_limit <= self.labeling_limit:
+            if kernel == "off" or raised_limit <= self.labeling_limit:
                 raised_limit = None
         from ..graphs.families import graph_family_predicate  # noqa: PLC0415
 
@@ -255,7 +221,7 @@ class ExecutionPlan:
             warm_start=warm,
             disk_cache=disk,
             symmetry=symmetry,
-            generation_kernel=generation,
+            kernel=kernel,
             kernel_labeling_limit=raised_limit,
             sharding=sharding,
             shard_depth=shard_depth,
@@ -270,14 +236,12 @@ class ExecutionPlan:
         ]
         workers = "auto" if self.workers is None else (self.workers or "serial")
         symmetry = "auto" if self.symmetry is None else self.symmetry
-        generation = (
-            "auto" if self.generation_kernel is None else self.generation_kernel
-        )
+        kernel = "auto" if self.kernel is None else self.kernel
         text = (
             f"backend={self.backend} workers={workers} "
             f"early_exit={self.early_exit} warm_start={self.warm_start} "
             f"cache={'+'.join(tiers) if tiers else 'none'} "
-            f"symmetry={symmetry} generation_kernel={generation}"
+            f"symmetry={symmetry} kernel={kernel}"
         )
         if self.kernel_labeling_limit is not None:
             text += f" kernel_labeling_limit={self.kernel_labeling_limit}"
@@ -290,62 +254,3 @@ class ExecutionPlan:
             text += f" sharding={self.sharding} shard_depth={depth}"
         return text
 
-
-def resolve_plan(
-    streaming: bool | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
-    early_exit: bool = True,
-    warm_start: bool | None = None,
-    memory_cache: bool = True,
-    disk_cache: bool | None = None,
-    port_limit: int = 64,
-    id_order_types: bool = False,
-    include_all_accepted_labelings: bool = True,
-    labeling_limit: int = 20_000,
-    symmetry: str | None = None,
-    generation_kernel: str | None = None,
-    kernel_labeling_limit: int | None = None,
-    graph_family: str = "all",
-    alphabet_limit: int | None = None,
-    sharding: str | None = None,
-    shard_depth: int | None = None,
-    config: PerfConfig | None = None,
-) -> ExecutionPlan:
-    """The plan resolver: legacy keyword vocabulary → resolved plan.
-
-    This is the only place the streaming-vs-materialized routing decision
-    is made.  ``streaming=None`` defers to ``config.streaming`` (the
-    historical behavior of ``hiding_verdict_up_to``); every other
-    ``None`` likewise falls back to the config knob.  *backend* names a
-    registered backend directly (the CLI's ``--backend``); it is
-    mutually exclusive with the legacy *streaming* keyword.
-    """
-    if backend is not None:
-        if streaming is not None:
-            raise ValueError(
-                "resolve_plan: pass either backend= or streaming=, not both"
-            )
-    elif streaming is None:
-        backend = BACKEND_AUTO
-    else:
-        backend = BACKEND_STREAMING if streaming else BACKEND_MATERIALIZED
-    return ExecutionPlan(
-        backend=backend,
-        workers=workers,
-        early_exit=early_exit,
-        warm_start=warm_start,
-        memory_cache=memory_cache,
-        disk_cache=disk_cache,
-        port_limit=port_limit,
-        id_order_types=id_order_types,
-        include_all_accepted_labelings=include_all_accepted_labelings,
-        labeling_limit=labeling_limit,
-        symmetry=symmetry,
-        generation_kernel=generation_kernel,
-        kernel_labeling_limit=kernel_labeling_limit,
-        graph_family=graph_family,
-        alphabet_limit=alphabet_limit,
-        sharding=sharding,
-        shard_depth=shard_depth,
-    ).resolve(config)

@@ -7,11 +7,7 @@ The runner's configuration surface is two objects: an
 :class:`~repro.engine.plan.ExecutionPlan` saying *how* the experiments'
 sweeps should run, and (optionally) a
 :class:`~repro.campaign.CampaignSpec` naming a parameter-frontier sweep
-to append to the batch.  The historical keyword knobs
-(``workers``/``streaming``/``disk_cache``/``symmetry``) remain accepted
-as a back-compat wrapper — :func:`plan_from_knobs` is the single
-translation into a plan, and mixing the two vocabularies in one call
-raises.
+to append to the batch.
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from pathlib import Path
 from ..engine.plan import (
     BACKEND_AUTO,
     BACKEND_MATERIALIZED,
+    BACKEND_STREAMING,
     ExecutionPlan,
 )
 from ..obs.progress import GLOBAL_PROGRESS
@@ -34,37 +31,12 @@ from .registry import ExperimentResult, all_experiments
 from .report import render_perf_stats, render_results
 
 
-def plan_from_knobs(
-    workers: int | None = None,
-    streaming: bool | None = None,
-    disk_cache: bool | None = None,
-    symmetry: str | None = None,
-) -> ExecutionPlan:
-    """The legacy runner vocabulary as an (unresolved) plan.
-
-    ``None`` everywhere means "defer to the session config", exactly the
-    historical behavior; ``streaming`` maps onto the backend axis the
-    same way :func:`repro.engine.plan.resolve_plan` does.
-    """
-    if streaming is None:
-        backend = BACKEND_AUTO
-    else:
-        backend = "streaming" if streaming else BACKEND_MATERIALIZED
-    return ExecutionPlan(
-        backend=backend,
-        workers=workers,
-        disk_cache=disk_cache,
-        symmetry=symmetry,
-    )
-
-
 def config_overrides(plan: ExecutionPlan | None) -> dict:
     """The ``CONFIG.overridden`` kwargs one plan scopes a batch with.
 
     Experiments read the session config rather than taking a plan per
     call, so the runner projects the plan back onto the config knobs for
-    the duration of the batch.  ``None`` fields override nothing (the
-    pre-plan semantics of the keyword knobs).
+    the duration of the batch.  ``None`` fields override nothing.
     """
     if plan is None:
         return {}
@@ -76,53 +48,22 @@ def config_overrides(plan: ExecutionPlan | None) -> dict:
         "streaming": streaming,
         "disk_cache": plan.disk_cache,
         "symmetry": plan.symmetry,
+        "kernel": plan.kernel,
     }
-
-
-def _plan_or_legacy(
-    plan: ExecutionPlan | None,
-    workers,
-    streaming,
-    disk_cache,
-    symmetry,
-) -> ExecutionPlan:
-    legacy = {
-        "workers": workers,
-        "streaming": streaming,
-        "disk_cache": disk_cache,
-        "symmetry": symmetry,
-    }
-    given = {name: value for name, value in legacy.items() if value is not None}
-    if plan is not None:
-        if given:
-            raise ValueError(
-                "run_all: pass either plan= or the legacy knobs "
-                f"({', '.join(sorted(given))}), not both"
-            )
-        return plan
-    return plan_from_knobs(**legacy)
 
 
 def run_all(
     plan: ExecutionPlan | None = None,
     verbose: bool = True,
     tracer: Tracer | None = None,
-    *,
-    workers: int | None = None,
-    streaming: bool | None = None,
-    disk_cache: bool | None = None,
-    symmetry: str | None = None,
 ) -> list[ExperimentResult]:
     """Run every registered experiment, in id order.
 
-    *plan* scopes the batch: its backend/workers/cache/symmetry fields
-    become the session config for the duration of the call
+    *plan* scopes the batch: its backend/workers/cache/symmetry/kernel
+    fields become the session config for the duration of the call
     (``CONFIG.overridden``), so a runner invocation can no longer leak
-    knobs into subsequent in-process work.  The keyword knobs are the
-    pre-plan vocabulary, still accepted (but not combinable with
-    *plan*) via :func:`plan_from_knobs`.
+    knobs into subsequent in-process work.
     """
-    plan = _plan_or_legacy(plan, workers, streaming, disk_cache, symmetry)
     tracer = tracer if tracer is not None else NULL_TRACER
     results = []
     with CONFIG.overridden(**config_overrides(plan)):
@@ -164,11 +105,6 @@ def run_all_and_save(
     campaign=None,
     verbose: bool = True,
     trace_out: str | Path | None = None,
-    *,
-    workers: int | None = None,
-    streaming: bool | None = None,
-    disk_cache: bool | None = None,
-    symmetry: str | None = None,
 ) -> bool:
     """Run everything, write the rendered report (plus the perf-stats
     section) to *path*.
@@ -189,15 +125,7 @@ def run_all_and_save(
     """
     GLOBAL_STATS.reset()
     tracer = Tracer() if trace_out is not None else None
-    results = run_all(
-        plan=plan,
-        verbose=verbose,
-        tracer=tracer,
-        workers=workers,
-        streaming=streaming,
-        disk_cache=disk_cache,
-        symmetry=symmetry,
-    )
+    results = run_all(plan=plan, verbose=verbose, tracer=tracer)
     report = render_results(results) + "\n\n" + render_perf_stats(GLOBAL_STATS)
     ok = all(r.ok for r in results)
     if campaign is not None:
@@ -250,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         "--streaming",
         action="store_true",
         help="route hiding sweeps through the early-exit streaming engine "
-        "(auto-upgraded to the vectorized numpy kernel backend when numpy "
-        "is importable; scalar fallback otherwise)",
+        "(with the numpy kernels when numpy is importable; scalar fallback "
+        "otherwise)",
     )
     parser.add_argument(
         "--disk-cache",
@@ -282,11 +210,10 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.logs import setup_logging  # noqa: PLC0415
 
         setup_logging(args.log_level)
-    # The CLI speaks the legacy vocabulary; translate once, up front.
-    plan = plan_from_knobs(
+    plan = ExecutionPlan(
+        backend=BACKEND_STREAMING if args.streaming else BACKEND_AUTO,
         workers=args.workers,
-        streaming=args.streaming or None,
-        disk_cache=args.disk_cache or None,
+        disk_cache=True if args.disk_cache else None,
         symmetry=args.symmetry,
     )
     ok = run_all_and_save(args.target, plan=plan, trace_out=args.trace_out)

@@ -71,6 +71,20 @@ def kernel_available() -> bool:
     return numpy_or_none() is not None
 
 
+def kernel_numpy():
+    """The numpy module when the kernels should engage, else ``None``.
+
+    The one switch every kernel call site asks: ``CONFIG.kernel`` (which
+    the engine backends scope to the plan's ``kernel`` field) is not
+    ``"off"`` and numpy is importable.
+    """
+    from ..perf.config import CONFIG  # noqa: PLC0415
+
+    if CONFIG.kernel == "off":
+        return None
+    return numpy_or_none()
+
+
 def numpy_version() -> str | None:
     """The numpy version string, or ``None`` when unavailable."""
     np = numpy_or_none()
@@ -97,6 +111,7 @@ __all__ = [
     "clear_kernel_tables",
     "generation_supported",
     "kernel_available",
+    "kernel_numpy",
     "kernel_supports",
     "numpy_or_none",
     "numpy_version",

@@ -90,7 +90,7 @@ def batch_colex_canonical(rows, n: int, np, stats=None):
     if batch == 0:
         return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
     if stats is not None:
-        stats.incr("generation_kernel_batches")
+        stats.incr("generation_batches")
         stats.incr("canonicalizations", batch)
     node_shifts = np.arange(n, dtype=np.int64)
     degs = popcounts(rows, n, np)
@@ -194,7 +194,7 @@ def batch_min_edge_mask(rows, n: int, firsts, np, stats=None):
     if batch == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
     if stats is not None:
-        stats.incr("generation_kernel_batches")
+        stats.incr("generation_batches")
         stats.incr("canonicalizations", batch)
     if n == 1:
         return np.zeros(batch, dtype=np.int64), np.zeros((batch, 1), dtype=np.int64)

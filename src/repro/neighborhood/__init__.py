@@ -14,7 +14,6 @@ from .hiding import (
     HidingVerdict,
     hiding_verdict_from_instances,
     hiding_verdict_on_witnesses,
-    hiding_verdict_up_to,
 )
 from .ngraph import (
     GraphConsumer,
@@ -22,11 +21,7 @@ from .ngraph import (
     build_neighborhood_graph,
     build_neighborhood_graph_auto,
 )
-from .streaming import (
-    StreamingHidingEngine,
-    clear_streaming_state,
-    streaming_hiding_verdict_up_to,
-)
+from .streaming import StreamingHidingEngine, clear_streaming_state
 
 __all__ = [
     "ExtractionDecoder",
@@ -42,10 +37,8 @@ __all__ = [
     "clear_streaming_state",
     "hiding_verdict_from_instances",
     "hiding_verdict_on_witnesses",
-    "hiding_verdict_up_to",
     "labeled_yes_instances",
     "run_extraction",
-    "streaming_hiding_verdict_up_to",
     "yes_instances_between",
     "yes_instances_up_to",
 ]

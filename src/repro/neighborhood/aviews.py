@@ -31,6 +31,7 @@ from ..graphs.families import (
     graph_family_predicate,
 )
 from ..graphs.graph import Graph
+from ..kernel import KERNEL_BATCH, kernel_numpy, kernel_supports
 from ..local.identifiers import IdentifierAssignment, all_order_types
 from ..local.instance import Instance
 from ..local.labeling import count_labelings, labeling_key, node_sort_order
@@ -55,7 +56,6 @@ def labeled_yes_instances(
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
-    kernel: str | None = None,
     kernel_labeling_limit: int | None = None,
     stats=None,
     family: str = "all",
@@ -83,16 +83,15 @@ def labeled_yes_instances(
       Suppressed counts accumulate on *account*
       (:class:`repro.symmetry.prune.SymmetryAccount`); the engine folds
       them back into ``Provenance.instances_scanned``.
-    * Kernel: *kernel* (``None`` | ``"batch"``) selects the unanimity
-      sweep's inner-loop evaluator — ``"batch"`` routes through the
-      vectorized block kernel of :mod:`repro.kernel` when numpy is
-      available, falling back to the scalar loop otherwise; *stats*
-      receives its batch counters.  The yielded stream is identical
-      either way.
+    * Kernel: the unanimity sweep runs the block kernel of
+      :mod:`repro.kernel` whenever :func:`repro.kernel.kernel_numpy`
+      says so (``CONFIG.kernel`` not ``"off"``, numpy importable), the
+      scalar loop otherwise; *stats* receives its batch counters.  The
+      yielded stream is identical either way.
     * Raised admission: *kernel_labeling_limit* (when above
       *labeling_limit*) admits a base's exhaustive unanimity pass only
-      where the batch kernel actually evaluates it — ``kernel ==
-      "batch"``, numpy importable, and the space indexable
+      where the batch kernel actually evaluates it — the kernel engaged
+      and the space indexable
       (:func:`repro.kernel.batch.kernel_supports`) — so the block-
       streamed kernel can afford labeling spaces the scalar route must
       refuse while scalar-route behavior stays byte-identical.
@@ -104,6 +103,7 @@ def labeled_yes_instances(
       pre-campaign sweep.
     """
     predicate = graph_family_predicate(family)
+    kernel = KERNEL_BATCH if kernel_numpy() is not None else None
     pruning = symmetry_pruning_effective(lcp, symmetry)
     if pruning and account is None:
         from ..symmetry.prune import SymmetryAccount  # noqa: PLC0415
@@ -176,14 +176,10 @@ def labeled_yes_instances(
                         alphabet is not None
                         and kernel_labeling_limit is not None
                         and kernel_labeling_limit > effective_limit
-                        and kernel == "batch"
+                        and kernel is not None
+                        and kernel_supports(graph, alphabet)
                     ):
-                        from ..kernel import kernel_supports, numpy_or_none  # noqa: PLC0415
-
-                        if numpy_or_none() is not None and kernel_supports(
-                            graph, alphabet
-                        ):
-                            effective_limit = kernel_labeling_limit
+                        effective_limit = kernel_labeling_limit
                     if alphabet is not None and (
                         count_labelings(graph, len(alphabet)) <= effective_limit
                     ):
@@ -221,7 +217,6 @@ def yes_instances_up_to(
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
-    kernel: str | None = None,
     kernel_labeling_limit: int | None = None,
     stats=None,
     family: str = "all",
@@ -245,7 +240,6 @@ def yes_instances_up_to(
         labeling_limit=labeling_limit,
         symmetry=symmetry,
         account=account,
-        kernel=kernel,
         kernel_labeling_limit=kernel_labeling_limit,
         stats=stats,
         family=family,
@@ -263,7 +257,6 @@ def yes_instances_between(
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
-    kernel: str | None = None,
     kernel_labeling_limit: int | None = None,
     stats=None,
     family: str = "all",
@@ -293,7 +286,6 @@ def yes_instances_between(
         labeling_limit=labeling_limit,
         symmetry=symmetry,
         account=account,
-        kernel=kernel,
         kernel_labeling_limit=kernel_labeling_limit,
         stats=stats,
         family=family,

@@ -13,7 +13,6 @@ some ``n``.  Both directions are runnable:
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -23,26 +22,6 @@ from ..local.instance import Instance
 from ..local.views import View
 from .aviews import labeled_yes_instances
 from .ngraph import NeighborhoodGraph, build_neighborhood_graph_auto
-
-#: Sentinel distinguishing "caller never passed streaming=" (route via
-#: the config knob, no deprecation) from an explicit legacy routing ask.
-_UNSET = object()
-
-#: Deprecation shims warn exactly once per process per shim name.
-_WARNED: set[str] = set()
-
-
-def _warn_once(name: str, message: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def _reset_deprecation_guards() -> None:
-    """Test hook: make the next shim call warn again."""
-    _WARNED.clear()
-
 
 @dataclass(frozen=True)
 class HidingVerdict:
@@ -80,50 +59,6 @@ def hiding_verdict_from_instances(
     """Check hiding over the neighborhood subgraph spanned by *labeled*."""
     ngraph = build_neighborhood_graph_auto(lcp, labeled)
     return classic_verdict(lcp, ngraph, exhaustive=exhaustive)
-
-
-def hiding_verdict_up_to(
-    lcp: LCP,
-    n: int,
-    port_limit: int = 64,
-    id_order_types: bool = False,
-    include_all_accepted_labelings: bool = True,
-    labeling_limit: int = 20_000,
-    streaming: bool | None = _UNSET,  # type: ignore[assignment]
-) -> HidingVerdict:
-    """Check hiding over the full Lemma 3.1 enumeration up to *n* nodes.
-
-    The result is conclusive both ways *for this n* (hiding may still
-    kick in at larger ``n`` when the verdict is non-hiding).  Results are
-    memoized per (scheme, decoder, parameters) — the enumeration is
-    deterministic, and the returned verdict is immutable by convention.
-
-    This is now a thin front over :func:`repro.engine.decide_hiding`:
-    the call builds an :class:`~repro.engine.ExecutionPlan` via the
-    engine's plan resolver and returns ``verdict.legacy``.  Passing
-    ``streaming=`` explicitly is deprecated — build a plan instead
-    (``ExecutionPlan(backend="materialized")`` for callers that need the
-    complete ``V(D, n)``, e.g. chromatic-number measurements).  Without
-    the keyword, the backend follows the session config, as before.
-    """
-    from ..engine import decide_hiding, resolve_plan  # noqa: PLC0415
-
-    if streaming is _UNSET:
-        streaming = None
-    else:
-        _warn_once(
-            "hiding_verdict_up_to.streaming",
-            "hiding_verdict_up_to(streaming=...) is deprecated; build an "
-            "ExecutionPlan and call repro.engine.decide_hiding instead",
-        )
-    plan = resolve_plan(
-        streaming=streaming,
-        port_limit=port_limit,
-        id_order_types=id_order_types,
-        include_all_accepted_labelings=include_all_accepted_labelings,
-        labeling_limit=labeling_limit,
-    )
-    return decide_hiding(lcp, n, plan).legacy
 
 
 def hiding_verdict_on_witnesses(

@@ -3,9 +3,9 @@
 Lemma 3.2 reduces hiding to "``V(D, n)`` is not ``k``-colorable for some
 ``n``", and the bipartiteness companion paper (arXiv:2502.13854) observes
 that the ``k = 2`` witness is just an odd closed walk.  The materialized
-pipeline (:func:`repro.neighborhood.hiding.hiding_verdict_up_to`) pays
-for every view and edge of the full enumeration before it even starts
-coloring; the engine here fuses the two phases:
+backend (:class:`repro.engine.MaterializedBackend`) pays for every view
+and edge of the full enumeration before it even starts coloring; the
+engine here fuses the two phases:
 
 1. **Incremental decision.** The builders drive the engine as a
    :class:`~repro.neighborhood.ngraph.GraphConsumer`: every new view and
@@ -34,7 +34,6 @@ adjacent views, and on non-hiding sweeps the streamed graph *is* the full
 
 from __future__ import annotations
 
-from ..certification.lcp import LCP
 from ..graphs.incremental import IncrementalKColoring, ParityForest
 from ..local.views import View
 from ..perf.stats import GLOBAL_STATS, PerfStats
@@ -188,73 +187,16 @@ class StreamingHidingEngine(GraphConsumer):
         return other
 
 
-# ----------------------------------------------------------------------
-# Legacy driver surface (now thin fronts over repro.engine)
-# ----------------------------------------------------------------------
-
-
 def clear_streaming_state() -> None:
     """Drop the in-memory streaming memo and warm states (benchmarks).
 
-    The materialized memo is left alone — use
-    :func:`repro.engine.clear_engine_state` to drop everything.
+    The streaming backend is also where ``ExecutionPlan()`` routes when
+    ``CONFIG.streaming`` is set, so this leaves no route warm except the
+    materialized memo — use :func:`repro.engine.clear_engine_state` to
+    drop everything.
     """
     from ..engine import clear_memory_store, clear_warm_states  # noqa: PLC0415
 
     clear_memory_store("streaming")
     clear_warm_states()
 
-
-def streaming_hiding_verdict_up_to(
-    lcp: LCP,
-    n: int,
-    port_limit: int = 64,
-    id_order_types: bool = False,
-    include_all_accepted_labelings: bool = True,
-    labeling_limit: int = 20_000,
-    workers: int | None = None,
-    stats: PerfStats | None = None,
-    early_exit: bool = True,
-    warm_start: bool | None = None,
-    disk_cache: bool | None = None,
-) -> HidingVerdict:
-    """Deprecated streaming front — build an
-    :class:`~repro.engine.ExecutionPlan` with ``backend="streaming"`` and
-    call :func:`repro.engine.decide_hiding` instead.  Same parameters,
-    same verdict semantics:
-
-    * With *early_exit* (default) the sweep stops at the first witness;
-      the verdict's graph then covers only the scanned prefix, which is
-      sound for the hiding direction (Lemma 3.2 accepts witnesses in any
-      subgraph of ``V(D, n)``).  Pass ``early_exit=False`` to keep the
-      incremental decision but still materialize all of ``V(D, n)``.
-    * *warm_start* (default: ``CONFIG.warm_start``) resumes from the last
-      finished sweep of the same scheme at a smaller ``n`` — anonymous
-      schemes only, where the instance stream at ``n`` provably extends
-      the one at ``n - 1``.
-    * *disk_cache* (default: ``CONFIG.disk_cache``) persists finished
-      sweeps across processes; cached graphs carry no instance
-      provenance (``ngraph.has_provenance`` is False).
-    """
-    from ..engine import ExecutionPlan, RunContext, decide_hiding  # noqa: PLC0415
-    from .hiding import _warn_once  # noqa: PLC0415
-
-    _warn_once(
-        "streaming_hiding_verdict_up_to",
-        "streaming_hiding_verdict_up_to() is deprecated; build an "
-        'ExecutionPlan(backend="streaming") and call '
-        "repro.engine.decide_hiding instead",
-    )
-    plan = ExecutionPlan(
-        backend="streaming",
-        workers=workers,
-        early_exit=early_exit,
-        warm_start=warm_start,
-        disk_cache=disk_cache,
-        port_limit=port_limit,
-        id_order_types=id_order_types,
-        include_all_accepted_labelings=include_all_accepted_labelings,
-        labeling_limit=labeling_limit,
-    )
-    ctx = RunContext(stats=stats) if stats is not None else None
-    return decide_hiding(lcp, n, plan, ctx=ctx).legacy

@@ -53,12 +53,12 @@ class PerfConfig:
       neighborhood-graph builder; ``0`` or ``1`` means serial.
     * ``chunk_size`` — instances per parallel work unit (``None`` picks a
       chunking that preserves base-instance locality).
-    * ``streaming`` — route the full Lemma 3.1 hiding sweeps
-      (:func:`repro.neighborhood.hiding.hiding_verdict_up_to`) through
-      the streaming engine: the colorability decision is fused into the
-      graph build and exits the moment a witness exists.  Callers that
-      need the *complete* ``V(D, n)`` (e.g. chromatic-number
-      measurements) opt out per call.
+    * ``streaming`` — the backend an ``ExecutionPlan(backend="auto")``
+      resolves to: ``True`` picks the streaming engine (the colorability
+      decision is fused into the graph build and exits the moment a
+      witness exists), ``False`` the materialized full build.  Callers
+      that need the *complete* ``V(D, n)`` (e.g. chromatic-number
+      measurements) ask for ``backend="materialized"`` per call.
     * ``warm_start`` — let consecutive streaming sweeps of the same LCP
       at growing ``n`` resume from the previous state instead of
       recoloring from scratch (anonymous schemes only; ``V(D, n-1)``
@@ -99,15 +99,13 @@ class PerfConfig:
     * ``shard_checkpoints`` — persist per-shard results under
       ``.repro_cache/shards/`` so a killed sweep restarts from its
       completed shards.
-    * ``generation_kernel`` — the generation-side kernel mode
-      (``"auto"`` | ``"on"`` | ``"off"``): whether the orderly
-      generator and its emission labeling run the batched
-      canonicalization searches of :mod:`repro.kernel.generate` instead
-      of the scalar per-graph DFS.  Levels and emission streams are
-      byte-identical either way, so this knob never enters a cache key;
-      ``"auto"`` engages the kernel whenever numpy is importable,
-      ``"on"`` asserts it (plans resolve it to an error when numpy is
-      missing), ``"off"`` forces the scalar reference path.
+    * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
+      :mod:`repro.kernel`, read by every backend for both the Lemma 3.1
+      unanimity pass (block-wise labeling evaluation) and orderly
+      generation (batched canonicalization searches).  ``"auto"``
+      engages the kernels whenever numpy is importable, ``"off"``
+      forces the scalar reference loops.  Streams and verdicts are
+      byte-identical either way, so this knob never enters a cache key.
     """
 
     layout_cache: bool = True
@@ -125,7 +123,7 @@ class PerfConfig:
     disk_cache_dir: str | None = None
     symmetry: str = "auto"
     kernel_block_size: int = 4096
-    generation_kernel: str = "auto"
+    kernel: str = "auto"
     sharding: str = "auto"
     shard_depth: int = 4
     shard_checkpoints: bool = True

@@ -96,7 +96,6 @@ def run_sharded_sweep(
     into=None,
     account=None,
     lo: int = 0,
-    kernel: str | None = None,
     sweep_key: dict | None = None,
     queue=None,
 ) -> ShardSweepOutcome:
@@ -149,7 +148,6 @@ def run_sharded_sweep(
                         id_bound=n,
                         symmetry=symmetry,
                         account=account,
-                        kernel=kernel,
                         stats=ctx.stats,
                         **bounds,
                     ),
@@ -167,7 +165,7 @@ def run_sharded_sweep(
         spec = plan_shards(n, depth, workers)
         roots = level_entries(depth)
         results = _drain_shards(
-            lcp, n, plan, ctx, spec, roots, bounds, symmetry, kernel,
+            lcp, n, plan, ctx, spec, roots, bounds, symmetry,
             lo, workers, store, queue, outcome, shard_span,
         )
 
@@ -206,7 +204,7 @@ def run_sharded_sweep(
 
 
 def _drain_shards(
-    lcp, n, plan, ctx, spec: ShardSpec, roots, bounds, symmetry, kernel,
+    lcp, n, plan, ctx, spec: ShardSpec, roots, bounds, symmetry,
     lo, workers, store, queue, outcome: ShardSweepOutcome, shard_span,
 ) -> dict[int, dict]:
     """Compute/adopt every shard of *spec*; returns ``{index: result}``."""
@@ -225,8 +223,7 @@ def _drain_shards(
             "roots": roots[shard.start : shard.stop],
             "bounds": bounds,
             "symmetry": symmetry,
-            "generation_kernel": plan.generation_kernel or CONFIG.generation_kernel,
-            "kernel": kernel,
+            "kernel": plan.kernel or CONFIG.kernel,
             "traced": traced,
         }
 

@@ -47,8 +47,8 @@ def run_shard(payload: dict) -> dict:
     *payload* keys: ``lcp``, ``n``, ``lo`` (warm-start floor — sizes at
     or below it are skipped), ``shard`` (:class:`~repro.shard.spec.Shard`),
     ``roots`` (the shard's level-``depth`` entry slice), ``bounds``
-    (enumeration-bound kwargs), ``symmetry``, ``generation_kernel``,
-    ``kernel``, ``traced``.
+    (enumeration-bound kwargs), ``symmetry``, ``kernel`` (the plan's
+    kernel mode), ``traced``.
     """
     lcp = payload["lcp"]
     n = payload["n"]
@@ -60,9 +60,7 @@ def run_shard(payload: dict) -> dict:
     global_before = {name: GLOBAL_STATS.get(name) for name in _GLOBAL_COUNTERS}
     scanner = InstanceScanner(lcp, stats)
     sizes: dict[int, list] = {}
-    with CONFIG.overridden(
-        symmetry=payload["symmetry"], generation_kernel=payload["generation_kernel"]
-    ):
+    with CONFIG.overridden(symmetry=payload["symmetry"], kernel=payload["kernel"]):
         with worker_span(
             "worker:shard",
             spans if payload["traced"] else None,
@@ -118,7 +116,6 @@ def _sweep_graph(
         id_bound=n,
         symmetry=payload["symmetry"],
         account=account,
-        kernel=payload["kernel"],
         stats=stats,
         **payload["bounds"],
     ):

@@ -28,7 +28,7 @@ transported to the emitted labeling and seeded into the group cache.
 
 Both the level build and the emission labeling have an array-native
 fast path (:mod:`repro.kernel.generate`): when numpy is importable and
-``CONFIG.generation_kernel`` is not ``"off"``, the orbit-minimality
+``CONFIG.kernel`` is not ``"off"``, the orbit-minimality
 subset filter, the colex canonicalization of candidate children, and
 the per-class minimal edge mask all run as batched frontier searches
 over ``(batch, nodes)`` bitset matrices.  The batched paths are exact —
@@ -42,7 +42,7 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from ..graphs.graph import Graph
-from ..kernel import numpy_or_none
+from ..kernel import kernel_numpy
 from ..obs.progress import GLOBAL_PROGRESS
 from ..kernel.generate import (
     batch_automorphisms,
@@ -53,7 +53,6 @@ from ..kernel.generate import (
     orbit_minimal_subsets,
     subset_bit_matrix,
 )
-from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS
 from .canon import automorphisms_from_perms, colex_canonical, min_edge_mask
 from .groups import AutomorphismGroup, seed_automorphisms
@@ -69,13 +68,6 @@ _GENERATION_BLOCK = 2048
 #: emission stream they cache.
 GENERATION_VERSION = 1
 
-
-def _generation_np():
-    """The numpy module when the generation kernel should engage, else
-    ``None`` (knob off, numpy missing, or ``REPRO_DISABLE_NUMPY``)."""
-    if CONFIG.generation_kernel == "off":
-        return None
-    return numpy_or_none()
 
 #: ``size -> tuple of (adjacency rows, automorphism index perms)`` for
 #: *all* graphs (connected and not) on that many nodes, one per class.
@@ -99,7 +91,7 @@ def _level(
         vectorized = False
     else:
         parents = _level(n - 1)
-        np = _generation_np()
+        np = kernel_numpy()
         vectorized = np is not None and generation_supported(n)
         if vectorized:
             entries = _build_level_batched(n, parents, np)
@@ -140,7 +132,7 @@ def build_level(
     (subsets ascending per parent), expanding a partition of level ``k-1``
     slice by slice and concatenating the results reproduces the full
     level entry for entry."""
-    np = _generation_np()
+    np = kernel_numpy()
     if np is not None and generation_supported(k):
         return _build_level_batched(k, parents, np)
     return _build_level(k, parents)
@@ -289,7 +281,7 @@ def emit_entries(
         group = AutomorphismGroup(nodes=tuple(range(n)), perms=auts)
         pending.append((rows, auts, group.orbit_representatives()))
     labeled = []
-    np = _generation_np()
+    np = kernel_numpy()
     if np is not None and generation_supported(n) and len(pending) > 1:
         # Batched emission labeling: one frontier search over the whole
         # level instead of one scalar DFS per class.

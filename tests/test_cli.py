@@ -84,20 +84,21 @@ class TestHidingBackendFlag:
         for name in available_backends():
             assert name in err
 
-    def test_backend_conflicts_with_materialized(self):
-        with pytest.raises(SystemExit, match="conflicts with --materialized"):
-            main(
-                ["hiding", "degree-one", "--n", "3", "--backend", "streaming",
-                 "--materialized"]
-            )
+    def test_materialized_alias_is_gone(self, capsys):
+        """``--backend materialized`` is the only spelling."""
+        with pytest.raises(SystemExit) as exc:
+            main(["hiding", "degree-one", "--n", "3", "--materialized"])
+        assert exc.value.code == 2
+        assert "--materialized" in capsys.readouterr().err
 
     def test_backend_materialized_agrees_with_the_flag(self, capsys):
+        """``--backend materialized`` runs the full build, memory tier only."""
         assert main(
-            ["hiding", "degree-one", "--n", "3", "--backend", "materialized",
-             "--materialized"]
+            ["hiding", "degree-one", "--n", "3", "--backend", "materialized"]
         ) == 0
         out = capsys.readouterr().out
         assert "backend=materialized" in out
+        assert "cache=memory " in out
 
 
 class TestViewsCommand:

@@ -23,7 +23,7 @@ from repro.graphs import (
 )
 from repro.graphs.families import bipartite_min_degree_one_graphs_up_to
 from repro.local import Instance, Labeling, is_anonymous_on, IdentifierAssignment
-from repro.neighborhood import hiding_verdict_up_to
+from repro.engine import ExecutionPlan, decide_hiding
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ class TestDecoderCases:
 
 class TestHidingAndAnonymity:
     def test_hiding_at_n4(self, lcp):
-        verdict = hiding_verdict_up_to(lcp, 4)
+        verdict = decide_hiding(lcp, 4, ExecutionPlan()).legacy
         assert verdict.hiding is True
         walk = verdict.odd_cycle
         assert (len(walk) - 1) % 2 == 1

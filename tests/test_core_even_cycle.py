@@ -12,7 +12,7 @@ from repro.core import EvenCycleLCP
 from repro.errors import PromiseViolationError
 from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.local import Instance, Labeling
-from repro.neighborhood import hiding_verdict_up_to
+from repro.engine import ExecutionPlan, decide_hiding
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ class TestDecoderCases:
 
 class TestHiding:
     def test_hiding_at_n6(self, lcp):
-        verdict = hiding_verdict_up_to(lcp, 6)
+        verdict = decide_hiding(lcp, 6, ExecutionPlan()).legacy
         assert verdict.hiding is True
 
     def test_no_node_learns_its_color(self, lcp):

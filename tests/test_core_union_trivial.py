@@ -22,7 +22,7 @@ from repro.graphs import (
     theta_graph,
 )
 from repro.local import Instance, Labeling
-from repro.neighborhood import hiding_verdict_up_to
+from repro.engine import ExecutionPlan, decide_hiding
 
 
 class TestRevealing:
@@ -51,7 +51,7 @@ class TestRevealing:
         assert report.passed
 
     def test_not_hiding(self):
-        verdict = hiding_verdict_up_to(RevealingLCP(), 4)
+        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan()).legacy
         assert verdict.hiding is False
         assert verdict.coloring is not None
 
@@ -155,12 +155,11 @@ class TestRevealingGeneralK:
         decoder recovers a proper 3-coloring on covered instances."""
         from repro.neighborhood import (
             build_extraction_decoder,
-            hiding_verdict_up_to,
-            run_extraction,
+                    run_extraction,
         )
 
         lcp = RevealingLCP(k=3)
-        verdict = hiding_verdict_up_to(lcp, 4, labeling_limit=5_000)
+        verdict = decide_hiding(lcp, 4, ExecutionPlan(labeling_limit=5_000)).legacy
         assert verdict.hiding is False
         decoder = build_extraction_decoder(verdict.ngraph, 3)
         assert decoder is not None

@@ -1,13 +1,16 @@
 """Plan-equivalence properties of the unified hiding engine.
 
-The engine's contract: every plan (backend × workers × cache tiers) that
-answers the same question yields the *identical* decision — same hiding
-flag, byte-identical canonical witness walk, and on conclusive
-non-hiding sweeps the same complete graph and coloring — and the
-verdict's provenance reports the backend that actually ran.
+The engine's contract: every plan (backend × kernel × workers × cache
+tiers) that answers the same question yields the *identical* decision —
+same hiding flag, byte-identical canonical witness walk, and on
+conclusive non-hiding sweeps the same complete graph and coloring — and
+the verdict's provenance reports the backend and kernel that actually
+ran.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -15,14 +18,12 @@ from repro.core.registry import all_lcps, make_lcp
 from repro.engine import (
     BACKEND_MATERIALIZED,
     BACKEND_STREAMING,
-    BACKEND_VECTORIZED,
     ExecutionPlan,
     RunContext,
     Verdict,
     available_backends,
     clear_engine_state,
     decide_hiding,
-    resolve_plan,
 )
 from repro.graphs.properties import is_odd_closed_walk
 from repro.kernel import kernel_available
@@ -45,61 +46,43 @@ def _fresh_engine_state():
     clear_engine_state()
 
 
-def _grid_backends():
-    """Backends the equivalence grid exercises: the vectorized kernel
-    backend joins whenever numpy is importable (it must answer with the
-    same bytes as the other two)."""
-    backends = [BACKEND_MATERIALIZED, BACKEND_STREAMING]
-    if kernel_available():
-        backends.append(BACKEND_VECTORIZED)
-    return backends
+#: The (backend, kernel) grid: both backends, with the numpy kernels
+#: (``"auto"``; scalar when numpy is missing) and forced scalar.
+GRID = [
+    (backend, kernel)
+    for backend in (BACKEND_MATERIALIZED, BACKEND_STREAMING)
+    for kernel in ("auto", "off")
+]
+
+
+def _expected_kernel(plan: ExecutionPlan) -> str | None:
+    """``Provenance.kernel`` of a fresh sweep under *plan*."""
+    return "batch" if plan.resolve().kernel != "off" else None
 
 
 def _plan_grid(tmp_path):
-    """Every (backend × workers × cache tier) combination of the
-    acceptance criterion.  Disk-tier plans get a private cache dir."""
+    """Every (backend × kernel × workers × cache tier) combination of
+    the acceptance criterion.  Disk-tier plans get a private cache dir."""
     plans = []
-    for backend in _grid_backends():
+    for backend, kernel in GRID:
         for workers in (1, 2):
-            plans.append(
-                (
-                    f"{backend}-w{workers}-nocache",
-                    ExecutionPlan(
-                        backend=backend,
-                        workers=workers,
-                        warm_start=False,
-                        memory_cache=False,
-                        disk_cache=False,
-                    ),
-                    None,
+            for tier, memory_cache, disk_cache in (
+                ("nocache", False, False),
+                ("memory", True, False),
+                ("memory+disk", True, True),
+            ):
+                label = f"{backend}-{kernel}-w{workers}-{tier}"
+                plan = ExecutionPlan(
+                    backend=backend,
+                    kernel=kernel,
+                    workers=workers,
+                    warm_start=False,
+                    memory_cache=memory_cache,
+                    disk_cache=disk_cache,
                 )
-            )
-            plans.append(
-                (
-                    f"{backend}-w{workers}-memory",
-                    ExecutionPlan(
-                        backend=backend,
-                        workers=workers,
-                        warm_start=False,
-                        memory_cache=True,
-                        disk_cache=False,
-                    ),
-                    None,
+                plans.append(
+                    (label, plan, str(tmp_path / label) if disk_cache else None)
                 )
-            )
-            plans.append(
-                (
-                    f"{backend}-w{workers}-memory+disk",
-                    ExecutionPlan(
-                        backend=backend,
-                        workers=workers,
-                        warm_start=False,
-                        memory_cache=True,
-                        disk_cache=True,
-                    ),
-                    str(tmp_path / f"{backend}-w{workers}"),
-                )
-            )
     return plans
 
 
@@ -107,7 +90,7 @@ def _plan_grid(tmp_path):
 def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
     """The acceptance criterion: for every registry scheme, every plan in
     the grid produces the same decision fingerprint — including the
-    canonical witness walk — and honest backend provenance."""
+    canonical witness walk — and honest backend and kernel provenance."""
     lcp = make_lcp(scheme)
     n = 4
     fingerprints = {}
@@ -117,6 +100,7 @@ def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
             verdict = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
         assert isinstance(verdict, Verdict), label
         assert verdict.provenance.backend == plan.backend, label
+        assert verdict.provenance.kernel == _expected_kernel(plan), label
         assert verdict.hiding in (True, False), label
         if verdict.hiding and lcp.k == 2:
             g = verdict.ngraph
@@ -133,7 +117,7 @@ def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
 def test_every_campaign_cell_is_plan_equivalent(tmp_path):
     """The campaign-layer acceptance criterion: every cell of a small
     frontier campaign — including off-native ``k`` — answers with the
-    identical decision fingerprint across backends × cache tiers."""
+    identical decision fingerprint across backends × kernels × cache tiers."""
     from repro.campaign import CampaignSpec
 
     spec = CampaignSpec.sweep(
@@ -142,16 +126,17 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
     for cell in spec.cells():
         lcp = make_lcp(cell.scheme)
         fingerprints = {}
-        for backend in _grid_backends():
+        for backend, kernel in GRID:
             tiers = [
                 ("nocache", False, False, None),
                 ("memory", True, False, None),
-                ("memory+disk", True, True, str(tmp_path / backend)),
+                ("memory+disk", True, True, str(tmp_path / f"{backend}-{kernel}")),
             ]
             for tier, memory_cache, disk_cache, cache_dir in tiers:
-                label = f"{backend}-{tier}"
+                label = f"{backend}-{kernel}-{tier}"
                 base = ExecutionPlan(
                     backend=backend,
+                    kernel=kernel,
                     warm_start=False,
                     memory_cache=memory_cache,
                     disk_cache=disk_cache,
@@ -178,10 +163,14 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
 def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
     lcp = make_lcp(scheme)
     fps = set()
-    for backend in _grid_backends():
+    for backend, kernel in GRID:
         clear_engine_state()
         plan = ExecutionPlan(
-            backend=backend, workers=1, warm_start=False, disk_cache=False
+            backend=backend,
+            kernel=kernel,
+            workers=1,
+            warm_start=False,
+            disk_cache=False,
         )
         fps.add(decide_hiding(lcp, 5, plan).decision_fingerprint())
     assert len(fps) == 1
@@ -191,19 +180,19 @@ def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
 @pytest.mark.parametrize("symmetry", ["off", "on"])
 def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
-    """The kernel backend is a drop-in for streaming: same decision
-    bytes, same witness, and the same ``Provenance.instances_scanned``
-    under early exit (the kernel must stop at the same instance) — with
-    and without orbit pruning.  With early exit off, the materialized
-    backend agrees on the count too."""
+    """The batch kernel is a drop-in for the scalar loops on the
+    streaming backend: same decision bytes, same witness, and the same
+    ``Provenance.instances_scanned`` under early exit (the kernel must
+    stop at the same instance) — with and without orbit pruning.  With
+    early exit off, the materialized backend agrees on the count too."""
     lcp = make_lcp(scheme)
-    n = 4
-    for early_exit in (True, False):
+    for n, early_exit in itertools.product((3, 4), (True, False)):
         verdicts = {}
-        for backend in (BACKEND_STREAMING, BACKEND_VECTORIZED):
+        for kernel in ("auto", "off"):
             clear_engine_state()
             plan = ExecutionPlan(
-                backend=backend,
+                backend=BACKEND_STREAMING,
+                kernel=kernel,
                 workers=1,
                 early_exit=early_exit,
                 warm_start=False,
@@ -211,8 +200,8 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
                 disk_cache=False,
                 symmetry=symmetry,
             )
-            verdicts[backend] = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
-        stream, vec = verdicts[BACKEND_STREAMING], verdicts[BACKEND_VECTORIZED]
+            verdicts[kernel] = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
+        vec, stream = verdicts["auto"], verdicts["off"]
         assert vec.decision_fingerprint() == stream.decision_fingerprint()
         assert vec.witness == stream.witness
         assert (
@@ -278,16 +267,16 @@ def test_warm_started_chain_keeps_the_fingerprint():
 
 def test_provenance_reports_the_backend_that_ran():
     lcp = make_lcp("degree-one")
-    for backend in _grid_backends():
+    for backend, kernel in GRID:
         clear_engine_state()
-        verdict = decide_hiding(
-            lcp, 3, ExecutionPlan(backend=backend, disk_cache=False)
-        )
+        plan = ExecutionPlan(backend=backend, kernel=kernel, disk_cache=False)
+        verdict = decide_hiding(lcp, 3, plan)
         assert verdict.provenance.backend == backend
         assert verdict.provenance.n == 3
         assert verdict.provenance.summary()
-        expected_kernel = "batch" if backend == BACKEND_VECTORIZED else None
-        assert verdict.provenance.kernel == expected_kernel
+        assert verdict.provenance.kernel == _expected_kernel(plan)
+        if kernel == "off" or not kernel_available():
+            assert verdict.provenance.kernel is None
 
 
 def test_auto_backend_follows_the_config():
@@ -296,12 +285,49 @@ def test_auto_backend_follows_the_config():
         v = decide_hiding(lcp, 3, ExecutionPlan(disk_cache=False))
     assert v.provenance.backend == BACKEND_MATERIALIZED
     clear_engine_state()
-    # The streaming route upgrades itself to the vectorized kernel
-    # backend whenever numpy is importable.
-    expected = BACKEND_VECTORIZED if kernel_available() else BACKEND_STREAMING
     with overridden(streaming=True):
         v = decide_hiding(lcp, 3, ExecutionPlan(disk_cache=False))
-    assert v.provenance.backend == expected
+    assert v.provenance.backend == BACKEND_STREAMING
+
+
+@pytest.mark.parametrize("backend", [BACKEND_MATERIALIZED, BACKEND_STREAMING])
+def test_kernel_modes_share_one_disk_address(backend, tmp_path):
+    """The kernel mode never enters a cache identity: a verdict written
+    with ``kernel="off"`` is a disk hit for ``kernel="auto"``."""
+    lcp = make_lcp("degree-one")
+    with overridden(disk_cache_dir=str(tmp_path)):
+        written = decide_hiding(
+            lcp,
+            4,
+            ExecutionPlan(
+                backend=backend, kernel="off", warm_start=False, disk_cache=True
+            ),
+            ctx=RunContext.isolated(),
+        )
+        read = decide_hiding(
+            lcp,
+            4,
+            ExecutionPlan(
+                backend=backend, kernel="auto", warm_start=False, disk_cache=True
+            ),
+            ctx=RunContext.isolated(),
+        )
+    assert written.provenance.disk_cache_hit is False
+    assert read.provenance.disk_cache_hit is True
+    assert read.decision_fingerprint() == written.decision_fingerprint()
+
+
+@pytest.mark.parametrize("field, value", [("backend", "vectorized"), ("kernel", "on")])
+def test_retired_option_values_are_rejected(field, value):
+    """The retired backend and kernel values fail at resolve, naming the
+    valid values."""
+    with pytest.raises(ValueError) as exc:
+        ExecutionPlan(**{field: value}).resolve()
+    message = str(exc.value)
+    assert repr(value) in message
+    known = ("materialized", "streaming") if field == "backend" else ("auto", "off")
+    for name in known:
+        assert name in message
 
 
 def test_memory_tier_returns_the_identical_object():
@@ -329,6 +355,38 @@ def test_disk_tier_round_trip_marks_provenance(tmp_path):
     assert second.decision_fingerprint() == first.decision_fingerprint()
     assert first.ngraph.has_provenance
     assert not second.ngraph.has_provenance
+
+
+def test_pre_engine_disk_entries_still_load(tmp_path):
+    """A ``.repro_cache/`` body written by the pre-engine streaming
+    driver (no ``witness`` key) still loads: key layout and body format
+    are byte-compatible."""
+    from repro.engine.backends import disk_key
+    from repro.engine.stores import _body_from_verdict
+    from repro.perf.persist import default_verdict_cache
+
+    lcp = make_lcp("degree-one")
+    plan = ExecutionPlan(
+        backend="streaming", warm_start=False, disk_cache=True, memory_cache=False
+    ).resolve()
+    with overridden(disk_cache_dir=str(tmp_path)):
+        fresh = decide_hiding(lcp, 4, plan)
+        key = disk_key(lcp, 4, plan)
+        body = _body_from_verdict(fresh)
+        # Streaming bodies must not carry the engine-only witness field,
+        # and the key must keep the exact pre-engine vocabulary.
+        assert "witness" not in body
+        assert "backend" not in key
+        assert key["engine_version"] == 1
+        # Simulate a pre-engine entry: rewrite the body minus any
+        # engine-era extras, then reload through the engine.
+        cache = default_verdict_cache()
+        assert cache.store(key, body)
+        clear_engine_state()
+        reloaded = decide_hiding(lcp, 4, plan)
+    assert reloaded.provenance.disk_cache_hit is True
+    assert reloaded.decision_fingerprint() == fresh.decision_fingerprint()
+    assert reloaded.legacy.odd_cycle == fresh.legacy.odd_cycle
 
 
 def test_materialized_disk_entries_do_not_collide_with_streaming(tmp_path):
@@ -394,7 +452,8 @@ def test_legacy_envelope_is_attached():
 if HAVE_HYPOTHESIS:
 
     @given(
-        streaming=st.sampled_from([None, True, False]),
+        backend=st.sampled_from(["auto", BACKEND_MATERIALIZED, BACKEND_STREAMING]),
+        kernel=st.sampled_from([None, "auto", "off"]),
         workers=st.sampled_from([None, 0, 1, 2, 7]),
         warm_start=st.sampled_from([None, True, False]),
         disk_cache=st.sampled_from([None, True, False]),
@@ -403,33 +462,37 @@ if HAVE_HYPOTHESIS:
     )
     @settings(max_examples=60, deadline=None)
     def test_resolve_plan_invariants(
-        streaming, workers, warm_start, disk_cache, config_streaming, config_workers
+        backend,
+        kernel,
+        workers,
+        warm_start,
+        disk_cache,
+        config_streaming,
+        config_workers,
     ):
-        """resolve_plan always produces a fully resolved plan honoring the
-        explicit-beats-config precedence, and resolution is idempotent."""
+        """``ExecutionPlan.resolve`` always produces a fully resolved plan
+        honoring the explicit-beats-config precedence, and resolution is
+        idempotent."""
         config = PerfConfig(streaming=config_streaming, workers=config_workers)
-        plan = resolve_plan(
-            streaming=streaming,
+        plan = ExecutionPlan(
+            backend=backend,
+            kernel=kernel,
             workers=workers,
             warm_start=warm_start,
             disk_cache=disk_cache,
-            config=config,
-        )
+        ).resolve(config)
         assert plan.is_resolved
         assert plan.backend in available_backends()
-        streaming_route = (
-            BACKEND_VECTORIZED if kernel_available() else BACKEND_STREAMING
-        )
-        if streaming is not None:
-            # Explicit streaming= keeps its historical meaning: the
-            # scalar streaming backend, never an auto-upgrade.
-            assert plan.backend == (
-                BACKEND_STREAMING if streaming else BACKEND_MATERIALIZED
-            )
+        if backend != "auto":
+            assert plan.backend == backend
         else:
             assert plan.backend == (
-                streaming_route if config_streaming else BACKEND_MATERIALIZED
+                BACKEND_STREAMING if config_streaming else BACKEND_MATERIALIZED
             )
+        if not kernel_available():
+            assert plan.kernel == "off"
+        else:
+            assert plan.kernel == (kernel if kernel is not None else config.kernel)
         assert plan.workers == (workers if workers is not None else config_workers)
         if plan.backend == BACKEND_MATERIALIZED:
             assert plan.early_exit is False

@@ -9,29 +9,22 @@ build, and the emission stream must match the scalar
 bit for bit.  OEIS A000088 / A001349 pin the class counts so a parity
 bug that drops or duplicates classes on *both* routes cannot hide.
 
-The suite also covers the capability seams: the
-``REPRO_DISABLE_NUMPY`` fallback, the ``generation_kernel`` plan knob,
-the raised ``kernel_labeling_limit`` admission (content parity with a
-plainly raised limit, normalization on non-vectorized plans), and the
-satellite guarantee that ``src/repro`` itself no longer calls the
-deprecation shims.
+Both kernel routes are also pinned to the legacy edge-subset walk up to
+``n = 6``.  The suite covers the capability seams too: the
+``REPRO_DISABLE_NUMPY`` fallback, the ``kernel`` plan knob, and the
+raised ``kernel_labeling_limit`` admission (content parity with a
+plainly raised limit, normalization on ``kernel="off"`` plans).
 """
 
 from __future__ import annotations
 
-import ast
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
 from repro.core.even_cycle import EvenCycleLCP
-from repro.engine import (
-    ExecutionPlan,
-    clear_engine_state,
-    decide_hiding,
-    resolve_plan,
-)
+from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
+from repro.graphs.families import _enumerate_graphs_exactly
 from repro.kernel import DISABLE_ENV, kernel_available, numpy_or_none
 from repro.kernel.generate import (
     MAX_GENERATION_NODES,
@@ -188,13 +181,13 @@ class TestLevelBuildParity:
         assert not generation_supported(MAX_GENERATION_NODES + 1)
 
 
-def _emission_stream(n: int, connected_only: bool, generation_kernel: str):
+def _emission_stream(n: int, connected_only: bool, kernel: str):
     """(edges, seeded automorphisms) per emitted graph, in stream order."""
     from repro.perf.config import CONFIG  # noqa: PLC0415
 
     clear_orderly_cache()
     clear_automorphism_cache()
-    with CONFIG.overridden(generation_kernel=generation_kernel):
+    with CONFIG.overridden(kernel=kernel):
         return [
             (tuple(g.edges), automorphism_group(g).perms)
             for g in orderly_graphs_exactly(n, connected_only=connected_only)
@@ -216,13 +209,27 @@ class TestEmissionParity:
     def test_oeis_counts_on_kernel_route(self):
         from repro.perf.config import CONFIG  # noqa: PLC0415
 
-        with CONFIG.overridden(generation_kernel="auto"):
+        with CONFIG.overridden(kernel="auto"):
             for n in range(1, 8):
                 assert count_classes(n) == ALL_COUNTS[n - 1]
                 assert (
                     count_classes(n, connected_only=True)
                     == CONNECTED_COUNTS[n - 1]
                 )
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("kernel", ["auto", "off"])
+    def test_both_routes_match_the_legacy_walk_up_to_6(self, kernel, connected_only):
+        """Either kernel mode emits exactly the legacy edge-subset walk's
+        representatives, in its order."""
+        for n in range(1, 7):
+            emitted = [
+                edges for edges, _ in _emission_stream(n, connected_only, kernel)
+            ]
+            legacy = [
+                tuple(g.edges) for g in _enumerate_graphs_exactly(n, connected_only)
+            ]
+            assert emitted == legacy
 
     def test_disabled_numpy_falls_back_to_scalar(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "1")
@@ -252,7 +259,7 @@ class TestKernelLabelingLimit:
         def sweep(**kwargs):
             clear_engine_state()
             plan = ExecutionPlan(
-                backend="vectorized",
+                backend="streaming",
                 workers=0,
                 early_exit=False,
                 warm_start=False,
@@ -269,46 +276,38 @@ class TestKernelLabelingLimit:
 
     @needs_numpy
     def test_normalized_away_on_non_vectorized_plans(self):
-        streaming = resolve_plan(backend="streaming", kernel_labeling_limit=70_000)
-        assert streaming.kernel_labeling_limit is None
-        vectorized = resolve_plan(backend="vectorized", kernel_labeling_limit=70_000)
-        assert vectorized.kernel_labeling_limit == 70_000
-        assert "kernel_labeling_limit=70000" in vectorized.describe()
+        """The raised limit is a no-op on ``kernel="off"`` plans (on either
+        backend), so resolve drops it there."""
+        for backend in ("materialized", "streaming"):
+            scalar = ExecutionPlan(
+                backend=backend, kernel="off", kernel_labeling_limit=70_000
+            ).resolve()
+            assert scalar.kernel_labeling_limit is None
+            batch = ExecutionPlan(
+                backend=backend, kernel="auto", kernel_labeling_limit=70_000
+            ).resolve()
+            assert batch.kernel_labeling_limit == 70_000
+            assert "kernel_labeling_limit=70000" in batch.describe()
         # A raise that is not actually a raise is normalized away too.
-        lowered = resolve_plan(backend="vectorized", kernel_labeling_limit=10)
+        lowered = ExecutionPlan(kernel_labeling_limit=10).resolve()
         assert lowered.kernel_labeling_limit is None
 
     def test_invalid_raised_limit_rejected(self):
         with pytest.raises(ValueError, match="kernel_labeling_limit"):
-            resolve_plan(kernel_labeling_limit=0)
+            ExecutionPlan(kernel_labeling_limit=0).resolve()
 
     def test_generation_kernel_on_requires_numpy(self, monkeypatch):
+        """The kernels need numpy: without it ``"auto"`` resolves to
+        ``"off"``, and with it ``"auto"`` stays."""
+        assert ExecutionPlan(kernel="off").resolve().kernel == "off"
+        expected = "auto" if HAVE_NUMPY else "off"
+        assert ExecutionPlan(kernel="auto").resolve().kernel == expected
         monkeypatch.setenv(DISABLE_ENV, "1")
-        with pytest.raises(ValueError, match="generation_kernel"):
-            resolve_plan(generation_kernel="on")
-        assert resolve_plan(generation_kernel="auto").generation_kernel == "auto"
+        assert ExecutionPlan(kernel="auto").resolve().kernel == "off"
+        assert ExecutionPlan().resolve().kernel == "off"
 
     def test_invalid_generation_kernel_rejected(self):
-        with pytest.raises(ValueError, match="generation_kernel"):
-            resolve_plan(generation_kernel="sometimes")
+        for mode in ("on", "sometimes"):
+            with pytest.raises(ValueError, match="known: auto, off"):
+                ExecutionPlan(kernel=mode).resolve()
 
-
-SHIM_NAMES = {"hiding_verdict_up_to", "streaming_hiding_verdict_up_to"}
-
-
-def test_src_repro_never_calls_the_deprecation_shims():
-    """Satellite guarantee: the library itself is shim-free — every
-    internal decision goes through ``repro.engine.decide_hiding``.  The
-    shims stay importable for external consumers only."""
-    src = Path(__file__).resolve().parent.parent / "src" / "repro"
-    offenders = []
-    for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in SHIM_NAMES:
-                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
-    assert not offenders, f"deprecation-shim call sites in src/repro: {offenders}"

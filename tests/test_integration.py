@@ -6,10 +6,10 @@ from repro.certification import ConstantDecoder, EnumerativeLCP
 from repro.core import DegreeOneLCP, RevealingLCP, UnionLCP, all_lcps, make_lcp, scheme_names
 from repro.graphs import cycle_graph, grid_graph, is_bipartite, path_graph, theta_graph
 from repro.local import Instance, run_algorithm_distributed
+from repro.engine import ExecutionPlan, decide_hiding
 from repro.neighborhood import (
     build_extraction_decoder,
     build_neighborhood_graph,
-    hiding_verdict_up_to,
     labeled_yes_instances,
     run_extraction,
 )
@@ -48,8 +48,8 @@ def test_all_lcps_factory():
 def test_hiding_landscape():
     """The paper's headline landscape in one assertion block: the
     revealing baseline is extractable, the paper's schemes are not."""
-    revealed = hiding_verdict_up_to(RevealingLCP(), 4)
-    hidden = hiding_verdict_up_to(DegreeOneLCP(), 4)
+    revealed = decide_hiding(RevealingLCP(), 4, ExecutionPlan()).legacy
+    hidden = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
     assert revealed.hiding is False
     assert hidden.hiding is True
 

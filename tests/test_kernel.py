@@ -1,4 +1,4 @@
-"""The vectorized batch kernel (:mod:`repro.kernel`).
+"""The numpy batch kernel (:mod:`repro.kernel`).
 
 The kernel's contract is *exact* parity with the scalar unanimity
 generators: same yield stream, same ``seen``-set mutations, and the same
@@ -6,8 +6,8 @@ generators: same yield stream, same ``seen``-set mutations, and the same
 streaming early exit, where a closed generator must leave the account in
 the same state the scalar generator would.  Plus the capability probe:
 without numpy (simulated via ``REPRO_DISABLE_NUMPY``) everything falls
-back to the pure-Python loops and ``auto`` plans never select the
-vectorized backend.
+back to the pure-Python loops and plans resolve ``kernel`` to
+``"off"``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.registry import all_lcps, make_lcp
-from repro.engine import (
-    BACKEND_VECTORIZED,
-    ExecutionPlan,
-    available_backends,
-    get_backend,
-    resolve_plan,
-)
+from repro.engine import ExecutionPlan, available_backends
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.kernel import (
     DISABLE_ENV,
@@ -237,24 +231,19 @@ class TestCapabilityProbe:
         assert numpy_or_none() is None
         assert not kernel_available()
         assert numpy_version() is None
-        assert BACKEND_VECTORIZED not in available_backends()
-        with pytest.raises(ValueError, match="unavailable"):
-            get_backend(BACKEND_VECTORIZED)
-        with pytest.raises(ValueError, match="unavailable"):
-            ExecutionPlan(backend=BACKEND_VECTORIZED).resolve()
-        # auto routes to the scalar streaming backend.
-        plan = resolve_plan(
-            config=type(CONFIG)(streaming=True), disk_cache=False
-        )
+        assert available_backends() == ["materialized", "streaming"]
+        # auto routes to the streaming backend with the kernels off.
+        plan = ExecutionPlan(disk_cache=False).resolve(type(CONFIG)(streaming=True))
         assert plan.backend == "streaming"
+        assert plan.kernel == "off"
 
     @needs_numpy
     def test_probe_reports_numpy(self, monkeypatch):
         monkeypatch.delenv(DISABLE_ENV, raising=False)
         assert numpy_or_none() is not None
         assert isinstance(numpy_version(), str)
-        assert BACKEND_VECTORIZED in available_backends()
-        assert get_backend(BACKEND_VECTORIZED).unavailable_reason() is None
+        assert available_backends() == ["materialized", "streaming"]
+        assert ExecutionPlan().resolve().kernel == "auto"
 
     def test_sweep_falls_back_without_numpy(self, monkeypatch):
         """kernel='batch' without numpy silently runs the scalar loop —

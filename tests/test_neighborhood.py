@@ -6,12 +6,12 @@ import pytest
 from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.local import Instance
+from repro.engine import ExecutionPlan, decide_hiding
 from repro.neighborhood import (
     UNKNOWN_VIEW,
     build_extraction_decoder,
     build_neighborhood_graph,
     hiding_verdict_from_instances,
-    hiding_verdict_up_to,
     labeled_yes_instances,
     run_extraction,
     yes_instances_up_to,
@@ -105,13 +105,13 @@ class TestNeighborhoodGraph:
 
 class TestHidingVerdicts:
     def test_hiding_lcp_positive(self):
-        verdict = hiding_verdict_up_to(DegreeOneLCP(), 4)
+        verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
         assert verdict.hiding is True
         assert verdict.odd_cycle is not None
         assert "YES" in verdict.summary()
 
     def test_non_hiding_exhaustive_negative(self):
-        verdict = hiding_verdict_up_to(RevealingLCP(), 4)
+        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan()).legacy
         assert verdict.hiding is False
         assert verdict.coloring is not None
         assert "NO" in verdict.summary()
@@ -126,7 +126,7 @@ class TestHidingVerdicts:
         assert "inconclusive" in verdict.summary()
 
     def test_odd_cycle_views_are_adjacent(self):
-        verdict = hiding_verdict_up_to(EvenCycleLCP(), 4)
+        verdict = decide_hiding(EvenCycleLCP(), 4, ExecutionPlan()).legacy
         assert verdict.hiding is True
         walk = verdict.odd_cycle
         ngraph = verdict.ngraph
@@ -140,7 +140,7 @@ class TestExtraction:
     @pytest.fixture(scope="class")
     def revealing_setup(self):
         lcp = RevealingLCP()
-        verdict = hiding_verdict_up_to(lcp, 4)
+        verdict = decide_hiding(lcp, 4, ExecutionPlan()).legacy
         decoder = build_extraction_decoder(verdict.ngraph, 2)
         return lcp, decoder
 
@@ -174,7 +174,7 @@ class TestExtraction:
             run_extraction(decoder, lcp, bad)
 
     def test_no_extraction_decoder_for_hiding_lcp(self):
-        verdict = hiding_verdict_up_to(DegreeOneLCP(), 4)
+        verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
         assert build_extraction_decoder(verdict.ngraph, 2) is None
 
     def test_table_size(self, revealing_setup):
@@ -187,8 +187,10 @@ def test_sweep_cache_distinguishes_weakened_decoders():
     deliberately weakened variants (their decoder names differ)."""
     from repro.core import DegreeOneLCP
 
-    strict = hiding_verdict_up_to(DegreeOneLCP(), 3)
-    weak = hiding_verdict_up_to(DegreeOneLCP(require_common_beta=False), 3)
+    strict = decide_hiding(DegreeOneLCP(), 3, ExecutionPlan()).legacy
+    weak = decide_hiding(
+        DegreeOneLCP(require_common_beta=False), 3, ExecutionPlan()
+    ).legacy
     assert strict is not weak
-    again = hiding_verdict_up_to(DegreeOneLCP(), 3)
+    again = decide_hiding(DegreeOneLCP(), 3, ExecutionPlan()).legacy
     assert again is strict  # memo hit for identical parameters

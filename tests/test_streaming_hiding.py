@@ -17,11 +17,8 @@ from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP
 from repro.graphs.graph import Graph
 from repro.graphs.incremental import IncrementalKColoring, ParityForest
 from repro.graphs.properties import is_odd_closed_walk
-from repro.neighborhood import (
-    build_extraction_decoder,
-    hiding_verdict_up_to,
-    streaming_hiding_verdict_up_to,
-)
+from repro.engine import ExecutionPlan, RunContext, decide_hiding
+from repro.neighborhood import build_extraction_decoder
 from repro.neighborhood.streaming import clear_streaming_state
 from repro.perf import PerfStats, overridden
 from repro.perf.persist import PersistentVerdictCache
@@ -34,15 +31,27 @@ def _fresh_streaming_state():
     clear_streaming_state()
 
 
+def _decide(lcp, n, stats=None, **plan):
+    """``decide_hiding(lcp, n, ExecutionPlan(**plan)).legacy``, counting
+    on *stats* when given."""
+    ctx = RunContext(stats=stats) if stats is not None else None
+    return decide_hiding(lcp, n, ExecutionPlan(**plan), ctx=ctx).legacy
+
+
 # ----------------------------------------------------------------------
 # The parity property: streaming == materialized, any scheme, any workers
 # ----------------------------------------------------------------------
 
 
 def _assert_parity(lcp, n, workers):
-    materialized = hiding_verdict_up_to(lcp, n, streaming=False)
-    streamed = streaming_hiding_verdict_up_to(
-        lcp, n, workers=workers, warm_start=False, disk_cache=False
+    materialized = _decide(lcp, n, backend="materialized")
+    streamed = _decide(
+        lcp,
+        n,
+        backend="streaming",
+        workers=workers,
+        warm_start=False,
+        disk_cache=False,
     )
     assert streamed.hiding == materialized.hiding
     if streamed.hiding:
@@ -92,9 +101,9 @@ def test_non_hiding_extraction_decoders_are_equal():
     """On non-hiding sweeps the streamed graph feeds the extraction
     direction of Lemma 3.2 exactly as the materialized one does."""
     lcp = RevealingLCP()
-    materialized = hiding_verdict_up_to(lcp, 4, streaming=False)
-    streamed = streaming_hiding_verdict_up_to(
-        lcp, 4, warm_start=False, disk_cache=False
+    materialized = _decide(lcp, 4, backend="materialized")
+    streamed = _decide(
+        lcp, 4, warm_start=False, disk_cache=False, backend="streaming"
     )
     dec_m = build_extraction_decoder(materialized.ngraph, k=2)
     dec_s = build_extraction_decoder(streamed.ngraph, k=2)
@@ -103,10 +112,10 @@ def test_non_hiding_extraction_decoders_are_equal():
 
 def test_early_exit_scans_fewer_instances():
     lcp = DegreeOneLCP()
-    materialized = hiding_verdict_up_to(lcp, 4, streaming=False)
+    materialized = _decide(lcp, 4, backend="materialized")
     stats = PerfStats()
-    streamed = streaming_hiding_verdict_up_to(
-        lcp, 4, stats=stats, warm_start=False, disk_cache=False
+    streamed = _decide(
+        lcp, 4, stats=stats, warm_start=False, disk_cache=False, backend="streaming"
     )
     assert streamed.hiding is True
     assert stats.get("streaming_early_exits") >= 1
@@ -115,16 +124,32 @@ def test_early_exit_scans_fewer_instances():
     )
 
 
-def test_hiding_verdict_up_to_streaming_route():
-    """The ``streaming=`` parameter and the global config knob both route
-    through the engine; the flag parity holds either way."""
+def test_backend_routes_agree():
+    """The explicit backends and the ``CONFIG.streaming``-driven auto
+    route all go through the engine; the flag parity holds either way."""
     lcp = DegreeOneLCP()
-    materialized = hiding_verdict_up_to(lcp, 4, streaming=False)
-    routed = hiding_verdict_up_to(lcp, 4, streaming=True)
+    materialized = _decide(lcp, 4, backend="materialized")
+    routed = _decide(lcp, 4, backend="streaming")
     assert routed.hiding == materialized.hiding
     with overridden(streaming=True):
-        via_config = hiding_verdict_up_to(lcp, 4)
+        via_config = _decide(lcp, 4)
     assert via_config.hiding == materialized.hiding
+
+
+def test_clear_streaming_state_leaves_the_default_route_cold():
+    """With ``CONFIG.streaming`` set, ``ExecutionPlan()`` resolves to the
+    streaming backend, so after ``clear_streaming_state()`` the next
+    default decision is a fresh sweep, not the memoized object."""
+    lcp = make_lcp("degree-one")
+    with overridden(streaming=True):
+        first = decide_hiding(lcp, 4, ExecutionPlan())
+        clear_streaming_state()
+        second = decide_hiding(lcp, 4, ExecutionPlan())
+    assert second is not first
+    assert second.provenance.memory_cache_hit is False
+    assert second.provenance.warm_witness_hit is False
+    assert second.provenance.disk_cache_hit is False
+    assert second.decision_fingerprint() == first.decision_fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -277,14 +302,24 @@ class TestPersistentCache:
         lcp = DegreeOneLCP()
         with overridden(disk_cache_dir=str(tmp_path)):
             stats = PerfStats()
-            first = streaming_hiding_verdict_up_to(
-                lcp, 4, stats=stats, warm_start=False, disk_cache=True
+            first = _decide(
+                lcp,
+                4,
+                stats=stats,
+                warm_start=False,
+                disk_cache=True,
+                backend="streaming",
             )
             assert stats.get("persist_writes") == 1
             clear_streaming_state()
             stats = PerfStats()
-            second = streaming_hiding_verdict_up_to(
-                lcp, 4, stats=stats, warm_start=False, disk_cache=True
+            second = _decide(
+                lcp,
+                4,
+                stats=stats,
+                warm_start=False,
+                disk_cache=True,
+                backend="streaming",
             )
             assert stats.get("disk_hits") == 1
         assert second.hiding == first.hiding
@@ -306,14 +341,19 @@ class TestWarmStart:
         cold = {}
         for n in (3, 4, 5):
             clear_streaming_state()
-            cold[n] = streaming_hiding_verdict_up_to(
-                lcp, n, warm_start=False, disk_cache=False
+            cold[n] = _decide(
+                lcp, n, warm_start=False, disk_cache=False, backend="streaming"
             )
         clear_streaming_state()
         stats = PerfStats()
         for n in (3, 4, 5):
-            warm = streaming_hiding_verdict_up_to(
-                lcp, n, stats=stats, warm_start=True, disk_cache=False
+            warm = _decide(
+                lcp,
+                n,
+                stats=stats,
+                warm_start=True,
+                disk_cache=False,
+                backend="streaming",
             )
             assert warm.hiding == cold[n].hiding
             assert warm.ngraph.views == cold[n].ngraph.views
@@ -322,9 +362,9 @@ class TestWarmStart:
 
     def test_witness_short_circuits_larger_n(self):
         lcp = DegreeOneLCP()
-        streaming_hiding_verdict_up_to(lcp, 4, disk_cache=False)
+        _decide(lcp, 4, disk_cache=False, backend="streaming")
         stats = PerfStats()
-        v5 = streaming_hiding_verdict_up_to(lcp, 5, stats=stats, disk_cache=False)
+        v5 = _decide(lcp, 5, stats=stats, disk_cache=False, backend="streaming")
         assert v5.hiding is True
         assert stats.get("warm_witness_hits") == 1
         # No new instances were scanned for n = 5.
@@ -332,9 +372,9 @@ class TestWarmStart:
 
     def test_warm_state_not_mutated_by_resume(self):
         lcp = RevealingLCP()
-        v3 = streaming_hiding_verdict_up_to(lcp, 3, disk_cache=False)
+        v3 = _decide(lcp, 3, disk_cache=False, backend="streaming")
         views_before = list(v3.ngraph.views)
-        streaming_hiding_verdict_up_to(lcp, 4, disk_cache=False)
+        _decide(lcp, 4, disk_cache=False, backend="streaming")
         assert v3.ngraph.views == views_before
 
 
@@ -345,7 +385,7 @@ class TestWarmStart:
 
 class TestWitnessRegressions:
     def test_degree_one_n4_walk_length(self):
-        verdict = hiding_verdict_up_to(DegreeOneLCP(), 4, streaming=False)
+        verdict = _decide(DegreeOneLCP(), 4, backend="materialized")
         assert verdict.hiding is True
         # Closed walk [v0, ..., v6, v0]: 8 entries, 7 views, 7 edges.
         assert len(verdict.odd_cycle) == 8
@@ -354,7 +394,7 @@ class TestWitnessRegressions:
         assert "odd closed walk of 7 views" in verdict.summary()
 
     def test_even_cycle_n6_loop_witness(self):
-        verdict = hiding_verdict_up_to(EvenCycleLCP(), 6, streaming=False)
+        verdict = _decide(EvenCycleLCP(), 6, backend="materialized")
         assert verdict.hiding is True
         # The 2-labeled-cycles witness collapses to a self-loop: a view
         # adjacent to itself is an odd closed walk of length 1.
@@ -367,7 +407,7 @@ class TestWitnessRegressions:
         walk, which equals the number of distinct view *slots* traversed
         — the convention `summary()` reports.  (Checked against
         `find_odd_cycle`'s ``[v0, ..., vk, v0]`` shape.)"""
-        verdict = hiding_verdict_up_to(DegreeOneLCP(), 4, streaming=False)
+        verdict = _decide(DegreeOneLCP(), 4, backend="materialized")
         walk = [verdict.ngraph.index[v] for v in verdict.odd_cycle]
         edge_count = len(walk) - 1
         assert is_odd_closed_walk(verdict.ngraph.to_graph(), walk)
