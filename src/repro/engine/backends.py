@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from ..certification.lcp import LCP
 from ..graphs.families import warm_graph_families
 from ..neighborhood.aviews import (
+    bipartite_generation,
     symmetry_pruning_effective,
     yes_instances_between,
     yes_instances_up_to,
@@ -387,7 +388,9 @@ class MaterializedBackend(Backend):
                     # subtree shards expand in parallel.
                     gen.set_attributes(
                         sizes_warmed=warm_graph_families(
-                            0, min(plan.shard_depth, n) if sharded else n
+                            0,
+                            min(plan.shard_depth, n) if sharded else n,
+                            bipartite=bipartite_generation(lcp),
                         ),
                         deferred=sharded,
                     )
@@ -581,7 +584,9 @@ class StreamingBackend(Backend):
                         gen.set_attributes(
                             sizes_warmed=0
                             if plan.early_exit or sharded
-                            else warm_graph_families(state.n, n),
+                            else warm_graph_families(
+                                state.n, n, bipartite=bipartite_generation(lcp)
+                            ),
                             deferred=plan.early_exit or sharded,
                         )
                     if not sharded:
@@ -613,7 +618,9 @@ class StreamingBackend(Backend):
                         gen.set_attributes(
                             sizes_warmed=0
                             if plan.early_exit or sharded
-                            else warm_graph_families(0, n),
+                            else warm_graph_families(
+                                0, n, bipartite=bipartite_generation(lcp)
+                            ),
                             deferred=plan.early_exit or sharded,
                         )
                     if not sharded:

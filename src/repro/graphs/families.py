@@ -12,8 +12,13 @@ generators emitting byte-identical streams: the legacy edge-subset walk
 (all ``2^(n choose 2)`` masks, deduplicated with the exact canonical
 machinery) and the orderly generator of :mod:`repro.symmetry.orderly`
 (each isomorphism class constructed exactly once — the default, selected
-by ``perf.CONFIG.symmetry``).  The orderly path is practical up to
-``n = 8``; the legacy walk up to ``n = 7``.
+by ``perf.CONFIG.symmetry``).  With ``bipartite=True`` only the
+bipartite classes are enumerated — the bipartite subsequence of the full
+stream — which is all a ``k = 2`` sweep ever keeps; the orderly
+generator then builds the bipartite augmentation tree alone.  The
+orderly path is practical up to ``n = 8`` for all graphs and up to
+``n = 9`` for bipartite ones (1,119 classes on 9 nodes instead of
+274,668); the legacy walk up to ``n = 7`` either way.
 """
 
 from __future__ import annotations
@@ -34,14 +39,15 @@ from .properties import (
 from .shatter import has_shatter_point
 from .watermelon import is_watermelon
 
-#: ``(n, connected_only) -> tuple of frozen representatives``.  The
-#: Lemma 3.1 sweeps re-enumerate the same families for every scheme and
-#: every bound; caching the representative lists makes repeat sweeps
-#: enumeration-free.  Entries are :class:`FrozenGraph` — ``mutable=True``
-#: hits yield defensive copies, ``mutable=False`` hits yield the cached
-#: objects themselves.  Both generators produce the identical stream, so
-#: the cache is shared regardless of which one filled it.
-_FAMILY_CACHE: dict[tuple[int, bool], tuple[FrozenGraph, ...]] = {}
+#: ``(n, connected_only, bipartite) -> tuple of frozen
+#: representatives``.  The Lemma 3.1 sweeps re-enumerate the same
+#: families for every scheme and every bound; caching the representative
+#: lists makes repeat sweeps enumeration-free.  Entries are
+#: :class:`FrozenGraph` — ``mutable=True`` hits yield defensive copies,
+#: ``mutable=False`` hits yield the cached objects themselves.  Both
+#: generators produce the identical stream, so the cache is shared
+#: regardless of which one filled it.
+_FAMILY_CACHE: dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]] = {}
 
 
 def clear_family_cache() -> None:
@@ -49,13 +55,13 @@ def clear_family_cache() -> None:
     _FAMILY_CACHE.clear()
 
 
-def family_cache_snapshot() -> dict[tuple[int, bool], tuple[FrozenGraph, ...]]:
+def family_cache_snapshot() -> dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]]:
     """A picklable snapshot of the family cache (worker preloading)."""
     return dict(_FAMILY_CACHE)
 
 
 def prime_family_cache(
-    snapshot: dict[tuple[int, bool], tuple[FrozenGraph, ...]],
+    snapshot: dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]],
 ) -> int:
     """Fill the cache from a parent-process *snapshot* without
     overwriting entries; returns how many were added.  Called by the
@@ -71,7 +77,9 @@ def prime_family_cache(
     return added
 
 
-def warm_graph_families(lo: int, hi: int, connected_only: bool = True) -> int:
+def warm_graph_families(
+    lo: int, hi: int, connected_only: bool = True, bipartite: bool = False
+) -> int:
     """Enumerate (and cache) the families of sizes ``lo+1 .. hi``.
 
     The engine calls this under its ``symmetry:generate`` span so
@@ -83,8 +91,10 @@ def warm_graph_families(lo: int, hi: int, connected_only: bool = True) -> int:
         return 0
     warmed = 0
     for size in range(max(1, lo + 1), hi + 1):
-        if (size, connected_only) not in _FAMILY_CACHE:
-            for _ in all_graphs_exactly(size, connected_only=connected_only, mutable=False):
+        if (size, connected_only, bipartite) not in _FAMILY_CACHE:
+            for _ in all_graphs_exactly(
+                size, connected_only=connected_only, mutable=False, bipartite=bipartite
+            ):
                 pass
             warmed += 1
     return warmed
@@ -95,14 +105,16 @@ def all_graphs_exactly(
     connected_only: bool = True,
     mutable: bool = True,
     generator: str | None = None,
+    bipartite: bool = False,
 ) -> Iterator[Graph]:
     """All simple graphs on exactly *n* nodes, up to isomorphism.
 
     Nodes are ``0..n-1``.  With *connected_only* the disconnected ones are
-    skipped.  Loops are not generated (a loop is never 2-colorable, and the
-    paper's instances are simple).
+    skipped; with *bipartite* the non-bipartite ones are (the orderly
+    generator never builds them).  Loops are not generated (a loop is
+    never 2-colorable, and the paper's instances are simple).
 
-    Results are cached per ``(n, connected_only)`` (see
+    Results are cached per ``(n, connected_only, bipartite)`` (see
     ``perf.CONFIG.family_cache``).  With ``mutable=True`` every yielded
     graph is an independent copy; ``mutable=False`` yields shared
     :class:`FrozenGraph` objects instead — the fast path for the sweep,
@@ -116,7 +128,8 @@ def all_graphs_exactly(
     if n <= 0:
         return
     if CONFIG.family_cache:
-        cached = _FAMILY_CACHE.get((n, connected_only))
+        key = (n, connected_only, bipartite)
+        cached = _FAMILY_CACHE.get(key)
         if cached is not None:
             GLOBAL_STATS.incr("family_cache_hits")
             for g in cached:
@@ -124,30 +137,33 @@ def all_graphs_exactly(
             return
         GLOBAL_STATS.incr("family_cache_misses")
         representatives: list[FrozenGraph] = []
-        for g in _generate_graphs_exactly(n, connected_only, generator):
+        for g in _generate_graphs_exactly(n, connected_only, generator, bipartite):
             frozen = FrozenGraph.freeze(g)
             representatives.append(frozen)
             yield g if mutable else frozen
         # Commit only after full exhaustion, so an abandoned generator
         # never caches a truncated family.
-        _FAMILY_CACHE[(n, connected_only)] = tuple(representatives)
+        _FAMILY_CACHE[key] = tuple(representatives)
     else:
-        for g in _generate_graphs_exactly(n, connected_only, generator):
+        for g in _generate_graphs_exactly(n, connected_only, generator, bipartite):
             yield g if mutable else FrozenGraph.freeze(g)
 
 
 def _generate_graphs_exactly(
-    n: int, connected_only: bool, generator: str | None
+    n: int, connected_only: bool, generator: str | None, bipartite: bool
 ) -> Iterator[Graph]:
-    """Dispatch to the selected enumeration algorithm."""
+    """Dispatch to the selected enumeration algorithm.  The legacy walk
+    applies *bipartite* as a post-filter (same stream as the pruned
+    orderly tree)."""
     if generator is None:
         generator = "legacy" if CONFIG.symmetry == "off" else "orderly"
     if generator == "orderly":
         from ..symmetry.orderly import orderly_graphs_exactly  # noqa: PLC0415
 
-        return orderly_graphs_exactly(n, connected_only)
+        return orderly_graphs_exactly(n, connected_only, bipartite)
     if generator == "legacy":
-        return _enumerate_graphs_exactly(n, connected_only)
+        graphs = _enumerate_graphs_exactly(n, connected_only)
+        return filter(is_bipartite, graphs) if bipartite else graphs
     raise ValueError(f"unknown family generator {generator!r}; use 'legacy' or 'orderly'")
 
 
@@ -297,23 +313,30 @@ def all_graphs_up_to(
     connected_only: bool = True,
     mutable: bool = True,
     generator: str | None = None,
+    bipartite: bool = False,
 ) -> Iterator[Graph]:
     """All simple graphs on at most *n* nodes, up to isomorphism."""
     for k in range(1, n + 1):
         yield from all_graphs_exactly(
-            k, connected_only=connected_only, mutable=mutable, generator=generator
+            k,
+            connected_only=connected_only,
+            mutable=mutable,
+            generator=generator,
+            bipartite=bipartite,
         )
 
 
-def _filtered(n: int, predicate: Callable[[Graph], bool]) -> Iterator[Graph]:
-    for g in all_graphs_up_to(n):
+def _filtered(
+    n: int, predicate: Callable[[Graph], bool], bipartite: bool = False
+) -> Iterator[Graph]:
+    for g in all_graphs_up_to(n, bipartite=bipartite):
         if predicate(g):
             yield g
 
 
 def bipartite_graphs_up_to(n: int) -> Iterator[Graph]:
     """All connected bipartite graphs on at most *n* nodes (yes-instances)."""
-    return _filtered(n, is_bipartite)
+    return all_graphs_up_to(n, bipartite=True)
 
 
 def non_bipartite_graphs_up_to(n: int) -> Iterator[Graph]:
@@ -329,7 +352,7 @@ def min_degree_one_graphs_up_to(n: int) -> Iterator[Graph]:
 def bipartite_min_degree_one_graphs_up_to(n: int) -> Iterator[Graph]:
     """Bipartite members of H1 — the yes-instances of Lemma 4.1."""
     return _filtered(
-        n, lambda g: g.order >= 2 and g.min_degree() == 1 and is_bipartite(g)
+        n, lambda g: g.order >= 2 and g.min_degree() == 1, bipartite=True
     )
 
 
@@ -351,7 +374,7 @@ def shatter_graphs_up_to(n: int) -> Iterator[Graph]:
 
 def bipartite_shatter_graphs_up_to(n: int) -> Iterator[Graph]:
     """Bipartite shatter-point graphs — yes-instances of Theorem 1.3."""
-    return _filtered(n, lambda g: has_shatter_point(g) and is_bipartite(g))
+    return _filtered(n, has_shatter_point, bipartite=True)
 
 
 def watermelon_graphs_up_to(n: int) -> Iterator[Graph]:

@@ -46,6 +46,19 @@ def symmetry_pruning_effective(lcp: LCP, symmetry: str) -> bool:
     return symmetry == "on" or (symmetry == "auto" and lcp.anonymous)
 
 
+def bipartite_generation(lcp: LCP) -> bool:
+    """Whether the Lemma 3.1 sweep of *lcp* may enumerate bipartite
+    graphs only.
+
+    Every yes-instance of a ``k = 2`` LCP is bipartite
+    (:meth:`LCP.is_yes_instance` is promise and 2-colorability), so the
+    generator can skip the rest outright; ``is_yes_instance`` stays the
+    authoritative filter and the yielded stream is unchanged.  Follows
+    ``lcp.k`` — a property of the input, not a knob.  A subclass that
+    redefines ``is_yes_instance`` keeps the full family."""
+    return lcp.k == 2 and type(lcp).is_yes_instance is LCP.is_yes_instance
+
+
 def labeled_yes_instances(
     lcp: LCP,
     graphs: Iterable[Graph],
@@ -226,13 +239,15 @@ def yes_instances_up_to(
 
     Graphs are enumerated up to isomorphism over all connected graphs,
     filtered by :meth:`LCP.is_yes_instance` (promise class +
-    ``k``-colorability — bipartiteness for the paper's ``k = 2``).
+    ``k``-colorability — bipartiteness for the paper's ``k = 2``, where
+    only bipartite graphs are generated in the first place; see
+    :func:`bipartite_generation`).
     """
     # No pre-filter here: labeled_yes_instances applies is_yes_instance
     # itself, and filtering twice would double the bipartiteness checks.
     yield from labeled_yes_instances(
         lcp,
-        all_graphs_up_to(n, mutable=False),
+        all_graphs_up_to(n, mutable=False, bipartite=bipartite_generation(lcp)),
         port_limit=port_limit,
         id_order_types=id_order_types,
         id_bound=n,
@@ -272,9 +287,11 @@ def yes_instances_between(
     the two sweeps cannot reach the neighborhood graph.
     """
 
+    bipartite = bipartite_generation(lcp)
+
     def suffix_graphs() -> Iterator[Graph]:
         for size in range(lo + 1, hi + 1):
-            yield from all_graphs_exactly(size, mutable=False)
+            yield from all_graphs_exactly(size, mutable=False, bipartite=bipartite)
 
     yield from labeled_yes_instances(
         lcp,

@@ -2,10 +2,11 @@
 
 One pickle per completed shard under ``.repro_cache/shards/``, keyed by
 the sweep's persistent identity (:func:`repro.engine.backends.disk_key`)
-plus the shard's ``(generation version, depth, root range)`` — so a
-killed sweep restarts from its completed shards, and no checkpoint can
-survive a generation-algorithm change, a different sweep, or a
-different partition of the level.
+plus the shard's ``(generation version, tree, depth, root range)`` —
+so a killed sweep restarts from its completed shards, and no checkpoint
+can survive a generation-algorithm change, a different sweep, a
+different augmentation tree (full or bipartite), or a different
+partition of the level.
 
 Pickle, not JSON: shard results carry labeled instances and views whose
 certificate labels need no codec, and the files are private to the

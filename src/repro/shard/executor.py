@@ -33,7 +33,7 @@ import time
 from concurrent.futures import as_completed
 from dataclasses import dataclass
 
-from ..neighborhood.aviews import labeled_yes_instances
+from ..neighborhood.aviews import bipartite_generation, labeled_yes_instances
 from ..obs.logs import get_logger
 from ..perf.config import CONFIG
 from ..perf.parallel import _replay_chunk
@@ -128,6 +128,7 @@ def run_sharded_sweep(
             "+ sweep_key) — foreign shards are adopted from the store"
         )
     outcome = ShardSweepOutcome(ngraph=ngraph, workers_effective=max(1, workers))
+    bipartite = bipartite_generation(lcp)
     with ctx.tracer.span(
         "shard:sweep", n=n, depth=depth, workers=workers, lo=lo
     ) as shard_span:
@@ -137,7 +138,9 @@ def run_sharded_sweep(
 
             def prefix_graphs():
                 for size in range(lo + 1, prefix_hi + 1):
-                    yield from all_graphs_exactly(size, mutable=False)
+                    yield from all_graphs_exactly(
+                        size, mutable=False, bipartite=bipartite
+                    )
 
             with ctx.tracer.span("shard:prefix", hi=prefix_hi):
                 build_neighborhood_graph(
@@ -162,8 +165,8 @@ def run_sharded_sweep(
             return outcome
 
         # ---- 2. the shard stage ----------------------------------------
-        spec = plan_shards(n, depth, workers)
-        roots = level_entries(depth)
+        spec = plan_shards(n, depth, workers, bipartite=bipartite)
+        roots = level_entries(depth, bipartite)
         results = _drain_shards(
             lcp, n, plan, ctx, spec, roots, bounds, symmetry,
             lo, workers, store, queue, outcome, shard_span,

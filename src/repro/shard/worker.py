@@ -45,8 +45,9 @@ def run_shard(payload: dict) -> dict:
     """Expand and sweep one shard (pool-worker entry point).
 
     *payload* keys: ``lcp``, ``n``, ``lo`` (warm-start floor — sizes at
-    or below it are skipped), ``shard`` (:class:`~repro.shard.spec.Shard`),
-    ``roots`` (the shard's level-``depth`` entry slice), ``bounds``
+    or below it are skipped), ``shard`` (:class:`~repro.shard.spec.Shard`;
+    its ``bipartite`` flag picks the augmentation tree), ``roots`` (the
+    shard's level-``depth`` entry slice), ``bounds``
     (enumeration-bound kwargs), ``symmetry``, ``kernel`` (the plan's
     kernel mode), ``traced``.
     """
@@ -70,7 +71,7 @@ def run_shard(payload: dict) -> dict:
         ):
             entries = payload["roots"]
             for size in range(shard.depth + 1, n + 1):
-                entries = build_level(size, entries)
+                entries = build_level(size, entries, shard.bipartite)
                 if size <= lo:
                     continue
                 blocks = []

@@ -26,6 +26,20 @@ early-exit witnesses, and verdict fingerprints are identical whichever
 enumerator ran.  The automorphism group computed during generation is
 transported to the emitted labeling and seeded into the group cache.
 
+*Bipartite pruning.*  Every yes-instance of a ``k = 2`` LCP is
+bipartite, so its sweeps build with ``bipartite=True``: a third
+parent-side filter drops a subset that touches both colour classes of
+some component of the (bipartite) parent — exactly the extensions that
+close an odd cycle through the new vertex.  The pruning is exact.
+2-colourability is hereditary, so the canonical-deletion parent of
+every bipartite class is itself in the pruned level; and the filter is
+invariant under ``Aut(parent)`` (automorphisms permute components and
+preserve each one's bipartition), so it keeps or drops whole subset
+orbits and never interacts with orbit-minimality.  Each pruned level is
+therefore, entry for entry, the bipartite subsequence of the full level,
+and the pruned emission stream the bipartite subsequence of the full
+one.
+
 Both the level build and the emission labeling have an array-native
 fast path (:mod:`repro.kernel.generate`): when numpy is importable and
 ``CONFIG.kernel`` is not ``"off"``, the orbit-minimality
@@ -66,12 +80,15 @@ _GENERATION_BLOCK = 2048
 #: labeling).  Folded into shard-checkpoint keys so persisted subtree
 #: results can never survive an algorithm change that would alter the
 #: emission stream they cache.
-GENERATION_VERSION = 1
+GENERATION_VERSION = 2
 
 
-#: ``size -> tuple of (adjacency rows, automorphism index perms)`` for
-#: *all* graphs (connected and not) on that many nodes, one per class.
-_LEVELS: dict[int, tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]] = {}
+#: ``(size, bipartite) -> tuple of (adjacency rows, automorphism index
+#: perms)`` for *all* graphs (connected and not) on that many nodes —
+#: or all bipartite ones — one per class.
+_LEVELS: dict[
+    tuple[int, bool], tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+] = {}
 
 
 def clear_orderly_cache() -> None:
@@ -80,49 +97,57 @@ def clear_orderly_cache() -> None:
 
 
 def _level(
-    n: int,
+    n: int, bipartite: bool = False
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """Representatives of all graphs on exactly *n* nodes (memoized)."""
-    cached = _LEVELS.get(n)
+    """Representatives of all graphs — or, with *bipartite*, all
+    bipartite graphs — on exactly *n* nodes (memoized)."""
+    cached = _LEVELS.get((n, bipartite))
     if cached is not None:
         return cached
     if n == 1:
         entries = (((0,), ((0,),)),)
         vectorized = False
     else:
-        parents = _level(n - 1)
+        parents = _level(n - 1, bipartite)
         np = kernel_numpy()
         vectorized = np is not None and generation_supported(n)
         if vectorized:
-            entries = _build_level_batched(n, parents, np)
+            entries = _build_level_batched(n, parents, np, bipartite)
         else:
-            entries = _build_level(n, parents)
-    _LEVELS[n] = entries
+            entries = _build_level(n, parents, bipartite)
+    _LEVELS[(n, bipartite)] = entries
     # No RunContext threads through the process-memoized generator, so
     # level completions announce on the process-wide bus (free when
     # nobody subscribed).  Memo hits stay silent — nothing was built.
     GLOBAL_PROGRESS.emit(
-        "generation_level", n=n, graphs=len(entries), vectorized=vectorized
+        "generation_level",
+        n=n,
+        graphs=len(entries),
+        vectorized=vectorized,
+        bipartite=bipartite,
     )
     return entries
 
 
 def level_entries(
-    n: int,
+    n: int, bipartite: bool = False
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Public accessor for the memoized level-*n* representatives.
 
     Each entry is ``(adjacency rows, automorphism perms)`` for one
-    isomorphism class of *all* graphs (connected and not) on exactly
-    ``n`` nodes, in generation order.  The shard layer slices this tuple
-    into subtree roots: the descendants of a contiguous root range,
-    concatenated in range order, are exactly the corresponding contiguous
-    slice of every deeper level."""
-    return _level(n)
+    isomorphism class of *all* graphs (connected and not; with
+    *bipartite*, all bipartite graphs) on exactly ``n`` nodes, in
+    generation order.  The shard layer slices this tuple into subtree
+    roots: the descendants of a contiguous root range, concatenated in
+    range order, are exactly the corresponding contiguous slice of every
+    deeper level of the same tree."""
+    return _level(n, bipartite)
 
 
 def build_level(
-    k: int, parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+    k: int,
+    parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
+    bipartite: bool = False,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """One augmentation level from an *arbitrary* parent-entry tuple.
 
@@ -131,15 +156,46 @@ def build_level(
     entries.  Because both underlying builds process parents in order
     (subsets ascending per parent), expanding a partition of level ``k-1``
     slice by slice and concatenating the results reproduces the full
-    level entry for entry."""
+    level entry for entry.  *bipartite* prunes to the bipartite tree
+    (the parents must then be bipartite too)."""
     np = kernel_numpy()
     if np is not None and generation_supported(k):
-        return _build_level_batched(k, parents, np)
-    return _build_level(k, parents)
+        return _build_level_batched(k, parents, np, bipartite)
+    return _build_level(k, parents, bipartite)
+
+
+def _bipartition_sides(rows: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``(side A, side B)`` node bitsets of every component of the
+    bipartite graph *rows* that has an edge (isolated nodes can never
+    put a new vertex on an odd cycle).  BFS layers alternate sides."""
+    sides = []
+    seen = 0
+    for v in range(len(rows)):
+        if seen >> v & 1 or not rows[v]:
+            continue
+        layers = [1 << v, 0]
+        reach = frontier = 1 << v
+        depth = 0
+        while frontier:
+            nxt = 0
+            bits = frontier
+            while bits:
+                low = bits & -bits
+                nxt |= rows[low.bit_length() - 1]
+                bits ^= low
+            frontier = nxt & ~reach
+            reach |= frontier
+            depth ^= 1
+            layers[depth] |= frontier
+        seen |= reach
+        sides.append((layers[0], layers[1]))
+    return sides
 
 
 def _build_level(
-    k: int, parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+    k: int,
+    parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
+    bipartite: bool = False,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Scalar reference level build — the exact semantics the batched
     path below must reproduce entry for entry."""
@@ -147,7 +203,12 @@ def _build_level(
     out = []
     for rows_p, auts_p in parents:
         nontrivial = auts_p[1:]
+        sides = _bipartition_sides(rows_p) if bipartite else ()
         for s in range(1 << m):
+            # Bipartite filter: a subset touching both colour classes of
+            # one component closes an odd cycle through the new vertex.
+            if any(s & a and s & b for a, b in sides):
+                continue
             # Parent-side filter: keep the orbit-minimal subset only.
             rejected = False
             for sigma in nontrivial:
@@ -182,6 +243,7 @@ def _build_level_batched(
     k: int,
     parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
     np,
+    bipartite: bool = False,
 ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Array-native level build: both orderly filters and the canonical
     form run as batched numpy searches (:mod:`repro.kernel.generate`).
@@ -196,6 +258,7 @@ def _build_level_batched(
     GLOBAL_STATS.incr("orderly_levels_vectorized")
     bits = subset_bit_matrix(m, np)
     popcnt = bits.sum(axis=1, dtype=np.int64)
+    subsets = np.arange(1 << m, dtype=np.int64)[:, None]
     batches = []
     for rows_p, auts_p in parents:
         nontrivial = auts_p[1:]
@@ -206,6 +269,14 @@ def _build_level_batched(
         )
         # Parent-side filter: keep the orbit-minimal subset only.
         keep = orbit_minimal_subsets(bits, sigma, np)
+        if bipartite:
+            sides = _bipartition_sides(rows_p)
+            if sides:
+                # One (2^m x components) mask product: drop subsets
+                # touching both colour classes of some component.
+                side_a, side_b = np.array(sides, dtype=np.int64).T
+                odd = ((subsets & side_a) != 0) & ((subsets & side_b) != 0)
+                np.logical_and(keep, ~odd.any(axis=1), out=keep)
         # The canonical last position holds a maximum-degree node, so a
         # new vertex of smaller degree can never be accepted; drop those
         # before the canonical form is ever computed (scalar skip).
@@ -319,27 +390,33 @@ def emit_entries(
         yield mask, graph
 
 
-def orderly_graphs_exactly(n: int, connected_only: bool = True) -> Iterator[Graph]:
+def orderly_graphs_exactly(
+    n: int, connected_only: bool = True, bipartite: bool = False
+) -> Iterator[Graph]:
     """All graphs on exactly *n* nodes up to isomorphism, emitted in the
     legacy enumerator's exact order and labeling.
 
     Drop-in replacement for the edge-subset walk of
     :mod:`repro.graphs.families` — byte-identical stream — that visits
     each isomorphism class once instead of all ``2^(n choose 2)`` masks.
-    Emitted graphs carry their automorphism group into the cache of
+    With *bipartite* only the bipartite classes are built and emitted:
+    the bipartite subsequence of the full stream.  Emitted graphs carry
+    their automorphism group into the cache of
     :mod:`repro.symmetry.groups`.
     """
     if n <= 0:
         return
     GLOBAL_STATS.incr("orderly_generations")
-    for _mask, graph in emit_entries(_level(n), n, connected_only=connected_only):
+    entries = _level(n, bipartite)
+    for _mask, graph in emit_entries(entries, n, connected_only=connected_only):
         yield graph
 
 
-def count_classes(n: int, connected_only: bool = False) -> int:
+def count_classes(n: int, connected_only: bool = False, bipartite: bool = False) -> int:
     """Number of isomorphism classes on exactly *n* nodes (test hook)."""
     if n <= 0:
         return 0
+    entries = _level(n, bipartite)
     if not connected_only:
-        return len(_level(n))
-    return sum(1 for rows, _ in _level(n) if _bitset_connected(rows, n))
+        return len(entries)
+    return sum(1 for rows, _ in entries if _bitset_connected(rows, n))

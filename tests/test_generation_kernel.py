@@ -25,6 +25,8 @@ import pytest
 from repro.core.even_cycle import EvenCycleLCP
 from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
 from repro.graphs.families import _enumerate_graphs_exactly
+from repro.graphs.graph import Graph
+from repro.graphs.properties import is_bipartite
 from repro.kernel import DISABLE_ENV, kernel_available, numpy_or_none
 from repro.kernel.generate import (
     MAX_GENERATION_NODES,
@@ -75,12 +77,26 @@ def _fresh_generation_caches():
     clear_engine_state()
 
 
-def _scalar_levels(n: int):
+def _scalar_levels(n: int, bipartite: bool = False):
     """Levels 1..n built strictly by the scalar reference path."""
     levels = {1: (((0,), ((0,),)),)}
     for k in range(2, n + 1):
-        levels[k] = _build_level(k, levels[k - 1])
+        levels[k] = _build_level(k, levels[k - 1], bipartite)
     return levels
+
+
+def _bipartite_entries(entries, n: int):
+    """The bipartite subsequence of a level's generation entries."""
+    return tuple(
+        (rows, auts)
+        for rows, auts in entries
+        if is_bipartite(
+            Graph(
+                range(n),
+                [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1],
+            )
+        )
+    )
 
 
 def _class_matrices(n: int, np):
@@ -175,10 +191,30 @@ class TestLevelBuildParity:
         for k in range(2, 8):
             assert _build_level_batched(k, scalar[k - 1], np) == scalar[k]
 
+    def test_batched_bipartite_levels_are_the_filtered_full_levels(self):
+        np = numpy_or_none()
+        full = _scalar_levels(7)
+        pruned = _scalar_levels(7, bipartite=True)
+        for k in range(2, 8):
+            assert _build_level_batched(k, pruned[k - 1], np, bipartite=True) == (
+                _bipartite_entries(full[k], k)
+            )
+
     def test_generation_supported_bounds(self):
         assert generation_supported(1)
         assert generation_supported(MAX_GENERATION_NODES)
         assert not generation_supported(MAX_GENERATION_NODES + 1)
+
+
+class TestBipartiteLevelBuild:
+    def test_scalar_bipartite_levels_are_the_filtered_full_levels(self):
+        # Entry for entry — rows and automorphism tuples — the pruned
+        # tree is the bipartite subsequence of the full one.
+        full = _scalar_levels(7)
+        pruned = _scalar_levels(7, bipartite=True)
+        for k in range(1, 8):
+            assert pruned[k] == _bipartite_entries(full[k], k)
+            assert pruned[k]
 
 
 def _emission_stream(n: int, connected_only: bool, kernel: str):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.certification.lcp import parametrized
 from repro.core import make_lcp
 from repro.core.registry import all_lcps
 from repro.engine import (
@@ -30,6 +31,7 @@ from repro.engine import (
     clear_engine_state,
     decide_hiding,
 )
+from repro.neighborhood.aviews import bipartite_generation
 from repro.perf.config import FORCE_WORKERS_ENV, forced_workers
 from repro.shard import plan_shards, sharding_effective
 from repro.symmetry.orderly import build_level, emit_entries, level_entries
@@ -130,6 +132,30 @@ def test_sharded_early_exit_matches_serial(scheme):
     )
 
 
+@pytest.mark.parametrize("scheme, k", [("degree-one", None), ("watermelon", 3)])
+def test_sharded_fingerprint_parity_on_both_trees(scheme, k):
+    """A k = 2 sweep shards the bipartite tree, a k = 3 cell the full
+    one; either way the merge reproduces the serial verdict."""
+    lcp = make_lcp(scheme) if k is None else parametrized(make_lcp(scheme), k=k)
+    n = 5
+
+    def sweep(sharding: str):
+        clear_engine_state()
+        plan = _full_sweep_plan("streaming", sharding)
+        return decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
+
+    serial, sharded = sweep("off"), sweep("on")
+    assert sharded.decision_fingerprint() == serial.decision_fingerprint()
+    assert sharded.witness == serial.witness
+    assert (
+        sharded.provenance.instances_scanned
+        == serial.provenance.instances_scanned
+    )
+    # Level 3 has 3 bipartite classes and 4 classes overall.
+    spec = plan_shards(n, 3, 0, bipartite=bipartite_generation(lcp))
+    assert sharded.provenance.shard_count == len(spec) == (3 if k is None else 4)
+
+
 # ----------------------------------------------------------------------
 # Emission parity: merged shard blocks == the serial orderly walk
 # ----------------------------------------------------------------------
@@ -152,6 +178,23 @@ def test_merged_shard_emission_is_byte_identical(depth):
             entries = roots[shard.start : shard.stop]
             for level in range(depth + 1, size + 1):
                 entries = build_level(level, entries)
+            merged.extend(_encode(emit_entries(entries, size)))
+        merged.sort(key=lambda pair: pair[0])
+        assert merged == serial
+
+
+def test_merged_bipartite_shard_emission_is_byte_identical():
+    n, depth = 7, 3
+    spec = plan_shards(n, depth, workers=4, bipartite=True)
+    roots = level_entries(depth, bipartite=True)
+    assert spec.total_roots == len(roots)
+    for size in range(depth + 1, n + 1):
+        serial = _encode(emit_entries(level_entries(size, bipartite=True), size))
+        merged = []
+        for shard in spec.shards:
+            entries = roots[shard.start : shard.stop]
+            for level in range(depth + 1, size + 1):
+                entries = build_level(level, entries, bipartite=True)
             merged.extend(_encode(emit_entries(entries, size)))
         merged.sort(key=lambda pair: pair[0])
         assert merged == serial
@@ -189,13 +232,15 @@ def test_plan_shards_rejects_empty_subtrees():
 
 
 def test_shard_key_fields_pin_the_generation_version():
-    spec = plan_shards(6, 3, 2)
-    for shard in spec.shards:
-        fields = shard.key_fields()
-        assert fields["generation_version"] == 1
-        assert fields["depth"] == 3
-        assert (fields["start"], fields["stop"]) == (shard.start, shard.stop)
-        assert shard.id == f"d3-{shard.start:06d}-{shard.stop:06d}"
+    for bipartite in (False, True):
+        spec = plan_shards(6, 3, 2, bipartite=bipartite)
+        for shard in spec.shards:
+            fields = shard.key_fields()
+            assert fields["generation_version"] == 2
+            assert fields["bipartite"] is bipartite
+            assert fields["depth"] == 3
+            assert (fields["start"], fields["stop"]) == (shard.start, shard.stop)
+            assert shard.id == f"d3-{shard.start:06d}-{shard.stop:06d}"
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ file-based multi-host queue.
 
 The checkpoint store persists each finished shard's result under the
 content-addressed cache directory, keyed by the sweep identity plus the
-shard's ``(generation_version, depth, start, stop)``; a killed sweep
+shard's ``(generation_version, bipartite, depth, start, stop)``; a killed sweep
 restarted against the same directory adopts every finished shard and
 recomputes only the missing ones, landing on a byte-identical verdict.
 The :class:`ShardQueue` layers claim/complete/lease-expiry files on a
@@ -13,6 +13,7 @@ coordinator.
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
@@ -32,8 +33,10 @@ from repro.shard import (
     plan_shards,
     run_sharded_sweep,
 )
+from repro.perf.persist import digest_for
 from repro.shard import checkpoint as checkpoint_module
 from repro.shard import executor as executor_module
+from repro.shard.spec import Shard
 from repro.symmetry import SymmetryAccount
 
 N = 6
@@ -123,6 +126,62 @@ def test_corrupt_checkpoint_is_a_miss(tmp_path):
     stats = PerfStats()
     assert store.load(shard, stats=stats) is None
     assert stats.get("shard_checkpoint_corrupt") == 1
+
+
+def test_full_tree_checkpoint_is_not_read_for_the_bipartite_tree(tmp_path):
+    store = ShardCheckpointStore({"scheme": SCHEME}, directory=tmp_path)
+    full = Shard(index=0, depth=3, start=0, stop=1)
+    store.store(full, {"sizes": {}, "spans": []})
+    assert store.load(full) is not None
+    assert store.load(Shard(index=0, depth=3, start=0, stop=1, bipartite=True)) is None
+
+
+def test_unpruned_tree_checkpoints_are_never_read(tmp_path, monkeypatch):
+    """Checkpoints written before generation was pruned index the full
+    tree's level; a k = 2 sweep must recompute every shard, not adopt
+    them."""
+    reference, ref_counters, _ = _decide(disk_cache=False)
+    with overridden(disk_cache_dir=str(tmp_path / "cache")):
+        plan = _plan(disk_cache=True).resolve()
+        sweep_key = disk_key(make_lcp(SCHEME), N, plan)
+        store = ShardCheckpointStore(sweep_key)
+        store.directory.mkdir(parents=True)
+        poisoned = {
+            "sizes": {},
+            "stats": {},
+            "spans": [],
+            "pid": 0,
+            "elapsed_s": 0.0,
+            "global_stats": {},
+        }
+        # The old key layout: generation version 1, no tree field, root
+        # ranges over the full level 3 (4 classes).
+        for shard in plan_shards(N, 3, 0).shards:
+            old_key = dict(sweep_key)
+            old_key["shard_format"] = checkpoint_module.SHARD_FORMAT
+            old_key.update(
+                generation_version=1,
+                depth=shard.depth,
+                start=shard.start,
+                stop=shard.stop,
+            )
+            path = store.directory / f"{digest_for(old_key)}.pkl"
+            path.write_bytes(pickle.dumps(poisoned))
+
+        recomputed = []
+        original_run = executor_module.run_shard
+
+        def counting_run(payload):
+            recomputed.append(payload["shard"].id)
+            return original_run(payload)
+
+        monkeypatch.setattr(executor_module, "run_shard", counting_run)
+        resumed, counters, ctx = _decide(disk_cache=True)
+
+    assert ctx.stats.get("shard_checkpoint_hits") == 0
+    assert len(recomputed) == resumed.provenance.shard_count == 3
+    assert resumed.decision_fingerprint() == reference.decision_fingerprint()
+    assert counters == ref_counters
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +331,7 @@ def test_two_hosts_drain_one_sweep_directory(tmp_path):
         # "Host 1" holds a live claim on the first shard but died: the
         # draining host computes everything else, polls the foreign
         # claim, and steals the unit once the lease expires mid-drain.
-        spec = plan_shards(N, 3, 1)
+        spec = plan_shards(N, 3, 1, bipartite=True)  # even-cycle is k = 2
         dead = ShardQueue(queue_dir, owner="dead-host", lease_s=1.0)
         assert dead.claim(spec.shards[0].id)
 

@@ -32,6 +32,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.graphs.graph import FrozenGraph, Graph, GraphError
+from repro.graphs.properties import is_bipartite
 from repro.perf import overridden
 from repro.symmetry import (
     automorphism_group,
@@ -45,6 +46,10 @@ from repro.symmetry import (
 # OEIS A000088 (graphs on n nodes) and A001349 (connected graphs).
 ALL_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 1, 2, 6, 21, 112, 853]
+# OEIS A033995 (bipartite graphs on n nodes) and A005142 (connected
+# bipartite graphs), n = 1..8.
+BIPARTITE_COUNTS = [1, 2, 3, 7, 13, 35, 88, 303]
+CONNECTED_BIPARTITE_COUNTS = [1, 1, 1, 3, 5, 17, 44, 182]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +63,39 @@ class TestOrderlyGeneration:
         for n in range(1, 8):
             assert count_classes(n, connected_only=False) == ALL_COUNTS[n]
             assert count_classes(n, connected_only=True) == CONNECTED_COUNTS[n]
+
+    def test_bipartite_class_counts_match_known_sequences(self):
+        clear_orderly_cache()
+        for n in range(1, 9):
+            assert count_classes(n, bipartite=True) == BIPARTITE_COUNTS[n - 1]
+            assert (
+                count_classes(n, connected_only=True, bipartite=True)
+                == CONNECTED_BIPARTITE_COUNTS[n - 1]
+            )
+
+    @pytest.mark.parametrize("connected_only", [True, False])
+    def test_bipartite_stream_is_the_bipartite_subsequence(self, connected_only):
+        # Pruned orderly tree, legacy walk with its post-filter, and the
+        # full orderly stream filtered afterwards: one stream, byte for
+        # byte (seeded automorphism groups included).
+        for n in range(1, 7):
+            full = [
+                (tuple(g.edges), automorphism_group(g).perms)
+                for g in orderly_graphs_exactly(n, connected_only)
+                if is_bipartite(g)
+            ]
+            clear_automorphism_cache()
+            pruned = [
+                (tuple(g.edges), automorphism_group(g).perms)
+                for g in orderly_graphs_exactly(n, connected_only, bipartite=True)
+            ]
+            assert pruned == full
+            clear_family_cache()
+            legacy = all_graphs_exactly(
+                n, connected_only, generator="legacy", bipartite=True
+            )
+            assert [tuple(g.edges) for g in legacy] == [edges for edges, _ in full]
+        clear_family_cache()
 
     @pytest.mark.parametrize("connected_only", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -230,17 +268,20 @@ class TestFrozenFamilies:
 
     def test_snapshot_prime_roundtrip(self):
         clear_family_cache()
-        warmed = warm_graph_families(0, 4)
+        warmed = warm_graph_families(0, 4) + warm_graph_families(0, 4, bipartite=True)
         snapshot = family_cache_snapshot()
-        assert warmed == len(snapshot) == 4
+        assert warmed == len(snapshot) == 8
         assert snapshot  # something was enumerated
         clear_family_cache()
         assert family_cache_snapshot() == {}
         prime_family_cache(snapshot)
         assert family_cache_snapshot() == snapshot
         # A primed cache serves without regeneration (identity check).
-        for (n, connected_only), graphs in snapshot.items():
-            served = tuple(all_graphs_exactly(n, connected_only, mutable=False))
+        for (n, connected_only, bipartite), graphs in snapshot.items():
+            served = tuple(
+                all_graphs_exactly(n, connected_only, mutable=False, bipartite=bipartite)
+            )
+            assert len(served) == len(graphs)
             assert all(a is b for a, b in zip(served, graphs))
 
     @pytest.mark.parametrize("mode", ["auto", "on", "off"])
