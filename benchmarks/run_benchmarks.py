@@ -68,8 +68,10 @@ Writes two JSON reports:
 * ``BENCH_hiding.json`` — the hiding decision itself (early-exit vs
   full build) for ``DegreeOneLCP`` at ``n = 4, 5``:
 
-  - **materialized_full** — build all of ``V(D, n)``, then color it
-    (the classic ``hiding_verdict_from_instances`` pipeline, scalar).
+  - **materialized_full** — a full sweep, ``ExecutionPlan(early_exit=False,
+    kernel="off")``: all of ``V(D, n)`` is built, no early exit (the row
+    keeps the name of the retired build-then-decide backend, so
+    ``bench_history.jsonl`` stays continuous).
   - **streaming_cold** — the streaming engine with ``kernel="off"``, no
     warm start, no disk: the sweep exits at the first odd-walk witness.
   - **vectorized_cold** — the same early-exit decision on the streaming
@@ -78,7 +80,7 @@ Writes two JSON reports:
   - **streaming_warm_disk** — the streaming engine reading a populated
     ``.repro_cache/`` entry (what a re-run of the same experiment pays).
 
-  Every streaming row is parity-checked against the materialized
+  Every streaming row is parity-checked against the full-sweep
   verdict (same hiding flag; the witness must be a genuine odd closed
   walk of adjacent views) before its numbers are recorded.
 
@@ -91,9 +93,10 @@ Usage::
     PYTHONPATH=src python benchmarks/run_benchmarks.py [output.json]
         [--hiding-output BENCH_hiding.json] [--early-exit]
 
-``--early-exit`` is the CI smoke mode: a quick streaming-vs-materialized
-parity sweep over several registry schemes (serial and 2-worker); the
-exit status is nonzero on any parity failure.  ``--symmetry-smoke`` is
+``--early-exit`` is the CI smoke mode: a quick parity sweep of the engine
+against the build-then-decide oracle (``hiding_verdict_from_instances``
+on the complete graph) over every registry scheme (serial and 2-worker);
+the exit status is nonzero on any parity failure.  ``--symmetry-smoke`` is
 its symmetry sibling: orbit-pruned vs brute-force sweeps at ``n = 4``
 for both Theorem 1.1 schemes.  Kernel-vs-scalar parity (decisions and
 the orderly emission stream) is pinned by the pytest suite
@@ -214,7 +217,11 @@ STREAM_DISK = ExecutionPlan(
     memory_cache=False,
 )
 MAT_PLAN = ExecutionPlan(
-    backend="materialized", kernel="off", disk_cache=False, memory_cache=False
+    early_exit=False,
+    kernel="off",
+    warm_start=False,
+    disk_cache=False,
+    memory_cache=False,
 )
 
 
@@ -959,21 +966,12 @@ def run_hiding(n: int) -> list[dict]:
     lcp = DegreeOneLCP()
     rows = []
 
-    def materialized():
-        # include_all_accepted_labelings=True matches the engine's default
-        # enumeration; kernel="off" keeps this the scalar reference.
-        with overridden(kernel="off"):
-            instances = yes_instances_up_to(
-                lcp, n, include_all_accepted_labelings=True
-            )
-            return hiding_verdict_from_instances(lcp, instances, exhaustive=True)
-
     mat_times = []
     mat = None
     for _ in range(REPEATS):
         _clear_everything()
         start = time.perf_counter()
-        mat = materialized()
+        mat = decide_hiding(lcp, n, MAT_PLAN)
         mat_times.append(time.perf_counter() - start)
     rows.append(
         {
@@ -1114,8 +1112,8 @@ def run_hiding(n: int) -> list[dict]:
 
 
 def smoke_early_exit(trace_out: str | None = None) -> int:
-    """CI smoke: streaming parity across registry schemes, serial and
-    2-worker; returns a nonzero exit status on any mismatch.
+    """CI smoke: engine-vs-oracle parity across registry schemes, serial
+    and 2-worker; returns a nonzero exit status on any mismatch.
 
     With *trace_out*, the whole smoke runs traced and emits a validated
     run report (one ``decide_hiding`` span subtree per check) — CI
@@ -1150,7 +1148,7 @@ def smoke_early_exit(trace_out: str | None = None) -> int:
                         print(
                             f"PARITY FAILURE: {name} n={n} workers={workers}: "
                             f"streaming={streamed.hiding} "
-                            f"materialized={mat.hiding}",
+                            f"oracle={mat.hiding}",
                             file=sys.stderr,
                         )
 
@@ -1194,7 +1192,7 @@ FRONTIER_N_MAX = 5
 FRONTIER_K_VALUES = (2, 3)
 
 
-def _frontier_spec(backend: str = "auto"):
+def _frontier_spec():
     from repro.campaign import CampaignSpec  # noqa: PLC0415
 
     return CampaignSpec.sweep(
@@ -1202,7 +1200,7 @@ def _frontier_spec(backend: str = "auto"):
         n_max=FRONTIER_N_MAX,
         n_min=3,
         k_values=FRONTIER_K_VALUES,
-        plan=ExecutionPlan(backend=backend, disk_cache=False),
+        plan=ExecutionPlan(disk_cache=False),
     )
 
 

@@ -60,8 +60,9 @@ class CellResult:
     explicitly because that is the quantity the frontier report tracks.
     ``fingerprint`` digests the verdict's
     :meth:`~repro.engine.verdict.Verdict.decision_fingerprint`, the
-    byte-level identity the plan-equivalence suite pins across backends
-    and cache tiers.  ``trace_id`` is promoted out of the provenance
+    byte-level identity of the one decision route (stream-order witness
+    and coloring) that the plan-equivalence suite pins across kernel,
+    worker, sharding, and cache-tier variants.  ``trace_id`` is promoted out of the provenance
     dict so frontier rows join directly against span exports and run
     reports (``None`` for untraced or errored cells).
     """

@@ -16,9 +16,9 @@ Subcommands
 ``repro views <scheme> <graph-spec>``
     Print every node's certified view and its verdict.
 ``repro hiding <scheme> --n N``
-    Decide hiding via the streaming early-exit engine (or
-    ``--backend materialized`` for the classic full-build pipeline);
-    both run the numpy kernels when numpy is importable
+    Decide hiding via the incremental engine, stopping at the first
+    witness (``--full-sweep`` builds the complete ``V(D, n)`` instead);
+    the sweep runs the numpy kernels when numpy is importable
     (``REPRO_DISABLE_NUMPY=1`` forces the scalar loops).  The scheme
     may equivalently be given as ``--scheme``; ``--trace`` prints the
     run's span tree, ``--trace-out FILE`` writes a full run report, and
@@ -103,7 +103,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         GLOBAL_STATS.reset()
     with CONFIG.overridden(
         workers=args.workers,
-        streaming=True if args.streaming else None,
         disk_cache=True if args.disk_cache else None,
     ):
         if "all" in args.experiments:
@@ -213,13 +212,7 @@ def _resolve_hiding_scheme(args: argparse.Namespace) -> str:
 
 
 def cmd_hiding(args: argparse.Namespace) -> int:
-    from .engine import (  # noqa: PLC0415
-        BACKEND_MATERIALIZED,
-        BACKEND_STREAMING,
-        ExecutionPlan,
-        RunContext,
-        decide_hiding,
-    )
+    from .engine import ExecutionPlan, RunContext, decide_hiding  # noqa: PLC0415
     from .perf import GLOBAL_STATS, PerfStats  # noqa: PLC0415
     from .perf.config import CONFIG  # noqa: PLC0415
 
@@ -235,12 +228,10 @@ def cmd_hiding(args: argparse.Namespace) -> int:
     else:
         stats = PerfStats() if args.perf_stats else GLOBAL_STATS
         ctx = RunContext(stats=stats)
-    # "auto" here means streaming: this command exists to run the early exit.
-    backend = args.backend if args.backend not in (None, "auto") else BACKEND_STREAMING
     plan = ExecutionPlan(
-        backend=backend,
         workers=args.workers,
-        disk_cache=not (backend == BACKEND_MATERIALIZED or args.no_disk_cache),
+        early_exit=not args.full_sweep,
+        disk_cache=not args.no_disk_cache,
         symmetry=args.symmetry,
     ).resolve()
     detach_progress = _attach_progress(ctx.progress)
@@ -320,7 +311,6 @@ def cmd_frontier_run(args: argparse.Namespace) -> int:
     families = tuple(part for part in args.family.split(",") if part)
     with CONFIG.overridden(disk_cache_dir=args.cache_dir):
         plan = ExecutionPlan(
-            backend=args.backend if args.backend is not None else "auto",
             workers=args.workers,
             disk_cache=False if args.no_disk_cache else None,
             symmetry=args.symmetry,
@@ -593,14 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print cache hit rates and stage timings after the reports",
     )
     run_parser.add_argument(
-        "--streaming",
-        action="store_true",
-        help="route hiding sweeps through the early-exit streaming engine",
-    )
-    run_parser.add_argument(
         "--disk-cache",
         action="store_true",
-        help="persist streaming sweep verdicts under .repro_cache/",
+        help="persist sweep verdicts under .repro_cache/",
     )
     run_parser.set_defaults(fn=cmd_run)
 
@@ -623,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     views_parser.set_defaults(fn=cmd_views)
 
     hiding_parser = sub.add_parser(
-        "hiding", help="decide hiding via the streaming early-exit engine"
+        "hiding", help="decide hiding via the early-exit incremental engine"
     )
     hiding_parser.add_argument(
         "scheme_pos",
@@ -643,14 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
     hiding_parser.add_argument(
         "--n", type=int, required=True, metavar="N", help="sweep bound (max nodes)"
     )
-    from .engine import available_backends  # noqa: PLC0415
-
     hiding_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["auto", *available_backends()],
-        help="engine backend to run (default: auto — streaming; "
-        "materialized builds all of V(D, n) first and skips the disk cache)",
+        "--full-sweep",
+        action="store_true",
+        help="build the complete V(D, n) instead of stopping at the first "
+        "witness",
     )
     hiding_parser.add_argument(
         "--workers",
@@ -753,14 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A1,A2",
         help="comma-separated caps on the certificate alphabet "
         "(default: the full alphabet)",
-    )
-    from .engine import available_backends as _backends  # noqa: PLC0415
-
-    fr_run.add_argument(
-        "--backend",
-        default=None,
-        choices=["auto", *_backends()],
-        help="engine backend for every cell (default: auto)",
     )
     fr_run.add_argument(
         "--workers", type=int, default=None, metavar="N",

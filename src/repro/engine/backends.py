@@ -1,27 +1,22 @@
-"""Engine backends: the interchangeable ways to decide Lemma 3.2.
+"""The engine backend: one way to decide Lemma 3.2.
 
-A backend answers one question — *is* ``V(D, n)`` *k-colorable?* — under
-the contract that the ``hiding`` flag, the canonical stream-order
-witness, and (on conclusive non-hiding sweeps) the complete graph and
-coloring are byte-identical across backends, worker counts, and cache
-tiers.  Two ship today:
+The backend answers one question — *is* ``V(D, n)`` *k-colorable?* — with
+the fused incremental engine of :mod:`repro.neighborhood.streaming`:
+each view and edge feeds an incremental decision the moment the builders
+discover it (union-find parity for ``k = 2``, DSATUR with restarts
+otherwise), optionally resuming from a smaller-``n`` sweep (warm start).
+``ExecutionPlan.early_exit`` picks how far it scans: ``True`` stops at
+the first witness, ``False`` builds the complete ``V(D, n)``.  Either
+way the witness is the stream-order first odd closed walk and the
+coloring is the engine's own, so the ``hiding`` flag, the witness, and
+(on conclusive non-hiding sweeps) the complete graph and coloring are
+byte-identical across worker counts, kernel modes, sharding, and cache
+tiers.
 
-* ``materialized`` — build all of ``V(D, n)`` (serial or process-pool),
-  then decide: BFS bipartition / DSATUR coloring on the finished graph.
-  The historical pipeline; its legacy envelope keeps the BFS witness
-  walk the figure experiments pin.  An incremental parity detector rides
-  along (``k = 2``) purely to report the canonical stream witness.
-* ``streaming`` — the fused early-exit engine of
-  :mod:`repro.neighborhood.streaming`: incremental decision per builder
-  event, optional cross-``n`` warm start, stop at the first witness.
-
-Both read the plan's ``kernel`` mode: unless it is ``"off"``, the numpy
-kernels of :mod:`repro.kernel` evaluate the unanimity sweeps block-wise
-and run orderly generation's canonicalization searches in batches.
-
-Registering a new backend is one class + one :func:`register_backend`
-call — sharded sweeps, async workers, or remote executors plug in here
-without touching any call site.
+The plan's ``kernel`` mode is read here too: unless it is ``"off"``, the
+numpy kernels of :mod:`repro.kernel` evaluate the unanimity sweeps
+block-wise and run orderly generation's canonicalization searches in
+batches.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from ..neighborhood.aviews import (
     yes_instances_between,
     yes_instances_up_to,
 )
-from ..neighborhood.hiding import HidingVerdict, classic_verdict
+from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import build_neighborhood_graph_auto
 from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
@@ -58,46 +53,6 @@ log = get_logger("engine.backends")
 ENGINE_VERSION = 1
 
 
-class Backend:
-    """One way to run a hiding sweep.  Subclasses override :meth:`run`;
-    :meth:`shortcut` may answer from backend-private state (the
-    streaming warm-start witness) before any cache tier is consulted."""
-
-    name: str = "?"
-
-    def shortcut(
-        self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext
-    ) -> Verdict | None:
-        return None
-
-    def run(self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict:
-        raise NotImplementedError
-
-
-_BACKENDS: dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> Backend:
-    """Add *backend* to the engine's dispatch table (name-keyed)."""
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> Backend:
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown backend {name!r}; known: auto, {', '.join(available_backends())}"
-        )
-    return backend
-
-
-def available_backends() -> list[str]:
-    """Names of the registered backends, in registration order (the
-    CLI's ``--backend`` choices derive from this list)."""
-    return list(_BACKENDS)
-
-
 # ----------------------------------------------------------------------
 # Sweep identity keys (shared by every cache tier)
 # ----------------------------------------------------------------------
@@ -111,7 +66,7 @@ def _symmetry_effective(lcp: LCP, plan: ExecutionPlan) -> bool:
 
 def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     """The sweep identity *without* ``n``: one key per (scheme, decoder,
-    enumeration bounds, backend semantics) family.  Worker count is
+    enumeration bounds, early-exit mode) family.  Worker count is
     deliberately absent — verdicts are byte-identical for any.  Orbit
     pruning is part of the identity (early-exit counts may differ between
     regimes); the orderly-vs-legacy generation mode and the generation
@@ -121,7 +76,6 @@ def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     (resolve already normalized it to ``None`` wherever it is a no-op)."""
     return (
         ENGINE_VERSION,
-        plan.backend,
         type(lcp).__name__,
         lcp.name,
         lcp.decoder.name,
@@ -145,9 +99,9 @@ def memory_key(lcp: LCP, n: int, plan: ExecutionPlan) -> tuple:
 
 
 def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
-    """Readable persistent-store key.  For streaming sweeps this is the
-    exact pre-engine layout (same fields, same values), so existing
-    ``.repro_cache/`` entries keep their content addresses."""
+    """Readable persistent-store key: the exact pre-engine layout (same
+    fields, same values), so existing ``.repro_cache/`` entries keep
+    their content addresses."""
     key = {
         "engine_version": ENGINE_VERSION,
         "lcp_type": type(lcp).__name__,
@@ -163,8 +117,6 @@ def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
         "labeling_limit": plan.labeling_limit,
         "early_exit": plan.early_exit,
     }
-    if plan.backend != "streaming":
-        key["backend"] = plan.backend
     # Only when orbit pruning is effective: pre-symmetry entries keep
     # their content addresses and are never misread by pruned sweeps
     # (whose early-exit instance counts can legitimately differ).
@@ -218,7 +170,6 @@ def _envelope(
     n: int,
     plan: ExecutionPlan,
     legacy: HidingVerdict,
-    witness,
     elapsed: float,
     ctx: RunContext | None = None,
     **flags,
@@ -242,7 +193,7 @@ def _envelope(
     return Verdict(
         k=legacy.k,
         hiding=legacy.hiding,
-        witness=witness,
+        witness=legacy.odd_cycle,
         coloring=legacy.coloring,
         ngraph=g,
         provenance=provenance,
@@ -361,114 +312,6 @@ class _ThroughputMeter:
 
 
 # ----------------------------------------------------------------------
-# Materialized backend
-# ----------------------------------------------------------------------
-
-
-class MaterializedBackend(Backend):
-    """Full build, then decide — the classic Lemma 3.2 pipeline."""
-
-    name = "materialized"
-
-    def run(self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict:
-        from ..neighborhood.streaming import StreamingHidingEngine  # noqa: PLC0415
-
-        start = time.perf_counter()
-        pruned = _symmetry_effective(lcp, plan)
-        account = SymmetryAccount() if pruned else None
-        sharded = _sharding_effective(lcp, plan, n)
-        meter = _ThroughputMeter(ctx)
-        with CONFIG.overridden(symmetry=plan.symmetry, kernel=plan.kernel):
-            with ctx.tracer.span("sweep", n=n, sharded=sharded) as sweep:
-                with ctx.tracer.span(
-                    "symmetry:generate", n=n, mode=plan.symmetry
-                ) as gen:
-                    # Sharded sweeps must not pre-generate past the shard
-                    # depth: the deeper levels are exactly the work the
-                    # subtree shards expand in parallel.
-                    gen.set_attributes(
-                        sizes_warmed=warm_graph_families(
-                            0,
-                            min(plan.shard_depth, n) if sharded else n,
-                            bipartite=bipartite_generation(lcp),
-                        ),
-                        deferred=sharded,
-                    )
-                # The parity detector rides along (k = 2, near-free union-find)
-                # so this backend reports the same canonical stream witness as
-                # the streaming one; it never stops the scan (early_exit=False).
-                tracker = None
-                into = None
-                if lcp.k == 2:
-                    tracker = StreamingHidingEngine(
-                        lcp.k,
-                        lcp.radius,
-                        not lcp.anonymous,
-                        early_exit=False,
-                        stats=ctx.stats,
-                    )
-                    into = tracker.ngraph
-                shard_flags: dict = {}
-                if sharded:
-                    ngraph = _run_sharded(
-                        lcp,
-                        n,
-                        plan,
-                        ctx,
-                        symmetry=plan.symmetry if pruned else "off",
-                        consumer=tracker,
-                        into=into,
-                        account=account,
-                        flags=shard_flags,
-                    )
-                else:
-                    instances = _with_progress(
-                        yes_instances_up_to(
-                            lcp,
-                            n,
-                            **_enumeration_bounds(plan),
-                            symmetry=plan.symmetry if pruned else "off",
-                            account=account,
-                            stats=ctx.stats,
-                        ),
-                        lcp,
-                        n,
-                        ctx,
-                    )
-                    ngraph = build_neighborhood_graph_auto(
-                        lcp,
-                        instances,
-                        workers=plan.workers,
-                        stats=ctx.stats,
-                        consumer=tracker,
-                        into=into,
-                        tracer=ctx.tracer,
-                    )
-                _apply_symmetry_account(ngraph, account, ctx)
-                sweep.set_attributes(
-                    instances_scanned=ngraph.instances_scanned,
-                    views=ngraph.order,
-                    edges=ngraph.size,
-                )
-        with ctx.tracer.span("decide", method="classic"):
-            legacy = classic_verdict(lcp, ngraph, exhaustive=True)
-        witness = tracker.odd_cycle_views() if tracker is not None else None
-        elapsed = time.perf_counter() - start
-        return _envelope(
-            lcp,
-            n,
-            plan,
-            legacy,
-            witness,
-            elapsed,
-            ctx,
-            symmetry_pruned=pruned,
-            **shard_flags,
-            **meter.flags(elapsed),
-        )
-
-
-# ----------------------------------------------------------------------
 # Streaming backend (early exit, warm starts)
 # ----------------------------------------------------------------------
 
@@ -490,8 +333,11 @@ def clear_warm_states() -> None:
     _WARM_STATES.clear()
 
 
-class StreamingBackend(Backend):
-    """Fused incremental decision with early exit and warm starts."""
+class StreamingBackend:
+    """Fused incremental decision with early exit and warm starts.
+
+    :meth:`shortcut` may answer from the warm-start witness before any
+    cache tier is consulted; :meth:`run` sweeps."""
 
     name = "streaming"
 
@@ -519,10 +365,12 @@ class StreamingBackend(Backend):
     def shortcut(
         self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext
     ) -> Verdict | None:
-        """A previously found witness answers every larger sweep
-        instantly: ``V(D, m) ⊇ V(D, n)`` for ``m ≥ n`` keeps the odd
-        walk intact."""
-        if not (plan.warm_start and lcp.anonymous):
+        """A previously found witness answers every larger early-exit
+        sweep instantly: ``V(D, m) ⊇ V(D, n)`` for ``m ≥ n`` keeps the
+        odd walk intact.  A full sweep (``early_exit=False``) promises
+        the complete ``V(D, n)``, which the smaller state does not hold,
+        so it warm-starts in :meth:`run` instead."""
+        if not (plan.early_exit and plan.warm_start and lcp.anonymous):
             return None
         state = _WARM_STATES.get(family_key(lcp, plan))
         if state is None or state.n > n or not state.engine.witness_found:
@@ -531,14 +379,11 @@ class StreamingBackend(Backend):
         log.debug(
             "%s: warm-start witness from n=%d answers n=%d", lcp.name, state.n, n
         )
-        legacy = state.engine.verdict(exhaustive=True)
-        witness = legacy.odd_cycle
         return _envelope(
             lcp,
             n,
             plan,
-            legacy,
-            witness,
+            state.engine.verdict(exhaustive=True),
             0.0,
             ctx,
             warm_witness_hit=True,
@@ -679,7 +524,6 @@ class StreamingBackend(Backend):
             n,
             plan,
             legacy,
-            legacy.odd_cycle,
             elapsed,
             ctx,
             warm_started=warm_started,
@@ -689,5 +533,11 @@ class StreamingBackend(Backend):
         )
 
 
-register_backend(MaterializedBackend())
-register_backend(StreamingBackend())
+#: The engine's one backend instance (:func:`repro.engine.decide_hiding`).
+STREAMING = StreamingBackend()
+
+
+def available_backends() -> list[str]:
+    """Backend names :meth:`ExecutionPlan.resolve` accepts besides
+    ``"auto"``."""
+    return [STREAMING.name]

@@ -6,7 +6,7 @@ module globals (``repro.perf.CONFIG`` and ``GLOBAL_STATS``), which every
 layer imported and mutated on its own.  A :class:`RunContext` carries
 them explicitly: :func:`repro.engine.decide_hiding` resolves its plan
 against ``ctx.config`` once, records counters on ``ctx.stats``, and
-consults ``ctx.memory_store(backend)`` / ``ctx.disk`` — nothing in the
+consults ``ctx.memory_store()`` / ``ctx.disk`` — nothing in the
 engine writes a module global.  ``RunContext.default()`` binds the
 process-wide objects, so call sites that never build a context keep the
 historical behavior; tests and benchmarks build isolated contexts
@@ -24,24 +24,10 @@ from ..perf.config import CONFIG, PerfConfig
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from .stores import DiskVerdictStore, MemoryVerdictStore, VerdictStore
 
-#: Process-wide memo tiers, one per backend.  ``stream_memo_hits`` keeps
-#: its pre-engine counter name; the materialized memo gains its own.
-_SHARED_MEMORY_STORES: dict[str, MemoryVerdictStore] = {
-    "materialized": MemoryVerdictStore(hit_counter="sweep_memo_hits"),
-    "streaming": MemoryVerdictStore(hit_counter="stream_memo_hits"),
-}
+#: Process-wide memo tier (cleared by ``clear_engine_state``).
+_SHARED_MEMORY_STORE = MemoryVerdictStore()
 
 _SHARED_DISK_STORE = DiskVerdictStore()
-
-
-def shared_memory_store(backend: str) -> MemoryVerdictStore:
-    """The process-wide memo tier for *backend* (created on demand)."""
-    store = _SHARED_MEMORY_STORES.get(backend)
-    if store is None:
-        store = _SHARED_MEMORY_STORES[backend] = MemoryVerdictStore(
-            hit_counter=f"{backend}_memo_hits"
-        )
-    return store
 
 
 @dataclass
@@ -66,8 +52,8 @@ class RunContext:
       renderer or sink there to observe any default-context run.
       Purely observational: nothing downstream of an event feeds back
       into decisions or cache identities.
-    * ``memory`` — per-backend memo tiers; ``None`` entries fall back to
-      the shared process-wide stores.
+    * ``memory`` — the memo tier; ``None`` falls back to the shared
+      process-wide store.
     * ``disk`` — the persistent tier.
     """
 
@@ -76,7 +62,7 @@ class RunContext:
     metrics: MetricsRegistry = field(default_factory=lambda: GLOBAL_METRICS)
     tracer: Tracer = field(default=NULL_TRACER)
     progress: ProgressBus = field(default_factory=lambda: GLOBAL_PROGRESS)
-    memory: dict[str, MemoryVerdictStore] | None = None
+    memory: MemoryVerdictStore | None = None
     disk: VerdictStore = field(default_factory=lambda: _SHARED_DISK_STORE)
 
     @classmethod
@@ -94,10 +80,7 @@ class RunContext:
             stats=PerfStats().bind_metrics(metrics),
             metrics=metrics,
             progress=ProgressBus(),
-            memory={
-                "materialized": MemoryVerdictStore(hit_counter="sweep_memo_hits"),
-                "streaming": MemoryVerdictStore(hit_counter="stream_memo_hits"),
-            },
+            memory=MemoryVerdictStore(),
         )
 
     @classmethod
@@ -113,12 +96,5 @@ class RunContext:
         ctx = cls.isolated(config=config)
         return replace(ctx, tracer=tracer if tracer is not None else Tracer())
 
-    def memory_store(self, backend: str) -> MemoryVerdictStore:
-        if self.memory is not None:
-            store = self.memory.get(backend)
-            if store is None:
-                store = self.memory[backend] = MemoryVerdictStore(
-                    hit_counter=f"{backend}_memo_hits"
-                )
-            return store
-        return shared_memory_store(backend)
+    def memory_store(self) -> MemoryVerdictStore:
+        return self.memory if self.memory is not None else _SHARED_MEMORY_STORE

@@ -7,8 +7,8 @@ function.  The tier order per decision:
 1. **memory memo** — a hit returns the originally produced envelope
    object as-is (``is``-level memo semantics);
 2. **backend shortcut** — backend-private state that answers without a
-   sweep (the streaming warm-start witness); counts as fresh for the
-   write-back tiers below;
+   sweep (the warm-start witness, early-exit sweeps only); counts as
+   fresh for the write-back tiers below;
 3. **disk store** — a hit is recorded in the envelope's provenance and
    memoized, but never written back to disk;
 4. **backend sweep** — compute, then populate memory and (when the plan
@@ -31,8 +31,8 @@ from dataclasses import replace
 
 from ..certification.lcp import LCP
 from ..obs.logs import get_logger
-from .backends import clear_warm_states, disk_key, get_backend, memory_key
-from .context import RunContext, _SHARED_MEMORY_STORES
+from .backends import STREAMING, clear_warm_states, disk_key, memory_key
+from .context import _SHARED_MEMORY_STORE, RunContext
 from .plan import ExecutionPlan
 from .verdict import Verdict
 
@@ -61,7 +61,7 @@ def decide_hiding(
 ) -> Verdict:
     """Decide whether *lcp* hides a ``k``-coloring up to *n* nodes.
 
-    *plan* says how (backend, workers, caches); an unresolved plan — or
+    *plan* says how (early exit, workers, caches); an unresolved plan — or
     ``None``, meaning "all defaults" — is resolved against ``ctx.config``
     first.  *k* and *r* are real decision inputs: a non-native value
     re-parameterizes the scheme for this decision
@@ -99,9 +99,8 @@ def decide_hiding(
                 plan = (plan if plan is not None else ExecutionPlan()).resolve(
                     ctx.config
                 )
-                backend = get_backend(plan.backend)
             root.set_attribute("backend", plan.backend)
-            verdict = _decide(lcp, n, plan, backend, ctx, root)
+            verdict = _decide(lcp, n, plan, ctx, root)
             return verdict
     finally:
         elapsed = time.perf_counter() - start
@@ -119,9 +118,9 @@ def decide_hiding(
         )
 
 
-def _decide(lcp: LCP, n: int, plan, backend, ctx: RunContext, root) -> Verdict:
+def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
     tracer = ctx.tracer
-    memory = ctx.memory_store(plan.backend) if plan.memory_cache else None
+    memory = ctx.memory_store() if plan.memory_cache else None
     mem_key = memory_key(lcp, n, plan)
     if memory is not None:
         with tracer.span("memory-tier") as span:
@@ -135,7 +134,7 @@ def _decide(lcp: LCP, n: int, plan, backend, ctx: RunContext, root) -> Verdict:
             return cached
 
     with tracer.span("backend-shortcut") as span:
-        verdict = backend.shortcut(lcp, n, plan, ctx)
+        verdict = STREAMING.shortcut(lcp, n, plan, ctx)
         span.set_attribute("hit", verdict is not None)
     if verdict is not None:
         log.debug("%s n=%d: %s shortcut answered", lcp.name, n, plan.backend)
@@ -162,7 +161,7 @@ def _decide(lcp: LCP, n: int, plan, backend, ctx: RunContext, root) -> Verdict:
         )
         root.set_attribute("served_by", "sweep")
         with tracer.span(f"backend:{plan.backend}", n=n, workers=plan.workers):
-            verdict = backend.run(lcp, n, plan, ctx)
+            verdict = STREAMING.run(lcp, n, plan, ctx)
     verdict = _stamp_trace(verdict, ctx)
 
     with tracer.span("store-back", disk=bool(plan.disk_cache)):
@@ -173,17 +172,9 @@ def _decide(lcp: LCP, n: int, plan, backend, ctx: RunContext, root) -> Verdict:
     return verdict
 
 
-def clear_memory_store(backend: str) -> None:
-    """Drop the shared in-process memo tier for one backend."""
-    store = _SHARED_MEMORY_STORES.get(backend)
-    if store is not None:
-        store.clear()
-
-
 def clear_engine_state() -> None:
-    """Drop every shared in-process engine state: all backend memo tiers
-    and the streaming warm-start states (benchmarks, test isolation).
-    The persistent disk store is left alone (``repro cache clear``)."""
-    for store in _SHARED_MEMORY_STORES.values():
-        store.clear()
+    """Drop every shared in-process engine state: the memo tier and the
+    warm-start states (benchmarks, test isolation).  The persistent disk
+    store is left alone (``repro cache clear``)."""
+    _SHARED_MEMORY_STORE.clear()
     clear_warm_states()

@@ -1,10 +1,11 @@
 """Declarative execution plans for the hiding decision.
 
 An :class:`ExecutionPlan` says *how* a Lemma 3.2 sweep should run —
-which backend decides ``k``-colorability, how many workers scan the
-enumeration, whether the streaming early exit / cross-``n`` warm start
-apply, and which cache tiers (in-memory memo, on-disk store) may serve
-or record the verdict — without saying anything about *what* is decided.
+how many workers scan the enumeration, whether the sweep stops at the
+first witness or builds the complete ``V(D, n)``, whether the
+cross-``n`` warm start applies, and which cache tiers (in-memory memo,
+on-disk store) may serve or record the verdict — without saying
+anything about *what* is decided.
 The what (scheme, ``n``) goes to :func:`repro.engine.decide_hiding`;
 the plan is reusable across schemes and sweeps.
 
@@ -20,9 +21,8 @@ from dataclasses import dataclass, replace
 
 from ..perf.config import CONFIG, PerfConfig
 
-#: Known backend names; "auto" defers to ``PerfConfig.streaming``.
+#: Known backend names; "auto" resolves to the one backend.
 BACKEND_AUTO = "auto"
-BACKEND_MATERIALIZED = "materialized"
 BACKEND_STREAMING = "streaming"
 
 
@@ -30,19 +30,22 @@ BACKEND_STREAMING = "streaming"
 class ExecutionPlan:
     """How a hiding decision should execute.
 
-    * ``backend`` — ``"materialized"`` (build all of ``V(D, n)``, then
-      decide), ``"streaming"`` (fused incremental decision, early exit),
-      or ``"auto"``: the ``CONFIG.streaming`` knob picks the route.
+    * ``backend`` — ``"streaming"`` (fused incremental decision) or
+      ``"auto"``, which resolves to it.  The one route; the field stays
+      so existing ``backend="streaming"`` plans keep working and
+      provenance names the route that ran.
     * ``workers`` — processes for the enumeration scan; ``None`` defers
       to ``CONFIG.workers``, ``0``/``1`` mean serial.  The verdict is
       byte-identical for every worker count (the parallel builder
       replays chunks in serial order).
-    * ``early_exit`` — streaming backend only: stop the sweep at the
-      first non-``k``-colorability witness.  ``False`` keeps the fused
-      decision but still materializes the complete graph.
-    * ``warm_start`` — streaming backend only: resume from the last
-      finished sweep of the same scheme at smaller ``n`` (anonymous
-      schemes).  ``None`` defers to ``CONFIG.warm_start``.
+    * ``early_exit`` — stop the sweep at the first
+      non-``k``-colorability witness (the default).  ``False`` keeps the
+      fused decision but builds the complete ``V(D, n)`` — what callers
+      that measure the graph itself (``χ(V)``, extraction decoders)
+      need.
+    * ``warm_start`` — resume from the last finished sweep of the same
+      scheme and early-exit mode at smaller ``n`` (anonymous schemes).
+      ``None`` defers to ``CONFIG.warm_start``.
     * ``memory_cache`` — consult/populate the in-process verdict memo.
     * ``disk_cache`` — consult/populate the persistent store under
       ``.repro_cache/``.  ``None`` defers to ``CONFIG.disk_cache``.
@@ -60,10 +63,10 @@ class ExecutionPlan:
       identity is tagged so pre-symmetry cache entries are never misread.
     * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
       :mod:`repro.kernel`, for both the unanimity pass and orderly
-      generation, on every backend.  ``None`` defers to
-      ``CONFIG.kernel``; resolve normalizes ``"auto"`` to ``"off"`` when
-      numpy is unavailable.  Streams and verdicts are byte-identical
-      either way, so this knob never enters a cache identity.
+      generation.  ``None`` defers to ``CONFIG.kernel``; resolve
+      normalizes ``"auto"`` to ``"off"`` when numpy is unavailable.
+      Streams and verdicts are byte-identical either way, so this knob
+      never enters a cache identity.
     * ``kernel_labeling_limit`` — an elevated admission limit for the
       exhaustive unanimity pass, honored only where the batch kernel
       actually evaluates the labelings (``kernel`` not ``"off"`` *and*
@@ -137,19 +140,13 @@ class ExecutionPlan:
 
     def resolve(self, config: PerfConfig | None = None) -> "ExecutionPlan":
         """Fill every ``None``/``auto`` field from *config* (default: the
-        global :data:`~repro.perf.config.CONFIG`).
-
-        The materialized backend is normalized to ``early_exit=False``
-        and ``warm_start=False`` — it always scans the full enumeration —
-        so equivalent plans share one cache identity.
-        """
+        global :data:`~repro.perf.config.CONFIG`)."""
         config = config if config is not None else CONFIG
-        backend = self.backend
-        if backend == BACKEND_AUTO:
-            backend = BACKEND_STREAMING if config.streaming else BACKEND_MATERIALIZED
-        from .backends import get_backend  # noqa: PLC0415
-
-        get_backend(backend)  # raises for unknown names
+        if self.backend not in (BACKEND_AUTO, BACKEND_STREAMING):
+            raise ValueError(
+                f"unknown backend {self.backend!r}; "
+                f"known: {BACKEND_AUTO}, {BACKEND_STREAMING}"
+            )
         workers = self.workers if self.workers is not None else config.workers
         warm = self.warm_start if self.warm_start is not None else config.warm_start
         disk = self.disk_cache if self.disk_cache is not None else config.disk_cache
@@ -182,10 +179,6 @@ class ExecutionPlan:
             raise ValueError(
                 f"alphabet_limit must be positive, got {self.alphabet_limit}"
             )
-        early_exit = self.early_exit
-        if backend == BACKEND_MATERIALIZED:
-            early_exit = False
-            warm = False
         sharding = self.sharding if self.sharding is not None else config.sharding
         if sharding not in ("auto", "on", "off"):
             raise ValueError(
@@ -215,9 +208,8 @@ class ExecutionPlan:
                 workers = forced
         return replace(
             self,
-            backend=backend,
+            backend=BACKEND_STREAMING,
             workers=workers,
-            early_exit=early_exit,
             warm_start=warm,
             disk_cache=disk,
             symmetry=symmetry,

@@ -12,9 +12,8 @@ Two tiers ship with the engine:
   Lossy round trip: instance provenance does not survive
   (``ngraph.has_provenance`` is ``False`` on reload) and the returned
   envelope's :class:`~repro.engine.verdict.Provenance` records the disk
-  hit.  The on-disk key layout for streaming sweeps is byte-compatible
-  with the pre-engine cache, so existing ``.repro_cache/`` entries keep
-  serving.
+  hit.  The on-disk key layout is byte-compatible with the pre-engine
+  cache, so existing ``.repro_cache/`` entries keep serving.
 
 New tiers (remote stores, sharded stores) implement the same two
 methods and plug into :class:`~repro.engine.context.RunContext`.
@@ -45,22 +44,20 @@ class VerdictStore(Protocol):
 
 
 class MemoryVerdictStore:
-    """Process-wide verdict memo; one instance per backend.
+    """In-process verdict memo.
 
-    *hit_counter* names the :class:`PerfStats` counter bumped on hits
-    (``stream_memo_hits`` keeps its pre-engine name so existing
-    dashboards and tests read unchanged).
+    Hits bump the ``stream_memo_hits`` counter, which keeps its
+    pre-engine name so existing dashboards and tests read unchanged.
     """
 
-    def __init__(self, hit_counter: str = "engine_memo_hits") -> None:
-        self.hit_counter = hit_counter
+    def __init__(self) -> None:
         self._entries: dict[tuple, Verdict] = {}
 
     def load(self, key, stats: PerfStats | None = None) -> Verdict | None:
         stats = stats or GLOBAL_STATS
         verdict = self._entries.get(key)
         if verdict is not None:
-            stats.incr(self.hit_counter)
+            stats.incr("stream_memo_hits")
         return verdict
 
     def store(self, key, verdict: Verdict, stats: PerfStats | None = None) -> bool:
@@ -133,11 +130,6 @@ def _body_from_verdict(verdict: Verdict) -> dict:
             else {str(i): c for i, c in legacy.coloring.items()}
         ),
     }
-    # The canonical stream-order witness, when it differs from the
-    # legacy walk (materialized sweeps).  Streaming bodies stay
-    # byte-compatible with the pre-engine format.
-    if verdict.witness is not None and verdict.witness != legacy.odd_cycle:
-        body["witness"] = [g.index[view] for view in verdict.witness]
     return body
 
 
@@ -174,14 +166,8 @@ def _verdict_from_body(key: dict, body: dict) -> Verdict:
         odd_cycle=odd_cycle,
         coloring=coloring,
     )
-    witness_indices = body.get("witness")
-    witness = (
-        tuple(views[i] for i in witness_indices)
-        if witness_indices is not None
-        else odd_cycle
-    )
     provenance = Provenance(
-        backend=key.get("backend", "streaming"),
+        backend="streaming",
         n=key.get("n", -1),
         workers=0,
         early_exit=bool(body.get("early_exit", True)),
@@ -194,7 +180,7 @@ def _verdict_from_body(key: dict, body: dict) -> Verdict:
     return Verdict(
         k=body["k"],
         hiding=body["hiding"],
-        witness=witness,
+        witness=odd_cycle,
         coloring=coloring,
         ngraph=ngraph,
         provenance=provenance,

@@ -13,13 +13,13 @@ Canonical witness
 ``Verdict.witness`` (for ``k = 2`` hiding verdicts) is always the
 *stream-order first* odd closed walk: the walk closed by the first edge
 of ``V(D, n)``, in the builders' deterministic event order, that creates
-an odd cycle.  Both backends report this same walk — the streaming
-backend finds it by construction, and the materialized backend runs the
-same incremental detector alongside the full build — so the witness is
-byte-identical across every plan (backend × workers × cache tiers).
-``verdict.legacy.odd_cycle`` keeps each backend's historical derivation
-(BFS bipartition walk for materialized sweeps), which existing tests and
-figures pin.
+an odd cycle.  Every decision runs one route — the incremental engine
+of :mod:`repro.neighborhood.streaming` — which finds this walk by
+construction and keeps it when a full sweep (``early_exit=False``) scans
+on.  Its coloring is the engine's own too (the union-find parity
+classes for ``k = 2``), so witness and coloring are byte-identical
+across every plan (early exit × kernel × workers × sharding × cache
+tiers); ``verdict.legacy.odd_cycle`` is the same walk.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class Verdict:
     coloring: dict[int, int] | None
     ngraph: NeighborhoodGraph
     provenance: Provenance
-    #: The backend's historical envelope, for pre-engine consumers.
+    #: The pre-engine envelope, for pre-engine consumers.
     legacy: HidingVerdict = field(repr=False)
 
     def summary(self) -> str:
@@ -142,8 +142,8 @@ class Verdict:
         every plan that answers the same question.
 
         Covers the flag, the canonical witness walk, and (for conclusive
-        non-hiding sweeps, where every backend materializes the complete
-        graph) the full view/edge/coloring content.  Excludes provenance
+        non-hiding sweeps, which always scan the complete graph) the full
+        view/edge/coloring content.  Excludes provenance
         and, on hiding verdicts, graph coverage — an early-exit sweep
         soundly stops at a prefix of ``V(D, n)``.
         """

@@ -55,9 +55,9 @@ def run_ext_chromatic() -> ExperimentResult:
         ("degree-one", DegreeOneLCP(), 4),
         ("even-cycle", EvenCycleLCP(), 6),
     ]:
-        # χ needs the COMPLETE V(D, n) — the streaming backend's early
-        # exit would stop at the first odd cycle and under-count.
-        verdict = decide_hiding(lcp, n, ExecutionPlan(backend="materialized"))
+        # χ needs the COMPLETE V(D, n) — an early exit would stop at
+        # the first odd cycle and under-count.
+        verdict = decide_hiding(lcp, n, ExecutionPlan(early_exit=False))
         graph = verdict.ngraph.to_graph()
         if graph.has_loop():
             chi = None  # a view adjacent to itself: no finite coloring

@@ -17,12 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..engine.plan import (
-    BACKEND_AUTO,
-    BACKEND_MATERIALIZED,
-    BACKEND_STREAMING,
-    ExecutionPlan,
-)
+from ..engine.plan import ExecutionPlan
 from ..obs.progress import GLOBAL_PROGRESS
 from ..obs.trace import NULL_TRACER, Tracer
 from ..perf import GLOBAL_STATS
@@ -40,12 +35,8 @@ def config_overrides(plan: ExecutionPlan | None) -> dict:
     """
     if plan is None:
         return {}
-    streaming = None
-    if plan.backend != BACKEND_AUTO:
-        streaming = plan.backend != BACKEND_MATERIALIZED
     return {
         "workers": plan.workers,
-        "streaming": streaming,
         "disk_cache": plan.disk_cache,
         "symmetry": plan.symmetry,
         "kernel": plan.kernel,
@@ -59,7 +50,7 @@ def run_all(
 ) -> list[ExperimentResult]:
     """Run every registered experiment, in id order.
 
-    *plan* scopes the batch: its backend/workers/cache/symmetry/kernel
+    *plan* scopes the batch: its workers/cache/symmetry/kernel
     fields become the session config for the duration of the call
     (``CONFIG.overridden``), so a runner invocation can no longer leak
     knobs into subsequent in-process work.
@@ -175,16 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         help="processes for the neighborhood-graph sweeps (default: serial)",
     )
     parser.add_argument(
-        "--streaming",
-        action="store_true",
-        help="route hiding sweeps through the early-exit streaming engine "
-        "(with the numpy kernels when numpy is importable; scalar fallback "
-        "otherwise)",
-    )
-    parser.add_argument(
         "--disk-cache",
         action="store_true",
-        help="persist streaming sweep verdicts under .repro_cache/",
+        help="persist sweep verdicts under .repro_cache/",
     )
     parser.add_argument(
         "--symmetry",
@@ -211,7 +195,6 @@ def main(argv: list[str] | None = None) -> int:
 
         setup_logging(args.log_level)
     plan = ExecutionPlan(
-        backend=BACKEND_STREAMING if args.streaming else BACKEND_AUTO,
         workers=args.workers,
         disk_cache=True if args.disk_cache else None,
         symmetry=args.symmetry,

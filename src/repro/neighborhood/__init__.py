@@ -21,7 +21,7 @@ from .ngraph import (
     build_neighborhood_graph,
     build_neighborhood_graph_auto,
 )
-from .streaming import StreamingHidingEngine, clear_streaming_state
+from .streaming import StreamingHidingEngine
 
 __all__ = [
     "ExtractionDecoder",
@@ -34,7 +34,6 @@ __all__ = [
     "build_extraction_decoder",
     "build_neighborhood_graph",
     "build_neighborhood_graph_auto",
-    "clear_streaming_state",
     "hiding_verdict_from_instances",
     "hiding_verdict_on_witnesses",
     "labeled_yes_instances",

@@ -2,10 +2,9 @@
 
 Lemma 3.2 reduces hiding to "``V(D, n)`` is not ``k``-colorable for some
 ``n``", and the bipartiteness companion paper (arXiv:2502.13854) observes
-that the ``k = 2`` witness is just an odd closed walk.  The materialized
-backend (:class:`repro.engine.MaterializedBackend`) pays for every view
-and edge of the full enumeration before it even starts coloring; the
-engine here fuses the two phases:
+that the ``k = 2`` witness is just an odd closed walk.  Rather than pay
+for every view and edge of the full enumeration before coloring starts,
+the engine here fuses the two phases:
 
 1. **Incremental decision.** The builders drive the engine as a
    :class:`~repro.neighborhood.ngraph.GraphConsumer`: every new view and
@@ -27,9 +26,11 @@ engine here fuses the two phases:
    enumeration entirely.
 
 Parity guarantee: for every LCP, the streaming verdict's ``hiding`` flag
-equals the materialized one, the witness is a genuine odd closed walk of
-adjacent views, and on non-hiding sweeps the streamed graph *is* the full
-``V(D, n)`` (identical views, edges, and extraction decoder).
+equals the build-then-color decision on the complete graph, the witness
+is a genuine odd closed walk of adjacent views, and on non-hiding sweeps
+the streamed graph *is* the full ``V(D, n)`` (identical views, edges,
+and extraction decoder).  With ``early_exit=False`` the scan goes on
+past the witness and builds the full ``V(D, n)`` either way.
 """
 
 from __future__ import annotations
@@ -130,9 +131,8 @@ class StreamingHidingEngine(GraphConsumer):
         For ``k != 2`` the incrementally maintained DSATUR coloring is a
         fail-fast detector, not a canonical witness (its colors depend
         on edge arrival order), so the emitted coloring is re-derived by
-        the same exact procedure the materialized path uses — the
-        backend-equivalence contract pins the witness bytes, not just
-        the verdict.
+        the exact procedure on the finished graph — the plan-equivalence
+        contract pins the witness bytes, not just the verdict.
         """
         if self.witness_found:
             return None
@@ -185,18 +185,4 @@ class StreamingHidingEngine(GraphConsumer):
         )
         other.witness_found = self.witness_found
         return other
-
-
-def clear_streaming_state() -> None:
-    """Drop the in-memory streaming memo and warm states (benchmarks).
-
-    The streaming backend is also where ``ExecutionPlan()`` routes when
-    ``CONFIG.streaming`` is set, so this leaves no route warm except the
-    materialized memo — use :func:`repro.engine.clear_engine_state` to
-    drop everything.
-    """
-    from ..engine import clear_memory_store, clear_warm_states  # noqa: PLC0415
-
-    clear_memory_store("streaming")
-    clear_warm_states()
 

@@ -25,7 +25,7 @@ import bisect
 
 #: Default histogram buckets, in seconds: 100 µs to 30 s, roughly one
 #: bucket per half order of magnitude — wide enough for a disk reload
-#: and a full materialized sweep to land in different buckets.
+#: and a full sweep to land in different buckets.
 DEFAULT_TIME_BUCKETS = (
     0.0001,
     0.00025,

@@ -262,7 +262,7 @@ def _consistency(
     """Cross-check provenance counts against the run's counters.
 
     Only counters the run actually recorded participate (a disk reload
-    scans nothing; a k != 2 materialized sweep has no stream counters),
+    scans nothing),
     so a passing block means every comparable pair agreed exactly.
     """
     if provenance is None:

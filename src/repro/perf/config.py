@@ -53,17 +53,11 @@ class PerfConfig:
       neighborhood-graph builder; ``0`` or ``1`` means serial.
     * ``chunk_size`` — instances per parallel work unit (``None`` picks a
       chunking that preserves base-instance locality).
-    * ``streaming`` — the backend an ``ExecutionPlan(backend="auto")``
-      resolves to: ``True`` picks the streaming engine (the colorability
-      decision is fused into the graph build and exits the moment a
-      witness exists), ``False`` the materialized full build.  Callers
-      that need the *complete* ``V(D, n)`` (e.g. chromatic-number
-      measurements) ask for ``backend="materialized"`` per call.
-    * ``warm_start`` — let consecutive streaming sweeps of the same LCP
+    * ``warm_start`` — let consecutive sweeps of the same LCP
       at growing ``n`` resume from the previous state instead of
       recoloring from scratch (anonymous schemes only; ``V(D, n-1)``
       embeds into ``V(D, n)``).
-    * ``disk_cache`` — persist streaming sweep verdicts under
+    * ``disk_cache`` — persist sweep verdicts under
       ``.repro_cache/`` so repeated processes skip re-enumeration
       entirely (see :mod:`repro.perf.persist`).
     * ``disk_cache_dir`` — override the cache directory (default:
@@ -100,7 +94,7 @@ class PerfConfig:
       ``.repro_cache/shards/`` so a killed sweep restarts from its
       completed shards.
     * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
-      :mod:`repro.kernel`, read by every backend for both the Lemma 3.1
+      :mod:`repro.kernel`, read by every sweep for both the Lemma 3.1
       unanimity pass (block-wise labeling evaluation) and orderly
       generation (batched canonicalization searches).  ``"auto"``
       engages the kernels whenever numpy is importable, ``"off"``
@@ -117,7 +111,6 @@ class PerfConfig:
     canonical_cache_size: int = 65536
     workers: int = 0
     chunk_size: int | None = None
-    streaming: bool = False
     warm_start: bool = True
     disk_cache: bool = False
     disk_cache_dir: str | None = None

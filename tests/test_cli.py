@@ -63,42 +63,42 @@ class TestCommands:
 
 
 class TestHidingBackendFlag:
-    def test_explicit_backend_runs_and_reports(self, capsys):
-        assert main(
-            ["hiding", "degree-one", "--n", "3", "--backend", "streaming",
-             "--no-disk-cache"]
-        ) == 0
+    def test_default_sweep_runs_and_reports(self, capsys):
+        assert main(["hiding", "degree-one", "--n", "3", "--no-disk-cache"]) == 0
         out = capsys.readouterr().out
         assert "backend=streaming" in out
+        assert "early_exit=True" in out
 
-    def test_unknown_backend_lists_the_live_registry(self, capsys):
-        """The --backend choices (and therefore the unknown-name error)
-        come from available_backends(), not a hardcoded list."""
-        from repro.engine import available_backends
-
+    def test_backend_option_is_retired(self, capsys):
+        """One route: ``--backend`` is gone (``--full-sweep`` replaces
+        its one real choice), so argparse rejects it."""
         with pytest.raises(SystemExit) as exc:
-            main(["hiding", "degree-one", "--n", "3", "--backend", "quantum"])
+            main(["hiding", "degree-one", "--n", "3", "--backend", "streaming"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'quantum'" in err
-        for name in available_backends():
-            assert name in err
+        assert "--backend" in capsys.readouterr().err
 
     def test_materialized_alias_is_gone(self, capsys):
-        """``--backend materialized`` is the only spelling."""
+        """``--full-sweep`` is the only spelling of a complete build."""
         with pytest.raises(SystemExit) as exc:
             main(["hiding", "degree-one", "--n", "3", "--materialized"])
         assert exc.value.code == 2
         assert "--materialized" in capsys.readouterr().err
 
-    def test_backend_materialized_agrees_with_the_flag(self, capsys):
-        """``--backend materialized`` runs the full build, memory tier only."""
+    def test_full_sweep_builds_the_complete_graph(self, capsys):
+        """``--full-sweep`` scans past the first witness: all of
+        ``V(D, 4)`` of degree-one, 46 views and 66 edges."""
         assert main(
-            ["hiding", "degree-one", "--n", "3", "--backend", "materialized"]
+            ["hiding", "degree-one", "--n", "4", "--full-sweep", "--no-disk-cache"]
         ) == 0
         out = capsys.readouterr().out
-        assert "backend=materialized" in out
-        assert "cache=memory " in out
+        assert "early_exit=False" in out
+        assert "46 views, 66 edges" in out
+
+    def test_run_streaming_flag_is_retired(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig2", "--streaming"])
+        assert exc.value.code == 2
+        assert "--streaming" in capsys.readouterr().err
 
 
 class TestViewsCommand:

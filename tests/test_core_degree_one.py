@@ -22,6 +22,7 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs.families import bipartite_min_degree_one_graphs_up_to
+from repro.graphs.properties import is_odd_closed_walk
 from repro.local import Instance, Labeling, is_anonymous_on, IdentifierAssignment
 from repro.engine import ExecutionPlan, decide_hiding
 
@@ -148,10 +149,11 @@ class TestDecoderCases:
 
 class TestHidingAndAnonymity:
     def test_hiding_at_n4(self, lcp):
-        verdict = decide_hiding(lcp, 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(lcp, 4, ExecutionPlan())
         assert verdict.hiding is True
-        walk = verdict.odd_cycle
+        walk = [verdict.ngraph.index[view] for view in verdict.witness]
         assert (len(walk) - 1) % 2 == 1
+        assert is_odd_closed_walk(verdict.ngraph.to_graph(), walk)
 
     def test_decoder_is_anonymous(self, lcp):
         g = spider_graph(3, 1)

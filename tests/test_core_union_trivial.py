@@ -159,7 +159,9 @@ class TestRevealingGeneralK:
         )
 
         lcp = RevealingLCP(k=3)
-        verdict = decide_hiding(lcp, 4, ExecutionPlan(labeling_limit=5_000)).legacy
+        verdict = decide_hiding(
+            lcp, 4, ExecutionPlan(early_exit=False, labeling_limit=5_000)
+        ).legacy
         assert verdict.hiding is False
         decoder = build_extraction_decoder(verdict.ngraph, 3)
         assert decoder is not None

@@ -1,22 +1,22 @@
 """Plan-equivalence properties of the unified hiding engine.
 
-The engine's contract: every plan (backend × kernel × workers × cache
-tiers) that answers the same question yields the *identical* decision —
-same hiding flag, byte-identical canonical witness walk, and on
-conclusive non-hiding sweeps the same complete graph and coloring — and
-the verdict's provenance reports the backend and kernel that actually
-ran.
+The engine's contract: every plan (early exit × kernel × workers ×
+sharding × cache tiers) that answers the same question yields the
+*identical* decision — same hiding flag, byte-identical canonical
+witness walk, and on conclusive non-hiding sweeps the same complete
+graph and coloring — and the verdict's provenance reports the route and
+kernel that actually ran.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
 from repro.core.registry import all_lcps, make_lcp
 from repro.engine import (
-    BACKEND_MATERIALIZED,
     BACKEND_STREAMING,
     ExecutionPlan,
     RunContext,
@@ -27,8 +27,10 @@ from repro.engine import (
 )
 from repro.graphs.properties import is_odd_closed_walk
 from repro.kernel import kernel_available
-from repro.perf import PerfStats, overridden
+from repro.perf import PerfStats, configure, overridden
 from repro.perf.config import PerfConfig
+
+from .oracle import oracle_verdict
 
 try:
     from hypothesis import given, settings
@@ -46,13 +48,15 @@ def _fresh_engine_state():
     clear_engine_state()
 
 
-#: The (backend, kernel) grid: both backends, with the numpy kernels
+#: The two sweep depths, by the ``early_exit`` they run with:
+#: ``"materialized"`` builds the complete ``V(D, n)`` (the full sweep
+#: that replaced the build-then-decide backend), ``"streaming"`` stops at
+#: the first witness.
+SWEEPS = {"materialized": False, "streaming": True}
+
+#: The (sweep, kernel) grid: both sweep depths, with the numpy kernels
 #: (``"auto"``; scalar when numpy is missing) and forced scalar.
-GRID = [
-    (backend, kernel)
-    for backend in (BACKEND_MATERIALIZED, BACKEND_STREAMING)
-    for kernel in ("auto", "off")
-]
+GRID = [(sweep, kernel) for sweep in SWEEPS for kernel in ("auto", "off")]
 
 
 def _expected_kernel(plan: ExecutionPlan) -> str | None:
@@ -61,19 +65,19 @@ def _expected_kernel(plan: ExecutionPlan) -> str | None:
 
 
 def _plan_grid(tmp_path):
-    """Every (backend × kernel × workers × cache tier) combination of
-    the acceptance criterion.  Disk-tier plans get a private cache dir."""
+    """Every (sweep × kernel × workers × cache tier) combination of the
+    acceptance criterion.  Disk-tier plans get a private cache dir."""
     plans = []
-    for backend, kernel in GRID:
+    for sweep, kernel in GRID:
         for workers in (1, 2):
             for tier, memory_cache, disk_cache in (
                 ("nocache", False, False),
                 ("memory", True, False),
                 ("memory+disk", True, True),
             ):
-                label = f"{backend}-{kernel}-w{workers}-{tier}"
+                label = f"{sweep}-{kernel}-w{workers}-{tier}"
                 plan = ExecutionPlan(
-                    backend=backend,
+                    early_exit=SWEEPS[sweep],
                     kernel=kernel,
                     workers=workers,
                     warm_start=False,
@@ -90,7 +94,7 @@ def _plan_grid(tmp_path):
 def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
     """The acceptance criterion: for every registry scheme, every plan in
     the grid produces the same decision fingerprint — including the
-    canonical witness walk — and honest backend and kernel provenance."""
+    canonical witness walk — and honest route and kernel provenance."""
     lcp = make_lcp(scheme)
     n = 4
     fingerprints = {}
@@ -99,7 +103,8 @@ def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
         with overridden(disk_cache_dir=cache_dir):
             verdict = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
         assert isinstance(verdict, Verdict), label
-        assert verdict.provenance.backend == plan.backend, label
+        assert verdict.provenance.backend == BACKEND_STREAMING, label
+        assert verdict.provenance.early_exit == plan.early_exit, label
         assert verdict.provenance.kernel == _expected_kernel(plan), label
         assert verdict.hiding in (True, False), label
         if verdict.hiding and lcp.k == 2:
@@ -117,7 +122,7 @@ def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
 def test_every_campaign_cell_is_plan_equivalent(tmp_path):
     """The campaign-layer acceptance criterion: every cell of a small
     frontier campaign — including off-native ``k`` — answers with the
-    identical decision fingerprint across backends × kernels × cache tiers."""
+    identical decision fingerprint across sweeps × kernels × cache tiers."""
     from repro.campaign import CampaignSpec
 
     spec = CampaignSpec.sweep(
@@ -126,16 +131,16 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
     for cell in spec.cells():
         lcp = make_lcp(cell.scheme)
         fingerprints = {}
-        for backend, kernel in GRID:
+        for sweep, kernel in GRID:
             tiers = [
                 ("nocache", False, False, None),
                 ("memory", True, False, None),
-                ("memory+disk", True, True, str(tmp_path / f"{backend}-{kernel}")),
+                ("memory+disk", True, True, str(tmp_path / f"{sweep}-{kernel}")),
             ]
             for tier, memory_cache, disk_cache, cache_dir in tiers:
-                label = f"{backend}-{kernel}-{tier}"
+                label = f"{sweep}-{kernel}-{tier}"
                 base = ExecutionPlan(
-                    backend=backend,
+                    early_exit=SWEEPS[sweep],
                     kernel=kernel,
                     warm_start=False,
                     memory_cache=memory_cache,
@@ -163,10 +168,10 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
 def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
     lcp = make_lcp(scheme)
     fps = set()
-    for backend, kernel in GRID:
+    for sweep, kernel in GRID:
         clear_engine_state()
         plan = ExecutionPlan(
-            backend=backend,
+            early_exit=SWEEPS[sweep],
             kernel=kernel,
             workers=1,
             warm_start=False,
@@ -174,6 +179,51 @@ def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
         )
         fps.add(decide_hiding(lcp, 5, plan).decision_fingerprint())
     assert len(fps) == 1
+
+
+#: ``decision_fingerprint`` digest of full ``V(D, 6)`` of watermelon, as
+#: pinned by tests/test_bipartite_generation.py.
+WATERMELON_N6_DIGEST = "c032512099dd92e2"
+
+
+def test_watermelon_n6_full_sweep_has_one_coloring():
+    """Full ``V(D, 6)`` of watermelon is 2-colorable with 22 components,
+    so its coloring is where two deciders could pick different colors.
+    Every plan — cold, warm-started from n=4, scalar kernel, sharded,
+    two workers, legacy generation — reports the same coloring."""
+    lcp = make_lcp("watermelon")
+    base = {
+        "early_exit": False,
+        "workers": 0,
+        "warm_start": False,
+        "memory_cache": False,
+        "disk_cache": False,
+    }
+    variants = {
+        "cold": {},
+        "kernel-off": {"kernel": "off"},
+        "sharding-on": {"sharding": "on"},
+        "workers-2": {"workers": 2},
+        "symmetry-off": {"symmetry": "off"},
+    }
+    digests = {}
+    for label, overrides in variants.items():
+        clear_engine_state()
+        verdict = decide_hiding(
+            lcp, 6, ExecutionPlan(**{**base, **overrides}), ctx=RunContext.isolated()
+        )
+        assert verdict.hiding is False, label
+        digests[label] = hashlib.sha256(verdict.decision_fingerprint()).hexdigest()
+    clear_engine_state()
+    ctx = RunContext.isolated()
+    warm_plan = ExecutionPlan(**{**base, "warm_start": True})
+    decide_hiding(lcp, 4, warm_plan, ctx=ctx)
+    warm = decide_hiding(lcp, 6, warm_plan, ctx=ctx)
+    assert warm.provenance.warm_started == lcp.anonymous
+    digests["warm-from-4"] = hashlib.sha256(warm.decision_fingerprint()).hexdigest()
+    assert {label: d[:16] for label, d in digests.items()} == {
+        label: WATERMELON_N6_DIGEST for label in digests
+    }
 
 
 @pytest.mark.skipif(not kernel_available(), reason="numpy not importable")
@@ -184,7 +234,8 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
     streaming backend: same decision bytes, same witness, and the same
     ``Provenance.instances_scanned`` under early exit (the kernel must
     stop at the same instance) — with and without orbit pruning.  With
-    early exit off, the materialized backend agrees on the count too."""
+    early exit off, the build-then-decide oracle agrees on the graph and
+    the count too."""
     lcp = make_lcp(scheme)
     for n, early_exit in itertools.product((3, 4), (True, False)):
         verdicts = {}
@@ -210,20 +261,12 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
         assert vec.provenance.kernel == "batch"
         assert stream.provenance.kernel is None
         if not early_exit:
-            clear_engine_state()
-            mat = decide_hiding(
-                lcp,
-                n,
-                ExecutionPlan(
-                    backend=BACKEND_MATERIALIZED,
-                    workers=1,
-                    memory_cache=False,
-                    disk_cache=False,
-                    symmetry=symmetry,
-                ),
-                ctx=RunContext.isolated(),
-            )
-            assert vec.decision_fingerprint() == mat.decision_fingerprint()
+            mat = oracle_verdict(lcp, n, symmetry=symmetry)
+            assert vec.hiding == mat.hiding
+            assert vec.ngraph.views == mat.ngraph.views
+            assert vec.ngraph.edges == mat.ngraph.edges
+            if not vec.hiding:
+                assert vec.decision_fingerprint() == mat.decision_fingerprint()
             assert (
                 vec.provenance.instances_scanned == mat.provenance.instances_scanned
             )
@@ -267,11 +310,14 @@ def test_warm_started_chain_keeps_the_fingerprint():
 
 def test_provenance_reports_the_backend_that_ran():
     lcp = make_lcp("degree-one")
-    for backend, kernel in GRID:
+    for sweep, kernel in GRID:
         clear_engine_state()
-        plan = ExecutionPlan(backend=backend, kernel=kernel, disk_cache=False)
+        plan = ExecutionPlan(
+            early_exit=SWEEPS[sweep], kernel=kernel, disk_cache=False
+        )
         verdict = decide_hiding(lcp, 3, plan)
-        assert verdict.provenance.backend == backend
+        assert verdict.provenance.backend == BACKEND_STREAMING
+        assert verdict.provenance.early_exit == SWEEPS[sweep]
         assert verdict.provenance.n == 3
         assert verdict.provenance.summary()
         assert verdict.provenance.kernel == _expected_kernel(plan)
@@ -279,19 +325,21 @@ def test_provenance_reports_the_backend_that_ran():
             assert verdict.provenance.kernel is None
 
 
-def test_auto_backend_follows_the_config():
+def test_auto_backend_resolves_to_streaming():
+    """``"auto"`` has one route to pick; the default plan is an early-exit
+    sweep whatever the session config says."""
     lcp = make_lcp("degree-one")
-    with overridden(streaming=False):
-        v = decide_hiding(lcp, 3, ExecutionPlan(disk_cache=False))
-    assert v.provenance.backend == BACKEND_MATERIALIZED
-    clear_engine_state()
-    with overridden(streaming=True):
-        v = decide_hiding(lcp, 3, ExecutionPlan(disk_cache=False))
+    for config in (PerfConfig(), PerfConfig(workers=2, warm_start=False)):
+        plan = ExecutionPlan().resolve(config)
+        assert plan.backend == BACKEND_STREAMING
+        assert plan.early_exit is True
+    v = decide_hiding(lcp, 3, ExecutionPlan(disk_cache=False))
     assert v.provenance.backend == BACKEND_STREAMING
+    assert v.provenance.early_exit is True
 
 
-@pytest.mark.parametrize("backend", [BACKEND_MATERIALIZED, BACKEND_STREAMING])
-def test_kernel_modes_share_one_disk_address(backend, tmp_path):
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_kernel_modes_share_one_disk_address(sweep, tmp_path):
     """The kernel mode never enters a cache identity: a verdict written
     with ``kernel="off"`` is a disk hit for ``kernel="auto"``."""
     lcp = make_lcp("degree-one")
@@ -300,7 +348,10 @@ def test_kernel_modes_share_one_disk_address(backend, tmp_path):
             lcp,
             4,
             ExecutionPlan(
-                backend=backend, kernel="off", warm_start=False, disk_cache=True
+                early_exit=SWEEPS[sweep],
+                kernel="off",
+                warm_start=False,
+                disk_cache=True,
             ),
             ctx=RunContext.isolated(),
         )
@@ -308,7 +359,10 @@ def test_kernel_modes_share_one_disk_address(backend, tmp_path):
             lcp,
             4,
             ExecutionPlan(
-                backend=backend, kernel="auto", warm_start=False, disk_cache=True
+                early_exit=SWEEPS[sweep],
+                kernel="auto",
+                warm_start=False,
+                disk_cache=True,
             ),
             ctx=RunContext.isolated(),
         )
@@ -317,7 +371,10 @@ def test_kernel_modes_share_one_disk_address(backend, tmp_path):
     assert read.decision_fingerprint() == written.decision_fingerprint()
 
 
-@pytest.mark.parametrize("field, value", [("backend", "vectorized"), ("kernel", "on")])
+@pytest.mark.parametrize(
+    "field, value",
+    [("backend", "vectorized"), ("backend", "materialized"), ("kernel", "on")],
+)
 def test_retired_option_values_are_rejected(field, value):
     """The retired backend and kernel values fail at resolve, naming the
     valid values."""
@@ -325,14 +382,23 @@ def test_retired_option_values_are_rejected(field, value):
         ExecutionPlan(**{field: value}).resolve()
     message = str(exc.value)
     assert repr(value) in message
-    known = ("materialized", "streaming") if field == "backend" else ("auto", "off")
+    known = ("auto", "streaming") if field == "backend" else ("auto", "off")
     for name in known:
         assert name in message
 
 
+def test_retired_config_field_is_rejected():
+    """``PerfConfig.streaming`` picked the route ``"auto"`` resolved to;
+    with one route it is gone, and setting it fails loudly."""
+    with pytest.raises(TypeError, match="streaming"):
+        configure(streaming=True)
+    with pytest.raises(TypeError):
+        PerfConfig(streaming=True)
+
+
 def test_memory_tier_returns_the_identical_object():
     lcp = make_lcp("revealing")
-    plan = ExecutionPlan(backend="materialized", disk_cache=False)
+    plan = ExecutionPlan(early_exit=False, disk_cache=False)
     first = decide_hiding(lcp, 4, plan)
     again = decide_hiding(lcp, 4, plan)
     assert again is first
@@ -390,14 +456,20 @@ def test_pre_engine_disk_entries_still_load(tmp_path):
 
 
 def test_materialized_disk_entries_do_not_collide_with_streaming(tmp_path):
-    """The two backends persist under distinct keys: a materialized run
-    never serves a streaming request and vice versa."""
+    """The two sweep depths persist under distinct keys: a full
+    (``early_exit=False``) sweep never serves an early-exit request and
+    vice versa."""
     lcp = make_lcp("degree-one")
     with overridden(disk_cache_dir=str(tmp_path)):
         mat = decide_hiding(
             lcp,
             4,
-            ExecutionPlan(backend="materialized", disk_cache=True, memory_cache=False),
+            ExecutionPlan(
+                early_exit=False,
+                warm_start=False,
+                disk_cache=True,
+                memory_cache=False,
+            ),
         )
         assert mat.provenance.disk_cache_hit is False
         stream = decide_hiding(
@@ -411,6 +483,7 @@ def test_materialized_disk_entries_do_not_collide_with_streaming(tmp_path):
             ),
         )
     assert stream.provenance.disk_cache_hit is False
+    assert mat.ngraph.order > stream.ngraph.order
     assert mat.decision_fingerprint() == stream.decision_fingerprint()
 
 
@@ -440,24 +513,24 @@ def test_unknown_backend_is_rejected():
 
 def test_legacy_envelope_is_attached():
     lcp = make_lcp("degree-one")
-    v = decide_hiding(lcp, 4, ExecutionPlan(backend="materialized", disk_cache=False))
+    v = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False, disk_cache=False))
     assert v.legacy.hiding == v.hiding
-    # The legacy materialized witness keeps its historical BFS derivation
-    # (the Figure 3–4 regression walk), distinct from the canonical
-    # stream-order walk carried by the envelope.
-    assert len(v.legacy.odd_cycle) == 8
+    # One route, one walk: the legacy envelope carries the canonical
+    # stream-order witness (11 views on the Figure 3–4 instance).
+    assert len(v.witness) == 12
+    assert v.legacy.odd_cycle == v.witness
     assert v.summary() == v.legacy.summary()
 
 
 if HAVE_HYPOTHESIS:
 
     @given(
-        backend=st.sampled_from(["auto", BACKEND_MATERIALIZED, BACKEND_STREAMING]),
+        backend=st.sampled_from(["auto", BACKEND_STREAMING]),
         kernel=st.sampled_from([None, "auto", "off"]),
         workers=st.sampled_from([None, 0, 1, 2, 7]),
+        early_exit=st.booleans(),
         warm_start=st.sampled_from([None, True, False]),
         disk_cache=st.sampled_from([None, True, False]),
-        config_streaming=st.booleans(),
         config_workers=st.sampled_from([0, 3]),
     )
     @settings(max_examples=60, deadline=None)
@@ -465,38 +538,32 @@ if HAVE_HYPOTHESIS:
         backend,
         kernel,
         workers,
+        early_exit,
         warm_start,
         disk_cache,
-        config_streaming,
         config_workers,
     ):
         """``ExecutionPlan.resolve`` always produces a fully resolved plan
         honoring the explicit-beats-config precedence, and resolution is
         idempotent."""
-        config = PerfConfig(streaming=config_streaming, workers=config_workers)
+        config = PerfConfig(workers=config_workers)
         plan = ExecutionPlan(
             backend=backend,
             kernel=kernel,
             workers=workers,
+            early_exit=early_exit,
             warm_start=warm_start,
             disk_cache=disk_cache,
         ).resolve(config)
         assert plan.is_resolved
         assert plan.backend in available_backends()
-        if backend != "auto":
-            assert plan.backend == backend
-        else:
-            assert plan.backend == (
-                BACKEND_STREAMING if config_streaming else BACKEND_MATERIALIZED
-            )
+        assert plan.backend == BACKEND_STREAMING
+        assert plan.early_exit == early_exit
         if not kernel_available():
             assert plan.kernel == "off"
         else:
             assert plan.kernel == (kernel if kernel is not None else config.kernel)
         assert plan.workers == (workers if workers is not None else config_workers)
-        if plan.backend == BACKEND_MATERIALIZED:
-            assert plan.early_exit is False
-            assert plan.warm_start is False
-        elif warm_start is not None:
+        if warm_start is not None:
             assert plan.warm_start == warm_start
         assert plan.resolve(config) == plan

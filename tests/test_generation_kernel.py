@@ -312,15 +312,15 @@ class TestKernelLabelingLimit:
 
     @needs_numpy
     def test_normalized_away_on_non_vectorized_plans(self):
-        """The raised limit is a no-op on ``kernel="off"`` plans (on either
-        backend), so resolve drops it there."""
-        for backend in ("materialized", "streaming"):
+        """The raised limit is a no-op on ``kernel="off"`` plans (full or
+        early-exit sweeps), so resolve drops it there."""
+        for early_exit in (False, True):
             scalar = ExecutionPlan(
-                backend=backend, kernel="off", kernel_labeling_limit=70_000
+                early_exit=early_exit, kernel="off", kernel_labeling_limit=70_000
             ).resolve()
             assert scalar.kernel_labeling_limit is None
             batch = ExecutionPlan(
-                backend=backend, kernel="auto", kernel_labeling_limit=70_000
+                early_exit=early_exit, kernel="auto", kernel_labeling_limit=70_000
             ).resolve()
             assert batch.kernel_labeling_limit == 70_000
             assert "kernel_labeling_limit=70000" in batch.describe()

@@ -231,9 +231,9 @@ class TestCapabilityProbe:
         assert numpy_or_none() is None
         assert not kernel_available()
         assert numpy_version() is None
-        assert available_backends() == ["materialized", "streaming"]
+        assert available_backends() == ["streaming"]
         # auto routes to the streaming backend with the kernels off.
-        plan = ExecutionPlan(disk_cache=False).resolve(type(CONFIG)(streaming=True))
+        plan = ExecutionPlan(disk_cache=False).resolve(type(CONFIG)())
         assert plan.backend == "streaming"
         assert plan.kernel == "off"
 
@@ -242,7 +242,7 @@ class TestCapabilityProbe:
         monkeypatch.delenv(DISABLE_ENV, raising=False)
         assert numpy_or_none() is not None
         assert isinstance(numpy_version(), str)
-        assert available_backends() == ["materialized", "streaming"]
+        assert available_backends() == ["streaming"]
         assert ExecutionPlan().resolve().kernel == "auto"
 
     def test_sweep_falls_back_without_numpy(self, monkeypatch):

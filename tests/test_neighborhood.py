@@ -140,7 +140,7 @@ class TestExtraction:
     @pytest.fixture(scope="class")
     def revealing_setup(self):
         lcp = RevealingLCP()
-        verdict = decide_hiding(lcp, 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False)).legacy
         decoder = build_extraction_decoder(verdict.ngraph, 2)
         return lcp, decoder
 
@@ -174,7 +174,9 @@ class TestExtraction:
             run_extraction(decoder, lcp, bad)
 
     def test_no_extraction_decoder_for_hiding_lcp(self):
-        verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(
+            DegreeOneLCP(), 4, ExecutionPlan(early_exit=False)
+        ).legacy
         assert build_extraction_decoder(verdict.ngraph, 2) is None
 
     def test_table_size(self, revealing_setup):

@@ -294,7 +294,7 @@ def test_instance_deltas_sum_to_provenance_count():
     # symmetry off: provenance counts physically scanned instances only
     # (with pruning on it would multiply suppressed orbit mates back in).
     verdict, records = _decide_with_recorder(
-        _plan(backend="materialized", symmetry="off"), n=6
+        _plan(early_exit=False, symmetry="off"), n=6
     )
     scanned = [r for r in records if r["event"] == "instances_scanned"]
     assert sum(r["delta"] for r in scanned) == verdict.provenance.instances_scanned
@@ -308,7 +308,7 @@ def test_event_ordering_under_process_pool_builder():
     subscribers observe a well-ordered stream: started, deltas with
     monotone totals, finished."""
     verdict, records = _decide_with_recorder(
-        _plan(backend="materialized", workers=2, symmetry="off"), n=6
+        _plan(early_exit=False, workers=2, symmetry="off"), n=6
     )
     kinds = [r["event"] for r in records]
     assert kinds[0] == "decision_started"

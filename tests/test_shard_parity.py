@@ -56,10 +56,9 @@ ACCOUNT_COUNTERS = (
 )
 
 
-def _full_sweep_plan(backend: str, sharding: str, **kwargs) -> ExecutionPlan:
+def _full_sweep_plan(sharding: str, **kwargs) -> ExecutionPlan:
     """A deterministic cold sweep: serial, no early exit, no cache tiers."""
     fields = {
-        "backend": backend,
         "workers": 0,
         "early_exit": False,
         "warm_start": False,
@@ -73,14 +72,14 @@ def _full_sweep_plan(backend: str, sharding: str, **kwargs) -> ExecutionPlan:
     return ExecutionPlan(**fields)
 
 
-def _sweep(scheme: str, backend: str, sharding: str, n: int | None = None, **kwargs):
+def _sweep(scheme: str, sharding: str, n: int | None = None, **kwargs):
     clear_engine_state()
     ctx = RunContext.isolated()
     lcp = make_lcp(scheme)
     verdict = decide_hiding(
         lcp,
         n if n is not None else DEPTH[scheme],
-        _full_sweep_plan(backend, sharding, **kwargs),
+        _full_sweep_plan(sharding, **kwargs),
         ctx=ctx,
     )
     counters = {name: ctx.stats.get(name) for name in ACCOUNT_COUNTERS}
@@ -89,8 +88,8 @@ def _sweep(scheme: str, backend: str, sharding: str, n: int | None = None, **kwa
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sharded_sweep_matches_serial(scheme):
-    serial, serial_counters = _sweep(scheme, "streaming", "off")
-    sharded, sharded_counters = _sweep(scheme, "streaming", "on")
+    serial, serial_counters = _sweep(scheme, "off")
+    sharded, sharded_counters = _sweep(scheme, "on")
 
     assert sharded.hiding == serial.hiding
     assert sharded.witness == serial.witness
@@ -108,21 +107,32 @@ def test_sharded_sweep_matches_serial(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
-def test_sharded_materialized_backend_matches_serial(scheme):
-    serial, serial_counters = _sweep(scheme, "materialized", "off")
-    sharded, sharded_counters = _sweep(scheme, "materialized", "on")
+def test_sharded_warm_started_full_sweep_matches_serial(scheme):
+    """A full sweep warm-started from a smaller ``n`` — past a found
+    witness, on both hiding schemes — shards only the levels above the
+    warm floor and still reproduces the cold serial sweep."""
+    serial, _ = _sweep(scheme, "off")
+    clear_engine_state()
+    ctx = RunContext.isolated()
+    lcp = make_lcp(scheme)
+    plan = _full_sweep_plan("on", warm_start=True)
+    decide_hiding(lcp, DEPTH[scheme] - 1, plan, ctx=ctx)
+    sharded = decide_hiding(lcp, DEPTH[scheme], plan, ctx=ctx)
+    assert sharded.provenance.warm_started
+    assert sharded.provenance.shard_count
     assert sharded.decision_fingerprint() == serial.decision_fingerprint()
+    assert sharded.ngraph.views == serial.ngraph.views
+    assert sharded.ngraph.edges == serial.ngraph.edges
     assert (
         sharded.provenance.instances_scanned
         == serial.provenance.instances_scanned
     )
-    assert sharded_counters == serial_counters
 
 
 @pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
 def test_sharded_early_exit_matches_serial(scheme):
-    serial, _ = _sweep(scheme, "streaming", "off", early_exit=True)
-    sharded, _ = _sweep(scheme, "streaming", "on", early_exit=True)
+    serial, _ = _sweep(scheme, "off", early_exit=True)
+    sharded, _ = _sweep(scheme, "on", early_exit=True)
     assert sharded.hiding == serial.hiding
     assert sharded.witness == serial.witness
     assert sharded.decision_fingerprint() == serial.decision_fingerprint()
@@ -141,7 +151,7 @@ def test_sharded_fingerprint_parity_on_both_trees(scheme, k):
 
     def sweep(sharding: str):
         clear_engine_state()
-        plan = _full_sweep_plan("streaming", sharding)
+        plan = _full_sweep_plan(sharding)
         return decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
 
     serial, sharded = sweep("off"), sweep("on")

@@ -1,11 +1,11 @@
 """Tests for the streaming hiding engine (early-exit Lemma 3.2).
 
-Covers the parity guarantee (streaming verdict == materialized verdict
-for every registry scheme, serial and parallel), the incremental
-structures underneath (union-find with parity; incremental DSATUR), the
-persistent verdict cache (round trip + version invalidation), the
-cross-``n`` warm start, and the witness-length regressions pinning the
-paper's Figure 3–6 odd walks.
+Covers the parity guarantee (streaming verdict == the build-then-decide
+oracle of :mod:`tests.oracle` for every registry scheme, serial and
+parallel), the incremental structures underneath (union-find with
+parity; incremental DSATUR), the persistent verdict cache (round trip +
+version invalidation), the cross-``n`` warm start, and the
+witness-length regressions pinning the paper's Figure 3–6 odd walks.
 """
 
 from __future__ import annotations
@@ -17,18 +17,19 @@ from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP
 from repro.graphs.graph import Graph
 from repro.graphs.incremental import IncrementalKColoring, ParityForest
 from repro.graphs.properties import is_odd_closed_walk
-from repro.engine import ExecutionPlan, RunContext, decide_hiding
+from repro.engine import ExecutionPlan, RunContext, clear_engine_state, decide_hiding
 from repro.neighborhood import build_extraction_decoder
-from repro.neighborhood.streaming import clear_streaming_state
 from repro.perf import PerfStats, overridden
 from repro.perf.persist import PersistentVerdictCache
 
+from .oracle import oracle_verdict
+
 
 @pytest.fixture(autouse=True)
-def _fresh_streaming_state():
-    clear_streaming_state()
+def _fresh_engine_state():
+    clear_engine_state()
     yield
-    clear_streaming_state()
+    clear_engine_state()
 
 
 def _decide(lcp, n, stats=None, **plan):
@@ -39,12 +40,13 @@ def _decide(lcp, n, stats=None, **plan):
 
 
 # ----------------------------------------------------------------------
-# The parity property: streaming == materialized, any scheme, any workers
+# The parity property: streaming == the materialized (build-then-decide)
+# oracle, any scheme, any workers
 # ----------------------------------------------------------------------
 
 
 def _assert_parity(lcp, n, workers):
-    materialized = _decide(lcp, n, backend="materialized")
+    materialized = oracle_verdict(lcp, n).legacy
     streamed = _decide(
         lcp,
         n,
@@ -101,7 +103,7 @@ def test_non_hiding_extraction_decoders_are_equal():
     """On non-hiding sweeps the streamed graph feeds the extraction
     direction of Lemma 3.2 exactly as the materialized one does."""
     lcp = RevealingLCP()
-    materialized = _decide(lcp, 4, backend="materialized")
+    materialized = oracle_verdict(lcp, 4).legacy
     streamed = _decide(
         lcp, 4, warm_start=False, disk_cache=False, backend="streaming"
     )
@@ -112,39 +114,34 @@ def test_non_hiding_extraction_decoders_are_equal():
 
 def test_early_exit_scans_fewer_instances():
     lcp = DegreeOneLCP()
-    materialized = _decide(lcp, 4, backend="materialized")
+    full = _decide(lcp, 4, early_exit=False, disk_cache=False)
     stats = PerfStats()
     streamed = _decide(
         lcp, 4, stats=stats, warm_start=False, disk_cache=False, backend="streaming"
     )
     assert streamed.hiding is True
     assert stats.get("streaming_early_exits") >= 1
-    assert (
-        streamed.ngraph.instances_scanned < materialized.ngraph.instances_scanned
-    )
+    assert streamed.ngraph.instances_scanned < full.ngraph.instances_scanned
 
 
 def test_backend_routes_agree():
-    """The explicit backends and the ``CONFIG.streaming``-driven auto
-    route all go through the engine; the flag parity holds either way."""
+    """The explicit backend and the auto route both go through the one
+    engine; the flag agrees with the oracle either way."""
     lcp = DegreeOneLCP()
-    materialized = _decide(lcp, 4, backend="materialized")
+    materialized = oracle_verdict(lcp, 4).legacy
     routed = _decide(lcp, 4, backend="streaming")
     assert routed.hiding == materialized.hiding
-    with overridden(streaming=True):
-        via_config = _decide(lcp, 4)
-    assert via_config.hiding == materialized.hiding
+    via_auto = _decide(lcp, 4)
+    assert via_auto.hiding == materialized.hiding
 
 
-def test_clear_streaming_state_leaves_the_default_route_cold():
-    """With ``CONFIG.streaming`` set, ``ExecutionPlan()`` resolves to the
-    streaming backend, so after ``clear_streaming_state()`` the next
-    default decision is a fresh sweep, not the memoized object."""
+def test_clear_engine_state_leaves_the_default_route_cold():
+    """After ``clear_engine_state()`` the next default decision is a
+    fresh sweep, not the memoized object or the warm-start witness."""
     lcp = make_lcp("degree-one")
-    with overridden(streaming=True):
-        first = decide_hiding(lcp, 4, ExecutionPlan())
-        clear_streaming_state()
-        second = decide_hiding(lcp, 4, ExecutionPlan())
+    first = decide_hiding(lcp, 4, ExecutionPlan())
+    clear_engine_state()
+    second = decide_hiding(lcp, 4, ExecutionPlan())
     assert second is not first
     assert second.provenance.memory_cache_hit is False
     assert second.provenance.warm_witness_hit is False
@@ -311,7 +308,7 @@ class TestPersistentCache:
                 backend="streaming",
             )
             assert stats.get("persist_writes") == 1
-            clear_streaming_state()
+            clear_engine_state()
             stats = PerfStats()
             second = _decide(
                 lcp,
@@ -340,11 +337,11 @@ class TestWarmStart:
         lcp = RevealingLCP()
         cold = {}
         for n in (3, 4, 5):
-            clear_streaming_state()
+            clear_engine_state()
             cold[n] = _decide(
                 lcp, n, warm_start=False, disk_cache=False, backend="streaming"
             )
-        clear_streaming_state()
+        clear_engine_state()
         stats = PerfStats()
         for n in (3, 4, 5):
             warm = _decide(
@@ -370,6 +367,25 @@ class TestWarmStart:
         # No new instances were scanned for n = 5.
         assert stats.get("instances_scanned") == 0
 
+    @pytest.mark.parametrize("scheme", ["degree-one", "union", "even-cycle"])
+    def test_full_sweep_warm_start_builds_the_complete_graph(self, scheme):
+        """A found witness must not answer a larger full sweep: the plan
+        promises the complete ``V(D, n)``, so the sweep warm-starts from
+        the smaller state and scans on to *n* — equal to a cold sweep."""
+        lcp = make_lcp(scheme)
+        plan = ExecutionPlan(backend="streaming", early_exit=False, disk_cache=False)
+        ctx = RunContext.isolated()
+        decide_hiding(lcp, 4, plan, ctx=ctx)
+        warm = decide_hiding(lcp, 6, plan, ctx=ctx)
+        clear_engine_state()
+        cold = decide_hiding(lcp, 6, plan, ctx=RunContext.isolated())
+        assert not warm.provenance.warm_witness_hit
+        assert warm.provenance.warm_started
+        assert warm.ngraph.views == cold.ngraph.views
+        assert warm.ngraph.edges == cold.ngraph.edges
+        assert warm.ngraph.instances_scanned == cold.ngraph.instances_scanned
+        assert warm.decision_fingerprint() == cold.decision_fingerprint()
+
     def test_warm_state_not_mutated_by_resume(self):
         lcp = RevealingLCP()
         v3 = _decide(lcp, 3, disk_cache=False, backend="streaming")
@@ -385,16 +401,17 @@ class TestWarmStart:
 
 class TestWitnessRegressions:
     def test_degree_one_n4_walk_length(self):
-        verdict = _decide(DegreeOneLCP(), 4, backend="materialized")
+        verdict = _decide(DegreeOneLCP(), 4, early_exit=False)
         assert verdict.hiding is True
-        # Closed walk [v0, ..., v6, v0]: 8 entries, 7 views, 7 edges.
-        assert len(verdict.odd_cycle) == 8
+        # The stream-order witness [v0, ..., v10, v0]: 12 entries,
+        # 11 views, 11 edges.
+        assert len(verdict.odd_cycle) == 12
         assert verdict.odd_cycle[0] == verdict.odd_cycle[-1]
         assert (len(verdict.odd_cycle) - 1) % 2 == 1
-        assert "odd closed walk of 7 views" in verdict.summary()
+        assert "odd closed walk of 11 views" in verdict.summary()
 
     def test_even_cycle_n6_loop_witness(self):
-        verdict = _decide(EvenCycleLCP(), 6, backend="materialized")
+        verdict = _decide(EvenCycleLCP(), 6, early_exit=False)
         assert verdict.hiding is True
         # The 2-labeled-cycles witness collapses to a self-loop: a view
         # adjacent to itself is an odd closed walk of length 1.
@@ -405,9 +422,9 @@ class TestWitnessRegressions:
     def test_summary_counts_edges_not_entries(self):
         """``len(odd_cycle) - 1`` is the number of edges of the closed
         walk, which equals the number of distinct view *slots* traversed
-        — the convention `summary()` reports.  (Checked against
-        `find_odd_cycle`'s ``[v0, ..., vk, v0]`` shape.)"""
-        verdict = _decide(DegreeOneLCP(), 4, backend="materialized")
+        — the convention `summary()` reports.  (Checked against the
+        stream witness's ``[v0, ..., vk, v0]`` shape.)"""
+        verdict = _decide(DegreeOneLCP(), 4, early_exit=False)
         walk = [verdict.ngraph.index[v] for v in verdict.odd_cycle]
         edge_count = len(walk) - 1
         assert is_odd_closed_walk(verdict.ngraph.to_graph(), walk)

@@ -2,8 +2,9 @@
 
 The symmetry layer is only allowed to change *how fast* a verdict is
 reached, never *what* is reached.  For every registry scheme and both
-engine backends this suite runs the full sweep (no early exit, no cache
-tiers) with symmetry off and on and demands byte-identical verdicts:
+routes — the engine's full sweep (no early exit, no cache tiers) and the
+build-then-decide oracle of :mod:`tests.oracle` — this suite runs with
+symmetry off and on and demands byte-identical verdicts:
 same hiding decision, same canonical witness walk, same
 ``decision_fingerprint``, and the same effective instance/view/edge
 counts (suppressed instances folded back into ``instances_scanned``).
@@ -32,7 +33,11 @@ from repro.symmetry import (
     instance_stabilizer,
 )
 
+from .oracle import oracle_verdict
+
 SCHEMES = sorted(all_lcps())
+#: "materialized" = the oracle (complete graph, then decide);
+#: "streaming" = the engine's incremental full sweep.
 BACKENDS = ["materialized", "streaming"]
 
 #: Full-sweep ceiling per scheme; the two workhorse schemes get n = 5.
@@ -41,10 +46,9 @@ DEPTH["degree-one"] = 5
 DEPTH["even-cycle"] = 5
 
 
-def _full_sweep_plan(backend: str, symmetry: str) -> ExecutionPlan:
+def _full_sweep_plan(symmetry: str) -> ExecutionPlan:
     """A deterministic cold sweep: serial, no early exit, no cache tiers."""
     return ExecutionPlan(
-        backend=backend,
         workers=0,
         early_exit=False,
         warm_start=False,
@@ -57,7 +61,9 @@ def _full_sweep_plan(backend: str, symmetry: str) -> ExecutionPlan:
 def _sweep(scheme: str, backend: str, symmetry: str):
     clear_engine_state()
     lcp = make_lcp(scheme)
-    return lcp, decide_hiding(lcp, DEPTH[scheme], _full_sweep_plan(backend, symmetry))
+    if backend == "materialized":
+        return lcp, oracle_verdict(lcp, DEPTH[scheme], symmetry=symmetry)
+    return lcp, decide_hiding(lcp, DEPTH[scheme], _full_sweep_plan(symmetry))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
