@@ -13,7 +13,6 @@ of aborting the campaign.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -58,7 +57,8 @@ class CellResult:
     ``hiding`` is the Lemma 3.2 verdict; ``colorable`` is its
     complement — whether ``V(D, n)`` is ``k``-colorable — recorded
     explicitly because that is the quantity the frontier report tracks.
-    ``fingerprint`` digests the verdict's
+    ``fingerprint`` is the verdict's
+    :meth:`~repro.engine.verdict.Verdict.digest` of its
     :meth:`~repro.engine.verdict.Verdict.decision_fingerprint`, the
     byte-level identity of the one decision route (stream-order witness
     and coloring) that the plan-equivalence suite pins across kernel,
@@ -213,7 +213,7 @@ def _run_cell(cell: Cell, base: ExecutionPlan, ctx: RunContext) -> CellResult:
         cell=cell,
         hiding=verdict.hiding,
         colorable=None if verdict.hiding is None else not verdict.hiding,
-        fingerprint=hashlib.sha256(verdict.decision_fingerprint()).hexdigest()[:32],
+        fingerprint=verdict.digest(),
         provenance={name: provenance[name] for name in _PROVENANCE_FIELDS},
         wall_time_s=time.perf_counter() - start,
         error=None,

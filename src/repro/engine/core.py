@@ -41,13 +41,17 @@ log = get_logger("engine")
 
 def _stamp_trace(verdict: Verdict, ctx: RunContext) -> Verdict:
     """Attach the active trace id to a verdict's provenance (no-op for
-    untraced runs or verdicts already linked to a report)."""
+    untraced runs or verdicts already linked to a report).  The change
+    is provenance-only, so the cached decision digest carries over."""
     tracer = ctx.tracer
     if not tracer.active or verdict.provenance.trace_id is not None:
         return verdict
-    return replace(
+    stamped = replace(
         verdict, provenance=replace(verdict.provenance, trace_id=tracer.trace_id)
     )
+    if verdict._digest is not None:
+        stamped._remember_digest(verdict._digest)
+    return stamped
 
 
 def decide_hiding(

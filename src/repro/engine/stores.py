@@ -21,12 +21,17 @@ methods and plug into :class:`~repro.engine.context.RunContext`.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 from typing import Protocol, runtime_checkable
 
 from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import NeighborhoodGraph
+from ..obs.logs import get_logger
 from ..perf.stats import GLOBAL_STATS, PerfStats
-from .verdict import Provenance, Verdict
+from .verdict import Provenance, Verdict, fingerprint_bytes, fingerprint_digest
+
+log = get_logger("engine.stores")
 
 
 @runtime_checkable
@@ -84,63 +89,141 @@ class DiskVerdictStore:
         from ..perf.persist import default_verdict_cache  # noqa: PLC0415
 
         stats = stats or GLOBAL_STATS
-        body = default_verdict_cache().load(key, stats=stats)
-        if body is None:
-            return None
         with stats.time_stage("disk_cache_load"):
-            return _verdict_from_body(key, body)
+            return default_verdict_cache().load(
+                key, stats=stats, decode=partial(_verdict_from_body, key)
+            )
 
     def store(self, key: dict, verdict: Verdict, stats: PerfStats | None = None) -> bool:
+        """Persist *verdict*; also caches its :meth:`~Verdict.digest`,
+        computed from the body payload about to be written."""
         from ..perf.persist import default_verdict_cache  # noqa: PLC0415
 
         stats = stats or GLOBAL_STATS
         with stats.time_stage("disk_cache_store"):
-            return default_verdict_cache().store(
-                key, _body_from_verdict(verdict), stats=stats
-            )
+            try:
+                body = _body_from_verdict(verdict)
+                verdict._remember_digest(_payload_digest(body))
+            except TypeError as exc:  # a label the codec cannot encode
+                stats.incr("persist_skips")
+                log.warning(
+                    "skipping persist for %s: %s", key.get("lcp_name", "?"), exc
+                )
+                return False
+            return default_verdict_cache().store(key, body, stats=stats)
 
 
 # ----------------------------------------------------------------------
 # Serialization between Verdict envelopes and persisted bodies
 # ----------------------------------------------------------------------
 
+_BODY_KEYS = frozenset(
+    (
+        "hiding",
+        "k",
+        "radius",
+        "include_ids",
+        "early_exit",
+        "instances_scanned",
+        "labels",
+        "views",
+        "edges",
+        "odd_cycle",
+        "coloring",
+    )
+)
+
 
 def _body_from_verdict(verdict: Verdict) -> dict:
     from ..perf import persist  # noqa: PLC0415
 
     g = verdict.ngraph
-    legacy = verdict.legacy
-    body = {
+    table, views = persist.encode_views(g.views)
+    return {
         "hiding": verdict.hiding,
         "k": verdict.k,
         "radius": g.radius,
         "include_ids": g.include_ids,
         "early_exit": verdict.provenance.early_exit,
         "instances_scanned": g.instances_scanned,
-        "views": [persist.encode_view(view) for view in g.views],
+        "labels": table,
+        "views": views,
         "edges": [list(edge) for edge in sorted(g.edges)],
         "odd_cycle": (
-            None
-            if legacy.odd_cycle is None
-            else [g.index[view] for view in legacy.odd_cycle]
+            None if verdict.witness is None else [g.index[v] for v in verdict.witness]
         ),
         "coloring": (
             None
-            if legacy.coloring is None
-            else {str(i): c for i, c in legacy.coloring.items()}
+            if verdict.coloring is None
+            else [list(item) for item in sorted(verdict.coloring.items())]
         ),
     }
-    return body
 
 
-def _verdict_from_body(key: dict, body: dict) -> Verdict:
+def _payload_digest(body: dict) -> str:
+    """:meth:`Verdict.digest` of the verdict *body* encodes, read off the
+    payload: views are expanded from the label table, not re-encoded."""
+    from ..perf.persist import expand_view  # noqa: PLC0415
+
+    table, views = body["labels"], body["views"]
+    witness = (
+        None
+        if body["odd_cycle"] is None
+        else [expand_view(views[i], table) for i in body["odd_cycle"]]
+    )
+    if body["hiding"] is not False:
+        return fingerprint_digest(fingerprint_bytes(body["k"], body["hiding"], witness))
+    return fingerprint_digest(
+        fingerprint_bytes(
+            body["k"],
+            False,
+            witness,
+            [expand_view(view, table) for view in views],
+            body["edges"],
+            body["coloring"],
+        )
+    )
+
+
+def _verdict_from_body(key: dict, body) -> Verdict:
+    """Strict decoder: the :class:`Verdict` that :func:`_body_from_verdict`
+    encoded, with its digest read off the payload.  Raises
+    :class:`~repro.perf.persist.MalformedEntry` on any body the encoder
+    does not produce."""
     from ..perf import persist  # noqa: PLC0415
 
-    views = [persist.decode_view(payload) for payload in body["views"]]
+    if type(body) is not dict or body.keys() != _BODY_KEYS:
+        raise persist.MalformedEntry("body keys differ from the encoder's")
+    hiding, k = body["hiding"], body["k"]
+    if (
+        type(hiding) not in (bool, type(None))
+        or type(k) is not int
+        or type(body["radius"]) is not int
+        or type(body["include_ids"]) is not bool
+        or type(body["early_exit"]) is not bool
+        or type(body["instances_scanned"]) is not int
+    ):
+        raise persist.MalformedEntry("malformed decision fields")
+    views = persist.decode_views(body["labels"], body["views"])
+    order = len(views)
+    edges = persist.check_pairs(body["edges"], "edges")
+    persist.check_indices(list(chain.from_iterable(edges)), order, "edge view")
+    if edges != sorted(edges) or len(set(map(tuple, edges))) != len(edges):
+        raise persist.MalformedEntry("edges not sorted and distinct")
+    odd_cycle = body["odd_cycle"]
+    if odd_cycle is not None:
+        persist.check_indices(odd_cycle, order, "odd-cycle view")
+    coloring = body["coloring"]
+    if coloring is not None:
+        persist.check_pairs(coloring, "coloring")
+        colored = persist.check_indices([i for i, _ in coloring], order, "coloring view")
+        if colored != sorted(set(colored)):
+            raise persist.MalformedEntry("coloring views not sorted and distinct")
+
     ngraph = NeighborhoodGraph(radius=body["radius"], include_ids=body["include_ids"])
     ngraph.views = views
     ngraph.index = {view: i for i, view in enumerate(views)}
-    for i, j in body["edges"]:
+    for i, j in edges:
         ngraph.edges.add((i, j))
         ngraph.adjacency.setdefault(i, []).append(j)
         if j != i:
@@ -149,40 +232,30 @@ def _verdict_from_body(key: dict, body: dict) -> Verdict:
     # Instance witnesses per view/edge do not survive the round trip;
     # consumers that trace views back to instances must run fresh.
     ngraph.has_provenance = False
-    odd_cycle = (
-        None
-        if body["odd_cycle"] is None
-        else tuple(views[i] for i in body["odd_cycle"])
-    )
-    coloring = (
-        None
-        if body["coloring"] is None
-        else {int(i): c for i, c in body["coloring"].items()}
-    )
+    witness = None if odd_cycle is None else tuple(views[i] for i in odd_cycle)
+    coloring = None if coloring is None else dict(coloring)
     legacy = HidingVerdict(
-        k=body["k"],
-        hiding=body["hiding"],
-        ngraph=ngraph,
-        odd_cycle=odd_cycle,
-        coloring=coloring,
+        k=k, hiding=hiding, ngraph=ngraph, odd_cycle=witness, coloring=coloring
     )
     provenance = Provenance(
         backend="streaming",
         n=key.get("n", -1),
         workers=0,
-        early_exit=bool(body.get("early_exit", True)),
+        early_exit=body["early_exit"],
         instances_scanned=body["instances_scanned"],
-        views=len(views),
+        views=order,
         edges=len(ngraph.edges),
         disk_cache_hit=True,
         symmetry_pruned=key.get("symmetry") == "on",
     )
-    return Verdict(
-        k=body["k"],
-        hiding=body["hiding"],
-        witness=odd_cycle,
+    verdict = Verdict(
+        k=k,
+        hiding=hiding,
+        witness=witness,
         coloring=coloring,
         ngraph=ngraph,
         provenance=provenance,
         legacy=legacy,
     )
+    verdict._remember_digest(_payload_digest(body))
+    return verdict

@@ -20,10 +20,19 @@ on.  Its coloring is the engine's own too (the union-find parity
 classes for ``k = 2``), so witness and coloring are byte-identical
 across every plan (early exit × kernel × workers × sharding × cache
 tiers); ``verdict.legacy.odd_cycle`` is the same walk.
+
+Decision digest
+---------------
+:meth:`Verdict.digest` is the 32-hex-digit SHA-256 of
+:meth:`Verdict.decision_fingerprint`, cached on the envelope.  Both are
+built by :func:`fingerprint_bytes` from *encoded* views, so the disk
+tier fills the cache from the body payload it just wrote or parsed and
+never re-encodes a view to fingerprint it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -31,6 +40,39 @@ from ..local.views import View
 from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import NeighborhoodGraph
 from ..obs.trace import format_seconds
+
+
+def fingerprint_bytes(
+    k: int,
+    hiding: bool | None,
+    witness: list[dict] | None,
+    views: list[dict] | None = None,
+    edges: list | None = None,
+    coloring: list | None = None,
+) -> bytes:
+    """Canonical bytes of a decision, from encoded content.
+
+    *witness* and *views* are :func:`~repro.perf.persist.encode_view`
+    payloads, *edges* the sorted view-index pairs and *coloring* the
+    sorted ``(view, color)`` pairs (or ``None``).  The graph content is
+    read only for conclusive non-hiding verdicts (see
+    :meth:`Verdict.decision_fingerprint`).
+    """
+    payload: dict = {"k": k, "hiding": hiding, "witness": witness}
+    if hiding is False:
+        payload["views"] = views
+        payload["edges"] = edges
+        payload["coloring"] = coloring
+    # The payload has no cycles (shared label objects are fine), so the
+    # encoder's cycle check, a dict entry per container, is skipped.
+    return json.dumps(
+        payload, sort_keys=True, ensure_ascii=False, check_circular=False
+    ).encode("utf-8")
+
+
+def fingerprint_digest(fingerprint: bytes) -> str:
+    """The 32-hex-digit digest of a :func:`fingerprint_bytes` value."""
+    return hashlib.sha256(fingerprint).hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -133,6 +175,9 @@ class Verdict:
     provenance: Provenance
     #: The pre-engine envelope, for pre-engine consumers.
     legacy: HidingVerdict = field(repr=False)
+    #: Cached :meth:`digest`.  Not an init field, so ``replace`` never
+    #: carries it silently onto changed content.
+    _digest: str | None = field(default=None, init=False, repr=False)
 
     def summary(self) -> str:
         return self.legacy.summary()
@@ -149,16 +194,30 @@ class Verdict:
         """
         from ..perf.persist import encode_view  # noqa: PLC0415
 
-        payload: dict = {"k": self.k, "hiding": self.hiding}
-        payload["witness"] = (
+        witness = (
             None if self.witness is None else [encode_view(v) for v in self.witness]
         )
-        if self.hiding is False:
-            payload["views"] = [encode_view(v) for v in self.ngraph.views]
-            payload["edges"] = sorted(self.ngraph.edges)
-            payload["coloring"] = (
-                None
-                if self.coloring is None
-                else sorted(self.coloring.items())
-            )
-        return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+        if self.hiding is not False:
+            return fingerprint_bytes(self.k, self.hiding, witness)
+        return fingerprint_bytes(
+            self.k,
+            False,
+            witness,
+            [encode_view(v) for v in self.ngraph.views],
+            sorted(self.ngraph.edges),
+            None if self.coloring is None else sorted(self.coloring.items()),
+        )
+
+    def digest(self) -> str:
+        """``sha256(decision_fingerprint()).hexdigest()[:32]``, cached.
+
+        The campaign driver's cell fingerprint and the run report's
+        verdict fingerprint.  Disk-tier writes and reloads set it from
+        the body payload, so those verdicts never re-encode their views.
+        """
+        if self._digest is None:
+            self._remember_digest(fingerprint_digest(self.decision_fingerprint()))
+        return self._digest
+
+    def _remember_digest(self, digest: str) -> None:
+        object.__setattr__(self, "_digest", digest)

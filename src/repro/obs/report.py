@@ -128,9 +128,7 @@ class RunReport:
                 "witness_length": (
                     None if verdict.witness is None else len(verdict.witness)
                 ),
-                "fingerprint": hashlib.sha256(
-                    verdict.decision_fingerprint()
-                ).hexdigest()[:32],
+                "fingerprint": verdict.digest(),
             }
         stats_dump = (
             stats.as_dict() if stats is not None else {"counters": {}, "timers": {}}

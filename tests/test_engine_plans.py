@@ -423,33 +423,51 @@ def test_disk_tier_round_trip_marks_provenance(tmp_path):
     assert not second.ngraph.has_provenance
 
 
-def test_pre_engine_disk_entries_still_load(tmp_path):
-    """A ``.repro_cache/`` body written by the pre-engine streaming
-    driver (no ``witness`` key) still loads: key layout and body format
-    are byte-compatible."""
+def test_v1_disk_entries_read_as_stale_misses(tmp_path):
+    """A version-1 entry (inline-label views, no label table, no body
+    checksum) is a stale miss: no second reader serves it, and the next
+    store replaces it with a version-2 entry that then serves."""
+    import json
+
     from repro.engine.backends import disk_key
-    from repro.engine.stores import _body_from_verdict
-    from repro.perf.persist import default_verdict_cache
+    from repro.perf.persist import CACHE_VERSION, default_verdict_cache, encode_view
 
     lcp = make_lcp("degree-one")
     plan = ExecutionPlan(
         backend="streaming", warm_start=False, disk_cache=True, memory_cache=False
     ).resolve()
     with overridden(disk_cache_dir=str(tmp_path)):
-        fresh = decide_hiding(lcp, 4, plan)
+        fresh = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
         key = disk_key(lcp, 4, plan)
-        body = _body_from_verdict(fresh)
-        # Streaming bodies must not carry the engine-only witness field,
-        # and the key must keep the exact pre-engine vocabulary.
-        assert "witness" not in body
         assert "backend" not in key
         assert key["engine_version"] == 1
-        # Simulate a pre-engine entry: rewrite the body minus any
-        # engine-era extras, then reload through the engine.
-        cache = default_verdict_cache()
-        assert cache.store(key, body)
-        clear_engine_state()
-        reloaded = decide_hiding(lcp, 4, plan)
+        g = fresh.ngraph
+        v1_body = {
+            "hiding": fresh.hiding,
+            "k": fresh.k,
+            "radius": g.radius,
+            "include_ids": g.include_ids,
+            "early_exit": True,
+            "instances_scanned": g.instances_scanned,
+            "views": [encode_view(view) for view in g.views],
+            "edges": [list(edge) for edge in sorted(g.edges)],
+            "odd_cycle": [g.index[view] for view in fresh.witness],
+            "coloring": None,
+        }
+        v1_header = {"version": 1, "key": key, "views": g.order, "edges": g.size}
+        path = default_verdict_cache()._path(key)
+        path.write_text(json.dumps(v1_header) + "\n" + json.dumps(v1_body) + "\n")
+
+        ctx = RunContext.isolated()
+        again = decide_hiding(lcp, 4, plan, ctx=ctx)
+        assert ctx.stats.get("disk_misses") == 1
+        assert again.provenance.disk_cache_hit is False
+        header, body = (json.loads(line) for line in path.read_text().splitlines())
+        assert header["version"] == CACHE_VERSION == 2
+        assert "body_sha256" in header and "labels" in body
+        assert default_verdict_cache().stats_summary()["stale_entries"] == 0
+
+        reloaded = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
     assert reloaded.provenance.disk_cache_hit is True
     assert reloaded.decision_fingerprint() == fresh.decision_fingerprint()
     assert reloaded.legacy.odd_cycle == fresh.legacy.odd_cycle
