@@ -66,7 +66,7 @@ def unanimously_accepted_labelings(
     folds back into ``instances_scanned``.
 
     *kernel* selects the inner-loop evaluator: ``None`` for the scalar
-    loops below, ``"batch"`` for the vectorized block kernel of
+    loops below, ``"batch"`` for the prefix-pruned numpy join of
     :mod:`repro.kernel` (same yield stream, ``seen`` mutations, and
     account totals at every yield point).  When numpy is unavailable —
     or the labeling space cannot be indexed — the batch request

@@ -14,9 +14,9 @@ byte-identical across worker counts, kernel modes, sharding, and cache
 tiers.
 
 The plan's ``kernel`` mode is read here too: unless it is ``"off"``, the
-numpy kernels of :mod:`repro.kernel` evaluate the unanimity sweeps
-block-wise and run orderly generation's canonicalization searches in
-batches.
+numpy kernels of :mod:`repro.kernel` run the unanimity sweeps as
+prefix-pruned joins and orderly generation's canonicalization searches
+in batches.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ class ExecutionPlan:
       exhaustive unanimity pass, honored only where the batch kernel
       actually evaluates the labelings (``kernel`` not ``"off"`` *and*
       :func:`repro.kernel.batch.kernel_supports` for the base) — the
-      block-streamed kernel can afford spaces the scalar loop must
+      prefix-pruned kernel join can afford spaces the scalar loop must
       refuse.  ``None`` (the default) leaves every route at
       ``labeling_limit``, so scalar-route behavior is unchanged; when it
       admits new spaces it changes sweep content, so a set value is part

@@ -3,17 +3,17 @@
 The hot loop of every experiment asks, for one ``(graph, ports, ids)``
 base, which of the ``|alphabet| ** n`` labelings every node accepts.
 The scalar loops in :mod:`repro.certification.enumeration` decide one
-labeling at a time; this package evaluates them in blocks:
+labeling at a time; this package joins the nodes' local constraints:
 
-* :mod:`repro.kernel.tables` precomputes, per view-layout template, a
-  boolean **acceptance table** indexed by the mixed-radix encoding of
-  the certificate choices visible in that view — acceptance depends
-  only on the template and the labels at its positions, never on the
-  rest of the labeling;
-* :mod:`repro.kernel.batch` materializes candidate labelings as a
-  ``(batch, nodes)`` integer digit matrix, gathers each node's verdict
-  from its table, AND-reduces across nodes, and yields the accepted
-  labelings in the exact order — with the exact ``seen``-set and
+* :mod:`repro.kernel.tables` keeps, per view-layout template, a lazily
+  filled boolean **acceptance table** indexed by the mixed-radix
+  encoding of the certificate choices visible in that view —
+  acceptance depends only on the template and the labels at its
+  positions, never on the rest of the labeling;
+* :mod:`repro.kernel.batch` extends partial labelings node by node as
+  integer digit matrices, drops each row as soon as a fully labeled
+  view rejects it, and yields the accepted labelings in the exact
+  order — with the exact ``seen``-set and
   :class:`~repro.symmetry.prune.SymmetryAccount` semantics — of the
   scalar generators, so streaming early exit, orbit pruning, and
   warm-start parity all survive.
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import os
 
-#: Name of the block evaluator, as carried by ``ExecutionPlan`` routing
-#: and ``Provenance.kernel``.
+#: Name of the unanimity-join evaluator, as carried by ``ExecutionPlan``
+#: routing and ``Provenance.kernel``.
 KERNEL_BATCH = "batch"
 
 #: Environment switch that forces the pure-Python fallback even when

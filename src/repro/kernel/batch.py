@@ -1,31 +1,44 @@
-"""Block-wise vectorized evaluation of the unanimity sweep.
+"""Prefix-pruned vectorized evaluation of the unanimity sweep.
 
 :func:`batch_unanimous_labelings` is a drop-in for the scalar generators
 in :mod:`repro.certification.enumeration`: same yield order, same
 ``seen``-set updates, and — critically for provenance parity under
 streaming early exit — the same
 :class:`~repro.symmetry.prune.SymmetryAccount` totals *at every yield
-point*.  The scalar generators count candidates lazily as the consumer
-pulls; this one evaluates a whole block with numpy but commits counter
-ranges only when a labeling is about to be yielded (and the remainder on
-exhaustion), so a consumer that closes the generator mid-sweep observes
-byte-identical accounting.
+point*.
 
-Per block of candidate indices ``[start, stop)``:
+A labeling is accepted iff every node's radius-``r`` view is, so the
+sweep is a join of local constraints rather than a scan of the
+``|alphabet| ** n`` space.  The join holds partial labelings as a
+``(rows, j)`` alphabet-index matrix over the first ``j`` graph nodes in
+insertion order (the column order of
+:func:`repro.local.labeling.all_labelings`) and, per stage:
 
-1. decode the indices into a ``(batch, n)`` digit matrix (mixed radix,
-   base ``|alphabet|``, one column per graph node in insertion order —
-   the exact enumeration order of
-   :func:`repro.local.labeling.all_labelings`);
-2. under orbit pruning, keep only stabilizer-orbit minima: a row is a
-   representative iff its base-``a`` integer key is ``<=`` the key of
-   every stabilizer-permuted copy (integer comparison of the digit
-   rows' place values is exactly their lexicographic order);
-3. gather each node's verdict from its acceptance table
-   (:func:`repro.kernel.tables.acceptance_table`) via the node's layout
-   columns and AND-reduce across nodes;
-4. post-process the surviving rows in order with the scalar dedup /
-   orbit-accounting logic (few rows survive; this part stays Python).
+1. extends every row by one column, digits ascending — rows stay in
+   product order, so survivors come out in the scalar yield order with
+   no sort;
+2. checks each node whose layout's last column
+   (:func:`repro.local.views.layout_label_columns`) was just assigned,
+   reading its verdicts from the node's lazily filled
+   :class:`~repro.kernel.tables.AcceptanceTable`, and drops the rejected
+   rows.
+
+A stage never holds more than ``CONFIG.kernel_block_size`` rows (or one
+row's ``|alphabet|`` children, when that is larger): a wider prefix is
+split into chunks joined depth-first, which keeps product order too.
+
+Accounting stays index-exact.  A survivor's global candidate index is
+``row @ place``, so ``labelings_total`` commits the index range up to a
+labeling just before yielding it, and the remainder on exhaustion.
+Under orbit pruning the join runs unchanged and the representative test
+(a row is a stabilizer-orbit minimum iff its index is ``<=`` that of
+every permuted copy) filters the accepted rows; ``labelings_pruned``
+for a committed range comes from a blockwise non-representative count
+over that range, the one full-space pass left, run only on stabilized
+bases.  The orbit dedup tail stays Python: few rows survive.
+
+``kernel_labelings`` counts the rows the join evaluated (one per
+extended row per stage) and ``kernel_batches`` the stages.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from collections.abc import Iterator
 from ..local.labeling import Labeling
 from ..local.views import layout_label_columns
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS
+from ..perf.cache import memoized_decide
 from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from .tables import acceptance_table
@@ -65,7 +79,7 @@ def batch_unanimous_labelings(
     stats: PerfStats | None = None,
     block_size: int | None = None,
 ) -> Iterator[Labeling]:
-    """Unanimously accepted labelings of one base, evaluated in blocks.
+    """Unanimously accepted labelings of one base, by prefix-pruned join.
 
     Mirrors :func:`repro.certification.enumeration.
     unanimously_accepted_labelings` (and its orbit-pruned core) exactly:
@@ -81,18 +95,19 @@ def batch_unanimous_labelings(
     total = a**n
     block = block_size or CONFIG.kernel_block_size
     metrics = stats.metrics
+    decide = memoized_decide(decoder, stats)
 
-    # Column place values: candidate index i has digit matrix row
+    # Column place values: candidate index i has digit row
     # (i // a**(n-1)) % a, ..., i % a — product(alphabet, repeat=n) order.
     place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # Per-node gather plans: verdict of node v on a digit row is
-    # table[row[cols] @ weights].
-    plans = []
+    # Per-stage checks: a node's verdict is decidable once the last of
+    # its layout columns is assigned; it is table[row[cols] @ weights].
+    checks = [[] for _ in range(n)]
     for template, order in layouts.values():
+        cols = layout_label_columns(order, node_index)
         table = acceptance_table(decoder, template, tuple(alphabet), np, stats=stats)
-        cols = np.array(layout_label_columns(order, node_index), dtype=np.intp)
         weights = a ** np.arange(len(order) - 1, -1, -1, dtype=np.int64)
-        plans.append((table, cols, weights))
+        checks[max(cols)].append((table, np.array(cols, dtype=np.intp), weights))
 
     perms = None
     others = ()
@@ -100,49 +115,64 @@ def batch_unanimous_labelings(
         others = stabilizer[1:]
         perms = np.array(others, dtype=np.intp)
 
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        indices = np.arange(start, stop, dtype=np.int64)
-        digits = (indices[:, None] // place[None, :]) % a
-        stats.incr("kernel_batches")
-        stats.incr("kernel_labelings", stop - start)
-        if metrics is not None:
-            metrics.observe("kernel_batch_size", stop - start, DEFAULT_SIZE_BUCKETS)
+    def representatives(digits, indices):
+        # Stabilizer-orbit minima: no permuted copy has a smaller index.
+        is_rep = np.ones(len(indices), dtype=bool)
+        for sigma in perms:
+            np.logical_and(is_rep, digits[:, sigma] @ place >= indices, out=is_rep)
+        return is_rep
 
-        if perms is not None:
-            keys = digits @ place
-            is_rep = np.ones(len(indices), dtype=bool)
-            for sigma in perms:
-                np.logical_and(is_rep, digits[:, sigma] @ place >= keys, out=is_rep)
-            rep_rows = np.nonzero(is_rep)[0]
-            candidates = digits[rep_rows]
-            # Prefix counts of pruned (non-representative) rows, so any
-            # in-block range [lo, hi) knows its pruned share.
-            pruned_prefix = np.zeros(len(indices) + 1, dtype=np.int64)
-            np.cumsum(~is_rep, out=pruned_prefix[1:])
-        else:
-            rep_rows = None
-            candidates = digits
-            pruned_prefix = None
+    def non_representatives(lo: int, hi: int) -> int:
+        # Orbit non-minima among candidate indices [lo, hi), counted
+        # block by block.
+        count = 0
+        for start in range(lo, hi, block):
+            indices = np.arange(start, min(start + block, hi), dtype=np.int64)
+            digits = (indices[:, None] // place[None, :]) % a
+            count += len(indices) - int(np.count_nonzero(representatives(digits, indices)))
+        return count
 
-        if len(candidates):
-            accepted = np.ones(len(candidates), dtype=bool)
-            for table, cols, weights in plans:
-                np.logical_and(
-                    accepted, table[candidates[:, cols] @ weights], out=accepted
+    def accepted_rows() -> Iterator:
+        # Depth-first join; pops (prefix rows, columns assigned).
+        chunk = max(1, block // a)
+        digit_column = np.arange(a, dtype=np.int64)
+        stack = [(np.zeros((1, 0), dtype=np.int64), 0)]
+        while stack:
+            rows, j = stack.pop()
+            if j == n:
+                yield rows
+                continue
+            if len(rows) > chunk:
+                stack.extend(
+                    (rows[lo : lo + chunk], j)
+                    for lo in reversed(range(0, len(rows), chunk))
                 )
-            hits = np.nonzero(accepted)[0]
-            if rep_rows is not None:
-                hits = rep_rows[hits]
-        else:
-            hits = ()
+                continue
+            grid = np.empty((len(rows), a, j + 1), dtype=np.int64)
+            grid[:, :, :j] = rows[:, None, :]
+            grid[:, :, j] = digit_column
+            extended = grid.reshape(len(rows) * a, j + 1)
+            stats.incr("kernel_batches")
+            stats.incr("kernel_labelings", len(extended))
+            if metrics is not None:
+                metrics.observe("kernel_batch_size", len(extended), DEFAULT_SIZE_BUCKETS)
+            for table, cols, weights in checks[j]:
+                local = extended[:, cols]
+                extended = extended[table.verdicts(local @ weights, local, decide, np, stats)]
+                if not len(extended):
+                    break
+            if len(extended):
+                stack.append((extended, j + 1))
 
-        # Scalar tail: dedup, orbit accounting, and the lazily committed
-        # counters.  ``cursor`` is the first block-local candidate whose
-        # labelings_total/pruned increments have not been committed yet.
-        cursor = 0
-        for p in (hits.tolist() if len(hits) else ()):
-            t = tuple(digits[p].tolist())
+    # ``cursor`` is the first candidate index whose labelings_total /
+    # labelings_pruned increments have not been committed yet.
+    cursor = 0
+    for rows in accepted_rows():
+        positions = rows @ place
+        if perms is not None:
+            is_rep = representatives(rows, positions)
+            rows, positions = rows[is_rep], positions[is_rep]
+        for t, p in zip(rows.tolist(), positions.tolist()):
             if perms is None:
                 key = tuple(alphabet[t[j]] for j in order_pos)
                 if key in seen:
@@ -153,6 +183,7 @@ def batch_unanimous_labelings(
                 seen.add(key)
                 yield Labeling({nodes[i]: alphabet[t[i]] for i in range(n)})
                 continue
+            t = tuple(t)
             orbit = {t}
             for sigma in others:
                 orbit.add(tuple(t[sigma[i]] for i in range(n)))
@@ -166,9 +197,7 @@ def batch_unanimous_labelings(
             suppressed = len(orbit) - in_seen - 1
             if account is not None:
                 account.labelings_total += p + 1 - cursor
-                account.labelings_pruned += int(
-                    pruned_prefix[p + 1] - pruned_prefix[cursor]
-                )
+                account.labelings_pruned += non_representatives(cursor, p + 1)
             cursor = p + 1
             seen.add(rep_key)
             yield Labeling({nodes[i]: alphabet[t[i]] for i in range(n)})
@@ -177,11 +206,7 @@ def batch_unanimous_labelings(
             # runs when the sweep early-exits on this labeling.
             if account is not None:
                 account.instances_suppressed += suppressed
-        if account is not None:
-            remaining = len(indices) - cursor
-            if remaining:
-                account.labelings_total += remaining
-                if pruned_prefix is not None:
-                    account.labelings_pruned += int(
-                        pruned_prefix[len(indices)] - pruned_prefix[cursor]
-                    )
+    if account is not None and cursor < total:
+        account.labelings_total += total - cursor
+        if perms is not None:
+            account.labelings_pruned += non_representatives(cursor, total)

@@ -36,6 +36,7 @@ from ..local.identifiers import IdentifierAssignment, all_order_types
 from ..local.instance import Instance
 from ..local.labeling import count_labelings, labeling_key, node_sort_order
 from ..local.ports import PortAssignment, all_port_assignments, count_port_assignments
+from ..perf.stats import GLOBAL_STATS
 
 
 def symmetry_pruning_effective(lcp: LCP, symmetry: str) -> bool:
@@ -57,6 +58,40 @@ def bipartite_generation(lcp: LCP) -> bool:
     ``lcp.k`` — a property of the input, not a knob.  A subclass that
     redefines ``is_yes_instance`` keeps the full family."""
     return lcp.k == 2 and type(lcp).is_yes_instance is LCP.is_yes_instance
+
+
+def _admitted_alphabet(
+    lcp: LCP,
+    graph: Graph,
+    alphabet_limit: int | None,
+    labeling_limit: int,
+    kernel_labeling_limit: int | None,
+    stats,
+) -> list | None:
+    """The alphabet of *graph*'s exhaustive unanimity pass, or ``None``
+    when the pass does not run — counted on *stats* as
+    ``labelings_prover_only`` (no finite alphabet) or
+    ``labelings_capped`` (``|alphabet| ** n`` over the effective limit).
+
+    *kernel_labeling_limit* (``None`` when the kernel is off) raises the
+    limit only where the batch kernel can index the space."""
+    alphabet = lcp.certificate_alphabet(graph)
+    if alphabet is None:
+        stats.incr("labelings_prover_only")
+        return None
+    if alphabet_limit is not None:
+        alphabet = alphabet[:alphabet_limit]
+    limit = labeling_limit
+    if (
+        kernel_labeling_limit is not None
+        and kernel_labeling_limit > limit
+        and kernel_supports(graph, alphabet)
+    ):
+        limit = kernel_labeling_limit
+    if count_labelings(graph, len(alphabet)) > limit:
+        stats.incr("labelings_capped")
+        return None
+    return alphabet
 
 
 def labeled_yes_instances(
@@ -96,7 +131,7 @@ def labeled_yes_instances(
       Suppressed counts accumulate on *account*
       (:class:`repro.symmetry.prune.SymmetryAccount`); the engine folds
       them back into ``Provenance.instances_scanned``.
-    * Kernel: the unanimity sweep runs the block kernel of
+    * Kernel: the unanimity sweep runs the prefix-pruned join of
       :mod:`repro.kernel` whenever :func:`repro.kernel.kernel_numpy`
       says so (``CONFIG.kernel`` not ``"off"``, numpy importable), the
       scalar loop otherwise; *stats* receives its batch counters.  The
@@ -105,9 +140,13 @@ def labeled_yes_instances(
       *labeling_limit*) admits a base's exhaustive unanimity pass only
       where the batch kernel actually evaluates it — the kernel engaged
       and the space indexable
-      (:func:`repro.kernel.batch.kernel_supports`) — so the block-
-      streamed kernel can afford labeling spaces the scalar route must
-      refuse while scalar-route behavior stays byte-identical.
+      (:func:`repro.kernel.batch.kernel_supports`) — so the kernel
+      join can afford labeling spaces the scalar route must refuse
+      while scalar-route behavior stays byte-identical.
+    * Skipped passes: with *include_all_accepted_labelings*, each base
+      whose exhaustive pass does not run is counted on *stats* —
+      ``labelings_capped`` over the limit, ``labelings_prover_only``
+      without a finite alphabet (see :func:`_admitted_alphabet`).
     * Campaign axes: *family* names a registered graph family
       (:data:`repro.graphs.families.GRAPH_FAMILIES`) whose predicate
       pre-filters the graph stream (``"all"`` keeps every graph), and
@@ -117,6 +156,7 @@ def labeled_yes_instances(
     """
     predicate = graph_family_predicate(family)
     kernel = KERNEL_BATCH if kernel_numpy() is not None else None
+    coverage_stats = stats or GLOBAL_STATS
     pruning = symmetry_pruning_effective(lcp, symmetry)
     if pruning and account is None:
         from ..symmetry.prune import SymmetryAccount  # noqa: PLC0415
@@ -180,41 +220,36 @@ def labeled_yes_instances(
                     seen.add(key)
                     produced += 1
                     yield base.with_labeling(labeling)
+                alphabet = None
                 if include_all_accepted_labelings:
-                    alphabet = lcp.certificate_alphabet(graph)
-                    if alphabet is not None and alphabet_limit is not None:
-                        alphabet = alphabet[:alphabet_limit]
-                    effective_limit = labeling_limit
-                    if (
-                        alphabet is not None
-                        and kernel_labeling_limit is not None
-                        and kernel_labeling_limit > effective_limit
-                        and kernel is not None
-                        and kernel_supports(graph, alphabet)
+                    alphabet = _admitted_alphabet(
+                        lcp,
+                        graph,
+                        alphabet_limit,
+                        labeling_limit,
+                        kernel_labeling_limit if kernel is not None else None,
+                        coverage_stats,
+                    )
+                if alphabet is not None:
+                    stabilizer = (
+                        instance_stabilizer(group, graph, ports, ids, include_ids)
+                        if group is not None
+                        else None
+                    )
+                    for labeling in unanimously_accepted_labelings(
+                        lcp.decoder,
+                        base,
+                        alphabet,
+                        lcp.radius,
+                        include_ids=include_ids,
+                        seen=seen,
+                        stabilizer=stabilizer,
+                        account=account,
+                        kernel=kernel,
+                        stats=stats,
                     ):
-                        effective_limit = kernel_labeling_limit
-                    if alphabet is not None and (
-                        count_labelings(graph, len(alphabet)) <= effective_limit
-                    ):
-                        stabilizer = (
-                            instance_stabilizer(group, graph, ports, ids, include_ids)
-                            if group is not None
-                            else None
-                        )
-                        for labeling in unanimously_accepted_labelings(
-                            lcp.decoder,
-                            base,
-                            alphabet,
-                            lcp.radius,
-                            include_ids=include_ids,
-                            seen=seen,
-                            stabilizer=stabilizer,
-                            account=account,
-                            kernel=kernel,
-                            stats=stats,
-                        ):
-                            produced += 1
-                            yield base.with_labeling(labeling)
+                        produced += 1
+                        yield base.with_labeling(labeling)
                 if signature is not None:
                     base_counts[signature] = produced + (
                         account.instances_suppressed - suppressed_before

@@ -70,11 +70,12 @@ class PerfConfig:
       ``"auto"`` only on anonymous schemes, for ``"on"`` always —
       automorphism-orbit pruning of bases and labelings with exact
       suppressed-count accounting (see :mod:`repro.symmetry`).
-    * ``kernel_block_size`` — labelings per block of the vectorized
-      batch kernel (:mod:`repro.kernel`).  Block boundaries are
-      unobservable — the yielded stream and all accounting are
-      block-size independent — so this is purely a memory/throughput
-      trade.
+    * ``kernel_block_size`` — the most rows one stage of the batch
+      kernel's prefix-pruned join holds (:mod:`repro.kernel.batch`); a
+      wider prefix is split into chunks joined depth-first.  Chunk
+      boundaries are unobservable — the yielded stream and all
+      accounting are block-size independent — so this is purely a
+      memory/throughput trade.
     * ``sharding`` — the sharded-generation mode (``"auto"`` | ``"on"``
       | ``"off"``) plans resolve their ``sharding`` field against.
       Sharding splits the canonical-augmentation tree at

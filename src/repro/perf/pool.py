@@ -9,9 +9,9 @@ benchmark harness) open around their whole loop with
 :func:`active_pool` instead of building their own.
 
 Workers are initialized exactly once with every warm cache the parent
-can ship: the graph-family representatives (the PR 5 pattern) *and* the
-kernel acceptance tables — previously rebuilt cold in every worker, one
-full ``a ** m``-row decode sweep per template per worker.
+can ship: the graph-family representatives *and* the decided entries
+of the parent's lazily filled kernel acceptance tables, so a worker
+never re-decides an entry the parent already knows.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ back to the pure-Python loops and plans resolve ``kernel`` to
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.core.registry import all_lcps, make_lcp
@@ -33,6 +35,14 @@ from repro.symmetry.prune import SymmetryAccount
 
 HAVE_NUMPY = kernel_available()
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 
 def _account_state(account):
@@ -70,13 +80,39 @@ def _run_pair(lcp, graph, stabilized, prefix=None, block_size=None):
     """Drive the scalar and the batch generator in lockstep; compare the
     yields, the seen sets, and the account state after every pull (and
     after closing both when *prefix* truncates the stream)."""
-    from repro.certification.enumeration import unanimously_accepted_labelings
-
     args = _sweep_args(lcp, graph, stabilized)
     if args is None:
         return False
     decoder, base, alphabet, stabilizer = args
-    node_order = node_sort_order(graph)
+    _compare_streams(
+        decoder,
+        base,
+        alphabet,
+        lcp.radius,
+        not lcp.anonymous,
+        stabilizer,
+        prefix=prefix,
+        block_size=block_size,
+        label=(lcp.name, graph.order, stabilized),
+    )
+    return True
+
+
+def _compare_streams(
+    decoder,
+    base,
+    alphabet,
+    radius,
+    include_ids,
+    stabilizer,
+    prefix=None,
+    block_size=None,
+    label=None,
+):
+    """The lockstep comparison behind :func:`_run_pair`, for any decoder."""
+    from repro.certification.enumeration import unanimously_accepted_labelings
+
+    node_order = node_sort_order(base.graph)
     streams = {}
     for kernel in (None, "batch"):
         seen = set()
@@ -89,8 +125,8 @@ def _run_pair(lcp, graph, stabilized, prefix=None, block_size=None):
                 decoder,
                 base,
                 alphabet,
-                lcp.radius,
-                include_ids=not lcp.anonymous,
+                radius,
+                include_ids=include_ids,
                 seen=seen,
                 stabilizer=stabilizer,
                 account=account,
@@ -99,13 +135,12 @@ def _run_pair(lcp, graph, stabilized, prefix=None, block_size=None):
             yielded, states = [], []
             for labeling in gen:
                 yielded.append(labeling_key(labeling, node_order))
-                states.append(_account_state(account))
+                states.append((frozenset(seen), _account_state(account)))
                 if prefix is not None and len(yielded) >= prefix:
                     break
             gen.close()
         streams[kernel] = (yielded, states, frozenset(seen), _account_state(account))
-    assert streams["batch"] == streams[None], (lcp.name, graph.order, stabilized)
-    return True
+    assert streams["batch"] == streams[None], label
 
 
 @needs_numpy
@@ -142,6 +177,85 @@ def test_block_boundaries_are_unobservable(block_size):
     lcp = make_lcp("degree-one")
     assert _run_pair(lcp, path_graph(3), False, block_size=block_size)
     assert _run_pair(lcp, star_graph(3), True, block_size=block_size)
+
+
+def _table_decoder(table, salt, radius):
+    """An anonymous decoder whose verdict on a view is one entry of the
+    drawn *table*, picked by a port- and id-free summary of the view
+    (center label, sorted ``(distance, label)`` pairs of the rest).  The
+    summary is automorphism-invariant, so the full automorphism group of
+    a base is a sound orbit-pruning stabilizer for it."""
+    from repro.certification.decoder import FunctionDecoder
+
+    def accept(view):
+        rest = sorted(zip(view.dist[1:], view.labels[1:]))
+        digest = zlib.crc32(repr((salt, view.labels[0], rest)).encode())
+        return table[digest % len(table)]
+
+    return FunctionDecoder(accept, radius=radius, anonymous=True, name=f"table-{salt}-{table}")
+
+
+def _property_bases():
+    """``(base, stabilizer)`` on path, cycle, star and paw bases, each
+    without a stabilizer and under its full automorphism group."""
+    from repro.graphs.generators import pan_graph
+    from repro.symmetry.groups import automorphism_group
+
+    bases = []
+    for graph in (path_graph(4), cycle_graph(4), star_graph(3), pan_graph(3, 1)):
+        base = Instance.build(graph)
+        bases.append((base, None))
+        bases.append((base, automorphism_group(graph).perms))
+    return bases
+
+
+PROPERTY_BASES = _property_bases()
+
+
+def test_property_bases_cover_stabilized_sweeps():
+    stabilizers = [stabilizer for _, stabilizer in PROPERTY_BASES if stabilizer]
+    assert len(stabilizers) == 4
+    assert all(len(stabilizer) > 1 for stabilizer in stabilizers)
+
+
+if HAVE_HYPOTHESIS:
+
+    @needs_numpy
+    @given(
+        table=st.one_of(
+            st.just([True]),
+            st.just([False]),
+            st.lists(st.booleans(), min_size=2, max_size=8),
+        ),
+        salt=st.integers(0, 2**16),
+        radius=st.sampled_from([1, 2]),
+        letters=st.integers(1, 3),
+        base_index=st.integers(0, 7),
+        block_size=st.sampled_from([1, 2, 7, 4096]),
+        prefix=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_join_matches_scalar_on_drawn_tables(
+        table, salt, radius, letters, base_index, block_size, prefix
+    ):
+        """Decoders built from drawn acceptance tables — accept-all (no
+        pruning, so the chunk bound splits every stage), reject-all, and
+        everything between — give the scalar stream, ``seen`` set and
+        account state after every pull, with and without a stabilizer,
+        at every block size, also when closed after a few yields."""
+        clear_kernel_tables()
+        base, stabilizer = PROPERTY_BASES[base_index]
+        _compare_streams(
+            _table_decoder(table, salt, radius),
+            base,
+            list(range(letters)),
+            radius,
+            False,
+            stabilizer,
+            prefix=prefix,
+            block_size=block_size,
+            label=(table, salt, radius, letters, base_index, block_size, prefix),
+        )
 
 
 @needs_numpy

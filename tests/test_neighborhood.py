@@ -51,6 +51,38 @@ class TestAViewsEnumeration:
 
         assert all(is_even_cycle(inst.graph) for inst in labeled)
 
+    @pytest.mark.parametrize(
+        "scheme,counter",
+        [("even-cycle", "labelings_capped"), ("watermelon", "labelings_prover_only")],
+    )
+    def test_skipped_unanimity_passes_are_counted(self, scheme, counter):
+        """Even-cycle's 16 ** 4 labelings exceed the 20,000 cap on every
+        n = 4 base, and watermelon has no finite alphabet: each base whose
+        exhaustive pass is skipped is counted, under its reason."""
+        from repro.core import make_lcp
+        from repro.perf import PerfStats
+        from repro.symmetry import SymmetryAccount
+
+        lcp = make_lcp(scheme)
+        counters = ("labelings_capped", "labelings_prover_only")
+        for include_all in (True, False):
+            stats, account = PerfStats(), SymmetryAccount()
+            assert list(
+                yes_instances_up_to(
+                    lcp,
+                    4,
+                    include_all_accepted_labelings=include_all,
+                    symmetry="off",
+                    account=account,
+                    stats=stats,
+                )
+            )
+            expected = {name: 0 for name in counters}
+            if include_all:
+                expected[counter] = account.bases_total
+            assert account.bases_total
+            assert {name: stats.get(name) for name in counters} == expected
+
     def test_non_yes_graphs_skipped(self):
         lcp = DegreeOneLCP()
         labeled = list(

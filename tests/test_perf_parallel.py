@@ -11,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DegreeOneLCP, EvenCycleLCP
+from repro.kernel import clear_kernel_tables, kernel_available, numpy_or_none
+from repro.kernel.tables import kernel_tables_snapshot, prime_kernel_tables
 from repro.neighborhood import (
     build_neighborhood_graph,
     build_neighborhood_graph_auto,
@@ -107,3 +109,89 @@ def test_parallel_with_caches_disabled_still_matches():
             lcp, yes_instances_up_to(lcp, 4), workers=2
         )
     _assert_identical(parallel, serial)
+
+
+needs_numpy = pytest.mark.skipif(not kernel_available(), reason="numpy not importable")
+
+
+def _warm_degree_one_tables(n=4):
+    """Run one kernel sweep so the acceptance tables are partly filled."""
+    clear_kernel_tables()
+    with overridden(kernel="auto"):
+        list(
+            yes_instances_up_to(
+                DegreeOneLCP(), n, include_all_accepted_labelings=True, symmetry="off"
+            )
+        )
+
+
+def _live_tables():
+    """``(decoder.name, template, alphabet) -> table`` of the cached tables."""
+    from repro.kernel.tables import _TABLES
+
+    return {
+        (decoder.name, template, alphabet): table
+        for (_, template, alphabet), (decoder, table) in _TABLES.items()
+    }
+
+
+@needs_numpy
+def test_table_snapshot_carries_only_decided_entries():
+    _warm_degree_one_tables()
+    live = _live_tables()
+    snapshot = kernel_tables_snapshot()
+    assert snapshot
+    assert set(snapshot) == {key for key, table in live.items() if table.known.any()}
+    for key, (indices, values) in snapshot.items():
+        table = live[key]
+        assert indices.tolist() == table.known.nonzero()[0].tolist()
+        assert values.tolist() == table.value[indices].tolist()
+    # The join reads only the entries reachable from accepted prefixes.
+    assert sum(len(indices) for indices, _ in snapshot.values()) < sum(
+        len(live[key].known) for key in snapshot
+    )
+    clear_kernel_tables()
+
+
+@needs_numpy
+def test_priming_merges_without_overwriting_known_entries():
+    from repro.kernel.tables import _SEED_TABLES
+
+    _warm_degree_one_tables()
+    live = _live_tables()
+    snapshot = kernel_tables_snapshot()
+    before = {key: (t.known.copy(), t.value.copy()) for key, t in live.items()}
+    np = numpy_or_none()
+    forged, adopted = {}, {}
+    for key, (indices, values) in snapshot.items():
+        # Flip every known verdict and add one entry nobody knows yet.
+        unknown = np.flatnonzero(~live[key].known)[:1]
+        adopted[key] = len(unknown)
+        forged[key] = (
+            np.concatenate([indices, unknown]),
+            np.concatenate([~values, np.ones(len(unknown), dtype=bool)]),
+        )
+    prime_kernel_tables(forged)
+    # A forked worker's inherited live tables become its seed tables.
+    assert all(_SEED_TABLES[key] is live[key] for key in forged)
+    for key, table in live.items():
+        known, value = before[key]
+        assert (table.value[known] == value[known]).all()
+        assert table.known.sum() == known.sum() + adopted.get(key, 0)
+
+    # Into a cold worker the same entries land in the seed store and the
+    # next sweep decides nothing it was sent.
+    snapshot = kernel_tables_snapshot()
+    clear_kernel_tables()
+    prime_kernel_tables(snapshot)
+    stats = PerfStats()
+    with overridden(kernel="auto"):
+        list(
+            yes_instances_up_to(
+                DegreeOneLCP(), 4, include_all_accepted_labelings=True, symmetry="off",
+                stats=stats,
+            )
+        )
+    assert stats.get("kernel_table_seed_hits") == len(snapshot)
+    assert stats.get("kernel_table_entries") == 0
+    clear_kernel_tables()

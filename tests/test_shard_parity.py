@@ -31,6 +31,8 @@ from repro.engine import (
     clear_engine_state,
     decide_hiding,
 )
+from repro.kernel import clear_kernel_tables, kernel_available
+from repro.kernel.tables import kernel_tables_snapshot
 from repro.neighborhood.aviews import bipartite_generation
 from repro.perf.config import FORCE_WORKERS_ENV, forced_workers
 from repro.shard import plan_shards, sharding_effective
@@ -332,3 +334,42 @@ def test_describe_mentions_sharding_only_when_engaged():
     assert "shard_depth=3" in plan.resolve().describe()
     plain = ExecutionPlan(backend="streaming", sharding="off")
     assert "sharding" not in plain.resolve().describe()
+
+
+@pytest.mark.skipif(not kernel_available(), reason="numpy not importable")
+def test_pooled_sweeps_with_partial_tables_match_serial():
+    """Workers primed with the parent's partly filled acceptance tables
+    reproduce the serial full sweep of degree-one at n = 5, through the
+    parallel builder and through the shard pool."""
+    clear_kernel_tables()
+    lcp = make_lcp("degree-one")
+    runs = {}
+    for name, plan in (
+        ("serial", _full_sweep_plan("off")),
+        ("builder", _full_sweep_plan("off", workers=2)),
+        ("sharded", _full_sweep_plan("on", workers=2)),
+    ):
+        clear_engine_state()
+        ctx = RunContext.isolated()
+        verdict = decide_hiding(lcp, 5, plan, ctx=ctx)
+        runs[name] = (verdict, ctx.stats)
+        if name == "serial":
+            assert kernel_tables_snapshot()
+    serial, serial_stats = runs["serial"]
+    for pooled, stats in (runs["builder"], runs["sharded"]):
+        assert pooled.digest() == serial.digest()
+        assert pooled.ngraph.views == serial.ngraph.views
+        assert pooled.ngraph.edges == serial.ngraph.edges
+        assert (
+            pooled.provenance.instances_scanned
+            == serial.provenance.instances_scanned
+        )
+        for name in ACCOUNT_COUNTERS:
+            assert stats.get(name) == serial_stats.get(name), name
+    # Shard workers run the unanimity pass on the shipped tables and
+    # decide no entry the serial sweep already decided.
+    sharded_stats = runs["sharded"][1]
+    assert runs["sharded"][0].provenance.shard_count
+    assert sharded_stats.get("kernel_table_seed_hits")
+    assert not sharded_stats.get("kernel_table_entries")
+    clear_kernel_tables()
