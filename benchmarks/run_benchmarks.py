@@ -13,9 +13,6 @@ Writes two JSON reports:
     caches cleared first (what a fresh process pays).
   - **serial_warm** — the optimized pipeline again, caches populated
     (what every subsequent sweep in the same process pays).
-  - **parallel_N** — the process-pool builder at 2 and 4 workers.
-    On a single-core host these rows are *skipped* (recorded with a
-    note): they would measure pure pool overhead, not parallelism.
 
   A **kernel** section compares the scalar sweep (``kernel="off"``)
   with the numpy batch kernel (:mod:`repro.kernel`, ``kernel="auto"``)
@@ -31,7 +28,7 @@ Writes two JSON reports:
   records ``kernel``, ``numpy_version``, its speedup, and a
   view/edge/count parity check.  Without numpy the kernel rows are
   recorded as *skipped* with a note (mirroring the single-core
-  ``parallel_N`` convention).
+  ``sharded_parallel_N`` convention).
 
   A **generation** section targets the generation-bound path: the same
   cold symmetry-on sweeps for ``even-cycle`` at ``n = 6, 7`` with
@@ -54,12 +51,11 @@ Writes two JSON reports:
   sharded row is parity-checked against the serial reference and records
   the ``shard_count`` / ``steal_count`` / ``shards_per_sec`` gauges.
 
-  A **symmetry** section compares the legacy edge-subset enumerator with
-  the symmetry-reduced sweep (orderly generation + automorphism-orbit
-  pruning) on cold full sweeps: ``degree-one`` at ``n = 5, 6``,
-  ``even-cycle`` at ``n = 6, 7`` in both regimes, and ``even-cycle`` at
-  ``n = 8`` symmetry-on only — the legacy enumerator cannot reach
-  ``n = 8``, so that row is measured against the *old* ``n = 7`` cost.
+  A **symmetry** section compares the unpruned sweep (``symmetry="off"``)
+  with the automorphism-orbit-pruned one on cold full sweeps, both on
+  orderly generation: ``degree-one`` at ``n = 5, 6``, ``even-cycle`` at
+  ``n = 6, 7`` in both regimes, and ``even-cycle`` at ``n = 8``
+  symmetry-on only, measured against the ``n = 7`` unpruned cost.
   Every row carries ``orbit_pruning_ratio``
   (``labelings_pruned / labelings_total``); regime pairs are
   parity-checked view-for-view, edge-for-edge, and count-for-count
@@ -85,7 +81,7 @@ Writes two JSON reports:
   walk of adjacent views) before its numbers are recorded.
 
 Every regime row records ``workers_effective`` — the worker count the
-builder can actually use (``min(workers, cpu_count)``) — so single-core
+sweep can actually use (``min(workers, cpu_count)``) — so single-core
 results are interpretable.
 
 Usage::
@@ -134,7 +130,6 @@ from repro.neighborhood.aviews import yes_instances_up_to
 from repro.neighborhood.hiding import hiding_verdict_from_instances
 from repro.obs import RunReport, Tracer, sentinel, validate_report
 from repro.perf import GLOBAL_STATS, PerfStats, clear_shared_caches, overridden
-from repro.perf.parallel import build_neighborhood_graph_parallel
 from repro.symmetry import (
     SymmetryAccount,
     clear_automorphism_cache,
@@ -151,9 +146,7 @@ SYMMETRY_REPEATS = 2
 #: (scheme, n, modes) for the symmetry comparison.  Degree-one stops at
 #: n = 6 — its n = 7 symmetry-off sweep enumerates hundreds of millions
 #: of labelings and is not benchmarkable.  Even-cycle's n = 8 runs
-#: symmetry-on only: the legacy enumerator at n = 8 scans 2^28 edge
-#: subsets (hours); the orderly generator finishes in seconds, which is
-#: the point of the ("even-cycle", 8) row.
+#: symmetry-on only, the row's historical shape.
 SYMMETRY_CASES = [
     ("degree-one", 5, ("off", "on")),
     ("degree-one", 6, ("off", "on")),
@@ -298,7 +291,7 @@ def _sweep_symmetry(lcp, n, mode, stats, tracer=None, kernel="off"):
     unanimity scan and orderly generation run through the numpy kernels
     instead of the scalar loops — same stream, same accounts."""
     account = SymmetryAccount()
-    with overridden(symmetry=mode, kernel=kernel):
+    with overridden(kernel=kernel):
         graph = build_neighborhood_graph(
             lcp,
             yes_instances_up_to(
@@ -465,58 +458,11 @@ def run(n: int) -> list[dict]:
         "serial_warm", n, lambda stats, tracer: _sweep_serial(lcp, n, stats, tracer)
     )
 
-    cpus = os.cpu_count() or 1
-    for workers in (2, 4):
-        if cpus <= 1:
-            rows.append(
-                {
-                    "regime": f"parallel_{workers}",
-                    "n": n,
-                    "skipped": True,
-                    "skip_reason": "single_core_host",
-                    "cpu_count": cpus,
-                    "note": (
-                        "single-core host: a process pool can only measure "
-                        "pool overhead here, not parallelism"
-                    ),
-                    "workers_effective": 1,
-                }
-            )
-            continue
-        par_stats = PerfStats()
-        best, mean, par_graph = _timed(
-            lambda: build_neighborhood_graph_parallel(
-                lcp, yes_instances_up_to(lcp, n), workers=workers, stats=par_stats
-            )
-        )
-        rows.append(
-            _record(
-                f"parallel_{workers}",
-                n,
-                best,
-                mean,
-                par_graph,
-                par_stats,
-                reference=baseline,
-                workers=workers,
-            )
-        )
-        rows[-1]["report"] = _traced_sweep_report(
-            f"parallel_{workers}",
-            n,
-            lambda stats, tracer: build_neighborhood_graph_parallel(
-                lcp,
-                yes_instances_up_to(lcp, n),
-                workers=workers,
-                stats=stats,
-                tracer=tracer,
-            ),
-        )
     return rows
 
 
 # ----------------------------------------------------------------------
-# The symmetry benchmark: orderly generation + orbit pruning vs legacy
+# The symmetry benchmark: orbit pruning vs the unpruned sweep
 # ----------------------------------------------------------------------
 
 
@@ -526,9 +472,8 @@ def run_symmetry(graph_sink: dict | None = None) -> dict:
     Parity between the regimes of one (scheme, n) case means: identical
     view list, identical edge set, and identical effective
     ``instances_scanned`` (suppressed orbit mates multiplied back in).
-    The ``("even-cycle", 8)`` symmetry-on row has no off-regime partner —
-    the legacy enumerator cannot reach n = 8 — and is instead compared
-    against the *old* n = 7 cost (the headline of the orderly generator).
+    The ``("even-cycle", 8)`` symmetry-on row has no off-regime partner
+    and is instead compared against the n = 7 unpruned cost.
 
     With *graph_sink*, the final graph of every regime is stashed under
     ``(scheme, n, mode)`` so the kernel section can parity-check its
@@ -1329,7 +1274,9 @@ SHARDING_BENCH_DEPTH = 3
 SHARDING_WORKER_COUNTS = (2, 4)
 
 
-def _sharding_plan(*, sharding: str, workers: int) -> ExecutionPlan:
+def _sharding_plan(*, workers: int, sharding: str = "auto") -> ExecutionPlan:
+    """A cold full sweep; ``workers=0`` with the default ``"auto"`` is
+    the serial reference."""
     return ExecutionPlan(
         backend="streaming",
         workers=workers,
@@ -1359,14 +1306,13 @@ def _timed_sharded_decision(lcp, n, plan, repeats=SHARDING_REPEATS):
 def run_sharding() -> dict:
     """Sharded-sweep regimes per :data:`SHARDING_CASES`.
 
-    Per case: a ``serial`` reference row (``sharding="off"``), a
+    Per case: a ``serial`` reference row (``workers=0``), a
     ``sharded_serial`` row (``sharding="on"``, in-process execution —
     the pure shard-stage overhead), and ``sharded_parallel_N`` rows on
     the work-stealing process pool.  Parallel rows run only when the
     host can actually parallelize (``cpu_count > 1``) or when
     ``REPRO_FORCE_WORKERS`` forces the pool; otherwise they are recorded
-    as *skipped* with ``skip_reason`` (the single-core convention of the
-    ``parallel_N`` pipeline rows).  Every executed sharded row is
+    as *skipped* with ``skip_reason``.  Every executed sharded row is
     parity-checked against the serial reference — identical decision
     fingerprint and effective instance count — and records the
     ``shard_count`` / ``steal_count`` / ``shards_per_sec`` provenance
@@ -1380,7 +1326,7 @@ def run_sharding() -> dict:
     for scheme, n in SHARDING_CASES:
         lcp = make_lcp(scheme)
         best, mean, reference = _timed_sharded_decision(
-            lcp, n, _sharding_plan(sharding="off", workers=0)
+            lcp, n, _sharding_plan(workers=0)
         )
         print(f"  sharding {scheme} n={n} serial: {best:.2f}s", file=sys.stderr)
         serial_best = best
@@ -1522,7 +1468,7 @@ def smoke_shard() -> int:
     orderly stream at n = 6; (2) per-scheme decision parity — identical
     fingerprint, instance count, and folded ``SymmetryAccount`` counters
     — for every registry scheme at n = 5 plus both Theorem 1.1 schemes
-    at n = 6, sharding on (in-process) vs off; (3) when the host has
+    at n = 6, sharding on (in-process) vs serial; (3) when the host has
     multiple cores or ``REPRO_FORCE_WORKERS`` is set, one pool-path
     check per Theorem scheme (workers = 2) against the same reference.
     Nonzero exit on any divergence."""
@@ -1554,7 +1500,7 @@ def smoke_shard() -> int:
     pool_capable = (os.cpu_count() or 1) > 1 or forced_workers() is not None
     for scheme, n in cases:
         reference, ref_counters = decide(
-            scheme, n, _sharding_plan(sharding="off", workers=0)
+            scheme, n, _sharding_plan(workers=0)
         )
         sharded, counters = decide(
             scheme, n, _sharding_plan(sharding="on", workers=0)

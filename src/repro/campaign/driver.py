@@ -142,14 +142,10 @@ def run_campaign(
         schemes=list(spec.schemes),
         trace_id=ctx.tracer.trace_id if ctx.tracer.active else None,
     )
-    # One process pool for the whole campaign: parallel cells (chunked
-    # builds, sharded sweeps) reuse it via repro.perf.pool.active_pool
-    # instead of paying pool spawn/teardown per cell.
-    pool_scope = (
-        shared_pool(base.workers)
-        if base.workers is not None and base.workers > 1
-        else nullcontext()
-    )
+    # One process pool for the whole campaign: sharded cells reuse it via
+    # repro.perf.pool.active_pool instead of paying pool spawn/teardown
+    # per cell.  Only plans that take the shard route need it.
+    pool_scope = shared_pool(base.workers) if base.uses_shards else nullcontext()
     with pool_scope, ctx.tracer.span(
         "campaign", schemes=",".join(spec.schemes)
     ) as root:

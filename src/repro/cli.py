@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="processes for the neighborhood-graph sweeps (default: serial)",
+        help="shard-pool processes for full sweeps (default: serial)",
     )
     run_parser.add_argument(
         "--perf-stats",
@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="processes for the sweep (default: serial)",
+        help="shard-pool processes for a --full-sweep (default: serial)",
     )
     hiding_parser.add_argument(
         "--no-disk-cache",
@@ -650,9 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--symmetry",
         choices=["auto", "on", "off"],
         default=None,
-        help="symmetry reduction: orderly graph generation + "
-        "automorphism-orbit pruning (auto prunes anonymous schemes only; "
-        "default: the session config)",
+        help="automorphism-orbit pruning (auto prunes anonymous schemes "
+        "only; default: the session config)",
     )
     hiding_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR", help="cache directory override"
@@ -738,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fr_run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="processes per sweep (default: serial)",
+        help="shard-pool processes per full sweep (default: serial)",
     )
     fr_run.add_argument(
         "--symmetry", choices=["auto", "on", "off"], default=None,

@@ -1,7 +1,7 @@
 """The hiding-decision engine: one entrypoint, declarative plans.
 
 This package puts every hiding decision — early-exit or full sweeps,
-serial, parallel, or sharded — behind a single pipeline::
+serial or sharded — behind a single pipeline::
 
     plan = ExecutionPlan(backend="streaming", workers=4, disk_cache=True)
     verdict = decide_hiding(lcp, n=5, plan=plan)

@@ -34,7 +34,7 @@ from ..neighborhood.aviews import (
     yes_instances_up_to,
 )
 from ..neighborhood.hiding import HidingVerdict
-from ..neighborhood.ngraph import build_neighborhood_graph_auto
+from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
 from ..perf.config import CONFIG
@@ -46,6 +46,9 @@ from .plan import ExecutionPlan
 from .verdict import Provenance, Verdict
 
 log = get_logger("engine.backends")
+
+# The end-to-end benchmark harness times the build through this name.
+build_neighborhood_graph_auto = build_neighborhood_graph
 
 #: Engine revision; folded into memo, warm-state, and disk keys so
 #: algorithmic changes can never resurrect stale state.  Value 1 keeps
@@ -60,7 +63,7 @@ ENGINE_VERSION = 1
 
 def _symmetry_effective(lcp: LCP, plan: ExecutionPlan) -> bool:
     """Whether the resolved plan's symmetry mode turns orbit pruning on
-    for this scheme (generation mode alone never changes sweep content)."""
+    for this scheme."""
     return symmetry_pruning_effective(lcp, plan.symmetry or "off")
 
 
@@ -69,11 +72,11 @@ def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     enumeration bounds, early-exit mode) family.  Worker count is
     deliberately absent — verdicts are byte-identical for any.  Orbit
     pruning is part of the identity (early-exit counts may differ between
-    regimes); the orderly-vs-legacy generation mode and the generation
-    kernel mode are not (byte-identical streams).  A raised
-    ``kernel_labeling_limit`` *is* part of the identity — it admits
-    labeling spaces the base limit refuses, changing sweep content
-    (resolve already normalized it to ``None`` wherever it is a no-op)."""
+    regimes); the generation kernel mode is not (byte-identical
+    streams).  A raised ``kernel_labeling_limit`` *is* part of the
+    identity — it admits labeling spaces the base limit refuses,
+    changing sweep content (resolve already normalized it to ``None``
+    wherever it is a no-op)."""
     return (
         ENGINE_VERSION,
         type(lcp).__name__,
@@ -405,9 +408,9 @@ class StreamingBackend:
         sharded = _sharding_effective(lcp, plan, n)
         shard_flags: dict = {}
         meter = _ThroughputMeter(ctx)
-        with CONFIG.overridden(
-            symmetry=plan.symmetry, kernel=plan.kernel
-        ), ctx.stats.time_stage("streaming_sweep"):
+        with CONFIG.overridden(kernel=plan.kernel), ctx.stats.time_stage(
+            "streaming_sweep"
+        ):
             with ctx.tracer.span(
                 "sweep", n=n, early_exit=plan.early_exit, sharded=sharded
             ) as sweep:
@@ -500,7 +503,6 @@ class StreamingBackend:
                         build_neighborhood_graph_auto(
                             lcp,
                             instances,
-                            workers=plan.workers,
                             stats=ctx.stats,
                             consumer=engine,
                             into=engine.ngraph,

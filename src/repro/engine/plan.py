@@ -34,10 +34,12 @@ class ExecutionPlan:
       ``"auto"``, which resolves to it.  The one route; the field stays
       so existing ``backend="streaming"`` plans keep working and
       provenance names the route that ran.
-    * ``workers`` — processes for the enumeration scan; ``None`` defers
-      to ``CONFIG.workers``, ``0``/``1`` mean serial.  The verdict is
-      byte-identical for every worker count (the parallel builder
-      replays chunks in serial order).
+    * ``workers`` — processes of the shard pool; ``None`` defers to
+      ``CONFIG.workers``, ``0``/``1`` mean serial.  Only sweeps the
+      ``sharding`` rule routes to the pool use them; every other sweep
+      runs serially.  The verdict and its provenance are byte-identical
+      for every worker count (the shard executor replays in serial
+      order).
     * ``early_exit`` — stop the sweep at the first
       non-``k``-colorability witness (the default).  ``False`` keeps the
       fused decision but builds the complete ``V(D, n)`` — what callers
@@ -53,11 +55,11 @@ class ExecutionPlan:
       / ``labeling_limit`` — the Lemma 3.1 enumeration bounds; part of
       the plan because they define the sweep's identity for every cache
       tier.
-    * ``symmetry`` — the symmetry-reduction mode: ``"off"`` (legacy
-      edge-subset enumeration, no pruning), ``"on"`` (orderly generation
-      + automorphism-orbit pruning), or ``"auto"`` (orderly generation;
-      pruning only for anonymous schemes).  ``None`` defers to
-      ``CONFIG.symmetry``.  Suppressed instances are folded back into
+    * ``symmetry`` — the orbit-pruning mode: ``"off"`` (no pruning),
+      ``"on"`` (automorphism-orbit pruning of bases and labelings), or
+      ``"auto"`` (pruning only for anonymous schemes).  ``None`` defers
+      to ``CONFIG.symmetry``.  Graph generation is orderly in every
+      mode.  Suppressed instances are folded back into
       ``Provenance.instances_scanned``, so full-sweep provenance is
       regime-independent; when pruning is effective the sweep's disk
       identity is tagged so pre-symmetry cache entries are never misread.
@@ -90,18 +92,16 @@ class ExecutionPlan:
       alphabet (the campaign layer's alphabet-size axis).  ``None`` (the
       default) uses the full alphabet.  Changes sweep content, so a set
       value is part of every cache identity (disk key: only when set).
-    * ``sharding`` — the sharded-generation mode (``"auto"`` | ``"on"``
-      | ``"off"``; ``None`` defers to ``CONFIG.sharding``): whether the
-      sweep splits the canonical-augmentation tree into subtree work
-      units drained by a work-stealing process pool
+    * ``sharding`` — the sharded-generation mode (``"auto"`` | ``"on"``;
+      ``None`` defers to ``CONFIG.sharding``): whether a sweep deeper
+      than ``shard_depth`` splits the canonical-augmentation tree into
+      subtree work units drained by a work-stealing process pool
       (:mod:`repro.shard`).  The merged emission stream, accounts, and
       fingerprints are byte-identical to the serial walk, so this knob
-      never enters a cache identity.  ``"auto"`` engages only where it
-      can pay off (effective ``workers > 1``, full sweep, orderly
-      generation); ``"on"`` forces the sharded path — even single-
-      process, the deterministic test route — and is rejected at
-      resolve time with ``symmetry="off"`` (the legacy edge-subset walk
-      has no augmentation tree to shard); ``"off"`` disables it.
+      never enters a cache identity.  ``"auto"`` engages for full
+      sweeps with effective ``workers > 1``; ``"on"`` forces the
+      sharded path — even single-process, the deterministic test
+      route.  A serial sweep is ``workers`` of ``0`` or ``1``.
     * ``shard_depth`` — the level at which the augmentation tree is
       split (``None`` defers to ``CONFIG.shard_depth``).  Pure
       granularity: unobservable in every output.
@@ -136,6 +136,20 @@ class ExecutionPlan:
             and self.kernel is not None
             and self.sharding is not None
             and self.shard_depth is not None
+        )
+
+    @property
+    def uses_shards(self) -> bool:
+        """Whether this (resolved) plan runs sweeps deeper than
+        ``shard_depth`` on the shard route: always with
+        ``sharding="on"``, and with ``"auto"`` for full sweeps with more
+        than one worker."""
+        if self.sharding == "on":
+            return True
+        return (
+            self.sharding == "auto"
+            and (self.workers or 0) > 1
+            and not self.early_exit
         )
 
     def resolve(self, config: PerfConfig | None = None) -> "ExecutionPlan":
@@ -180,19 +194,10 @@ class ExecutionPlan:
                 f"alphabet_limit must be positive, got {self.alphabet_limit}"
             )
         sharding = self.sharding if self.sharding is not None else config.sharding
-        if sharding not in ("auto", "on", "off"):
+        if sharding not in ("auto", "on"):
             raise ValueError(
-                f"unknown sharding mode {sharding!r}; known: auto, on, off"
+                f"unknown sharding mode {sharding!r}; known: auto, on"
             )
-        if sharding == "on" and symmetry == "off":
-            raise ValueError(
-                "sharding='on' requires orderly generation — the legacy "
-                "edge-subset walk selected by symmetry='off' has no "
-                "augmentation tree to shard (use symmetry='auto'/'on', "
-                "or sharding='auto' for a silent fallback)"
-            )
-        if sharding == "auto" and symmetry == "off":
-            sharding = "off"
         shard_depth = (
             self.shard_depth if self.shard_depth is not None else config.shard_depth
         )
@@ -241,7 +246,7 @@ class ExecutionPlan:
             text += f" graph_family={self.graph_family}"
         if self.alphabet_limit is not None:
             text += f" alphabet_limit={self.alphabet_limit}"
-        if self.sharding not in (None, "off"):
+        if self.uses_shards:
             depth = "auto" if self.shard_depth is None else self.shard_depth
             text += f" sharding={self.sharding} shard_depth={depth}"
         return text

@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="processes for the neighborhood-graph sweeps (default: serial)",
+        help="shard-pool processes for full sweeps (default: serial)",
     )
     parser.add_argument(
         "--disk-cache",
@@ -174,8 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         "--symmetry",
         choices=["auto", "on", "off"],
         default=None,
-        help="symmetry reduction for the sweeps (orderly generation + "
-        "orbit pruning; default: the session config)",
+        help="orbit pruning for the sweeps (default: the session config)",
     )
     parser.add_argument(
         "--trace-out",

@@ -7,18 +7,17 @@ graphs up to isomorphism, all bipartite ones, and the promise classes of
 the paper's theorems (minimum degree 1, even cycles, shatter-point graphs,
 watermelons).
 
-Enumeration is exact and deterministic, with two interchangeable
-generators emitting byte-identical streams: the legacy edge-subset walk
-(all ``2^(n choose 2)`` masks, deduplicated with the exact canonical
-machinery) and the orderly generator of :mod:`repro.symmetry.orderly`
-(each isomorphism class constructed exactly once — the default, selected
-by ``perf.CONFIG.symmetry``).  With ``bipartite=True`` only the
-bipartite classes are enumerated — the bipartite subsequence of the full
-stream — which is all a ``k = 2`` sweep ever keeps; the orderly
-generator then builds the bipartite augmentation tree alone.  The
-orderly path is practical up to ``n = 8`` for all graphs and up to
-``n = 9`` for bipartite ones (1,119 classes on 9 nodes instead of
-274,668); the legacy walk up to ``n = 7`` either way.
+Enumeration is exact and deterministic: the orderly generator of
+:mod:`repro.symmetry.orderly` constructs each isomorphism class exactly
+once, in the order of the edge-subset walk
+:func:`enumerate_graphs_exactly_reference` (all ``2^(n choose 2)``
+masks, deduplicated by isomorphism), which the tests keep as the
+differential oracle.  With ``bipartite=True`` only the bipartite
+classes are enumerated — the bipartite subsequence of the full stream —
+which is all a ``k = 2`` sweep ever keeps; the generator then builds the
+bipartite augmentation tree alone.  Generation is practical up to
+``n = 8`` for all graphs and up to ``n = 9`` for bipartite ones (1,119
+classes on 9 nodes instead of 274,668).
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from .watermelon import is_watermelon
 #: families for every scheme and every bound; caching the representative
 #: lists makes repeat sweeps enumeration-free.  Entries are
 #: :class:`FrozenGraph` — ``mutable=True`` hits yield defensive copies,
-#: ``mutable=False`` hits yield the cached objects themselves.  Both
-#: generators produce the identical stream, so the cache is shared
-#: regardless of which one filled it.
+#: ``mutable=False`` hits yield the cached objects themselves.
 _FAMILY_CACHE: dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]] = {}
 
 
@@ -65,7 +62,7 @@ def prime_family_cache(
 ) -> int:
     """Fill the cache from a parent-process *snapshot* without
     overwriting entries; returns how many were added.  Called by the
-    pool initializer of :mod:`repro.perf.parallel` so workers never
+    pool initializer of :mod:`repro.perf.pool` so workers never
     re-enumerate families the parent already has."""
     added = 0
     for key, graphs in snapshot.items():
@@ -104,7 +101,6 @@ def all_graphs_exactly(
     n: int,
     connected_only: bool = True,
     mutable: bool = True,
-    generator: str | None = None,
     bipartite: bool = False,
 ) -> Iterator[Graph]:
     """All simple graphs on exactly *n* nodes, up to isomorphism.
@@ -119,12 +115,9 @@ def all_graphs_exactly(
     graph is an independent copy; ``mutable=False`` yields shared
     :class:`FrozenGraph` objects instead — the fast path for the sweep,
     which never mutates representatives.
-
-    *generator* picks the enumeration algorithm: ``"legacy"`` (edge-
-    subset walk), ``"orderly"`` (canonical augmentation), or ``None`` to
-    follow ``CONFIG.symmetry`` (``"off"`` → legacy, else orderly).  The
-    emitted stream is byte-identical either way.
     """
+    from ..symmetry.orderly import orderly_graphs_exactly  # noqa: PLC0415
+
     if n <= 0:
         return
     if CONFIG.family_cache:
@@ -137,7 +130,7 @@ def all_graphs_exactly(
             return
         GLOBAL_STATS.incr("family_cache_misses")
         representatives: list[FrozenGraph] = []
-        for g in _generate_graphs_exactly(n, connected_only, generator, bipartite):
+        for g in orderly_graphs_exactly(n, connected_only, bipartite):
             frozen = FrozenGraph.freeze(g)
             representatives.append(frozen)
             yield g if mutable else frozen
@@ -145,125 +138,8 @@ def all_graphs_exactly(
         # never caches a truncated family.
         _FAMILY_CACHE[key] = tuple(representatives)
     else:
-        for g in _generate_graphs_exactly(n, connected_only, generator, bipartite):
+        for g in orderly_graphs_exactly(n, connected_only, bipartite):
             yield g if mutable else FrozenGraph.freeze(g)
-
-
-def _generate_graphs_exactly(
-    n: int, connected_only: bool, generator: str | None, bipartite: bool
-) -> Iterator[Graph]:
-    """Dispatch to the selected enumeration algorithm.  The legacy walk
-    applies *bipartite* as a post-filter (same stream as the pruned
-    orderly tree)."""
-    if generator is None:
-        generator = "legacy" if CONFIG.symmetry == "off" else "orderly"
-    if generator == "orderly":
-        from ..symmetry.orderly import orderly_graphs_exactly  # noqa: PLC0415
-
-        return orderly_graphs_exactly(n, connected_only, bipartite)
-    if generator == "legacy":
-        graphs = _enumerate_graphs_exactly(n, connected_only)
-        return filter(is_bipartite, graphs) if bipartite else graphs
-    raise ValueError(f"unknown family generator {generator!r}; use 'legacy' or 'orderly'")
-
-
-def _enumerate_graphs_exactly(n: int, connected_only: bool) -> Iterator[Graph]:
-    """The edge-subset enumeration behind :func:`all_graphs_exactly`.
-
-    Connectivity and the cheap isomorphism invariant are computed on
-    integer-bitset adjacency (no :class:`Graph` is built for rejected
-    masks); survivors are deduplicated with the exact isomorphism test,
-    which is faster than full canonical forms at these orders.
-    """
-    if n == 1:
-        yield Graph(nodes=[0])
-        return
-    possible_edges = list(combinations(range(n), 2))
-    full = (1 << n) - 1
-    nodes = range(n)
-    buckets: dict[tuple, list[tuple[list[int], list[int]]]] = {}
-    for mask in range(1 << len(possible_edges)):
-        edge_count = mask.bit_count()
-        if connected_only and edge_count < n - 1:
-            continue
-        adj = [0] * n
-        for i, (a, b) in enumerate(possible_edges):
-            if mask >> i & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        if connected_only:
-            reach = 1 | adj[0]
-            frontier = reach & ~1
-            while frontier:
-                nxt = 0
-                bits = frontier
-                while bits:
-                    low = bits & -bits
-                    nxt |= adj[low.bit_length() - 1]
-                    bits ^= low
-                frontier = nxt & ~reach
-                reach |= frontier
-            if reach != full:
-                continue
-        deg = [adj[v].bit_count() for v in nodes]
-        profile = []
-        for v in nodes:
-            neighbor_degs = []
-            bits = adj[v]
-            while bits:
-                low = bits & -bits
-                neighbor_degs.append(deg[low.bit_length() - 1])
-                bits ^= low
-            neighbor_degs.sort()
-            profile.append((deg[v], tuple(neighbor_degs)))
-        profile.sort()
-        prekey = (edge_count, tuple(profile))
-        bucket = buckets.setdefault(prekey, [])
-        if any(_bitset_isomorphic(adj, deg, other, other_deg, n) for other, other_deg in bucket):
-            continue
-        bucket.append((adj, deg))
-        yield Graph(
-            nodes=nodes,
-            edges=[e for i, e in enumerate(possible_edges) if mask >> i & 1],
-        )
-
-
-def _bitset_isomorphic(
-    adj1: list[int], deg1: list[int], adj2: list[int], deg2: list[int], n: int
-) -> bool:
-    """Exact isomorphism test on bitset adjacency (same degree profile
-    assumed — callers bucket by it first)."""
-    # Assign high-degree nodes first: fewer candidates, earlier pruning.
-    order = sorted(range(n), key=lambda v: -deg1[v])
-    assigned: list[tuple[int, int]] = []
-    used = 0
-
-    def backtrack(depth: int) -> bool:
-        nonlocal used
-        if depth == n:
-            return True
-        v = order[depth]
-        row = adj1[v]
-        dv = deg1[v]
-        for w in range(n):
-            if used >> w & 1 or deg2[w] != dv:
-                continue
-            row2 = adj2[w]
-            ok = True
-            for a, b in assigned:
-                if (row >> a & 1) != (row2 >> b & 1):
-                    ok = False
-                    break
-            if ok:
-                assigned.append((v, w))
-                used |= 1 << w
-                if backtrack(depth + 1):
-                    return True
-                assigned.pop()
-                used ^= 1 << w
-        return False
-
-    return backtrack(0)
 
 
 def _iso_invariant(g: Graph) -> tuple:
@@ -280,9 +156,10 @@ def enumerate_graphs_exactly_reference(n: int, connected_only: bool = True) -> I
     """Object-based reference enumeration (the pre-bitset algorithm).
 
     Builds a :class:`Graph` for every edge subset and deduplicates with
-    the exact isomorphism search.  Kept as a differential-testing oracle
-    for :func:`_enumerate_graphs_exactly` and as the seed-equivalent
-    baseline of the neighborhood benchmarks; never used on the hot path.
+    the exact isomorphism search.  Kept as the differential-testing
+    oracle of orderly generation (same representatives, same order) and
+    as the seed-equivalent baseline of the neighborhood benchmarks;
+    never used on the hot path.
     """
     from .encoding import find_isomorphism  # noqa: PLC0415
     from .properties import is_connected  # noqa: PLC0415
@@ -312,17 +189,12 @@ def all_graphs_up_to(
     n: int,
     connected_only: bool = True,
     mutable: bool = True,
-    generator: str | None = None,
     bipartite: bool = False,
 ) -> Iterator[Graph]:
     """All simple graphs on at most *n* nodes, up to isomorphism."""
     for k in range(1, n + 1):
         yield from all_graphs_exactly(
-            k,
-            connected_only=connected_only,
-            mutable=mutable,
-            generator=generator,
-            bipartite=bipartite,
+            k, connected_only=connected_only, mutable=mutable, bipartite=bipartite
         )
 
 

@@ -233,7 +233,7 @@ def batch_min_edge_mask(rows, n: int, firsts, np, stats=None):
     positions = np.arange(n - 1, -1, -1, dtype=np.int64)  # column j -> position
     perms[:, positions] = final
 
-    # Relabeled adjacency bits -> legacy combination-order mask.
+    # Relabeled adjacency bits -> combination-order edge mask.
     rows_perm = rows[np.arange(batch)[:, None], perms]  # (batch, n) bitsets
     adj = (rows_perm[:, :, None] >> perms[:, None, :]) & 1  # (batch, n, n)
     iu, ju = np.triu_indices(n, k=1)

@@ -15,12 +15,7 @@ from .hiding import (
     hiding_verdict_from_instances,
     hiding_verdict_on_witnesses,
 )
-from .ngraph import (
-    GraphConsumer,
-    NeighborhoodGraph,
-    build_neighborhood_graph,
-    build_neighborhood_graph_auto,
-)
+from .ngraph import GraphConsumer, NeighborhoodGraph, build_neighborhood_graph
 from .streaming import StreamingHidingEngine
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "UNKNOWN_VIEW",
     "build_extraction_decoder",
     "build_neighborhood_graph",
-    "build_neighborhood_graph_auto",
     "hiding_verdict_from_instances",
     "hiding_verdict_on_witnesses",
     "labeled_yes_instances",

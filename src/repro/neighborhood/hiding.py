@@ -21,7 +21,7 @@ from ..graphs.graph import Graph
 from ..local.instance import Instance
 from ..local.views import View
 from .aviews import labeled_yes_instances
-from .ngraph import NeighborhoodGraph, build_neighborhood_graph_auto
+from .ngraph import NeighborhoodGraph, build_neighborhood_graph
 
 @dataclass(frozen=True)
 class HidingVerdict:
@@ -57,7 +57,7 @@ def hiding_verdict_from_instances(
     lcp: LCP, labeled: Iterable[Instance], exhaustive: bool = False
 ) -> HidingVerdict:
     """Check hiding over the neighborhood subgraph spanned by *labeled*."""
-    ngraph = build_neighborhood_graph_auto(lcp, labeled)
+    ngraph = build_neighborhood_graph(lcp, labeled)
     return classic_verdict(lcp, ngraph, exhaustive=exhaustive)
 
 
@@ -68,7 +68,7 @@ def hiding_verdict_on_witnesses(
     labeled = labeled_yes_instances(
         lcp, graphs, port_limit=port_limit, id_bound=id_bound
     )
-    ngraph = build_neighborhood_graph_auto(lcp, labeled)
+    ngraph = build_neighborhood_graph(lcp, labeled)
     return classic_verdict(lcp, ngraph, exhaustive=False)
 
 

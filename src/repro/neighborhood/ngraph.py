@@ -161,18 +161,18 @@ def _labeled_views(lcp: LCP, instance: Instance, stats: PerfStats) -> dict[Node,
 
 
 class GraphConsumer:
-    """Contract for consumers driven by the neighborhood-graph builders.
+    """Contract for consumers driven by the neighborhood-graph builder.
 
-    The builders changed contract from "return a finished graph" to
+    The builder changed contract from "return a finished graph" to
     "drive a consumer": as the scan discovers each *new* view and edge of
     ``V(D, n)``, it calls :meth:`on_view` / :meth:`on_edge` immediately —
     before the next instance is even enumerated.  A consumer that sets
     ``done`` stops the scan on the spot (the streaming hiding engine does
     this the moment a non-``k``-colorability witness exists).
 
-    The event order is identical between the serial and parallel builders
-    for any worker count or chunking, so an early exit fires at the same
-    event everywhere — the parity guarantee the tests pin.
+    The shard executor replays worker scans in the builder's exact event
+    order, so an early exit fires at the same event on every route — the
+    parity guarantee the tests pin.
     """
 
     #: Builders stop scanning as soon as this turns True.
@@ -278,36 +278,3 @@ def build_neighborhood_graph(
     stats.incr("instances_scanned", scanned)
     return ngraph
 
-
-def build_neighborhood_graph_auto(
-    lcp: LCP,
-    labeled_instances: Iterable[Instance],
-    workers: int | None = None,
-    stats: PerfStats | None = None,
-    consumer: GraphConsumer | None = None,
-    into: NeighborhoodGraph | None = None,
-    tracer: Tracer | None = None,
-) -> NeighborhoodGraph:
-    """Serial or parallel build, per *workers* (default: the global config).
-
-    The parallel builder produces an identical graph and fires consumer
-    events in the identical order; this dispatcher is what the CLI's
-    ``--workers`` flag, the experiment runner, and the streaming hiding
-    engine feed.
-    """
-    effective = CONFIG.workers if workers is None else workers
-    if effective and effective > 1:
-        from ..perf.parallel import build_neighborhood_graph_parallel  # noqa: PLC0415
-
-        return build_neighborhood_graph_parallel(
-            lcp,
-            labeled_instances,
-            workers=effective,
-            stats=stats,
-            consumer=consumer,
-            into=into,
-            tracer=tracer,
-        )
-    return build_neighborhood_graph(
-        lcp, labeled_instances, stats=stats, consumer=consumer, into=into, tracer=tracer
-    )

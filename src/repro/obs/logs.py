@@ -10,10 +10,10 @@ above to stderr via the last-resort handler), and the CLI's
 
 Logger names mirror the package layout::
 
-    repro.engine         decision routing, cache-tier hits
-    repro.perf.persist   disk store reads/writes/skips
-    repro.perf.parallel  pool fallbacks and chunk scheduling
-    repro.obs.report     run-report emission
+    repro.engine          decision routing, cache-tier hits
+    repro.perf.persist    disk store reads/writes/skips
+    repro.shard.executor  pool fallbacks and shard scheduling
+    repro.obs.report      run-report emission
 """
 
 from __future__ import annotations

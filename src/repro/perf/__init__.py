@@ -1,4 +1,4 @@
-"""Performance subsystem: caches, counters, and the parallel builder.
+"""Performance subsystem: caches, counters, and the shared process pool.
 
 The Lemma 3.1 sweep (``yes_instances_up_to`` → ``build_neighborhood_graph``)
 is the hot path of the whole repository; everything here exists to make it
@@ -10,8 +10,8 @@ run as fast as the hardware allows without changing a single result:
   (:class:`PerfStats`, :data:`GLOBAL_STATS`);
 * :mod:`repro.perf.cache` — the view-layout template cache and the
   decoder decision memo;
-* :mod:`repro.perf.parallel` — the process-pool neighborhood-graph
-  builder (loaded lazily; it sits above the neighborhood layer).
+* :mod:`repro.perf.pool` — the process pool the shard executor
+  (:mod:`repro.shard`) drains its work units on.
 """
 
 from .cache import (
@@ -43,7 +43,6 @@ __all__ = [
     "PerfStats",
     "PersistentVerdictCache",
     "ViewLayoutCache",
-    "build_neighborhood_graph_parallel",
     "cache_dir",
     "clear_shared_caches",
     "configure",
@@ -55,12 +54,3 @@ __all__ = [
     "shared_decision_memo",
 ]
 
-
-def __getattr__(name: str):
-    # The parallel builder imports the neighborhood layer, which imports
-    # this package; resolving it lazily keeps the import graph acyclic.
-    if name == "build_neighborhood_graph_parallel":
-        from .parallel import build_neighborhood_graph_parallel  # noqa: PLC0415
-
-        return build_neighborhood_graph_parallel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

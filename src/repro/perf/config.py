@@ -1,7 +1,7 @@
 """Tunable knobs for the V(D, n) fast path.
 
-One module-level :class:`PerfConfig` governs every cache and the parallel
-builder; experiments, the CLI (``--workers``), and the benchmarks mutate
+One module-level :class:`PerfConfig` governs every cache and the shard
+pool; experiments, the CLI (``--workers``), and the benchmarks mutate
 it through :func:`configure` or scope changes with :func:`overridden`.
 All caches default to on — the knobs exist so benchmarks can measure the
 unoptimized baseline and so pathological workloads can opt out.
@@ -14,8 +14,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 #: Environment override for the worker count (CI multi-core runners set
-#: this so parallel benchmark rows and shard smokes run even when the
-#: plan or config would autodetect conservatively).
+#: this so the shard smokes run on the pool even when the plan or config
+#: would autodetect conservatively).
 FORCE_WORKERS_ENV = "REPRO_FORCE_WORKERS"
 
 
@@ -49,10 +49,9 @@ class PerfConfig:
       :mod:`repro.graphs.families` (yielded graphs are defensive copies).
     * ``canonical_cache`` — memoize :func:`repro.graphs.encoding.canonical_form`
       by labelled graph key.
-    * ``workers`` — default worker count for the parallel
-      neighborhood-graph builder; ``0`` or ``1`` means serial.
-    * ``chunk_size`` — instances per parallel work unit (``None`` picks a
-      chunking that preserves base-instance locality).
+    * ``workers`` — default process count of the shard pool; ``0`` or
+      ``1`` means serial.  More workers matter only where ``sharding``
+      engages; every other sweep runs serially.
     * ``warm_start`` — let consecutive sweeps of the same LCP
       at growing ``n`` resume from the previous state instead of
       recoloring from scratch (anonymous schemes only; ``V(D, n-1)``
@@ -62,31 +61,29 @@ class PerfConfig:
       entirely (see :mod:`repro.perf.persist`).
     * ``disk_cache_dir`` — override the cache directory (default:
       ``$REPRO_CACHE_DIR`` or ``./.repro_cache``).
-    * ``symmetry`` — the symmetry-reduction mode (``"auto"`` | ``"on"``
-      | ``"off"``) plans resolve their ``symmetry`` field against.
-      ``"off"`` selects the legacy edge-subset family enumerator and no
-      orbit pruning; ``"auto"``/``"on"`` select orderly generation
-      (byte-identical stream, each class constructed once) and — for
-      ``"auto"`` only on anonymous schemes, for ``"on"`` always —
+    * ``symmetry`` — the orbit-pruning mode (``"auto"`` | ``"on"`` |
+      ``"off"``) plans resolve their ``symmetry`` field against:
       automorphism-orbit pruning of bases and labelings with exact
-      suppressed-count accounting (see :mod:`repro.symmetry`).
+      suppressed-count accounting (see :mod:`repro.symmetry`) — for
+      ``"auto"`` only on anonymous schemes, for ``"on"`` always, for
+      ``"off"`` never.  Graph generation is orderly in every mode.
     * ``kernel_block_size`` — the most rows one stage of the batch
       kernel's prefix-pruned join holds (:mod:`repro.kernel.batch`); a
       wider prefix is split into chunks joined depth-first.  Chunk
       boundaries are unobservable — the yielded stream and all
       accounting are block-size independent — so this is purely a
       memory/throughput trade.
-    * ``sharding`` — the sharded-generation mode (``"auto"`` | ``"on"``
-      | ``"off"``) plans resolve their ``sharding`` field against.
+    * ``sharding`` — the sharded-generation mode (``"auto"`` |
+      ``"on"``) plans resolve their ``sharding`` field against.
       Sharding splits the canonical-augmentation tree at
       ``shard_depth`` into independent subtree work units and drains
       them on a work-stealing process pool (see :mod:`repro.shard`);
       the merged emission stream and all accounting are byte-identical
       to the serial walk, so this knob never enters a cache key.
-      ``"auto"`` engages it only when it can pay off (multiple
-      effective workers, full sweeps, orderly generation active);
-      ``"on"`` forces the sharded path even single-process (the
-      deterministic test route); ``"off"`` disables it.
+      ``"auto"`` engages it for full sweeps with more than one
+      effective worker; ``"on"`` forces the sharded path even
+      single-process (the deterministic test route).  Serial sweeps
+      are ``workers`` of ``0`` or ``1``.
     * ``shard_depth`` — the prefix depth at which the augmentation tree
       is split; subtree roots are the level-``shard_depth`` generation
       entries.  Purely a granularity trade — never observable in any
@@ -111,7 +108,6 @@ class PerfConfig:
     canonical_cache: bool = True
     canonical_cache_size: int = 65536
     workers: int = 0
-    chunk_size: int | None = None
     warm_start: bool = True
     disk_cache: bool = False
     disk_cache_dir: str | None = None

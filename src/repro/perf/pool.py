@@ -1,12 +1,12 @@
-"""A shared process pool for the parallel builder and the shard executor.
+"""A shared process pool for the shard executor.
 
 Pool spawn/teardown costs hundreds of milliseconds per worker — paying
 it once per campaign *cell* dominated small-cell sweeps.  This module
 owns one process-wide :class:`~concurrent.futures.ProcessPoolExecutor`
 that long-lived drivers (:func:`repro.campaign.driver.run_campaign`, the
 benchmark harness) open around their whole loop with
-:func:`shared_pool`; inner parallel stages pick it up through
-:func:`active_pool` instead of building their own.
+:func:`shared_pool`; the shard executor picks it up through
+:func:`active_pool` instead of building its own.
 
 Workers are initialized exactly once with every warm cache the parent
 can ship: the graph-family representatives *and* the decided entries
@@ -40,21 +40,16 @@ def pool_initializer(family_snapshot: dict, table_snapshot: dict) -> None:
     prime_kernel_tables(table_snapshot)
 
 
-def warm_snapshots() -> tuple[dict, dict]:
-    """The parent's current ``(family, kernel-table)`` warm state."""
+def make_pool(workers: int) -> ProcessPoolExecutor:
+    """A fresh pool whose workers start from the parent's current
+    ``(family, kernel-table)`` warm state."""
     from ..graphs.families import family_cache_snapshot  # noqa: PLC0415
     from ..kernel.tables import kernel_tables_snapshot  # noqa: PLC0415
 
-    return family_cache_snapshot(), kernel_tables_snapshot()
-
-
-def make_pool(workers: int) -> ProcessPoolExecutor:
-    """A fresh pool with the standard warm-state initializer."""
-    family_snapshot, table_snapshot = warm_snapshots()
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=pool_initializer,
-        initargs=(family_snapshot, table_snapshot),
+        initargs=(family_cache_snapshot(), kernel_tables_snapshot()),
     )
 
 

@@ -16,9 +16,9 @@ Lemma 3.1 instance stream through the neighborhood-graph builder:
    ascending minimal edge mask (classes have unique masks, and the
    serial walk emits each level mask-sorted, so the merged stream is
    byte-identical to the unsharded one) and replay through
-   :func:`repro.perf.parallel._replay_chunk` with exact per-instance
-   account deltas — consumer events, early exits, accounts, and
-   fingerprints all match the serial sweep.
+   :func:`_replay_chunk` with exact per-instance account deltas —
+   consumer events, early exits, accounts, and fingerprints all match
+   the serial sweep.
 
 An optional :class:`~repro.shard.queue.ShardQueue` coordinates multiple
 hosts draining one sweep directory: this host computes only the shards
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from ..neighborhood.aviews import bipartite_generation, labeled_yes_instances
 from ..obs.logs import get_logger
 from ..perf.config import CONFIG
-from ..perf.parallel import _replay_chunk
 from ..perf.stats import GLOBAL_STATS
 from ..symmetry.orderly import level_entries
 from .checkpoint import ShardCheckpointStore
@@ -50,25 +49,11 @@ _FOREIGN_POLL_S = 0.1
 
 
 def sharding_effective(lcp, plan, n: int) -> bool:
-    """Whether this sweep runs the sharded path.
-
-    ``"off"`` never; ``"on"`` whenever there is a subtree to split
-    (``n > shard_depth``) — even single-process, where shards execute
-    in-process sequentially (the deterministic test route); ``"auto"``
-    only where the pool can pay for itself: effective ``workers > 1``,
-    no early exit (shards complete before replay, so an exit saves
-    nothing), and orderly generation active (``symmetry != "off"`` —
-    the legacy edge-subset walk has no augmentation tree).
-    """
+    """Whether this sweep runs the sharded path: the plan routes sweeps
+    to shards (:attr:`~repro.engine.plan.ExecutionPlan.uses_shards`) and
+    there is a subtree to split (``n > shard_depth``)."""
     depth = plan.shard_depth if plan.shard_depth is not None else CONFIG.shard_depth
-    if plan.sharding == "off" or n <= depth:
-        return False
-    if (plan.symmetry or "off") == "off":
-        return False
-    if plan.sharding == "on":
-        return True
-    workers = plan.workers or 0
-    return workers > 1 and not plan.early_exit
+    return n > depth and plan.uses_shards
 
 
 @dataclass
@@ -128,6 +113,7 @@ def run_sharded_sweep(
             "+ sweep_key) — foreign shards are adopted from the store"
         )
     outcome = ShardSweepOutcome(ngraph=ngraph, workers_effective=max(1, workers))
+    progress = _ScanProgress(lcp, n, ctx, ngraph)
     bipartite = bipartite_generation(lcp)
     with ctx.tracer.span(
         "shard:sweep", n=n, depth=depth, workers=workers, lo=lo
@@ -161,8 +147,10 @@ def run_sharded_sweep(
                 )
             outcome.stopped = consumer is not None and consumer.done
         if outcome.stopped or max(lo, depth) >= n:
+            progress.report(flush=True)
             shard_span.set_attributes(shards=0, stopped=outcome.stopped)
             return outcome
+        progress.report()
 
         # ---- 2. the shard stage ----------------------------------------
         spec = plan_shards(n, depth, workers, bipartite=bipartite)
@@ -189,6 +177,7 @@ def run_sharded_sweep(
                         deltas=block["deltas"] if account is not None else None,
                         account=account,
                     )
+                    progress.report()
                     if stopped:
                         outcome.stopped = True
                         break
@@ -196,6 +185,7 @@ def run_sharded_sweep(
                         account.add_delta(block["trailing"])
                 if outcome.stopped:
                     break
+            progress.report(flush=True)
         shard_span.set_attributes(
             shards=outcome.shard_count,
             checkpoint_hits=outcome.checkpoint_hits,
@@ -204,6 +194,33 @@ def run_sharded_sweep(
         )
     _record_gauges(ctx, outcome)
     return outcome
+
+
+class _ScanProgress:
+    """``instances_scanned`` progress deltas of a sharded sweep, batched
+    like the serial route's :func:`repro.obs.progress.counting_instances`
+    and counted off the graph the parent replays into."""
+
+    def __init__(self, lcp, n: int, ctx, ngraph, every: int = 256) -> None:
+        self.bus = ctx.progress
+        self.ngraph = ngraph
+        self.start = ngraph.instances_scanned
+        self.every = every
+        self.reported = 0
+        self.fields = {
+            "scheme": lcp.name,
+            "n": n,
+            "trace_id": ctx.tracer.trace_id if ctx.tracer.active else None,
+        }
+
+    def report(self, flush: bool = False) -> None:
+        if not self.bus.active:
+            return
+        total = self.ngraph.instances_scanned - self.start
+        pending = total - self.reported
+        if pending >= self.every or (flush and pending):
+            self.bus.emit("instances_scanned", delta=pending, total=total, **self.fields)
+            self.reported = total
 
 
 def _drain_shards(
@@ -331,6 +348,42 @@ def _drain_shards(
         outcome.shards_per_sec = len(spec.shards) / elapsed
     ctx.stats.incr("shards_completed", executed)
     return results
+
+
+def _replay_chunk(
+    ngraph, chunk, chunk_results, stats, consumer, deltas=None, account=None
+) -> bool:
+    """Replay one block of worker scans into the parent graph, in serial
+    order.
+
+    Returns True when the consumer signalled ``done`` mid-replay; the
+    replay stops at that exact event, so the assembled graph matches the
+    serial builder's early-exit prefix byte for byte.  *deltas* (one
+    :meth:`SymmetryAccount.as_tuple`-format tuple per instance) are
+    folded into *account* immediately before their instance replays, so
+    an early exit leaves the account exactly where the serial sweep's
+    abandoned generator would have.
+    """
+    for index, (instance, (accepting, edges)) in enumerate(zip(chunk, chunk_results)):
+        if deltas is not None and account is not None:
+            account.add_delta(deltas[index])
+        ngraph.instances_scanned += 1
+        stats.incr("instances_scanned")
+        indices = {}
+        for v, view in accepting:
+            idx, created = ngraph.add_view_tracked(view, instance, v)
+            indices[v] = idx
+            if created and consumer is not None:
+                consumer.on_view(idx, view)
+                if consumer.done:
+                    return True
+        for u, v in edges:
+            created = ngraph.add_edge_tracked(indices[u], indices[v], instance, (u, v))
+            if created and consumer is not None:
+                consumer.on_edge(indices[u], indices[v])
+                if consumer.done:
+                    return True
+    return False
 
 
 def _picklable(lcp, stats) -> bool:

@@ -9,7 +9,7 @@ the serial engine runs — one graph at a time, with a fresh
 :class:`~repro.symmetry.prune.SymmetryAccount` whose per-yield deltas
 let the parent replay the account exactly (including the serial
 abandoned-generator semantics of an early exit; see
-:func:`repro.perf.parallel._replay_chunk`).
+:func:`repro.shard.executor._replay_chunk`).
 
 The result is a plain picklable dict::
 
@@ -31,7 +31,6 @@ import time
 from ..neighborhood.aviews import labeled_yes_instances
 from ..obs.trace import worker_span
 from ..perf.config import CONFIG
-from ..perf.parallel import InstanceScanner
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from ..symmetry.orderly import build_level, emit_entries
 from ..symmetry.prune import SymmetryAccount
@@ -39,6 +38,63 @@ from ..symmetry.prune import SymmetryAccount
 #: GLOBAL_STATS counters the worker reports back as deltas — generation
 #: work that the serial sweep would have recorded in the parent process.
 _GLOBAL_COUNTERS = ("canonicalizations", "orderly_generations")
+
+
+class InstanceScanner:
+    """Per-worker scan state: one layout cache, one decision memo, and
+    the last-graph edge shortcut, shared across every instance a shard
+    worker scans."""
+
+    __slots__ = ("lcp", "stats", "layout_cache", "memo", "_last_graph", "_last_edges")
+
+    def __init__(self, lcp, stats: PerfStats) -> None:
+        from ..perf.cache import DecisionMemo, ViewLayoutCache  # noqa: PLC0415
+
+        self.lcp = lcp
+        self.stats = stats
+        self.layout_cache = (
+            ViewLayoutCache(CONFIG.layout_cache_size) if CONFIG.layout_cache else None
+        )
+        self.memo = (
+            DecisionMemo(lcp.decoder, CONFIG.decision_memo_size)
+            if CONFIG.decision_memo
+            else None
+        )
+        self._last_graph = None
+        self._last_edges: list = []
+
+    def scan(self, instance) -> tuple[list, list]:
+        """``(accepting (node, view) pairs, accepted edges)`` for one
+        labeled instance, in the serial builder's visit order."""
+        views = _instance_views(self.lcp, instance, self.layout_cache, self.stats)
+        if self.memo is not None:
+            memo, stats = self.memo, self.stats
+            votes = {v: memo.decide(view, stats=stats) for v, view in views.items()}
+        else:
+            decide = self.lcp.decoder.decide
+            votes = {v: decide(view) for v, view in views.items()}
+        accepting = [(v, views[v]) for v, accepted in votes.items() if accepted]
+        if instance.graph is not self._last_graph:
+            self._last_graph = instance.graph
+            self._last_edges = instance.graph.edges
+        edges = [
+            (u, v) for u, v in self._last_edges if votes.get(u) and votes.get(v)
+        ]
+        return accepting, edges
+
+
+def _instance_views(lcp, instance, layout_cache, stats: PerfStats) -> dict:
+    """Views of every node, through the layout cache when enabled."""
+    from ..local.views import extract_all_views  # noqa: PLC0415
+
+    include_ids = not lcp.anonymous
+    if layout_cache is None:
+        views = extract_all_views(instance, lcp.radius, include_ids=include_ids)
+        stats.incr("views_extracted", len(views))
+        return views
+    return layout_cache.labeled_views(
+        instance, lcp.radius, include_ids, stats=stats
+    )
 
 
 def run_shard(payload: dict) -> dict:
@@ -61,7 +117,7 @@ def run_shard(payload: dict) -> dict:
     global_before = {name: GLOBAL_STATS.get(name) for name in _GLOBAL_COUNTERS}
     scanner = InstanceScanner(lcp, stats)
     sizes: dict[int, list] = {}
-    with CONFIG.overridden(symmetry=payload["symmetry"], kernel=payload["kernel"]):
+    with CONFIG.overridden(kernel=payload["kernel"]):
         with worker_span(
             "worker:shard",
             spans if payload["traced"] else None,

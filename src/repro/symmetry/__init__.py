@@ -7,10 +7,10 @@ package exploits that:
 
 * :mod:`~repro.symmetry.canon` — exact canonical labelings on bitset
   adjacency (prefix-incremental form for generation, minimal edge mask
-  for legacy-identical emission);
+  for edge-subset-walk-identical emission);
 * :mod:`~repro.symmetry.orderly` — McKay-style canonical augmentation:
   each isomorphism class generated exactly once, no post-hoc dedup,
-  byte-identical to the legacy edge-subset stream;
+  byte-identical to the edge-subset walk's stream;
 * :mod:`~repro.symmetry.groups` — automorphism groups (generators +
   node orbits), memoized and seeded by the generator;
 * :mod:`~repro.symmetry.prune` — labeling-orbit and base-signature
@@ -18,7 +18,8 @@ package exploits that:
 
 Surface: the ``symmetry`` knob of
 :class:`repro.engine.plan.ExecutionPlan` / ``perf.CONFIG.symmetry``
-(``auto`` | ``on`` | ``off``).
+(``auto`` | ``on`` | ``off``) switches orbit pruning; generation is
+always orderly.
 """
 
 from .canon import colex_canonical, min_edge_mask

@@ -17,14 +17,14 @@ Two complementary canonical labelings drive the orderly generator
 
 * :func:`min_edge_mask` — the *emission* form: the smallest edge-subset
   mask (bit ``i`` = ``combinations(range(n), 2)[i]``) over all
-  relabelings.  This is exactly the representative the legacy
-  edge-subset enumerator of :mod:`repro.graphs.families` keeps (it walks
-  masks in ascending order and yields the first of each class), so the
-  orderly generator can reproduce the legacy stream byte for byte.
+  relabelings.  This is exactly the representative the edge-subset
+  walk (:func:`repro.graphs.families.enumerate_graphs_exactly_reference`)
+  keeps (it walks masks in ascending order and yields the first of each
+  class), so the orderly generator reproduces that stream byte for byte.
   Minimizing the mask integer means comparing bits most-significant
   first — rows descending, columns descending — so here positions are
   assigned in *descending* order and no degree restriction applies (the
-  legacy minimum ranges over all relabelings).
+  walk's minimum ranges over all relabelings).
 
 Both operate on adjacency bitsets: ``adj[v]`` has bit ``u`` set iff
 ``{u, v}`` is an edge.  Graphs are loop-free (the families never emit
@@ -119,7 +119,7 @@ def min_edge_mask(
     """The minimal edge-subset mask of *adj* over all relabelings.
 
     Bit ``i`` of the mask corresponds to ``combinations(range(n), 2)[i]``
-    — the convention of the legacy family enumerator, whose per-class
+    — the convention of the edge-subset walk, whose per-class
     representative is exactly this minimum.  Returns ``(mask, perm)``
     with *perm* a minimizing position-to-node assignment.
 

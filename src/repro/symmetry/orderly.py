@@ -17,13 +17,12 @@ representative, and a child survives two filters —
 
 Levels memoize *all* graphs (disconnected parents breed connected
 children); connectivity is filtered at emission only.  Emission
-reproduces the legacy edge-subset enumerator byte for byte: each class
-is labeled by its minimal edge mask (:func:`repro.symmetry.canon.
-min_edge_mask`) — the exact representative the mask walk of
-:func:`repro.graphs.families._enumerate_graphs_exactly` keeps — and
-classes are emitted in ascending mask order, so downstream sweeps,
-early-exit witnesses, and verdict fingerprints are identical whichever
-enumerator ran.  The automorphism group computed during generation is
+reproduces the edge-subset walk byte for byte: each class is labeled by
+its minimal edge mask (:func:`repro.symmetry.canon.min_edge_mask`) — the
+exact representative the mask walk of
+:func:`repro.graphs.families.enumerate_graphs_exactly_reference` keeps —
+and classes are emitted in ascending mask order, so the stream is the
+one the tests' reference walk produces.  The automorphism group computed during generation is
 transported to the emitted labeling and seeded into the group cache.
 
 *Bipartite pruning.*  Every yes-instance of a ``k = 2`` LCP is
@@ -394,11 +393,12 @@ def orderly_graphs_exactly(
     n: int, connected_only: bool = True, bipartite: bool = False
 ) -> Iterator[Graph]:
     """All graphs on exactly *n* nodes up to isomorphism, emitted in the
-    legacy enumerator's exact order and labeling.
+    edge-subset walk's exact order and labeling.
 
-    Drop-in replacement for the edge-subset walk of
-    :mod:`repro.graphs.families` — byte-identical stream — that visits
-    each isomorphism class once instead of all ``2^(n choose 2)`` masks.
+    Byte-identical to
+    :func:`repro.graphs.families.enumerate_graphs_exactly_reference`,
+    but visits each isomorphism class once instead of all
+    ``2^(n choose 2)`` masks.
     With *bipartite* only the bipartite classes are built and emitted:
     the bipartite subsequence of the full stream.  Emitted graphs carry
     their automorphism group into the cache of

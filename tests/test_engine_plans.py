@@ -181,6 +181,51 @@ def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
     assert len(fps) == 1
 
 
+#: (scheme, n, early_exit) sweeps whose provenance must not depend on
+#: the worker count: the default early-exit plan (which never takes the
+#: pool) and a full sweep above the default shard depth (which does).
+WORKER_CASES = [
+    ("degree-one", 5, True),
+    ("even-cycle", 7, True),
+    ("degree-one", 5, False),
+]
+
+#: Stats counters a sweep's provenance is explained by.
+SWEEP_COUNTERS = ("instances_scanned", "symmetry_labelings_total", "kernel_labelings")
+
+
+@pytest.mark.parametrize("scheme, n, early_exit", WORKER_CASES)
+def test_worker_count_leaves_provenance_unchanged(scheme, n, early_exit):
+    """``workers`` in {0, 2} gives the identical decision, the identical
+    ``Provenance`` counts, and the identical sweep counters: an early
+    exit scans the same instances whatever the worker count, and a full
+    sweep on the shard pool scans exactly what the serial one scans."""
+    lcp = make_lcp(scheme)
+    runs = {}
+    for workers in (0, 2):
+        clear_engine_state()
+        ctx = RunContext.isolated()
+        plan = ExecutionPlan(
+            workers=workers,
+            early_exit=early_exit,
+            warm_start=False,
+            memory_cache=False,
+            disk_cache=False,
+        )
+        verdict = decide_hiding(lcp, n, plan, ctx=ctx)
+        counters = {name: ctx.stats.get(name) for name in SWEEP_COUNTERS}
+        runs[workers] = (verdict, counters)
+    (serial, serial_counters), (pooled, pooled_counters) = runs[0], runs[2]
+    assert pooled.decision_fingerprint() == serial.decision_fingerprint()
+    for field in ("instances_scanned", "views", "edges"):
+        assert getattr(pooled.provenance, field) == getattr(
+            serial.provenance, field
+        ), field
+    assert pooled_counters == serial_counters
+    # Only the full sweep deeper than the shard depth takes the pool.
+    assert bool(pooled.provenance.shard_count) == (not early_exit)
+
+
 #: ``decision_fingerprint`` digest of full ``V(D, 6)`` of watermelon, as
 #: pinned by tests/test_bipartite_generation.py.
 WATERMELON_N6_DIGEST = "c032512099dd92e2"
@@ -190,7 +235,7 @@ def test_watermelon_n6_full_sweep_has_one_coloring():
     """Full ``V(D, 6)`` of watermelon is 2-colorable with 22 components,
     so its coloring is where two deciders could pick different colors.
     Every plan — cold, warm-started from n=4, scalar kernel, sharded,
-    two workers, legacy generation — reports the same coloring."""
+    two workers, no orbit pruning — reports the same coloring."""
     lcp = make_lcp("watermelon")
     base = {
         "early_exit": False,

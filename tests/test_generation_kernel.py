@@ -9,8 +9,8 @@ build, and the emission stream must match the scalar
 bit for bit.  OEIS A000088 / A001349 pin the class counts so a parity
 bug that drops or duplicates classes on *both* routes cannot hide.
 
-Both kernel routes are also pinned to the legacy edge-subset walk up to
-``n = 6``.  The suite covers the capability seams too: the
+Both kernel routes are also pinned to the edge-subset walk of the test
+oracle up to ``n = 6``.  The suite covers the capability seams too: the
 ``REPRO_DISABLE_NUMPY`` fallback, the ``kernel`` plan knob, and the
 raised ``kernel_labeling_limit`` admission (content parity with a
 plainly raised limit, normalization on ``kernel="off"`` plans).
@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.even_cycle import EvenCycleLCP
 from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
-from repro.graphs.families import _enumerate_graphs_exactly
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_bipartite
 from repro.kernel import DISABLE_ENV, kernel_available, numpy_or_none
@@ -54,6 +53,8 @@ from repro.symmetry.orderly import (
     count_classes,
     orderly_graphs_exactly,
 )
+
+from .oracle import reference_graphs
 
 HAVE_NUMPY = kernel_available()
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
@@ -256,15 +257,13 @@ class TestEmissionParity:
     @pytest.mark.parametrize("connected_only", [False, True])
     @pytest.mark.parametrize("kernel", ["auto", "off"])
     def test_both_routes_match_the_legacy_walk_up_to_6(self, kernel, connected_only):
-        """Either kernel mode emits exactly the legacy edge-subset walk's
+        """Either kernel mode emits exactly the edge-subset walk's
         representatives, in its order."""
         for n in range(1, 7):
             emitted = [
                 edges for edges, _ in _emission_stream(n, connected_only, kernel)
             ]
-            legacy = [
-                tuple(g.edges) for g in _enumerate_graphs_exactly(n, connected_only)
-            ]
+            legacy = [tuple(g.edges) for g in reference_graphs(n, connected_only)]
             assert emitted == legacy
 
     def test_disabled_numpy_falls_back_to_scalar(self, monkeypatch):

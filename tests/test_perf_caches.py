@@ -233,8 +233,9 @@ class TestFamilyEnumeration:
         assert all(g.order == 3 for g in second)
 
     def test_bitset_enumeration_matches_reference(self):
-        # Differential test: the bitset fast path against the object-based
-        # oracle, for both connectivity regimes.
+        # Differential test: the family enumeration (orderly generation)
+        # against the object-based edge-subset oracle, for both
+        # connectivity regimes.
         for n in range(1, 5):
             for connected_only in (True, False):
                 clear_family_cache()

@@ -303,17 +303,25 @@ def test_instance_deltas_sum_to_provenance_count():
 
 
 def test_event_ordering_under_process_pool_builder():
-    """With the process-pool builder (workers=2) the instance stream is
-    still consumed — and its deltas emitted — in the parent process, so
-    subscribers observe a well-ordered stream: started, deltas with
-    monotone totals, finished."""
+    """With the shard pool (workers=2, full sweep) the instances are
+    still replayed — and their deltas emitted — in the parent process, so
+    subscribers observe a well-ordered stream: started, shard events and
+    deltas with monotone totals, finished."""
     verdict, records = _decide_with_recorder(
         _plan(early_exit=False, workers=2, symmetry="off"), n=6
     )
+    assert verdict.provenance.shard_count
     kinds = [r["event"] for r in records]
     assert kinds[0] == "decision_started"
     assert kinds[-1] == "decision_finished"
-    assert all(kind == "instances_scanned" for kind in kinds[1:-1])
+    assert set(kinds[1:-1]) == {"instances_scanned", "shard_started", "shard_finished"}
+    position = {
+        (r["event"], r.get("shard")): i for i, r in enumerate(records)
+    }
+    shards = {r["shard"] for r in records if r["event"] == "shard_finished"}
+    assert len(shards) == verdict.provenance.shard_count
+    for shard in shards:
+        assert position[("shard_started", shard)] < position[("shard_finished", shard)]
     totals = [r["total"] for r in records if r["event"] == "instances_scanned"]
     assert totals == sorted(totals)
     assert sum(

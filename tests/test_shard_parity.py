@@ -6,7 +6,7 @@ back into the exact serial order.  Like the symmetry layer, it is only
 allowed to change *how fast* a verdict is reached, never *what* is
 reached: for every registry scheme this suite runs the full sweep with
 ``sharding="on"`` (in-process execution — the deterministic route) and
-``sharding="off"`` and demands byte-identical verdicts — same hiding
+serially (``workers=0``) and demands byte-identical verdicts — same hiding
 decision, same canonical witness, same ``decision_fingerprint``, same
 effective instance/view/edge counts, and the same folded
 ``SymmetryAccount`` totals.
@@ -14,8 +14,8 @@ effective instance/view/edge counts, and the same folded
 A second group pins the shard plumbing itself: the merged shard
 emission stream against the serial orderly walk, the work-unit
 partition properties of :func:`plan_shards`, the plan-resolution rules
-of the ``sharding`` knob, and the ``sharding_effective`` engagement
-predicate.
+of the ``sharding`` knob, the ``sharding_effective`` engagement
+predicate, and the warm state the pool ships to its workers.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ from repro.engine import (
     clear_engine_state,
     decide_hiding,
 )
-from repro.kernel import clear_kernel_tables, kernel_available
-from repro.kernel.tables import kernel_tables_snapshot
+from repro.kernel import clear_kernel_tables, kernel_available, numpy_or_none
+from repro.kernel.tables import kernel_tables_snapshot, prime_kernel_tables
+from repro.neighborhood import yes_instances_up_to
 from repro.neighborhood.aviews import bipartite_generation
+from repro.perf import PerfStats, overridden
 from repro.perf.config import FORCE_WORKERS_ENV, forced_workers
 from repro.shard import plan_shards, sharding_effective
 from repro.symmetry.orderly import build_level, emit_entries, level_entries
@@ -59,7 +61,9 @@ ACCOUNT_COUNTERS = (
 
 
 def _full_sweep_plan(sharding: str, **kwargs) -> ExecutionPlan:
-    """A deterministic cold sweep: serial, no early exit, no cache tiers."""
+    """A deterministic cold sweep: no early exit, no cache tiers, and no
+    pool unless *kwargs* ask for workers — ``"auto"`` is then the serial
+    sweep, ``"on"`` the in-process sharded one."""
     fields = {
         "workers": 0,
         "early_exit": False,
@@ -90,7 +94,7 @@ def _sweep(scheme: str, sharding: str, n: int | None = None, **kwargs):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sharded_sweep_matches_serial(scheme):
-    serial, serial_counters = _sweep(scheme, "off")
+    serial, serial_counters = _sweep(scheme, "auto")
     sharded, sharded_counters = _sweep(scheme, "on")
 
     assert sharded.hiding == serial.hiding
@@ -113,7 +117,7 @@ def test_sharded_warm_started_full_sweep_matches_serial(scheme):
     """A full sweep warm-started from a smaller ``n`` — past a found
     witness, on both hiding schemes — shards only the levels above the
     warm floor and still reproduces the cold serial sweep."""
-    serial, _ = _sweep(scheme, "off")
+    serial, _ = _sweep(scheme, "auto")
     clear_engine_state()
     ctx = RunContext.isolated()
     lcp = make_lcp(scheme)
@@ -133,7 +137,7 @@ def test_sharded_warm_started_full_sweep_matches_serial(scheme):
 
 @pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
 def test_sharded_early_exit_matches_serial(scheme):
-    serial, _ = _sweep(scheme, "off", early_exit=True)
+    serial, _ = _sweep(scheme, "auto", early_exit=True)
     sharded, _ = _sweep(scheme, "on", early_exit=True)
     assert sharded.hiding == serial.hiding
     assert sharded.witness == serial.witness
@@ -156,7 +160,7 @@ def test_sharded_fingerprint_parity_on_both_trees(scheme, k):
         plan = _full_sweep_plan(sharding)
         return decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
 
-    serial, sharded = sweep("off"), sweep("on")
+    serial, sharded = sweep("auto"), sweep("on")
     assert sharded.decision_fingerprint() == serial.decision_fingerprint()
     assert sharded.witness == serial.witness
     assert (
@@ -260,20 +264,39 @@ def test_shard_key_fields_pin_the_generation_version():
 # ----------------------------------------------------------------------
 
 
-def test_sharding_on_with_symmetry_off_is_rejected():
-    plan = ExecutionPlan(backend="streaming", symmetry="off", sharding="on")
-    with pytest.raises(ValueError):
-        plan.resolve()
+def test_sharded_unpruned_sweep_matches_serial():
+    """``symmetry="off"`` only switches orbit pruning off: the unpruned
+    sweep still shards, and matches the serial unpruned sweep."""
+    serial, serial_counters = _sweep("degree-one", "auto", symmetry="off")
+    sharded, sharded_counters = _sweep("degree-one", "on", symmetry="off")
+    assert sharded.provenance.shard_count
+    assert not sharded.provenance.symmetry_pruned
+    assert sharded.decision_fingerprint() == serial.decision_fingerprint()
+    assert sharded.witness == serial.witness
+    assert sharded.ngraph.views == serial.ngraph.views
+    assert sharded.ngraph.edges == serial.ngraph.edges
+    assert sharded_counters == serial_counters
 
 
-def test_sharding_auto_with_symmetry_off_degrades_to_off():
-    plan = ExecutionPlan(backend="streaming", symmetry="off", sharding="auto")
-    assert plan.resolve().sharding == "off"
+def test_sharding_auto_with_symmetry_off_takes_the_pool():
+    plan = _full_sweep_plan("auto", symmetry="off", workers=2)
+    assert plan.resolve().sharding == "auto"
+    serial, serial_counters = _sweep("even-cycle", "auto", symmetry="off")
+    pooled, pooled_counters = _sweep("even-cycle", "auto", symmetry="off", workers=2)
+    assert pooled.provenance.shard_count
+    assert pooled.decision_fingerprint() == serial.decision_fingerprint()
+    assert (
+        pooled.provenance.instances_scanned == serial.provenance.instances_scanned
+    )
+    assert pooled_counters == serial_counters
 
 
 def test_invalid_sharding_mode_and_depth_are_rejected():
     with pytest.raises(ValueError):
         ExecutionPlan(backend="streaming", sharding="sometimes").resolve()
+    # A serial sweep is workers=0; "off" is not a sharding mode.
+    with pytest.raises(ValueError, match="'off'; known: auto, on$"):
+        ExecutionPlan(backend="streaming", sharding="off").resolve()
     with pytest.raises(ValueError):
         ExecutionPlan(backend="streaming", shard_depth=0).resolve()
 
@@ -298,8 +321,8 @@ def test_sharding_effective_rules():
     on = resolved(sharding="on", shard_depth=3, symmetry="on", workers=0)
     assert sharding_effective(lcp, on, 6)
     assert not sharding_effective(lcp, on, 3)  # n <= depth: nothing to split
-    off = resolved(sharding="off", shard_depth=3, symmetry="on", workers=4)
-    assert not sharding_effective(lcp, off, 6)
+    serial = resolved(shard_depth=3, symmetry="on", workers=0, early_exit=False)
+    assert not sharding_effective(lcp, serial, 6)
     # "auto" engages only where the pool can pay for itself.
     auto = resolved(
         sharding="auto", shard_depth=3, symmetry="on", workers=4,
@@ -322,9 +345,14 @@ def test_sharding_effective_rules():
         ),
         6,
     )
-    # The legacy edge-subset walk has no augmentation tree to shard.
-    assert not sharding_effective(
-        lcp, resolved(sharding="auto", shard_depth=3, symmetry="off", workers=4), 6
+    # Orbit pruning does not enter the rule: generation is always orderly.
+    assert sharding_effective(
+        lcp,
+        resolved(
+            sharding="auto", shard_depth=3, symmetry="off", workers=4,
+            early_exit=False,
+        ),
+        6,
     )
 
 
@@ -332,21 +360,25 @@ def test_describe_mentions_sharding_only_when_engaged():
     plan = ExecutionPlan(backend="streaming", sharding="on", shard_depth=3)
     assert "sharding=on" in plan.resolve().describe()
     assert "shard_depth=3" in plan.resolve().describe()
-    plain = ExecutionPlan(backend="streaming", sharding="off")
+    plain = ExecutionPlan(backend="streaming", workers=0)
     assert "sharding" not in plain.resolve().describe()
+    # "auto" engages only for pooled full sweeps.
+    pooled = ExecutionPlan(backend="streaming", workers=2, early_exit=False)
+    assert "sharding=auto" in pooled.resolve().describe()
+    early = ExecutionPlan(backend="streaming", workers=2)
+    assert "sharding" not in early.resolve().describe()
 
 
 @pytest.mark.skipif(not kernel_available(), reason="numpy not importable")
 def test_pooled_sweeps_with_partial_tables_match_serial():
     """Workers primed with the parent's partly filled acceptance tables
-    reproduce the serial full sweep of degree-one at n = 5, through the
-    parallel builder and through the shard pool."""
+    reproduce the serial full sweep of degree-one at n = 5 on the shard
+    pool."""
     clear_kernel_tables()
     lcp = make_lcp("degree-one")
     runs = {}
     for name, plan in (
-        ("serial", _full_sweep_plan("off")),
-        ("builder", _full_sweep_plan("off", workers=2)),
+        ("serial", _full_sweep_plan("auto")),
         ("sharded", _full_sweep_plan("on", workers=2)),
     ):
         clear_engine_state()
@@ -356,20 +388,107 @@ def test_pooled_sweeps_with_partial_tables_match_serial():
         if name == "serial":
             assert kernel_tables_snapshot()
     serial, serial_stats = runs["serial"]
-    for pooled, stats in (runs["builder"], runs["sharded"]):
-        assert pooled.digest() == serial.digest()
-        assert pooled.ngraph.views == serial.ngraph.views
-        assert pooled.ngraph.edges == serial.ngraph.edges
-        assert (
-            pooled.provenance.instances_scanned
-            == serial.provenance.instances_scanned
-        )
-        for name in ACCOUNT_COUNTERS:
-            assert stats.get(name) == serial_stats.get(name), name
+    pooled, stats = runs["sharded"]
+    assert pooled.digest() == serial.digest()
+    assert pooled.ngraph.views == serial.ngraph.views
+    assert pooled.ngraph.edges == serial.ngraph.edges
+    assert pooled.provenance.instances_scanned == serial.provenance.instances_scanned
+    for name in ACCOUNT_COUNTERS:
+        assert stats.get(name) == serial_stats.get(name), name
     # Shard workers run the unanimity pass on the shipped tables and
     # decide no entry the serial sweep already decided.
-    sharded_stats = runs["sharded"][1]
-    assert runs["sharded"][0].provenance.shard_count
-    assert sharded_stats.get("kernel_table_seed_hits")
-    assert not sharded_stats.get("kernel_table_entries")
+    assert pooled.provenance.shard_count
+    assert stats.get("kernel_table_seed_hits")
+    assert not stats.get("kernel_table_entries")
+    clear_kernel_tables()
+
+
+# ----------------------------------------------------------------------
+# Warm state shipped to pool workers
+# ----------------------------------------------------------------------
+
+needs_numpy = pytest.mark.skipif(not kernel_available(), reason="numpy not importable")
+
+
+def _warm_degree_one_tables(n=4):
+    """Run one kernel sweep so the acceptance tables are partly filled."""
+    clear_kernel_tables()
+    with overridden(kernel="auto"):
+        list(
+            yes_instances_up_to(
+                make_lcp("degree-one"), n, include_all_accepted_labelings=True,
+                symmetry="off",
+            )
+        )
+
+
+def _live_tables():
+    """``(decoder.name, template, alphabet) -> table`` of the cached tables."""
+    from repro.kernel.tables import _TABLES
+
+    return {
+        (decoder.name, template, alphabet): table
+        for (_, template, alphabet), (decoder, table) in _TABLES.items()
+    }
+
+
+@needs_numpy
+def test_table_snapshot_carries_only_decided_entries():
+    _warm_degree_one_tables()
+    live = _live_tables()
+    snapshot = kernel_tables_snapshot()
+    assert snapshot
+    assert set(snapshot) == {key for key, table in live.items() if table.known.any()}
+    for key, (indices, values) in snapshot.items():
+        table = live[key]
+        assert indices.tolist() == table.known.nonzero()[0].tolist()
+        assert values.tolist() == table.value[indices].tolist()
+    # The join reads only the entries reachable from accepted prefixes.
+    assert sum(len(indices) for indices, _ in snapshot.values()) < sum(
+        len(live[key].known) for key in snapshot
+    )
+    clear_kernel_tables()
+
+
+@needs_numpy
+def test_priming_merges_without_overwriting_known_entries():
+    from repro.kernel.tables import _SEED_TABLES
+
+    _warm_degree_one_tables()
+    live = _live_tables()
+    snapshot = kernel_tables_snapshot()
+    before = {key: (t.known.copy(), t.value.copy()) for key, t in live.items()}
+    np = numpy_or_none()
+    forged, adopted = {}, {}
+    for key, (indices, values) in snapshot.items():
+        # Flip every known verdict and add one entry nobody knows yet.
+        unknown = np.flatnonzero(~live[key].known)[:1]
+        adopted[key] = len(unknown)
+        forged[key] = (
+            np.concatenate([indices, unknown]),
+            np.concatenate([~values, np.ones(len(unknown), dtype=bool)]),
+        )
+    prime_kernel_tables(forged)
+    # A forked worker's inherited live tables become its seed tables.
+    assert all(_SEED_TABLES[key] is live[key] for key in forged)
+    for key, table in live.items():
+        known, value = before[key]
+        assert (table.value[known] == value[known]).all()
+        assert table.known.sum() == known.sum() + adopted.get(key, 0)
+
+    # Into a cold worker the same entries land in the seed store and the
+    # next sweep decides nothing it was sent.
+    snapshot = kernel_tables_snapshot()
+    clear_kernel_tables()
+    prime_kernel_tables(snapshot)
+    stats = PerfStats()
+    with overridden(kernel="auto"):
+        list(
+            yes_instances_up_to(
+                make_lcp("degree-one"), 4, include_all_accepted_labelings=True,
+                symmetry="off", stats=stats,
+            )
+        )
+    assert stats.get("kernel_table_seed_hits") == len(snapshot)
+    assert stats.get("kernel_table_entries") == 0
     clear_kernel_tables()

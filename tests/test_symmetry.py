@@ -2,9 +2,9 @@
 groups, frozen family caches, and the canonical-form plumbing they share.
 
 The load-bearing claim of :mod:`repro.symmetry` is *exactness*: the
-orderly generator must emit the same representative stream as the legacy
-edge-subset enumerator (so every cache and provenance count downstream is
-unchanged), and the automorphism groups it seeds must be the true groups
+orderly generator must emit the same representative stream as the
+edge-subset walk of the test oracle (so every cache and provenance count
+downstream is unchanged), and the automorphism groups it seeds must be the true groups
 (so orbit pruning never merges labelings that are not actually
 equivalent).  These tests pin both against brute-force oracles.
 """
@@ -17,10 +17,8 @@ import pytest
 
 from repro.graphs.encoding import are_isomorphic
 from repro.graphs.families import (
-    _enumerate_graphs_exactly,
     all_graphs_exactly,
     clear_family_cache,
-    enumerate_graphs_exactly_reference,
     family_cache_snapshot,
     prime_family_cache,
     warm_graph_families,
@@ -42,6 +40,8 @@ from repro.symmetry import (
     orderly_graphs_exactly,
     seed_automorphisms,
 )
+
+from .oracle import reference_graphs
 
 # OEIS A000088 (graphs on n nodes) and A001349 (connected graphs).
 ALL_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
@@ -75,9 +75,9 @@ class TestOrderlyGeneration:
 
     @pytest.mark.parametrize("connected_only", [True, False])
     def test_bipartite_stream_is_the_bipartite_subsequence(self, connected_only):
-        # Pruned orderly tree, legacy walk with its post-filter, and the
-        # full orderly stream filtered afterwards: one stream, byte for
-        # byte (seeded automorphism groups included).
+        # Pruned orderly tree, the reference walk filtered afterwards,
+        # and the full orderly stream filtered afterwards: one stream,
+        # byte for byte (seeded automorphism groups included).
         for n in range(1, 7):
             full = [
                 (tuple(g.edges), automorphism_group(g).perms)
@@ -90,20 +90,18 @@ class TestOrderlyGeneration:
                 for g in orderly_graphs_exactly(n, connected_only, bipartite=True)
             ]
             assert pruned == full
-            clear_family_cache()
-            legacy = all_graphs_exactly(
-                n, connected_only, generator="legacy", bipartite=True
-            )
-            assert [tuple(g.edges) for g in legacy] == [edges for edges, _ in full]
-        clear_family_cache()
+            legacy = [
+                tuple(g.edges)
+                for g in reference_graphs(n, connected_only)
+                if is_bipartite(g)
+            ]
+            assert legacy == [edges for edges, _ in full]
 
     @pytest.mark.parametrize("connected_only", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_reference_oracle_up_to_isomorphism(self, n, connected_only):
         orderly = list(orderly_graphs_exactly(n, connected_only=connected_only))
-        reference = list(
-            enumerate_graphs_exactly_reference(n, connected_only=connected_only)
-        )
+        reference = reference_graphs(n, connected_only)
         assert len(orderly) == len(reference)
         # One representative per class, and the classes are the same.
         for g in orderly:
@@ -123,13 +121,13 @@ class TestOrderlyGeneration:
         ]
         legacy = [
             (tuple(g.nodes), tuple(g.edges))
-            for g in _enumerate_graphs_exactly(n, connected_only)
+            for g in reference_graphs(n, connected_only)
         ]
         assert orderly == legacy
 
     def test_emission_stream_identical_to_legacy_n6_connected(self):
         orderly = [tuple(g.edges) for g in orderly_graphs_exactly(6)]
-        legacy = [tuple(g.edges) for g in _enumerate_graphs_exactly(6, True)]
+        legacy = [tuple(g.edges) for g in reference_graphs(6, True)]
         assert orderly == legacy
 
     def test_generator_seeds_true_automorphism_groups(self):
