@@ -103,7 +103,10 @@ class ParityForest:
         return self._tree_path(i, j) + [i]
 
     def _tree_path(self, src: int, dst: int) -> list[int]:
-        """The unique forest path ``[src, ..., dst]`` (BFS; runs once)."""
+        """The unique forest path ``[src, ..., dst]`` (BFS).
+
+        Runs once per sweep: the streaming engine stops feeding the
+        forest after the first odd closed walk."""
         prev: dict[int, int] = {src: src}
         queue: deque[int] = deque([src])
         while queue:

@@ -233,31 +233,12 @@ class AsyncSimulator:
         """
         state = self._states[v]
         known_nodes = {rec.uid: rec for rec in state.node_records}
-        adjacency: dict[Node, list[tuple[Node, int, int]]] = {u: [] for u in known_nodes}
+        # The knowledge graph as a port table: its keys are the adjacency.
+        ports: dict[Node, dict[Node, int]] = {u: {} for u in known_nodes}
         for rec in state.edge_records:
-            if rec.uid_a in adjacency and rec.uid_b in adjacency:
-                adjacency[rec.uid_a].append((rec.uid_b, rec.port_a, rec.port_b))
-                adjacency[rec.uid_b].append((rec.uid_a, rec.port_b, rec.port_a))
-        dist = {v: 0}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y, _px, _py in adjacency[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        keep = {x: d for x, d in dist.items() if d <= radius}
-        port_lookup: dict[tuple[Node, Node], int] = {}
-        edges = set()
-        for x in keep:
-            for y, px, py in adjacency[x]:
-                if y in keep and min(keep[x], keep[y]) < radius:
-                    a, b = (x, y) if repr(x) <= repr(y) else (y, x)
-                    edges.add((a, b))
-                    port_lookup[(x, y)] = px
-                    port_lookup[(y, x)] = py
+            if rec.uid_a in ports and rec.uid_b in ports:
+                ports[rec.uid_a][rec.uid_b] = rec.port_a
+                ports[rec.uid_b][rec.uid_a] = rec.port_b
 
         ident_of = None
         if self.include_ids:
@@ -270,9 +251,8 @@ class AsyncSimulator:
         return _assemble_view(
             radius=radius,
             center=v,
-            dist=keep,
-            edges=edges,
-            port_of=lambda a, b: port_lookup[(a, b)],
+            adjacency=ports,
+            ports=ports,
             id_of=ident_of,
             id_bound=self.instance.id_bound if self.include_ids else None,
             label_of=lambda x: known_nodes[x].label,

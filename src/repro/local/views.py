@@ -13,6 +13,9 @@ named by the lexicographically smallest sequence of ``(out_port, in_port)``
 pairs along a shortest path from the center.  Ports at a node are distinct,
 so a signature determines a unique walk and hence a unique node; the
 induced order is invariant under port-preserving rooted isomorphism.
+Every view in the package is named by one routine,
+:func:`canonicalize_view`, which computes the signatures during the BFS
+that discovers the view.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Hashable
 
-from ..errors import ViewError
+from ..errors import NodeNotFoundError, ViewError
 from ..graphs.graph import Graph, Node
-from ..graphs.traversal import view_subgraph_nodes_and_edges
 from .instance import Instance
 
 Signature = tuple[tuple[int, int], ...]
@@ -248,25 +250,18 @@ class View:
             raise ViewError(
                 f"radius-1 subview of boundary node {local} would be truncated"
             )
-        graph = Graph(nodes=self.nodes())
-        for a, b in self.edges:
-            graph.add_edge(a, b)
-        keep = {local} | set(self.neighbors_in_view(local))
-        dist = {x: (0 if x == local else 1) for x in keep}
-        edges = {
-            (a, b)
-            for a, b in self.edges
-            if a in keep and b in keep and (a == local or b == local)
-        }
+        table: dict[int, dict[int, int]] = {x: {} for x in self.nodes()}
+        for (a, b), (p_a, p_b) in zip(self.edges, self.ports):
+            table[a][b] = p_a
+            table[b][a] = p_b
         return _assemble_view(
             radius=1,
             center=local,
-            dist=dist,
-            edges=edges,
-            port_of=lambda a, b: self.port(a, b),
-            id_of=(None if self.ids is None else (lambda x: self.ids[x])),
+            adjacency=table,
+            ports=table,
+            id_of=(None if self.ids is None else self.ids.__getitem__),
             id_bound=self.id_bound,
-            label_of=lambda x: self.labels[x],
+            label_of=self.labels.__getitem__,
         )
 
     def to_graph(self) -> Graph:
@@ -302,15 +297,14 @@ def extract_view(
     """
     if radius < 1:
         raise ViewError("views require radius >= 1")
-    graph = instance.graph
-    dist, edges = view_subgraph_nodes_and_edges(graph, v, radius)
+    if v not in instance.graph:
+        raise NodeNotFoundError(v)
     labeling = instance.labeling
     return _assemble_view(
         radius=radius,
         center=v,
-        dist=dist,
-        edges=edges,
-        port_of=instance.ports.port,
+        adjacency=instance.graph._adj,
+        ports=instance.ports._ports,
         id_of=(instance.ids.id_of if include_ids else None),
         id_bound=(instance.id_bound if include_ids else None),
         label_of=(labeling.of if labeling is not None else (lambda _x: None)),
@@ -327,65 +321,87 @@ def extract_all_views(
     }
 
 
+def canonicalize_view(center, radius: int, adjacency, ports) -> tuple:
+    """Canonicalize the radius-*radius* view of *center* in one BFS.
+
+    *adjacency* maps every node to its neighbors and *ports* is the port
+    table ``{v: {u: port}}``.  The BFS assigns each newly reached node
+    the signature of its first predecessor extended by the edge's
+    ``(out_port, in_port)`` pair, and lowers it whenever another
+    predecessor in the previous layer offers a smaller one — so when a
+    layer is done, every node in it carries its minimal port signature.
+
+    Returns ``(order, dist, edges, port_pairs)``: the reached nodes in
+    signature order (local name ``i`` is ``order[i]``, the center is
+    ``0``), their distances, the view-graph edges as sorted local pairs
+    (edges between two distance-*radius* nodes are invisible), and the
+    ``(port_at_smaller, port_at_larger)`` pair of each edge.
+    """
+    # A node's signature has one step per hop: its length is the node's
+    # distance from the center.
+    signature: dict[Node, Signature] = {center: ()}
+    # Every view-graph edge has an endpoint strictly inside the ball, so
+    # the BFS walks each one: ``arcs`` keeps ``(y, x, (port_y, port_x))``.
+    arcs = []
+    layer = [center]
+    for d in range(1, radius + 1):
+        reached = []
+        for y in layer:
+            base = signature[y]
+            out = ports[y]
+            for x in adjacency[y]:
+                step = (out[x], ports[x][y])
+                arcs.append((y, x, step))
+                known = signature.get(x)
+                if known is None:
+                    reached.append(x)
+                    signature[x] = base + (step,)
+                elif len(known) == d:
+                    candidate = base + (step,)
+                    if candidate < known:
+                        signature[x] = candidate
+        if not reached:
+            break
+        layer = reached
+
+    order = tuple(sorted(signature, key=signature.__getitem__))
+    local = {x: i for i, x in enumerate(order)}
+    # An edge inside the ball was walked from both ends: keep the walk
+    # from its smaller local name.  An edge to the boundary was walked
+    # once.
+    links = []
+    for y, x, step in arcs:
+        i = local[y]
+        j = local[x]
+        if i < j:
+            links.append(((i, j), step))
+        elif len(signature[x]) == radius:
+            links.append(((j, i), step[::-1]))
+    links.sort()
+    edges, port_pairs = zip(*links) if links else ((), ())
+    return order, tuple([len(signature[x]) for x in order]), edges, port_pairs
+
+
 def _assemble_view(
     radius: int,
     center,
-    dist: dict,
-    edges: set[tuple],
-    port_of,
+    adjacency,
+    ports,
     id_of,
     id_bound,
     label_of,
 ) -> View:
-    """Canonicalize a raw (nodes, edges, ports, ids, labels) view."""
-    adjacency: dict = {x: [] for x in dist}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-
-    signature: dict = {center: ()}
-    # Layered propagation: nodes at distance d get the minimum over
-    # signatures of distance-(d-1) neighbors extended by the edge's ports.
-    # All candidates for a node have equal length, so lexicographic
-    # comparison is well-founded.
-    max_dist = max(dist.values(), default=0)
-    layers: dict[int, list] = {}
-    for x, d in dist.items():
-        layers.setdefault(d, []).append(x)
-    for d in range(1, max_dist + 1):
-        for x in layers.get(d, []):
-            candidates: list[Signature] = []
-            for y in adjacency[x]:
-                if dist[y] == d - 1 and y in signature:
-                    candidates.append(signature[y] + ((port_of(y, x), port_of(x, y)),))
-            if not candidates:
-                raise ViewError(
-                    f"view node {x!r} at distance {d} has no predecessor; "
-                    "the view graph is not layer-connected"
-                )
-            signature[x] = min(candidates)
-
-    ordered = sorted(dist, key=lambda x: signature[x])
-    local = {x: i for i, x in enumerate(ordered)}
-    if local[center] != 0:
-        raise ViewError("canonicalization failed to place the center first")
-
-    local_edges = sorted(
-        (min(local[a], local[b]), max(local[a], local[b])) for a, b in edges
-    )
-    inverse = {i: x for x, i in local.items()}
-    local_ports = tuple(
-        (port_of(inverse[a], inverse[b]), port_of(inverse[b], inverse[a]))
-        for a, b in local_edges
-    )
+    """The canonical view of *center*, with identifiers and labels read
+    through *id_of* (``None`` for an anonymous view) and *label_of*."""
+    order, dist, edges, port_pairs = canonicalize_view(center, radius, adjacency, ports)
     return View(
         radius=radius,
-        dist=tuple(dist[inverse[i]] for i in range(len(ordered))),
-        edges=tuple(local_edges),
-        ports=local_ports,
-        ids=(None if id_of is None else tuple(id_of(inverse[i]) for i in range(len(ordered)))),
+        dist=dist,
+        edges=edges,
+        ports=port_pairs,
+        ids=(None if id_of is None else tuple(map(id_of, order))),
         id_bound=id_bound,
-        labels=tuple(label_of(inverse[i]) for i in range(len(ordered))),
+        labels=tuple(map(label_of, order)),
     )
 
 
@@ -396,28 +412,32 @@ def extract_view_layouts(
 
     Canonicalization depends on graph structure, ports, and identifiers —
     never on labels — so a view under a *different labeling* is the same
-    template with its ``labels`` tuple swapped.  ``label_order`` lists the
-    graph node whose label belongs at each local index.  This turns
+    template with its ``labels`` tuple swapped.  ``label_order`` is the
+    canonical node order itself: the graph node whose label belongs at
+    each local index.  Each center costs one :func:`canonicalize_view`
+    pass over the graph's adjacency and port table, so the whole base
+    is canonicalized without a per-center edge scan.  This turns
     exhaustive-adversary loops (millions of labelings on one instance)
     from full re-extractions into tuple rebuilds; see
     :func:`relabel_view`.
     """
-    from .labeling import Labeling  # noqa: PLC0415
-
-    marker = Labeling({v: ("__layout__", v) for v in instance.graph.nodes})
-    marked = instance.with_labeling(marker)
+    if radius < 1:
+        raise ViewError("views require radius >= 1")
+    adjacency = instance.graph._adj
+    ports = instance.ports._ports
+    id_of = instance.ids.id_of if include_ids else None
+    id_bound = instance.id_bound if include_ids else None
     layouts = {}
-    for v in instance.graph.nodes:
-        view = extract_view(marked, v, radius, include_ids=include_ids)
-        order = tuple(label[1] for label in view.labels)
+    for v in adjacency:
+        order, dist, edges, port_pairs = canonicalize_view(v, radius, adjacency, ports)
         template = View(
-            radius=view.radius,
-            dist=view.dist,
-            edges=view.edges,
-            ports=view.ports,
-            ids=view.ids,
-            id_bound=view.id_bound,
-            labels=(None,) * len(view.labels),
+            radius=radius,
+            dist=dist,
+            edges=edges,
+            ports=port_pairs,
+            ids=(None if id_of is None else tuple(map(id_of, order))),
+            id_bound=id_bound,
+            labels=(None,) * len(order),
         )
         layouts[v] = (template, order)
     return layouts

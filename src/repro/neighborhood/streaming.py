@@ -101,10 +101,9 @@ class StreamingHidingEngine(GraphConsumer):
         if self.witness_found:
             # Keep the *first* witness (stream order) even in exhaustive
             # mode, so early-exit and full scans report the same walk.
-            if self.forest is not None:
-                self.forest.add_edge(i, j)
-            else:
-                self.coloring.add_edge(i, j)
+            # Nothing reads the forest or the coloring after a witness
+            # (proper_coloring() is None, warm starts keep the flag), so
+            # the rest of a full sweep no longer feeds them.
             return
         if self.forest is not None:
             walk = self.forest.add_edge(i, j)

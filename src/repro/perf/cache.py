@@ -87,7 +87,16 @@ class LRUCache:
 
 
 class ViewLayoutCache:
-    """View-layout templates, reusable across labelings of one base."""
+    """View-layout templates, reusable across labelings of one base.
+
+    Keyed by the identities of the base's graph, ports and ids (plus the
+    id bound, radius and identifier mode).  A miss runs
+    :func:`repro.local.views.extract_view_layouts`, which canonicalizes
+    every center in one BFS over the base's adjacency and port table;
+    every labeling of the base then reuses the templates, so a sweep
+    extracts each base once (``layout_misses`` bases,
+    ``views_extracted`` templates).
+    """
 
     __slots__ = ("_lru",)
 

@@ -79,6 +79,23 @@ class SymmetryAccount:
         self.instances_suppressed += delta[4]
 
 
+def _index_tables(
+    group: AutomorphismGroup,
+    ports: PortAssignment,
+    ids: IdentifierAssignment,
+    include_ids: bool,
+) -> tuple[list[dict[int, int]], list[int] | None]:
+    """The base over group-node indices: the port table ``table[i][j]``
+    (port of ``nodes[i]`` toward ``nodes[j]``; its keys are the
+    neighbors) and the id row (``None`` when the decoder does not see
+    identifiers).  Read once per base, so each automorphism only
+    permutes indices."""
+    nodes = group.nodes
+    index = {v: i for i, v in enumerate(nodes)}
+    table = [{index[u]: p for u, p in ports._ports[v].items()} for v in nodes]
+    return table, ([ids.id_of(v) for v in nodes] if include_ids else None)
+
+
 def instance_stabilizer(
     group: AutomorphismGroup,
     graph: Graph,
@@ -90,26 +107,19 @@ def instance_stabilizer(
     identifiers) — the subgroup under which labelings of this base may
     be orbit-pruned.  Index permutations, identity first.
     """
-    nodes = group.nodes
-    index = {v: i for i, v in enumerate(nodes)}
-    neighbor_idx = [
-        [index[u] for u in graph.neighbors(v)] for v in nodes
-    ]
-    stabilizer = []
-    for sigma in group.perms:
-        ok = True
-        for i, v in enumerate(nodes):
-            w = nodes[sigma[i]]
-            if include_ids and ids.id_of(v) != ids.id_of(w):
-                ok = False
+    identity, *others = group.perms
+    if not others:
+        return (identity,)
+    table, id_row = _index_tables(group, ports, ids, include_ids)
+    if id_row is not None:
+        others = [sigma for sigma in others if [id_row[w] for w in sigma] == id_row]
+    stabilizer = [identity]
+    for sigma in others:
+        for i, row in enumerate(table):
+            image = table[sigma[i]]
+            if any(image[sigma[j]] != p for j, p in row.items()):
                 break
-            for j in neighbor_idx[i]:
-                if ports.port(v, nodes[j]) != ports.port(w, nodes[sigma[j]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        else:
             stabilizer.append(sigma)
     return tuple(stabilizer)
 
@@ -130,32 +140,31 @@ def base_signature(
     group, of the base's port table (and id row, when the decoder sees
     identifiers) relabeled through the automorphism.
     """
-    nodes = group.nodes
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    neighbor_idx = [
-        sorted(index[u] for u in graph.neighbors(v)) for v in nodes
-    ]
-    best = None
-    for sigma in group.perms:
-        inverse = [0] * n
-        for i, image in enumerate(sigma):
-            inverse[image] = i
-        port_rows = tuple(
-            tuple(
-                ports.port(nodes[inverse[i]], nodes[inverse[j]])
-                for j in neighbor_idx[i]
-            )
-            for i in range(n)
-        )
-        if include_ids:
-            candidate = (
-                port_rows,
-                tuple(ids.id_of(nodes[inverse[i]]) for i in range(n)),
-            )
-        else:
-            candidate = (port_rows,)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+    table, id_row = _index_tables(group, ports, ids, include_ids)
+    # The table relabeled through an automorphism reads row i as
+    # table[inv[i]][inv[j]] over i's sorted neighbors j.  Aut(G) is a
+    # group, so ranging over the inverses is ranging over its elements:
+    # each element serves as ``inv`` directly.  The minimum is found row
+    # by row, keeping only the elements that tie on every row so far.
+    survivors = group.perms
+    port_rows = []
+    for i, row in enumerate(table):
+        neighbors = sorted(row)
+        best_row = None
+        tied = []
+        for inv in survivors:
+            image = table[inv[i]]
+            candidate = tuple([image[inv[j]] for j in neighbors])
+            if best_row is None or candidate < best_row:
+                best_row = candidate
+                tied = [inv]
+            elif candidate == best_row:
+                tied.append(inv)
+        port_rows.append(best_row)
+        survivors = tied
+    if id_row is None:
+        return (tuple(port_rows),)
+    return (
+        tuple(port_rows),
+        min(tuple(map(id_row.__getitem__, inv)) for inv in survivors),
+    )

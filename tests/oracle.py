@@ -1,5 +1,5 @@
-"""Test oracles: the build-then-decide Lemma 3.2 pipeline and the
-edge-subset graph walk.
+"""Test oracles: the build-then-decide Lemma 3.2 pipeline, the
+edge-subset graph walk, and the callback-driven view canonicalizer.
 
 The engine decides ``k``-colorability incrementally while the builder
 discovers ``V(D, n)``.  This oracle takes the independent route: build
@@ -12,6 +12,13 @@ Its brute-force side draws graphs from
 :func:`~repro.graphs.families.enumerate_graphs_exactly_reference` — every
 edge subset, deduplicated by isomorphism — so it stays independent of
 orderly generation, which emits the same stream.
+
+:func:`reference_view` canonicalizes a view the independent way: scan
+the graph's edge list for the view graph ``G_v^r``
+(:func:`~repro.graphs.traversal.view_subgraph_nodes_and_edges`),
+rebuild its adjacency, and propagate minimal port signatures through
+``port_of`` callbacks.  The engine's one-pass
+:func:`~repro.local.views.canonicalize_view` must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ from __future__ import annotations
 from functools import cache
 
 from repro.engine import ExecutionPlan, Provenance, Verdict
+from repro.errors import ViewError
 from repro.graphs.families import enumerate_graphs_exactly_reference
 from repro.graphs.graph import FrozenGraph
+from repro.graphs.traversal import view_subgraph_nodes_and_edges
+from repro.local.views import View
 from repro.neighborhood import (
     build_neighborhood_graph,
     labeled_yes_instances,
@@ -96,4 +106,54 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
             symmetry_pruned=pruned,
         ),
         legacy=legacy,
+    )
+
+
+def reference_view(instance, v, radius: int, include_ids: bool = True) -> View:
+    """The radius-*radius* view of *v*, canonicalized by layered
+    signature propagation over the scanned view graph."""
+    if radius < 1:
+        raise ViewError("views require radius >= 1")
+    dist, edges = view_subgraph_nodes_and_edges(instance.graph, v, radius)
+    port_of = instance.ports.port
+    labeling = instance.labeling
+    label_of = labeling.of if labeling is not None else (lambda _x: None)
+
+    adjacency: dict = {x: [] for x in dist}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    signature: dict = {v: ()}
+    # Nodes at distance d get the minimum over signatures of their
+    # distance-(d-1) neighbors extended by the edge's ports.
+    layers: dict[int, list] = {}
+    for x, d in dist.items():
+        layers.setdefault(d, []).append(x)
+    for d in range(1, max(dist.values(), default=0) + 1):
+        for x in layers.get(d, []):
+            candidates = [
+                signature[y] + ((port_of(y, x), port_of(x, y)),)
+                for y in adjacency[x]
+                if dist[y] == d - 1
+            ]
+            if not candidates:
+                raise ViewError(f"view node {x!r} at distance {d} has no predecessor")
+            signature[x] = min(candidates)
+
+    ordered = sorted(dist, key=lambda x: signature[x])
+    local = {x: i for i, x in enumerate(ordered)}
+    local_edges = sorted(
+        (min(local[a], local[b]), max(local[a], local[b])) for a, b in edges
+    )
+    return View(
+        radius=radius,
+        dist=tuple(dist[x] for x in ordered),
+        edges=tuple(local_edges),
+        ports=tuple(
+            (port_of(ordered[a], ordered[b]), port_of(ordered[b], ordered[a]))
+            for a, b in local_edges
+        ),
+        ids=(tuple(map(instance.ids.id_of, ordered)) if include_ids else None),
+        id_bound=(instance.id_bound if include_ids else None),
+        labels=tuple(map(label_of, ordered)),
     )

@@ -17,6 +17,7 @@ The load-bearing properties:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -381,3 +382,60 @@ def test_validator_flags_corrupt_payloads():
     summary = dict(payload["summary"], cells=999)
     bad = dict(payload, summary=summary)
     assert any("summary.cells" in error for error in validate_frontier_report(bad))
+
+
+# ----------------------------------------------------------------------
+# Pinned decisions of the frontier campaign
+# ----------------------------------------------------------------------
+
+#: Cell fingerprints of the benchmark's frontier campaign (five schemes,
+#: ``n = 3..5``, ``k in {2, 3}``).  They are independent of
+#: ``PYTHONHASHSEED``; a change to any of them changes a decision.
+FRONTIER_FINGERPRINTS = (
+    ("even-cycle[all] n=3 k=2 r=1", "c0d8188b07e24b77f6e882275dc8caa6"),
+    ("even-cycle[all] n=4 k=2 r=1", "17988d03caac585774abe3831d0eb79d"),
+    ("even-cycle[all] n=5 k=2 r=1", "17988d03caac585774abe3831d0eb79d"),
+    ("even-cycle[all] n=3 k=3 r=1", "d52dae23182748c155d4e5d01210a8c6"),
+    ("even-cycle[all] n=4 k=3 r=1", "cbadd768fb881dcadacdb1888b809f75"),
+    ("even-cycle[all] n=5 k=3 r=1", "cbadd768fb881dcadacdb1888b809f75"),
+    ("union[all] n=3 k=2 r=1", "6f42ea4d374a534edfe239c5f106f8fb"),
+    ("union[all] n=4 k=2 r=1", "76378774b610a99bf8df69e94d157ecd"),
+    ("union[all] n=5 k=2 r=1", "76378774b610a99bf8df69e94d157ecd"),
+    ("union[all] n=3 k=3 r=1", "2a76f703a055aa4263b960175d3bc7a2"),
+    ("union[all] n=4 k=3 r=1", "cbadd768fb881dcadacdb1888b809f75"),
+    ("union[all] n=5 k=3 r=1", "cbadd768fb881dcadacdb1888b809f75"),
+    ("revealing[all] n=3 k=2 r=1", "0de789c4966c062bdda6b7c3c21162b3"),
+    ("revealing[all] n=4 k=2 r=1", "e39add40110a85151ea4c8b21b0b2ed3"),
+    ("revealing[all] n=5 k=2 r=1", "e52887cdf18035f61d5e9edcec1d7fa9"),
+    ("revealing[all] n=3 k=3 r=1", "4a18eb7c62f25e87dc5032f7ac952199"),
+    ("revealing[all] n=4 k=3 r=1", "1f42b48cca22ec6876e4ece0b97df18f"),
+    ("revealing[all] n=5 k=3 r=1", "22ecb94f8225778f803155023df4d4a3"),
+    ("shatter[all] n=3 k=2 r=1", "c0d8188b07e24b77f6e882275dc8caa6"),
+    ("shatter[all] n=4 k=2 r=1", "c29e45e3549b0758a2ae6dc0fed9be23"),
+    ("shatter[all] n=5 k=2 r=1", "a9e665135c66fbda5c93bfb1abe24bae"),
+    ("shatter[all] n=3 k=3 r=1", "d52dae23182748c155d4e5d01210a8c6"),
+    ("shatter[all] n=4 k=3 r=1", "628fe59cee190a3051f83b59716294c9"),
+    ("shatter[all] n=5 k=3 r=1", "6fee2627b94a394c30f4724c0c6253ed"),
+    ("watermelon[all] n=3 k=2 r=1", "8fbebc71cb11209a77b8d166f3b3bf02"),
+    ("watermelon[all] n=4 k=2 r=1", "7e0c3f262d2c684533ae6e3d891f9ae2"),
+    ("watermelon[all] n=5 k=2 r=1", "736a89c5bcdc8eef840cb10ac2d535b3"),
+    ("watermelon[all] n=3 k=3 r=1", "3c90ed11a6971b85ce90d7547f50908d"),
+    ("watermelon[all] n=4 k=3 r=1", "275bba6f860797972f27f8320b9eea72"),
+    ("watermelon[all] n=5 k=3 r=1", "e4916ee56bf8f5dfa315ce301557c534"),
+)
+
+
+def test_frontier_campaign_fingerprints_are_pinned():
+    spec = CampaignSpec.sweep(
+        ("even-cycle", "union", "revealing", "shatter", "watermelon"),
+        n_min=3,
+        n_max=5,
+        k_values=(2, 3),
+        plan=NO_CACHE,
+    )
+    run = run_campaign(spec, ctx=RunContext.isolated())
+    assert not run.errors
+    got = tuple((result.cell.label(), result.fingerprint) for result in run.results)
+    assert got == FRONTIER_FINGERPRINTS
+    joined = "".join(fingerprint for _label, fingerprint in got)
+    assert hashlib.sha256(joined.encode()).hexdigest().startswith("a4be2d056667d819")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ViewError
+from repro.errors import NodeNotFoundError, ViewError
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_graph, star_graph
 from repro.graphs.traversal import is_connected
 from repro.local import (
@@ -45,6 +45,11 @@ class TestExtraction:
         instance = Instance.build(path_graph(2))
         with pytest.raises(ViewError):
             extract_view(instance, 0, 0)
+
+    def test_unknown_center_rejected(self):
+        instance = Instance.build(path_graph(2))
+        with pytest.raises(NodeNotFoundError):
+            extract_view(instance, 7, 1)
 
     def test_labels_carried(self):
         g = path_graph(3)

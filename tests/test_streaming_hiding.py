@@ -429,3 +429,27 @@ class TestWitnessRegressions:
         edge_count = len(walk) - 1
         assert is_odd_closed_walk(verdict.ngraph.to_graph(), walk)
         assert f"odd closed walk of {edge_count} views" in verdict.summary()
+
+    def test_full_sweep_stops_feeding_the_forest_after_the_witness(
+        self, monkeypatch
+    ):
+        """A hiding full sweep recovers its walk once: after the first
+        witness the forest is no longer fed, so ``_tree_path`` never runs
+        again, and the walk is the early-exit sweep's walk."""
+        calls = []
+        tree_path = ParityForest._tree_path
+
+        def counting(self, src, dst):
+            calls.append((src, dst))
+            return tree_path(self, src, dst)
+
+        monkeypatch.setattr(ParityForest, "_tree_path", counting)
+        lcp = DegreeOneLCP()
+        plan = dict(warm_start=False, disk_cache=False)
+        full = decide_hiding(
+            lcp, 5, ExecutionPlan(early_exit=False, **plan), ctx=RunContext.isolated()
+        )
+        assert full.hiding is True
+        assert len(calls) == 1
+        early = decide_hiding(lcp, 5, ExecutionPlan(**plan), ctx=RunContext.isolated())
+        assert early.witness == full.witness

@@ -1,13 +1,25 @@
 """Property tests pinning down view canonicalization: views are values
 that depend only on the rooted port/id/label structure — never on node
-names, insertion order, or extraction order."""
+names, insertion order, or extraction order — and the one-pass
+canonicalizer agrees with the callback-driven oracle of
+:mod:`tests.oracle` on every route that builds views."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import random_graph
 from repro.graphs.traversal import is_connected
-from repro.local import Instance, Labeling, PortAssignment, extract_view
+from repro.local import (
+    IdentifierAssignment,
+    Instance,
+    Labeling,
+    PortAssignment,
+    extract_view,
+)
+from repro.local.simulator import simulate_views
+from repro.local.views import extract_view_layouts, relabel_view
+
+from .oracle import reference_view
 
 
 def _connected(n, p, seed):
@@ -99,3 +111,74 @@ class TestLayoutFastPath:
             rebuilt = relabel_view(template, order, labeling)
             assert rebuilt == extract_view(labeled, v, 1, include_ids=False)
             assert rebuilt.is_anonymous
+
+
+#: Node renamings under which ``repr`` order disagrees with index order
+#: ("n10" < "n2"; tuples sort on their first field first).
+_NAMINGS = {
+    "int": lambda v: v,
+    "str": lambda v: f"n{v}",
+    "tuple": lambda v: (v % 3, f"t{v}"),
+}
+
+
+def _fields(view):
+    return (
+        view.radius,
+        view.dist,
+        view.edges,
+        view.ports,
+        view.ids,
+        view.id_bound,
+        view.labels,
+    )
+
+
+class TestOracleAgreement:
+    """Every view route equals :func:`tests.oracle.reference_view`, field
+    for field and in ``hash()``, on random ports and ids, radius 1–3,
+    both identifier modes, non-integer node names and disconnected
+    graphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        p=st.floats(0.0, 0.9),
+        seed=st.integers(0, 10**5),
+        naming=st.sampled_from(sorted(_NAMINGS)),
+        radius=st.integers(1, 3),
+        include_ids=st.booleans(),
+    )
+    def test_every_route_matches_the_oracle(
+        self, n, p, seed, naming, radius, include_ids
+    ):
+        rename = _NAMINGS[naming]
+        g = random_graph(n, p, seed).relabeled({v: rename(v) for v in range(n)})
+        id_bound = 2 * n + 3
+        instance = Instance.build(
+            g,
+            ports=PortAssignment.random(g, seed),
+            ids=IdentifierAssignment.random(g, id_bound, seed + 1),
+            id_bound=id_bound,
+        )
+        labeling = Labeling({v: (i * 7 + seed) % 3 for i, v in enumerate(g.nodes)})
+        labeled = instance.with_labeling(labeling)
+        expected = {
+            v: reference_view(labeled, v, radius, include_ids=include_ids)
+            for v in g.nodes
+        }
+        simulated, _stats = simulate_views(labeled, radius, include_ids=include_ids)
+        layouts = extract_view_layouts(instance, radius, include_ids=include_ids)
+        assert list(layouts) == g.nodes
+        for v, want in expected.items():
+            template, order = layouts[v]
+            for got in (
+                extract_view(labeled, v, radius, include_ids=include_ids),
+                relabel_view(template, order, labeling),
+                simulated[v],
+            ):
+                assert _fields(got) == _fields(want)
+                assert hash(got) == hash(want)
+            assert template == reference_view(
+                instance, v, radius, include_ids=include_ids
+            )
