@@ -7,8 +7,7 @@ itself — each pair of axis-adjacent cells whose hiding verdicts (equiv.
 ``V(D, n)`` ``k``-colorability) disagree.  Reports share the run-report
 infrastructure of :mod:`repro.obs.report`: content-addressed JSON under
 ``.repro_runs/`` (``$REPRO_RUNS_DIR``), a declared schema, and a
-validator CI gates on (:func:`validate_frontier_report`; the benchmark
-harness runs it in its ``--frontier-smoke`` leg).
+validator the tests gate on (:func:`validate_frontier_report`).
 """
 
 from __future__ import annotations

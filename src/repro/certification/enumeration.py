@@ -25,7 +25,7 @@ from ..local.labeling import (
     node_sort_order,
 )
 from ..local.views import relabel_view
-from ..perf.cache import layouts_for_instance, memoized_decide
+from ..perf.cache import default_layout_cache, memoized_decide
 from .decoder import Decoder
 from .lcp import LCP
 from .prover import Prover
@@ -74,7 +74,7 @@ def unanimously_accepted_labelings(
     operation.  *stats* receives the kernel's batch counters (defaults
     to the process-wide stats).
     """
-    layouts = layouts_for_instance(instance, radius, include_ids=include_ids)
+    layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
     node_order = node_sort_order(instance.graph)
     if seen is None:
         seen = set()

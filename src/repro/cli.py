@@ -36,9 +36,6 @@ Subcommands
     (``validate`` accepts frontier reports too, dispatching on schema);
     ``list`` enumerates stored reports newest first, ``profile`` renders
     the span self-time breakdown of one report.
-``repro bench check ...``
-    Compare fresh ``BENCH_*.json`` rows against the recorded timing
-    history and exit nonzero on confirmed regressions.
 ``repro cache stats|clear``
     Inspect or empty the persistent sweep cache under ``.repro_cache/``.
 
@@ -95,20 +92,26 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .experiments import all_experiments, render_results, run_experiment  # noqa: PLC0415
+    from .errors import ExperimentError  # noqa: PLC0415
+    from .experiments import all_experiments, get_experiment, render_results  # noqa: PLC0415
     from .perf import GLOBAL_STATS  # noqa: PLC0415
     from .perf.config import CONFIG  # noqa: PLC0415
 
+    if "all" in args.experiments:
+        experiments = all_experiments()
+    else:
+        try:
+            experiments = [get_experiment(exp_id) for exp_id in args.experiments]
+        except ExperimentError as exc:
+            print(f"repro run: {exc}", file=sys.stderr)
+            return 2
     if args.perf_stats:
         GLOBAL_STATS.reset()
     with CONFIG.overridden(
         workers=args.workers,
         disk_cache=True if args.disk_cache else None,
     ):
-        if "all" in args.experiments:
-            results = [e.run() for e in all_experiments()]
-        else:
-            results = [run_experiment(exp_id) for exp_id in args.experiments]
+        results = [e.run() for e in experiments]
     print(render_results(results))
     if args.perf_stats:
         from .experiments.report import render_perf_stats  # noqa: PLC0415
@@ -512,46 +515,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json  # noqa: PLC0415
-    from pathlib import Path  # noqa: PLC0415
-
-    from .obs import sentinel  # noqa: PLC0415
-
-    paths = args.payloads or [
-        name
-        for name in ("BENCH_neighborhood.json", "BENCH_hiding.json")
-        if Path(name).is_file()
-    ]
-    if not paths:
-        raise SystemExit(
-            "repro bench check: no BENCH_*.json payloads found (pass paths "
-            "explicitly or run benchmarks/run_benchmarks.py first)"
-        )
-    fresh = []
-    for path in paths:
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, OSError) as exc:
-            raise SystemExit(f"repro bench check: cannot read {path}: {exc}")
-        fresh.extend(sentinel.extract_rows(payload))
-    history = sentinel.load_history(args.history)
-    verdicts = sentinel.check_regressions(
-        fresh, history, threshold=args.threshold, min_samples=args.min_samples
-    )
-    print(sentinel.render_verdicts(verdicts, verbose=args.verbose))
-    regressions = sum(1 for v in verdicts if v["status"] == "regression")
-    if not regressions:
-        return 0
-    if args.advisory:
-        print(
-            f"advisory mode: {regressions} regression(s) reported, not failing",
-            file=sys.stderr,
-        )
-        return 0
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -802,55 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
         "folded-stack export to FILE",
     )
     report_parser.set_defaults(fn=cmd_report)
-
-    bench_parser = sub.add_parser(
-        "bench", help="benchmark trajectory tools (regression sentinel)"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="action", required=True)
-    bench_check = bench_sub.add_parser(
-        "check",
-        help="compare fresh BENCH_*.json rows against the recorded timing "
-        "history; exits nonzero on confirmed regressions",
-    )
-    bench_check.add_argument(
-        "payloads",
-        nargs="*",
-        help="BENCH payload path(s) (default: BENCH_neighborhood.json and "
-        "BENCH_hiding.json when present)",
-    )
-    bench_check.add_argument(
-        "--history",
-        default=None,
-        metavar="FILE",
-        help="history JSONL (default: <runs dir>/bench_history.jsonl)",
-    )
-    from .obs.sentinel import DEFAULT_MIN_SAMPLES, DEFAULT_THRESHOLD  # noqa: PLC0415
-
-    bench_check.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        metavar="X",
-        help="regression ratio vs the trailing median "
-        f"(default: {DEFAULT_THRESHOLD})",
-    )
-    bench_check.add_argument(
-        "--min-samples",
-        type=int,
-        default=DEFAULT_MIN_SAMPLES,
-        metavar="N",
-        help="prior samples a series needs before it can regress "
-        f"(default: {DEFAULT_MIN_SAMPLES})",
-    )
-    bench_check.add_argument(
-        "--advisory",
-        action="store_true",
-        help="report regressions but exit 0 (history-seeding runs)",
-    )
-    bench_check.add_argument(
-        "--verbose", action="store_true", help="show healthy rows too"
-    )
-    bench_check.set_defaults(fn=cmd_bench)
 
     cache_parser = sub.add_parser(
         "cache", help="inspect or clear the persistent sweep cache"

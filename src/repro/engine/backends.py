@@ -40,6 +40,7 @@ from ..obs.progress import counting_instances
 from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS
 from ..kernel import KERNEL_BATCH
+from ..kernel.batch import KERNEL_BLOCK_SIZE
 from ..symmetry.prune import SymmetryAccount
 from .context import RunContext
 from .plan import ExecutionPlan
@@ -355,7 +356,7 @@ class StreamingBackend:
         before_batches = ctx.stats.get("kernel_batches")
         before_labelings = ctx.stats.get("kernel_labelings")
         with ctx.tracer.span(
-            f"kernel:{KERNEL_BATCH}", block_size=CONFIG.kernel_block_size
+            f"kernel:{KERNEL_BATCH}", block_size=KERNEL_BLOCK_SIZE
         ) as span:
             try:
                 yield span

@@ -91,8 +91,7 @@ class RunContext:
     ) -> "RunContext":
         """An isolated context wired for observability: a live tracer
         plus a fresh metrics registry backing a fresh stats handle —
-        what the CLI's ``--trace``/``--trace-out`` and the benchmark
-        report emitters build per run."""
+        what the CLI's ``--trace``/``--trace-out`` builds per run."""
         ctx = cls.isolated(config=config)
         return replace(ctx, tracer=tracer if tracer is not None else Tracer())
 

@@ -203,14 +203,6 @@ class ExecutionPlan:
         )
         if shard_depth < 1:
             raise ValueError(f"shard_depth must be >= 1, got {shard_depth}")
-        # CI multi-core runners force parallelism past a conservative
-        # autodetection; an explicit plan.workers is never overridden.
-        if self.workers is None:
-            from ..perf.config import forced_workers  # noqa: PLC0415
-
-            forced = forced_workers()
-            if forced is not None:
-                workers = forced
         return replace(
             self,
             backend=BACKEND_STREAMING,

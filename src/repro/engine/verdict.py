@@ -116,7 +116,7 @@ class Provenance:
     #: subtree work units executed/adopted, shards a pool worker pulled
     #: beyond its fair share (the work-stealing smoothing of skewed
     #: subtrees), and shard-stage throughput.  Mirrored into the context
-    #: metrics registry, so the bench sentinel tracks parallel regimes.
+    #: metrics registry, so run reports record parallel regimes.
     shard_count: int | None = None
     steal_count: int | None = None
     shards_per_sec: float | None = None

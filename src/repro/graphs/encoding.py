@@ -13,14 +13,16 @@ from __future__ import annotations
 from itertools import permutations
 
 from ..perf.cache import LRUCache
-from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS
 from .graph import Graph, Node
+
+#: Entries :data:`_CANONICAL_CACHE` keeps.
+CANONICAL_CACHE_SIZE = 65536
 
 #: Canonical forms memoized by labelled graph key.  Family enumeration and
 #: the isomorphism tests recompute canonical forms of the same labelled
 #: graphs across sweeps; the cache turns repeat calls into dict lookups.
-_CANONICAL_CACHE = LRUCache(CONFIG.canonical_cache_size)
+_CANONICAL_CACHE = LRUCache(CANONICAL_CACHE_SIZE)
 
 
 def clear_canonical_cache() -> None:
@@ -60,10 +62,8 @@ def canonical_form(graph: Graph) -> tuple[int, ...]:
     permutations mapping nodes to same-degree positions can win.
 
     Results are memoized by labelled graph key (equal labelled graphs have
-    equal canonical forms); disable via ``perf.CONFIG.canonical_cache``.
+    equal canonical forms).
     """
-    if not CONFIG.canonical_cache:
-        return _canonical_form_uncached(graph)
     key = graph_key(graph)
     cached = _CANONICAL_CACHE.get(key)
     if cached is not None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from itertools import combinations
 
-from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS
 from .graph import FrozenGraph, Graph
 from .properties import (
@@ -82,10 +81,7 @@ def warm_graph_families(
     The engine calls this under its ``symmetry:generate`` span so
     generation cost is attributed to generation rather than smeared over
     the sweep.  No-op per size already cached; returns the number of
-    sizes enumerated.  Without ``CONFIG.family_cache`` there is nothing
-    to warm."""
-    if not CONFIG.family_cache:
-        return 0
+    sizes enumerated."""
     warmed = 0
     for size in range(max(1, lo + 1), hi + 1):
         if (size, connected_only, bipartite) not in _FAMILY_CACHE:
@@ -110,36 +106,31 @@ def all_graphs_exactly(
     generator never builds them).  Loops are not generated (a loop is
     never 2-colorable, and the paper's instances are simple).
 
-    Results are cached per ``(n, connected_only, bipartite)`` (see
-    ``perf.CONFIG.family_cache``).  With ``mutable=True`` every yielded
-    graph is an independent copy; ``mutable=False`` yields shared
-    :class:`FrozenGraph` objects instead — the fast path for the sweep,
-    which never mutates representatives.
+    Results are cached per ``(n, connected_only, bipartite)``.  With
+    ``mutable=True`` every yielded graph is an independent copy;
+    ``mutable=False`` yields shared :class:`FrozenGraph` objects instead —
+    the fast path for the sweep, which never mutates representatives.
     """
     from ..symmetry.orderly import orderly_graphs_exactly  # noqa: PLC0415
 
     if n <= 0:
         return
-    if CONFIG.family_cache:
-        key = (n, connected_only, bipartite)
-        cached = _FAMILY_CACHE.get(key)
-        if cached is not None:
-            GLOBAL_STATS.incr("family_cache_hits")
-            for g in cached:
-                yield g.copy() if mutable else g
-            return
-        GLOBAL_STATS.incr("family_cache_misses")
-        representatives: list[FrozenGraph] = []
-        for g in orderly_graphs_exactly(n, connected_only, bipartite):
-            frozen = FrozenGraph.freeze(g)
-            representatives.append(frozen)
-            yield g if mutable else frozen
-        # Commit only after full exhaustion, so an abandoned generator
-        # never caches a truncated family.
-        _FAMILY_CACHE[key] = tuple(representatives)
-    else:
-        for g in orderly_graphs_exactly(n, connected_only, bipartite):
-            yield g if mutable else FrozenGraph.freeze(g)
+    key = (n, connected_only, bipartite)
+    cached = _FAMILY_CACHE.get(key)
+    if cached is not None:
+        GLOBAL_STATS.incr("family_cache_hits")
+        for g in cached:
+            yield g.copy() if mutable else g
+        return
+    GLOBAL_STATS.incr("family_cache_misses")
+    representatives: list[FrozenGraph] = []
+    for g in orderly_graphs_exactly(n, connected_only, bipartite):
+        frozen = FrozenGraph.freeze(g)
+        representatives.append(frozen)
+        yield g if mutable else frozen
+    # Commit only after full exhaustion, so an abandoned generator
+    # never caches a truncated family.
+    _FAMILY_CACHE[key] = tuple(representatives)
 
 
 def _iso_invariant(g: Graph) -> tuple:
@@ -157,8 +148,7 @@ def enumerate_graphs_exactly_reference(n: int, connected_only: bool = True) -> I
 
     Builds a :class:`Graph` for every edge subset and deduplicates with
     the exact isomorphism search.  Kept as the differential-testing
-    oracle of orderly generation (same representatives, same order) and
-    as the seed-equivalent baseline of the neighborhood benchmarks;
+    oracle of orderly generation (same representatives, same order);
     never used on the hot path.
     """
     from .encoding import find_isomorphism  # noqa: PLC0415

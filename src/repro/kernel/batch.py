@@ -23,7 +23,7 @@ insertion order (the column order of
    :class:`~repro.kernel.tables.AcceptanceTable`, and drops the rejected
    rows.
 
-A stage never holds more than ``CONFIG.kernel_block_size`` rows (or one
+A stage never holds more than :data:`KERNEL_BLOCK_SIZE` rows (or one
 row's ``|alphabet|`` children, when that is larger): a wider prefix is
 split into chunks joined depth-first, which keeps product order too.
 
@@ -49,7 +49,6 @@ from ..local.labeling import Labeling
 from ..local.views import layout_label_columns
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS
 from ..perf.cache import memoized_decide
-from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from .tables import acceptance_table
 
@@ -58,6 +57,11 @@ from .tables import acceptance_table
 #: guard exists so a pathological caller falls back to the scalar loop
 #: instead of overflowing.
 MAX_INT64_SPACE = 2**62
+
+#: The most rows one join stage holds.  Chunk boundaries are
+#: unobservable — the yielded stream and all accounting are block-size
+#: independent — so this is purely a memory/throughput trade.
+KERNEL_BLOCK_SIZE = 4096
 
 
 def kernel_supports(graph, alphabet) -> bool:
@@ -93,7 +97,7 @@ def batch_unanimous_labelings(
     node_index = {v: i for i, v in enumerate(nodes)}
     order_pos = [node_index[v] for v in node_order]
     total = a**n
-    block = block_size or CONFIG.kernel_block_size
+    block = block_size or KERNEL_BLOCK_SIZE
     metrics = stats.metrics
     decide = memoized_decide(decoder, stats)
 

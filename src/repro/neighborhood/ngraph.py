@@ -18,10 +18,9 @@ from ..graphs.graph import Graph, Node
 from ..graphs.coloring import k_coloring
 from ..graphs.properties import bipartition
 from ..local.instance import Instance
-from ..local.views import View, extract_all_views
+from ..local.views import View
 from ..obs.trace import NULL_TRACER, Tracer
-from ..perf.cache import memoized_decide
-from ..perf.config import CONFIG
+from ..perf.cache import default_layout_cache, memoized_decide
 from ..perf.stats import GLOBAL_STATS, PerfStats
 
 
@@ -148,15 +147,8 @@ def _labeled_views(lcp: LCP, instance: Instance, stats: PerfStats) -> dict[Node,
     The templates of one ``(graph, ports, ids)`` base are extracted once;
     subsequent labelings of the same base only swap label tuples.
     """
-    include_ids = not lcp.anonymous
-    if not CONFIG.layout_cache:
-        views = extract_all_views(instance, lcp.radius, include_ids=include_ids)
-        stats.incr("views_extracted", len(views))
-        return views
-    from ..perf.cache import default_layout_cache  # noqa: PLC0415
-
     return default_layout_cache().labeled_views(
-        instance, lcp.radius, include_ids, stats=stats
+        instance, lcp.radius, not lcp.anonymous, stats=stats
     )
 
 
@@ -214,9 +206,8 @@ def build_neighborhood_graph(
     The scan goes through the performance layer (:mod:`repro.perf`): view
     layouts are extracted once per ``(graph, ports, ids)`` base and
     re-labeled per instance, and decoder verdicts are memoized per
-    canonical view.  Both caches are semantics-preserving (layouts never
-    depend on labels; decoders are pure functions of the view) and can be
-    disabled via :data:`repro.perf.CONFIG`.
+    canonical view.  Both caches are semantics-preserving: layouts never
+    depend on labels, and decoders are pure functions of the view.
     """
     stats = stats or GLOBAL_STATS
     tracer = tracer if tracer is not None else NULL_TRACER

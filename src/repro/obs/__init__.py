@@ -29,9 +29,6 @@ logging, and run reports — stdlib-only, zero-cost when off.
 * :mod:`repro.obs.export` — metrics exposition: a registry as
   Prometheus text (:func:`to_prometheus`, with :func:`parse_prometheus`
   as the round-trip gate) or flat JSON (:func:`to_flat_json`).
-* :mod:`repro.obs.sentinel` — the benchmark-regression sentinel:
-  append-only timing history under ``.repro_runs/`` and the
-  trailing-median check behind ``repro bench check``.
 """
 
 from .export import metric_name, parse_prometheus, to_flat_json, to_prometheus
@@ -72,18 +69,6 @@ from .report import (
     runs_dir,
     validate_report,
 )
-from .sentinel import (
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_THRESHOLD,
-    SENTINEL_SCHEMA,
-    append_history,
-    check_regressions,
-    extract_rows,
-    history_path,
-    load_history,
-    render_verdicts,
-    verdict_block,
-)
 from .trace import (
     NULL_SPAN,
     NULL_TRACER,
@@ -99,9 +84,7 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_MIN_SAMPLES",
     "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_THRESHOLD",
     "DEFAULT_TIME_BUCKETS",
     "EVENT_KINDS",
     "GLOBAL_METRICS",
@@ -112,7 +95,6 @@ __all__ = [
     "NULL_TRACER",
     "REPORT_SCHEMA",
     "ROOT_LOGGER_NAME",
-    "SENTINEL_SCHEMA",
     "SPAN_FIELDS",
     "Counter",
     "Gauge",
@@ -124,16 +106,11 @@ __all__ = [
     "Span",
     "TTYRenderer",
     "Tracer",
-    "append_history",
-    "check_regressions",
     "counting_instances",
     "diff_reports",
-    "extract_rows",
     "folded_stacks",
     "format_seconds",
     "get_logger",
-    "history_path",
-    "load_history",
     "metric_name",
     "parse_level",
     "parse_prometheus",
@@ -142,7 +119,6 @@ __all__ = [
     "render_diff",
     "render_profile",
     "render_span_tree",
-    "render_verdicts",
     "runs_dir",
     "self_times",
     "setup_logging",
@@ -153,6 +129,5 @@ __all__ = [
     "tree_coverage",
     "validate_report",
     "validate_span",
-    "verdict_block",
     "worker_span",
 ]

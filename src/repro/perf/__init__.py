@@ -20,7 +20,6 @@ from .cache import (
     ViewLayoutCache,
     clear_shared_caches,
     default_layout_cache,
-    layouts_for_instance,
     memoized_decide,
     shared_decision_memo,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "configure",
     "default_layout_cache",
     "default_verdict_cache",
-    "layouts_for_instance",
     "memoized_decide",
     "overridden",
     "shared_decision_memo",

@@ -25,10 +25,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable
 
-from .config import CONFIG
 from .stats import GLOBAL_STATS, PerfStats
 
 _MISSING = object()
+
+#: Bases a :class:`ViewLayoutCache` keeps; a sweep reuses one base's
+#: templates across all its labelings, so recency is all that matters.
+LAYOUT_CACHE_SIZE = 4096
+
+#: Canonical views a :class:`DecisionMemo` keeps per decoder.
+DECISION_MEMO_SIZE = 65536
 
 
 class LRUCache:
@@ -101,7 +107,7 @@ class ViewLayoutCache:
     __slots__ = ("_lru",)
 
     def __init__(self, maxsize: int | None = None) -> None:
-        self._lru = LRUCache(maxsize or CONFIG.layout_cache_size)
+        self._lru = LRUCache(maxsize or LAYOUT_CACHE_SIZE)
 
     @staticmethod
     def _key(instance, radius: int, include_ids: bool) -> tuple:
@@ -177,7 +183,7 @@ class DecisionMemo:
 
     def __init__(self, decoder, maxsize: int | None = None) -> None:
         self.decoder = decoder
-        self._lru = LRUCache(maxsize or CONFIG.decision_memo_size)
+        self._lru = LRUCache(maxsize or DECISION_MEMO_SIZE)
 
     def decide(self, view, stats: PerfStats | None = None) -> bool:
         stats = stats or GLOBAL_STATS
@@ -221,7 +227,7 @@ def default_layout_cache() -> ViewLayoutCache:
     """The process-wide shared layout cache."""
     global _DEFAULT_LAYOUT_CACHE
     if _DEFAULT_LAYOUT_CACHE is None:
-        _DEFAULT_LAYOUT_CACHE = ViewLayoutCache(CONFIG.layout_cache_size)
+        _DEFAULT_LAYOUT_CACHE = ViewLayoutCache()
     return _DEFAULT_LAYOUT_CACHE
 
 
@@ -231,9 +237,7 @@ def shared_decision_memo(decoder) -> DecisionMemo:
     Memos are keyed per decoder object, so a scheme and its deliberately
     weakened variants (distinct decoder instances) never share verdicts.
     """
-    return _MEMO_REGISTRY.get_or_compute(
-        id(decoder), lambda: DecisionMemo(decoder, CONFIG.decision_memo_size)
-    )
+    return _MEMO_REGISTRY.get_or_compute(id(decoder), lambda: DecisionMemo(decoder))
 
 
 def clear_shared_caches() -> None:
@@ -244,32 +248,17 @@ def clear_shared_caches() -> None:
 
 
 # ----------------------------------------------------------------------
-# Convenience wrappers used by the sweep pipeline
+# The decide closure used by the sweep pipeline
 # ----------------------------------------------------------------------
 
 
-def layouts_for_instance(
-    instance, radius: int, include_ids: bool, stats: PerfStats | None = None
-) -> dict:
-    """Layout templates via the shared cache, honoring the config switch."""
-    from ..local.views import extract_view_layouts  # noqa: PLC0415
-
-    if not CONFIG.layout_cache:
-        return extract_view_layouts(instance, radius, include_ids=include_ids)
-    return default_layout_cache().layouts_for(
-        instance, radius, include_ids, stats=stats
-    )
-
-
 def memoized_decide(decoder, stats: PerfStats | None = None) -> Callable[[Any], bool]:
-    """``decoder.decide`` through the shared memo (or raw when disabled).
+    """``decoder.decide`` through the shared memo.
 
     The returned closure inlines the memo's hit path — one dict probe,
     no intermediate frames — because the sweeps call it once per (node,
     labeling) pair and the hit rate is typically above 90%.
     """
-    if not CONFIG.decision_memo:
-        return decoder.decide
     memo = shared_decision_memo(decoder)
     lru = memo._lru
     data = lru._data

@@ -105,12 +105,12 @@ def run_sharded_sweep(
         else NeighborhoodGraph(radius=lcp.radius, include_ids=not lcp.anonymous)
     )
     store = None
-    if CONFIG.shard_checkpoints and plan.disk_cache and sweep_key is not None:
+    if plan.disk_cache and sweep_key is not None:
         store = ShardCheckpointStore(sweep_key)
     if queue is not None and store is None:
         raise ValueError(
-            "a ShardQueue needs checkpoints (disk_cache + shard_checkpoints "
-            "+ sweep_key) — foreign shards are adopted from the store"
+            "a ShardQueue needs checkpoints (disk_cache + sweep_key) — "
+            "foreign shards are adopted from the store"
         )
     outcome = ShardSweepOutcome(ngraph=ngraph, workers_effective=max(1, workers))
     progress = _ScanProgress(lcp, n, ctx, ngraph)

@@ -30,6 +30,7 @@ import time
 
 from ..neighborhood.aviews import labeled_yes_instances
 from ..obs.trace import worker_span
+from ..perf.cache import DecisionMemo, ViewLayoutCache
 from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from ..symmetry.orderly import build_level, emit_entries
@@ -48,31 +49,21 @@ class InstanceScanner:
     __slots__ = ("lcp", "stats", "layout_cache", "memo", "_last_graph", "_last_edges")
 
     def __init__(self, lcp, stats: PerfStats) -> None:
-        from ..perf.cache import DecisionMemo, ViewLayoutCache  # noqa: PLC0415
-
         self.lcp = lcp
         self.stats = stats
-        self.layout_cache = (
-            ViewLayoutCache(CONFIG.layout_cache_size) if CONFIG.layout_cache else None
-        )
-        self.memo = (
-            DecisionMemo(lcp.decoder, CONFIG.decision_memo_size)
-            if CONFIG.decision_memo
-            else None
-        )
+        self.layout_cache = ViewLayoutCache()
+        self.memo = DecisionMemo(lcp.decoder)
         self._last_graph = None
         self._last_edges: list = []
 
     def scan(self, instance) -> tuple[list, list]:
         """``(accepting (node, view) pairs, accepted edges)`` for one
         labeled instance, in the serial builder's visit order."""
-        views = _instance_views(self.lcp, instance, self.layout_cache, self.stats)
-        if self.memo is not None:
-            memo, stats = self.memo, self.stats
-            votes = {v: memo.decide(view, stats=stats) for v, view in views.items()}
-        else:
-            decide = self.lcp.decoder.decide
-            votes = {v: decide(view) for v, view in views.items()}
+        lcp, memo, stats = self.lcp, self.memo, self.stats
+        views = self.layout_cache.labeled_views(
+            instance, lcp.radius, not lcp.anonymous, stats=stats
+        )
+        votes = {v: memo.decide(view, stats=stats) for v, view in views.items()}
         accepting = [(v, views[v]) for v, accepted in votes.items() if accepted]
         if instance.graph is not self._last_graph:
             self._last_graph = instance.graph
@@ -81,20 +72,6 @@ class InstanceScanner:
             (u, v) for u, v in self._last_edges if votes.get(u) and votes.get(v)
         ]
         return accepting, edges
-
-
-def _instance_views(lcp, instance, layout_cache, stats: PerfStats) -> dict:
-    """Views of every node, through the layout cache when enabled."""
-    from ..local.views import extract_all_views  # noqa: PLC0415
-
-    include_ids = not lcp.anonymous
-    if layout_cache is None:
-        views = extract_all_views(instance, lcp.radius, include_ids=include_ids)
-        stats.incr("views_extracted", len(views))
-        return views
-    return layout_cache.labeled_views(
-        instance, lcp.radius, include_ids, stats=stats
-    )
 
 
 def run_shard(payload: dict) -> dict:

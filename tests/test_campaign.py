@@ -331,6 +331,32 @@ def test_frontier_locates_the_even_cycle_flip():
         assert flip["from"]["colorable"] is True
 
 
+def test_frontier_of_both_theorem_schemes_validates_and_flips():
+    """Both Theorem 1.1 schemes, n = 3..5, k in {2, 3}: every cell
+    decides, the report is schema-valid, and it locates the flips."""
+    spec = CampaignSpec.sweep(
+        ("degree-one", "even-cycle"),
+        n_min=3,
+        n_max=5,
+        k_values=(2, 3),
+        plan=NO_CACHE,
+    )
+    run = run_campaign(spec, ctx=RunContext.isolated())
+    assert not run.errors
+    report = build_frontier_report(run)
+    assert validate_frontier_report(report.payload) == []
+    summary = report.payload["summary"]
+    assert summary["cells"] == 12
+    assert summary["flips"] == 5
+    assert summary["flips_by_axis"] == {"n": 3, "k": 2}
+    degree_one = [
+        (flip["at"]["k"], flip["from"]["value"], flip["to"]["value"])
+        for flip in report.payload["flips"]
+        if flip["axis"] == "n" and flip["at"]["scheme"] == "degree-one"
+    ]
+    assert degree_one == [(2, 3, 4)]
+
+
 def test_frontier_report_round_trips(tmp_path):
     run = _even_cycle_run()
     report = build_frontier_report(run)

@@ -55,11 +55,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig2" in out and "OK" in out
 
-    def test_run_requires_known_id(self):
-        from repro.errors import ExperimentError
+    def test_run_requires_known_id(self, capsys):
+        assert main(["run", "fig2", "not-an-experiment"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "repro run: unknown experiment 'not-an-experiment'; known: "
+        )
+        assert "fig2" in line and "thm14" in line
 
-        with pytest.raises(ExperimentError):
-            main(["run", "not-an-experiment"])
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "check"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestHidingBackendFlag:

@@ -13,6 +13,7 @@ back to the pure-Python loops and plans resolve ``kernel`` to
 from __future__ import annotations
 
 import zlib
+from unittest import mock
 
 import pytest
 
@@ -26,11 +27,11 @@ from repro.kernel import (
     numpy_or_none,
     numpy_version,
 )
+from repro.kernel import batch
 from repro.kernel.batch import kernel_supports
 from repro.local.instance import Instance
 from repro.local.labeling import labeling_key, node_sort_order
-from repro.perf import PerfStats
-from repro.perf.config import CONFIG
+from repro.perf import PerfConfig, PerfStats
 from repro.symmetry.prune import SymmetryAccount
 
 HAVE_NUMPY = kernel_available()
@@ -117,10 +118,9 @@ def _compare_streams(
     for kernel in (None, "batch"):
         seen = set()
         account = SymmetryAccount()
-        overrides = {}
-        if block_size is not None:
-            overrides["kernel_block_size"] = block_size
-        with CONFIG.overridden(**overrides):
+        with mock.patch.object(
+            batch, "KERNEL_BLOCK_SIZE", block_size or batch.KERNEL_BLOCK_SIZE
+        ):
             gen = unanimously_accepted_labelings(
                 decoder,
                 base,
@@ -347,7 +347,7 @@ class TestCapabilityProbe:
         assert numpy_version() is None
         assert available_backends() == ["streaming"]
         # auto routes to the streaming backend with the kernels off.
-        plan = ExecutionPlan(disk_cache=False).resolve(type(CONFIG)())
+        plan = ExecutionPlan(disk_cache=False).resolve(PerfConfig())
         assert plan.backend == "streaming"
         assert plan.kernel == "off"
 

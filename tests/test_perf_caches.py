@@ -8,11 +8,17 @@ hiding experiments sound.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import DegreeOneLCP
 from repro.graphs import cycle_graph, path_graph
-from repro.graphs.encoding import canonical_form, clear_canonical_cache
+from repro.graphs.encoding import (
+    _canonical_form_uncached,
+    canonical_form,
+    clear_canonical_cache,
+)
 from repro.graphs.families import (
     all_graphs_exactly,
     clear_family_cache,
@@ -25,6 +31,8 @@ from repro.local.views import extract_all_views, extract_view_layouts, relabel_v
 from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
 from repro.perf import (
     CONFIG,
+    GLOBAL_STATS,
+    PerfConfig,
     PerfStats,
     configure,
     overridden,
@@ -139,11 +147,6 @@ class TestDecisionMemo:
         d2 = DegreeOneLCP().decoder
         assert shared_decision_memo(d1) is shared_decision_memo(d1)
         assert shared_decision_memo(d1) is not shared_decision_memo(d2)
-
-    def test_memoized_decide_raw_when_disabled(self):
-        decoder = DegreeOneLCP().decoder
-        with overridden(decision_memo=False):
-            assert memoized_decide(decoder) == decoder.decide
 
     def test_memoized_decide_mixed_certificate_alphabet(self):
         """Views whose labels mix ints, strings, and tuples memoize by
@@ -261,11 +264,13 @@ class TestFamilyEnumeration:
 def test_canonical_cache_transparent():
     clear_canonical_cache()
     g = cycle_graph(5)
-    with overridden(canonical_cache=False):
-        uncached = canonical_form(g)
+    misses_before = GLOBAL_STATS.get("canonical_misses")
     cold = canonical_form(g)
+    assert GLOBAL_STATS.get("canonical_misses") == misses_before + 1
+    hits_before = GLOBAL_STATS.get("canonical_hits")
     warm = canonical_form(g)
-    assert uncached == cold == warm
+    assert GLOBAL_STATS.get("canonical_hits") == hits_before + 1
+    assert _canonical_form_uncached(g) == cold == warm
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +301,23 @@ class TestStatsAndConfig:
         with pytest.raises(TypeError):
             configure(not_a_real_knob=1)
 
+    def test_config_has_exactly_the_plan_defaults(self):
+        """The caches are always on and their sizes are module constants:
+        what is left are the defaults plans resolve against."""
+        assert {f.name for f in fields(PerfConfig)} == {
+            "workers",
+            "warm_start",
+            "disk_cache",
+            "disk_cache_dir",
+            "symmetry",
+            "kernel",
+            "sharding",
+            "shard_depth",
+        }
+        for retired in ("layout_cache", "decision_memo", "kernel_block_size"):
+            with pytest.raises(TypeError):
+                configure(**{retired: False})
+
     def test_overridden_restores(self):
         before = CONFIG.workers
         with overridden(workers=7):
@@ -305,28 +327,28 @@ class TestStatsAndConfig:
     def test_overridden_none_leaves_knob_alone(self):
         """None means "don't touch" — call sites forward optional CLI
         arguments unfiltered, so None must neither set nor restore."""
-        before_workers, before_block = CONFIG.workers, CONFIG.kernel_block_size
-        with overridden(workers=None, kernel_block_size=512):
+        before_workers, before_depth = CONFIG.workers, CONFIG.shard_depth
+        with overridden(workers=None, shard_depth=512):
             assert CONFIG.workers == before_workers
-            assert CONFIG.kernel_block_size == 512
+            assert CONFIG.shard_depth == 512
             # A mutation made inside the scope to an un-overridden knob
             # survives the exit (nothing was saved for it).
             CONFIG.workers = before_workers + 1
         assert CONFIG.workers == before_workers + 1
-        assert CONFIG.kernel_block_size == before_block
+        assert CONFIG.shard_depth == before_depth
         CONFIG.workers = before_workers
 
     def test_overridden_scopes_nest_and_restore_on_error(self):
-        before = CONFIG.kernel_block_size
-        with overridden(kernel_block_size=64):
-            with overridden(kernel_block_size=8):
-                assert CONFIG.kernel_block_size == 8
-            assert CONFIG.kernel_block_size == 64
+        before = CONFIG.shard_depth
+        with overridden(shard_depth=64):
+            with overridden(shard_depth=8):
+                assert CONFIG.shard_depth == 8
+            assert CONFIG.shard_depth == 64
             with pytest.raises(RuntimeError):
-                with overridden(kernel_block_size=16):
+                with overridden(shard_depth=16):
                     raise RuntimeError("boom")
-            assert CONFIG.kernel_block_size == 64
-        assert CONFIG.kernel_block_size == before
+            assert CONFIG.shard_depth == 64
+        assert CONFIG.shard_depth == before
 
 
 # ----------------------------------------------------------------------

@@ -97,12 +97,3 @@ def test_auto_dispatches_on_config_workers():
     assert auto.provenance.workers == 2
     assert auto.provenance.shard_count
     _assert_identical(auto, serial)
-
-
-def test_parallel_with_caches_disabled_still_matches():
-    lcp = DegreeOneLCP()
-    with overridden(layout_cache=False, decision_memo=False):
-        serial = _serial(lcp, 4)
-        parallel = _full_sweep(lcp, 4, workers=2)
-    assert parallel.provenance.shard_count
-    _assert_identical(parallel, serial)

@@ -20,6 +20,8 @@ predicate, and the warm state the pool ships to its workers.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.certification.lcp import parametrized
@@ -35,8 +37,8 @@ from repro.kernel import clear_kernel_tables, kernel_available, numpy_or_none
 from repro.kernel.tables import kernel_tables_snapshot, prime_kernel_tables
 from repro.neighborhood import yes_instances_up_to
 from repro.neighborhood.aviews import bipartite_generation
+from repro.obs import Tracer
 from repro.perf import PerfStats, overridden
-from repro.perf.config import FORCE_WORKERS_ENV, forced_workers
 from repro.shard import plan_shards, sharding_effective
 from repro.symmetry.orderly import build_level, emit_entries, level_entries
 
@@ -78,9 +80,9 @@ def _full_sweep_plan(sharding: str, **kwargs) -> ExecutionPlan:
     return ExecutionPlan(**fields)
 
 
-def _sweep(scheme: str, sharding: str, n: int | None = None, **kwargs):
+def _sweep(scheme: str, sharding: str, n: int | None = None, ctx=None, **kwargs):
     clear_engine_state()
-    ctx = RunContext.isolated()
+    ctx = ctx if ctx is not None else RunContext.isolated()
     lcp = make_lcp(scheme)
     verdict = decide_hiding(
         lcp,
@@ -110,6 +112,38 @@ def test_sharded_sweep_matches_serial(scheme):
     # Provenance reports the shard stage only when it actually ran.
     assert sharded.provenance.shard_count
     assert serial.provenance.shard_count is None
+
+
+#: One level above :data:`DEPTH`: every scheme at n = 5, and the two
+#: Theorem 1.1 schemes at n = 6, also through a two-worker pool.
+POOL_SCHEMES = ("degree-one", "even-cycle")
+UPPER_CASES = [(scheme, 5) for scheme in SCHEMES] + [
+    (scheme, 6) for scheme in POOL_SCHEMES
+]
+
+
+@pytest.mark.parametrize("scheme, n", UPPER_CASES)
+def test_sharded_sweep_matches_serial_one_level_up(scheme, n):
+    serial, serial_counters = _sweep(scheme, "auto", n)
+    legs = {"in-process": _sweep(scheme, "on", n)}
+    if scheme in POOL_SCHEMES:
+        tracer = Tracer()
+        ctx = RunContext.observed(tracer)
+        legs["pool"] = _sweep(scheme, "on", n, ctx=ctx, workers=2)
+        pids = {
+            span["attributes"]["worker_pid"]
+            for span in tracer.finished_spans()
+            if span["name"] == "worker:shard"
+        }
+        assert pids and os.getpid() not in pids  # the shards ran in the pool
+    for leg, (sharded, counters) in legs.items():
+        assert sharded.provenance.shard_count, leg
+        assert sharded.decision_fingerprint() == serial.decision_fingerprint(), leg
+        assert (
+            sharded.provenance.instances_scanned
+            == serial.provenance.instances_scanned
+        ), leg
+        assert counters == serial_counters, leg
 
 
 @pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
@@ -299,17 +333,6 @@ def test_invalid_sharding_mode_and_depth_are_rejected():
         ExecutionPlan(backend="streaming", sharding="off").resolve()
     with pytest.raises(ValueError):
         ExecutionPlan(backend="streaming", shard_depth=0).resolve()
-
-
-def test_forced_workers_env_applies_only_when_unset(monkeypatch):
-    monkeypatch.setenv(FORCE_WORKERS_ENV, "3")
-    assert forced_workers() == 3
-    assert ExecutionPlan(backend="streaming").resolve().workers == 3
-    assert ExecutionPlan(backend="streaming", workers=1).resolve().workers == 1
-    monkeypatch.setenv(FORCE_WORKERS_ENV, "not-a-number")
-    assert forced_workers() is None
-    monkeypatch.delenv(FORCE_WORKERS_ENV)
-    assert forced_workers() is None
 
 
 def test_sharding_effective_rules():

@@ -19,6 +19,7 @@ from repro.graphs.incremental import IncrementalKColoring, ParityForest
 from repro.graphs.properties import is_odd_closed_walk
 from repro.engine import ExecutionPlan, RunContext, clear_engine_state, decide_hiding
 from repro.neighborhood import build_extraction_decoder
+from repro.obs import RunReport, Tracer, validate_report
 from repro.perf import PerfStats, overridden
 from repro.perf.persist import PersistentVerdictCache
 
@@ -45,17 +46,19 @@ def _decide(lcp, n, stats=None, **plan):
 # ----------------------------------------------------------------------
 
 
-def _assert_parity(lcp, n, workers):
+def _assert_parity(lcp, n, workers, ctx=None):
     materialized = oracle_verdict(lcp, n).legacy
-    streamed = _decide(
-        lcp,
-        n,
+    plan = ExecutionPlan(
         backend="streaming",
         workers=workers,
         warm_start=False,
         disk_cache=False,
+        memory_cache=False,
     )
-    assert streamed.hiding == materialized.hiding
+    verdict = decide_hiding(lcp, n, plan, ctx=ctx)
+    assert verdict.provenance.backend == "streaming"
+    streamed = verdict.legacy
+    assert verdict.hiding == streamed.hiding == materialized.hiding
     if streamed.hiding:
         # The witness need not be the identical walk, but it must be a
         # genuine odd closed walk of adjacent views in the streamed graph.
@@ -97,6 +100,37 @@ def test_streaming_matches_materialized_parallel(scheme, workers):
 @pytest.mark.parametrize("scheme", ["degree-one", "revealing"])
 def test_streaming_matches_materialized_n5_parallel(scheme, workers):
     _assert_parity(make_lcp(scheme), 5, workers=workers)
+
+
+def test_traced_early_exit_sweeps_write_a_valid_run_report(tmp_path, capsys):
+    """Every registry scheme at n = 3 and 4, serial and with two workers,
+    under one tracer: each verdict matches the oracle, and the run
+    report of the whole batch passes the schema check in process and
+    through ``repro report validate``."""
+    from repro.cli import main
+
+    tracer = Tracer()
+    ctx = RunContext.observed(tracer)
+    checks = 0
+    with tracer.span("early-exit-sweeps"):
+        for scheme in sorted(all_lcps()):
+            for n in (3, 4):
+                for workers in (1, 2):
+                    _assert_parity(make_lcp(scheme), n, workers, ctx=ctx)
+                    checks += 1
+    report = RunReport.from_run(
+        tracer=tracer,
+        metrics=ctx.metrics,
+        stats=ctx.stats,
+        meta={"kind": "smoke", "checks": checks},
+    )
+    assert validate_report(report.payload) == []
+    assert len(report.payload["spans"]) > checks
+    path = tmp_path / "smoke_run.json"
+    report.write(path=path, directory=tmp_path / "runs")
+    capsys.readouterr()
+    assert main(["report", "validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"valid run report {report.digest}\n"
 
 
 def test_non_hiding_extraction_decoders_are_equal():

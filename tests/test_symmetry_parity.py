@@ -25,8 +25,9 @@ from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.local.instance import Instance
 from repro.local.labeling import labeling_key, node_sort_order
-from repro.neighborhood import yes_instances_up_to
+from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
 from repro.neighborhood.aviews import symmetry_pruning_effective
+from repro.perf import overridden
 from repro.symmetry import (
     SymmetryAccount,
     automorphism_group,
@@ -82,6 +83,35 @@ def test_pruned_sweep_matches_brute_force(scheme, backend):
     assert on.provenance.edges == off.provenance.edges
     assert on.provenance.symmetry_pruned
     assert not off.provenance.symmetry_pruned
+
+
+@pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
+def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme):
+    """Both Theorem 1.1 schemes at n = 4 on the scalar loops: the
+    orbit-pruned ``V(D, 4)`` has the brute-force view list, edge set and
+    effective instance count, not only the same fingerprint."""
+    lcp = make_lcp(scheme)
+    graphs = {}
+    for mode in ("off", "on"):
+        account = SymmetryAccount()
+        with overridden(kernel="off"):
+            graph = build_neighborhood_graph(
+                lcp,
+                yes_instances_up_to(
+                    lcp,
+                    4,
+                    include_all_accepted_labelings=True,
+                    symmetry=mode,
+                    account=account,
+                ),
+            )
+        graph.instances_scanned += account.instances_suppressed
+        graphs[mode] = graph
+    assert account.instances_suppressed  # the "on" sweep did prune
+    off, on = graphs["off"], graphs["on"]
+    assert on.views == off.views
+    assert on.edges == off.edges
+    assert on.instances_scanned == off.instances_scanned
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -26,7 +26,6 @@ ALLOWED_WALL_CLOCK = {
     "obs/report.py": ("created",),
     "obs/trace.py": ("start_time",),
     "obs/progress.py": ("ts",),
-    "obs/sentinel.py": ("created",),
     "campaign/frontier.py": ("created",),
     "cli.py": ("now",),  # report-list age display, compared to mtimes
     # Shard-queue lease stamps are read by *other hosts*: wall clock is
