@@ -47,7 +47,8 @@ _FAMILY_CACHE: dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]] = {}
 
 
 def clear_family_cache() -> None:
-    """Drop the memoized family enumerations (cold-path benchmarks)."""
+    """Drop the memoized family enumerations (tests and cold-process
+    isolation)."""
     _FAMILY_CACHE.clear()
 
 

@@ -389,6 +389,10 @@ class PersistentVerdictCache:
                 with path.open("r", encoding="utf-8") as fh:
                     header = json.loads(fh.readline())
             except (OSError, ValueError):
+                header = None
+            # A header that is not an object, or whose key is not one, is
+            # as unreadable as one that does not parse (load() misses it).
+            if type(header) is not dict or type(header.get("key")) is not dict:
                 header = {"version": None, "key": {"corrupt": path.name}}
             header["file"] = path.name
             header["bytes"] = path.stat().st_size if path.exists() else 0

@@ -32,7 +32,8 @@ _AUT_CACHE = LRUCache(65536)
 
 
 def clear_automorphism_cache() -> None:
-    """Drop all memoized automorphism groups (cold-path benchmarks)."""
+    """Drop all memoized automorphism groups (tests and cold-process
+    isolation)."""
     _AUT_CACHE.clear()
 
 
@@ -58,56 +59,18 @@ class AutomorphismGroup:
         return len(self.perms) == 1
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Node-index orbits, each sorted, ordered by smallest member."""
-        n = len(self.nodes)
-        parent = list(range(n))
+        """Node-index orbits, each sorted, ordered by smallest member.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for sigma in self.perms:
-            for v in range(n):
-                rv, ri = find(v), find(sigma[v])
-                if rv != ri:
-                    parent[ri] = rv
+        ``orbit(v) = {sigma(v)}``, so the minimum over the perms' column
+        ``v`` is the smallest member of ``v``'s orbit and keys it."""
         groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
-
-    def node_orbits(self) -> tuple[tuple[Node, ...], ...]:
-        """The orbits as node labels instead of indices."""
-        return tuple(
-            tuple(self.nodes[i] for i in orbit) for orbit in self.orbits()
-        )
+        for v, column in enumerate(zip(*self.perms)):
+            groups.setdefault(min(column), []).append(v)
+        return tuple(tuple(members) for _, members in sorted(groups.items()))
 
     def orbit_representatives(self) -> tuple[int, ...]:
         """The smallest index of each orbit."""
         return tuple(orbit[0] for orbit in self.orbits())
-
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """A (greedily reduced) generating set, identity excluded."""
-        n = len(self.nodes)
-        identity = tuple(range(n))
-        gens: list[tuple[int, ...]] = []
-        known = {identity}
-        for sigma in self.perms:
-            if sigma in known:
-                continue
-            gens.append(sigma)
-            # Close the generated subgroup (tiny groups; BFS is plenty).
-            frontier = list(known)
-            while frontier:
-                tau = frontier.pop()
-                for g in gens:
-                    prod = tuple(g[tau[i]] for i in range(n))
-                    if prod not in known:
-                        known.add(prod)
-                        frontier.append(prod)
-        return tuple(gens)
 
 
 def automorphism_group(graph: Graph) -> AutomorphismGroup:

@@ -25,6 +25,15 @@ and classes are emitted in ascending mask order, so the stream is the
 one the tests' reference walk produces.  The automorphism group computed during generation is
 transported to the emitted labeling and seeded into the group cache.
 
+*Packed groups.*  A level entry keeps its class's automorphism group as
+one ``bytes`` block of ``|Aut| * n`` bytes: row-major node
+permutations, one byte per image index, identity first, in the order
+:func:`repro.symmetry.canon.automorphisms_from_perms` lists them.  Both
+routes read and write that one form (:func:`pack_perms` /
+:func:`unpack_perms`); numpy views it without a copy as a
+``(|Aut|, n)`` uint8 matrix, so the kernel route never converts a
+group to Python tuples until emission seeds the group cache.
+
 *Bipartite pruning.*  Every yes-instance of a ``k = 2`` LCP is
 bipartite, so its sweeps build with ``bipartite=True``: a third
 parent-side filter drops a subset that touches both colour classes of
@@ -82,29 +91,40 @@ _GENERATION_BLOCK = 2048
 GENERATION_VERSION = 2
 
 
-#: ``(size, bipartite) -> tuple of (adjacency rows, automorphism index
-#: perms)`` for *all* graphs (connected and not) on that many nodes —
-#: or all bipartite ones — one per class.
-_LEVELS: dict[
-    tuple[int, bool], tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
-] = {}
+#: Generation entries of one level: ``(adjacency rows, packed
+#: automorphism block)`` per class (see *Packed groups* above).
+Entries = tuple[tuple[tuple[int, ...], bytes], ...]
+
+#: ``(size, bipartite) -> Entries`` for *all* graphs (connected and not)
+#: on that many nodes — or all bipartite ones — one per class.
+_LEVELS: dict[tuple[int, bool], Entries] = {}
 
 
 def clear_orderly_cache() -> None:
-    """Drop the memoized generation levels (cold-path benchmarks)."""
+    """Drop the memoized generation levels (tests and cold-process
+    isolation)."""
     _LEVELS.clear()
 
 
-def _level(
-    n: int, bipartite: bool = False
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+def pack_perms(perms) -> bytes:
+    """Node permutations as one row-major block, a byte per image."""
+    return bytes(v for sigma in perms for v in sigma)
+
+
+def unpack_perms(block: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    """The permutation tuples of a :func:`pack_perms` block of *n*-node
+    permutations."""
+    return tuple(tuple(block[i : i + n]) for i in range(0, len(block), n))
+
+
+def _level(n: int, bipartite: bool = False) -> Entries:
     """Representatives of all graphs — or, with *bipartite*, all
     bipartite graphs — on exactly *n* nodes (memoized)."""
     cached = _LEVELS.get((n, bipartite))
     if cached is not None:
         return cached
     if n == 1:
-        entries = (((0,), ((0,),)),)
+        entries = (((0,), b"\x00"),)
         vectorized = False
     else:
         parents = _level(n - 1, bipartite)
@@ -128,27 +148,23 @@ def _level(
     return entries
 
 
-def level_entries(
-    n: int, bipartite: bool = False
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+def level_entries(n: int, bipartite: bool = False) -> Entries:
     """Public accessor for the memoized level-*n* representatives.
 
-    Each entry is ``(adjacency rows, automorphism perms)`` for one
+    Each entry is ``(adjacency rows, automorphism block)`` for one
     isomorphism class of *all* graphs (connected and not; with
     *bipartite*, all bipartite graphs) on exactly ``n`` nodes, in
-    generation order.  The shard layer slices this tuple into subtree
+    generation order; the block packs the class's ``|Aut|`` node
+    permutations into ``|Aut| * n`` bytes, identity first.  The shard layer slices this tuple into subtree
     roots: the descendants of a contiguous root range, concatenated in
     range order, are exactly the corresponding contiguous slice of every
     deeper level of the same tree."""
     return _level(n, bipartite)
 
 
-def build_level(
-    k: int,
-    parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
-    bipartite: bool = False,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """One augmentation level from an *arbitrary* parent-entry tuple.
+def build_level(k: int, parents: Entries, bipartite: bool = False) -> Entries:
+    """One augmentation level from an *arbitrary* parent-entry tuple,
+    each entry ``(adjacency rows, packed automorphism block)``.
 
     Unlike :func:`_level` this neither reads nor writes the level memo,
     so shard workers can expand the subtree under any slice of a level's
@@ -191,17 +207,13 @@ def _bipartition_sides(rows: tuple[int, ...]) -> list[tuple[int, int]]:
     return sides
 
 
-def _build_level(
-    k: int,
-    parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
-    bipartite: bool = False,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+def _build_level(k: int, parents: Entries, bipartite: bool = False) -> Entries:
     """Scalar reference level build — the exact semantics the batched
     path below must reproduce entry for entry."""
     m = k - 1  # index of the new vertex
     out = []
     for rows_p, auts_p in parents:
-        nontrivial = auts_p[1:]
+        nontrivial = unpack_perms(auts_p, m)[1:]
         sides = _bipartition_sides(rows_p) if bipartite else ()
         for s in range(1 << m):
             # Bipartite filter: a subset touching both colour classes of
@@ -234,24 +246,21 @@ def _build_level(
             # Child-side filter: new vertex in the canonical-deletion orbit.
             if not any(pm[m] == m for pm in perms):
                 continue
-            out.append((tuple(child), automorphisms_from_perms(perms, k)))
+            out.append((tuple(child), pack_perms(automorphisms_from_perms(perms, k))))
     return tuple(out)
 
 
-def _build_level_batched(
-    k: int,
-    parents: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
-    np,
-    bipartite: bool = False,
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+def _build_level_batched(k: int, parents: Entries, np, bipartite: bool = False) -> Entries:
     """Array-native level build: both orderly filters and the canonical
     form run as batched numpy searches (:mod:`repro.kernel.generate`).
 
     Byte-identical to :func:`_build_level`: subsets are filtered in
     ascending order per parent, surviving candidates keep (parent-major,
     subset-ascending) order through one batched colex canonicalization,
-    and the emitted ``(rows, automorphisms)`` entries — including the
-    automorphism tuples' internal order — match the scalar DFS exactly.
+    and the emitted ``(rows, automorphism block)`` entries — including
+    the permutations' order inside each block — match the scalar DFS
+    exactly.  Each chunk's automorphism matrix becomes ``bytes`` once and
+    is sliced per kept class.
     """
     m = k - 1  # index of the new vertex
     GLOBAL_STATS.incr("orderly_levels_vectorized")
@@ -260,12 +269,7 @@ def _build_level_batched(
     subsets = np.arange(1 << m, dtype=np.int64)[:, None]
     batches = []
     for rows_p, auts_p in parents:
-        nontrivial = auts_p[1:]
-        sigma = (
-            np.array(nontrivial, dtype=np.int64)
-            if nontrivial
-            else np.zeros((0, m), dtype=np.int64)
-        )
+        sigma = np.frombuffer(auts_p, np.uint8).reshape(-1, m)[1:].astype(np.int64)
         # Parent-side filter: keep the orbit-minimal subset only.
         keep = orbit_minimal_subsets(bits, sigma, np)
         if bipartite:
@@ -298,17 +302,11 @@ def _build_level_batched(
         # Child-side filter: new vertex in the canonical-deletion orbit.
         flags = batch_deletion_flags(perms, gid, len(chunk), m, np)
         auts = batch_automorphisms(perms, gid, len(chunk), k, np)
-        bounds = np.searchsorted(gid, np.arange(len(chunk) + 1, dtype=np.int64))
+        block = auts.astype(np.uint8).tobytes()
+        bounds = (np.searchsorted(gid, np.arange(len(chunk) + 1)) * k).tolist()
         rows_list = chunk.tolist()
-        auts_list = auts.tolist()
-        for g in np.nonzero(flags)[0].tolist():
-            lo, hi = int(bounds[g]), int(bounds[g + 1])
-            out.append(
-                (
-                    tuple(rows_list[g]),
-                    tuple(tuple(a) for a in auts_list[lo:hi]),
-                )
-            )
+        for g in np.flatnonzero(flags).tolist():
+            out.append((tuple(rows_list[g]), block[bounds[g] : bounds[g + 1]]))
     return tuple(out)
 
 
@@ -329,7 +327,7 @@ def _bitset_connected(rows: tuple[int, ...], n: int) -> bool:
 
 
 def emit_entries(
-    entries: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
+    entries: Entries,
     n: int,
     connected_only: bool = True,
 ) -> Iterator[tuple[int, Graph]]:
@@ -344,15 +342,25 @@ def emit_entries(
     into the cache of :mod:`repro.symmetry.groups`.
     """
     possible_edges = list(combinations(range(n), 2))
+    np = kernel_numpy()
+    vectorized = np is not None and generation_supported(n)
+    nodes = tuple(range(n))
+    cols = np.arange(n) if vectorized else None
     pending = []
     for rows, auts in entries:
         if connected_only and not _bitset_connected(rows, n):
             continue
-        group = AutomorphismGroup(nodes=tuple(range(n)), perms=auts)
-        pending.append((rows, auts, group.orbit_representatives()))
+        if vectorized:
+            # orbit(v) = {sigma(v)}: v is its orbit's smallest member
+            # exactly when the block's column minimum at v is v.
+            group = np.frombuffer(auts, np.uint8).reshape(-1, n)
+            reps = tuple(np.flatnonzero(group.min(axis=0) == cols).tolist())
+        else:
+            group = unpack_perms(auts, n)
+            reps = AutomorphismGroup(nodes=nodes, perms=group).orbit_representatives()
+        pending.append((rows, group, reps))
     labeled = []
-    np = kernel_numpy()
-    if np is not None and generation_supported(n) and len(pending) > 1:
+    if vectorized and len(pending) > 1:
         # Batched emission labeling: one frontier search over the whole
         # level instead of one scalar DFS per class.
         for start in range(0, len(pending), _GENERATION_BLOCK):
@@ -382,9 +390,13 @@ def emit_entries(
         pos = [0] * n
         for p, v in enumerate(perm):
             pos[v] = p
-        emitted_auts = tuple(
-            tuple(pos[sigma[perm[p]]] for p in range(n)) for sigma in auts
-        )
+        if vectorized:
+            emitted = np.array(pos)[auts[:, perm]].tolist()
+            emitted_auts = tuple(map(tuple, emitted))
+        else:
+            emitted_auts = tuple(
+                tuple(pos[sigma[perm[p]]] for p in range(n)) for sigma in auts
+            )
         seed_automorphisms(graph, emitted_auts)
         yield mask, graph
 

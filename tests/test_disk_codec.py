@@ -376,3 +376,18 @@ def test_unpersistable_labels_skip_the_store(tmp_path):
         assert DiskVerdictStore().store({"n": 4}, fresh, stats=stats) is False
     assert stats.get("persist_skips") == 1
     assert not (tmp_path / "hiding").exists()
+
+
+def test_cache_stats_survives_hand_damaged_headers(tmp_path, capsys):
+    """``repro cache stats`` counts headers that are JSON but not an
+    object, or whose key is not an object, as stale instead of crashing."""
+    from repro import cli
+
+    entries = tmp_path / "hiding"
+    entries.mkdir()
+    for name, header in [("list", "[1,2]"), ("number", "7"), ("key", '{"key": 3}')]:
+        (entries / f"{name}.jsonl").write_text(header + "\n{}\n", encoding="utf-8")
+    assert cli.main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "stale entries:   3" in out
+    assert "entries:         3" in out

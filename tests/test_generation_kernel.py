@@ -3,8 +3,8 @@
 The batched canonicalization and orderly-generation kernels of
 :mod:`repro.kernel.generate` are pure accelerations: for every
 isomorphism class up to ``n = 7`` the vectorized canonical key, the
-minimizing-assignment order (hence the automorphism tuples), the level
-build, and the emission stream must match the scalar
+minimizing-assignment order (hence the packed automorphism blocks), the
+level build, and the emission stream must match the scalar
 ``colex_canonical`` / ``min_edge_mask`` / ``_build_level`` reference
 bit for bit.  OEIS A000088 / A001349 pin the class counts so a parity
 bug that drops or duplicates classes on *both* routes cannot hide.
@@ -52,6 +52,8 @@ from repro.symmetry.orderly import (
     clear_orderly_cache,
     count_classes,
     orderly_graphs_exactly,
+    pack_perms,
+    unpack_perms,
 )
 
 from .oracle import reference_graphs
@@ -80,7 +82,7 @@ def _fresh_generation_caches():
 
 def _scalar_levels(n: int, bipartite: bool = False):
     """Levels 1..n built strictly by the scalar reference path."""
-    levels = {1: (((0,), ((0,),)),)}
+    levels = {1: (((0,), b"\x00"),)}
     for k in range(2, n + 1):
         levels[k] = _build_level(k, levels[k - 1], bipartite)
     return levels
@@ -207,9 +209,76 @@ class TestLevelBuildParity:
         assert not generation_supported(MAX_GENERATION_NODES + 1)
 
 
+def _route_levels(n: int, bipartite: bool, route: str):
+    """Levels 1..n built strictly by one route from the level-1 literal."""
+    if route == "scalar":
+        return _scalar_levels(n, bipartite)
+    np = numpy_or_none()
+    levels = {1: _scalar_levels(1)[1]}
+    for k in range(2, n + 1):
+        levels[k] = _build_level_batched(k, levels[k - 1], np, bipartite)
+    return levels
+
+
+def _union_find_orbits(perms, n: int):
+    """Orbits by union-find over every permutation: the oracle for the
+    column-minimum :meth:`AutomorphismGroup.orbits`."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for sigma in perms:
+        for v in range(n):
+            rv, ri = find(v), find(sigma[v])
+            if rv != ri:
+                parent[ri] = rv
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    # A union-find root need not be its orbit's smallest member: order
+    # the orbits by smallest member, the documented contract.
+    return tuple(sorted(tuple(members) for members in groups.values()))
+
+
+class TestPackedAutomorphisms:
+    """Every level entry keeps its class's group as one ``bytes`` block:
+    row-major permutations, a byte per image, identity first, in
+    ``automorphisms_from_perms`` order."""
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    @pytest.mark.parametrize(
+        "route", ["scalar", pytest.param("batched", marks=needs_numpy)]
+    )
+    def test_level_blocks_pack_the_class_group(self, route, bipartite):
+        levels = _route_levels(7, bipartite, route)
+        for n in range(1, 8):
+            assert levels[n]
+            for rows, auts in levels[n]:
+                assert type(auts) is bytes
+                assert len(auts) % n == 0
+                perms = unpack_perms(auts, n)
+                assert perms[0] == tuple(range(n))
+                assert all(sorted(sigma) == list(range(n)) for sigma in perms)
+                _, minimizers = colex_canonical(list(rows), n)
+                assert auts == pack_perms(automorphisms_from_perms(minimizers, n))
+
+    def test_orbits_match_the_union_find_oracle(self):
+        assert AutomorphismGroup(nodes=(), perms=((),)).orbits() == ()
+        levels = _scalar_levels(7)
+        for n in range(1, 8):
+            for _, auts in levels[n]:
+                perms = unpack_perms(auts, n)
+                group = AutomorphismGroup(nodes=tuple(range(n)), perms=perms)
+                assert group.orbits() == _union_find_orbits(perms, n)
+
+
 class TestBipartiteLevelBuild:
     def test_scalar_bipartite_levels_are_the_filtered_full_levels(self):
-        # Entry for entry — rows and automorphism tuples — the pruned
+        # Entry for entry — rows and automorphism blocks — the pruned
         # tree is the bipartite subsequence of the full one.
         full = _scalar_levels(7)
         pruned = _scalar_levels(7, bipartite=True)
