@@ -34,7 +34,7 @@ def main() -> None:
 
     # 4. Hiding (Lemma 3.2): the accepting neighborhood graph V(D, 4) is
     #    not 2-colorable, so no one-round decoder can extract a coloring.
-    #    The plan picks the execution route (backend, workers, caches);
+    #    The plan picks the execution route (early exit, caches);
     #    the defaults are fine for a sweep this small.
     verdict = decide_hiding(lcp, 4, ExecutionPlan())
     print(f"\n{verdict.summary()}")

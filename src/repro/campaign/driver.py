@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +22,6 @@ from ..engine.context import RunContext
 from ..engine.core import decide_hiding
 from ..engine.plan import ExecutionPlan
 from ..obs.logs import get_logger
-from ..perf.pool import shared_pool
 from .spec import CampaignSpec, Cell
 
 log = get_logger("campaign")
@@ -31,7 +29,6 @@ log = get_logger("campaign")
 #: Provenance fields copied into cell results and report payloads.
 _PROVENANCE_FIELDS = (
     "backend",
-    "workers",
     "early_exit",
     "instances_scanned",
     "views",
@@ -42,9 +39,6 @@ _PROVENANCE_FIELDS = (
     "warm_witness_hit",
     "symmetry_pruned",
     "kernel",
-    "shard_count",
-    "steal_count",
-    "shards_per_sec",
     "wall_time_s",
     "trace_id",
 )
@@ -61,10 +55,10 @@ class CellResult:
     :meth:`~repro.engine.verdict.Verdict.digest` of its
     :meth:`~repro.engine.verdict.Verdict.decision_fingerprint`, the
     byte-level identity of the one decision route (stream-order witness
-    and coloring) that the plan-equivalence suite pins across kernel,
-    worker, sharding, and cache-tier variants.  ``trace_id`` is promoted out of the provenance
-    dict so frontier rows join directly against span exports and run
-    reports (``None`` for untraced or errored cells).
+    and coloring) that the plan-equivalence suite pins across kernel
+    and cache-tier variants.  ``trace_id`` is promoted out of the
+    provenance dict so frontier rows join directly against span exports
+    and run reports (``None`` for untraced or errored cells).
     """
 
     cell: Cell
@@ -142,13 +136,7 @@ def run_campaign(
         schemes=list(spec.schemes),
         trace_id=ctx.tracer.trace_id if ctx.tracer.active else None,
     )
-    # One process pool for the whole campaign: sharded cells reuse it via
-    # repro.perf.pool.active_pool instead of paying pool spawn/teardown
-    # per cell.  Only plans that take the shard route need it.
-    pool_scope = shared_pool(base.workers) if base.uses_shards else nullcontext()
-    with pool_scope, ctx.tracer.span(
-        "campaign", schemes=",".join(spec.schemes)
-    ) as root:
+    with ctx.tracer.span("campaign", schemes=",".join(spec.schemes)) as root:
         for cell in cells:
             bus.emit("cell_started", label=cell.label(), cell=cell.axes())
             result = _run_cell(cell, base, ctx)

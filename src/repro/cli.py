@@ -107,10 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return 2
     if args.perf_stats:
         GLOBAL_STATS.reset()
-    with CONFIG.overridden(
-        workers=args.workers,
-        disk_cache=True if args.disk_cache else None,
-    ):
+    with CONFIG.overridden(disk_cache=True if args.disk_cache else None):
         results = [e.run() for e in experiments]
     print(render_results(results))
     if args.perf_stats:
@@ -232,7 +229,6 @@ def cmd_hiding(args: argparse.Namespace) -> int:
         stats = PerfStats() if args.perf_stats else GLOBAL_STATS
         ctx = RunContext(stats=stats)
     plan = ExecutionPlan(
-        workers=args.workers,
         early_exit=not args.full_sweep,
         disk_cache=not args.no_disk_cache,
         symmetry=args.symmetry,
@@ -314,7 +310,6 @@ def cmd_frontier_run(args: argparse.Namespace) -> int:
     families = tuple(part for part in args.family.split(",") if part)
     with CONFIG.overridden(disk_cache_dir=args.cache_dir):
         plan = ExecutionPlan(
-            workers=args.workers,
             disk_cache=False if args.no_disk_cache else None,
             symmetry=args.symmetry,
         ).resolve()
@@ -497,6 +492,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached sweep(s) from {cache.root}")
+        leftovers = cache.clear_shard_checkpoints()
+        if leftovers:
+            print(f"removed {leftovers} stale shard checkpoint(s) from {cache.root}")
         return 0
     summary = cache.stats_summary()
     print(f"directory:       {summary['directory']}")
@@ -533,13 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run experiments and print reports")
     run_parser.add_argument("experiments", nargs="+", help="experiment ids, or 'all'")
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard-pool processes for full sweeps (default: serial)",
-    )
     run_parser.add_argument(
         "--perf-stats",
         action="store_true",
@@ -596,13 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="build the complete V(D, n) instead of stopping at the first "
         "witness",
-    )
-    hiding_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard-pool processes for a --full-sweep (default: serial)",
     )
     hiding_parser.add_argument(
         "--no-disk-cache",
@@ -697,10 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A1,A2",
         help="comma-separated caps on the certificate alphabet "
         "(default: the full alphabet)",
-    )
-    fr_run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard-pool processes per full sweep (default: serial)",
     )
     fr_run.add_argument(
         "--symmetry", choices=["auto", "on", "off"], default=None,

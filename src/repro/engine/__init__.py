@@ -1,15 +1,15 @@
 """The hiding-decision engine: one entrypoint, declarative plans.
 
-This package puts every hiding decision — early-exit or full sweeps,
-serial or sharded — behind a single pipeline::
+This package puts every hiding decision — early-exit or full sweeps —
+behind a single serial pipeline::
 
-    plan = ExecutionPlan(backend="streaming", workers=4, disk_cache=True)
+    plan = ExecutionPlan(backend="streaming", disk_cache=True)
     verdict = decide_hiding(lcp, n=5, plan=plan)
     print(verdict.summary())
     print(verdict.provenance.summary())   # backend, cache tier, wall time
 
 * :class:`ExecutionPlan` — *how* to decide: early-exit/warm-start ×
-  kernel × workers × cache tiers.  Unset fields resolve against the
+  kernel × cache tiers.  Unset fields resolve against the
   session's :class:`~repro.perf.config.PerfConfig`.
 * :func:`decide_hiding` — *what* to decide; returns a :class:`Verdict`
   envelope (decision + canonical witness + graph + :class:`Provenance`).

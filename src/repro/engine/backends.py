@@ -10,8 +10,7 @@ the first witness, ``False`` builds the complete ``V(D, n)``.  Either
 way the witness is the stream-order first odd closed walk and the
 coloring is the engine's own, so the ``hiding`` flag, the witness, and
 (on conclusive non-hiding sweeps) the complete graph and coloring are
-byte-identical across worker counts, kernel modes, sharding, and cache
-tiers.
+byte-identical across kernel modes and cache tiers.
 
 The plan's ``kernel`` mode is read here too: unless it is ``"off"``, the
 numpy kernels of :mod:`repro.kernel` run the unanimity sweeps as
@@ -70,14 +69,13 @@ def _symmetry_effective(lcp: LCP, plan: ExecutionPlan) -> bool:
 
 def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     """The sweep identity *without* ``n``: one key per (scheme, decoder,
-    enumeration bounds, early-exit mode) family.  Worker count is
-    deliberately absent — verdicts are byte-identical for any.  Orbit
-    pruning is part of the identity (early-exit counts may differ between
-    regimes); the generation kernel mode is not (byte-identical
-    streams).  A raised ``kernel_labeling_limit`` *is* part of the
-    identity — it admits labeling spaces the base limit refuses,
-    changing sweep content (resolve already normalized it to ``None``
-    wherever it is a no-op)."""
+    enumeration bounds, early-exit mode) family.  Orbit pruning is part
+    of the identity (early-exit counts may differ between regimes); the
+    generation kernel mode is not (byte-identical streams).  A raised
+    ``kernel_labeling_limit`` *is* part of the identity — it admits
+    labeling spaces the base limit refuses, changing sweep content
+    (resolve already normalized it to ``None`` wherever it is a
+    no-op)."""
     return (
         ENGINE_VERSION,
         type(lcp).__name__,
@@ -182,7 +180,6 @@ def _envelope(
     provenance = Provenance(
         backend=plan.backend,
         n=n,
-        workers=plan.workers or 0,
         early_exit=plan.early_exit,
         kernel=KERNEL_BATCH if plan.kernel != "off" else None,
         instances_scanned=g.instances_scanned,
@@ -232,53 +229,6 @@ def _apply_symmetry_account(ngraph, account: SymmetryAccount | None, ctx: RunCon
             ctx.stats.incr("symmetry_labelings_pruned", account.labelings_pruned)
         if account.bases_pruned:
             ctx.stats.incr("symmetry_bases_pruned", account.bases_pruned)
-
-
-def _sharding_effective(lcp: LCP, plan: ExecutionPlan, n: int) -> bool:
-    """Whether this sweep takes the sharded route (lazy import keeps the
-    shard layer out of the engine's import graph until it is used)."""
-    from ..shard import sharding_effective  # noqa: PLC0415
-
-    return sharding_effective(lcp, plan, n)
-
-
-def _run_sharded(
-    lcp: LCP,
-    n: int,
-    plan: ExecutionPlan,
-    ctx: RunContext,
-    *,
-    symmetry: str,
-    consumer,
-    into,
-    account,
-    flags: dict,
-    lo: int = 0,
-):
-    """Run the sharded sweep; fold its outcome into the provenance
-    *flags* dict; return the assembled neighborhood graph.  The sweep
-    key is the backend's own persistent identity, so shard checkpoints
-    can never cross sweeps."""
-    from ..shard import run_sharded_sweep  # noqa: PLC0415
-
-    outcome = run_sharded_sweep(
-        lcp,
-        n,
-        plan,
-        ctx,
-        bounds=_enumeration_bounds(plan),
-        symmetry=symmetry,
-        consumer=consumer,
-        into=into,
-        account=account,
-        lo=lo,
-        sweep_key=disk_key(lcp, n, plan),
-    )
-    flags["shard_count"] = outcome.shard_count
-    flags["steal_count"] = outcome.steal_count
-    if outcome.shards_per_sec is not None:
-        flags["shards_per_sec"] = outcome.shards_per_sec
-    return outcome.ngraph
 
 
 class _ThroughputMeter:
@@ -406,54 +356,19 @@ class StreamingBackend:
         pruned = _symmetry_effective(lcp, plan)
         account = SymmetryAccount() if pruned else None
         symmetry = plan.symmetry if pruned else "off"
-        sharded = _sharding_effective(lcp, plan, n)
-        shard_flags: dict = {}
         meter = _ThroughputMeter(ctx)
         with CONFIG.overridden(kernel=plan.kernel), ctx.stats.time_stage(
             "streaming_sweep"
         ):
-            with ctx.tracer.span(
-                "sweep", n=n, early_exit=plan.early_exit, sharded=sharded
-            ) as sweep:
-                lo = 0
-                instances = None
+            with ctx.tracer.span("sweep", n=n, early_exit=plan.early_exit) as sweep:
                 if state is not None and state.n <= n:
                     ctx.stats.incr("warm_starts")
                     warm_started = True
                     lo = state.n
                     engine = state.engine.clone()
                     engine.stats = ctx.stats
-                    with ctx.tracer.span(
-                        "symmetry:generate", n=n, mode=plan.symmetry
-                    ) as gen:
-                        # Early-exit sweeps generate lazily: pre-building
-                        # every family would waste the exit.  Sharded
-                        # sweeps never pre-generate past the shard depth —
-                        # the deeper levels are the shards' parallel work.
-                        gen.set_attributes(
-                            sizes_warmed=0
-                            if plan.early_exit or sharded
-                            else warm_graph_families(
-                                state.n, n, bipartite=bipartite_generation(lcp)
-                            ),
-                            deferred=plan.early_exit or sharded,
-                        )
-                    if not sharded:
-                        instances = _with_progress(
-                            yes_instances_between(
-                                lcp,
-                                state.n,
-                                n,
-                                **_enumeration_bounds(plan),
-                                symmetry=symmetry,
-                                account=account,
-                                stats=ctx.stats,
-                            ),
-                            lcp,
-                            n,
-                            ctx,
-                        )
                 else:
+                    lo = 0
                     engine = StreamingHidingEngine(
                         lcp.k,
                         lcp.radius,
@@ -461,54 +376,35 @@ class StreamingBackend:
                         early_exit=plan.early_exit,
                         stats=ctx.stats,
                     )
-                    with ctx.tracer.span(
-                        "symmetry:generate", n=n, mode=plan.symmetry
-                    ) as gen:
-                        gen.set_attributes(
-                            sizes_warmed=0
-                            if plan.early_exit or sharded
-                            else warm_graph_families(
-                                0, n, bipartite=bipartite_generation(lcp)
-                            ),
-                            deferred=plan.early_exit or sharded,
-                        )
-                    if not sharded:
-                        instances = _with_progress(
-                            yes_instances_up_to(
-                                lcp,
-                                n,
-                                **_enumeration_bounds(plan),
-                                symmetry=symmetry,
-                                account=account,
-                                stats=ctx.stats,
-                            ),
-                            lcp,
-                            n,
-                            ctx,
-                        )
+                with ctx.tracer.span("symmetry:generate", n=n, mode=plan.symmetry) as gen:
+                    # Early-exit sweeps generate lazily: pre-building
+                    # every family would waste the exit.
+                    gen.set_attributes(
+                        sizes_warmed=0
+                        if plan.early_exit
+                        else warm_graph_families(lo, n, bipartite=bipartite_generation(lcp)),
+                        deferred=plan.early_exit,
+                    )
+                sweep_args = dict(
+                    **_enumeration_bounds(plan),
+                    symmetry=symmetry,
+                    account=account,
+                    stats=ctx.stats,
+                )
+                instances = (
+                    yes_instances_between(lcp, lo, n, **sweep_args)
+                    if warm_started
+                    else yes_instances_up_to(lcp, n, **sweep_args)
+                )
                 with self._kernel_span(plan, ctx):
-                    if sharded:
-                        _run_sharded(
-                            lcp,
-                            n,
-                            plan,
-                            ctx,
-                            symmetry=symmetry,
-                            consumer=engine,
-                            into=engine.ngraph,
-                            account=account,
-                            flags=shard_flags,
-                            lo=lo,
-                        )
-                    else:
-                        build_neighborhood_graph_auto(
-                            lcp,
-                            instances,
-                            stats=ctx.stats,
-                            consumer=engine,
-                            into=engine.ngraph,
-                            tracer=ctx.tracer,
-                        )
+                    build_neighborhood_graph_auto(
+                        lcp,
+                        _with_progress(instances, lcp, n, ctx),
+                        stats=ctx.stats,
+                        consumer=engine,
+                        into=engine.ngraph,
+                        tracer=ctx.tracer,
+                    )
                 _apply_symmetry_account(engine.ngraph, account, ctx)
                 sweep.set_attributes(
                     warm_started=warm_started,
@@ -531,7 +427,6 @@ class StreamingBackend:
             ctx,
             warm_started=warm_started,
             symmetry_pruned=pruned,
-            **shard_flags,
             **meter.flags(elapsed),
         )
 

@@ -65,7 +65,7 @@ def decide_hiding(
 ) -> Verdict:
     """Decide whether *lcp* hides a ``k``-coloring up to *n* nodes.
 
-    *plan* says how (early exit, workers, caches); an unresolved plan — or
+    *plan* says how (early exit, caches); an unresolved plan — or
     ``None``, meaning "all defaults" — is resolved against ``ctx.config``
     first.  *k* and *r* are real decision inputs: a non-native value
     re-parameterizes the scheme for this decision
@@ -156,15 +156,9 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
             return loaded
 
     if verdict is None:
-        log.debug(
-            "%s n=%d: running %s backend (workers=%s)",
-            lcp.name,
-            n,
-            plan.backend,
-            plan.workers,
-        )
+        log.debug("%s n=%d: running %s backend", lcp.name, n, plan.backend)
         root.set_attribute("served_by", "sweep")
-        with tracer.span(f"backend:{plan.backend}", n=n, workers=plan.workers):
+        with tracer.span(f"backend:{plan.backend}", n=n):
             verdict = STREAMING.run(lcp, n, plan, ctx)
     verdict = _stamp_trace(verdict, ctx)
 

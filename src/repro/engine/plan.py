@@ -1,11 +1,11 @@
 """Declarative execution plans for the hiding decision.
 
 An :class:`ExecutionPlan` says *how* a Lemma 3.2 sweep should run —
-how many workers scan the enumeration, whether the sweep stops at the
-first witness or builds the complete ``V(D, n)``, whether the
-cross-``n`` warm start applies, and which cache tiers (in-memory memo,
-on-disk store) may serve or record the verdict — without saying
-anything about *what* is decided.
+whether the sweep stops at the first witness or builds the complete
+``V(D, n)``, whether the cross-``n`` warm start applies, and which
+cache tiers (in-memory memo, on-disk store) may serve or record the
+verdict — without saying anything about *what* is decided.  Every sweep
+runs in one process, serially.
 The what (scheme, ``n``) goes to :func:`repro.engine.decide_hiding`;
 the plan is reusable across schemes and sweeps.
 
@@ -34,12 +34,6 @@ class ExecutionPlan:
       ``"auto"``, which resolves to it.  The one route; the field stays
       so existing ``backend="streaming"`` plans keep working and
       provenance names the route that ran.
-    * ``workers`` — processes of the shard pool; ``None`` defers to
-      ``CONFIG.workers``, ``0``/``1`` mean serial.  Only sweeps the
-      ``sharding`` rule routes to the pool use them; every other sweep
-      runs serially.  The verdict and its provenance are byte-identical
-      for every worker count (the shard executor replays in serial
-      order).
     * ``early_exit`` — stop the sweep at the first
       non-``k``-colorability witness (the default).  ``False`` keeps the
       fused decision but builds the complete ``V(D, n)`` — what callers
@@ -92,23 +86,9 @@ class ExecutionPlan:
       alphabet (the campaign layer's alphabet-size axis).  ``None`` (the
       default) uses the full alphabet.  Changes sweep content, so a set
       value is part of every cache identity (disk key: only when set).
-    * ``sharding`` — the sharded-generation mode (``"auto"`` | ``"on"``;
-      ``None`` defers to ``CONFIG.sharding``): whether a sweep deeper
-      than ``shard_depth`` splits the canonical-augmentation tree into
-      subtree work units drained by a work-stealing process pool
-      (:mod:`repro.shard`).  The merged emission stream, accounts, and
-      fingerprints are byte-identical to the serial walk, so this knob
-      never enters a cache identity.  ``"auto"`` engages for full
-      sweeps with effective ``workers > 1``; ``"on"`` forces the
-      sharded path — even single-process, the deterministic test
-      route.  A serial sweep is ``workers`` of ``0`` or ``1``.
-    * ``shard_depth`` — the level at which the augmentation tree is
-      split (``None`` defers to ``CONFIG.shard_depth``).  Pure
-      granularity: unobservable in every output.
     """
 
     backend: str = BACKEND_AUTO
-    workers: int | None = None
     early_exit: bool = True
     warm_start: bool | None = None
     memory_cache: bool = True
@@ -122,34 +102,15 @@ class ExecutionPlan:
     kernel_labeling_limit: int | None = None
     graph_family: str = "all"
     alphabet_limit: int | None = None
-    sharding: str | None = None
-    shard_depth: int | None = None
 
     @property
     def is_resolved(self) -> bool:
         return (
             self.backend != BACKEND_AUTO
-            and self.workers is not None
             and self.warm_start is not None
             and self.disk_cache is not None
             and self.symmetry is not None
             and self.kernel is not None
-            and self.sharding is not None
-            and self.shard_depth is not None
-        )
-
-    @property
-    def uses_shards(self) -> bool:
-        """Whether this (resolved) plan runs sweeps deeper than
-        ``shard_depth`` on the shard route: always with
-        ``sharding="on"``, and with ``"auto"`` for full sweeps with more
-        than one worker."""
-        if self.sharding == "on":
-            return True
-        return (
-            self.sharding == "auto"
-            and (self.workers or 0) > 1
-            and not self.early_exit
         )
 
     def resolve(self, config: PerfConfig | None = None) -> "ExecutionPlan":
@@ -161,7 +122,6 @@ class ExecutionPlan:
                 f"unknown backend {self.backend!r}; "
                 f"known: {BACKEND_AUTO}, {BACKEND_STREAMING}"
             )
-        workers = self.workers if self.workers is not None else config.workers
         warm = self.warm_start if self.warm_start is not None else config.warm_start
         disk = self.disk_cache if self.disk_cache is not None else config.disk_cache
         symmetry = self.symmetry if self.symmetry is not None else config.symmetry
@@ -193,27 +153,14 @@ class ExecutionPlan:
             raise ValueError(
                 f"alphabet_limit must be positive, got {self.alphabet_limit}"
             )
-        sharding = self.sharding if self.sharding is not None else config.sharding
-        if sharding not in ("auto", "on"):
-            raise ValueError(
-                f"unknown sharding mode {sharding!r}; known: auto, on"
-            )
-        shard_depth = (
-            self.shard_depth if self.shard_depth is not None else config.shard_depth
-        )
-        if shard_depth < 1:
-            raise ValueError(f"shard_depth must be >= 1, got {shard_depth}")
         return replace(
             self,
             backend=BACKEND_STREAMING,
-            workers=workers,
             warm_start=warm,
             disk_cache=disk,
             symmetry=symmetry,
             kernel=kernel,
             kernel_labeling_limit=raised_limit,
-            sharding=sharding,
-            shard_depth=shard_depth,
         )
 
     def describe(self) -> str:
@@ -223,11 +170,10 @@ class ExecutionPlan:
             for name, on in (("memory", self.memory_cache), ("disk", self.disk_cache))
             if on
         ]
-        workers = "auto" if self.workers is None else (self.workers or "serial")
         symmetry = "auto" if self.symmetry is None else self.symmetry
         kernel = "auto" if self.kernel is None else self.kernel
         text = (
-            f"backend={self.backend} workers={workers} "
+            f"backend={self.backend} "
             f"early_exit={self.early_exit} warm_start={self.warm_start} "
             f"cache={'+'.join(tiers) if tiers else 'none'} "
             f"symmetry={symmetry} kernel={kernel}"
@@ -238,8 +184,5 @@ class ExecutionPlan:
             text += f" graph_family={self.graph_family}"
         if self.alphabet_limit is not None:
             text += f" alphabet_limit={self.alphabet_limit}"
-        if self.uses_shards:
-            depth = "auto" if self.shard_depth is None else self.shard_depth
-            text += f" sharding={self.sharding} shard_depth={depth}"
         return text
 

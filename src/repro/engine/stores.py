@@ -240,7 +240,6 @@ def _verdict_from_body(key: dict, body) -> Verdict:
     provenance = Provenance(
         backend="streaming",
         n=key.get("n", -1),
-        workers=0,
         early_exit=body["early_exit"],
         instances_scanned=body["instances_scanned"],
         views=order,

@@ -18,8 +18,8 @@ of :mod:`repro.neighborhood.streaming` — which finds this walk by
 construction and keeps it when a full sweep (``early_exit=False``) scans
 on.  Its coloring is the engine's own too (the union-find parity
 classes for ``k = 2``), so witness and coloring are byte-identical
-across every plan (early exit × kernel × workers × sharding × cache
-tiers); ``verdict.legacy.odd_cycle`` is the same walk.
+across every plan (early exit × kernel × cache tiers);
+``verdict.legacy.odd_cycle`` is the same walk.
 
 Decision digest
 ---------------
@@ -87,7 +87,6 @@ class Provenance:
 
     backend: str
     n: int
-    workers: int
     early_exit: bool
     instances_scanned: int
     views: int
@@ -112,14 +111,6 @@ class Provenance:
     #: names, so single-core hosts track per-op perf trajectory.
     labelings_per_sec: float | None = None
     canonicalizations_per_sec: float | None = None
-    #: Sharded-sweep gauges (``None`` when the sweep ran unsharded):
-    #: subtree work units executed/adopted, shards a pool worker pulled
-    #: beyond its fair share (the work-stealing smoothing of skewed
-    #: subtrees), and shard-stage throughput.  Mirrored into the context
-    #: metrics registry, so run reports record parallel regimes.
-    shard_count: int | None = None
-    steal_count: int | None = None
-    shards_per_sec: float | None = None
     wall_time_s: float = 0.0
     trace_id: str | None = None
 
@@ -135,7 +126,7 @@ class Provenance:
         # to render as a misleading "0.0 ms"; format_seconds drops to µs
         # for sub-millisecond times and prints an honest "0 s" for zero.
         text = (
-            f"{self.backend} backend ({source}), workers={self.workers}, "
+            f"{self.backend} backend ({source}), "
             f"{self.instances_scanned} instances scanned, "
             f"{self.views} views / {self.edges} edges, "
             f"{format_seconds(self.wall_time_s)}"
@@ -146,12 +137,6 @@ class Provenance:
             text += f", {self.labelings_per_sec:,.0f} labelings/s"
         if self.canonicalizations_per_sec is not None:
             text += f", {self.canonicalizations_per_sec:,.0f} canon/s"
-        if self.shard_count is not None:
-            text += f", {self.shard_count} shards"
-            if self.steal_count:
-                text += f" ({self.steal_count} stolen)"
-            if self.shards_per_sec is not None:
-                text += f", {self.shards_per_sec:,.1f} shards/s"
         if self.trace_id is not None:
             text += f", trace {self.trace_id}"
         return text

@@ -36,7 +36,6 @@ def config_overrides(plan: ExecutionPlan | None) -> dict:
     if plan is None:
         return {}
     return {
-        "workers": plan.workers,
         "disk_cache": plan.disk_cache,
         "symmetry": plan.symmetry,
         "kernel": plan.kernel,
@@ -50,7 +49,7 @@ def run_all(
 ) -> list[ExperimentResult]:
     """Run every registered experiment, in id order.
 
-    *plan* scopes the batch: its workers/cache/symmetry/kernel
+    *plan* scopes the batch: its cache/symmetry/kernel
     fields become the session config for the duration of the call
     (``CONFIG.overridden``), so a runner invocation can no longer leak
     knobs into subsequent in-process work.
@@ -159,13 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         "target", nargs="?", default="experiment_report.txt", help="report path"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard-pool processes for full sweeps (default: serial)",
-    )
-    parser.add_argument(
         "--disk-cache",
         action="store_true",
         help="persist sweep verdicts under .repro_cache/",
@@ -194,7 +186,6 @@ def main(argv: list[str] | None = None) -> int:
 
         setup_logging(args.log_level)
     plan = ExecutionPlan(
-        workers=args.workers,
         disk_cache=True if args.disk_cache else None,
         symmetry=args.symmetry,
     )

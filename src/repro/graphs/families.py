@@ -52,28 +52,6 @@ def clear_family_cache() -> None:
     _FAMILY_CACHE.clear()
 
 
-def family_cache_snapshot() -> dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]]:
-    """A picklable snapshot of the family cache (worker preloading)."""
-    return dict(_FAMILY_CACHE)
-
-
-def prime_family_cache(
-    snapshot: dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]],
-) -> int:
-    """Fill the cache from a parent-process *snapshot* without
-    overwriting entries; returns how many were added.  Called by the
-    pool initializer of :mod:`repro.perf.pool` so workers never
-    re-enumerate families the parent already has."""
-    added = 0
-    for key, graphs in snapshot.items():
-        if key not in _FAMILY_CACHE:
-            _FAMILY_CACHE[key] = tuple(graphs)
-            added += 1
-    if added:
-        GLOBAL_STATS.incr("family_cache_primed", added)
-    return added
-
-
 def warm_graph_families(
     lo: int, hi: int, connected_only: bool = True, bipartite: bool = False
 ) -> int:

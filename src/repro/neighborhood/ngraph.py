@@ -161,10 +161,6 @@ class GraphConsumer:
     before the next instance is even enumerated.  A consumer that sets
     ``done`` stops the scan on the spot (the streaming hiding engine does
     this the moment a non-``k``-colorability witness exists).
-
-    The shard executor replays worker scans in the builder's exact event
-    order, so an early exit fires at the same event on every route — the
-    parity guarantee the tests pin.
     """
 
     #: Builders stop scanning as soon as this turns True.

@@ -3,8 +3,7 @@ logging, and run reports — stdlib-only, zero-cost when off.
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`: the
   hierarchical span tree of a run (``decide_hiding`` → plan resolution →
-  backend → sweep → shard/cache spans), thread-safe, with process-pool
-  worker spans merged via :meth:`Tracer.adopt` and a JSONL exporter.
+  backend → sweep → cache spans), thread-safe, with a JSONL exporter.
   :data:`NULL_TRACER` is the free disabled default.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges,
   and fixed-bucket histograms.  Backs :class:`~repro.perf.stats.PerfStats`
@@ -80,7 +79,6 @@ from .trace import (
     span_tree,
     tree_coverage,
     validate_span,
-    worker_span,
 )
 
 __all__ = [
@@ -129,5 +127,4 @@ __all__ = [
     "tree_coverage",
     "validate_report",
     "validate_span",
-    "worker_span",
 ]

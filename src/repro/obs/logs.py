@@ -12,7 +12,6 @@ Logger names mirror the package layout::
 
     repro.engine          decision routing, cache-tier hits
     repro.perf.persist    disk store reads/writes/skips
-    repro.shard.executor  pool fallbacks and shard scheduling
     repro.obs.report      run-report emission
 """
 

@@ -11,9 +11,8 @@ The registry *backs* ``PerfStats`` rather than replacing it: a stats
 object bound via :meth:`PerfStats.bind_metrics` mirrors every counter
 increment into the registry and feeds each ``time_stage`` interval into a
 ``<stage>_seconds`` histogram, so the hundreds of existing ``incr`` call
-sites light up the metrics layer without being touched.  Worker-local
-registries merge with :meth:`MetricsRegistry.merge` exactly like
-worker-local stats do.
+sites light up the metrics layer without being touched.  Separate
+registries combine with :meth:`MetricsRegistry.merge`.
 
 Everything here is stdlib-only and cheap: a counter increment is one
 dict lookup + add; an unbound stats object pays a single attribute test.
@@ -155,9 +154,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry (worker-local measurements) into this
-        one.  Histograms with mismatched buckets fall back to replaying
-        the foreign mean ``count`` times — lossy but never wrong about
+        """Fold another registry's measurements into this one.
+        Histograms with mismatched buckets fall back to replaying the
+        foreign mean ``count`` times — lossy but never wrong about
         totals."""
         for name, counter in other.counters.items():
             self.counter(name).inc(counter.value)

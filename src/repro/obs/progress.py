@@ -57,9 +57,6 @@ EVENT_KINDS = (
     "generation_level",
     "experiment_started",
     "experiment_finished",
-    "shard_started",
-    "shard_finished",
-    "shard_checkpoint_hit",
 )
 
 Subscriber = Callable[[dict], None]
@@ -70,8 +67,7 @@ class ProgressBus:
 
     Subscribers are plain callables taking one dict.  Emission is
     in-line (no queue, no thread): ordering seen by a subscriber is
-    exactly emission order, which the process-pool ordering tests rely
-    on.
+    exactly emission order.
     """
 
     __slots__ = ("_subscribers", "errors")

@@ -77,7 +77,7 @@ def _digest(payload: dict) -> str:
 
 
 def plan_fingerprint(plan: Any) -> str | None:
-    """Digest of a (resolved) plan's content — worker count included, so
+    """Digest of a (resolved) plan's content — every field included, so
     "identical plan" means identical execution recipe."""
     if plan is None:
         return None

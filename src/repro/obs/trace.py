@@ -2,23 +2,19 @@
 
 A :class:`Tracer` records a tree of :class:`Span` objects — one span per
 pipeline stage (``decide_hiding`` → plan resolution → backend → sweep →
-shard scans / cache tiers) — with wall-clock timing and free-form
-attributes (instances scanned, early-exit point, cache tier hit, worker
-pid).  Design constraints, in order:
+cache tiers) — with wall-clock timing and free-form attributes
+(instances scanned, early-exit point, cache tier hit).  Design
+constraints, in order:
 
 1. **Zero cost when off.**  Every instrumented call site holds a tracer
    reference; the default is the process-wide :data:`NULL_TRACER`, whose
    ``span()`` is a no-op context manager yielding a shared dummy span.
-   Hot loops are never instrumented per event — spans are per stage,
-   shard, or sweep, so a traced run carries a few dozen spans, not
+   Hot loops are never instrumented per event — spans are per stage
+   or sweep, so a traced run carries a few dozen spans, not
    thousands.
-2. **Thread- and process-safe.**  Span stacks are thread-local (each
-   thread nests independently under the tracer's root); the finished-span
-   list is lock-guarded.  ``ProcessPoolExecutor`` workers cannot share a
-   tracer object, so they build plain span *records* (dicts, via
-   :func:`worker_span`) and the parent re-parents them into its own tree
-   with :meth:`Tracer.adopt` — every worker span ends up with a parent in
-   the merged tree.
+2. **Thread-safe.**  Span stacks are thread-local (each thread nests
+   independently under the tracer's root); the finished-span list is
+   lock-guarded.
 3. **Plain-dict export.**  A finished span serializes to a flat dict
    (see :data:`SPAN_FIELDS`); :meth:`Tracer.export_jsonl` writes one span
    per line.  :func:`span_tree` rebuilds the hierarchy from the flat
@@ -164,25 +160,6 @@ class Tracer:
             with self._lock:
                 self._finished.append(span.to_dict())
 
-    def adopt(self, records: list[dict], parent: Span | None = None) -> None:
-        """Merge span records produced elsewhere (pool workers) into this
-        tree.  Records whose ``parent_id`` is unknown here are re-parented
-        under *parent* (default: the current span), and every record is
-        restamped with this tracer's ``trace_id``."""
-        if not records:
-            return
-        if parent is None:
-            parent = self.current_span()
-        parent_id = parent.span_id if parent is not None else None
-        local_ids = {record["span_id"] for record in records}
-        with self._lock:
-            for record in records:
-                record = dict(record)
-                record["trace_id"] = self.trace_id
-                if record["parent_id"] not in local_ids:
-                    record["parent_id"] = parent_id
-                self._finished.append(record)
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -218,9 +195,6 @@ class _NullTracer(Tracer):
 
     def current_span(self) -> None:
         return None
-
-    def adopt(self, records: list[dict], parent: Span | None = None) -> None:
-        pass
 
     def finished_spans(self) -> list[dict]:
         return []
@@ -295,33 +269,6 @@ def format_seconds(seconds: float) -> str:
     if seconds > 0.0:
         return f"{seconds * 1e6:.0f} µs"
     return "0 s"
-
-
-# ----------------------------------------------------------------------
-# Worker-side span records (no Tracer object crosses the pool boundary)
-# ----------------------------------------------------------------------
-
-
-@contextmanager
-def worker_span(name: str, records: list[dict] | None, **attributes):
-    """Record one span as a plain dict appended to *records* — the
-    process-pool worker side of :meth:`Tracer.adopt`.  The record has no
-    parent; the adopting tracer re-parents it under the live span that
-    collected the worker's result.  ``records=None`` (an untraced run)
-    records nothing."""
-    if records is None:
-        yield NULL_SPAN
-        return
-    span = Span(name, trace_id="", parent_id=None)
-    span.attributes.update(attributes)
-    try:
-        yield span
-    except BaseException:
-        span.status = "error"
-        raise
-    finally:
-        span.finish()
-        records.append(span.to_dict())
 
 
 def validate_span(record: dict) -> list[str]:

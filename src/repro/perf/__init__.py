@@ -1,4 +1,4 @@
-"""Performance subsystem: caches, counters, and the shared process pool.
+"""Performance subsystem: knobs, caches and counters.
 
 The Lemma 3.1 sweep (``yes_instances_up_to`` → ``build_neighborhood_graph``)
 is the hot path of the whole repository; everything here exists to make it
@@ -10,8 +10,9 @@ run as fast as the hardware allows without changing a single result:
   (:class:`PerfStats`, :data:`GLOBAL_STATS`);
 * :mod:`repro.perf.cache` — the view-layout template cache and the
   decoder decision memo;
-* :mod:`repro.perf.pool` — the process pool the shard executor
-  (:mod:`repro.shard`) drains its work units on.
+* :mod:`repro.perf.persist` — the on-disk verdict store.
+
+Every sweep runs serially in the calling process.
 """
 
 from .cache import (

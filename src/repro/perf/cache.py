@@ -79,13 +79,6 @@ class LRUCache:
     def __contains__(self, key) -> bool:
         return key in self._data
 
-    def items(self):
-        """Snapshot of ``(key, value)`` pairs, least-recent first.
-
-        Used by the pool initializer to ship warm cache contents to
-        worker processes; does not touch hit/miss accounting."""
-        return list(self._data.items())
-
     def clear(self) -> None:
         self._data.clear()
         self.hits = 0

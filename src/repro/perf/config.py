@@ -1,13 +1,13 @@
 """Tunable knobs for the V(D, n) fast path.
 
 One module-level :class:`PerfConfig` holds the defaults every
-:class:`~repro.engine.plan.ExecutionPlan` resolves against: the shard
-pool, warm starts, the disk tier, orbit pruning and the numpy kernels.
-Experiments and the CLI (``--workers``) mutate it through
-:func:`configure` or scope changes with :func:`overridden`.  The
-in-process caches (view layouts, the decision memo, graph families,
-canonical forms) are always on; their sizes are constants of the
-modules that own them.
+:class:`~repro.engine.plan.ExecutionPlan` resolves against: warm
+starts, the disk tier, orbit pruning and the numpy kernels.  There is
+no worker count: every sweep runs serially in the calling process.
+Experiments and the CLI mutate it through :func:`configure` or scope
+changes with :func:`overridden`.  The in-process caches (view layouts,
+the decision memo, graph families, canonical forms) are always on;
+their sizes are constants of the modules that own them.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from dataclasses import dataclass, fields
 class PerfConfig:
     """Switches for the performance subsystem.
 
-    * ``workers`` — default process count of the shard pool; ``0`` or
-      ``1`` means serial.  More workers matter only where ``sharding``
-      engages; every other sweep runs serially.
     * ``warm_start`` — let consecutive sweeps of the same LCP
       at growing ``n`` resume from the previous state instead of
       recoloring from scratch (anonymous schemes only; ``V(D, n-1)``
@@ -38,21 +35,6 @@ class PerfConfig:
       suppressed-count accounting (see :mod:`repro.symmetry`) — for
       ``"auto"`` only on anonymous schemes, for ``"on"`` always, for
       ``"off"`` never.  Graph generation is orderly in every mode.
-    * ``sharding`` — the sharded-generation mode (``"auto"`` |
-      ``"on"``) plans resolve their ``sharding`` field against.
-      Sharding splits the canonical-augmentation tree at
-      ``shard_depth`` into independent subtree work units and drains
-      them on a work-stealing process pool (see :mod:`repro.shard`);
-      the merged emission stream and all accounting are byte-identical
-      to the serial walk, so this knob never enters a cache key.
-      ``"auto"`` engages it for full sweeps with more than one
-      effective worker; ``"on"`` forces the sharded path even
-      single-process (the deterministic test route).  Serial sweeps
-      are ``workers`` of ``0`` or ``1``.
-    * ``shard_depth`` — the prefix depth at which the augmentation tree
-      is split; subtree roots are the level-``shard_depth`` generation
-      entries.  Purely a granularity trade — never observable in any
-      output stream.
     * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
       :mod:`repro.kernel`, read by every sweep for both the Lemma 3.1
       unanimity pass (block-wise labeling evaluation) and orderly
@@ -62,14 +44,11 @@ class PerfConfig:
       byte-identical either way, so this knob never enters a cache key.
     """
 
-    workers: int = 0
     warm_start: bool = True
     disk_cache: bool = False
     disk_cache_dir: str | None = None
     symmetry: str = "auto"
     kernel: str = "auto"
-    sharding: str = "auto"
-    shard_depth: int = 4
 
     def apply(self, **kwargs) -> "PerfConfig":
         """Update fields in place (unknown names raise); returns self."""

@@ -413,16 +413,35 @@ class PersistentVerdictCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many files were removed."""
-        removed = 0
-        if not self._dir.is_dir():
-            return removed
-        for path in self._dir.glob("*.jsonl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+        return _unlink_all(self._dir, "*.jsonl")
+
+    def clear_shard_checkpoints(self) -> int:
+        """Delete the ``shards/*.pkl`` checkpoints that the retired
+        process pool left under the cache root, without opening them, and
+        the directory once it is empty; returns how many files were
+        removed.  Nothing reads these files any more."""
+        directory = self.root / "shards"
+        removed = _unlink_all(directory, "*.pkl")
+        try:
+            directory.rmdir()
+        except OSError:
+            pass  # missing, or something else lives there
         return removed
+
+
+def _unlink_all(directory: Path, pattern: str) -> int:
+    """Delete the files of *directory* matching *pattern*; returns how
+    many were removed (a missing directory removes none)."""
+    removed = 0
+    if not directory.is_dir():
+        return removed
+    for path in directory.glob(pattern):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed
 
 
 def default_verdict_cache() -> PersistentVerdictCache:

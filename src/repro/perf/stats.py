@@ -5,9 +5,7 @@ scanned, views extracted vs. relabeled, memo hits/misses, ...) and
 wall-clock time per named stage.  The builders update :data:`GLOBAL_STATS`
 by default; callers who want isolated measurements (benchmarks, tests)
 pass their own instance — the engine's :class:`~repro.engine.context.
-RunContext` threads one stats handle through the whole decision path, so
-shard workers accumulate into worker-local instances and :meth:`merge`
-back instead of racing on the shared global.
+RunContext` threads one stats handle through the whole decision path.
 
 A stats object can additionally be *bound* to a
 :class:`~repro.obs.metrics.MetricsRegistry`
@@ -62,17 +60,6 @@ class PerfStats:
             yield self
         finally:
             self.add_time(stage, time.perf_counter() - start)
-
-    def merge(self, other: "PerfStats | dict") -> None:
-        """Fold another stats object (or its ``as_dict`` form) into this one."""
-        if isinstance(other, PerfStats):
-            counters, timers = other.counters, other.timers
-        else:
-            counters, timers = other.get("counters", {}), other.get("timers", {})
-        for name, amount in counters.items():
-            self.incr(name, amount)
-        for stage, seconds in timers.items():
-            self.add_time(stage, seconds)
 
     def reset(self) -> None:
         self.counters.clear()

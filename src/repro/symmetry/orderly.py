@@ -84,13 +84,6 @@ from .groups import AutomorphismGroup, seed_automorphisms
 #: graph's search is independent and blocks run in order).
 _GENERATION_BLOCK = 2048
 
-#: Version of the generation algorithm (levels, filters, emission
-#: labeling).  Folded into shard-checkpoint keys so persisted subtree
-#: results can never survive an algorithm change that would alter the
-#: emission stream they cache.
-GENERATION_VERSION = 2
-
-
 #: Generation entries of one level: ``(adjacency rows, packed
 #: automorphism block)`` per class (see *Packed groups* above).
 Entries = tuple[tuple[tuple[int, ...], bytes], ...]
@@ -155,28 +148,8 @@ def level_entries(n: int, bipartite: bool = False) -> Entries:
     isomorphism class of *all* graphs (connected and not; with
     *bipartite*, all bipartite graphs) on exactly ``n`` nodes, in
     generation order; the block packs the class's ``|Aut|`` node
-    permutations into ``|Aut| * n`` bytes, identity first.  The shard layer slices this tuple into subtree
-    roots: the descendants of a contiguous root range, concatenated in
-    range order, are exactly the corresponding contiguous slice of every
-    deeper level of the same tree."""
+    permutations into ``|Aut| * n`` bytes, identity first."""
     return _level(n, bipartite)
-
-
-def build_level(k: int, parents: Entries, bipartite: bool = False) -> Entries:
-    """One augmentation level from an *arbitrary* parent-entry tuple,
-    each entry ``(adjacency rows, packed automorphism block)``.
-
-    Unlike :func:`_level` this neither reads nor writes the level memo,
-    so shard workers can expand the subtree under any slice of a level's
-    entries.  Because both underlying builds process parents in order
-    (subsets ascending per parent), expanding a partition of level ``k-1``
-    slice by slice and concatenating the results reproduces the full
-    level entry for entry.  *bipartite* prunes to the bipartite tree
-    (the parents must then be bipartite too)."""
-    np = kernel_numpy()
-    if np is not None and generation_supported(k):
-        return _build_level_batched(k, parents, np, bipartite)
-    return _build_level(k, parents, bipartite)
 
 
 def _bipartition_sides(rows: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -334,12 +307,9 @@ def emit_entries(
     """Label and emit generation *entries* of size *n* as
     ``(min_edge_mask, Graph)`` pairs in ascending mask order.
 
-    This is the emission half of :func:`orderly_graphs_exactly`, exposed
-    so shard workers can emit their subtree's slice of a level: distinct
-    classes have distinct minimal edge masks, so merging shard emissions
-    by mask reproduces the full level's globally sorted stream byte for
-    byte.  Emitted graphs carry their transported automorphism group
-    into the cache of :mod:`repro.symmetry.groups`.
+    This is the emission half of :func:`orderly_graphs_exactly`.
+    Emitted graphs carry their transported automorphism group into the
+    cache of :mod:`repro.symmetry.groups`.
     """
     possible_edges = list(combinations(range(n), 2))
     np = kernel_numpy()

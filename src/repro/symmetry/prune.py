@@ -59,25 +59,6 @@ class SymmetryAccount:
             return 0.0
         return self.labelings_pruned / self.labelings_total
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        """The counters as a flat tuple — the wire format shard workers
-        use to report per-instance deltas (see :mod:`repro.shard`)."""
-        return (
-            self.labelings_total,
-            self.labelings_pruned,
-            self.bases_total,
-            self.bases_pruned,
-            self.instances_suppressed,
-        )
-
-    def add_delta(self, delta: tuple[int, int, int, int, int]) -> None:
-        """Fold a counter delta (same field order as :meth:`as_tuple`)."""
-        self.labelings_total += delta[0]
-        self.labelings_pruned += delta[1]
-        self.bases_total += delta[2]
-        self.bases_pruned += delta[3]
-        self.instances_suppressed += delta[4]
-
 
 def _index_tables(
     group: AutomorphismGroup,

@@ -98,7 +98,6 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
         provenance=Provenance(
             backend="oracle",
             n=n,
-            workers=0,
             early_exit=False,
             instances_scanned=ngraph.instances_scanned,
             views=ngraph.order,

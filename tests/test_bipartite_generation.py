@@ -76,7 +76,6 @@ def _digest(data: bytes) -> str:
 def _decision_digests(lcp: LCP, n: int) -> tuple:
     plan = ExecutionPlan(
         backend="streaming",
-        workers=0,
         warm_start=False,
         memory_cache=False,
         disk_cache=False,

@@ -110,6 +110,22 @@ class TestHidingBackendFlag:
         assert exc.value.code == 2
         assert "--streaming" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig2", "--workers", "2"],
+            ["hiding", "degree-one", "--n", "3", "--workers", "2"],
+            ["frontier", "run", "degree-one", "--n-max", "3", "--workers", "2"],
+        ],
+        ids=["run", "hiding", "frontier-run"],
+    )
+    def test_workers_option_is_retired(self, argv, capsys):
+        """Every sweep runs in one process: ``--workers`` is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestViewsCommand:
     def test_views_prints_verdicts(self, capsys):

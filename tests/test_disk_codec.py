@@ -391,3 +391,24 @@ def test_cache_stats_survives_hand_damaged_headers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stale entries:   3" in out
     assert "entries:         3" in out
+
+
+def test_cache_clear_removes_leftover_shard_checkpoints(tmp_path, capsys):
+    """Older versions checkpointed pool shards as ``shards/*.pkl`` under
+    the cache root.  ``repro cache clear`` deletes them unread, along
+    with the sweep entries, and drops the emptied directory."""
+    from repro import cli
+
+    entries = tmp_path / "hiding"
+    entries.mkdir()
+    (entries / "sweep.jsonl").write_text("{}\n{}\n", encoding="utf-8")
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    (shards / "x.pkl").write_bytes(b"not a pickle")
+    assert cli.main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "removed 1 cached sweep(s)" in out
+    assert "removed 1 stale shard checkpoint(s)" in out
+    assert not (shards / "x.pkl").exists()
+    assert not shards.exists()
+    assert not (entries / "sweep.jsonl").exists()

@@ -1,11 +1,10 @@
 """Plan-equivalence properties of the unified hiding engine.
 
-The engine's contract: every plan (early exit × kernel × workers ×
-sharding × cache tiers) that answers the same question yields the
-*identical* decision — same hiding flag, byte-identical canonical
-witness walk, and on conclusive non-hiding sweeps the same complete
-graph and coloring — and the verdict's provenance reports the route and
-kernel that actually ran.
+The engine's contract: every plan (early exit × kernel × cache tiers)
+that answers the same question yields the *identical* decision — same
+hiding flag, byte-identical canonical witness walk, and on conclusive
+non-hiding sweeps the same complete graph and coloring — and the
+verdict's provenance reports the route and kernel that actually ran.
 """
 
 from __future__ import annotations
@@ -65,28 +64,24 @@ def _expected_kernel(plan: ExecutionPlan) -> str | None:
 
 
 def _plan_grid(tmp_path):
-    """Every (sweep × kernel × workers × cache tier) combination of the
-    acceptance criterion.  Disk-tier plans get a private cache dir."""
+    """Every (sweep × kernel × cache tier) combination of the acceptance
+    criterion.  Disk-tier plans get a private cache dir."""
     plans = []
     for sweep, kernel in GRID:
-        for workers in (1, 2):
-            for tier, memory_cache, disk_cache in (
-                ("nocache", False, False),
-                ("memory", True, False),
-                ("memory+disk", True, True),
-            ):
-                label = f"{sweep}-{kernel}-w{workers}-{tier}"
-                plan = ExecutionPlan(
-                    early_exit=SWEEPS[sweep],
-                    kernel=kernel,
-                    workers=workers,
-                    warm_start=False,
-                    memory_cache=memory_cache,
-                    disk_cache=disk_cache,
-                )
-                plans.append(
-                    (label, plan, str(tmp_path / label) if disk_cache else None)
-                )
+        for tier, memory_cache, disk_cache in (
+            ("nocache", False, False),
+            ("memory", True, False),
+            ("memory+disk", True, True),
+        ):
+            label = f"{sweep}-{kernel}-{tier}"
+            plan = ExecutionPlan(
+                early_exit=SWEEPS[sweep],
+                kernel=kernel,
+                warm_start=False,
+                memory_cache=memory_cache,
+                disk_cache=disk_cache,
+            )
+            plans.append((label, plan, str(tmp_path / label) if disk_cache else None))
     return plans
 
 
@@ -173,57 +168,11 @@ def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
         plan = ExecutionPlan(
             early_exit=SWEEPS[sweep],
             kernel=kernel,
-            workers=1,
             warm_start=False,
             disk_cache=False,
         )
         fps.add(decide_hiding(lcp, 5, plan).decision_fingerprint())
     assert len(fps) == 1
-
-
-#: (scheme, n, early_exit) sweeps whose provenance must not depend on
-#: the worker count: the default early-exit plan (which never takes the
-#: pool) and a full sweep above the default shard depth (which does).
-WORKER_CASES = [
-    ("degree-one", 5, True),
-    ("even-cycle", 7, True),
-    ("degree-one", 5, False),
-]
-
-#: Stats counters a sweep's provenance is explained by.
-SWEEP_COUNTERS = ("instances_scanned", "symmetry_labelings_total", "kernel_labelings")
-
-
-@pytest.mark.parametrize("scheme, n, early_exit", WORKER_CASES)
-def test_worker_count_leaves_provenance_unchanged(scheme, n, early_exit):
-    """``workers`` in {0, 2} gives the identical decision, the identical
-    ``Provenance`` counts, and the identical sweep counters: an early
-    exit scans the same instances whatever the worker count, and a full
-    sweep on the shard pool scans exactly what the serial one scans."""
-    lcp = make_lcp(scheme)
-    runs = {}
-    for workers in (0, 2):
-        clear_engine_state()
-        ctx = RunContext.isolated()
-        plan = ExecutionPlan(
-            workers=workers,
-            early_exit=early_exit,
-            warm_start=False,
-            memory_cache=False,
-            disk_cache=False,
-        )
-        verdict = decide_hiding(lcp, n, plan, ctx=ctx)
-        counters = {name: ctx.stats.get(name) for name in SWEEP_COUNTERS}
-        runs[workers] = (verdict, counters)
-    (serial, serial_counters), (pooled, pooled_counters) = runs[0], runs[2]
-    assert pooled.decision_fingerprint() == serial.decision_fingerprint()
-    for field in ("instances_scanned", "views", "edges"):
-        assert getattr(pooled.provenance, field) == getattr(
-            serial.provenance, field
-        ), field
-    assert pooled_counters == serial_counters
-    # Only the full sweep deeper than the shard depth takes the pool.
-    assert bool(pooled.provenance.shard_count) == (not early_exit)
 
 
 #: ``decision_fingerprint`` digest of full ``V(D, 6)`` of watermelon, as
@@ -234,12 +183,11 @@ WATERMELON_N6_DIGEST = "c032512099dd92e2"
 def test_watermelon_n6_full_sweep_has_one_coloring():
     """Full ``V(D, 6)`` of watermelon is 2-colorable with 22 components,
     so its coloring is where two deciders could pick different colors.
-    Every plan — cold, warm-started from n=4, scalar kernel, sharded,
-    two workers, no orbit pruning — reports the same coloring."""
+    Every plan — cold, warm-started from n=4, scalar kernel, no orbit
+    pruning — reports the same coloring."""
     lcp = make_lcp("watermelon")
     base = {
         "early_exit": False,
-        "workers": 0,
         "warm_start": False,
         "memory_cache": False,
         "disk_cache": False,
@@ -247,8 +195,6 @@ def test_watermelon_n6_full_sweep_has_one_coloring():
     variants = {
         "cold": {},
         "kernel-off": {"kernel": "off"},
-        "sharding-on": {"sharding": "on"},
-        "workers-2": {"workers": 2},
         "symmetry-off": {"symmetry": "off"},
     }
     digests = {}
@@ -289,7 +235,6 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
             plan = ExecutionPlan(
                 backend=BACKEND_STREAMING,
                 kernel=kernel,
-                workers=1,
                 early_exit=early_exit,
                 warm_start=False,
                 memory_cache=False,
@@ -374,7 +319,7 @@ def test_auto_backend_resolves_to_streaming():
     """``"auto"`` has one route to pick; the default plan is an early-exit
     sweep whatever the session config says."""
     lcp = make_lcp("degree-one")
-    for config in (PerfConfig(), PerfConfig(workers=2, warm_start=False)):
+    for config in (PerfConfig(), PerfConfig(warm_start=False, symmetry="off")):
         plan = ExecutionPlan().resolve(config)
         assert plan.backend == BACKEND_STREAMING
         assert plan.early_exit is True
@@ -590,30 +535,27 @@ if HAVE_HYPOTHESIS:
     @given(
         backend=st.sampled_from(["auto", BACKEND_STREAMING]),
         kernel=st.sampled_from([None, "auto", "off"]),
-        workers=st.sampled_from([None, 0, 1, 2, 7]),
         early_exit=st.booleans(),
         warm_start=st.sampled_from([None, True, False]),
         disk_cache=st.sampled_from([None, True, False]),
-        config_workers=st.sampled_from([0, 3]),
+        config_warm_start=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_resolve_plan_invariants(
         backend,
         kernel,
-        workers,
         early_exit,
         warm_start,
         disk_cache,
-        config_workers,
+        config_warm_start,
     ):
         """``ExecutionPlan.resolve`` always produces a fully resolved plan
         honoring the explicit-beats-config precedence, and resolution is
         idempotent."""
-        config = PerfConfig(workers=config_workers)
+        config = PerfConfig(warm_start=config_warm_start)
         plan = ExecutionPlan(
             backend=backend,
             kernel=kernel,
-            workers=workers,
             early_exit=early_exit,
             warm_start=warm_start,
             disk_cache=disk_cache,
@@ -626,7 +568,7 @@ if HAVE_HYPOTHESIS:
             assert plan.kernel == "off"
         else:
             assert plan.kernel == (kernel if kernel is not None else config.kernel)
-        assert plan.workers == (workers if workers is not None else config_workers)
-        if warm_start is not None:
-            assert plan.warm_start == warm_start
+        assert plan.warm_start == (
+            warm_start if warm_start is not None else config_warm_start
+        )
         assert plan.resolve(config) == plan

@@ -364,7 +364,6 @@ class TestKernelLabelingLimit:
             clear_engine_state()
             plan = ExecutionPlan(
                 backend="streaming",
-                workers=0,
                 early_exit=False,
                 warm_start=False,
                 memory_cache=False,

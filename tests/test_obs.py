@@ -1,10 +1,5 @@
 """The observability layer: tracer, metrics, run reports, logging, and
 their wiring through the hiding-decision engine.
-
-The span-tree integrity tests under ``workers > 1`` pin the process-pool
-merge contract: every worker span ends up with a parent in the merged
-tree, and the traced parallel decision is byte-identical to the serial
-one.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from repro.obs import (
     span_tree,
     tree_coverage,
     validate_report,
-    worker_span,
 )
 from repro.perf import PerfStats
 
@@ -122,29 +116,8 @@ def test_null_tracer_records_nothing():
     with NULL_TRACER.span("anything", x=1) as span:
         span.set_attribute("y", 2)
         span.set_attributes(z=3)
-    NULL_TRACER.adopt([{"span_id": "x", "parent_id": None}])
     assert NULL_TRACER.finished_spans() == []
     assert NULL_TRACER.trace_id is None
-
-
-def test_adopt_reparents_worker_records():
-    tracer = Tracer()
-    records: list = []
-    with worker_span("worker:shard", records, worker_pid=123, shard_index=0):
-        pass
-    with tracer.span("build") as build:
-        tracer.adopt(records, parent=build)
-    spans = tracer.finished_spans()
-    by_name = {r["name"]: r for r in spans}
-    worker = by_name["worker:shard"]
-    assert worker["parent_id"] == by_name["build"]["span_id"]
-    assert worker["trace_id"] == tracer.trace_id
-    assert worker["attributes"]["worker_pid"] == 123
-
-
-def test_worker_span_none_records_is_a_noop():
-    with worker_span("w", None, x=1) as span:
-        span.set_attribute("y", 2)  # NULL_SPAN: silently dropped
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +204,7 @@ def test_perfstats_bind_metrics_mirrors_counters_and_timers():
         pass
     assert registry.as_dict()["counters"]["instances_scanned"] == 7
     assert registry.as_dict()["histograms"]["sweep_seconds"]["count"] == 1
-    # merge() goes through incr/add_time, so worker-local dicts mirror too
-    stats.merge({"counters": {"instances_scanned": 3}, "timers": {"sweep": 0.1}})
-    assert stats.get("instances_scanned") == 10
-    assert registry.as_dict()["counters"]["instances_scanned"] == 10
+    stats.add_time("sweep", 0.1)
     assert registry.as_dict()["histograms"]["sweep_seconds"]["count"] == 2
 
 
@@ -254,7 +224,6 @@ def test_provenance_summary_never_says_zero_point_zero_ms():
     base = dict(
         backend="streaming",
         n=4,
-        workers=0,
         early_exit=True,
         instances_scanned=0,
         views=0,
@@ -272,7 +241,6 @@ def test_provenance_summary_includes_trace_id():
     p = Provenance(
         backend="streaming",
         n=4,
-        workers=0,
         early_exit=True,
         instances_scanned=1,
         views=1,
@@ -322,41 +290,26 @@ def test_memo_hit_keeps_original_trace_id():
     assert again.provenance.trace_id == tracer.trace_id
 
 
-def test_parallel_span_tree_integrity_and_parity():
-    """workers=2 full sweep: the shard pool's worker spans all have a
-    parent in the merged tree, and the traced parallel decision matches
-    the serial one exactly."""
+def test_traced_full_sweep_is_one_valid_tree_with_the_untraced_decision():
+    """A traced full sweep records one single-rooted span tree whose run
+    report passes the schema gate, and tracing leaves the decision
+    byte-identical to the untraced one."""
     lcp = DegreeOneLCP()
-    plan = _plan(workers=2, early_exit=False)
-    serial = decide_hiding(
-        lcp, 5, _plan(workers=0, early_exit=False), ctx=RunContext.isolated()
-    )
+    plan = _plan(early_exit=False)
+    untraced = decide_hiding(lcp, 5, plan, ctx=RunContext.isolated())
 
     tracer = Tracer()
     ctx = RunContext.observed(tracer)
-    parallel = decide_hiding(lcp, 5, plan, ctx=ctx)
+    traced = decide_hiding(lcp, 5, plan, ctx=ctx)
 
-    assert parallel.decision_fingerprint() == serial.decision_fingerprint()
-    assert parallel.witness == serial.witness
-    assert parallel.provenance.shard_count
-
+    assert traced.decision_fingerprint() == untraced.decision_fingerprint()
+    assert traced.witness == untraced.witness
     records = tracer.finished_spans()
-    ids = {r["span_id"] for r in records}
-    workers = [r for r in records if r["name"] == "worker:shard"]
-    assert workers, "parallel sweep recorded no worker spans"
-    for record in workers:
-        assert record["parent_id"] in ids, "worker span left dangling"
-        assert record["trace_id"] == tracer.trace_id
-        assert record["attributes"]["worker_pid"]
-    # every shard ran exactly once
-    indices = sorted(r["attributes"]["shard_index"] for r in workers)
-    assert indices == list(range(parallel.provenance.shard_count))
-    assert any(r["name"] == "shard:replay" for r in records)
-    # the whole tree remains single-rooted and valid per the report gate
+    assert all(r["trace_id"] == tracer.trace_id for r in records)
     assert len(span_tree(records)) == 1
     report = RunReport.from_run(
         tracer=tracer, metrics=ctx.metrics, stats=ctx.stats,
-        verdict=parallel, plan=plan, scheme=lcp.name, n=5,
+        verdict=traced, plan=plan, scheme=lcp.name, n=5,
     )
     assert validate_report(report.payload) == []
 

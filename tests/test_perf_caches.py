@@ -13,6 +13,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core import DegreeOneLCP
+from repro.engine import ExecutionPlan
 from repro.graphs import cycle_graph, path_graph
 from repro.graphs.encoding import (
     _canonical_form_uncached,
@@ -289,14 +290,6 @@ class TestStatsAndConfig:
         text = stats.render()
         assert "memo" in text and "neighborhood_build" in text
 
-    def test_merge_accepts_dicts(self):
-        stats = PerfStats()
-        stats.incr("x", 1)
-        other = PerfStats()
-        other.incr("x", 2)
-        stats.merge(other.as_dict())
-        assert stats.get("x") == 3
-
     def test_configure_rejects_unknown_field(self):
         with pytest.raises(TypeError):
             configure(not_a_real_knob=1)
@@ -305,50 +298,54 @@ class TestStatsAndConfig:
         """The caches are always on and their sizes are module constants:
         what is left are the defaults plans resolve against."""
         assert {f.name for f in fields(PerfConfig)} == {
-            "workers",
             "warm_start",
             "disk_cache",
             "disk_cache_dir",
             "symmetry",
             "kernel",
-            "sharding",
-            "shard_depth",
         }
         for retired in ("layout_cache", "decision_memo", "kernel_block_size"):
             with pytest.raises(TypeError):
                 configure(**{retired: False})
+        # Every sweep runs in one process: the pool knobs are gone from
+        # the config and from plans alike.
+        for retired in ("workers", "sharding", "shard_depth"):
+            with pytest.raises(TypeError):
+                configure(**{retired: 2})
+            with pytest.raises(TypeError):
+                ExecutionPlan(**{retired: 2})
 
     def test_overridden_restores(self):
-        before = CONFIG.workers
-        with overridden(workers=7):
-            assert CONFIG.workers == 7
-        assert CONFIG.workers == before
+        before = CONFIG.symmetry
+        with overridden(symmetry="off"):
+            assert CONFIG.symmetry == "off"
+        assert CONFIG.symmetry == before
 
     def test_overridden_none_leaves_knob_alone(self):
         """None means "don't touch" — call sites forward optional CLI
         arguments unfiltered, so None must neither set nor restore."""
-        before_workers, before_depth = CONFIG.workers, CONFIG.shard_depth
-        with overridden(workers=None, shard_depth=512):
-            assert CONFIG.workers == before_workers
-            assert CONFIG.shard_depth == 512
+        before_warm, before_dir = CONFIG.warm_start, CONFIG.disk_cache_dir
+        with overridden(warm_start=None, disk_cache_dir="elsewhere"):
+            assert CONFIG.warm_start == before_warm
+            assert CONFIG.disk_cache_dir == "elsewhere"
             # A mutation made inside the scope to an un-overridden knob
             # survives the exit (nothing was saved for it).
-            CONFIG.workers = before_workers + 1
-        assert CONFIG.workers == before_workers + 1
-        assert CONFIG.shard_depth == before_depth
-        CONFIG.workers = before_workers
+            CONFIG.warm_start = not before_warm
+        assert CONFIG.warm_start == (not before_warm)
+        assert CONFIG.disk_cache_dir == before_dir
+        CONFIG.warm_start = before_warm
 
     def test_overridden_scopes_nest_and_restore_on_error(self):
-        before = CONFIG.shard_depth
-        with overridden(shard_depth=64):
-            with overridden(shard_depth=8):
-                assert CONFIG.shard_depth == 8
-            assert CONFIG.shard_depth == 64
+        before = CONFIG.disk_cache_dir
+        with overridden(disk_cache_dir="outer"):
+            with overridden(disk_cache_dir="inner"):
+                assert CONFIG.disk_cache_dir == "inner"
+            assert CONFIG.disk_cache_dir == "outer"
             with pytest.raises(RuntimeError):
-                with overridden(shard_depth=16):
+                with overridden(disk_cache_dir="failing"):
                     raise RuntimeError("boom")
-            assert CONFIG.shard_depth == 64
-        assert CONFIG.shard_depth == before
+            assert CONFIG.disk_cache_dir == "outer"
+        assert CONFIG.disk_cache_dir == before
 
 
 # ----------------------------------------------------------------------

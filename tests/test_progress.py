@@ -3,8 +3,8 @@
 Pins the live-telemetry contract: bus semantics (in-line fan-out in
 subscription order, raising subscribers counted but never fatal), the
 `instances_scanned` delta wrapper, the TTY renderer's EMA-based ETA,
-the JSONL sink's joinability via ``trace_id``, event ordering under the
-process-pool builder, and — the acceptance invariant — byte-identical
+the JSONL sink's joinability via ``trace_id``, event ordering of a full
+sweep, and — the acceptance invariant — byte-identical
 decision fingerprints whether anyone is watching or not.
 """
 
@@ -296,37 +296,14 @@ def test_instance_deltas_sum_to_provenance_count():
     verdict, records = _decide_with_recorder(
         _plan(early_exit=False, symmetry="off"), n=6
     )
+    kinds = [r["event"] for r in records]
+    assert kinds[0] == "decision_started"
+    assert kinds[-1] == "decision_finished"
+    assert set(kinds[1:-1]) == {"instances_scanned"}
     scanned = [r for r in records if r["event"] == "instances_scanned"]
     assert sum(r["delta"] for r in scanned) == verdict.provenance.instances_scanned
     totals = [r["total"] for r in scanned]
     assert totals == sorted(totals)  # monotone running totals
-
-
-def test_event_ordering_under_process_pool_builder():
-    """With the shard pool (workers=2, full sweep) the instances are
-    still replayed — and their deltas emitted — in the parent process, so
-    subscribers observe a well-ordered stream: started, shard events and
-    deltas with monotone totals, finished."""
-    verdict, records = _decide_with_recorder(
-        _plan(early_exit=False, workers=2, symmetry="off"), n=6
-    )
-    assert verdict.provenance.shard_count
-    kinds = [r["event"] for r in records]
-    assert kinds[0] == "decision_started"
-    assert kinds[-1] == "decision_finished"
-    assert set(kinds[1:-1]) == {"instances_scanned", "shard_started", "shard_finished"}
-    position = {
-        (r["event"], r.get("shard")): i for i, r in enumerate(records)
-    }
-    shards = {r["shard"] for r in records if r["event"] == "shard_finished"}
-    assert len(shards) == verdict.provenance.shard_count
-    for shard in shards:
-        assert position[("shard_started", shard)] < position[("shard_finished", shard)]
-    totals = [r["total"] for r in records if r["event"] == "instances_scanned"]
-    assert totals == sorted(totals)
-    assert sum(
-        r["delta"] for r in records if r["event"] == "instances_scanned"
-    ) == verdict.provenance.instances_scanned
 
 
 def test_unobserved_run_skips_instance_wrapper():

@@ -1,11 +1,11 @@
 """Tests for the streaming hiding engine (early-exit Lemma 3.2).
 
 Covers the parity guarantee (streaming verdict == the build-then-decide
-oracle of :mod:`tests.oracle` for every registry scheme, serial and
-parallel), the incremental structures underneath (union-find with
-parity; incremental DSATUR), the persistent verdict cache (round trip +
-version invalidation), the cross-``n`` warm start, and the
-witness-length regressions pinning the paper's Figure 3–6 odd walks.
+oracle of :mod:`tests.oracle` for every registry scheme), the
+incremental structures underneath (union-find with parity; incremental
+DSATUR), the persistent verdict cache (round trip + version
+invalidation), the cross-``n`` warm start, and the witness-length
+regressions pinning the paper's Figure 3–6 odd walks.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ def _decide(lcp, n, stats=None, **plan):
 
 # ----------------------------------------------------------------------
 # The parity property: streaming == the materialized (build-then-decide)
-# oracle, any scheme, any workers
+# oracle, any scheme
 # ----------------------------------------------------------------------
 
 
-def _assert_parity(lcp, n, workers, ctx=None):
+def _assert_parity(lcp, n, ctx=None):
     materialized = oracle_verdict(lcp, n).legacy
     plan = ExecutionPlan(
         backend="streaming",
-        workers=workers,
         warm_start=False,
         disk_cache=False,
         memory_cache=False,
@@ -82,31 +81,19 @@ def _assert_parity(lcp, n, workers, ctx=None):
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
 @pytest.mark.parametrize("n", [3, 4])
 def test_streaming_matches_materialized_serial(scheme, n):
-    _assert_parity(make_lcp(scheme), n, workers=None)
+    _assert_parity(make_lcp(scheme), n)
 
 
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
 def test_streaming_matches_materialized_n5_serial(scheme):
-    _assert_parity(make_lcp(scheme), 5, workers=None)
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("scheme", sorted(all_lcps()))
-def test_streaming_matches_materialized_parallel(scheme, workers):
-    _assert_parity(make_lcp(scheme), 4, workers=workers)
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("scheme", ["degree-one", "revealing"])
-def test_streaming_matches_materialized_n5_parallel(scheme, workers):
-    _assert_parity(make_lcp(scheme), 5, workers=workers)
+    _assert_parity(make_lcp(scheme), 5)
 
 
 def test_traced_early_exit_sweeps_write_a_valid_run_report(tmp_path, capsys):
-    """Every registry scheme at n = 3 and 4, serial and with two workers,
-    under one tracer: each verdict matches the oracle, and the run
-    report of the whole batch passes the schema check in process and
-    through ``repro report validate``."""
+    """Every registry scheme at n = 3 and 4 under one tracer: each
+    verdict matches the oracle, and the run report of the whole batch
+    passes the schema check in process and through ``repro report
+    validate``."""
     from repro.cli import main
 
     tracer = Tracer()
@@ -115,9 +102,8 @@ def test_traced_early_exit_sweeps_write_a_valid_run_report(tmp_path, capsys):
     with tracer.span("early-exit-sweeps"):
         for scheme in sorted(all_lcps()):
             for n in (3, 4):
-                for workers in (1, 2):
-                    _assert_parity(make_lcp(scheme), n, workers, ctx=ctx)
-                    checks += 1
+                _assert_parity(make_lcp(scheme), n, ctx=ctx)
+                checks += 1
     report = RunReport.from_run(
         tracer=tracer,
         metrics=ctx.metrics,

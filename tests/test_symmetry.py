@@ -19,8 +19,6 @@ from repro.graphs.encoding import are_isomorphic
 from repro.graphs.families import (
     all_graphs_exactly,
     clear_family_cache,
-    family_cache_snapshot,
-    prime_family_cache,
     warm_graph_families,
 )
 from repro.graphs.generators import (
@@ -264,23 +262,15 @@ class TestFrozenFamilies:
         frozen = list(all_graphs_exactly(4, mutable=False))
         assert [g.edges for g in first] == [g.edges for g in frozen]
 
-    def test_snapshot_prime_roundtrip(self):
+    def test_warmed_families_are_served_from_the_cache(self):
         clear_family_cache()
         warmed = warm_graph_families(0, 4) + warm_graph_families(0, 4, bipartite=True)
-        snapshot = family_cache_snapshot()
-        assert warmed == len(snapshot) == 8
-        assert snapshot  # something was enumerated
-        clear_family_cache()
-        assert family_cache_snapshot() == {}
-        prime_family_cache(snapshot)
-        assert family_cache_snapshot() == snapshot
-        # A primed cache serves without regeneration (identity check).
-        for (n, connected_only, bipartite), graphs in snapshot.items():
-            served = tuple(
-                all_graphs_exactly(n, connected_only, mutable=False, bipartite=bipartite)
-            )
-            assert len(served) == len(graphs)
-            assert all(a is b for a, b in zip(served, graphs))
+        assert warmed == 8
+        assert warm_graph_families(0, 4) == 0  # every size already cached
+        for bipartite in (False, True):
+            first = tuple(all_graphs_exactly(4, mutable=False, bipartite=bipartite))
+            again = tuple(all_graphs_exactly(4, mutable=False, bipartite=bipartite))
+            assert first and all(a is b for a, b in zip(first, again))
 
     @pytest.mark.parametrize("mode", ["auto", "on", "off"])
     def test_family_stream_is_generator_independent(self, mode):

@@ -50,7 +50,6 @@ DEPTH["even-cycle"] = 5
 def _full_sweep_plan(symmetry: str) -> ExecutionPlan:
     """A deterministic cold sweep: serial, no early exit, no cache tiers."""
     return ExecutionPlan(
-        workers=0,
         early_exit=False,
         warm_start=False,
         memory_cache=False,

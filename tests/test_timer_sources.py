@@ -28,9 +28,6 @@ ALLOWED_WALL_CLOCK = {
     "obs/progress.py": ("ts",),
     "campaign/frontier.py": ("created",),
     "cli.py": ("now",),  # report-list age display, compared to mtimes
-    # Shard-queue lease stamps are read by *other hosts*: wall clock is
-    # the only shared clock, so claims stamp and age-check with it.
-    "shard/queue.py": ("ts",),
 }
 
 _CALL = re.compile(r"\btime\.time\(\)")
