@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
+from operator import lt
 from typing import Protocol, runtime_checkable
 
+from ..graphs.properties import is_odd_closed_walk, proper_coloring_ok
 from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import NeighborhoodGraph
 from ..obs.logs import get_logger
@@ -126,6 +128,8 @@ _BODY_KEYS = frozenset(
         "early_exit",
         "instances_scanned",
         "labels",
+        "shapes",
+        "view_shapes",
         "views",
         "edges",
         "odd_cycle",
@@ -138,7 +142,7 @@ def _body_from_verdict(verdict: Verdict) -> dict:
     from ..perf import persist  # noqa: PLC0415
 
     g = verdict.ngraph
-    table, views = persist.encode_views(g.views)
+    labels, shapes, view_shapes, view_labels = persist.encode_views(g.views)
     return {
         "hiding": verdict.hiding,
         "k": verdict.k,
@@ -146,8 +150,10 @@ def _body_from_verdict(verdict: Verdict) -> dict:
         "include_ids": g.include_ids,
         "early_exit": verdict.provenance.early_exit,
         "instances_scanned": g.instances_scanned,
-        "labels": table,
-        "views": views,
+        "labels": labels,
+        "shapes": shapes,
+        "view_shapes": view_shapes,
+        "views": view_labels,
         "edges": [list(edge) for edge in sorted(g.edges)],
         "odd_cycle": (
             None if verdict.witness is None else [g.index[v] for v in verdict.witness]
@@ -162,34 +168,50 @@ def _body_from_verdict(verdict: Verdict) -> dict:
 
 def _payload_digest(body: dict) -> str:
     """:meth:`Verdict.digest` of the verdict *body* encodes, read off the
-    payload: views are expanded from the label table, not re-encoded."""
-    from ..perf.persist import expand_view  # noqa: PLC0415
-
-    table, views = body["labels"], body["views"]
-    witness = (
-        None
-        if body["odd_cycle"] is None
-        else [expand_view(views[i], table) for i in body["odd_cycle"]]
-    )
-    if body["hiding"] is not False:
-        return fingerprint_digest(fingerprint_bytes(body["k"], body["hiding"], witness))
+    payload: its views are already encoded."""
+    encoded = (body["labels"], body["shapes"], body["view_shapes"], body["views"])
     return fingerprint_digest(
         fingerprint_bytes(
             body["k"],
-            False,
-            witness,
-            [expand_view(view, table) for view in views],
+            body["hiding"],
+            encoded,
+            body["odd_cycle"],
             body["edges"],
             body["coloring"],
         )
     )
 
 
+def _check_certificate(k: int, hiding, ngraph, odd_cycle, coloring) -> None:
+    """Raise :class:`~repro.perf.persist.MalformedEntry` unless the body
+    serves the certificate its decision needs (Lemma 3.2): a non-hiding
+    verdict a proper coloring with at most *k* colors (the caller checked
+    that it covers every view once), a ``k = 2`` hiding verdict an odd
+    closed walk, a hiding verdict no coloring."""
+    from ..perf.persist import MalformedEntry  # noqa: PLC0415
+
+    if hiding is True and coloring is not None:
+        raise MalformedEntry("hiding verdict with a coloring")
+    if hiding is False and coloring is None:
+        raise MalformedEntry("non-hiding verdict without a coloring")
+    if hiding is True and k == 2 and odd_cycle is None:
+        raise MalformedEntry("k = 2 hiding verdict without an odd closed walk")
+    if odd_cycle is not None and not is_odd_closed_walk(ngraph.to_graph(), odd_cycle):
+        raise MalformedEntry("odd_cycle is not an odd closed walk of the body's edges")
+    if coloring is not None:
+        if len(set(coloring.values())) > k:
+            raise MalformedEntry(f"coloring uses more than {k} colors")
+        # proper_coloring_ok reads only ``edges``: the body's own pairs,
+        # without building a Graph of them.
+        if not proper_coloring_ok(ngraph, coloring):
+            raise MalformedEntry("coloring is not proper over the body's edges")
+
+
 def _verdict_from_body(key: dict, body) -> Verdict:
     """Strict decoder: the :class:`Verdict` that :func:`_body_from_verdict`
     encoded, with its digest read off the payload.  Raises
     :class:`~repro.perf.persist.MalformedEntry` on any body the encoder
-    does not produce."""
+    does not produce, and on one whose certificate does not hold."""
     from ..perf import persist  # noqa: PLC0415
 
     if type(body) is not dict or body.keys() != _BODY_KEYS:
@@ -204,11 +226,14 @@ def _verdict_from_body(key: dict, body) -> Verdict:
         or type(body["instances_scanned"]) is not int
     ):
         raise persist.MalformedEntry("malformed decision fields")
-    views = persist.decode_views(body["labels"], body["views"])
+    views = persist.decode_views(
+        body["labels"], body["shapes"], body["view_shapes"], body["views"]
+    )
     order = len(views)
     edges = persist.check_pairs(body["edges"], "edges")
     persist.check_indices(list(chain.from_iterable(edges)), order, "edge view")
-    if edges != sorted(edges) or len(set(map(tuple, edges))) != len(edges):
+    edges = list(map(tuple, edges))
+    if not all(map(lt, edges, edges[1:])):
         raise persist.MalformedEntry("edges not sorted and distinct")
     odd_cycle = body["odd_cycle"]
     if odd_cycle is not None:
@@ -216,24 +241,27 @@ def _verdict_from_body(key: dict, body) -> Verdict:
     coloring = body["coloring"]
     if coloring is not None:
         persist.check_pairs(coloring, "coloring")
-        colored = persist.check_indices([i for i, _ in coloring], order, "coloring view")
-        if colored != sorted(set(colored)):
-            raise persist.MalformedEntry("coloring views not sorted and distinct")
+        if [i for i, _ in coloring] != list(range(order)):
+            raise persist.MalformedEntry("coloring does not cover every view exactly once")
+        coloring = dict(coloring)
 
     ngraph = NeighborhoodGraph(radius=body["radius"], include_ids=body["include_ids"])
     ngraph.views = views
     ngraph.index = {view: i for i, view in enumerate(views)}
+    if len(ngraph.index) != order:
+        raise persist.MalformedEntry("duplicate views")
+    ngraph.edges = set(edges)
+    adjacency = ngraph.adjacency
     for i, j in edges:
-        ngraph.edges.add((i, j))
-        ngraph.adjacency.setdefault(i, []).append(j)
+        adjacency.setdefault(i, []).append(j)
         if j != i:
-            ngraph.adjacency.setdefault(j, []).append(i)
+            adjacency.setdefault(j, []).append(i)
+    _check_certificate(k, hiding, ngraph, odd_cycle, coloring)
     ngraph.instances_scanned = body["instances_scanned"]
     # Instance witnesses per view/edge do not survive the round trip;
     # consumers that trace views back to instances must run fresh.
     ngraph.has_provenance = False
     witness = None if odd_cycle is None else tuple(views[i] for i in odd_cycle)
-    coloring = None if coloring is None else dict(coloring)
     legacy = HidingVerdict(
         k=k, hiding=hiding, ngraph=ngraph, odd_cycle=witness, coloring=coloring
     )

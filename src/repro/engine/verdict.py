@@ -24,10 +24,12 @@ across every plan (early exit × kernel × cache tiers);
 Decision digest
 ---------------
 :meth:`Verdict.digest` is the 32-hex-digit SHA-256 of
-:meth:`Verdict.decision_fingerprint`, cached on the envelope.  Both are
-built by :func:`fingerprint_bytes` from *encoded* views, so the disk
-tier fills the cache from the body payload it just wrote or parsed and
-never re-encodes a view to fingerprint it.
+:meth:`Verdict.decision_fingerprint`, cached on the envelope.  There is
+one way to compute it: :func:`fingerprint_bytes` over the shape- and
+label-interned encoding of the disk body
+(:func:`~repro.perf.persist.encode_views`).  A fresh verdict runs that
+encoder first; the disk tier fills the cache from the body payload it
+just wrote or parsed, so a write or reload never re-encodes a view.
 """
 
 from __future__ import annotations
@@ -42,32 +44,69 @@ from ..neighborhood.ngraph import NeighborhoodGraph
 from ..obs.trace import format_seconds
 
 
+#: ``json.dumps(value, sort_keys=True, ensure_ascii=False)``, without
+#: building an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
+def _shape_fragments(shape: dict) -> tuple[str, str]:
+    """The text of one view object of *shape* before and after its
+    label list: ``{"dist": …, "labels": [`` and ``], "ports": …}``."""
+    head, _, tail = _dumps({**shape, "labels": []}).partition('"labels": []')
+    return head + '"labels": [', "]" + tail
+
+
+def _render_views(encoded: tuple, which) -> str:
+    """JSON list of the views at indices *which* of an
+    :func:`~repro.perf.persist.encode_views` result, assembled from one
+    fragment pair per shape and one text per label."""
+    labels, shapes, view_shapes, view_labels = encoded
+    texts = list(map(_dumps, labels))
+    fragments = {
+        shape: _shape_fragments(shapes[shape]) for shape in {view_shapes[i] for i in which}
+    }
+    text = texts.__getitem__
+    parts = []
+    for i in which:
+        head, tail = fragments[view_shapes[i]]
+        parts.append(head + ", ".join(map(text, view_labels[i])) + tail)
+    return "[" + ", ".join(parts) + "]"
+
+
 def fingerprint_bytes(
     k: int,
     hiding: bool | None,
-    witness: list[dict] | None,
-    views: list[dict] | None = None,
+    encoded: tuple,
+    witness: list[int] | None,
     edges: list | None = None,
     coloring: list | None = None,
 ) -> bytes:
     """Canonical bytes of a decision, from encoded content.
 
-    *witness* and *views* are :func:`~repro.perf.persist.encode_view`
-    payloads, *edges* the sorted view-index pairs and *coloring* the
-    sorted ``(view, color)`` pairs (or ``None``).  The graph content is
-    read only for conclusive non-hiding verdicts (see
-    :meth:`Verdict.decision_fingerprint`).
+    *encoded* is an :func:`~repro.perf.persist.encode_views` result (the
+    ``labels``/``shapes``/``view_shapes``/``views`` columns of a disk
+    body), *witness* the walk as view indices into it, *edges* the
+    sorted view-index pairs and *coloring* the sorted ``(view, color)``
+    pairs (or ``None``).  The graph content is read only for conclusive
+    non-hiding verdicts (see :meth:`Verdict.decision_fingerprint`).
+
+    The bytes are ``json.dumps(payload, sort_keys=True,
+    ensure_ascii=False)`` of ``{"k", "hiding", "witness"}`` (plus
+    ``"views"``, ``"edges"``, ``"coloring"`` when ``hiding is False``),
+    each view an object with its labels inline; they are assembled from
+    fragments so a view is never re-serialized field by field.
     """
-    payload: dict = {"k": k, "hiding": hiding, "witness": witness}
+    walk = "null" if witness is None else _render_views(encoded, witness)
+    head = f'"hiding": {_dumps(hiding)}, "k": {_dumps(k)}'
     if hiding is False:
-        payload["views"] = views
-        payload["edges"] = edges
-        payload["coloring"] = coloring
-    # The payload has no cycles (shared label objects are fine), so the
-    # encoder's cycle check, a dict entry per container, is skipped.
-    return json.dumps(
-        payload, sort_keys=True, ensure_ascii=False, check_circular=False
-    ).encode("utf-8")
+        views = _render_views(encoded, range(len(encoded[2])))
+        text = (
+            f'{{"coloring": {_dumps(coloring)}, "edges": {_dumps(edges)}, {head}, '
+            f'"views": {views}, "witness": {walk}}}'
+        )
+    else:
+        text = f'{{{head}, "witness": {walk}}}'
+    return text.encode("utf-8")
 
 
 def fingerprint_digest(fingerprint: bytes) -> str:
@@ -177,20 +216,21 @@ class Verdict:
         and, on hiding verdicts, graph coverage — an early-exit sweep
         soundly stops at a prefix of ``V(D, n)``.
         """
-        from ..perf.persist import encode_view  # noqa: PLC0415
+        from ..perf.persist import encode_views  # noqa: PLC0415
 
-        witness = (
-            None if self.witness is None else [encode_view(v) for v in self.witness]
-        )
-        if self.hiding is not False:
-            return fingerprint_bytes(self.k, self.hiding, witness)
+        if self.hiding is False:
+            g = self.ngraph
+            views = g.views
+            witness = None if self.witness is None else [g.index[v] for v in self.witness]
+            edges = sorted(g.edges)
+            coloring = None if self.coloring is None else sorted(self.coloring.items())
+        else:
+            # Only the walk is digested: encode just its views, in order.
+            views = self.witness or ()
+            witness = None if self.witness is None else list(range(len(views)))
+            edges = coloring = None
         return fingerprint_bytes(
-            self.k,
-            False,
-            witness,
-            [encode_view(v) for v in self.ngraph.views],
-            sorted(self.ngraph.edges),
-            None if self.coloring is None else sorted(self.coloring.items()),
+            self.k, self.hiding, encode_views(views), witness, edges, coloring
         )
 
     def digest(self) -> str:

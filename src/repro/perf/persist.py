@@ -11,11 +11,15 @@ stores one JSON-lines file per sweep under ``.repro_cache/hiding/``:
   and ``body_sha256``, the SHA-256 of line 2) — readable with
   ``head -1``, and enough for ``repro cache stats``;
 * line 2 is the **body** record: the scanned views, edges, the witness
-  walk / coloring, and scan counters.  Views are label-interned: a
-  per-entry ``labels`` table holds each distinct certificate label's
-  :func:`encode_label` once, and each view's ``labels`` are indices into
-  it (:func:`encode_views` / :func:`decode_views`).
+  walk / coloring, and scan counters.  Views are shape- and
+  label-interned: a per-entry ``shapes`` table holds each distinct view
+  shape (every field but the labels) once, a ``labels`` table each
+  distinct certificate label's :func:`encode_label` once, and each view
+  is a shape index plus one label index per node
+  (:func:`encode_views` / :func:`decode_views`).
 
+Each write goes to a temp file of the writer's own and is renamed into
+place, so concurrent writers of one key never tear each other's entry.
 Version bumps (:data:`CACHE_VERSION`) invalidate every old entry: a
 reader that finds a different version treats the entry as a miss and
 overwrites it on the next store.  A body whose checksum does not match,
@@ -30,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -43,7 +48,8 @@ log = get_logger("perf.persist")
 #: Format version; bump whenever the payload layout or the semantics of
 #: the sweep change in a way that stale entries must not survive.
 #: Version 2: label-interned view bodies and the header's ``body_sha256``.
-CACHE_VERSION = 2
+#: Version 3: shape-interned view bodies (the ``shapes`` table).
+CACHE_VERSION = 3
 
 _SUBDIR = "hiding"
 
@@ -121,24 +127,24 @@ def decode_label(payload: Any) -> Any:
 def _label_key(label: Any) -> tuple:
     """Type-exact interning key.  ``1``, ``True`` and ``1.0`` (and tuples
     of them) compare equal but encode differently, so they must not
-    share a label-table slot."""
+    share a label-table slot; floats key by ``repr`` so ``0.0`` and
+    ``-0.0`` stay apart too."""
     kind = type(label)
     if kind is tuple or kind is list:
         return (kind, tuple(map(_label_key, label)))
     if kind is frozenset:
         return (kind, frozenset(map(_label_key, label)))
+    if kind is float:
+        return (kind, repr(label))
     return (kind, label)
 
 
-def encode_view(view) -> dict:
-    """One view with its labels encoded inline — the form
-    :meth:`~repro.engine.verdict.Verdict.decision_fingerprint` digests."""
-    payload = _view_fields(view)
-    payload["labels"] = [encode_label(label) for label in view.labels]
-    return payload
+#: The fields of a view other than its labels: one ``shapes`` entry.
+SHAPE_FIELDS = ("radius", "dist", "edges", "ports", "ids", "id_bound")
+_SHAPE_KEYS = frozenset(SHAPE_FIELDS)
 
 
-def _view_fields(view) -> dict:
+def _shape_payload(view) -> dict:
     return {
         "radius": view.radius,
         "dist": list(view.dist),
@@ -149,50 +155,63 @@ def _view_fields(view) -> dict:
     }
 
 
-def encode_views(views) -> tuple[list, list[dict]]:
-    """Label-interned encoding: ``(table, payloads)``.
+def encode_views(views) -> tuple[list, list[dict], list[int], list[list[int]]]:
+    """Shape- and label-interned encoding of *views*:
+    ``(labels, shapes, view_shapes, view_labels)``.
 
-    *table* holds the :func:`encode_label` of each distinct label once,
-    in first-use order; each payload is :func:`encode_view` with
-    ``labels`` replaced by indices into *table*.
+    *labels* holds the :func:`encode_label` of each distinct label once
+    and *shapes* each distinct ``SHAPE_FIELDS`` payload once, both in
+    first-use order; view ``i`` is shape ``view_shapes[i]`` carrying the
+    labels ``view_labels[i]`` (indices into *labels*, one per node).
     """
-    table: list = []
-    slots: dict[tuple, int] = {}
-    # Views share label objects, so most lookups hit by identity and
-    # skip building the interning key (the views keep every id alive).
-    by_id: dict[int, int] = {}
-    payloads = []
+    labels: list = []
+    label_slots: dict[tuple, int] = {}
+    shapes: list[dict] = []
+    shape_slots: dict[tuple, int] = {}
+    # Views share label objects and, through their layout templates,
+    # shape tuples, so most lookups hit by identity and skip building
+    # the value key (the views keep every id alive).
+    label_by_id: dict[int, int] = {}
+    shape_by_id: dict[tuple, int] = {}
+    view_shapes = []
+    view_labels = []
     for view in views:
+        ident = (
+            view.radius,
+            view.id_bound,
+            id(view.dist),
+            id(view.edges),
+            id(view.ports),
+            id(view.ids),
+        )
+        shape = shape_by_id.get(ident)
+        if shape is None:
+            key = (view.radius, view.dist, view.edges, view.ports, view.ids, view.id_bound)
+            shape = shape_slots.get(key)
+            if shape is None:
+                shape = shape_slots[key] = len(shapes)
+                shapes.append(_shape_payload(view))
+            shape_by_id[ident] = shape
+        view_shapes.append(shape)
         indices = []
         for label in view.labels:
-            slot = by_id.get(id(label))
+            slot = label_by_id.get(id(label))
             if slot is None:
                 key = _label_key(label)
-                slot = slots.get(key)
+                slot = label_slots.get(key)
                 if slot is None:
-                    slot = slots[key] = len(table)
-                    table.append(encode_label(label))
-                by_id[id(label)] = slot
+                    slot = label_slots[key] = len(labels)
+                    labels.append(encode_label(label))
+                label_by_id[id(label)] = slot
             indices.append(slot)
-        payload = _view_fields(view)
-        payload["labels"] = indices
-        payloads.append(payload)
-    return table, payloads
+        view_labels.append(indices)
+    return labels, shapes, view_shapes, view_labels
 
 
-def expand_view(payload: dict, table: list) -> dict:
-    """The :func:`encode_view` form of an interned view payload (the
-    labels are the table's own encoded objects, not copies)."""
-    expanded = dict(payload)
-    expanded["labels"] = [table[i] for i in payload["labels"]]
-    return expanded
-
-
-_VIEW_KEYS = frozenset(("radius", "dist", "edges", "ports", "ids", "id_bound", "labels"))
 # Type sets for the strict checks below; ``issuperset(map(type, xs))``
 # runs in C, and ``type(x) is int`` keeps ``true`` out of index lists.
 _INT = frozenset((int,))
-_OPTIONAL_INT = frozenset((int, type(None)))
+_BOUND = frozenset((int, type(None)))
 _LIST = frozenset((list,))
 _PAIR = frozenset((2,))
 
@@ -222,60 +241,101 @@ def check_pairs(values: Any, what: str) -> list:
     return values
 
 
-def decode_views(table_payload: Any, payloads: Any) -> list:
-    """Strict inverse of :func:`encode_views`: each distinct label is
-    decoded once and shared by every view that uses it.  Raises
-    :class:`MalformedEntry` on anything the encoder does not produce
-    (missing or extra keys, bad label tags, out-of-range indices).
+def _check_first_use(indices: list, count: int, what: str) -> None:
+    """Raise :class:`MalformedEntry` unless *indices* (already range
+    checked) use ``0 .. count - 1`` and first use them in that order —
+    the order in which :func:`encode_views` fills its tables."""
+    if list(dict.fromkeys(indices)) != list(range(count)):
+        raise MalformedEntry(f"{what} table is not in first-use order")
 
-    Validation runs column-wise over all views at once, so its cost is
-    a few C-level passes rather than a dozen calls per view.
+
+def _shape_templates(payloads: list) -> list[dict]:
+    """The ``View`` fields (all but ``labels``) of each validated
+    ``shapes`` entry.  Validation runs column-wise over the whole table,
+    so its cost is a few C-level passes rather than a dozen calls per
+    shape."""
+    if any(type(p) is not dict or p.keys() != _SHAPE_KEYS for p in payloads):
+        raise MalformedEntry("shape keys differ from the encoder's")
+    radii, dists, edges, ports, ids, bounds = (
+        [p[name] for p in payloads] for name in SHAPE_FIELDS
+    )
+    named = [i for i in ids if i is not None]
+    if not (
+        _INT.issuperset(map(type, radii))
+        and _BOUND.issuperset(map(type, bounds))
+        and _LIST.issuperset(map(type, chain(dists, edges, ports, named)))
+        and _INT.issuperset(map(type, chain.from_iterable(chain(dists, named))))
+    ):
+        raise MalformedEntry("malformed view shape")
+    check_pairs(list(chain.from_iterable(chain(edges, ports))), "view edges or ports")
+    sizes = list(map(len, dists))
+    if list(map(len, edges)) != list(map(len, ports)) or any(
+        view_ids is not None and len(view_ids) != size for view_ids, size in zip(ids, sizes)
+    ):
+        raise MalformedEntry("shape ports or ids do not match its edges or nodes")
+    if any(
+        a < 0 or b < 0 or a >= size or b >= size
+        for pairs, size in zip(edges, sizes)
+        for a, b in pairs
+    ):
+        raise MalformedEntry("view node index out of range")
+    return [
+        {
+            "radius": radius,
+            "dist": tuple(dist),
+            "edges": tuple(map(tuple, pairs)),
+            "ports": tuple(map(tuple, port_pairs)),
+            "ids": None if view_ids is None else tuple(view_ids),
+            "id_bound": bound,
+        }
+        for radius, dist, pairs, port_pairs, view_ids, bound in zip(
+            radii, dists, edges, ports, ids, bounds
+        )
+    ]
+
+
+def decode_views(
+    labels_payload: Any, shapes_payload: Any, view_shapes: Any, view_labels: Any
+) -> list:
+    """Strict inverse of :func:`encode_views`: each distinct label and
+    shape is validated and decoded once, and every view is a fast clone
+    of its shape's template (as :func:`~repro.local.views.relabel_view`
+    makes them), so views share their shape tuples and label objects.
+    Raises :class:`MalformedEntry` on anything the encoder does not
+    produce (missing or extra keys, bad label tags, non-int or
+    out-of-range entries, label counts that differ from a shape's node
+    count, duplicate or out-of-order table entries).
     """
     from ..local.views import View  # noqa: PLC0415
 
-    if type(table_payload) is not list or type(payloads) is not list:
-        raise MalformedEntry("label table and views must be lists")
-    table = [decode_label(p) for p in table_payload]
-    if any(type(p) is not dict or p.keys() != _VIEW_KEYS for p in payloads):
-        raise MalformedEntry("view keys differ from the encoder's")
-    radii, dists, edges, ports, ids, bounds, labels = (
-        [p[name] for p in payloads]
-        for name in ("radius", "dist", "edges", "ports", "ids", "id_bound", "labels")
-    )
-    # Every container the encoder writes is a list; that (with the
-    # index checks) is what makes re-encoding give the payload back.
-    containers = chain(
-        dists,
-        edges,
-        ports,
-        labels,
-        (i for i in ids if i is not None),
-        chain.from_iterable(edges),
-        chain.from_iterable(ports),
-    )
+    if not _LIST.issuperset(map(type, (labels_payload, shapes_payload, view_shapes, view_labels))):
+        raise MalformedEntry("tables and views must be lists")
+    table = [decode_label(p) for p in labels_payload]
+    if len(set(map(_label_key, table))) != len(table):
+        raise MalformedEntry("duplicate label in the table")
+    templates = _shape_templates(shapes_payload)
+    if len({tuple(t.values()) for t in templates}) != len(templates):
+        raise MalformedEntry("duplicate shape in the table")
+    _check_first_use(check_indices(view_shapes, len(templates), "shape"), len(templates), "shape")
+    sizes = [len(t["dist"]) for t in templates]
     if not (
-        _INT.issuperset(map(type, radii))
-        and _OPTIONAL_INT.issuperset(map(type, bounds))
-        and _LIST.issuperset(map(type, containers))
+        len(view_labels) == len(view_shapes)
+        and _LIST.issuperset(map(type, view_labels))
+        and list(map(len, view_labels)) == list(map(sizes.__getitem__, view_shapes))
     ):
-        raise MalformedEntry("malformed view")
-    check_indices(list(chain.from_iterable(labels)), len(table), "label")
+        raise MalformedEntry("view label counts differ from their shapes' node counts")
+    used = check_indices(list(chain.from_iterable(view_labels)), len(table), "label")
+    _check_first_use(used, len(table), "label")
     label = table.__getitem__
-    # Positional View(radius, dist, edges, ports, ids, id_bound, labels).
-    return [
-        View(
-            radius,
-            tuple(dist),
-            tuple(map(tuple, view_edges)),
-            tuple(map(tuple, view_ports)),
-            None if view_ids is None else tuple(view_ids),
-            bound,
-            tuple(map(label, indices)),
-        )
-        for radius, dist, view_edges, view_ports, view_ids, bound, indices in zip(
-            radii, dists, edges, ports, ids, bounds, labels
-        )
-    ]
+    new = View.__new__
+    views = []
+    for shape, indices in zip(view_shapes, view_labels):
+        view = new(View)
+        state = view.__dict__
+        state.update(templates[shape])
+        state["labels"] = tuple(map(label, indices))
+        views.append(view)
+    return views
 
 
 # ----------------------------------------------------------------------
@@ -362,12 +422,18 @@ class PersistentVerdictCache:
             )
             return False
         path = self._path(key)
+        # A temp file of this writer's own (created exclusively, with the
+        # umask's mode): two processes storing one key must not replace
+        # each other's half-written inode.
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(blob)
+            with tmp.open("xb") as fh:
+                fh.write(blob)
             os.replace(tmp, path)
         except OSError as exc:
+            with suppress(OSError):
+                tmp.unlink()
             stats.incr("persist_skips")
             log.warning("skipping persist to %s: %s", path, exc)
             return False
@@ -412,7 +478,9 @@ class PersistentVerdictCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry; returns how many files were removed."""
+        """Delete every entry, and the temp files of writes that never
+        finished; returns how many entries were removed."""
+        _unlink_all(self._dir, "*.tmp")
         return _unlink_all(self._dir, "*.jsonl")
 
     def clear_shard_checkpoints(self) -> int:

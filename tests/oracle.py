@@ -19,10 +19,17 @@ the graph's edge list for the view graph ``G_v^r``
 rebuild its adjacency, and propagate minimal port signatures through
 ``port_of`` callbacks.  The engine's one-pass
 :func:`~repro.local.views.canonicalize_view` must match it byte for byte.
+
+:func:`reference_fingerprint` serializes a decision the direct way: every
+view is encoded inline (:func:`encode_view`) and the whole payload goes
+through one ``json.dumps(sort_keys=True)``.  The engine assembles the
+same bytes from the fragments of a shape- and label-interned encoding
+(:func:`repro.engine.verdict.fingerprint_bytes`).
 """
 
 from __future__ import annotations
 
+import json
 from functools import cache
 
 from repro.engine import ExecutionPlan, Provenance, Verdict
@@ -38,6 +45,7 @@ from repro.neighborhood import (
 )
 from repro.neighborhood.aviews import symmetry_pruning_effective
 from repro.neighborhood.hiding import classic_verdict
+from repro.perf.persist import encode_label
 from repro.symmetry import SymmetryAccount
 
 _PLAN = ExecutionPlan()
@@ -155,4 +163,53 @@ def reference_view(instance, v, radius: int, include_ids: bool = True) -> View:
         ids=(tuple(map(instance.ids.id_of, ordered)) if include_ids else None),
         id_bound=(instance.id_bound if include_ids else None),
         labels=tuple(map(label_of, ordered)),
+    )
+
+
+def encode_view(view: View) -> dict:
+    """One view with its labels encoded inline."""
+    return {
+        "radius": view.radius,
+        "dist": list(view.dist),
+        "edges": [list(e) for e in view.edges],
+        "ports": [list(p) for p in view.ports],
+        "ids": None if view.ids is None else list(view.ids),
+        "id_bound": view.id_bound,
+        "labels": [encode_label(label) for label in view.labels],
+    }
+
+
+def reference_fingerprint_bytes(
+    k: int,
+    hiding: bool | None,
+    witness: list[View] | None,
+    views: list[View] | None = None,
+    edges: list | None = None,
+    coloring: list | None = None,
+) -> bytes:
+    """Canonical decision bytes with every view encoded inline; the
+    graph content counts only when ``hiding is False``."""
+    payload: dict = {
+        "k": k,
+        "hiding": hiding,
+        "witness": None if witness is None else [encode_view(v) for v in witness],
+    }
+    if hiding is False:
+        payload["views"] = [encode_view(v) for v in views]
+        payload["edges"] = edges
+        payload["coloring"] = coloring
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+
+
+def reference_fingerprint(verdict: Verdict) -> bytes:
+    """:meth:`Verdict.decision_fingerprint`, computed the direct way."""
+    if verdict.hiding is not False:
+        return reference_fingerprint_bytes(verdict.k, verdict.hiding, verdict.witness)
+    return reference_fingerprint_bytes(
+        verdict.k,
+        False,
+        verdict.witness,
+        verdict.ngraph.views,
+        sorted(verdict.ngraph.edges),
+        None if verdict.coloring is None else sorted(verdict.coloring.items()),
     )

@@ -36,7 +36,8 @@ from repro.neighborhood.aviews import (
     labeled_yes_instances,
     yes_instances_up_to,
 )
-from repro.perf.persist import encode_view
+
+from .oracle import encode_view
 
 #: Every registry scheme at its native k (all k = 2), plus one k = 3
 #: parametrized cell, which keeps the full tree.

@@ -465,3 +465,26 @@ def test_frontier_campaign_fingerprints_are_pinned():
     assert got == FRONTIER_FINGERPRINTS
     joined = "".join(fingerprint for _label, fingerprint in got)
     assert hashlib.sha256(joined.encode()).hexdigest().startswith("a4be2d056667d819")
+
+
+def test_frontier_fingerprints_survive_the_disk_tier(tmp_path):
+    """The pinned campaign, written to the disk tier and reloaded from
+    it as a fresh process would: every cell is a disk hit whose digest,
+    read off the parsed body, is the pinned one."""
+    spec = CampaignSpec.sweep(
+        ("even-cycle", "union", "revealing", "shatter", "watermelon"),
+        n_min=3,
+        n_max=5,
+        k_values=(2, 3),
+        plan=ExecutionPlan(disk_cache=True),
+    )
+    with overridden(disk_cache_dir=str(tmp_path)):
+        written = run_campaign(spec, ctx=RunContext.isolated())
+        clear_engine_state()
+        reloaded = run_campaign(spec, ctx=RunContext.isolated())
+    assert not written.errors and not reloaded.errors
+    assert not any(r.provenance["disk_cache_hit"] for r in written.results)
+    assert all(r.provenance["disk_cache_hit"] for r in reloaded.results)
+    for run in (written, reloaded):
+        got = tuple((result.cell.label(), result.fingerprint) for result in run.results)
+        assert got == FRONTIER_FINGERPRINTS

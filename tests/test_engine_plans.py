@@ -413,14 +413,72 @@ def test_disk_tier_round_trip_marks_provenance(tmp_path):
     assert not second.ngraph.has_provenance
 
 
+def _old_format_entries(fresh, key) -> dict:
+    """``version -> (header, body)`` of the entry *fresh* had under each
+    retired cache format: version 1 (inline-label views, no label table,
+    no body checksum) and version 2 (label-interned views that each
+    carry their own shape fields)."""
+    import json
+
+    from repro.perf.persist import encode_label
+
+    from .oracle import encode_view
+
+    g = fresh.ngraph
+    common = {
+        "hiding": fresh.hiding,
+        "k": fresh.k,
+        "radius": g.radius,
+        "include_ids": g.include_ids,
+        "early_exit": True,
+        "instances_scanned": g.instances_scanned,
+        "edges": [list(edge) for edge in sorted(g.edges)],
+        "odd_cycle": [g.index[view] for view in fresh.witness],
+        "coloring": None,
+    }
+    v1_body = {**common, "views": [encode_view(view) for view in g.views]}
+    table: list = []
+    v2_views = []
+    for view in g.views:
+        payload = encode_view(view)
+        labels = []
+        for label in view.labels:
+            encoded = encode_label(label)
+            if encoded not in table:
+                table.append(encoded)
+            labels.append(table.index(encoded))
+        payload["labels"] = labels
+        v2_views.append(payload)
+    v2_body = {**common, "labels": table, "views": v2_views}
+    v2_line = json.dumps(v2_body, separators=(",", ":")).encode()
+    counts = {"key": key, "views": g.order, "edges": g.size}
+    return {
+        1: ({"version": 1, **counts}, v1_body),
+        2: (
+            {"version": 2, **counts, "body_sha256": hashlib.sha256(v2_line).hexdigest()},
+            v2_body,
+        ),
+    }
+
+
 def test_v1_disk_entries_read_as_stale_misses(tmp_path):
     """A version-1 entry (inline-label views, no label table, no body
     checksum) is a stale miss: no second reader serves it, and the next
-    store replaces it with a version-2 entry that then serves."""
+    store replaces it with a version-3 entry that then serves."""
+    _assert_stale_then_replaced(tmp_path, 1)
+
+
+def test_v2_disk_entries_read_as_stale_misses(tmp_path):
+    """So is a version-2 entry (label-interned views that each carry
+    their own shape), checksum and all."""
+    _assert_stale_then_replaced(tmp_path, 2)
+
+
+def _assert_stale_then_replaced(tmp_path, version: int) -> None:
     import json
 
     from repro.engine.backends import disk_key
-    from repro.perf.persist import CACHE_VERSION, default_verdict_cache, encode_view
+    from repro.perf.persist import CACHE_VERSION, default_verdict_cache
 
     lcp = make_lcp("degree-one")
     plan = ExecutionPlan(
@@ -431,30 +489,20 @@ def test_v1_disk_entries_read_as_stale_misses(tmp_path):
         key = disk_key(lcp, 4, plan)
         assert "backend" not in key
         assert key["engine_version"] == 1
-        g = fresh.ngraph
-        v1_body = {
-            "hiding": fresh.hiding,
-            "k": fresh.k,
-            "radius": g.radius,
-            "include_ids": g.include_ids,
-            "early_exit": True,
-            "instances_scanned": g.instances_scanned,
-            "views": [encode_view(view) for view in g.views],
-            "edges": [list(edge) for edge in sorted(g.edges)],
-            "odd_cycle": [g.index[view] for view in fresh.witness],
-            "coloring": None,
-        }
-        v1_header = {"version": 1, "key": key, "views": g.order, "edges": g.size}
+        header, body = _old_format_entries(fresh, key)[version]
         path = default_verdict_cache()._path(key)
-        path.write_text(json.dumps(v1_header) + "\n" + json.dumps(v1_body) + "\n")
+        path.write_text(
+            json.dumps(header) + "\n" + json.dumps(body, separators=(",", ":")) + "\n"
+        )
+        assert default_verdict_cache().stats_summary()["stale_entries"] == 1
 
         ctx = RunContext.isolated()
         again = decide_hiding(lcp, 4, plan, ctx=ctx)
         assert ctx.stats.get("disk_misses") == 1
         assert again.provenance.disk_cache_hit is False
         header, body = (json.loads(line) for line in path.read_text().splitlines())
-        assert header["version"] == CACHE_VERSION == 2
-        assert "body_sha256" in header and "labels" in body
+        assert header["version"] == CACHE_VERSION == 3
+        assert "body_sha256" in header and "shapes" in body and "labels" in body
         assert default_verdict_cache().stats_summary()["stale_entries"] == 0
 
         reloaded = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
