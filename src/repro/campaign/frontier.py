@@ -246,6 +246,8 @@ def validate_frontier_report(payload: dict) -> list[str]:
     record shape, flip records referencing known axes with genuinely
     differing verdicts, and summary counts agreeing with the cell list.
     """
+    if not isinstance(payload, dict):
+        return ["frontier payload must be a JSON object"]
     errors = []
     if payload.get("schema") != FRONTIER_SCHEMA:
         errors.append(

@@ -217,6 +217,8 @@ def cmd_hiding(args: argparse.Namespace) -> int:
     from .perf.config import CONFIG  # noqa: PLC0415
 
     scheme = _resolve_hiding_scheme(args)
+    if args.n < 1:
+        raise SystemExit(f"repro hiding: n must be >= 1, got {args.n}")
     lcp = make_lcp(scheme)
     traced = args.trace or args.trace_out is not None or args.profile
     if traced:
@@ -354,10 +356,28 @@ def cmd_frontier_run(args: argparse.Namespace) -> int:
     return 0 if not run.errors else 1
 
 
+def _read_report(cls, ref: str, runs_dir: str | None):
+    """``cls.load(ref)``, with each way a report can be unreadable — a
+    missing ref, bytes that are not JSON, a payload that is not a JSON
+    object — raised as a one-line :class:`ValueError`."""
+    try:
+        report = cls.load(ref, directory=runs_dir)
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    except ValueError as exc:
+        raise ValueError(f"{ref} is not valid JSON: {exc}") from None
+    if not isinstance(report.payload, dict):
+        raise ValueError(f"{ref}: report payload must be a JSON object")
+    return report
+
+
 def cmd_frontier_show(args: argparse.Namespace) -> int:
     from .campaign import FrontierReport, validate_frontier_report  # noqa: PLC0415
 
-    report = FrontierReport.load(args.ref, directory=args.runs_dir)
+    try:
+        report = _read_report(FrontierReport, args.ref, args.runs_dir)
+    except ValueError as exc:
+        raise SystemExit(f"repro frontier show: {exc}")
     errors = validate_frontier_report(report.payload)
     if errors:
         for error in errors:
@@ -442,14 +462,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.action == "diff":
         if len(args.refs) != 2:
             raise SystemExit("repro report diff: exactly two reports required")
-        a = RunReport.load(args.refs[0], directory=args.runs_dir)
-        b = RunReport.load(args.refs[1], directory=args.runs_dir)
+        try:
+            a, b = (_read_report(RunReport, ref, args.runs_dir) for ref in args.refs)
+        except ValueError as exc:
+            raise SystemExit(f"repro report diff: {exc}")
         diff = diff_reports(a, b)
         print(render_diff(diff))
         return 1 if diff["decision_drift"] else 0
     if len(args.refs) != 1:
         raise SystemExit(f"repro report {args.action}: exactly one report required")
-    report = RunReport.load(args.refs[0], directory=args.runs_dir)
+    try:
+        report = _read_report(RunReport, args.refs[0], args.runs_dir)
+    except ValueError as exc:
+        if args.action == "validate":
+            print(f"INVALID: {exc}")
+            return 1
+        raise SystemExit(f"repro report {args.action}: {exc}")
     if args.action == "profile":
         from .obs import render_profile, write_folded  # noqa: PLC0415
 

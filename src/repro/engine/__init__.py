@@ -9,7 +9,7 @@ behind a single serial pipeline::
     print(verdict.provenance.summary())   # backend, cache tier, wall time
 
 * :class:`ExecutionPlan` — *how* to decide: early-exit/warm-start ×
-  kernel × cache tiers.  Unset fields resolve against the
+  symmetry × cache tiers.  Unset fields resolve against the
   session's :class:`~repro.perf.config.PerfConfig`.
 * :func:`decide_hiding` — *what* to decide; returns a :class:`Verdict`
   envelope (decision + canonical witness + graph + :class:`Provenance`).

@@ -10,12 +10,12 @@ the first witness, ``False`` builds the complete ``V(D, n)``.  Either
 way the witness is the stream-order first odd closed walk and the
 coloring is the engine's own, so the ``hiding`` flag, the witness, and
 (on conclusive non-hiding sweeps) the complete graph and coloring are
-byte-identical across kernel modes and cache tiers.
+byte-identical across kernel routes and cache tiers.
 
-The plan's ``kernel`` mode is read here too: unless it is ``"off"``, the
-numpy kernels of :mod:`repro.kernel` run the unanimity sweeps as
+Whenever numpy is importable (:func:`repro.kernel.kernel_available`),
+the numpy kernels of :mod:`repro.kernel` run the unanimity sweeps as
 prefix-pruned joins and orderly generation's canonicalization searches
-in batches.
+in batches; otherwise the scalar loops do.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
-from ..perf.config import CONFIG
 from ..perf.stats import GLOBAL_STATS
-from ..kernel import KERNEL_BATCH
+from ..kernel import KERNEL_BATCH, kernel_available
 from ..kernel.batch import KERNEL_BLOCK_SIZE
 from ..symmetry.prune import SymmetryAccount
 from .context import RunContext
@@ -71,11 +70,7 @@ def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     """The sweep identity *without* ``n``: one key per (scheme, decoder,
     enumeration bounds, early-exit mode) family.  Orbit pruning is part
     of the identity (early-exit counts may differ between regimes); the
-    generation kernel mode is not (byte-identical streams).  A raised
-    ``kernel_labeling_limit`` *is* part of the identity — it admits
-    labeling spaces the base limit refuses, changing sweep content
-    (resolve already normalized it to ``None`` wherever it is a
-    no-op)."""
+    kernel route is not (byte-identical streams)."""
     return (
         ENGINE_VERSION,
         type(lcp).__name__,
@@ -86,11 +81,9 @@ def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
         lcp.anonymous,
         plan.port_limit,
         plan.id_order_types,
-        plan.include_all_accepted_labelings,
         plan.labeling_limit,
         plan.early_exit,
         _symmetry_effective(lcp, plan),
-        plan.kernel_labeling_limit,
         plan.graph_family,
         plan.alphabet_limit,
     )
@@ -115,7 +108,9 @@ def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
         "n": n,
         "port_limit": plan.port_limit,
         "id_order_types": plan.id_order_types,
-        "include_all_accepted_labelings": plan.include_all_accepted_labelings,
+        # Every sweep admits all unanimously accepted labelings; the
+        # constant keeps pre-existing entries at their addresses.
+        "include_all_accepted_labelings": True,
         "labeling_limit": plan.labeling_limit,
         "early_exit": plan.early_exit,
     }
@@ -124,11 +119,6 @@ def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
     # (whose early-exit instance counts can legitimately differ).
     if _symmetry_effective(lcp, plan):
         key["symmetry"] = "on"
-    # Only when set (kernel route, above the base limit): the raised
-    # admission limit changes sweep content, and pre-existing entries
-    # keep their addresses when it is off.
-    if plan.kernel_labeling_limit is not None:
-        key["kernel_labeling_limit"] = plan.kernel_labeling_limit
     # Campaign axes, only when off their defaults: the default cell —
     # full family, full alphabet — keeps the pre-campaign content
     # address byte-for-byte.
@@ -159,9 +149,8 @@ def _enumeration_bounds(plan: ExecutionPlan) -> dict:
     return {
         "port_limit": plan.port_limit,
         "id_order_types": plan.id_order_types,
-        "include_all_accepted_labelings": plan.include_all_accepted_labelings,
+        "include_all_accepted_labelings": True,
         "labeling_limit": plan.labeling_limit,
-        "kernel_labeling_limit": plan.kernel_labeling_limit,
         "family": plan.graph_family,
         "alphabet_limit": plan.alphabet_limit,
     }
@@ -181,7 +170,7 @@ def _envelope(
         backend=plan.backend,
         n=n,
         early_exit=plan.early_exit,
-        kernel=KERNEL_BATCH if plan.kernel != "off" else None,
+        kernel=KERNEL_BATCH if kernel_available() else None,
         instances_scanned=g.instances_scanned,
         views=g.order,
         edges=g.size,
@@ -296,11 +285,11 @@ class StreamingBackend:
     name = "streaming"
 
     @contextmanager
-    def _kernel_span(self, plan: ExecutionPlan, ctx: RunContext):
+    def _kernel_span(self, ctx: RunContext):
         """Wrap the build in a ``kernel:batch`` span whose attributes
-        report the batch counters the sweep accumulated (no-op with
-        ``kernel="off"``)."""
-        if plan.kernel == "off":
+        report the batch counters the sweep accumulated (no-op without
+        numpy)."""
+        if not kernel_available():
             yield None
             return
         before_batches = ctx.stats.get("kernel_batches")
@@ -357,9 +346,7 @@ class StreamingBackend:
         account = SymmetryAccount() if pruned else None
         symmetry = plan.symmetry if pruned else "off"
         meter = _ThroughputMeter(ctx)
-        with CONFIG.overridden(kernel=plan.kernel), ctx.stats.time_stage(
-            "streaming_sweep"
-        ):
+        with ctx.stats.time_stage("streaming_sweep"):
             with ctx.tracer.span("sweep", n=n, early_exit=plan.early_exit) as sweep:
                 if state is not None and state.n <= n:
                     ctx.stats.incr("warm_starts")
@@ -396,7 +383,7 @@ class StreamingBackend:
                     if warm_started
                     else yes_instances_up_to(lcp, n, **sweep_args)
                 )
-                with self._kernel_span(plan, ctx):
+                with self._kernel_span(ctx):
                     build_neighborhood_graph_auto(
                         lcp,
                         _with_progress(instances, lcp, n, ctx),

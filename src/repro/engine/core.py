@@ -78,8 +78,12 @@ def decide_hiding(
     the process-wide context (global config, stats, shared cache tiers).
 
     Returns the unified :class:`~repro.engine.verdict.Verdict` envelope;
-    pre-engine consumers read ``verdict.legacy``.
+    pre-engine consumers read ``verdict.legacy``.  Raises
+    :class:`ValueError` for ``n < 1``: no sweep is empty enough to
+    decide, so a bound below one has no conclusive verdict.
     """
+    if n < 1:
+        raise ValueError(f"decide_hiding: n must be >= 1, got {n}")
     if k is not None or r is not None:
         from ..certification.lcp import parametrized  # noqa: PLC0415
 

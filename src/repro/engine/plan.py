@@ -45,10 +45,11 @@ class ExecutionPlan:
     * ``memory_cache`` — consult/populate the in-process verdict memo.
     * ``disk_cache`` — consult/populate the persistent store under
       ``.repro_cache/``.  ``None`` defers to ``CONFIG.disk_cache``.
-    * ``port_limit`` / ``id_order_types`` / ``include_all_accepted_labelings``
-      / ``labeling_limit`` — the Lemma 3.1 enumeration bounds; part of
-      the plan because they define the sweep's identity for every cache
-      tier.
+    * ``port_limit`` / ``id_order_types`` / ``labeling_limit`` — the
+      Lemma 3.1 enumeration bounds; part of the plan because they define
+      the sweep's identity for every cache tier.  Every sweep runs the
+      exhaustive unanimity pass on each base whose labeling space over
+      the scheme's finite certificate alphabet fits ``labeling_limit``.
     * ``symmetry`` — the orbit-pruning mode: ``"off"`` (no pruning),
       ``"on"`` (automorphism-orbit pruning of bases and labelings), or
       ``"auto"`` (pruning only for anonymous schemes).  ``None`` defers
@@ -57,23 +58,6 @@ class ExecutionPlan:
       ``Provenance.instances_scanned``, so full-sweep provenance is
       regime-independent; when pruning is effective the sweep's disk
       identity is tagged so pre-symmetry cache entries are never misread.
-    * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
-      :mod:`repro.kernel`, for both the unanimity pass and orderly
-      generation.  ``None`` defers to ``CONFIG.kernel``; resolve
-      normalizes ``"auto"`` to ``"off"`` when numpy is unavailable.
-      Streams and verdicts are byte-identical either way, so this knob
-      never enters a cache identity.
-    * ``kernel_labeling_limit`` — an elevated admission limit for the
-      exhaustive unanimity pass, honored only where the batch kernel
-      actually evaluates the labelings (``kernel`` not ``"off"`` *and*
-      :func:`repro.kernel.batch.kernel_supports` for the base) — the
-      prefix-pruned kernel join can afford spaces the scalar loop must
-      refuse.  ``None`` (the default) leaves every route at
-      ``labeling_limit``, so scalar-route behavior is unchanged; when it
-      admits new spaces it changes sweep content, so a set value is part
-      of the sweep's cache identity (resolve normalizes it to ``None``
-      with ``kernel="off"`` and when it does not exceed
-      ``labeling_limit``, where it is a no-op).
     * ``graph_family`` — a registered named graph family
       (:data:`repro.graphs.families.GRAPH_FAMILIES`) restricting the
       sweep's graph enumeration; ``"all"`` (the default) is the full
@@ -95,23 +79,10 @@ class ExecutionPlan:
     disk_cache: bool | None = None
     port_limit: int = 64
     id_order_types: bool = False
-    include_all_accepted_labelings: bool = True
     labeling_limit: int = 20_000
     symmetry: str | None = None
-    kernel: str | None = None
-    kernel_labeling_limit: int | None = None
     graph_family: str = "all"
     alphabet_limit: int | None = None
-
-    @property
-    def is_resolved(self) -> bool:
-        return (
-            self.backend != BACKEND_AUTO
-            and self.warm_start is not None
-            and self.disk_cache is not None
-            and self.symmetry is not None
-            and self.kernel is not None
-        )
 
     def resolve(self, config: PerfConfig | None = None) -> "ExecutionPlan":
         """Fill every ``None``/``auto`` field from *config* (default: the
@@ -129,23 +100,6 @@ class ExecutionPlan:
             raise ValueError(
                 f"unknown symmetry mode {symmetry!r}; known: auto, on, off"
             )
-        kernel = self.kernel if self.kernel is not None else config.kernel
-        if kernel not in ("auto", "off"):
-            raise ValueError(f"unknown kernel mode {kernel!r}; known: auto, off")
-        from ..kernel import kernel_available  # noqa: PLC0415
-
-        if not kernel_available():
-            kernel = "off"
-        raised_limit = self.kernel_labeling_limit
-        if raised_limit is not None:
-            if raised_limit <= 0:
-                raise ValueError(
-                    f"kernel_labeling_limit must be positive, got {raised_limit}"
-                )
-            # A raised limit is a no-op off the kernel route or at/below
-            # the base limit; normalize those plans to one cache identity.
-            if kernel == "off" or raised_limit <= self.labeling_limit:
-                raised_limit = None
         from ..graphs.families import graph_family_predicate  # noqa: PLC0415
 
         graph_family_predicate(self.graph_family)  # raises for unknown names
@@ -159,8 +113,6 @@ class ExecutionPlan:
             warm_start=warm,
             disk_cache=disk,
             symmetry=symmetry,
-            kernel=kernel,
-            kernel_labeling_limit=raised_limit,
         )
 
     def describe(self) -> str:
@@ -171,15 +123,12 @@ class ExecutionPlan:
             if on
         ]
         symmetry = "auto" if self.symmetry is None else self.symmetry
-        kernel = "auto" if self.kernel is None else self.kernel
         text = (
             f"backend={self.backend} "
             f"early_exit={self.early_exit} warm_start={self.warm_start} "
             f"cache={'+'.join(tiers) if tiers else 'none'} "
-            f"symmetry={symmetry} kernel={kernel}"
+            f"symmetry={symmetry}"
         )
-        if self.kernel_labeling_limit is not None:
-            text += f" kernel_labeling_limit={self.kernel_labeling_limit}"
         if self.graph_family != "all":
             text += f" graph_family={self.graph_family}"
         if self.alphabet_limit is not None:

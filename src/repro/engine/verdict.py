@@ -138,9 +138,8 @@ class Provenance:
     #: then includes the suppressed orbit mates (multiplied back in), not
     #: only the instances physically decided.
     symmetry_pruned: bool = False
-    #: Inner-loop evaluator the sweep ran with: ``"batch"`` when the
-    #: plan's resolved ``kernel`` is not ``"off"`` (the numpy kernels),
-    #: ``None`` for the scalar loops (and for disk reloads, which scan
+    #: Inner-loop evaluator the sweep ran with: ``"batch"`` when numpy
+    #: was importable (the numpy kernels), ``None`` for the scalar loops (and for disk reloads, which scan
     #: nothing).
     kernel: str | None = None
     #: Per-op throughput gauges of the producing sweep (``None`` when

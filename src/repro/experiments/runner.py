@@ -38,7 +38,6 @@ def config_overrides(plan: ExecutionPlan | None) -> dict:
     return {
         "disk_cache": plan.disk_cache,
         "symmetry": plan.symmetry,
-        "kernel": plan.kernel,
     }
 
 
@@ -49,10 +48,10 @@ def run_all(
 ) -> list[ExperimentResult]:
     """Run every registered experiment, in id order.
 
-    *plan* scopes the batch: its cache/symmetry/kernel
-    fields become the session config for the duration of the call
-    (``CONFIG.overridden``), so a runner invocation can no longer leak
-    knobs into subsequent in-process work.
+    *plan* scopes the batch: its cache and symmetry fields become the
+    session config for the duration of the call (``CONFIG.overridden``),
+    so a runner invocation can no longer leak knobs into subsequent
+    in-process work.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     results = []

@@ -18,10 +18,11 @@ labeling at a time; this package joins the nodes' local constraints:
   scalar generators, so streaming early exit, orbit pruning, and
   warm-start parity all survive.
 
-numpy is optional.  The probe below gates every entry point: without
-numpy (or with ``REPRO_DISABLE_NUMPY`` set in the environment) the
-kernel reports itself unavailable, callers fall back to the pure-Python
-loops, and the package keeps its zero-dependency contract.
+numpy is optional.  :func:`numpy_or_none` is the one switch every
+kernel call site asks: without numpy (or with ``REPRO_DISABLE_NUMPY``
+set in the environment) it returns ``None``, callers fall back to the
+pure-Python loops — the tests' reference — and the package keeps its
+zero-dependency contract.
 """
 
 from __future__ import annotations
@@ -71,20 +72,6 @@ def kernel_available() -> bool:
     return numpy_or_none() is not None
 
 
-def kernel_numpy():
-    """The numpy module when the kernels should engage, else ``None``.
-
-    The one switch every kernel call site asks: ``CONFIG.kernel`` (which
-    the engine backends scope to the plan's ``kernel`` field) is not
-    ``"off"`` and numpy is importable.
-    """
-    from ..perf.config import CONFIG  # noqa: PLC0415
-
-    if CONFIG.kernel == "off":
-        return None
-    return numpy_or_none()
-
-
 def numpy_version() -> str | None:
     """The numpy version string, or ``None`` when unavailable."""
     np = numpy_or_none()
@@ -111,7 +98,6 @@ __all__ = [
     "clear_kernel_tables",
     "generation_supported",
     "kernel_available",
-    "kernel_numpy",
     "kernel_supports",
     "numpy_or_none",
     "numpy_version",

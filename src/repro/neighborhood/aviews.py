@@ -31,7 +31,7 @@ from ..graphs.families import (
     graph_family_predicate,
 )
 from ..graphs.graph import Graph
-from ..kernel import KERNEL_BATCH, kernel_numpy, kernel_supports
+from ..kernel import KERNEL_BATCH, kernel_available
 from ..local.identifiers import IdentifierAssignment, all_order_types
 from ..local.instance import Instance
 from ..local.labeling import count_labelings, labeling_key, node_sort_order
@@ -65,30 +65,19 @@ def _admitted_alphabet(
     graph: Graph,
     alphabet_limit: int | None,
     labeling_limit: int,
-    kernel_labeling_limit: int | None,
     stats,
 ) -> list | None:
     """The alphabet of *graph*'s exhaustive unanimity pass, or ``None``
     when the pass does not run — counted on *stats* as
     ``labelings_prover_only`` (no finite alphabet) or
-    ``labelings_capped`` (``|alphabet| ** n`` over the effective limit).
-
-    *kernel_labeling_limit* (``None`` when the kernel is off) raises the
-    limit only where the batch kernel can index the space."""
+    ``labelings_capped`` (``|alphabet| ** n`` over *labeling_limit*)."""
     alphabet = lcp.certificate_alphabet(graph)
     if alphabet is None:
         stats.incr("labelings_prover_only")
         return None
     if alphabet_limit is not None:
         alphabet = alphabet[:alphabet_limit]
-    limit = labeling_limit
-    if (
-        kernel_labeling_limit is not None
-        and kernel_labeling_limit > limit
-        and kernel_supports(graph, alphabet)
-    ):
-        limit = kernel_labeling_limit
-    if count_labelings(graph, len(alphabet)) > limit:
+    if count_labelings(graph, len(alphabet)) > labeling_limit:
         stats.incr("labelings_capped")
         return None
     return alphabet
@@ -104,7 +93,6 @@ def labeled_yes_instances(
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
-    kernel_labeling_limit: int | None = None,
     stats=None,
     family: str = "all",
     alphabet_limit: int | None = None,
@@ -132,17 +120,10 @@ def labeled_yes_instances(
       (:class:`repro.symmetry.prune.SymmetryAccount`); the engine folds
       them back into ``Provenance.instances_scanned``.
     * Kernel: the unanimity sweep runs the prefix-pruned join of
-      :mod:`repro.kernel` whenever :func:`repro.kernel.kernel_numpy`
-      says so (``CONFIG.kernel`` not ``"off"``, numpy importable), the
-      scalar loop otherwise; *stats* receives its batch counters.  The
-      yielded stream is identical either way.
-    * Raised admission: *kernel_labeling_limit* (when above
-      *labeling_limit*) admits a base's exhaustive unanimity pass only
-      where the batch kernel actually evaluates it — the kernel engaged
-      and the space indexable
-      (:func:`repro.kernel.batch.kernel_supports`) — so the kernel
-      join can afford labeling spaces the scalar route must refuse
-      while scalar-route behavior stays byte-identical.
+      :mod:`repro.kernel` whenever numpy is importable
+      (:func:`repro.kernel.kernel_available`), the scalar loop
+      otherwise; *stats* receives its batch counters.  The yielded
+      stream is identical either way.
     * Skipped passes: with *include_all_accepted_labelings*, each base
       whose exhaustive pass does not run is counted on *stats* —
       ``labelings_capped`` over the limit, ``labelings_prover_only``
@@ -155,7 +136,7 @@ def labeled_yes_instances(
       pre-campaign sweep.
     """
     predicate = graph_family_predicate(family)
-    kernel = KERNEL_BATCH if kernel_numpy() is not None else None
+    kernel = KERNEL_BATCH if kernel_available() else None
     coverage_stats = stats or GLOBAL_STATS
     pruning = symmetry_pruning_effective(lcp, symmetry)
     if pruning and account is None:
@@ -227,7 +208,6 @@ def labeled_yes_instances(
                         graph,
                         alphabet_limit,
                         labeling_limit,
-                        kernel_labeling_limit if kernel is not None else None,
                         coverage_stats,
                     )
                 if alphabet is not None:
@@ -265,7 +245,6 @@ def yes_instances_up_to(
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
-    kernel_labeling_limit: int | None = None,
     stats=None,
     family: str = "all",
     alphabet_limit: int | None = None,
@@ -290,7 +269,6 @@ def yes_instances_up_to(
         labeling_limit=labeling_limit,
         symmetry=symmetry,
         account=account,
-        kernel_labeling_limit=kernel_labeling_limit,
         stats=stats,
         family=family,
         alphabet_limit=alphabet_limit,
@@ -307,7 +285,6 @@ def yes_instances_between(
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
-    kernel_labeling_limit: int | None = None,
     stats=None,
     family: str = "all",
     alphabet_limit: int | None = None,
@@ -338,7 +315,6 @@ def yes_instances_between(
         labeling_limit=labeling_limit,
         symmetry=symmetry,
         account=account,
-        kernel_labeling_limit=kernel_labeling_limit,
         stats=stats,
         family=family,
         alphabet_limit=alphabet_limit,

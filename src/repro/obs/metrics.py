@@ -11,8 +11,7 @@ The registry *backs* ``PerfStats`` rather than replacing it: a stats
 object bound via :meth:`PerfStats.bind_metrics` mirrors every counter
 increment into the registry and feeds each ``time_stage`` interval into a
 ``<stage>_seconds`` histogram, so the hundreds of existing ``incr`` call
-sites light up the metrics layer without being touched.  Separate
-registries combine with :meth:`MetricsRegistry.merge`.
+sites light up the metrics layer without being touched.
 
 Everything here is stdlib-only and cheap: a counter increment is one
 dict lookup + add; an unbound stats object pays a single attribute test.
@@ -150,30 +149,8 @@ class MetricsRegistry:
         self.histogram(name, buckets).observe(value)
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Reset and export
     # ------------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's measurements into this one.
-        Histograms with mismatched buckets fall back to replaying the
-        foreign mean ``count`` times — lossy but never wrong about
-        totals."""
-        for name, counter in other.counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other.gauges.items():
-            if gauge.value is not None:
-                self.gauge(name).set(gauge.value)
-        for name, histogram in other.histograms.items():
-            mine = self.histogram(name, histogram.buckets)
-            if mine.buckets == histogram.buckets:
-                for i, count in enumerate(histogram.bucket_counts):
-                    mine.bucket_counts[i] += count
-                mine.count += histogram.count
-                mine.total += histogram.total
-            elif histogram.count:
-                mean = histogram.total / histogram.count
-                for _ in range(histogram.count):
-                    mine.observe(mean)
 
     def reset(self) -> None:
         self.counters.clear()

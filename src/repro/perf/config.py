@@ -2,8 +2,9 @@
 
 One module-level :class:`PerfConfig` holds the defaults every
 :class:`~repro.engine.plan.ExecutionPlan` resolves against: warm
-starts, the disk tier, orbit pruning and the numpy kernels.  There is
-no worker count: every sweep runs serially in the calling process.
+starts, the disk tier and orbit pruning.  The numpy kernels follow
+numpy's availability (:func:`repro.kernel.numpy_or_none`), and every
+sweep runs serially in the calling process.
 Experiments and the CLI mutate it through :func:`configure` or scope
 changes with :func:`overridden`.  The in-process caches (view layouts,
 the decision memo, graph families, canonical forms) are always on;
@@ -35,20 +36,12 @@ class PerfConfig:
       suppressed-count accounting (see :mod:`repro.symmetry`) — for
       ``"auto"`` only on anonymous schemes, for ``"on"`` always, for
       ``"off"`` never.  Graph generation is orderly in every mode.
-    * ``kernel`` — the numpy kernel mode (``"auto"`` | ``"off"``) of
-      :mod:`repro.kernel`, read by every sweep for both the Lemma 3.1
-      unanimity pass (block-wise labeling evaluation) and orderly
-      generation (batched canonicalization searches).  ``"auto"``
-      engages the kernels whenever numpy is importable, ``"off"``
-      forces the scalar reference loops.  Streams and verdicts are
-      byte-identical either way, so this knob never enters a cache key.
     """
 
     warm_start: bool = True
     disk_cache: bool = False
     disk_cache_dir: str | None = None
     symmetry: str = "auto"
-    kernel: str = "auto"
 
     def apply(self, **kwargs) -> "PerfConfig":
         """Update fields in place (unknown names raise); returns self."""

@@ -49,13 +49,13 @@ and the pruned emission stream the bipartite subsequence of the full
 one.
 
 Both the level build and the emission labeling have an array-native
-fast path (:mod:`repro.kernel.generate`): when numpy is importable and
-``CONFIG.kernel`` is not ``"off"``, the orbit-minimality
+fast path (:mod:`repro.kernel.generate`): when numpy is importable
+(:func:`repro.kernel.numpy_or_none`), the orbit-minimality
 subset filter, the colex canonicalization of candidate children, and
 the per-class minimal edge mask all run as batched frontier searches
 over ``(batch, nodes)`` bitset matrices.  The batched paths are exact —
 levels and emission streams are byte-identical to the scalar DFS — so
-the kernel mode never enters any cache identity.
+the kernel route never enters any cache identity.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from ..graphs.graph import Graph
-from ..kernel import kernel_numpy
+from ..kernel import numpy_or_none
 from ..obs.progress import GLOBAL_PROGRESS
 from ..kernel.generate import (
     batch_automorphisms,
@@ -121,7 +121,7 @@ def _level(n: int, bipartite: bool = False) -> Entries:
         vectorized = False
     else:
         parents = _level(n - 1, bipartite)
-        np = kernel_numpy()
+        np = numpy_or_none()
         vectorized = np is not None and generation_supported(n)
         if vectorized:
             entries = _build_level_batched(n, parents, np, bipartite)
@@ -312,7 +312,7 @@ def emit_entries(
     cache of :mod:`repro.symmetry.groups`.
     """
     possible_edges = list(combinations(range(n), 2))
-    np = kernel_numpy()
+    np = numpy_or_none()
     vectorized = np is not None and generation_supported(n)
     nodes = tuple(range(n))
     cols = np.arange(n) if vectorized else None

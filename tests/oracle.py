@@ -20,6 +20,9 @@ rebuild its adjacency, and propagate minimal port signatures through
 ``port_of`` callbacks.  The engine's one-pass
 :func:`~repro.local.views.canonicalize_view` must match it byte for byte.
 
+:func:`kernel_route` scopes a block to the numpy kernels or to the
+scalar loops, the reference every kernel is compared against.
+
 :func:`reference_fingerprint` serializes a decision the direct way: every
 view is encoded inline (:func:`encode_view`) and the whole payload goes
 through one ``json.dumps(sort_keys=True)``.  The engine assembles the
@@ -30,13 +33,17 @@ same bytes from the fragments of a shape- and label-interned encoding
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from functools import cache
+
+import pytest
 
 from repro.engine import ExecutionPlan, Provenance, Verdict
 from repro.errors import ViewError
 from repro.graphs.families import enumerate_graphs_exactly_reference
 from repro.graphs.graph import FrozenGraph
 from repro.graphs.traversal import view_subgraph_nodes_and_edges
+from repro.kernel import DISABLE_ENV
 from repro.local.views import View
 from repro.neighborhood import (
     build_neighborhood_graph,
@@ -54,9 +61,20 @@ _PLAN = ExecutionPlan()
 DEFAULT_BOUNDS = {
     "port_limit": _PLAN.port_limit,
     "id_order_types": _PLAN.id_order_types,
-    "include_all_accepted_labelings": _PLAN.include_all_accepted_labelings,
+    "include_all_accepted_labelings": True,
     "labeling_limit": _PLAN.labeling_limit,
 }
+
+
+@contextmanager
+def kernel_route(kernel: str):
+    """Run the block on the numpy kernels (``"auto"``; the scalar loops
+    anyway when numpy is missing) or on the scalar loops (``"off"``, by
+    setting ``REPRO_DISABLE_NUMPY`` for the block)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel == "off":
+            patch.setenv(DISABLE_ENV, "1")
+        yield
 
 
 @cache

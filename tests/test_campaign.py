@@ -155,7 +155,7 @@ def test_default_cell_disk_key_is_the_precampaign_address():
         "n": 4,
         "port_limit": plan.port_limit,
         "id_order_types": plan.id_order_types,
-        "include_all_accepted_labelings": plan.include_all_accepted_labelings,
+        "include_all_accepted_labelings": True,
         "labeling_limit": plan.labeling_limit,
         "early_exit": plan.early_exit,
     }
@@ -169,6 +169,7 @@ def test_default_cell_disk_key_is_the_precampaign_address():
     cell_key = disk_key(cell.lcp(), cell.n, cell.plan(plan))
     assert cell_key == precampaign_key
     assert digest_for(cell_key) == digest_for(precampaign_key)
+    assert digest_for(cell_key) == "cb449e10c82a527cf3fbbfc4d3f4415f"
 
 
 def test_off_default_cells_get_distinct_addresses():
@@ -408,6 +409,8 @@ def test_validator_flags_corrupt_payloads():
     summary = dict(payload["summary"], cells=999)
     bad = dict(payload, summary=summary)
     assert any("summary.cells" in error for error in validate_frontier_report(bad))
+
+    assert validate_frontier_report([1]) == ["frontier payload must be a JSON object"]
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,61 @@ class TestHidingBackendFlag:
         assert "--workers" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bound_below_one_is_rejected(self, n, capsys):
+        """No verdict for an empty sweep: one line, non-zero exit, and
+        no "NO — V(D, n) is 2-colorable" on stdout."""
+        with pytest.raises(SystemExit) as exc:
+            main(["hiding", "even-cycle", "--n", n, "--no-disk-cache"])
+        assert exc.value.code == f"repro hiding: n must be >= 1, got {n}"
+        assert "verdict" not in capsys.readouterr().out
+
+
+def _unreadable_report(tmp_path, case: str) -> str:
+    """A report ref that cannot be read: *case* is ``missing`` (no such
+    file), ``unparsable`` (not JSON) or ``non-object`` (JSON, not an
+    object)."""
+    path = tmp_path / "bad.json"
+    if case == "unparsable":
+        path.write_text("{not json")
+    elif case == "non-object":
+        path.write_text("[1]")
+    return str(path)
+
+
+REPORT_READERS = [
+    ["report", "show"],
+    ["report", "profile"],
+    ["report", "diff"],
+    ["frontier", "show"],
+]
+
+
+class TestUnreadableReports:
+    @pytest.mark.parametrize("case", ["missing", "unparsable", "non-object"])
+    @pytest.mark.parametrize(
+        "command", REPORT_READERS, ids=["-".join(c) for c in REPORT_READERS]
+    )
+    def test_reader_exits_with_one_line(self, command, case, tmp_path):
+        ref = _unreadable_report(tmp_path, case)
+        refs = [ref, ref] if command[-1] == "diff" else [ref]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *refs, "--runs-dir", str(tmp_path / "runs")])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro {' '.join(command)}: ")
+        if case == "non-object":
+            assert message.endswith("report payload must be a JSON object")
+
+    @pytest.mark.parametrize("case", ["missing", "unparsable", "non-object"])
+    def test_validate_reports_invalid(self, case, tmp_path, capsys):
+        ref = _unreadable_report(tmp_path, case)
+        argv = ["report", "validate", ref, "--runs-dir", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID: ") and out.count("\n") == 1
+
+
 class TestViewsCommand:
     def test_views_prints_verdicts(self, capsys):
         assert main(["views", "degree-one", "path:3"]) == 0

@@ -1,16 +1,18 @@
 """Plan-equivalence properties of the unified hiding engine.
 
-The engine's contract: every plan (early exit × kernel × cache tiers)
-that answers the same question yields the *identical* decision — same
-hiding flag, byte-identical canonical witness walk, and on conclusive
-non-hiding sweeps the same complete graph and coloring — and the
-verdict's provenance reports the route and kernel that actually ran.
+The engine's contract: every plan (early exit × cache tiers), on the
+numpy kernels or the scalar loops, that answers the same question yields
+the *identical* decision — same hiding flag, byte-identical canonical
+witness walk, and on conclusive non-hiding sweeps the same complete
+graph and coloring — and the verdict's provenance reports the route and
+kernel that actually ran.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -29,7 +31,7 @@ from repro.kernel import kernel_available
 from repro.perf import PerfStats, configure, overridden
 from repro.perf.config import PerfConfig
 
-from .oracle import oracle_verdict
+from .oracle import kernel_route, oracle_verdict
 
 try:
     from hypothesis import given, settings
@@ -53,19 +55,21 @@ def _fresh_engine_state():
 #: the first witness.
 SWEEPS = {"materialized": False, "streaming": True}
 
-#: The (sweep, kernel) grid: both sweep depths, with the numpy kernels
-#: (``"auto"``; scalar when numpy is missing) and forced scalar.
+#: The (sweep, kernel) grid: both sweep depths, on the numpy kernels
+#: (``"auto"``; scalar when numpy is missing) and on the scalar loops
+#: (``"off"``; see :func:`~tests.oracle.kernel_route`).
 GRID = [(sweep, kernel) for sweep in SWEEPS for kernel in ("auto", "off")]
 
 
-def _expected_kernel(plan: ExecutionPlan) -> str | None:
-    """``Provenance.kernel`` of a fresh sweep under *plan*."""
-    return "batch" if plan.resolve().kernel != "off" else None
+def _expected_kernel(kernel: str) -> str | None:
+    """``Provenance.kernel`` of a fresh sweep on the *kernel* route."""
+    return "batch" if kernel == "auto" and kernel_available() else None
 
 
 def _plan_grid(tmp_path):
     """Every (sweep × kernel × cache tier) combination of the acceptance
-    criterion.  Disk-tier plans get a private cache dir."""
+    criterion, as ``(label, kernel, plan, cache_dir)``.  Disk-tier plans
+    get a private cache dir."""
     plans = []
     for sweep, kernel in GRID:
         for tier, memory_cache, disk_cache in (
@@ -76,12 +80,12 @@ def _plan_grid(tmp_path):
             label = f"{sweep}-{kernel}-{tier}"
             plan = ExecutionPlan(
                 early_exit=SWEEPS[sweep],
-                kernel=kernel,
                 warm_start=False,
                 memory_cache=memory_cache,
                 disk_cache=disk_cache,
             )
-            plans.append((label, plan, str(tmp_path / label) if disk_cache else None))
+            cache_dir = str(tmp_path / label) if disk_cache else None
+            plans.append((label, kernel, plan, cache_dir))
     return plans
 
 
@@ -93,14 +97,14 @@ def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
     lcp = make_lcp(scheme)
     n = 4
     fingerprints = {}
-    for label, plan, cache_dir in _plan_grid(tmp_path):
+    for label, kernel, plan, cache_dir in _plan_grid(tmp_path):
         clear_engine_state()
-        with overridden(disk_cache_dir=cache_dir):
+        with kernel_route(kernel), overridden(disk_cache_dir=cache_dir):
             verdict = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
         assert isinstance(verdict, Verdict), label
         assert verdict.provenance.backend == BACKEND_STREAMING, label
         assert verdict.provenance.early_exit == plan.early_exit, label
-        assert verdict.provenance.kernel == _expected_kernel(plan), label
+        assert verdict.provenance.kernel == _expected_kernel(kernel), label
         assert verdict.hiding in (True, False), label
         if verdict.hiding and lcp.k == 2:
             g = verdict.ngraph
@@ -136,13 +140,12 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
                 label = f"{sweep}-{kernel}-{tier}"
                 base = ExecutionPlan(
                     early_exit=SWEEPS[sweep],
-                    kernel=kernel,
                     warm_start=False,
                     memory_cache=memory_cache,
                     disk_cache=disk_cache,
                 )
                 clear_engine_state()
-                with overridden(disk_cache_dir=cache_dir):
+                with kernel_route(kernel), overridden(disk_cache_dir=cache_dir):
                     verdict = decide_hiding(
                         lcp,
                         cell.n,
@@ -167,11 +170,11 @@ def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
         clear_engine_state()
         plan = ExecutionPlan(
             early_exit=SWEEPS[sweep],
-            kernel=kernel,
             warm_start=False,
             disk_cache=False,
         )
-        fps.add(decide_hiding(lcp, 5, plan).decision_fingerprint())
+        with kernel_route(kernel):
+            fps.add(decide_hiding(lcp, 5, plan).decision_fingerprint())
     assert len(fps) == 1
 
 
@@ -193,16 +196,17 @@ def test_watermelon_n6_full_sweep_has_one_coloring():
         "disk_cache": False,
     }
     variants = {
-        "cold": {},
-        "kernel-off": {"kernel": "off"},
-        "symmetry-off": {"symmetry": "off"},
+        "cold": ("auto", {}),
+        "kernel-off": ("off", {}),
+        "symmetry-off": ("auto", {"symmetry": "off"}),
     }
     digests = {}
-    for label, overrides in variants.items():
+    for label, (kernel, overrides) in variants.items():
         clear_engine_state()
-        verdict = decide_hiding(
-            lcp, 6, ExecutionPlan(**{**base, **overrides}), ctx=RunContext.isolated()
-        )
+        with kernel_route(kernel):
+            verdict = decide_hiding(
+                lcp, 6, ExecutionPlan(**{**base, **overrides}), ctx=RunContext.isolated()
+            )
         assert verdict.hiding is False, label
         digests[label] = hashlib.sha256(verdict.decision_fingerprint()).hexdigest()
     clear_engine_state()
@@ -234,14 +238,16 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
             clear_engine_state()
             plan = ExecutionPlan(
                 backend=BACKEND_STREAMING,
-                kernel=kernel,
                 early_exit=early_exit,
                 warm_start=False,
                 memory_cache=False,
                 disk_cache=False,
                 symmetry=symmetry,
             )
-            verdicts[kernel] = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
+            with kernel_route(kernel):
+                verdicts[kernel] = decide_hiding(
+                    lcp, n, plan, ctx=RunContext.isolated()
+                )
         vec, stream = verdicts["auto"], verdicts["off"]
         assert vec.decision_fingerprint() == stream.decision_fingerprint()
         assert vec.witness == stream.witness
@@ -302,17 +308,14 @@ def test_provenance_reports_the_backend_that_ran():
     lcp = make_lcp("degree-one")
     for sweep, kernel in GRID:
         clear_engine_state()
-        plan = ExecutionPlan(
-            early_exit=SWEEPS[sweep], kernel=kernel, disk_cache=False
-        )
-        verdict = decide_hiding(lcp, 3, plan)
+        plan = ExecutionPlan(early_exit=SWEEPS[sweep], disk_cache=False)
+        with kernel_route(kernel):
+            verdict = decide_hiding(lcp, 3, plan)
         assert verdict.provenance.backend == BACKEND_STREAMING
         assert verdict.provenance.early_exit == SWEEPS[sweep]
         assert verdict.provenance.n == 3
         assert verdict.provenance.summary()
-        assert verdict.provenance.kernel == _expected_kernel(plan)
-        if kernel == "off" or not kernel_available():
-            assert verdict.provenance.kernel is None
+        assert verdict.provenance.kernel == _expected_kernel(kernel)
 
 
 def test_auto_backend_resolves_to_streaming():
@@ -330,32 +333,15 @@ def test_auto_backend_resolves_to_streaming():
 
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 def test_kernel_modes_share_one_disk_address(sweep, tmp_path):
-    """The kernel mode never enters a cache identity: a verdict written
-    with ``kernel="off"`` is a disk hit for ``kernel="auto"``."""
+    """The kernel route never enters a cache identity: a verdict written
+    by the scalar loops is a disk hit on the numpy route."""
     lcp = make_lcp("degree-one")
+    plan = ExecutionPlan(early_exit=SWEEPS[sweep], warm_start=False, disk_cache=True)
     with overridden(disk_cache_dir=str(tmp_path)):
-        written = decide_hiding(
-            lcp,
-            4,
-            ExecutionPlan(
-                early_exit=SWEEPS[sweep],
-                kernel="off",
-                warm_start=False,
-                disk_cache=True,
-            ),
-            ctx=RunContext.isolated(),
-        )
-        read = decide_hiding(
-            lcp,
-            4,
-            ExecutionPlan(
-                early_exit=SWEEPS[sweep],
-                kernel="auto",
-                warm_start=False,
-                disk_cache=True,
-            ),
-            ctx=RunContext.isolated(),
-        )
+        with kernel_route("off"):
+            written = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
+        with kernel_route("auto"):
+            read = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
     assert written.provenance.disk_cache_hit is False
     assert read.provenance.disk_cache_hit is True
     assert read.decision_fingerprint() == written.decision_fingerprint()
@@ -366,15 +352,40 @@ def test_kernel_modes_share_one_disk_address(sweep, tmp_path):
     [("backend", "vectorized"), ("backend", "materialized"), ("kernel", "on")],
 )
 def test_retired_option_values_are_rejected(field, value):
-    """The retired backend and kernel values fail at resolve, naming the
-    valid values."""
+    """The retired backend values fail at resolve, naming the valid
+    values.  The kernel field is retired whole, so its old ``"on"``
+    value fails already at construction, naming the field."""
+    if field == "kernel":
+        with pytest.raises(TypeError, match="kernel"):
+            ExecutionPlan(**{field: value})
+        return
     with pytest.raises(ValueError) as exc:
         ExecutionPlan(**{field: value}).resolve()
     message = str(exc.value)
     assert repr(value) in message
-    known = ("auto", "streaming") if field == "backend" else ("auto", "off")
-    for name in known:
+    for name in ("auto", "streaming"):
         assert name in message
+
+
+def test_plan_fields_are_pinned():
+    """The plan surface is eleven fields.  Every sweep admits all
+    unanimously accepted labelings, so no plan field switches that off
+    (the session config's fields are pinned in test_perf_caches)."""
+    assert [f.name for f in fields(ExecutionPlan)] == [
+        "backend",
+        "early_exit",
+        "warm_start",
+        "memory_cache",
+        "disk_cache",
+        "port_limit",
+        "id_order_types",
+        "labeling_limit",
+        "symmetry",
+        "graph_family",
+        "alphabet_limit",
+    ]
+    with pytest.raises(TypeError, match="include_all_accepted_labelings"):
+        ExecutionPlan(include_all_accepted_labelings=True)
 
 
 def test_retired_config_field_is_rejected():
@@ -546,7 +557,8 @@ def test_materialized_disk_entries_do_not_collide_with_streaming(tmp_path):
 def test_decide_hiding_k_is_a_decision_input():
     """``k`` re-parameterizes the scheme instead of raising: the native
     value is a no-op, an off-native value changes the decided question
-    (and its fingerprint), and nonsense values still raise."""
+    (and its fingerprint), and nonsense values of ``k``, ``r`` and ``n``
+    still raise."""
     lcp = make_lcp("degree-one")
     plan = ExecutionPlan(disk_cache=False)
     native = decide_hiding(lcp, 3, plan, k=lcp.k)
@@ -560,6 +572,9 @@ def test_decide_hiding_k_is_a_decision_input():
         decide_hiding(lcp, 3, plan, k=0)
     with pytest.raises(ValueError):
         decide_hiding(lcp, 3, plan, r=0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            decide_hiding(lcp, n, plan)
 
 
 def test_unknown_backend_is_rejected():
@@ -582,7 +597,6 @@ if HAVE_HYPOTHESIS:
 
     @given(
         backend=st.sampled_from(["auto", BACKEND_STREAMING]),
-        kernel=st.sampled_from([None, "auto", "off"]),
         early_exit=st.booleans(),
         warm_start=st.sampled_from([None, True, False]),
         disk_cache=st.sampled_from([None, True, False]),
@@ -591,7 +605,6 @@ if HAVE_HYPOTHESIS:
     @settings(max_examples=60, deadline=None)
     def test_resolve_plan_invariants(
         backend,
-        kernel,
         early_exit,
         warm_start,
         disk_cache,
@@ -603,20 +616,18 @@ if HAVE_HYPOTHESIS:
         config = PerfConfig(warm_start=config_warm_start)
         plan = ExecutionPlan(
             backend=backend,
-            kernel=kernel,
             early_exit=early_exit,
             warm_start=warm_start,
             disk_cache=disk_cache,
         ).resolve(config)
-        assert plan.is_resolved
         assert plan.backend in available_backends()
         assert plan.backend == BACKEND_STREAMING
         assert plan.early_exit == early_exit
-        if not kernel_available():
-            assert plan.kernel == "off"
-        else:
-            assert plan.kernel == (kernel if kernel is not None else config.kernel)
         assert plan.warm_start == (
             warm_start if warm_start is not None else config_warm_start
         )
+        assert plan.disk_cache == (
+            disk_cache if disk_cache is not None else config.disk_cache
+        )
+        assert plan.symmetry == config.symmetry
         assert plan.resolve(config) == plan

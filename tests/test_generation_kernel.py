@@ -11,19 +11,21 @@ bug that drops or duplicates classes on *both* routes cannot hide.
 
 Both kernel routes are also pinned to the edge-subset walk of the test
 oracle up to ``n = 6``.  The suite covers the capability seams too: the
-``REPRO_DISABLE_NUMPY`` fallback, the ``kernel`` plan knob, and the
-raised ``kernel_labeling_limit`` admission (content parity with a
-plainly raised limit, normalization on ``kernel="off"`` plans).
+``REPRO_DISABLE_NUMPY`` fallback, the rejection of the retired kernel
+knobs, and numpy/scalar parity at a labeling limit only the kernel route
+used to admit.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from unittest import mock
 
 import pytest
 
 from repro.core.even_cycle import EvenCycleLCP
 from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
+from repro.engine.backends import disk_key, family_key
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_bipartite
 from repro.kernel import DISABLE_ENV, kernel_available, numpy_or_none
@@ -35,6 +37,7 @@ from repro.kernel.generate import (
     orbit_minimal_subsets,
     subset_bit_matrix,
 )
+from repro.perf import configure
 from repro.symmetry.canon import (
     automorphisms_from_perms,
     colex_canonical,
@@ -56,7 +59,7 @@ from repro.symmetry.orderly import (
     unpack_perms,
 )
 
-from .oracle import reference_graphs
+from .oracle import kernel_route, reference_graphs
 
 HAVE_NUMPY = kernel_available()
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
@@ -289,11 +292,9 @@ class TestBipartiteLevelBuild:
 
 def _emission_stream(n: int, connected_only: bool, kernel: str):
     """(edges, seeded automorphisms) per emitted graph, in stream order."""
-    from repro.perf.config import CONFIG  # noqa: PLC0415
-
     clear_orderly_cache()
     clear_automorphism_cache()
-    with CONFIG.overridden(kernel=kernel):
+    with kernel_route(kernel):
         return [
             (tuple(g.edges), automorphism_group(g).perms)
             for g in orderly_graphs_exactly(n, connected_only=connected_only)
@@ -313,15 +314,9 @@ class TestEmissionParity:
 
     @needs_numpy
     def test_oeis_counts_on_kernel_route(self):
-        from repro.perf.config import CONFIG  # noqa: PLC0415
-
-        with CONFIG.overridden(kernel="auto"):
-            for n in range(1, 8):
-                assert count_classes(n) == ALL_COUNTS[n - 1]
-                assert (
-                    count_classes(n, connected_only=True)
-                    == CONNECTED_COUNTS[n - 1]
-                )
+        for n in range(1, 8):
+            assert count_classes(n) == ALL_COUNTS[n - 1]
+            assert count_classes(n, connected_only=True) == CONNECTED_COUNTS[n - 1]
 
     @pytest.mark.parametrize("connected_only", [False, True])
     @pytest.mark.parametrize("kernel", ["auto", "off"])
@@ -354,13 +349,16 @@ class TestEmissionParity:
 
 
 class TestKernelLabelingLimit:
+    """The labeling limit is one bound for both routes: the kernel route
+    admits exactly what the scalar loops admit, and no plan or config
+    field selects the route."""
+
     @needs_numpy
-    def test_raised_limit_content_parity(self):
-        # 16^4 = 65,536 > the 20,000 scalar cap: only the raised limit
-        # admits the exhaustive unanimity pass.  Admitting it through
-        # kernel_labeling_limit must decide exactly what a plainly
-        # raised labeling_limit decides.
-        def sweep(**kwargs):
+    def test_raised_limit_content_parity(self, monkeypatch):
+        # 16^4 = 65,536 > the default 20,000 cap: only a raised
+        # labeling_limit admits the exhaustive unanimity pass.  The
+        # numpy join and the scalar loops must then decide identically.
+        def sweep():
             clear_engine_state()
             plan = ExecutionPlan(
                 backend="streaming",
@@ -368,49 +366,63 @@ class TestKernelLabelingLimit:
                 warm_start=False,
                 memory_cache=False,
                 disk_cache=False,
-                **kwargs,
+                labeling_limit=70_000,
             )
             return decide_hiding(EvenCycleLCP(), 4, plan)
 
-        raised = sweep(labeling_limit=20_000, kernel_labeling_limit=70_000)
-        plain = sweep(labeling_limit=70_000)
-        assert raised.decision_fingerprint() == plain.decision_fingerprint()
-        assert raised.provenance.kernel == "batch"
+        batch = sweep()
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        scalar = sweep()
+        assert batch.decision_fingerprint() == scalar.decision_fingerprint()
+        assert (
+            batch.provenance.instances_scanned == scalar.provenance.instances_scanned
+        )
+        assert batch.provenance.kernel == "batch"
+        assert scalar.provenance.kernel is None
 
-    @needs_numpy
-    def test_normalized_away_on_non_vectorized_plans(self):
-        """The raised limit is a no-op on ``kernel="off"`` plans (full or
-        early-exit sweeps), so resolve drops it there."""
-        for early_exit in (False, True):
-            scalar = ExecutionPlan(
-                early_exit=early_exit, kernel="off", kernel_labeling_limit=70_000
-            ).resolve()
-            assert scalar.kernel_labeling_limit is None
-            batch = ExecutionPlan(
-                early_exit=early_exit, kernel="auto", kernel_labeling_limit=70_000
-            ).resolve()
-            assert batch.kernel_labeling_limit == 70_000
-            assert "kernel_labeling_limit=70000" in batch.describe()
-        # A raise that is not actually a raise is normalized away too.
-        lowered = ExecutionPlan(kernel_labeling_limit=10).resolve()
-        assert lowered.kernel_labeling_limit is None
+    def test_normalized_away_on_non_vectorized_plans(self, monkeypatch):
+        """The route is not part of a plan: a plan resolves, describes
+        itself and keys every cache tier identically with numpy and
+        without it."""
+        lcp = EvenCycleLCP()
 
-    def test_invalid_raised_limit_rejected(self):
-        with pytest.raises(ValueError, match="kernel_labeling_limit"):
-            ExecutionPlan(kernel_labeling_limit=0).resolve()
+        def identity():
+            plan = ExecutionPlan(labeling_limit=70_000).resolve()
+            return plan, plan.describe(), family_key(lcp, plan), disk_key(lcp, 4, plan)
+
+        with_numpy = identity()
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        assert identity() == with_numpy
+        assert "kernel" not in with_numpy[1]
 
     def test_generation_kernel_on_requires_numpy(self, monkeypatch):
-        """The kernels need numpy: without it ``"auto"`` resolves to
-        ``"off"``, and with it ``"auto"`` stays."""
-        assert ExecutionPlan(kernel="off").resolve().kernel == "off"
-        expected = "auto" if HAVE_NUMPY else "off"
-        assert ExecutionPlan(kernel="auto").resolve().kernel == expected
+        """Orderly generation builds its levels with the batched kernel
+        exactly when numpy is importable."""
+        from repro.symmetry import orderly  # noqa: PLC0415
+
+        def batched_builds() -> int:
+            clear_orderly_cache()
+            with mock.patch.object(
+                orderly, "_build_level_batched", wraps=_build_level_batched
+            ) as batched:
+                assert count_classes(5) == ALL_COUNTS[4]
+            return batched.call_count
+
+        assert (batched_builds() > 0) == HAVE_NUMPY
         monkeypatch.setenv(DISABLE_ENV, "1")
-        assert ExecutionPlan(kernel="auto").resolve().kernel == "off"
-        assert ExecutionPlan().resolve().kernel == "off"
+        assert batched_builds() == 0
 
     def test_invalid_generation_kernel_rejected(self):
-        for mode in ("on", "sometimes"):
-            with pytest.raises(ValueError, match="known: auto, off"):
-                ExecutionPlan(kernel=mode).resolve()
+        """The kernel route is not a knob: neither the plan nor the
+        session config takes a ``kernel`` field, whatever its value."""
+        for mode in ("auto", "off", "on"):
+            with pytest.raises(TypeError, match="kernel"):
+                ExecutionPlan(kernel=mode)
+            with pytest.raises(TypeError, match="kernel"):
+                configure(kernel=mode)
 
+    def test_invalid_raised_limit_rejected(self):
+        """``labeling_limit`` is the one admission bound; no plan takes a
+        second, kernel-only one."""
+        with pytest.raises(TypeError, match="kernel_labeling_limit"):
+            ExecutionPlan(kernel_labeling_limit=70_000)

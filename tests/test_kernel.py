@@ -6,8 +6,8 @@ generators: same yield stream, same ``seen``-set mutations, and the same
 streaming early exit, where a closed generator must leave the account in
 the same state the scalar generator would.  Plus the capability probe:
 without numpy (simulated via ``REPRO_DISABLE_NUMPY``) everything falls
-back to the pure-Python loops and plans resolve ``kernel`` to
-``"off"``.
+back to the pure-Python loops and sweeps report no kernel in their
+provenance.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ from unittest import mock
 import pytest
 
 from repro.core.registry import all_lcps, make_lcp
-from repro.engine import ExecutionPlan, available_backends
+from repro.engine import (
+    ExecutionPlan,
+    RunContext,
+    available_backends,
+    clear_engine_state,
+    decide_hiding,
+)
 from repro.graphs import cycle_graph, path_graph, star_graph
 from repro.kernel import (
     DISABLE_ENV,
@@ -339,6 +345,14 @@ def test_kernel_supports_bounds():
     assert not kernel_supports(path_graph(64), [0, 1, 2])
 
 
+def _sweep_kernel() -> str | None:
+    """``Provenance.kernel`` of a fresh, uncached degree-one sweep."""
+    clear_engine_state()
+    plan = ExecutionPlan(warm_start=False, memory_cache=False, disk_cache=False)
+    verdict = decide_hiding(make_lcp("degree-one"), 3, plan, ctx=RunContext.isolated())
+    return verdict.provenance.kernel
+
+
 class TestCapabilityProbe:
     def test_disable_env_forces_fallback(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "1")
@@ -346,10 +360,10 @@ class TestCapabilityProbe:
         assert not kernel_available()
         assert numpy_version() is None
         assert available_backends() == ["streaming"]
-        # auto routes to the streaming backend with the kernels off.
+        # auto routes to the streaming backend, which runs the scalar loops.
         plan = ExecutionPlan(disk_cache=False).resolve(PerfConfig())
         assert plan.backend == "streaming"
-        assert plan.kernel == "off"
+        assert _sweep_kernel() is None
 
     @needs_numpy
     def test_probe_reports_numpy(self, monkeypatch):
@@ -357,7 +371,7 @@ class TestCapabilityProbe:
         assert numpy_or_none() is not None
         assert isinstance(numpy_version(), str)
         assert available_backends() == ["streaming"]
-        assert ExecutionPlan().resolve().kernel == "auto"
+        assert _sweep_kernel() == "batch"
 
     def test_sweep_falls_back_without_numpy(self, monkeypatch):
         """kernel='batch' without numpy silently runs the scalar loop —

@@ -141,61 +141,6 @@ def test_metrics_registry_instruments():
     assert sum(hist["counts"]) == 2
 
 
-def test_metrics_merge_accumulates():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.incr("x", 2)
-    b.incr("x", 3)
-    b.set_gauge("g", 9)
-    b.observe("h", 0.01)
-    a.merge(b)
-    dump = a.as_dict()
-    assert dump["counters"]["x"] == 5
-    assert dump["gauges"]["g"] == 9
-    assert dump["histograms"]["h"]["count"] == 1
-
-
-def test_metrics_merge_same_buckets_adds_positionally():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    buckets = (0.01, 0.1, 1.0)
-    for value in (0.005, 0.05):
-        a.observe("h", value, buckets=buckets)
-    for value in (0.05, 5.0):
-        b.observe("h", value, buckets=buckets)
-    a.merge(b)
-    hist = a.as_dict()["histograms"]["h"]
-    # Per-bucket counts add positionally: [<=0.01, <=0.1, <=1.0, overflow]
-    assert hist["counts"] == [1, 2, 0, 1]
-    assert hist["count"] == 4 == sum(hist["counts"])
-    assert hist["sum"] == pytest.approx(0.005 + 0.05 + 0.05 + 5.0)
-
-
-def test_metrics_merge_mismatched_buckets_replays_mean():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.observe("h", 0.05, buckets=(0.01, 0.1, 1.0))
-    b.observe("h", 0.2, buckets=(0.5,))  # different boundaries
-    b.observe("h", 0.4)
-    a.merge(b)
-    hist = a.as_dict()["histograms"]["h"]
-    # Foreign observations are replayed at their mean (0.3), NOT added
-    # positionally — boundaries differ, so position has no meaning.
-    assert hist["buckets"] == [0.01, 0.1, 1.0]  # mine win
-    assert hist["count"] == 3
-    assert hist["counts"] == [0, 1, 2, 0]  # 0.05 then 0.3 twice
-    # sum reflects the replayed mean, preserving the total exactly.
-    assert hist["sum"] == pytest.approx(0.05 + 0.2 + 0.4)
-    assert sum(hist["counts"]) == hist["count"]
-
-
-def test_metrics_merge_empty_mismatched_histogram_is_noop():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.observe("h", 0.05, buckets=(0.01, 0.1))
-    b.histogram("h", buckets=(9.9,))  # created but never observed
-    a.merge(b)
-    hist = a.as_dict()["histograms"]["h"]
-    assert hist["count"] == 1
-    assert hist["buckets"] == [0.01, 0.1]
-
-
 def test_perfstats_bind_metrics_mirrors_counters_and_timers():
     registry = MetricsRegistry()
     stats = PerfStats().bind_metrics(registry)

@@ -302,7 +302,6 @@ class TestStatsAndConfig:
             "disk_cache",
             "disk_cache_dir",
             "symmetry",
-            "kernel",
         }
         for retired in ("layout_cache", "decision_memo", "kernel_block_size"):
             with pytest.raises(TypeError):

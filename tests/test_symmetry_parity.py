@@ -23,11 +23,11 @@ from repro.core import make_lcp
 from repro.core.registry import all_lcps
 from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
 from repro.graphs.generators import cycle_graph, path_graph
+from repro.kernel import DISABLE_ENV
 from repro.local.instance import Instance
 from repro.local.labeling import labeling_key, node_sort_order
 from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
 from repro.neighborhood.aviews import symmetry_pruning_effective
-from repro.perf import overridden
 from repro.symmetry import (
     SymmetryAccount,
     automorphism_group,
@@ -85,25 +85,25 @@ def test_pruned_sweep_matches_brute_force(scheme, backend):
 
 
 @pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
-def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme):
+def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme, monkeypatch):
     """Both Theorem 1.1 schemes at n = 4 on the scalar loops: the
     orbit-pruned ``V(D, 4)`` has the brute-force view list, edge set and
     effective instance count, not only the same fingerprint."""
+    monkeypatch.setenv(DISABLE_ENV, "1")
     lcp = make_lcp(scheme)
     graphs = {}
     for mode in ("off", "on"):
         account = SymmetryAccount()
-        with overridden(kernel="off"):
-            graph = build_neighborhood_graph(
+        graph = build_neighborhood_graph(
+            lcp,
+            yes_instances_up_to(
                 lcp,
-                yes_instances_up_to(
-                    lcp,
-                    4,
-                    include_all_accepted_labelings=True,
-                    symmetry=mode,
-                    account=account,
-                ),
-            )
+                4,
+                include_all_accepted_labelings=True,
+                symmetry=mode,
+                account=account,
+            ),
+        )
         graph.instances_scanned += account.instances_suppressed
         graphs[mode] = graph
     assert account.instances_suppressed  # the "on" sweep did prune
