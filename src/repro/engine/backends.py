@@ -149,7 +149,6 @@ def _enumeration_bounds(plan: ExecutionPlan) -> dict:
     return {
         "port_limit": plan.port_limit,
         "id_order_types": plan.id_order_types,
-        "include_all_accepted_labelings": True,
         "labeling_limit": plan.labeling_limit,
         "family": plan.graph_family,
         "alphabet_limit": plan.alphabet_limit,

@@ -23,7 +23,7 @@ template share one table and its filled entries.
 
 from __future__ import annotations
 
-from ..local.views import View
+from ..local.views import View, view_with_labels
 from ..perf.cache import LRUCache
 from ..perf.stats import GLOBAL_STATS, PerfStats
 
@@ -62,7 +62,7 @@ class AcceptanceTable:
             fresh, first = np.unique(indices[unknown], return_index=True)
             alphabet = self.alphabet
             self.value[fresh] = [
-                decide(_template_with_labels(self.template, tuple(alphabet[d] for d in combo)))
+                decide(view_with_labels(self.template, tuple(alphabet[d] for d in combo)))
                 for combo in digits[unknown][first].tolist()
             ]
             self.known[fresh] = True
@@ -73,18 +73,6 @@ class AcceptanceTable:
 def clear_kernel_tables() -> None:
     """Drop every cached acceptance table (benchmarks, test isolation)."""
     _TABLES.clear()
-
-
-def _template_with_labels(template: View, labels: tuple) -> View:
-    # Same fast clone as repro.local.views.relabel_view, but from a raw
-    # label tuple instead of a Labeling (the table decodes label combos
-    # directly).
-    view = View.__new__(View)
-    state = view.__dict__
-    state.update(template.__dict__)
-    state.pop("_hash", None)
-    state["labels"] = labels
-    return view
 
 
 def acceptance_table(

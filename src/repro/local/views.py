@@ -458,21 +458,26 @@ def layout_label_columns(label_order, node_index: dict) -> tuple[int, ...]:
     return tuple(node_index[u] for u in label_order)
 
 
-def relabel_view(template: View, label_order, labeling) -> View:
-    """Instantiate a layout template under a concrete labeling.
+def view_with_labels(template: View, labels: tuple) -> View:
+    """A layout template with *labels* at its local positions.
 
     Clones the template by copying its ``__dict__`` and swapping the
     label tuple, skipping the frozen-dataclass ``__init__`` (seven
-    ``object.__setattr__`` calls) — this runs millions of times inside
-    the exhaustive-adversary and neighborhood-graph sweeps.  The cached
-    hash never carries over: the labels differ.
+    ``object.__setattr__`` calls) — the sweeps instantiate templates
+    millions of times.  The cached hash never carries over: the labels
+    differ.
     """
     view = View.__new__(View)
     state = view.__dict__
     state.update(template.__dict__)
     state.pop("_hash", None)
-    state["labels"] = tuple(map(labeling.of, label_order))
+    state["labels"] = labels
     return view
+
+
+def relabel_view(template: View, label_order, labeling) -> View:
+    """Instantiate a layout template under a concrete labeling."""
+    return view_with_labels(template, tuple(map(labeling.of, label_order)))
 
 
 def describe_view(view: View) -> str:

@@ -241,7 +241,6 @@ def yes_instances_up_to(
     n: int,
     port_limit: int = 64,
     id_order_types: bool = False,
-    include_all_accepted_labelings: bool = False,
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
@@ -255,7 +254,11 @@ def yes_instances_up_to(
     filtered by :meth:`LCP.is_yes_instance` (promise class +
     ``k``-colorability — bipartiteness for the paper's ``k = 2``, where
     only bipartite graphs are generated in the first place; see
-    :func:`bipartite_generation`).
+    :func:`bipartite_generation`).  Labelings are exhaustive: the
+    prover's plus every unanimously accepted one within
+    *labeling_limit* (the prover-only stream of the witness regime is
+    :func:`labeled_yes_instances` without
+    ``include_all_accepted_labelings``).
     """
     # No pre-filter here: labeled_yes_instances applies is_yes_instance
     # itself, and filtering twice would double the bipartiteness checks.
@@ -265,7 +268,7 @@ def yes_instances_up_to(
         port_limit=port_limit,
         id_order_types=id_order_types,
         id_bound=n,
-        include_all_accepted_labelings=include_all_accepted_labelings,
+        include_all_accepted_labelings=True,
         labeling_limit=labeling_limit,
         symmetry=symmetry,
         account=account,
@@ -281,7 +284,6 @@ def yes_instances_between(
     hi: int,
     port_limit: int = 64,
     id_order_types: bool = False,
-    include_all_accepted_labelings: bool = False,
     labeling_limit: int = 20_000,
     symmetry: str = "off",
     account=None,
@@ -311,7 +313,7 @@ def yes_instances_between(
         port_limit=port_limit,
         id_order_types=id_order_types,
         id_bound=hi,
-        include_all_accepted_labelings=include_all_accepted_labelings,
+        include_all_accepted_labelings=True,
         labeling_limit=labeling_limit,
         symmetry=symmetry,
         account=account,

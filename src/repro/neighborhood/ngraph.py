@@ -18,9 +18,9 @@ from ..graphs.graph import Graph, Node
 from ..graphs.coloring import k_coloring
 from ..graphs.properties import bipartition
 from ..local.instance import Instance
-from ..local.views import View
+from ..local.views import View, view_with_labels
 from ..obs.trace import NULL_TRACER, Tracer
-from ..perf.cache import default_layout_cache, memoized_decide
+from ..perf.cache import ViewLayoutCache, default_layout_cache, memoized_decide
 from ..perf.stats import GLOBAL_STATS, PerfStats
 
 
@@ -141,17 +141,6 @@ class NeighborhoodGraph:
         return [self.views[j] for j in self.adjacency.get(idx, [])]
 
 
-def _labeled_views(lcp: LCP, instance: Instance, stats: PerfStats) -> dict[Node, View]:
-    """Views of every node of *instance*, through the layout cache.
-
-    The templates of one ``(graph, ports, ids)`` base are extracted once;
-    subsequent labelings of the same base only swap label tuples.
-    """
-    return default_layout_cache().labeled_views(
-        instance, lcp.radius, not lcp.anonymous, stats=stats
-    )
-
-
 class GraphConsumer:
     """Contract for consumers driven by the neighborhood-graph builder.
 
@@ -199,11 +188,14 @@ def build_neighborhood_graph(
     starting fresh (the cross-``n`` warm start: ``V(D, n-1)`` embeds into
     ``V(D, n)``).
 
-    The scan goes through the performance layer (:mod:`repro.perf`): view
-    layouts are extracted once per ``(graph, ports, ids)`` base and
-    re-labeled per instance, and decoder verdicts are memoized per
-    canonical view.  Both caches are semantics-preserving: layouts never
-    depend on labels, and decoders are pure functions of the view.
+    Views are interned: view layouts are fetched once per run of
+    instances on one ``(graph, ports, ids)`` base (through the shared
+    layout cache), and a view is a layout template plus a label tuple,
+    so each distinct ``(template, labels)`` pair of the call is cloned,
+    decided (through the shared decision memo) and indexed once, however
+    many (labeling, node) pairs hold it.  ``views_built`` counts the
+    clones.  Interning is semantics-preserving: layouts never depend on
+    labels, and decoders are pure functions of the view.
     """
     stats = stats or GLOBAL_STATS
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -211,37 +203,65 @@ def build_neighborhood_graph(
         radius=lcp.radius, include_ids=not lcp.anonymous
     )
     decide = memoized_decide(lcp.decoder, stats=stats)
+    layout_cache = default_layout_cache()
+    radius, include_ids = lcp.radius, not lcp.anonymous
+    # Views are interned per call.  A view is a template plus a label
+    # tuple, so ``slots[template][labels]`` names exactly one view: its
+    # index in ``ngraph``, or -1 when the decoder rejects it.  Each
+    # distinct view is cloned, decided and indexed the first time its
+    # key appears; every later (labeling, node) pair holding it costs one
+    # label tuple and two dict probes.  Templates are keyed by value, so
+    # equal templates of different bases share their slots.
+    slots: dict[View, dict[tuple, int]] = {}
+    # The current base, pinned so the ids in its key cannot be recycled
+    # while they are compared; ``plan`` is its ``(node, label_order,
+    # template, slots)`` per node, ``edges`` its graph's edge list.
+    base = base_key = None
+    plan: list = []
+    edges: list = []
+    built = 0
     scanned = 0
     stopped = False
-    # One-slot edge-list cache: the enumeration yields all labelings of a
-    # base consecutively, so the graph object repeats in runs.
-    last_graph = None
-    last_edges: list = []
     with tracer.span("build:serial") as build_span:
         with stats.time_stage("neighborhood_build"):
             for instance in labeled_instances:
                 scanned += 1
-                views = _labeled_views(lcp, instance, stats)
-                votes = {v: decide(view) for v, view in views.items()}
+                key = ViewLayoutCache.base_key(instance, radius, include_ids)
+                if key != base_key:
+                    base, base_key = instance, key
+                    layouts = layout_cache.layouts_for(
+                        instance, radius, include_ids, stats=stats
+                    )
+                    plan = [
+                        (v, order, template, slots.setdefault(template, {}))
+                        for v, (template, order) in layouts.items()
+                    ]
+                    edges = instance.graph.edges
+                labeling = instance.labeling
+                label_of = labeling.of if labeling is not None else _no_label
                 indices = {}
-                for v, accepted in votes.items():
-                    if not accepted:
-                        continue
-                    idx, created = ngraph.add_view_tracked(views[v], instance, v)
-                    indices[v] = idx
-                    if created and consumer is not None:
-                        consumer.on_view(idx, views[v])
-                        if consumer.done:
-                            stopped = True
-                            break
+                for v, order, template, table in plan:
+                    labels = tuple(map(label_of, order))
+                    idx = table.get(labels)
+                    if idx is None:
+                        view = view_with_labels(template, labels)
+                        built += 1
+                        idx, created = -1, False
+                        if decide(view):
+                            idx, created = ngraph.add_view_tracked(view, instance, v)
+                        table[labels] = idx
+                        if created and consumer is not None:
+                            consumer.on_view(idx, view)
+                            if consumer.done:
+                                stopped = True
+                                break
+                    if idx >= 0:
+                        indices[v] = idx
                 if stopped:
                     stats.incr("streaming_early_exits")
                     break
-                if instance.graph is not last_graph:
-                    last_graph = instance.graph
-                    last_edges = last_graph.edges
-                for u, v in last_edges:
-                    if votes.get(u) and votes.get(v):
+                for u, v in edges:
+                    if u in indices and v in indices:
                         created = ngraph.add_edge_tracked(
                             indices[u], indices[v], instance, (u, v)
                         )
@@ -263,5 +283,9 @@ def build_neighborhood_graph(
             build_span.set_attribute("early_exit_at_instance", scanned)
     ngraph.instances_scanned += scanned
     stats.incr("instances_scanned", scanned)
+    stats.incr("views_built", built)
     return ngraph
 
+
+def _no_label(_node: Node) -> None:
+    return None

@@ -103,7 +103,9 @@ class ViewLayoutCache:
         self._lru = LRUCache(maxsize or LAYOUT_CACHE_SIZE)
 
     @staticmethod
-    def _key(instance, radius: int, include_ids: bool) -> tuple:
+    def base_key(instance, radius: int, include_ids: bool) -> tuple:
+        """The identity key of *instance*'s base: its templates are
+        reusable exactly while this key holds."""
         return (
             id(instance.graph),
             id(instance.ports),
@@ -120,7 +122,7 @@ class ViewLayoutCache:
         from ..local.views import extract_view_layouts  # noqa: PLC0415
 
         stats = stats or GLOBAL_STATS
-        key = self._key(instance, radius, include_ids)
+        key = self.base_key(instance, radius, include_ids)
         entry = self._lru.get(key)
         if entry is not None:
             stats.incr("layout_hits")
@@ -141,7 +143,9 @@ class ViewLayoutCache:
 
         Equivalent to :func:`repro.local.views.extract_all_views` —
         canonicalization never depends on labels — but re-extraction is
-        replaced by tuple rebuilds on layout hits.
+        replaced by tuple rebuilds on layout hits.  The neighborhood
+        builder interns views instead of calling this per instance; the
+        per-pair reference builder of the tests still does.
         """
         from ..local.views import relabel_view  # noqa: PLC0415
 
@@ -249,8 +253,9 @@ def memoized_decide(decoder, stats: PerfStats | None = None) -> Callable[[Any], 
     """``decoder.decide`` through the shared memo.
 
     The returned closure inlines the memo's hit path — one dict probe,
-    no intermediate frames — because the sweeps call it once per (node,
-    labeling) pair and the hit rate is typically above 90%.
+    no intermediate frames — because the scalar unanimity loops call it
+    once per (node, labeling) pair and the hit rate is typically above
+    90%.
     """
     memo = shared_decision_memo(decoder)
     lru = memo._lru

@@ -20,6 +20,12 @@ rebuild its adjacency, and propagate minimal port signatures through
 ``port_of`` callbacks.  The engine's one-pass
 :func:`~repro.local.views.canonicalize_view` must match it byte for byte.
 
+:func:`reference_build` is the neighborhood-graph builder as it was
+before views were interned: per instance, every node's view is cloned
+from its layout template and decided, then the accepting ones are
+indexed.  The interned builder must match its graph, witnesses and
+event stream exactly; the oracle verdict is built on it.
+
 :func:`kernel_route` scopes a block to the numpy kernels or to the
 scalar loops, the reference every kernel is compared against.
 
@@ -45,13 +51,11 @@ from repro.graphs.graph import FrozenGraph
 from repro.graphs.traversal import view_subgraph_nodes_and_edges
 from repro.kernel import DISABLE_ENV
 from repro.local.views import View
-from repro.neighborhood import (
-    build_neighborhood_graph,
-    labeled_yes_instances,
-    yes_instances_up_to,
-)
+from repro.neighborhood import labeled_yes_instances, yes_instances_up_to
 from repro.neighborhood.aviews import symmetry_pruning_effective
 from repro.neighborhood.hiding import classic_verdict
+from repro.neighborhood.ngraph import NeighborhoodGraph
+from repro.perf.cache import default_layout_cache, memoized_decide
 from repro.perf.persist import encode_label
 from repro.symmetry import SymmetryAccount
 
@@ -61,7 +65,6 @@ _PLAN = ExecutionPlan()
 DEFAULT_BOUNDS = {
     "port_limit": _PLAN.port_limit,
     "id_order_types": _PLAN.id_order_types,
-    "include_all_accepted_labelings": True,
     "labeling_limit": _PLAN.labeling_limit,
 }
 
@@ -101,6 +104,7 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
             lcp,
             (g for size in range(1, n + 1) for g in reference_graphs(size)),
             id_bound=n,
+            include_all_accepted_labelings=True,
             **bounds,
         )
     else:
@@ -111,7 +115,7 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
             symmetry=symmetry if pruned else "off",
             account=account,
         )
-    ngraph = build_neighborhood_graph(lcp, instances)
+    ngraph = reference_build(lcp, instances)
     if account is not None:
         ngraph.instances_scanned += account.instances_suppressed
     legacy = classic_verdict(lcp, ngraph, exhaustive=True)
@@ -132,6 +136,47 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
         ),
         legacy=legacy,
     )
+
+
+def reference_build(lcp, labeled_instances, consumer=None, into=None) -> NeighborhoodGraph:
+    """:func:`~repro.neighborhood.ngraph.build_neighborhood_graph` the
+    per-pair way: every (labeling, node) pair gets its own view object
+    and decision, and the graph's index deduplicates them."""
+    ngraph = into if into is not None else NeighborhoodGraph(
+        radius=lcp.radius, include_ids=not lcp.anonymous
+    )
+    decide = memoized_decide(lcp.decoder)
+    scanned = 0
+    stopped = False
+    for instance in labeled_instances:
+        scanned += 1
+        views = default_layout_cache().labeled_views(instance, lcp.radius, not lcp.anonymous)
+        votes = {v: decide(view) for v, view in views.items()}
+        indices = {}
+        for v, accepted in votes.items():
+            if not accepted:
+                continue
+            idx, created = ngraph.add_view_tracked(views[v], instance, v)
+            indices[v] = idx
+            if created and consumer is not None:
+                consumer.on_view(idx, views[v])
+                if consumer.done:
+                    stopped = True
+                    break
+        if stopped:
+            break
+        for u, v in instance.graph.edges:
+            if votes.get(u) and votes.get(v):
+                created = ngraph.add_edge_tracked(indices[u], indices[v], instance, (u, v))
+                if created and consumer is not None:
+                    consumer.on_edge(indices[u], indices[v])
+                    if consumer.done:
+                        stopped = True
+                        break
+        if stopped:
+            break
+    ngraph.instances_scanned += scanned
+    return ngraph
 
 
 def reference_view(instance, v, radius: int, include_ids: bool = True) -> View:

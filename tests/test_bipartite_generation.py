@@ -116,7 +116,12 @@ def test_yes_instance_stream_equals_the_unpruned_filter(scheme, k):
     lcp = _lcp(scheme, k)
     pruned = list(yes_instances_up_to(lcp, 6))
     unpruned = list(
-        labeled_yes_instances(lcp, all_graphs_up_to(6, mutable=False), id_bound=6)
+        labeled_yes_instances(
+            lcp,
+            all_graphs_up_to(6, mutable=False),
+            id_bound=6,
+            include_all_accepted_labelings=True,
+        )
     )
     assert pruned
     assert [tuple(i.graph.edges) for i in pruned] == [

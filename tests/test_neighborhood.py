@@ -60,6 +60,7 @@ class TestAViewsEnumeration:
         n = 4 base, and watermelon has no finite alphabet: each base whose
         exhaustive pass is skipped is counted, under its reason."""
         from repro.core import make_lcp
+        from repro.graphs.families import all_graphs_up_to
         from repro.perf import PerfStats
         from repro.symmetry import SymmetryAccount
 
@@ -68,9 +69,10 @@ class TestAViewsEnumeration:
         for include_all in (True, False):
             stats, account = PerfStats(), SymmetryAccount()
             assert list(
-                yes_instances_up_to(
+                labeled_yes_instances(
                     lcp,
-                    4,
+                    all_graphs_up_to(4, mutable=False),
+                    id_bound=4,
                     include_all_accepted_labelings=include_all,
                     symmetry="off",
                     account=account,

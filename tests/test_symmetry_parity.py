@@ -99,7 +99,6 @@ def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme, monkeypatch):
             yes_instances_up_to(
                 lcp,
                 4,
-                include_all_accepted_labelings=True,
                 symmetry=mode,
                 account=account,
             ),
@@ -132,14 +131,14 @@ def test_instance_stream_is_a_counted_subsequence(scheme):
     brute = [
         (tuple(i.graph.edges), labeling_key(i.labeling, node_sort_order(i.graph)))
         for i in yes_instances_up_to(
-            lcp, n, include_all_accepted_labelings=True, symmetry="off"
+            lcp, n, symmetry="off"
         )
     ]
     account = SymmetryAccount()
     pruned = [
         (tuple(i.graph.edges), labeling_key(i.labeling, node_sort_order(i.graph)))
         for i in yes_instances_up_to(
-            lcp, n, include_all_accepted_labelings=True, symmetry="on", account=account
+            lcp, n, symmetry="on", account=account
         )
     ]
     assert len(brute) == len(pruned) + account.instances_suppressed
