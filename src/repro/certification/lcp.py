@@ -18,11 +18,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from ..errors import PromiseViolationError
 from ..graphs.coloring import is_k_colorable
 from ..graphs.graph import Graph, Node
 from ..graphs.properties import is_bipartite
 from ..local.instance import Instance
 from ..local.labeling import Certificate, Labeling
+from ..perf.stats import GLOBAL_STATS, PerfStats
 from .decoder import Decoder
 from .prover import Prover
 
@@ -154,8 +156,11 @@ class _TolerantProver(Prover):
     2-coloring and rejects it).  For the Lemma 3.1 sweep that is fine:
     the exhaustive unanimity pass is the literal "some labeling accepted
     at v" of the definition, so the honest prover contributing nothing
-    for such an instance is sound.  ``certify`` keeps raising — a direct
-    round trip on an off-promise instance should still fail loudly.
+    for such an instance is sound.  Each swallowed rejection is counted
+    as ``prover_rejections`` (on *stats*, default
+    :data:`~repro.perf.stats.GLOBAL_STATS`), so the cut is never silent.
+    ``certify`` keeps raising — a direct round trip on an off-promise
+    instance should still fail loudly.
     """
 
     def __init__(self, base: Prover) -> None:
@@ -168,13 +173,20 @@ class _TolerantProver(Prover):
     def certify(self, instance: Instance) -> Labeling:
         return self.base.certify(instance)
 
-    def all_certifications(self, instance: Instance):
-        from ..errors import PromiseViolationError  # noqa: PLC0415
-
+    def all_certifications(self, instance: Instance, stats: PerfStats | None = None):
         try:
             yield from self.base.all_certifications(instance)
         except PromiseViolationError:
-            return
+            (stats or GLOBAL_STATS).incr("prover_rejections")
+
+
+def sweep_certifications(prover: Prover, instance: Instance, stats: PerfStats | None):
+    """*prover*'s certifications of *instance* as the Lemma 3.1 sweep
+    consumes them: a tolerant prover (a scheme re-parameterized to a
+    non-native ``k``) records what it swallows on the sweep's *stats*."""
+    if isinstance(prover, _TolerantProver):
+        return prover.all_certifications(instance, stats=stats)
+    return prover.all_certifications(instance)
 
 
 class ParametrizedLCP(LCP):

@@ -32,13 +32,14 @@ exhibit the counterexamples.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from itertools import product
 
 from ..certification.decoder import Decoder
 from ..certification.lcp import LCP
 from ..certification.prover import Prover, reject_promise
-from ..graphs.graph import Graph, Node
+from ..graphs.graph import Graph, Node, sealed_coloring
 from ..graphs.properties import bipartition
 from ..graphs.shatter import ShatterDecomposition, shatter_decomposition, shatter_points
 from ..local.instance import Instance
@@ -190,6 +191,94 @@ class ShatterDecoder(Decoder):
         return f"ShatterDecoder{suffix}"
 
 
+@dataclass(frozen=True)
+class ShatterPlan:
+    """Everything :class:`ShatterProver` derives from the graph alone at
+    one shatter point: the decomposition, a base 2-coloring per
+    component (read-only), the base color of each component's side
+    touched by ``N(v)`` (``None`` when untouched), and the orientation
+    blocks — component indices that must share a touch color."""
+
+    decomp: ShatterDecomposition
+    component_colorings: tuple[Mapping[Node, int], ...]
+    touched_base_color: tuple[int | None, ...]
+    blocks: tuple[tuple[int, ...], ...]
+
+
+def shatter_plan(graph: Graph, point: Node) -> ShatterPlan | None:
+    """The prover's plan at *point*, or ``None`` when Lemma 7.1's
+    condition 3 fails there (``N(v)`` touches both sides of some
+    component).  A graph fact per point: a frozen graph derives it once
+    for every ``(ports, ids)`` base of every sweep."""
+    return graph.fact(("shatter_plan", point), lambda: _plan(graph, point))
+
+
+def _plan(graph: Graph, point: Node) -> ShatterPlan | None:
+    decomp = shatter_decomposition(graph, point)
+    # The point, N(v) and the components of G - N[v] cover every node,
+    # so each labeling built from the plan is total.
+    component_colorings = []
+    for comp in decomp.components:
+        comp_split = bipartition(graph.induced_subgraph(comp))
+        assert comp_split.coloring is not None
+        component_colorings.append(sealed_coloring(comp_split.coloring))
+
+    # For each component, the color (under the fixed base coloring) of
+    # the side touched by N(v).
+    touched_base_color: list[int | None] = []
+    for index, comp in enumerate(decomp.components):
+        touched = {
+            component_colorings[index][w]
+            for u in decomp.neighbors
+            for w in graph.neighbors(u)
+            if w in comp
+        }
+        if len(touched) > 1:
+            return None
+        touched_base_color.append(touched.pop() if touched else None)
+    return ShatterPlan(
+        decomp=decomp,
+        component_colorings=tuple(component_colorings),
+        touched_base_color=tuple(touched_base_color),
+        blocks=_orientation_blocks(graph, decomp),
+    )
+
+
+def _orientation_blocks(
+    graph: Graph, decomp: ShatterDecomposition
+) -> tuple[tuple[int, ...], ...]:
+    """Group component indices that must share a touch color.
+
+    Components touched by a common type-1 node are merged (union-find)
+    so every enumerated orientation satisfies the common-touch-color
+    check.
+    """
+    parent = list(range(len(decomp.components)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        parent[find(a)] = find(b)
+
+    comp_of: dict[Node, int] = {}
+    for index, comp in enumerate(decomp.components):
+        for w in comp:
+            comp_of[w] = index
+    for u in decomp.neighbors:
+        touched = {comp_of[w] for w in graph.neighbors(u) if w in comp_of}
+        touched = sorted(touched)
+        for other in touched[1:]:
+            union(touched[0], other)
+    blocks: dict[int, list[int]] = {}
+    for index in range(len(decomp.components)):
+        blocks.setdefault(find(index), []).append(index)
+    return tuple(tuple(blocks[root]) for root in sorted(blocks))
+
+
 class ShatterProver(Prover):
     """Certify around a shatter point per the paper's completeness proof.
 
@@ -198,7 +287,8 @@ class ShatterProver(Prover):
     node a single touch color, so components touched by a common neighbor
     are oriented together.  ``all_certifications`` enumerates shatter
     points and all consistent orientation blocks (the freedom the hiding
-    construction of Section 7.1 exploits).
+    construction of Section 7.1 exploits).  The graph-only part of that
+    work is :func:`shatter_plan`; only the labelings are built per base.
     """
 
     def __init__(self, max_orientation_blocks: int = 6) -> None:
@@ -216,92 +306,26 @@ class ShatterProver(Prover):
         if not points:
             raise reject_promise(instance, "graph admits no shatter point")
         for point in points:
-            yield from self._certifications_at(instance, point)
+            plan = shatter_plan(graph, point)
+            if plan is not None:
+                yield from self._certifications_at(instance, plan)
 
-    def _certifications_at(self, instance: Instance, point: Node) -> Iterator[Labeling]:
-        graph = instance.graph
-        decomp = shatter_decomposition(graph, point)
-        component_colorings = []
-        for comp in decomp.components:
-            comp_split = bipartition(graph.induced_subgraph(comp))
-            assert comp_split.coloring is not None
-            component_colorings.append(comp_split.coloring)
-
-        # For each component, the color (under the fixed base coloring) of
-        # the side touched by N(v).
-        touched_base_color: list[int | None] = []
-        for index, comp in enumerate(decomp.components):
-            touched = {
-                component_colorings[index][w]
-                for u in decomp.neighbors
-                for w in graph.neighbors(u)
-                if w in comp
-            }
-            if len(touched) > 1:
-                # Lemma 7.1 condition 3 fails; cannot certify at this point.
-                return
-            touched_base_color.append(touched.pop() if touched else None)
-
-        blocks = self._orientation_blocks(graph, decomp)
-        if len(blocks) > self.max_orientation_blocks:
-            blocks = blocks[: self.max_orientation_blocks]
-            tails = [b for b in blocks]  # enumerate only the prefix blocks
-        else:
-            tails = blocks
+    def _certifications_at(self, instance: Instance, plan: ShatterPlan) -> Iterator[Labeling]:
+        # Enumerate only the prefix blocks when there are too many.
+        tails = plan.blocks[: self.max_orientation_blocks]
         for choice in product((0, 1), repeat=len(tails)):
             # touch_color[i]: the certificate color of component i's side
             # touched by N(v).
-            touch_color = [0] * len(decomp.components)
+            touch_color = [0] * len(plan.decomp.components)
             for block, bit in zip(tails, choice):
                 for comp_index in block:
                     touch_color[comp_index] = bit
-            yield self._build_labeling(
-                instance, decomp, component_colorings, touched_base_color, touch_color
-            )
-
-    def _orientation_blocks(
-        self, graph: Graph, decomp: ShatterDecomposition
-    ) -> list[list[int]]:
-        """Group component indices that must share a touch color.
-
-        Components touched by a common type-1 node are merged (union-find)
-        so every enumerated orientation satisfies the common-touch-color
-        check.
-        """
-        parent = list(range(len(decomp.components)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            parent[find(a)] = find(b)
-
-        comp_of: dict[Node, int] = {}
-        for index, comp in enumerate(decomp.components):
-            for w in comp:
-                comp_of[w] = index
-        for u in decomp.neighbors:
-            touched = {comp_of[w] for w in graph.neighbors(u) if w in comp_of}
-            touched = sorted(touched)
-            for other in touched[1:]:
-                union(touched[0], other)
-        blocks: dict[int, list[int]] = {}
-        for index in range(len(decomp.components)):
-            blocks.setdefault(find(index), []).append(index)
-        return [blocks[root] for root in sorted(blocks)]
+            yield self._build_labeling(instance, plan, touch_color)
 
     def _build_labeling(
-        self,
-        instance: Instance,
-        decomp: ShatterDecomposition,
-        component_colorings: list[dict[Node, int]],
-        touched_base_color: list[int | None],
-        touch_color: list[int],
+        self, instance: Instance, plan: ShatterPlan, touch_color: list[int]
     ) -> Labeling:
-        graph = instance.graph
+        decomp = plan.decomp
         point_id = instance.ids.id_of(decomp.point)
         colors_vector = tuple(touch_color)
         labels: dict[Node, Certificate] = {}
@@ -309,17 +333,14 @@ class ShatterProver(Prover):
         for u in decomp.neighbors:
             labels[u] = neighbor_certificate(point_id, colors_vector)
         for index, comp in enumerate(decomp.components):
-            base = component_colorings[index]
-            touched = touched_base_color[index]
+            base = plan.component_colorings[index]
+            touched = plan.touched_base_color[index]
             # Flip the base coloring so the touched side gets touch_color.
             flip = 0 if touched is None else (touched ^ touch_color[index])
             for w in comp:
                 labels[w] = component_certificate(
                     point_id, index + 1, base[w] ^ flip
                 )
-        for v in graph.nodes:
-            if v not in labels:
-                raise reject_promise(instance, f"node {v!r} unreachable from shatter structure")
         return Labeling(labels)
 
     @property

@@ -47,7 +47,9 @@ class ExecutionPlan:
       ``.repro_cache/``.  ``None`` defers to ``CONFIG.disk_cache``.
     * ``port_limit`` / ``id_order_types`` / ``labeling_limit`` — the
       Lemma 3.1 enumeration bounds; part of the plan because they define
-      the sweep's identity for every cache tier.  Every sweep runs the
+      the sweep's identity for every cache tier.  ``port_limit`` must be
+      at least 1 and ``labeling_limit`` at least 0 (0 admits no
+      exhaustive pass: prover labelings only).  Every sweep runs the
       exhaustive unanimity pass on each base whose labeling space over
       the scheme's finite certificate alphabet fits ``labeling_limit``.
     * ``symmetry`` — the orbit-pruning mode: ``"off"`` (no pruning),
@@ -106,6 +108,12 @@ class ExecutionPlan:
         if self.alphabet_limit is not None and self.alphabet_limit < 1:
             raise ValueError(
                 f"alphabet_limit must be positive, got {self.alphabet_limit}"
+            )
+        if self.port_limit < 1:
+            raise ValueError(f"port_limit must be positive, got {self.port_limit}")
+        if self.labeling_limit < 0:
+            raise ValueError(
+                f"labeling_limit must be non-negative, got {self.labeling_limit}"
             )
         return replace(
             self,

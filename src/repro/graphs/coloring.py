@@ -9,14 +9,23 @@ the neighborhood graphs reach.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from ..errors import GraphError
-from .graph import Graph, Node
+from .graph import Graph, Node, sealed_coloring
 
 
-def k_coloring(graph: Graph, k: int) -> dict[Node, int] | None:
-    """A proper ``k``-coloring of *graph*, or ``None`` if none exists."""
+def k_coloring(graph: Graph, k: int) -> Mapping[Node, int] | None:
+    """A proper ``k``-coloring of *graph*, or ``None`` if none exists.
+
+    A graph fact per ``k``: on a :class:`~repro.graphs.graph.FrozenGraph`
+    it is computed once and returned as a read-only mapping."""
     if k < 0:
         raise GraphError("k_coloring needs k >= 0")
+    return graph.fact(("k_coloring", k), lambda: _k_coloring(graph, k), seal=sealed_coloring)
+
+
+def _k_coloring(graph: Graph, k: int) -> dict[Node, int] | None:
     if graph.has_loop():
         return None
     if graph.order == 0:

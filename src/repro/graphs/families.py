@@ -102,9 +102,19 @@ def all_graphs_exactly(
             yield g.copy() if mutable else g
         return
     GLOBAL_STATS.incr("family_cache_misses")
+    # The bipartite family is the bipartite subsequence of the full one,
+    # representative for representative.  When it is cached, the full
+    # family adopts its objects, so the graph facts (and the layouts
+    # keyed by them) a k = 2 sweep derived serve a later k >= 3 sweep.
+    adopt = iter(() if bipartite else _FAMILY_CACHE.get((n, connected_only, True), ()))
+    candidate = next(adopt, None)
     representatives: list[FrozenGraph] = []
     for g in orderly_graphs_exactly(n, connected_only, bipartite):
-        frozen = FrozenGraph.freeze(g)
+        if candidate is not None and candidate == g:
+            frozen = candidate
+            candidate = next(adopt, None)
+        else:
+            frozen = FrozenGraph.freeze(g)
         representatives.append(frozen)
         yield g if mutable else frozen
     # Commit only after full exhaustion, so an abandoned generator

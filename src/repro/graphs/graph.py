@@ -13,12 +13,22 @@ Algorithms (BFS, bipartiteness, diameter, ...) live in
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Any
 
 from ..errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 
 Node = Hashable
 Edge = tuple[Node, Node]
+
+_MISSING = object()
+
+
+def sealed_coloring(coloring: dict[Node, int] | None) -> Mapping[Node, int] | None:
+    """A read-only view of *coloring* (``None`` passes through): the
+    form in which :meth:`FrozenGraph.fact` keeps colorings."""
+    return None if coloring is None else MappingProxyType(coloring)
 
 
 def edge_key(u: Node, v: Node) -> Edge:
@@ -121,6 +131,22 @@ class Graph:
     def size(self) -> int:
         """Number of edges (loops count once)."""
         return len(self.edges)
+
+    def fact(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        seal: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        """``compute()``, memoized per *key* on a :class:`FrozenGraph`.
+
+        A graph-only fact (a coloring, a decomposition, a base list) is
+        a function of the adjacency alone.  A mutable graph can change
+        under it, so here it is recomputed on every call and returned as
+        computed; the frozen override keeps ``seal(compute())`` — the
+        read-only form of the fact — for the object's lifetime.
+        """
+        return compute()
 
     def __contains__(self, v: Node) -> bool:
         return v in self._adj
@@ -264,22 +290,59 @@ class FrozenGraph(Graph):
     representative instead of paying a defensive copy per hit.  Use
     :meth:`Graph.copy` (inherited — it returns a plain mutable
     :class:`Graph`) when a mutable variant is needed.
+
+    Graph facts.  Because the adjacency never changes, every fact a
+    caller derives through :meth:`fact` (the edge list, the 2- and
+    ``k``-colorings, the shatter and watermelon decompositions, the
+    shatter prover's per-point plan, the sweep's port and identifier
+    lists) is computed once per object and shared by every later
+    caller.  Facts are read-only: producers store tuples, frozensets,
+    frozen dataclasses and :class:`types.MappingProxyType` colorings, so
+    no caller can mutate what the next one reads.  They live as long as
+    the graph; :func:`repro.graphs.families.clear_family_cache` drops the
+    cached representatives and their facts with them.  Copies and
+    pickles carry the adjacency only.
     """
 
-    __slots__ = ()
+    __slots__ = ("_facts",)
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()) -> None:
         staging = Graph(nodes, edges)
         object.__setattr__(self, "_adj", staging._adj)
+        object.__setattr__(self, "_facts", {})
 
     @classmethod
     def freeze(cls, graph: Graph) -> "FrozenGraph":
         """An immutable snapshot of *graph* (adjacency is copied)."""
         frozen = cls.__new__(cls)
-        object.__setattr__(
-            frozen, "_adj", {v: set(nbrs) for v, nbrs in graph._adj.items()}
-        )
+        frozen.__setstate__({v: set(nbrs) for v, nbrs in graph._adj.items()})
         return frozen
+
+    def __getstate__(self) -> dict:
+        return self._adj
+
+    def __setstate__(self, adj: dict) -> None:
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_facts", {})
+
+    def fact(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        seal: Callable[[Any], Any] | None = None,
+    ) -> Any:
+        facts = self._facts
+        value = facts.get(key, _MISSING)
+        if value is _MISSING:
+            value = compute()
+            if seal is not None:
+                value = seal(value)
+            facts[key] = value
+        return value
+
+    @property
+    def edges(self) -> list[Edge]:
+        return list(self.fact("edges", lambda: Graph.edges.fget(self), seal=tuple))
 
     def add_node(self, v: Node) -> None:
         raise GraphError("FrozenGraph is immutable; copy() for a mutable graph")

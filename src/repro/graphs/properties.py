@@ -9,10 +9,11 @@ consume odd cycles of the accepting neighborhood graph.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from ..errors import GraphError
-from .graph import Graph, Node
+from .graph import Graph, Node, sealed_coloring
 from .traversal import bfs_distances, connected_components, is_connected
 
 
@@ -21,11 +22,13 @@ class BipartitionResult:
     """Outcome of a bipartiteness test.
 
     Exactly one of *coloring* and *odd_cycle* is set.  *odd_cycle* is a
-    closed walk given as a node list ``[v0, ..., vk, v0]`` of odd length.
+    closed walk given as a node list ``[v0, ..., vk, v0]`` of odd length
+    (a read-only mapping and a tuple when the result is a frozen graph's
+    fact).
     """
 
-    coloring: dict[Node, int] | None
-    odd_cycle: list[Node] | None
+    coloring: Mapping[Node, int] | None
+    odd_cycle: Sequence[Node] | None
 
     @property
     def is_bipartite(self) -> bool:
@@ -36,8 +39,22 @@ def bipartition(graph: Graph) -> BipartitionResult:
     """Proper 2-coloring of *graph*, or an odd-cycle witness.
 
     A loop counts as an odd cycle of length 1, consistent with the paper's
-    convention that loops are allowed but never properly colorable.
+    convention that loops are allowed but never properly colorable.  On a
+    :class:`~repro.graphs.graph.FrozenGraph` the result is a graph fact:
+    computed once, its coloring a read-only mapping and its odd cycle a
+    tuple.
     """
+    return graph.fact("bipartition", lambda: _bipartition(graph), seal=_sealed)
+
+
+def _sealed(split: BipartitionResult) -> BipartitionResult:
+    return BipartitionResult(
+        coloring=sealed_coloring(split.coloring),
+        odd_cycle=None if split.odd_cycle is None else tuple(split.odd_cycle),
+    )
+
+
+def _bipartition(graph: Graph) -> BipartitionResult:
     for v in graph.nodes:
         if graph.has_edge(v, v):
             return BipartitionResult(coloring=None, odd_cycle=[v, v])
@@ -100,7 +117,8 @@ def is_bipartite(graph: Graph) -> bool:
 
 def find_odd_cycle(graph: Graph) -> list[Node] | None:
     """An odd closed walk ``[v0, ..., v0]`` if one exists, else ``None``."""
-    return bipartition(graph).odd_cycle
+    cycle = bipartition(graph).odd_cycle
+    return None if cycle is None else list(cycle)
 
 
 def is_odd_closed_walk(graph: Graph, walk: list[Node]) -> bool:

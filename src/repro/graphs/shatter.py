@@ -50,8 +50,13 @@ def shatter_decomposition(graph: Graph, v: Node) -> ShatterDecomposition:
     """Decompose *graph* around candidate shatter point *v*.
 
     The result is valid regardless of whether *v* actually shatters the
-    graph; check :attr:`ShatterDecomposition.component_count` >= 2.
+    graph; check :attr:`ShatterDecomposition.component_count` >= 2.  A
+    graph fact per *v* (computed once on a frozen graph).
     """
+    return graph.fact(("shatter_decomposition", v), lambda: _decompose(graph, v))
+
+
+def _decompose(graph: Graph, v: Node) -> ShatterDecomposition:
     rest = graph.subtract_closed_neighborhood(v)
     comps = connected_components(rest)
     comps_sorted = tuple(
@@ -68,8 +73,14 @@ def is_shatter_point(graph: Graph, v: Node) -> bool:
 
 
 def shatter_points(graph: Graph) -> list[Node]:
-    """All shatter points of *graph*, in node order."""
-    return [v for v in graph.nodes if is_shatter_point(graph, v)]
+    """All shatter points of *graph*, in node order (a graph fact)."""
+    return list(
+        graph.fact(
+            "shatter_points",
+            lambda: [v for v in graph.nodes if is_shatter_point(graph, v)],
+            seal=tuple,
+        )
+    )
 
 
 def has_shatter_point(graph: Graph) -> bool:

@@ -53,8 +53,13 @@ def watermelon_decomposition(graph: Graph) -> WatermelonDecomposition | None:
     odd) cycle, where the endpoint choice is ambiguous; we pick the
     deterministic choice described inline.  Single-path watermelons are
     exactly simple paths with at least 2 edges; two-path watermelons are
-    exactly cycles of length >= 4 (each arc must have length >= 2).
+    exactly cycles of length >= 4 (each arc must have length >= 2).  A
+    graph fact (computed once on a frozen graph).
     """
+    return graph.fact("watermelon_decomposition", lambda: _decompose(graph))
+
+
+def _decompose(graph: Graph) -> WatermelonDecomposition | None:
     n = graph.order
     if n < 3 or not is_connected(graph) or graph.has_loop():
         return None

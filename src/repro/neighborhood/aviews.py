@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from ..certification.enumeration import unanimously_accepted_labelings
-from ..certification.lcp import LCP
+from ..certification.lcp import LCP, sweep_certifications
 from ..graphs.families import (
     all_graphs_exactly,
     all_graphs_up_to,
@@ -83,6 +83,33 @@ def _admitted_alphabet(
     return alphabet
 
 
+def sweep_ports(graph: Graph, port_limit: int) -> tuple[bool, tuple[PortAssignment, ...]]:
+    """``(sampled, ports)``: the port assignments the sweep visits on
+    *graph* — all of them when their count fits *port_limit*, else
+    (``sampled``) the canonical one plus ``port_limit - 1`` seeded random
+    ones.  A graph fact per limit, so a frozen representative hands the
+    same objects to every sweep and the identity-keyed layout cache
+    hits across sweeps.  Limits below 1 sweep what 1 does and share its
+    entry."""
+    port_limit = max(port_limit, 1)
+
+    def compute() -> tuple[bool, tuple[PortAssignment, ...]]:
+        if count_port_assignments(graph) <= port_limit:
+            return False, tuple(all_port_assignments(graph))
+        ports = [PortAssignment.canonical(graph)]
+        ports += [PortAssignment.random(graph, seed) for seed in range(1, port_limit)]
+        return True, tuple(ports)
+
+    return graph.fact(("sweep_ports", port_limit), compute)
+
+
+def canonical_ids(graph: Graph) -> IdentifierAssignment:
+    """The canonical identifiers ``1..n`` of *graph* (a graph fact).
+    The ``n!`` order types of ``id_order_types`` are built per sweep
+    instead, so no representative pins them."""
+    return graph.fact("canonical_ids", lambda: IdentifierAssignment.canonical(graph))
+
+
 def labeled_yes_instances(
     lcp: LCP,
     graphs: Iterable[Graph],
@@ -100,7 +127,9 @@ def labeled_yes_instances(
     """Labeled yes-instances of *lcp* over the given graphs.
 
     * Ports: exhaustive when the count fits *port_limit*, else canonical
-      plus seeded random ones.
+      plus seeded random ones (:func:`sweep_ports`); each visit to a
+      graph whose port space is sampled counts ``ports_sampled`` on
+      *stats*.
     * Identifiers: canonical ``1..n`` by default; with *id_order_types*
       every order type (``n!`` of them — tiny graphs only), which is the
       right granularity for order-invariant and identifier-sensitive
@@ -157,18 +186,13 @@ def labeled_yes_instances(
             group = automorphism_group(graph)
             if group.is_trivial:
                 group = None
-        ports_list: list[PortAssignment]
-        if count_port_assignments(graph) <= port_limit:
-            ports_list = list(all_port_assignments(graph))
-        else:
-            ports_list = [PortAssignment.canonical(graph)]
-            ports_list += [
-                PortAssignment.random(graph, seed) for seed in range(1, port_limit)
-            ]
+        sampled, ports_list = sweep_ports(graph, port_limit)
+        if sampled:
+            coverage_stats.incr("ports_sampled")
         if id_order_types:
             id_list = list(all_order_types(graph))
         else:
-            id_list = [IdentifierAssignment.canonical(graph)]
+            id_list = [canonical_ids(graph)]
         bound = id_bound if id_bound is not None else graph.order
         #: base signature -> brute-equivalent instance count of the
         #: representative base (yields + suppressed), charged whole to
@@ -194,7 +218,7 @@ def labeled_yes_instances(
                 )
                 produced = 0
                 seen = set()
-                for labeling in lcp.prover.all_certifications(base):
+                for labeling in sweep_certifications(lcp.prover, base, coverage_stats):
                     key = labeling_key(labeling, node_order)
                     if key in seen:
                         continue

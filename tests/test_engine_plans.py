@@ -577,6 +577,32 @@ def test_decide_hiding_k_is_a_decision_input():
             decide_hiding(lcp, n, plan)
 
 
+@pytest.mark.parametrize("value", [0, -5])
+def test_port_limit_below_one_is_rejected(value):
+    """``port_limit`` 0 or negative used to sweep exactly what 1 does,
+    silently; resolve now rejects it, naming the field and the value."""
+    with pytest.raises(ValueError, match=f"port_limit must be positive, got {value}"):
+        ExecutionPlan(port_limit=value).resolve()
+    with pytest.raises(ValueError, match="port_limit"):
+        decide_hiding(make_lcp("degree-one"), 3, ExecutionPlan(port_limit=value))
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_labeling_limit_below_zero_is_rejected(value):
+    """``labeling_limit`` 0 is a real bound (prover labelings only);
+    a negative one is rejected at resolve."""
+    plan = ExecutionPlan(labeling_limit=value)
+    if value == 0:
+        assert plan.resolve().labeling_limit == 0
+        return
+    with pytest.raises(
+        ValueError, match=f"labeling_limit must be non-negative, got {value}"
+    ):
+        plan.resolve()
+    with pytest.raises(ValueError, match="labeling_limit"):
+        decide_hiding(make_lcp("degree-one"), 3, plan)
+
+
 def test_unknown_backend_is_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         ExecutionPlan(backend="quantum").resolve()

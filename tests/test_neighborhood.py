@@ -85,6 +85,41 @@ class TestAViewsEnumeration:
             assert account.bases_total
             assert {name: stats.get(name) for name in counters} == expected
 
+    @pytest.mark.parametrize("k, rejects", [(3, True), (2, False)])
+    def test_swallowed_prover_rejections_are_counted(self, k, rejects):
+        """Degree-one re-parameterized to k = 3 admits 3-colorable
+        yes-instances its 2-coloring prover rejects; the tolerant prover
+        swallows each one and counts it.  The native sweep swallows
+        nothing."""
+        from repro.engine.context import RunContext
+
+        ctx = RunContext.isolated()
+        plan = ExecutionPlan(early_exit=False, memory_cache=False, disk_cache=False)
+        decide_hiding(DegreeOneLCP(), 4, plan, k=k, ctx=ctx)
+        swallowed = ctx.stats.get("prover_rejections")
+        assert swallowed > 0 if rejects else swallowed == 0
+
+    def test_sampled_port_spaces_are_counted_per_visit(self):
+        """With ``port_limit=2`` the path (4 port assignments) and the
+        star (6) on 4 nodes are sampled.  The count is per sweep visit:
+        a second identical sweep, whose port lists come from the graphs'
+        memo, adds the same count again."""
+        from repro.engine.context import RunContext
+
+        plan = ExecutionPlan(
+            early_exit=False,
+            warm_start=False,
+            memory_cache=False,
+            disk_cache=False,
+            port_limit=2,
+        )
+        counts = []
+        for _ in range(2):
+            ctx = RunContext.isolated()
+            decide_hiding(DegreeOneLCP(), 4, plan, ctx=ctx)
+            counts.append(ctx.stats.get("ports_sampled"))
+        assert counts == [2, 2]
+
     def test_non_yes_graphs_skipped(self):
         lcp = DegreeOneLCP()
         labeled = list(
