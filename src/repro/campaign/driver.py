@@ -38,7 +38,6 @@ _PROVENANCE_FIELDS = (
     "warm_started",
     "warm_witness_hit",
     "symmetry_pruned",
-    "kernel",
     "wall_time_s",
     "trace_id",
 )
@@ -55,8 +54,8 @@ class CellResult:
     :meth:`~repro.engine.verdict.Verdict.digest` of its
     :meth:`~repro.engine.verdict.Verdict.decision_fingerprint`, the
     byte-level identity of the one decision route (stream-order witness
-    and coloring) that the plan-equivalence suite pins across kernel
-    and cache-tier variants.  ``trace_id`` is promoted out of the
+    and coloring) that the plan-equivalence suite pins across sweep
+    depths and cache tiers.  ``trace_id`` is promoted out of the
     provenance dict so frontier rows join directly against span exports
     and run reports (``None`` for untraced or errored cells).
     """

@@ -11,21 +11,15 @@ completeness made executable.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
+
+import numpy as np
 
 from ..errors import PromiseViolationError
 from ..graphs.graph import Graph
+from ..kernel.batch import MAX_INT64_SPACE, batch_unanimous_labelings, kernel_supports
 from ..local.instance import Instance
-from ..local.labeling import (
-    Certificate,
-    Labeling,
-    all_labelings,
-    count_labelings,
-    labeling_key,
-    node_sort_order,
-)
-from ..local.views import relabel_view
-from ..perf.cache import default_layout_cache, memoized_decide
+from ..local.labeling import Certificate, Labeling, count_labelings, node_sort_order
+from ..perf.cache import default_layout_cache
 from .decoder import Decoder
 from .lcp import LCP
 from .prover import Prover
@@ -40,7 +34,6 @@ def unanimously_accepted_labelings(
     seen: set[tuple] | None = None,
     stabilizer: tuple | None = None,
     account=None,
-    kernel: str | None = None,
     stats=None,
 ) -> Iterator[Labeling]:
     """Labelings of *instance* over *alphabet* that every node accepts.
@@ -48,12 +41,15 @@ def unanimously_accepted_labelings(
     The executable "there exists a labeling accepted at every node" of
     completeness, shared by :class:`SearchProver` and the Lemma 3.1 sweep
     (:func:`repro.neighborhood.aviews.labeled_yes_instances`).  Runs
-    through the performance layer: layouts are extracted once per
-    instance base and decoder verdicts are memoized per canonical view.
+    the prefix-pruned numpy join of :mod:`repro.kernel.batch` through
+    the performance layer: layouts are extracted once per instance base
+    and decoder verdicts are memoized per canonical view.  Labelings
+    come in ``itertools.product`` order over *alphabet*, node columns in
+    graph insertion order.
 
-    *seen* deduplicates by :func:`labeling_key`; passing a caller-owned
-    set lets the sweep skip labelings its prover already produced (the
-    set is updated in place).
+    *seen* deduplicates by :func:`~repro.local.labeling.labeling_key`;
+    passing a caller-owned set lets the sweep skip labelings its prover
+    already produced (the set is updated in place).
 
     *stabilizer* (index permutations over the graph's insertion-order
     nodes, identity first — see :func:`repro.symmetry.prune.
@@ -61,138 +57,44 @@ def unanimously_accepted_labelings(
     labeling of each stabilizer orbit is decided and yielded.  Sound
     because the permuted labeling of a port/id-preserving automorphism
     produces the identical multiset of node views.  The labelings this
-    suppresses relative to the brute loop are tallied on *account*
+    suppresses relative to the unpruned stream are tallied on *account*
     (:class:`repro.symmetry.prune.SymmetryAccount`), which the engine
     folds back into ``instances_scanned``.
 
-    *kernel* selects the inner-loop evaluator: ``None`` for the scalar
-    loops below, ``"batch"`` for the prefix-pruned numpy join of
-    :mod:`repro.kernel` (same yield stream, ``seen`` mutations, and
-    account totals at every yield point).  When numpy is unavailable —
-    or the labeling space cannot be indexed — the batch request
-    silently falls back to the scalar path, preserving zero-dependency
-    operation.  *stats* receives the kernel's batch counters (defaults
-    to the process-wide stats).
+    *stats* receives the join's batch counters (defaults to the
+    process-wide stats).  Raises :class:`ValueError` on the first pull
+    when the labeling space is too large for the join's int64 indices
+    (:func:`repro.kernel.batch.kernel_supports`); the sweep counts such
+    a base as ``labelings_capped`` and never asks.
     """
-    layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
-    node_order = node_sort_order(instance.graph)
-    if seen is None:
-        seen = set()
-    if kernel is not None:
-        if kernel != "batch":
-            raise ValueError(f"unknown sweep kernel {kernel!r}; known: batch")
-        from ..kernel import numpy_or_none  # noqa: PLC0415
-
-        np = numpy_or_none()
-        if np is not None:
-            from ..kernel.batch import batch_unanimous_labelings, kernel_supports  # noqa: PLC0415
-
-            if kernel_supports(instance.graph, alphabet):
-                yield from batch_unanimous_labelings(
-                    decoder,
-                    layouts,
-                    instance.graph,
-                    alphabet,
-                    node_order,
-                    seen,
-                    stabilizer,
-                    account,
-                    np=np,
-                    stats=stats,
-                )
-                return
-    decide = memoized_decide(decoder)
-    if stabilizer is not None and len(stabilizer) > 1:
-        yield from _orbit_pruned_labelings(
-            decide, layouts, instance.graph, alphabet, node_order, seen,
-            stabilizer, account,
+    if not kernel_supports(instance.graph, alphabet):
+        raise ValueError(
+            f"{len(alphabet)} ** {instance.graph.order} labelings exceed the "
+            f"join's int64 index space ({MAX_INT64_SPACE})"
         )
-        return
-    for labeling in all_labelings(instance.graph, alphabet):
-        if account is not None:
-            account.labelings_total += 1
-        key = labeling_key(labeling, node_order)
-        if key in seen:
-            continue
-        if all(
-            decide(relabel_view(template, order, labeling))
-            for template, order in layouts.values()
-        ):
-            seen.add(key)
-            yield labeling
-
-
-def _orbit_pruned_labelings(
-    decide,
-    layouts,
-    graph: Graph,
-    alphabet: list[Certificate],
-    node_order: list,
-    seen: set[tuple],
-    stabilizer: tuple,
-    account,
-) -> Iterator[Labeling]:
-    """The stabilizer-orbit-pruned core of the unanimity search.
-
-    Enumerates labelings as alphabet-index tuples in the exact order of
-    :func:`repro.local.labeling.all_labelings` and decides only orbit
-    minima (index tuples compare as ints; certificate values may mix
-    types).  The yielded stream is a subsequence of the brute stream —
-    the minimum of an orbit is the first member product order visits —
-    and suppressed orbit mates contribute no new canonical views, so
-    builder event streams are unchanged.  Accepted-instance accounting
-    is exact: per accepted orbit, the mates neither yielded here nor
-    already in *seen* (the prover's keys) are added to
-    ``account.instances_suppressed``.
-    """
-    nodes = graph.nodes
-    n = len(nodes)
-    node_index = {v: i for i, v in enumerate(nodes)}
-    order_pos = [node_index[v] for v in node_order]
-    others = stabilizer[1:]
-    indices = range(n)
-    for t in product(range(len(alphabet)), repeat=n):
-        if account is not None:
-            account.labelings_total += 1
-        is_rep = True
-        for sigma in others:
-            if tuple(t[sigma[i]] for i in indices) < t:
-                is_rep = False
-                break
-        if not is_rep:
-            if account is not None:
-                account.labelings_pruned += 1
-            continue
-        labeling = Labeling({nodes[i]: alphabet[t[i]] for i in indices})
-        if not all(
-            decide(relabel_view(template, order, labeling))
-            for template, order in layouts.values()
-        ):
-            continue
-        orbit = {t}
-        for sigma in others:
-            orbit.add(tuple(t[sigma[i]] for i in indices))
-        keys = {tuple(alphabet[u[j]] for j in order_pos) for u in orbit}
-        rep_key = tuple(alphabet[t[j]] for j in order_pos)
-        in_seen = sum(1 for key in keys if key in seen)
-        if rep_key in seen:
-            suppressed = len(orbit) - in_seen
-        else:
-            suppressed = len(orbit) - in_seen - 1
-            seen.add(rep_key)
-            yield labeling
-        if account is not None:
-            account.instances_suppressed += suppressed
+    layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
+    yield from batch_unanimous_labelings(
+        decoder,
+        layouts,
+        instance.graph,
+        alphabet,
+        node_sort_order(instance.graph),
+        set() if seen is None else seen,
+        stabilizer,
+        account,
+        np=np,
+        stats=stats,
+    )
 
 
 class SearchProver(Prover):
     """Find accepted labelings by exhaustive search over an alphabet.
 
-    The search runs through the performance layer: view layouts are
-    extracted once per instance base (shared with the neighborhood-graph
-    sweep via the process-wide layout cache) and decoder verdicts are
-    memoized per canonical view, which collapses the inner loop of the
-    ``|alphabet| ** n`` search to mostly cache lookups.
+    The search is :func:`unanimously_accepted_labelings`: view layouts
+    are extracted once per instance base (shared with the
+    neighborhood-graph sweep via the process-wide layout cache), and the
+    join decides each distinct local view once instead of scanning the
+    ``|alphabet| ** n`` space.
     """
 
     def __init__(self, decoder: Decoder, alphabet: list[Certificate], search_limit: int = 300_000):

@@ -17,10 +17,9 @@ Subcommands
     Print every node's certified view and its verdict.
 ``repro hiding <scheme> --n N``
     Decide hiding via the incremental engine, stopping at the first
-    witness (``--full-sweep`` builds the complete ``V(D, n)`` instead);
-    the sweep runs the numpy kernels when numpy is importable
-    (``REPRO_DISABLE_NUMPY=1`` forces the scalar loops).  The scheme
-    may equivalently be given as ``--scheme``; ``--trace`` prints the
+    witness (``--full-sweep`` builds the complete ``V(D, n)`` instead)
+    on the numpy kernels of :mod:`repro.kernel`.  The scheme may
+    equivalently be given as ``--scheme``; ``--trace`` prints the
     run's span tree, ``--trace-out FILE`` writes a full run report, and
     ``--profile`` prints the span self-time table plus a
     flamegraph-compatible folded-stack file.

@@ -10,12 +10,11 @@ the first witness, ``False`` builds the complete ``V(D, n)``.  Either
 way the witness is the stream-order first odd closed walk and the
 coloring is the engine's own, so the ``hiding`` flag, the witness, and
 (on conclusive non-hiding sweeps) the complete graph and coloring are
-byte-identical across kernel routes and cache tiers.
+byte-identical across cache tiers.
 
-Whenever numpy is importable (:func:`repro.kernel.kernel_available`),
-the numpy kernels of :mod:`repro.kernel` run the unanimity sweeps as
-prefix-pruned joins and orderly generation's canonicalization searches
-in batches; otherwise the scalar loops do.
+The numpy kernels of :mod:`repro.kernel` run every unanimity sweep as a
+prefix-pruned join and orderly generation's canonicalization searches in
+batches.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
 from ..perf.stats import GLOBAL_STATS
-from ..kernel import KERNEL_BATCH, kernel_available
+from ..kernel import KERNEL_BATCH
 from ..kernel.batch import KERNEL_BLOCK_SIZE
 from ..symmetry.prune import SymmetryAccount
 from .context import RunContext
@@ -169,7 +168,6 @@ def _envelope(
         backend=plan.backend,
         n=n,
         early_exit=plan.early_exit,
-        kernel=KERNEL_BATCH if kernel_available() else None,
         instances_scanned=g.instances_scanned,
         views=g.order,
         edges=g.size,
@@ -286,11 +284,7 @@ class StreamingBackend:
     @contextmanager
     def _kernel_span(self, ctx: RunContext):
         """Wrap the build in a ``kernel:batch`` span whose attributes
-        report the batch counters the sweep accumulated (no-op without
-        numpy)."""
-        if not kernel_available():
-            yield None
-            return
+        report the batch counters the sweep accumulated."""
         before_batches = ctx.stats.get("kernel_batches")
         before_labelings = ctx.stats.get("kernel_labelings")
         with ctx.tracer.span(

@@ -18,7 +18,7 @@ of :mod:`repro.neighborhood.streaming` — which finds this walk by
 construction and keeps it when a full sweep (``early_exit=False``) scans
 on.  Its coloring is the engine's own too (the union-find parity
 classes for ``k = 2``), so witness and coloring are byte-identical
-across every plan (early exit × kernel × cache tiers);
+across every plan (early exit × cache tiers);
 ``verdict.legacy.odd_cycle`` is the same walk.
 
 Decision digest
@@ -138,13 +138,10 @@ class Provenance:
     #: then includes the suppressed orbit mates (multiplied back in), not
     #: only the instances physically decided.
     symmetry_pruned: bool = False
-    #: Inner-loop evaluator the sweep ran with: ``"batch"`` when numpy
-    #: was importable (the numpy kernels), ``None`` for the scalar loops (and for disk reloads, which scan
-    #: nothing).
-    kernel: str | None = None
     #: Per-op throughput gauges of the producing sweep (``None`` when
-    #: the corresponding op never ran — a scalar sweep evaluates no
-    #: kernel labelings, a generation-warm sweep canonicalizes nothing).
+    #: the corresponding op never ran — a sweep whose labeling spaces
+    #: are all capped evaluates no kernel labelings, a generation-warm
+    #: sweep canonicalizes nothing).
     #: Mirrored into the context metrics registry as gauges of the same
     #: names, so single-core hosts track per-op perf trajectory.
     labelings_per_sec: float | None = None
@@ -169,8 +166,6 @@ class Provenance:
             f"{self.views} views / {self.edges} edges, "
             f"{format_seconds(self.wall_time_s)}"
         )
-        if self.kernel is not None:
-            text += f", kernel={self.kernel}"
         if self.labelings_per_sec is not None:
             text += f", {self.labelings_per_sec:,.0f} labelings/s"
         if self.canonicalizations_per_sec is not None:

@@ -1,11 +1,12 @@
 """Prefix-pruned vectorized evaluation of the unanimity sweep.
 
-:func:`batch_unanimous_labelings` is a drop-in for the scalar generators
-in :mod:`repro.certification.enumeration`: same yield order, same
-``seen``-set updates, and — critically for provenance parity under
-streaming early exit — the same
-:class:`~repro.symmetry.prune.SymmetryAccount` totals *at every yield
-point*.
+:func:`batch_unanimous_labelings` is the one route of
+:func:`repro.certification.enumeration.unanimously_accepted_labelings`.
+It matches a labeling-by-labeling scan in ``itertools.product`` order
+(the tests' reference loop): same yield order, same ``seen``-set
+updates, and — critically for provenance parity under streaming early
+exit — the same :class:`~repro.symmetry.prune.SymmetryAccount` totals
+*at every yield point*.
 
 A labeling is accepted iff every node's radius-``r`` view is, so the
 sweep is a join of local constraints rather than a scan of the
@@ -15,8 +16,8 @@ insertion order (the column order of
 :func:`repro.local.labeling.all_labelings`) and, per stage:
 
 1. extends every row by one column, digits ascending — rows stay in
-   product order, so survivors come out in the scalar yield order with
-   no sort;
+   product order, so survivors come out in the reference yield order
+   with no sort;
 2. checks each node whose layout's last column
    (:func:`repro.local.views.layout_label_columns`) was just assigned,
    reading its verdicts from the node's lazily filled
@@ -53,9 +54,9 @@ from ..perf.stats import GLOBAL_STATS, PerfStats
 from .tables import acceptance_table
 
 #: Largest labeling space the int64 index arithmetic can address.  The
-#: plan's ``labeling_limit`` sits orders of magnitude below this; the
-#: guard exists so a pathological caller falls back to the scalar loop
-#: instead of overflowing.
+#: plan's ``labeling_limit`` sits orders of magnitude below this; a
+#: sweep counts a base over it as ``labelings_capped``, and a direct
+#: call on one raises instead of overflowing.
 MAX_INT64_SPACE = 2**62
 
 #: The most rows one join stage holds.  Chunk boundaries are
@@ -65,9 +66,9 @@ KERNEL_BLOCK_SIZE = 4096
 
 
 def kernel_supports(graph, alphabet) -> bool:
-    """Whether the batch kernel can enumerate this labeling space."""
-    a = len(alphabet)
-    return a >= 1 and graph.order >= 1 and a**graph.order <= MAX_INT64_SPACE
+    """Whether the join can index this labeling space.  An empty
+    alphabet is supported: its space has no labeling to yield."""
+    return len(alphabet) ** graph.order <= MAX_INT64_SPACE
 
 
 def batch_unanimous_labelings(
@@ -85,10 +86,10 @@ def batch_unanimous_labelings(
 ) -> Iterator[Labeling]:
     """Unanimously accepted labelings of one base, by prefix-pruned join.
 
-    Mirrors :func:`repro.certification.enumeration.
-    unanimously_accepted_labelings` (and its orbit-pruned core) exactly:
-    the yielded stream, the ``seen`` mutations, and the *account* state
-    observable at each yield and at exhaustion are identical.
+    Matches the labeling-by-labeling scan (and its orbit-pruned
+    variant) exactly: the yielded stream, the ``seen`` mutations, and
+    the *account* state observable at each yield and at exhaustion are
+    identical.  The space must satisfy :func:`kernel_supports`.
     """
     stats = stats or GLOBAL_STATS
     a = len(alphabet)
@@ -97,6 +98,8 @@ def batch_unanimous_labelings(
     node_index = {v: i for i, v in enumerate(nodes)}
     order_pos = [node_index[v] for v in node_order]
     total = a**n
+    if not total:
+        return  # an empty alphabet labels no node
     block = block_size or KERNEL_BLOCK_SIZE
     metrics = stats.metrics
     decide = memoized_decide(decoder, stats)
@@ -206,8 +209,8 @@ def batch_unanimous_labelings(
             seen.add(rep_key)
             yield Labeling({nodes[i]: alphabet[t[i]] for i in range(n)})
             # Committed only if the consumer pulls again — exactly like
-            # the scalar generator, whose post-yield increment never
-            # runs when the sweep early-exits on this labeling.
+            # the reference loop, whose post-yield increment never runs
+            # when the sweep early-exits on this labeling.
             if account is not None:
                 account.instances_suppressed += suppressed
     if account is not None and cursor < total:

@@ -22,9 +22,9 @@ the scalar code — so the returned permutations match
 orderly generator built on top is byte-identical to the scalar one.
 
 Everything here takes the numpy module as an explicit ``np`` argument
-(callers hold the probe result of :func:`repro.kernel.numpy_or_none`);
-the module imports nothing from :mod:`repro.symmetry`, so the symmetry
-layer can import it without cycles.
+from its callers, which import it; the module imports nothing from
+:mod:`repro.symmetry`, so the symmetry layer can import it without
+cycles.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from __future__ import annotations
 #: Largest node count the packed int64 bit arithmetic supports.  The
 #: emission mask needs ``n * (n - 1) / 2`` bits and the frontier keys
 #: ``n - 1`` bits, so the mask bound binds first: 62 bits = n <= 11.
-#: Orderly generation at n = 12 is out of reach for other reasons long
-#: before this guard matters; callers fall back to the scalar DFS.
+#: Larger levels (bipartite ones stay reachable at n = 12) take the
+#: scalar DFS of :mod:`repro.symmetry.orderly`.
 MAX_GENERATION_NODES = 11
 
 

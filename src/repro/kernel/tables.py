@@ -12,9 +12,10 @@ most-significant first) encoding of the alphabet indices, in the exact
 enumeration order of ``itertools.product``.  Entries start unknown and
 are decided only when the prefix-pruned join of :mod:`repro.kernel.batch`
 indexes them (:meth:`AcceptanceTable.verdicts`), through
-:func:`repro.perf.cache.memoized_decide`, so scalar and kernel sweeps
-share one decision memo.  Most entries of a table are never read: the
-join drops rejected prefixes before the later nodes' views are formed.
+:func:`repro.perf.cache.memoized_decide`, so the join and the
+neighborhood-graph builder share one decision memo.  Most entries of a
+table are never read: the join drops rejected prefixes before the later
+nodes' views are formed.
 
 Tables are cached process-wide per ``(decoder, template, alphabet)`` by
 :func:`acceptance_table` — two nodes (or two bases) that share a

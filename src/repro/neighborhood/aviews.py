@@ -31,7 +31,7 @@ from ..graphs.families import (
     graph_family_predicate,
 )
 from ..graphs.graph import Graph
-from ..kernel import KERNEL_BATCH, kernel_available
+from ..kernel.batch import kernel_supports
 from ..local.identifiers import IdentifierAssignment, all_order_types
 from ..local.instance import Instance
 from ..local.labeling import count_labelings, labeling_key, node_sort_order
@@ -70,14 +70,16 @@ def _admitted_alphabet(
     """The alphabet of *graph*'s exhaustive unanimity pass, or ``None``
     when the pass does not run — counted on *stats* as
     ``labelings_prover_only`` (no finite alphabet) or
-    ``labelings_capped`` (``|alphabet| ** n`` over *labeling_limit*)."""
+    ``labelings_capped`` (``|alphabet| ** n`` over *labeling_limit*, or
+    beyond what the join can index)."""
     alphabet = lcp.certificate_alphabet(graph)
     if alphabet is None:
         stats.incr("labelings_prover_only")
         return None
     if alphabet_limit is not None:
         alphabet = alphabet[:alphabet_limit]
-    if count_labelings(graph, len(alphabet)) > labeling_limit:
+    over_limit = count_labelings(graph, len(alphabet)) > labeling_limit
+    if over_limit or not kernel_supports(graph, alphabet):
         stats.incr("labelings_capped")
         return None
     return alphabet
@@ -148,11 +150,8 @@ def labeled_yes_instances(
       Suppressed counts accumulate on *account*
       (:class:`repro.symmetry.prune.SymmetryAccount`); the engine folds
       them back into ``Provenance.instances_scanned``.
-    * Kernel: the unanimity sweep runs the prefix-pruned join of
-      :mod:`repro.kernel` whenever numpy is importable
-      (:func:`repro.kernel.kernel_available`), the scalar loop
-      otherwise; *stats* receives its batch counters.  The yielded
-      stream is identical either way.
+    * Kernel: the unanimity sweep runs the prefix-pruned numpy join of
+      :mod:`repro.kernel.batch`; *stats* receives its batch counters.
     * Skipped passes: with *include_all_accepted_labelings*, each base
       whose exhaustive pass does not run is counted on *stats* —
       ``labelings_capped`` over the limit, ``labelings_prover_only``
@@ -165,7 +164,6 @@ def labeled_yes_instances(
       pre-campaign sweep.
     """
     predicate = graph_family_predicate(family)
-    kernel = KERNEL_BATCH if kernel_available() else None
     coverage_stats = stats or GLOBAL_STATS
     pruning = symmetry_pruning_effective(lcp, symmetry)
     if pruning and account is None:
@@ -249,7 +247,6 @@ def labeled_yes_instances(
                         seen=seen,
                         stabilizer=stabilizer,
                         account=account,
-                        kernel=kernel,
                         stats=stats,
                     ):
                         produced += 1

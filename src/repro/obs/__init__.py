@@ -25,12 +25,8 @@ logging, and run reports — stdlib-only, zero-cost when off.
   (:func:`self_times`), flamegraph-compatible folded stacks
   (:func:`folded_stacks` / :func:`write_folded`), and the
   :func:`render_profile` table behind ``repro report profile``.
-* :mod:`repro.obs.export` — metrics exposition: a registry as
-  Prometheus text (:func:`to_prometheus`, with :func:`parse_prometheus`
-  as the round-trip gate) or flat JSON (:func:`to_flat_json`).
 """
 
-from .export import metric_name, parse_prometheus, to_flat_json, to_prometheus
 from .logs import ROOT_LOGGER_NAME, get_logger, parse_level, setup_logging
 from .metrics import (
     DEFAULT_SIZE_BUCKETS,
@@ -109,9 +105,7 @@ __all__ = [
     "folded_stacks",
     "format_seconds",
     "get_logger",
-    "metric_name",
     "parse_level",
-    "parse_prometheus",
     "plan_fingerprint",
     "progress_enabled",
     "render_diff",
@@ -121,8 +115,6 @@ __all__ = [
     "self_times",
     "setup_logging",
     "span_tree",
-    "to_flat_json",
-    "to_prometheus",
     "total_self_time",
     "tree_coverage",
     "validate_report",

@@ -259,8 +259,8 @@ def memoized_decide(decoder, stats: PerfStats | None = None) -> Callable[[Any], 
     """``decoder.decide`` through the shared memo.
 
     The returned closure inlines the memo's hit path — one dict probe,
-    no intermediate frames — because the scalar unanimity loops call it
-    once per (node, labeling) pair.
+    no intermediate frames — because every view decision of a sweep
+    goes through it.
     """
     memo = shared_decision_memo(decoder)
     lru = memo._lru

@@ -2,9 +2,9 @@
 
 One module-level :class:`PerfConfig` holds the defaults every
 :class:`~repro.engine.plan.ExecutionPlan` resolves against: warm
-starts, the disk tier and orbit pruning.  The numpy kernels follow
-numpy's availability (:func:`repro.kernel.numpy_or_none`), and every
-sweep runs serially in the calling process.
+starts, the disk tier and orbit pruning.  No field picks a kernel
+route: every sweep runs the numpy kernels of :mod:`repro.kernel`,
+serially in the calling process.
 Experiments and the CLI mutate it through :func:`configure` or scope
 changes with :func:`overridden`.  The in-process caches (view layouts,
 the decision memo, graph families, canonical forms) are always on;

@@ -48,14 +48,17 @@ therefore, entry for entry, the bipartite subsequence of the full level,
 and the pruned emission stream the bipartite subsequence of the full
 one.
 
-Both the level build and the emission labeling have an array-native
-fast path (:mod:`repro.kernel.generate`): when numpy is importable
-(:func:`repro.kernel.numpy_or_none`), the orbit-minimality
-subset filter, the colex canonicalization of candidate children, and
-the per-class minimal edge mask all run as batched frontier searches
-over ``(batch, nodes)`` bitset matrices.  The batched paths are exact —
-levels and emission streams are byte-identical to the scalar DFS — so
-the kernel route never enters any cache identity.
+Both the level build and the emission labeling run array-native
+(:mod:`repro.kernel.generate`) whenever the packed int64 arithmetic
+holds, :func:`~repro.kernel.generate.generation_supported` (up to
+:data:`~repro.kernel.generate.MAX_GENERATION_NODES` nodes): the
+orbit-minimality subset filter, the colex canonicalization of candidate
+children, and the per-class minimal edge mask all run as batched
+frontier searches over ``(batch, nodes)`` bitset matrices.  Larger
+levels take the scalar DFS (:func:`_build_level` and the scalar branch
+of :func:`emit_entries`), the exact semantics the batched paths
+reproduce — levels and emission streams are byte-identical — so the
+route never enters any cache identity.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import combinations
 
+import numpy as np
+
 from ..graphs.graph import Graph
-from ..kernel import numpy_or_none
 from ..obs.progress import GLOBAL_PROGRESS
 from ..kernel.generate import (
     batch_automorphisms,
@@ -121,10 +125,9 @@ def _level(n: int, bipartite: bool = False) -> Entries:
         vectorized = False
     else:
         parents = _level(n - 1, bipartite)
-        np = numpy_or_none()
-        vectorized = np is not None and generation_supported(n)
+        vectorized = generation_supported(n)
         if vectorized:
-            entries = _build_level_batched(n, parents, np, bipartite)
+            entries = _build_level_batched(n, parents, bipartite)
         else:
             entries = _build_level(n, parents, bipartite)
     _LEVELS[(n, bipartite)] = entries
@@ -181,8 +184,9 @@ def _bipartition_sides(rows: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _build_level(k: int, parents: Entries, bipartite: bool = False) -> Entries:
-    """Scalar reference level build — the exact semantics the batched
-    path below must reproduce entry for entry."""
+    """Scalar level build: the route above
+    :data:`~repro.kernel.generate.MAX_GENERATION_NODES` nodes, and the
+    exact semantics the batched path below reproduces entry for entry."""
     m = k - 1  # index of the new vertex
     out = []
     for rows_p, auts_p in parents:
@@ -223,7 +227,7 @@ def _build_level(k: int, parents: Entries, bipartite: bool = False) -> Entries:
     return tuple(out)
 
 
-def _build_level_batched(k: int, parents: Entries, np, bipartite: bool = False) -> Entries:
+def _build_level_batched(k: int, parents: Entries, bipartite: bool = False) -> Entries:
     """Array-native level build: both orderly filters and the canonical
     form run as batched numpy searches (:mod:`repro.kernel.generate`).
 
@@ -312,8 +316,7 @@ def emit_entries(
     cache of :mod:`repro.symmetry.groups`.
     """
     possible_edges = list(combinations(range(n), 2))
-    np = numpy_or_none()
-    vectorized = np is not None and generation_supported(n)
+    vectorized = generation_supported(n)
     nodes = tuple(range(n))
     cols = np.arange(n) if vectorized else None
     pending = []

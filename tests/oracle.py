@@ -26,8 +26,13 @@ from its layout template and decided, then the accepting ones are
 indexed.  The interned builder must match its graph, witnesses and
 event stream exactly; the oracle verdict is built on it.
 
-:func:`kernel_route` scopes a block to the numpy kernels or to the
-scalar loops, the reference every kernel is compared against.
+:func:`reference_unanimous_labelings` is the unanimity pass the
+labeling-by-labeling way: scan ``itertools.product`` order, decide every
+node's view, and (under a stabilizer) decide orbit minima only.  The
+numpy join of :mod:`repro.kernel.batch` must match its stream, ``seen``
+mutations and account totals at every yield.  :func:`kernel_route`
+scopes a block to the numpy kernels or to this loop plus the scalar
+orderly DFS, so engine-level suites compare the two routes.
 
 :func:`reference_fingerprint` serializes a decision the direct way: every
 view is encoded inline (:func:`encode_view`) and the whole payload goes
@@ -41,6 +46,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from functools import cache
+from itertools import product
 
 import pytest
 
@@ -49,15 +55,15 @@ from repro.errors import ViewError
 from repro.graphs.families import enumerate_graphs_exactly_reference
 from repro.graphs.graph import FrozenGraph
 from repro.graphs.traversal import view_subgraph_nodes_and_edges
-from repro.kernel import DISABLE_ENV
-from repro.local.views import View
-from repro.neighborhood import labeled_yes_instances, yes_instances_up_to
+from repro.local.labeling import Labeling, all_labelings, labeling_key, node_sort_order
+from repro.local.views import View, relabel_view
+from repro.neighborhood import aviews, labeled_yes_instances, yes_instances_up_to
 from repro.neighborhood.aviews import symmetry_pruning_effective
 from repro.neighborhood.hiding import classic_verdict
 from repro.neighborhood.ngraph import NeighborhoodGraph
 from repro.perf.cache import default_layout_cache, memoized_decide
 from repro.perf.persist import encode_label
-from repro.symmetry import SymmetryAccount
+from repro.symmetry import SymmetryAccount, orderly
 
 _PLAN = ExecutionPlan()
 
@@ -71,13 +77,108 @@ DEFAULT_BOUNDS = {
 
 @contextmanager
 def kernel_route(kernel: str):
-    """Run the block on the numpy kernels (``"auto"``; the scalar loops
-    anyway when numpy is missing) or on the scalar loops (``"off"``, by
-    setting ``REPRO_DISABLE_NUMPY`` for the block)."""
+    """Run the block on the numpy kernels (``"auto"``) or on the scalar
+    reference (``"off"``): the sweep's unanimity pass becomes
+    :func:`reference_unanimous_labelings`, and orderly generation emits
+    levels, and builds those not memoized yet, by its scalar DFS."""
     with pytest.MonkeyPatch.context() as patch:
         if kernel == "off":
-            patch.setenv(DISABLE_ENV, "1")
+            patch.setattr(
+                aviews, "unanimously_accepted_labelings", reference_unanimous_labelings
+            )
+            patch.setattr(orderly, "generation_supported", lambda n: False)
         yield
+
+
+def reference_unanimous_labelings(
+    decoder,
+    instance,
+    alphabet,
+    radius: int,
+    include_ids: bool,
+    seen: set | None = None,
+    stabilizer: tuple | None = None,
+    account=None,
+    stats=None,
+):
+    """:func:`~repro.certification.enumeration.unanimously_accepted_labelings`
+    by scanning every labeling (*stats* is accepted and unused)."""
+    layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
+    node_order = node_sort_order(instance.graph)
+    if seen is None:
+        seen = set()
+    decide = memoized_decide(decoder)
+    if stabilizer is not None and len(stabilizer) > 1:
+        yield from _orbit_pruned_labelings(
+            decide, layouts, instance.graph, alphabet, node_order, seen,
+            stabilizer, account,
+        )
+        return
+    for labeling in all_labelings(instance.graph, alphabet):
+        if account is not None:
+            account.labelings_total += 1
+        key = labeling_key(labeling, node_order)
+        if key in seen:
+            continue
+        if all(
+            decide(relabel_view(template, order, labeling))
+            for template, order in layouts.values()
+        ):
+            seen.add(key)
+            yield labeling
+
+
+def _orbit_pruned_labelings(
+    decide, layouts, graph, alphabet, node_order, seen, stabilizer, account
+):
+    """The stabilizer-orbit-pruned scan.
+
+    Enumerates labelings as alphabet-index tuples in product order and
+    decides only orbit minima (index tuples compare as ints; certificate
+    values may mix types).  The yielded stream is a subsequence of the
+    unpruned stream — the minimum of an orbit is the first member
+    product order visits.  Per accepted orbit, the mates neither yielded
+    here nor already in *seen* (the prover's keys) are added to
+    ``account.instances_suppressed``.
+    """
+    nodes = graph.nodes
+    n = len(nodes)
+    node_index = {v: i for i, v in enumerate(nodes)}
+    order_pos = [node_index[v] for v in node_order]
+    others = stabilizer[1:]
+    indices = range(n)
+    for t in product(range(len(alphabet)), repeat=n):
+        if account is not None:
+            account.labelings_total += 1
+        is_rep = True
+        for sigma in others:
+            if tuple(t[sigma[i]] for i in indices) < t:
+                is_rep = False
+                break
+        if not is_rep:
+            if account is not None:
+                account.labelings_pruned += 1
+            continue
+        labeling = Labeling({nodes[i]: alphabet[t[i]] for i in indices})
+        if not all(
+            decide(relabel_view(template, order, labeling))
+            for template, order in layouts.values()
+        ):
+            continue
+        orbit = {t}
+        for sigma in others:
+            orbit.add(tuple(t[sigma[i]] for i in indices))
+        keys = {tuple(alphabet[u[j]] for j in order_pos) for u in orbit}
+        rep_key = tuple(alphabet[t[j]] for j in order_pos)
+        in_seen = sum(1 for key in keys if key in seen)
+        if rep_key in seen:
+            suppressed = len(orbit) - in_seen
+        else:
+            suppressed = len(orbit) - in_seen - 1
+            seen.add(rep_key)
+            yield labeling
+        if account is not None:
+            account.instances_suppressed += suppressed
 
 
 @cache

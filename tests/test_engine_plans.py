@@ -1,11 +1,11 @@
 """Plan-equivalence properties of the unified hiding engine.
 
 The engine's contract: every plan (early exit × cache tiers), on the
-numpy kernels or the scalar loops, that answers the same question yields
-the *identical* decision — same hiding flag, byte-identical canonical
-witness walk, and on conclusive non-hiding sweeps the same complete
-graph and coloring — and the verdict's provenance reports the route and
-kernel that actually ran.
+numpy kernels or the tests' scalar reference loops, that answers the
+same question yields the *identical* decision — same hiding flag,
+byte-identical canonical witness walk, and on conclusive non-hiding
+sweeps the same complete graph and coloring — and the verdict's
+provenance reports the sweep that actually ran.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core.registry import all_lcps, make_lcp
 from repro.engine import (
     BACKEND_STREAMING,
     ExecutionPlan,
+    Provenance,
     RunContext,
     Verdict,
     available_backends,
@@ -27,7 +28,6 @@ from repro.engine import (
     decide_hiding,
 )
 from repro.graphs.properties import is_odd_closed_walk
-from repro.kernel import kernel_available
 from repro.perf import PerfStats, configure, overridden
 from repro.perf.config import PerfConfig
 
@@ -56,14 +56,9 @@ def _fresh_engine_state():
 SWEEPS = {"materialized": False, "streaming": True}
 
 #: The (sweep, kernel) grid: both sweep depths, on the numpy kernels
-#: (``"auto"``; scalar when numpy is missing) and on the scalar loops
-#: (``"off"``; see :func:`~tests.oracle.kernel_route`).
+#: (``"auto"``) and on the scalar reference loops (``"off"``; see
+#: :func:`~tests.oracle.kernel_route`).
 GRID = [(sweep, kernel) for sweep in SWEEPS for kernel in ("auto", "off")]
-
-
-def _expected_kernel(kernel: str) -> str | None:
-    """``Provenance.kernel`` of a fresh sweep on the *kernel* route."""
-    return "batch" if kernel == "auto" and kernel_available() else None
 
 
 def _plan_grid(tmp_path):
@@ -93,7 +88,7 @@ def _plan_grid(tmp_path):
 def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
     """The acceptance criterion: for every registry scheme, every plan in
     the grid produces the same decision fingerprint — including the
-    canonical witness walk — and honest route and kernel provenance."""
+    canonical witness walk — and honest route provenance."""
     lcp = make_lcp(scheme)
     n = 4
     fingerprints = {}
@@ -104,7 +99,6 @@ def test_every_plan_yields_the_identical_decision(scheme, tmp_path):
         assert isinstance(verdict, Verdict), label
         assert verdict.provenance.backend == BACKEND_STREAMING, label
         assert verdict.provenance.early_exit == plan.early_exit, label
-        assert verdict.provenance.kernel == _expected_kernel(kernel), label
         assert verdict.hiding in (True, False), label
         if verdict.hiding and lcp.k == 2:
             g = verdict.ngraph
@@ -221,12 +215,11 @@ def test_watermelon_n6_full_sweep_has_one_coloring():
     }
 
 
-@pytest.mark.skipif(not kernel_available(), reason="numpy not importable")
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
 @pytest.mark.parametrize("symmetry", ["off", "on"])
 def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
-    """The batch kernel is a drop-in for the scalar loops on the
-    streaming backend: same decision bytes, same witness, and the same
+    """The batch kernel is a drop-in for the scalar reference loops on
+    the streaming backend: same decision bytes, same witness, and the same
     ``Provenance.instances_scanned`` under early exit (the kernel must
     stop at the same instance) — with and without orbit pruning.  With
     early exit off, the build-then-decide oracle agrees on the graph and
@@ -254,8 +247,6 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
         assert (
             vec.provenance.instances_scanned == stream.provenance.instances_scanned
         )
-        assert vec.provenance.kernel == "batch"
-        assert stream.provenance.kernel is None
         if not early_exit:
             mat = oracle_verdict(lcp, n, symmetry=symmetry)
             assert vec.hiding == mat.hiding
@@ -315,7 +306,6 @@ def test_provenance_reports_the_backend_that_ran():
         assert verdict.provenance.early_exit == SWEEPS[sweep]
         assert verdict.provenance.n == 3
         assert verdict.provenance.summary()
-        assert verdict.provenance.kernel == _expected_kernel(kernel)
 
 
 def test_auto_backend_resolves_to_streaming():
@@ -334,7 +324,7 @@ def test_auto_backend_resolves_to_streaming():
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 def test_kernel_modes_share_one_disk_address(sweep, tmp_path):
     """The kernel route never enters a cache identity: a verdict written
-    by the scalar loops is a disk hit on the numpy route."""
+    by the scalar reference route is a disk hit on the numpy route."""
     lcp = make_lcp("degree-one")
     plan = ExecutionPlan(early_exit=SWEEPS[sweep], warm_start=False, disk_cache=True)
     with overridden(disk_cache_dir=str(tmp_path)):
@@ -386,6 +376,54 @@ def test_plan_fields_are_pinned():
     ]
     with pytest.raises(TypeError, match="include_all_accepted_labelings"):
         ExecutionPlan(include_all_accepted_labelings=True)
+
+
+def test_provenance_fields_are_pinned():
+    """Provenance records the sweep, not a kernel route: every sweep
+    runs the numpy kernels, so the retired ``kernel`` field is gone and
+    constructing with it fails loudly."""
+    assert [f.name for f in fields(Provenance)] == [
+        "backend",
+        "n",
+        "early_exit",
+        "instances_scanned",
+        "views",
+        "edges",
+        "memory_cache_hit",
+        "disk_cache_hit",
+        "warm_started",
+        "warm_witness_hit",
+        "symmetry_pruned",
+        "labelings_per_sec",
+        "canonicalizations_per_sec",
+        "wall_time_s",
+        "trace_id",
+    ]
+    with pytest.raises(TypeError, match="kernel"):
+        Provenance(
+            backend="streaming",
+            n=3,
+            early_exit=True,
+            instances_scanned=0,
+            views=0,
+            edges=0,
+            kernel="batch",
+        )
+
+
+@pytest.mark.parametrize("kernel", ["auto", "off"])
+def test_kernel_route_reaches_the_route_it_names(kernel):
+    """The parity grids above compare two routes only if ``"off"``
+    really swaps the reference loop in: the join then evaluates no rows.
+    (The generation half of the swap is pinned in
+    test_generation_kernel.)"""
+    stats = PerfStats()
+    plan = ExecutionPlan(
+        early_exit=False, warm_start=False, memory_cache=False, disk_cache=False
+    )
+    with kernel_route(kernel):
+        decide_hiding(make_lcp("degree-one"), 4, plan, ctx=RunContext(stats=stats))
+    assert (stats.get("kernel_labelings") > 0) == (kernel == "auto")
 
 
 def test_retired_config_field_is_rejected():

@@ -9,11 +9,11 @@ level build, and the emission stream must match the scalar
 bit for bit.  OEIS A000088 / A001349 pin the class counts so a parity
 bug that drops or duplicates classes on *both* routes cannot hide.
 
-Both kernel routes are also pinned to the edge-subset walk of the test
-oracle up to ``n = 6``.  The suite covers the capability seams too: the
-``REPRO_DISABLE_NUMPY`` fallback, the rejection of the retired kernel
-knobs, and numpy/scalar parity at a labeling limit only the kernel route
-used to admit.
+Both routes are also pinned to the edge-subset walk of the test oracle
+up to ``n = 6``; :func:`tests.oracle.kernel_route` reaches the scalar one
+in a sweep.  The suite covers the route seams too: the rejection of the
+retired kernel knobs, and kernel/reference parity at a labeling limit
+only the kernel route used to admit.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from itertools import permutations
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.core.even_cycle import EvenCycleLCP
@@ -28,7 +29,6 @@ from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
 from repro.engine.backends import disk_key, family_key
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_bipartite
-from repro.kernel import DISABLE_ENV, kernel_available, numpy_or_none
 from repro.kernel.generate import (
     MAX_GENERATION_NODES,
     batch_colex_canonical,
@@ -60,9 +60,6 @@ from repro.symmetry.orderly import (
 )
 
 from .oracle import kernel_route, reference_graphs
-
-HAVE_NUMPY = kernel_available()
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
 
 #: Isomorphism classes on exactly n nodes, n = 1..7 (OEIS A000088).
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -105,7 +102,7 @@ def _bipartite_entries(entries, n: int):
     )
 
 
-def _class_matrices(n: int, np):
+def _class_matrices(n: int):
     """Adjacency-row matrices for every class on *n* nodes plus a few
     deterministic relabelings — canonical and non-canonical inputs."""
     perms = list(permutations(range(n)))
@@ -125,12 +122,10 @@ def _class_matrices(n: int, np):
     return np.array(rows_out, dtype=np.int64)
 
 
-@needs_numpy
 class TestBatchCanonicalization:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_colex_matches_scalar_including_perm_order(self, n):
-        np = numpy_or_none()
-        matrix = _class_matrices(n, np)
+        matrix = _class_matrices(n)
         perms, gid = batch_colex_canonical(matrix, n, np)
         bounds = np.searchsorted(gid, np.arange(len(matrix) + 1))
         for g, adj in enumerate(matrix.tolist()):
@@ -146,8 +141,7 @@ class TestBatchCanonicalization:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_min_edge_mask_matches_scalar(self, n):
-        np = numpy_or_none()
-        matrix = _class_matrices(n, np)
+        matrix = _class_matrices(n)
         firsts = []
         for adj in matrix.tolist():
             _, cperms = colex_canonical(adj, n)
@@ -164,7 +158,6 @@ class TestBatchCanonicalization:
             assert tuple(final[g].tolist()) == perm
 
     def test_orbit_minimal_subsets_matches_scalar_filter(self):
-        np = numpy_or_none()
         for m in range(0, 6):
             bits = subset_bit_matrix(m, np)
             for sigma_tuple in (
@@ -189,20 +182,17 @@ class TestBatchCanonicalization:
                     assert bool(keep[s]) == minimal
 
 
-@needs_numpy
 class TestLevelBuildParity:
     def test_batched_levels_identical_to_scalar(self):
-        np = numpy_or_none()
         scalar = _scalar_levels(7)
         for k in range(2, 8):
-            assert _build_level_batched(k, scalar[k - 1], np) == scalar[k]
+            assert _build_level_batched(k, scalar[k - 1]) == scalar[k]
 
     def test_batched_bipartite_levels_are_the_filtered_full_levels(self):
-        np = numpy_or_none()
         full = _scalar_levels(7)
         pruned = _scalar_levels(7, bipartite=True)
         for k in range(2, 8):
-            assert _build_level_batched(k, pruned[k - 1], np, bipartite=True) == (
+            assert _build_level_batched(k, pruned[k - 1], bipartite=True) == (
                 _bipartite_entries(full[k], k)
             )
 
@@ -216,10 +206,9 @@ def _route_levels(n: int, bipartite: bool, route: str):
     """Levels 1..n built strictly by one route from the level-1 literal."""
     if route == "scalar":
         return _scalar_levels(n, bipartite)
-    np = numpy_or_none()
     levels = {1: _scalar_levels(1)[1]}
     for k in range(2, n + 1):
-        levels[k] = _build_level_batched(k, levels[k - 1], np, bipartite)
+        levels[k] = _build_level_batched(k, levels[k - 1], bipartite)
     return levels
 
 
@@ -253,9 +242,7 @@ class TestPackedAutomorphisms:
     ``automorphisms_from_perms`` order."""
 
     @pytest.mark.parametrize("bipartite", [False, True])
-    @pytest.mark.parametrize(
-        "route", ["scalar", pytest.param("batched", marks=needs_numpy)]
-    )
+    @pytest.mark.parametrize("route", ["scalar", "batched"])
     def test_level_blocks_pack_the_class_group(self, route, bipartite):
         levels = _route_levels(7, bipartite, route)
         for n in range(1, 8):
@@ -302,7 +289,6 @@ def _emission_stream(n: int, connected_only: bool, kernel: str):
 
 
 class TestEmissionParity:
-    @needs_numpy
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_stream_byte_identical_to_scalar_up_to_7(self, connected_only):
         counts = CONNECTED_COUNTS if connected_only else ALL_COUNTS
@@ -312,7 +298,6 @@ class TestEmissionParity:
             assert batched == scalar
             assert len(batched) == counts[n - 1]
 
-    @needs_numpy
     def test_oeis_counts_on_kernel_route(self):
         for n in range(1, 8):
             assert count_classes(n) == ALL_COUNTS[n - 1]
@@ -330,34 +315,25 @@ class TestEmissionParity:
             legacy = [tuple(g.edges) for g in reference_graphs(n, connected_only)]
             assert emitted == legacy
 
-    def test_disabled_numpy_falls_back_to_scalar(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert numpy_or_none() is None
-        for n in range(1, 7):
-            stream = _emission_stream(n, True, "auto")
-            assert len(stream) == CONNECTED_COUNTS[n - 1]
-
-    @needs_numpy
-    def test_levels_memoized_identically_across_routes(self, monkeypatch):
-        # A level built by the kernel then read under the fallback (or
+    def test_levels_memoized_identically_across_routes(self):
+        # A level built by the kernel then read on the scalar route (or
         # vice versa) must be indistinguishable: same memoized tuples.
         batched = {k: _level(k) for k in range(1, 7)}
         clear_orderly_cache()
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        for k in range(1, 7):
-            assert _level(k) == batched[k]
+        with kernel_route("off"):
+            for k in range(1, 7):
+                assert _level(k) == batched[k]
 
 
 class TestKernelLabelingLimit:
     """The labeling limit is one bound for both routes: the kernel route
-    admits exactly what the scalar loops admit, and no plan or config
+    admits exactly what the reference loops admit, and no plan or config
     field selects the route."""
 
-    @needs_numpy
-    def test_raised_limit_content_parity(self, monkeypatch):
+    def test_raised_limit_content_parity(self):
         # 16^4 = 65,536 > the default 20,000 cap: only a raised
         # labeling_limit admits the exhaustive unanimity pass.  The
-        # numpy join and the scalar loops must then decide identically.
+        # numpy join and the reference loops must then decide identically.
         def sweep():
             clear_engine_state()
             plan = ExecutionPlan(
@@ -371,19 +347,16 @@ class TestKernelLabelingLimit:
             return decide_hiding(EvenCycleLCP(), 4, plan)
 
         batch = sweep()
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        scalar = sweep()
+        with kernel_route("off"):
+            scalar = sweep()
         assert batch.decision_fingerprint() == scalar.decision_fingerprint()
         assert (
             batch.provenance.instances_scanned == scalar.provenance.instances_scanned
         )
-        assert batch.provenance.kernel == "batch"
-        assert scalar.provenance.kernel is None
 
-    def test_normalized_away_on_non_vectorized_plans(self, monkeypatch):
+    def test_normalized_away_on_non_vectorized_plans(self):
         """The route is not part of a plan: a plan resolves, describes
-        itself and keys every cache tier identically with numpy and
-        without it."""
+        itself and keys every cache tier identically on either route."""
         lcp = EvenCycleLCP()
 
         def identity():
@@ -391,13 +364,14 @@ class TestKernelLabelingLimit:
             return plan, plan.describe(), family_key(lcp, plan), disk_key(lcp, 4, plan)
 
         with_numpy = identity()
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert identity() == with_numpy
+        with kernel_route("off"):
+            assert identity() == with_numpy
         assert "kernel" not in with_numpy[1]
 
-    def test_generation_kernel_on_requires_numpy(self, monkeypatch):
+    def test_generation_kernel_on_requires_numpy(self):
         """Orderly generation builds its levels with the batched kernel
-        exactly when numpy is importable."""
+        exactly when ``generation_supported`` holds: always up to 11
+        nodes, never on the scalar reference route."""
         from repro.symmetry import orderly  # noqa: PLC0415
 
         def batched_builds() -> int:
@@ -408,9 +382,9 @@ class TestKernelLabelingLimit:
                 assert count_classes(5) == ALL_COUNTS[4]
             return batched.call_count
 
-        assert (batched_builds() > 0) == HAVE_NUMPY
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert batched_builds() == 0
+        assert batched_builds() > 0
+        with kernel_route("off"):
+            assert batched_builds() == 0
 
     def test_invalid_generation_kernel_rejected(self):
         """The kernel route is not a knob: neither the plan nor the

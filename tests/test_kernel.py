@@ -1,13 +1,14 @@
 """The numpy batch kernel (:mod:`repro.kernel`).
 
-The kernel's contract is *exact* parity with the scalar unanimity
-generators: same yield stream, same ``seen``-set mutations, and the same
+The kernel's contract is *exact* parity with the labeling-by-labeling
+reference of :func:`tests.oracle.reference_unanimous_labelings`: same
+yield stream, same ``seen``-set mutations, and the same
 ``SymmetryAccount`` totals at every yield point — including under
 streaming early exit, where a closed generator must leave the account in
-the same state the scalar generator would.  Plus the capability probe:
-without numpy (simulated via ``REPRO_DISABLE_NUMPY``) everything falls
-back to the pure-Python loops and sweeps report no kernel in their
-provenance.
+the same state the reference generator would.  Plus the edges of the
+join's domain: an empty alphabet, a one-node graph, a space too large
+for int64 indices, and the ``SearchProver`` searches of the Theorem 1.2
+candidate catalog.
 """
 
 from __future__ import annotations
@@ -17,31 +18,17 @@ from unittest import mock
 
 import pytest
 
+from repro.certification.enumeration import unanimously_accepted_labelings
 from repro.core.registry import all_lcps, make_lcp
-from repro.engine import (
-    ExecutionPlan,
-    RunContext,
-    available_backends,
-    clear_engine_state,
-    decide_hiding,
-)
 from repro.graphs import cycle_graph, path_graph, star_graph
-from repro.kernel import (
-    DISABLE_ENV,
-    clear_kernel_tables,
-    kernel_available,
-    numpy_or_none,
-    numpy_version,
-)
-from repro.kernel import batch
-from repro.kernel.batch import kernel_supports
+from repro.kernel import batch, clear_kernel_tables
+from repro.kernel.batch import MAX_INT64_SPACE, kernel_supports
 from repro.local.instance import Instance
 from repro.local.labeling import labeling_key, node_sort_order
-from repro.perf import PerfConfig, PerfStats
+from repro.perf import PerfStats
 from repro.symmetry.prune import SymmetryAccount
 
-HAVE_NUMPY = kernel_available()
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
+from .oracle import reference_unanimous_labelings
 
 try:
     from hypothesis import given, settings
@@ -84,7 +71,7 @@ def _sweep_args(lcp, graph, stabilized):
 
 
 def _run_pair(lcp, graph, stabilized, prefix=None, block_size=None):
-    """Drive the scalar and the batch generator in lockstep; compare the
+    """Drive the reference and the batch generator; compare the
     yields, the seen sets, and the account state after every pull (and
     after closing both when *prefix* truncates the stream)."""
     args = _sweep_args(lcp, graph, stabilized)
@@ -117,17 +104,15 @@ def _compare_streams(
     label=None,
 ):
     """The lockstep comparison behind :func:`_run_pair`, for any decoder."""
-    from repro.certification.enumeration import unanimously_accepted_labelings
-
     node_order = node_sort_order(base.graph)
     streams = {}
-    for kernel in (None, "batch"):
+    for route in (reference_unanimous_labelings, unanimously_accepted_labelings):
         seen = set()
         account = SymmetryAccount()
         with mock.patch.object(
             batch, "KERNEL_BLOCK_SIZE", block_size or batch.KERNEL_BLOCK_SIZE
         ):
-            gen = unanimously_accepted_labelings(
+            gen = route(
                 decoder,
                 base,
                 alphabet,
@@ -136,7 +121,6 @@ def _compare_streams(
                 seen=seen,
                 stabilizer=stabilizer,
                 account=account,
-                kernel=kernel,
             )
             yielded, states = [], []
             for labeling in gen:
@@ -145,11 +129,12 @@ def _compare_streams(
                 if prefix is not None and len(yielded) >= prefix:
                     break
             gen.close()
-        streams[kernel] = (yielded, states, frozenset(seen), _account_state(account))
-    assert streams["batch"] == streams[None], label
+        streams[route] = (yielded, states, frozenset(seen), _account_state(account))
+    assert streams[unanimously_accepted_labelings] == streams[reference_unanimous_labelings], (
+        label
+    )
 
 
-@needs_numpy
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
 @pytest.mark.parametrize("stabilized", [False, True])
 def test_batch_matches_scalar_stream_and_accounts(scheme, stabilized):
@@ -161,12 +146,11 @@ def test_batch_matches_scalar_stream_and_accounts(scheme, stabilized):
         pytest.skip("no finite-alphabet base for this scheme/mode")
 
 
-@needs_numpy
 @pytest.mark.parametrize("prefix", [1, 2])
 def test_early_exit_leaves_identical_accounts(prefix):
     """Closing both generators after *prefix* yields must leave the
     account in the same state — the post-yield suppressed commit of the
-    scalar orbit path must not run on either side."""
+    reference orbit path must not run on either side."""
     ran = 0
     for scheme in sorted(all_lcps()):
         lcp = make_lcp(scheme)
@@ -176,7 +160,6 @@ def test_early_exit_leaves_identical_accounts(prefix):
     assert ran
 
 
-@needs_numpy
 @pytest.mark.parametrize("block_size", [1, 2, 7, 4096])
 def test_block_boundaries_are_unobservable(block_size):
     """The stream and every account state are block-size independent."""
@@ -226,7 +209,6 @@ def test_property_bases_cover_stabilized_sweeps():
 
 if HAVE_HYPOTHESIS:
 
-    @needs_numpy
     @given(
         table=st.one_of(
             st.just([True]),
@@ -246,7 +228,7 @@ if HAVE_HYPOTHESIS:
     ):
         """Decoders built from drawn acceptance tables — accept-all (no
         pruning, so the chunk bound splits every stage), reject-all, and
-        everything between — give the scalar stream, ``seen`` set and
+        everything between — give the reference stream, ``seen`` set and
         account state after every pull, with and without a stabilizer,
         at every block size, also when closed after a few yields."""
         clear_kernel_tables()
@@ -264,14 +246,10 @@ if HAVE_HYPOTHESIS:
         )
 
 
-@needs_numpy
 def test_mixed_alphabet_parity():
     """Certificate alphabets mixing ints, strings, and tuples must not
     break the index encoding (indices compare; values never do)."""
-    from repro.certification.enumeration import (
-        EnumerativeLCP,
-        unanimously_accepted_labelings,
-    )
+    from repro.certification.enumeration import EnumerativeLCP
     from repro.core import DegreeOneLCP
 
     inner = DegreeOneLCP()
@@ -280,25 +258,23 @@ def test_mixed_alphabet_parity():
     base = Instance.build(graph)
     node_order = node_sort_order(graph)
     results = {}
-    for kernel in (None, "batch"):
+    for route in (reference_unanimous_labelings, unanimously_accepted_labelings):
         seen = set()
         stream = [
             labeling_key(labeling, node_order)
-            for labeling in unanimously_accepted_labelings(
+            for labeling in route(
                 lcp.decoder,
                 base,
                 lcp.certificate_alphabet(graph),
                 lcp.radius,
                 include_ids=not lcp.anonymous,
                 seen=seen,
-                kernel=kernel,
             )
         ]
-        results[kernel] = (stream, frozenset(seen))
-    assert results["batch"] == results[None]
+        results[route] = (stream, frozenset(seen))
+    assert results[unanimously_accepted_labelings] == results[reference_unanimous_labelings]
 
 
-@needs_numpy
 def test_acceptance_tables_are_shared_across_bases():
     """Re-sweeping a base with the same decoder reuses its tables."""
     clear_kernel_tables()
@@ -306,8 +282,6 @@ def test_acceptance_tables_are_shared_across_bases():
     stats = PerfStats()
     args = _sweep_args(lcp, path_graph(3), False)
     decoder, base, alphabet, _ = args
-    from repro.certification.enumeration import unanimously_accepted_labelings
-
     for _ in range(2):
         list(
             unanimously_accepted_labelings(
@@ -316,7 +290,6 @@ def test_acceptance_tables_are_shared_across_bases():
                 alphabet,
                 lcp.radius,
                 include_ids=not lcp.anonymous,
-                kernel="batch",
                 stats=stats,
             )
         )
@@ -326,76 +299,156 @@ def test_acceptance_tables_are_shared_across_bases():
 
 
 def test_unknown_kernel_name_is_rejected():
-    from repro.certification.enumeration import unanimously_accepted_labelings
-
+    """The unanimity pass has one route: it takes no ``kernel`` argument,
+    whatever its value."""
     lcp = make_lcp("degree-one")
     args = _sweep_args(lcp, path_graph(3), False)
     decoder, base, alphabet, _ = args
-    with pytest.raises(ValueError, match="unknown sweep kernel"):
+    for kernel in (None, "batch", "simd"):
+        with pytest.raises(TypeError, match="kernel"):
+            next(
+                unanimously_accepted_labelings(
+                    decoder, base, alphabet, lcp.radius, include_ids=True, kernel=kernel
+                )
+            )
+
+
+def test_kernel_supports_bounds():
+    """A space the int64 indices cannot address is counted as capped by
+    the sweep and refused by a direct call — never handed to another
+    route."""
+    from repro.certification.enumeration import EnumerativeLCP
+    from repro.neighborhood.aviews import _admitted_alphabet
+
+    assert kernel_supports(path_graph(3), [0, 1])
+    assert kernel_supports(path_graph(3), [])
+    # 3 ** 64 overflows int64 index arithmetic.
+    big = path_graph(64)
+    assert 3**64 > MAX_INT64_SPACE
+    assert not kernel_supports(big, [0, 1, 2])
+
+    lcp = EnumerativeLCP(make_lcp("degree-one").decoder, [0, 1, 2])
+    stats = PerfStats()
+    # A labeling limit that admits the space leaves the index bound.
+    assert _admitted_alphabet(lcp, big, None, 3**64, stats) is None
+    assert stats.get("labelings_capped") == 1
+    assert _admitted_alphabet(lcp, path_graph(3), None, 3**64, stats) == [0, 1, 2]
+    assert stats.get("labelings_capped") == 1
+
+    with pytest.raises(ValueError, match="int64"):
         next(
             unanimously_accepted_labelings(
-                decoder, base, alphabet, lcp.radius, include_ids=True, kernel="simd"
+                lcp.decoder, Instance.build(big), [0, 1, 2], lcp.radius, include_ids=False
             )
         )
 
 
-def test_kernel_supports_bounds():
-    assert kernel_supports(path_graph(3), [0, 1])
-    # 3 ** 64 overflows int64 index arithmetic -> scalar fallback.
-    assert not kernel_supports(path_graph(64), [0, 1, 2])
+def test_sweep_counts_an_unindexable_space_as_capped():
+    """A labeling limit above the int64 index space does not reach the
+    join: the sweep yields the prover's labelings, counts the base as
+    ``labelings_capped`` and keeps going."""
+    from repro.neighborhood.aviews import labeled_yes_instances
+
+    lcp = make_lcp("degree-one")  # 4 letters: 4 ** 32 = 2 ** 64 labelings
+    graph = path_graph(32)
+    stats = PerfStats()
+    instances = list(
+        labeled_yes_instances(
+            lcp,
+            [graph],
+            port_limit=1,
+            include_all_accepted_labelings=True,
+            labeling_limit=4**32,
+            stats=stats,
+        )
+    )
+    assert instances
+    assert stats.get("labelings_capped") == 1
+    assert stats.get("kernel_labelings") == 0
 
 
-def _sweep_kernel() -> str | None:
-    """``Provenance.kernel`` of a fresh, uncached degree-one sweep."""
-    clear_engine_state()
-    plan = ExecutionPlan(warm_start=False, memory_cache=False, disk_cache=False)
-    verdict = decide_hiding(make_lcp("degree-one"), 3, plan, ctx=RunContext.isolated())
-    return verdict.provenance.kernel
+def _edge_bases():
+    """``pytest.param(decoder, base, alphabet, radius, include_ids)`` at
+    the edges of the join's domain: empty alphabets on paths, a star and
+    a cycle, and one-node graphs under every registry scheme's
+    alphabet."""
+    from repro.graphs.graph import Graph
 
-
-class TestCapabilityProbe:
-    def test_disable_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        assert numpy_or_none() is None
-        assert not kernel_available()
-        assert numpy_version() is None
-        assert available_backends() == ["streaming"]
-        # auto routes to the streaming backend, which runs the scalar loops.
-        plan = ExecutionPlan(disk_cache=False).resolve(PerfConfig())
-        assert plan.backend == "streaming"
-        assert _sweep_kernel() is None
-
-    @needs_numpy
-    def test_probe_reports_numpy(self, monkeypatch):
-        monkeypatch.delenv(DISABLE_ENV, raising=False)
-        assert numpy_or_none() is not None
-        assert isinstance(numpy_version(), str)
-        assert available_backends() == ["streaming"]
-        assert _sweep_kernel() == "batch"
-
-    def test_sweep_falls_back_without_numpy(self, monkeypatch):
-        """kernel='batch' without numpy silently runs the scalar loop —
-        zero-dependency operation, identical stream."""
-        from repro.certification.enumeration import unanimously_accepted_labelings
-
-        lcp = make_lcp("degree-one")
-        decoder, base, alphabet, _ = _sweep_args(lcp, path_graph(3), False)
-        node_order = node_sort_order(path_graph(3))
-
-        def run():
-            return [
-                labeling_key(lab, node_order)
-                for lab in unanimously_accepted_labelings(
-                    decoder,
-                    base,
+    lcp = make_lcp("degree-one")
+    cases = [
+        pytest.param(
+            lcp.decoder, Instance.build(graph), [], lcp.radius, False, id=f"empty-{name}"
+        )
+        for name, graph in (
+            ("P1", path_graph(1)),
+            ("P2", path_graph(2)),
+            ("P3", path_graph(3)),
+            ("S3", star_graph(3)),
+            ("C4", cycle_graph(4)),
+        )
+    ]
+    single = Graph(nodes=[0], edges=[])
+    for scheme in sorted(all_lcps()):
+        lcp = make_lcp(scheme)
+        alphabet = lcp.certificate_alphabet(single)
+        if alphabet is not None:
+            cases.append(
+                pytest.param(
+                    lcp.decoder,
+                    Instance.build(single),
                     alphabet,
                     lcp.radius,
-                    include_ids=not lcp.anonymous,
-                    kernel="batch",
+                    not lcp.anonymous,
+                    id=f"one-node-{scheme}",
+                )
+            )
+    return cases
+
+
+@pytest.mark.parametrize("decoder, base, alphabet, radius, include_ids", _edge_bases())
+def test_empty_alphabet_and_one_node_match_the_oracle(
+    decoder, base, alphabet, radius, include_ids
+):
+    """An empty alphabet yields nothing and counts nothing (the reference
+    loop's product is empty); a one-node graph is a one-column join."""
+    _compare_streams(decoder, base, alphabet, radius, include_ids, None)
+    if not alphabet:
+        assert not list(
+            unanimously_accepted_labelings(decoder, base, alphabet, radius, include_ids)
+        )
+
+
+def _candidate_catalog():
+    from repro.experiments.theorems import _candidate_decoders
+
+    return [pytest.param(name, lcp, id=name) for name, lcp in _candidate_decoders()]
+
+
+@pytest.mark.parametrize("name, lcp", _candidate_catalog())
+def test_search_prover_matches_the_oracle_up_to_5_nodes(name, lcp):
+    """``SearchProver`` runs the join: on every connected graph of up to
+    5 nodes within its search limit, each Theorem 1.2 candidate's prover
+    yields the reference loop's stream."""
+    from .oracle import reference_graphs
+
+    prover = lcp.prover
+    bases = 0
+    for size in range(1, 6):
+        for graph in reference_graphs(size):
+            alphabet = lcp.certificate_alphabet(graph)
+            if len(alphabet) ** graph.order > prover.search_limit:
+                continue
+            base = Instance.build(graph)
+            order = node_sort_order(graph)
+            expected = [
+                labeling_key(labeling, order)
+                for labeling in reference_unanimous_labelings(
+                    lcp.decoder, base, alphabet, lcp.radius, not lcp.anonymous
                 )
             ]
-
-        monkeypatch.setenv(DISABLE_ENV, "1")
-        disabled = run()
-        monkeypatch.delenv(DISABLE_ENV)
-        assert disabled == run()
+            assert [
+                labeling_key(labeling, order)
+                for labeling in prover.all_certifications(base)
+            ] == expected, (name, tuple(graph.edges))
+            bases += 1
+    assert bases == 31

@@ -23,7 +23,6 @@ from repro.core import make_lcp
 from repro.core.registry import all_lcps
 from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
 from repro.graphs.generators import cycle_graph, path_graph
-from repro.kernel import DISABLE_ENV
 from repro.local.instance import Instance
 from repro.local.labeling import labeling_key, node_sort_order
 from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
@@ -34,7 +33,7 @@ from repro.symmetry import (
     instance_stabilizer,
 )
 
-from .oracle import oracle_verdict
+from .oracle import kernel_route, oracle_verdict, reference_unanimous_labelings
 
 SCHEMES = sorted(all_lcps())
 #: "materialized" = the oracle (complete graph, then decide);
@@ -85,24 +84,24 @@ def test_pruned_sweep_matches_brute_force(scheme, backend):
 
 
 @pytest.mark.parametrize("scheme", ["degree-one", "even-cycle"])
-def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme, monkeypatch):
-    """Both Theorem 1.1 schemes at n = 4 on the scalar loops: the
-    orbit-pruned ``V(D, 4)`` has the brute-force view list, edge set and
-    effective instance count, not only the same fingerprint."""
-    monkeypatch.setenv(DISABLE_ENV, "1")
+def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme):
+    """Both Theorem 1.1 schemes at n = 4 on the scalar reference loops:
+    the orbit-pruned ``V(D, 4)`` has the brute-force view list, edge set
+    and effective instance count, not only the same fingerprint."""
     lcp = make_lcp(scheme)
     graphs = {}
     for mode in ("off", "on"):
         account = SymmetryAccount()
-        graph = build_neighborhood_graph(
-            lcp,
-            yes_instances_up_to(
+        with kernel_route("off"):
+            graph = build_neighborhood_graph(
                 lcp,
-                4,
-                symmetry=mode,
-                account=account,
-            ),
-        )
+                yes_instances_up_to(
+                    lcp,
+                    4,
+                    symmetry=mode,
+                    account=account,
+                ),
+            )
         graph.instances_scanned += account.instances_suppressed
         graphs[mode] = graph
     assert account.instances_suppressed  # the "on" sweep did prune
@@ -165,7 +164,7 @@ class TestOrbitPruningMechanics:
         assert stabilizer[0] == tuple(range(graph.order))  # identity first
 
         brute = list(
-            unanimously_accepted_labelings(
+            reference_unanimous_labelings(
                 lcp.decoder, instance, alphabet, lcp.radius, include_ids=False
             )
         )
@@ -219,13 +218,13 @@ class TestOrbitPruningMechanics:
         assert len(stabilizer) > 1
 
     def test_trivial_stabilizer_changes_nothing(self):
-        # An identity-only stabilizer must fall back to the brute loop.
+        # An identity-only stabilizer must give the unpruned stream.
         graph = path_graph(3)
         lcp, instance, alphabet = self._base(graph)
         identity = (tuple(range(graph.order)),)
         brute = [
             labeling_key(lab, node_sort_order(graph))
-            for lab in unanimously_accepted_labelings(
+            for lab in reference_unanimous_labelings(
                 lcp.decoder, instance, alphabet, lcp.radius, include_ids=False
             )
         ]
