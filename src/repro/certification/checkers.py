@@ -16,12 +16,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from ..graphs.graph import Graph, Node
-from ..graphs.properties import bipartition
+from ..graphs.properties import BipartitionResult, bipartition
 from ..local.identifiers import IdentifierAssignment
 from ..local.instance import Instance
 from ..local.labeling import Labeling
 from ..local.ports import PortAssignment, all_port_assignments, count_port_assignments
-from ..local.views import extract_view_layouts, relabel_view
+from ..local.views import extract_view_layouts, view_with_labels
 from .adversary import Adversary
 from .lcp import LCP
 from .reports import CheckKind, CheckReport, Violation
@@ -32,32 +32,62 @@ class FastVerifier:
 
     View canonicalization never depends on labels, so the views of every
     labeling share the same templates; only the label tuples change.
-    This makes exhaustive-adversary sweeps (``|Σ|^n`` labelings) orders
-    of magnitude faster than re-extracting views each time.
+    Each distinct template keeps a dict from the label tuples seen at
+    its positions to the decoder's verdict, so a view that recurs across
+    labelings (or across nodes sharing a template) is decided once, and
+    each distinct accepting-node set is 2-colored once
+    (:meth:`accepting_split`).  This makes exhaustive-adversary sweeps
+    (``|Σ|^n`` labelings) orders of magnitude faster than re-extracting
+    and re-deciding views each time.
     """
 
     def __init__(self, lcp: LCP, instance: Instance) -> None:
-        self._lcp = lcp
-        self._layouts = extract_view_layouts(
-            instance.without_labeling(), lcp.radius, include_ids=not lcp.anonymous
-        )
+        self._decide = lcp.decoder.decide
+        self._graph = instance.graph
+        verdicts: dict = {}
+        self._layouts = [
+            (v, template, order, verdicts.setdefault(template, {}))
+            for v, (template, order) in extract_view_layouts(
+                instance.without_labeling(), lcp.radius, include_ids=not lcp.anonymous
+            ).items()
+        ]
+        self._splits: dict[frozenset, BipartitionResult] = {}
+
+    def _vote(self, template, order, verdicts: dict, labeling: Labeling) -> bool:
+        labels = tuple(map(labeling.of, order))
+        try:
+            return verdicts[labels]
+        except KeyError:
+            verdict = verdicts[labels] = self._decide(view_with_labels(template, labels))
+            return verdict
 
     def votes(self, labeling: Labeling) -> dict[Node, bool]:
-        decide = self._lcp.decoder.decide
+        vote = self._vote
         return {
-            v: decide(relabel_view(template, order, labeling))
-            for v, (template, order) in self._layouts.items()
+            v: vote(template, order, verdicts, labeling)
+            for v, template, order, verdicts in self._layouts
         }
 
     def unanimous(self, labeling: Labeling) -> bool:
-        decide = self._lcp.decoder.decide
-        for _v, (template, order) in self._layouts.items():
-            if not decide(relabel_view(template, order, labeling)):
+        vote = self._vote
+        for _v, template, order, verdicts in self._layouts:
+            if not vote(template, order, verdicts, labeling):
                 return False
         return True
 
     def accepting(self, labeling: Labeling) -> set[Node]:
         return {v for v, vote in self.votes(labeling).items() if vote}
+
+    def accepting_split(self, labeling: Labeling) -> BipartitionResult:
+        """:func:`~repro.graphs.properties.bipartition` of the subgraph
+        the accepting nodes induce, computed once per accepting set."""
+        accepting = frozenset(self.accepting(labeling))
+        split = self._splits.get(accepting)
+        if split is None:
+            split = self._splits[accepting] = bipartition(
+                self._graph.induced_subgraph(accepting)
+            )
+        return split
 
 
 def instances_for(
@@ -179,8 +209,7 @@ def check_strong_soundness(
             verifier = FastVerifier(lcp, instance)
             for labeling in adversary.labelings(lcp, instance):
                 report.labelings_checked += 1
-                induced = graph.induced_subgraph(verifier.accepting(labeling))
-                split = bipartition(induced)
+                split = verifier.accepting_split(labeling)
                 if not split.is_bipartite:
                     report.violations.append(
                         Violation(
@@ -210,8 +239,7 @@ def find_strong_soundness_violation(
         for instance in instances_for(graph, port_limit=port_limit, id_samples=1, seed=seed):
             verifier = FastVerifier(lcp, instance)
             for labeling in adversary.labelings(lcp, instance):
-                induced = graph.induced_subgraph(verifier.accepting(labeling))
-                split = bipartition(induced)
+                split = verifier.accepting_split(labeling)
                 if not split.is_bipartite:
                     return Violation(
                         kind=CheckKind.STRONG_SOUNDNESS,

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from abc import abstractmethod
 
+import numpy as np
+
 from ..graphs.graph import Node
 from ..local.algorithms import LocalAlgorithm
 from ..local.instance import Instance
-from ..local.views import View
+from ..local.views import View, view_with_labels
 
 ACCEPT = True
 REJECT = False
@@ -24,12 +26,44 @@ class Decoder(LocalAlgorithm):
     def decide(self, view: View) -> bool:
         """Accept (``True``) or reject (``False``) the certificate layout."""
 
+    def decide_columns(self, template: View, alphabet, digits) -> np.ndarray:
+        """Verdicts on a block of labelings of one view template.
+
+        *digits* is a ``(rows, template.size)`` integer matrix of indices
+        into *alphabet*; row ``i`` labels local node ``j`` with
+        ``alphabet[digits[i, j]]``.  Returns a boolean array of ``rows``
+        verdicts, entry ``i`` being what :meth:`decide` answers on
+        ``view_with_labels(template, row i's symbols)``.
+
+        This base version is that loop.  A decoder whose rule reads a few
+        symbol classes at fixed template positions overrides it with
+        column operations; :meth:`decide` stays the definition, so an
+        override must agree with it on every alphabet (prefixes and
+        foreign symbols included) and defer to this loop whenever a
+        subclass redefines :meth:`decide` (:func:`decides_as`).
+        """
+        decide = self.decide
+        return np.array(
+            [
+                decide(view_with_labels(template, tuple(alphabet[d] for d in row)))
+                for row in digits.tolist()
+            ],
+            dtype=bool,
+        )
+
     def run(self, view: View) -> bool:
         return self.decide(view)
 
     def decide_all(self, instance: Instance) -> dict[Node, bool]:
         """Run the decoder at every node of a labeled instance."""
         return self.run_on(instance)
+
+
+def decides_as(decoder: Decoder, cls: type) -> bool:
+    """Whether *decoder* decides with ``cls.decide`` itself — the
+    condition under which ``cls``'s column override of
+    :meth:`Decoder.decide_columns` may stand in for it."""
+    return type(decoder).decide is cls.decide
 
 
 class FunctionDecoder(Decoder):

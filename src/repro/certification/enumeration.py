@@ -43,7 +43,8 @@ def unanimously_accepted_labelings(
     (:func:`repro.neighborhood.aviews.labeled_yes_instances`).  Runs
     the prefix-pruned numpy join of :mod:`repro.kernel.batch` through
     the performance layer: layouts are extracted once per instance base
-    and decoder verdicts are memoized per canonical view.  Labelings
+    and decoder verdicts are kept per template in acceptance tables,
+    decided in bulk (:meth:`Decoder.decide_columns`).  Labelings
     come in ``itertools.product`` order over *alphabet*, node columns in
     graph insertion order.
 

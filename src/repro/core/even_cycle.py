@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..certification.decoder import Decoder
+import numpy as np
+
+from ..certification.decoder import Decoder, decides_as
 from ..certification.lcp import LCP
 from ..certification.prover import Prover, reject_promise
 from ..graphs.graph import Graph
@@ -86,6 +88,40 @@ class EvenCycleDecoder(Decoder):
             if back_far != own_port or back_color != claimed_color:
                 return False
         return True
+
+    def decide_columns(self, template: View, alphabet, digits) -> np.ndarray:
+        """:meth:`decide` as column tests: the template fixes the two
+        incident edges, so a row is read through per-symbol tables of
+        the claimed far ports and colors."""
+        if not decides_as(self, EvenCycleDecoder):
+            return super().decide_columns(template, alphabet, digits)
+        incident = template.center_neighbors()
+        if [own_port for _w, own_port, _far in incident] != [1, 2] or any(
+            far_port not in (1, 2) for _w, _own, far_port in incident
+        ):
+            # Wrong degree or ports, or a far port no entry can claim.
+            return np.zeros(len(digits), dtype=bool)
+        # far[s, j], color[s, j]: entry j of well-formed symbol s.
+        ok = np.zeros(len(alphabet), dtype=bool)
+        far = np.zeros((len(alphabet), 2), dtype=np.int8)
+        color = np.zeros((len(alphabet), 2), dtype=np.int8)
+        for s, label in enumerate(alphabet):
+            if _certificate_ok(label):
+                ok[s] = True
+                for j, (claimed_far, claimed_color) in enumerate(label):
+                    far[s, j] = 1 if claimed_far == 1 else 2
+                    color[s, j] = 1 if claimed_color == 1 else 0
+        own = digits[:, 0]
+        accept = ok[own] & (color[own, 0] != color[own, 1])
+        for w, own_port, far_port in incident:
+            other = digits[:, w]
+            accept &= (
+                (far[own, own_port - 1] == far_port)
+                & ok[other]
+                & (far[other, far_port - 1] == own_port)
+                & (color[other, far_port - 1] == color[own, own_port - 1])
+            )
+        return accept
 
     @property
     def name(self) -> str:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..certification.decoder import Decoder
+import numpy as np
+
+from ..certification.decoder import Decoder, decides_as
 from ..certification.lcp import LCP
 from ..certification.prover import Prover, reject_promise
 from ..graphs.graph import Graph
@@ -68,6 +70,30 @@ class UnionDecoder(Decoder):
             inner = _untag(view, TAG_EVEN_CYCLE)
             return inner is not None and self._even_cycle.decide(inner)
         return False
+
+    def decide_columns(self, template: View, alphabet, digits) -> np.ndarray:
+        """:meth:`decide` in bulk: a row goes to the sub-decoder of its
+        tag when every symbol in it carries that tag, and the
+        sub-decoder decides the untagged rows by its own columns."""
+        if not decides_as(self, UnionDecoder):
+            return super().decide_columns(template, alphabet, digits)
+        accept = np.zeros(len(digits), dtype=bool)
+        for tag, decoder in (
+            (TAG_DEGREE_ONE, self._degree_one),
+            (TAG_EVEN_CYCLE, self._even_cycle),
+        ):
+            tagged = np.array(
+                [
+                    isinstance(label, tuple) and len(label) == 2 and label[0] == tag
+                    for label in alphabet
+                ],
+                dtype=bool,
+            )
+            rows = tagged[digits].all(axis=1)
+            if rows.any():
+                inner = tuple(label[1] if ok else None for label, ok in zip(alphabet, tagged))
+                accept[rows] = decoder.decide_columns(template, inner, digits[rows])
+        return accept
 
     @property
     def name(self) -> str:

@@ -22,7 +22,9 @@ insertion order (the column order of
    (:func:`repro.local.views.layout_label_columns`) was just assigned,
    reading its verdicts from the node's lazily filled
    :class:`~repro.kernel.tables.AcceptanceTable`, and drops the rejected
-   rows.
+   rows.  A table decides the entries a stage meets for the first time
+   in one ``Decoder.decide_columns`` call; the join shares no decision
+   memo with the neighborhood-graph builder.
 
 A stage never holds more than :data:`KERNEL_BLOCK_SIZE` rows (or one
 row's ``|alphabet|`` children, when that is larger): a wider prefix is
@@ -49,7 +51,6 @@ from collections.abc import Iterator
 from ..local.labeling import Labeling
 from ..local.views import layout_label_columns
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS
-from ..perf.cache import memoized_decide
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from .tables import acceptance_table
 
@@ -102,7 +103,6 @@ def batch_unanimous_labelings(
         return  # an empty alphabet labels no node
     block = block_size or KERNEL_BLOCK_SIZE
     metrics = stats.metrics
-    decide = memoized_decide(decoder, stats)
 
     # Column place values: candidate index i has digit row
     # (i // a**(n-1)) % a, ..., i % a — product(alphabet, repeat=n) order.
@@ -112,7 +112,7 @@ def batch_unanimous_labelings(
     checks = [[] for _ in range(n)]
     for template, order in layouts.values():
         cols = layout_label_columns(order, node_index)
-        table = acceptance_table(decoder, template, tuple(alphabet), np, stats=stats)
+        table = acceptance_table(decoder, template, tuple(alphabet), stats=stats)
         weights = a ** np.arange(len(order) - 1, -1, -1, dtype=np.int64)
         checks[max(cols)].append((table, np.array(cols, dtype=np.intp), weights))
 
@@ -165,7 +165,7 @@ def batch_unanimous_labelings(
                 metrics.observe("kernel_batch_size", len(extended), DEFAULT_SIZE_BUCKETS)
             for table, cols, weights in checks[j]:
                 local = extended[:, cols]
-                extended = extended[table.verdicts(local @ weights, local, decide, np, stats)]
+                extended = extended[table.verdicts(local @ weights, local, stats)]
                 if not len(extended):
                     break
             if len(extended):

@@ -11,11 +11,14 @@ pair of boolean numpy arrays indexed by the mixed-radix (base ``a``,
 most-significant first) encoding of the alphabet indices, in the exact
 enumeration order of ``itertools.product``.  Entries start unknown and
 are decided only when the prefix-pruned join of :mod:`repro.kernel.batch`
-indexes them (:meth:`AcceptanceTable.verdicts`), through
-:func:`repro.perf.cache.memoized_decide`, so the join and the
-neighborhood-graph builder share one decision memo.  Most entries of a
-table are never read: the join drops rejected prefixes before the later
-nodes' views are formed.
+indexes them (:meth:`AcceptanceTable.verdicts`): each join stage hands
+its fresh entries to one :meth:`~repro.certification.decoder.Decoder.
+decide_columns` call, which the constant-size schemes answer with
+column operations and every other decoder with its ``decide`` loop.
+Table fills do not go through the neighborhood-graph builder's decision
+memo: the builder decides the few distinct views it indexes on its own.
+Most entries of a table are never read: the join drops rejected
+prefixes before the later nodes' views are formed.
 
 Tables are cached process-wide per ``(decoder, template, alphabet)`` by
 :func:`acceptance_table` — two nodes (or two bases) that share a
@@ -24,13 +27,15 @@ template share one table and its filled entries.
 
 from __future__ import annotations
 
-from ..local.views import View, view_with_labels
+import numpy as np
+
+from ..local.views import View
 from ..perf.cache import LRUCache
 from ..perf.stats import GLOBAL_STATS, PerfStats
 
-#: ``(id(decoder), template, alphabet) -> (anchor, table)``.  The anchor
-#: keeps the decoder alive so its ``id`` cannot be recycled while the
-#: entry is mapped (same identity-key discipline as the decision memo).
+#: ``(id(decoder), template, alphabet) -> table``.  The table keeps the
+#: decoder alive so its ``id`` cannot be recycled while the entry is
+#: mapped (same identity-key discipline as the decision memo).
 _TABLES = LRUCache(1024)
 
 class AcceptanceTable:
@@ -43,29 +48,29 @@ class AcceptanceTable:
     first.
     """
 
-    __slots__ = ("template", "alphabet", "known", "value")
+    __slots__ = ("decoder", "template", "alphabet", "known", "value")
 
-    def __init__(self, template: View, alphabet: tuple, np) -> None:
+    def __init__(self, decoder, template: View, alphabet: tuple) -> None:
+        self.decoder = decoder
         self.template = template
         self.alphabet = alphabet
         self.known = np.zeros(len(alphabet) ** template.size, dtype=bool)
         self.value = np.zeros_like(self.known)
 
-    def verdicts(self, indices, digits, decide, np, stats):
+    def verdicts(self, indices, digits, stats: PerfStats) -> np.ndarray:
         """Verdicts at *indices*, deciding the unknown ones first.
 
         *digits* is the ``(rows, m)`` alphabet-index matrix the indices
-        were encoded from (row ``r`` encodes ``indices[r]``); each unknown
-        entry is decided once, from its first row.
+        were encoded from (row ``r`` encodes ``indices[r]``); the unknown
+        entries are decided once each, from their first rows, by one
+        ``decide_columns`` call.
         """
         unknown = ~self.known[indices]
         if unknown.any():
             fresh, first = np.unique(indices[unknown], return_index=True)
-            alphabet = self.alphabet
-            self.value[fresh] = [
-                decide(view_with_labels(self.template, tuple(alphabet[d] for d in combo)))
-                for combo in digits[unknown][first].tolist()
-            ]
+            self.value[fresh] = self.decoder.decide_columns(
+                self.template, self.alphabet, digits[unknown][first]
+            )
             self.known[fresh] = True
             stats.incr("kernel_table_entries", len(fresh))
         return self.value[indices]
@@ -77,7 +82,7 @@ def clear_kernel_tables() -> None:
 
 
 def acceptance_table(
-    decoder, template: View, alphabet: tuple, np, stats: PerfStats | None = None
+    decoder, template: View, alphabet: tuple, stats: PerfStats | None = None
 ) -> AcceptanceTable:
     """The (lazily filled) acceptance table of *decoder* on *template*.
 
@@ -87,11 +92,11 @@ def acceptance_table(
     """
     stats = stats or GLOBAL_STATS
     key = (id(decoder), template, alphabet)
-    entry = _TABLES.get(key)
-    if entry is not None:
+    table = _TABLES.get(key)
+    if table is not None:
         stats.incr("kernel_table_hits")
-        return entry[1]
+        return table
     stats.incr("kernel_table_misses")
-    table = AcceptanceTable(template, alphabet, np)
-    _TABLES.put(key, (decoder, table))
+    table = AcceptanceTable(decoder, template, alphabet)
+    _TABLES.put(key, table)
     return table

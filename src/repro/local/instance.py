@@ -71,7 +71,7 @@ class Instance:
     def with_labeling(self, labeling: Labeling) -> "Instance":
         """The same network carrying a (new) certificate assignment."""
         labeling.validate(self.graph)
-        return replace(self, labeling=labeling)
+        return Instance(self.graph, self.ports, self.ids, self.id_bound, labeling)
 
     def without_labeling(self) -> "Instance":
         return replace(self, labeling=None)

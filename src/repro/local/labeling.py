@@ -44,8 +44,9 @@ class Labeling:
 
     def validate(self, graph: Graph) -> None:
         """Every node of *graph* must carry a label."""
-        missing = set(graph.nodes) - set(self._labels)
-        if missing:
+        labels = self._labels
+        if not graph._adj.keys() <= labels.keys():
+            missing = [v for v in graph._adj if v not in labels]
             raise LabelingError(f"nodes without labels: {sorted(map(repr, missing))}")
 
     def with_label(self, v: Node, certificate: Certificate) -> "Labeling":

@@ -9,12 +9,13 @@ Three layers, all bounded LRUs:
   that re-labels one base thousands of times extracts and canonicalizes
   its views exactly once and instantiates the rest with cheap
   :func:`repro.local.views.relabel_view` calls;
-* :class:`DecisionMemo` — ``decoder.decide`` verdicts per canonical view.
-  Within one sweep the kernel's lazily filled acceptance tables and the
-  builder's view interning already decide each view about once, so the
-  memo mostly serves repeat sweeps and views both of them meet: the full
-  degree-one ``V(D, 6)`` makes 414 hits against 7,466 misses (ratio
-  0.05).
+* :class:`DecisionMemo` — ``decoder.decide`` verdicts per canonical view,
+  for the views the neighborhood-graph builder decides.  The kernel's
+  acceptance tables decide their entries in bulk
+  (``Decoder.decide_columns``) without it, and the builder's view
+  interning already decides each view once per sweep, so the memo
+  serves repeat sweeps: a cold full degree-one ``V(D, 6)`` makes 0 hits
+  against 414 misses.
 
 Identity keys.  Bases and decoders are keyed by ``id()`` of their
 component objects; every cache entry keeps a strong reference to those
@@ -251,7 +252,7 @@ def clear_shared_caches() -> None:
 
 
 # ----------------------------------------------------------------------
-# The decide closure used by the sweep pipeline
+# The decide closure used by the neighborhood-graph builder
 # ----------------------------------------------------------------------
 
 
@@ -259,8 +260,8 @@ def memoized_decide(decoder, stats: PerfStats | None = None) -> Callable[[Any], 
     """``decoder.decide`` through the shared memo.
 
     The returned closure inlines the memo's hit path — one dict probe,
-    no intermediate frames — because every view decision of a sweep
-    goes through it.
+    no intermediate frames — because every view the builder indexes is
+    decided through it.
     """
     memo = shared_decision_memo(decoder)
     lru = memo._lru

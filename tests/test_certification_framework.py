@@ -22,7 +22,8 @@ from repro.certification import (
 )
 from repro.core import DegreeOneLCP, RevealingLCP
 from repro.errors import PromiseViolationError
-from repro.graphs import complete_graph, cycle_graph, is_bipartite, path_graph
+from repro.graphs import complete_graph, cycle_graph, is_bipartite, pan_graph, path_graph
+from repro.graphs.properties import bipartition
 from repro.local import Instance
 
 
@@ -91,6 +92,33 @@ class TestCheckers:
         assert find_strong_soundness_violation(
             DegreeOneLCP(), [cycle_graph(5)], ExhaustiveAdversary()
         ) is None
+
+    def test_strong_soundness_matches_per_labeling_reference(self):
+        """The verifier decides each distinct label tuple of a template
+        once and 2-colors each accepting set once per instance; the
+        report must still be the one a plain per-labeling check gives:
+        the same labelings, violations and odd-cycle witnesses, in
+        order.  The weakened degree-one decoder has violations."""
+        weak = DegreeOneLCP(require_common_beta=False)
+        graphs = [pan_graph(5, 1), cycle_graph(5), path_graph(4)]
+        adversary = ExhaustiveAdversary()
+        expected = []
+        labelings = 0
+        for graph in graphs:
+            for instance in instances_for(graph, port_limit=2, id_samples=1):
+                for labeling in adversary.labelings(weak, instance):
+                    labelings += 1
+                    accepting = weak.check(instance.with_labeling(labeling)).accepting
+                    split = bipartition(graph.induced_subgraph(accepting))
+                    if not split.is_bipartite:
+                        expected.append((instance, labeling, tuple(split.odd_cycle)))
+        assert expected
+        report = check_strong_soundness(weak, graphs, adversary, port_limit=2)
+        assert report.labelings_checked == labelings
+        found = [(v.instance, v.labeling, v.witness) for v in report.violations]
+        assert found == expected
+        first = find_strong_soundness_violation(weak, graphs, adversary, port_limit=2)
+        assert (first.instance, first.labeling, first.witness) == expected[0]
 
     def test_report_merge(self):
         a = CheckReport(kind=CheckKind.SOUNDNESS, lcp_name="x", graphs_checked=1)

@@ -10,6 +10,7 @@ from repro.errors import (
 from repro.graphs import Graph, cycle_graph, path_graph, star_graph
 from repro.local import (
     IdentifierAssignment,
+    Instance,
     Labeling,
     PortAssignment,
     all_identifier_assignments,
@@ -155,6 +156,16 @@ class TestLabeling:
         with pytest.raises(LabelingError):
             Labeling({0: "a"}).validate(g)
         Labeling.uniform(g, "c").validate(g)
+
+    def test_validate_names_missing_nodes_sorted_by_repr(self):
+        g = Graph(nodes=[10, 2, "b"])
+        message = "nodes without labels: [\"'b'\", '10']"
+        with pytest.raises(LabelingError) as caught:
+            Labeling({2: "x", "extra": "y"}).validate(g)
+        assert str(caught.value) == message
+        with pytest.raises(LabelingError) as caught:
+            Instance.build(g).with_labeling(Labeling({2: "x"}))
+        assert str(caught.value) == message
 
     def test_with_label_copy(self):
         lab = Labeling({0: "a"})

@@ -152,7 +152,7 @@ class TestDecisionMemo:
     def test_memoized_decide_mixed_certificate_alphabet(self):
         """Views whose labels mix ints, strings, and tuples memoize by
         view identity — no cross-type comparison or key collision (the
-        batch kernel builds its acceptance tables through this path)."""
+        neighborhood-graph builder decides its views through this path)."""
         from itertools import product
 
         lcp = DegreeOneLCP()
