@@ -51,6 +51,22 @@ class Decoder(LocalAlgorithm):
             dtype=bool,
         )
 
+    @property
+    def port_oblivious(self) -> bool:
+        """Whether :meth:`decide` never reads port numbers.
+
+        Such a decoder reads labels (and identifiers) and treats the
+        center's neighbors as a set or a count, so it accepts exactly
+        the same labelings on every port assignment of a graph, and the
+        Lemma 3.1 sweep runs one unanimity join per graph instead of one
+        per port base
+        (:func:`~repro.certification.enumeration.unanimously_accepted_labelings`).
+        ``False`` here; a decoder declares it for its own ``decide``
+        only (:func:`decides_as`), so a subclass that redefines
+        :meth:`decide` joins per base again.
+        """
+        return False
+
     def run(self, view: View) -> bool:
         return self.decide(view)
 
@@ -62,7 +78,8 @@ class Decoder(LocalAlgorithm):
 def decides_as(decoder: Decoder, cls: type) -> bool:
     """Whether *decoder* decides with ``cls.decide`` itself — the
     condition under which ``cls``'s column override of
-    :meth:`Decoder.decide_columns` may stand in for it."""
+    :meth:`Decoder.decide_columns` may stand in for it, and under which
+    its :attr:`Decoder.port_oblivious` declaration holds."""
     return type(decoder).decide is cls.decide
 
 

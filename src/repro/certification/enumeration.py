@@ -6,6 +6,14 @@ over full LCP schemes: a candidate decoder has no prover attached.
 alphabet into an LCP whose "prover" simply searches the labeling space
 for unanimously accepted assignments — the existential quantifier of
 completeness made executable.
+
+The search itself is :func:`unanimously_accepted_labelings`, which also
+serves the Lemma 3.1 sweep.  It runs the join of :mod:`repro.kernel.batch`
+once per base, except for a port-oblivious decoder
+(:attr:`~repro.certification.decoder.Decoder.port_oblivious`) under a
+caller that passes a per-graph ``joins`` dict: there the first port base
+of a graph joins, and the graph's later port bases reuse its accepted
+rows and run only the per-base tail.
 """
 
 from __future__ import annotations
@@ -16,10 +24,16 @@ import numpy as np
 
 from ..errors import PromiseViolationError
 from ..graphs.graph import Graph
-from ..kernel.batch import MAX_INT64_SPACE, batch_unanimous_labelings, kernel_supports
+from ..kernel.batch import (
+    MAX_INT64_SPACE,
+    accepted_rows,
+    kernel_supports,
+    labelings_from_rows,
+)
 from ..local.instance import Instance
 from ..local.labeling import Certificate, Labeling, count_labelings, node_sort_order
 from ..perf.cache import default_layout_cache
+from ..perf.stats import GLOBAL_STATS
 from .decoder import Decoder
 from .lcp import LCP
 from .prover import Prover
@@ -35,6 +49,7 @@ def unanimously_accepted_labelings(
     stabilizer: tuple | None = None,
     account=None,
     stats=None,
+    joins: dict | None = None,
 ) -> Iterator[Labeling]:
     """Labelings of *instance* over *alphabet* that every node accepts.
 
@@ -62,29 +77,49 @@ def unanimously_accepted_labelings(
     (:class:`repro.symmetry.prune.SymmetryAccount`), which the engine
     folds back into ``instances_scanned``.
 
+    *joins* shares the join across the port bases of one graph.  It is
+    a caller-owned dict scoped to one graph, alphabet and identifier
+    bound.  When the decoder is :attr:`~Decoder.port_oblivious`, the
+    first base of each identifier assignment (one key in all when
+    *include_ids* is false) stores its join's accepted row blocks
+    there, and every later base with that key runs only the per-base
+    tail over them (:func:`repro.kernel.batch.labelings_from_rows`),
+    counted as ``kernel_joins_shared``; it extracts no layouts and
+    reads no acceptance table.  That first base drains the whole join
+    before it yields its first labeling, early exit or not.  Other
+    decoders ignore *joins* and join on every base.
+
     *stats* receives the join's batch counters (defaults to the
     process-wide stats).  Raises :class:`ValueError` on the first pull
     when the labeling space is too large for the join's int64 indices
     (:func:`repro.kernel.batch.kernel_supports`); the sweep counts such
     a base as ``labelings_capped`` and never asks.
     """
-    if not kernel_supports(instance.graph, alphabet):
+    graph = instance.graph
+    if not kernel_supports(graph, alphabet):
         raise ValueError(
-            f"{len(alphabet)} ** {instance.graph.order} labelings exceed the "
+            f"{len(alphabet)} ** {graph.order} labelings exceed the "
             f"join's int64 index space ({MAX_INT64_SPACE})"
         )
-    layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
-    yield from batch_unanimous_labelings(
-        decoder,
-        layouts,
-        instance.graph,
+    shared = joins is not None and decoder.port_oblivious
+    key = tuple(map(instance.ids.id_of, graph.nodes)) if shared and include_ids else None
+    rows = joins.get(key) if shared else None
+    if rows is not None:
+        (stats or GLOBAL_STATS).incr("kernel_joins_shared")
+    else:
+        layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
+        rows = accepted_rows(decoder, layouts, graph, alphabet, np, stats)
+        if shared:
+            rows = joins[key] = list(rows)
+    yield from labelings_from_rows(
+        rows,
+        graph,
         alphabet,
-        node_sort_order(instance.graph),
+        node_sort_order(graph),
         set() if seen is None else seen,
         stabilizer,
         account,
-        np=np,
-        stats=stats,
+        np,
     )
 
 

@@ -25,7 +25,7 @@ from ..graphs.properties import bipartition
 from ..local.instance import Instance
 from ..local.labeling import Certificate, Labeling
 from ..local.views import View
-from ..certification.decoder import Decoder
+from ..certification.decoder import Decoder, decides_as
 from ..certification.lcp import LCP
 from ..certification.prover import Prover
 
@@ -50,6 +50,11 @@ class RevealingDecoder(Decoder):
             if other == own:
                 return False
         return True
+
+    @property
+    def port_oblivious(self) -> bool:
+        """:meth:`decide` reads the neighbors' labels as a set."""
+        return decides_as(self, RevealingDecoder)
 
     @property
     def name(self) -> str:

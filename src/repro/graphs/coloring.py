@@ -47,7 +47,7 @@ def _k_coloring(graph: Graph, k: int) -> dict[Node, int] | None:
     # DSATUR bookkeeping: for every uncolored node, how many colored
     # neighbors use each color.  Maintained on assign/unassign, so picking
     # the next node never rescans neighborhoods — the saturation of v is
-    # just len(neighbor_colors[v]).  The recursion assigns and unassigns
+    # just len(neighbor_colors[v]).  The search assigns and unassigns
     # in strict stack order, so while a node is colored its own counts go
     # untouched and are exact again by the time it is uncolored.
     neighbor_colors: dict[Node, dict[int, int]] = {v: {} for v in order}
@@ -83,25 +83,35 @@ def _k_coloring(graph: Graph, k: int) -> dict[Node, int] | None:
                 best, best_saturation = v, saturation
         return best
 
-    def backtrack() -> bool:
-        v = choose_next()
-        if v is None:
-            return True
-        used = set(neighbor_colors[v])
-        for color in range(k):
-            if color in used:
-                continue
+    # Depth-first search on an explicit stack — one frame per colored
+    # node, so the depth is the graph's order and must not recurse.
+    # Frames are (node, colors its neighbors held when it was picked,
+    # color it holds); the search order is that of the plain recursion.
+    stack: list[tuple[Node, set[int], int]] = []
+    v = choose_next()
+    used = set(neighbor_colors[v]) if v is not None else set()
+    start = 0
+    while v is not None:
+        color = next((c for c in range(start, k) if c not in used), None)
+        if color is not None:
             assign(v, color)
-            if backtrack():
-                return True
+            stack.append((v, used, color))
+            v = choose_next()
+            if v is not None:
+                used, start = set(neighbor_colors[v]), 0
+            continue
+        # v has no color left: undo its parent's choice and move on.
+        while True:
+            if not stack:
+                return None
+            v, used, color = stack.pop()
             unassign(v, color)
-            if color > max((coloring[u] for u in coloring), default=-1):
-                # Symmetry breaking: trying a strictly larger fresh color
-                # than any used so far is equivalent to this one.
+            # Symmetry breaking: a strictly larger fresh color than any
+            # used so far is equivalent to this one, so v fails too.
+            if color <= max(coloring.values(), default=-1):
+                start = color + 1
                 break
-        return False
-
-    return dict(coloring) if backtrack() else None
+    return dict(coloring)
 
 
 def is_k_colorable(graph: Graph, k: int) -> bool:

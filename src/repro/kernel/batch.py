@@ -1,12 +1,28 @@
 """Prefix-pruned vectorized evaluation of the unanimity sweep.
 
-:func:`batch_unanimous_labelings` is the one route of
-:func:`repro.certification.enumeration.unanimously_accepted_labelings`.
-It matches a labeling-by-labeling scan in ``itertools.product`` order
-(the tests' reference loop): same yield order, same ``seen``-set
-updates, and — critically for provenance parity under streaming early
-exit — the same :class:`~repro.symmetry.prune.SymmetryAccount` totals
-*at every yield point*.
+The unanimity pass of one ``(graph, ports, ids)`` base splits at one
+seam:
+
+* **the join**, :func:`accepted_rows`, reads the decoder, the base's
+  view layouts, the graph and the alphabet, and yields the accepted
+  labelings as blocks of alphabet-index rows;
+* **the tail**, :func:`labelings_from_rows`, is per base: stabilizer
+  representatives, ``seen`` dedup, the
+  :class:`~repro.symmetry.prune.SymmetryAccount` commits and the
+  :class:`~repro.local.labeling.Labeling` objects.
+
+:func:`batch_unanimous_labelings` chains the two for one base.  A
+decoder that never reads ports
+(:attr:`~repro.certification.decoder.Decoder.port_oblivious`) accepts
+the same rows on every port assignment of a graph, so
+:func:`repro.certification.enumeration.unanimously_accepted_labelings`
+keeps the first base's blocks and runs only the tail on the graph's
+later port bases.  Together the two halves match a labeling-by-labeling
+scan in ``itertools.product`` order (the tests' reference loop): same
+yield order, same ``seen``-set updates, and — critically for provenance
+parity under streaming early exit — the same
+:class:`~repro.symmetry.prune.SymmetryAccount` totals *at every yield
+point*.
 
 A labeling is accepted iff every node's radius-``r`` view is, so the
 sweep is a join of local constraints rather than a scan of the
@@ -41,12 +57,13 @@ over that range, the one full-space pass left, run only on stabilized
 bases.  The orbit dedup tail stays Python: few rows survive.
 
 ``kernel_labelings`` counts the rows the join evaluated (one per
-extended row per stage) and ``kernel_batches`` the stages.
+extended row per stage) and ``kernel_batches`` the stages; a base
+answered from an earlier base's join adds to neither.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from ..local.labeling import Labeling
 from ..local.views import layout_label_columns
@@ -72,9 +89,76 @@ def kernel_supports(graph, alphabet) -> bool:
     return len(alphabet) ** graph.order <= MAX_INT64_SPACE
 
 
-def batch_unanimous_labelings(
+def accepted_rows(
     decoder,
     layouts: dict,
+    graph,
+    alphabet: list,
+    np,
+    stats: PerfStats | None = None,
+    block_size: int | None = None,
+) -> Iterator:
+    """The join: one base's unanimously accepted labelings as blocks of
+    ``(rows, n)`` int64 alphabet-index matrices, columns in graph
+    insertion order, rows in ``itertools.product`` order.
+
+    Reads only the decoder, the base's *layouts*, the graph and the
+    alphabet, so the blocks of one base answer every base on which the
+    decoder accepts the same labelings (see
+    :attr:`repro.certification.decoder.Decoder.port_oblivious`).  The
+    space must satisfy :func:`kernel_supports`.
+    """
+    stats = stats or GLOBAL_STATS
+    a = len(alphabet)
+    n = graph.order
+    if not a:
+        return  # an empty alphabet labels no node
+    block = block_size or KERNEL_BLOCK_SIZE
+    metrics = stats.metrics
+    node_index = {v: i for i, v in enumerate(graph.nodes)}
+    # Per-stage checks: a node's verdict is decidable once the last of
+    # its layout columns is assigned; it is table[row[cols] @ weights].
+    checks = [[] for _ in range(n)]
+    for template, order in layouts.values():
+        cols = layout_label_columns(order, node_index)
+        table = acceptance_table(decoder, template, tuple(alphabet), stats=stats)
+        weights = a ** np.arange(len(order) - 1, -1, -1, dtype=np.int64)
+        checks[max(cols)].append((table, np.array(cols, dtype=np.intp), weights))
+
+    # Depth-first join; pops (prefix rows, columns assigned).
+    chunk = max(1, block // a)
+    digit_column = np.arange(a, dtype=np.int64)
+    stack = [(np.zeros((1, 0), dtype=np.int64), 0)]
+    while stack:
+        rows, j = stack.pop()
+        if j == n:
+            yield rows
+            continue
+        if len(rows) > chunk:
+            stack.extend(
+                (rows[lo : lo + chunk], j)
+                for lo in reversed(range(0, len(rows), chunk))
+            )
+            continue
+        grid = np.empty((len(rows), a, j + 1), dtype=np.int64)
+        grid[:, :, :j] = rows[:, None, :]
+        grid[:, :, j] = digit_column
+        extended = grid.reshape(len(rows) * a, j + 1)
+        stats.incr("kernel_batches")
+        stats.incr("kernel_labelings", len(extended))
+        if metrics is not None:
+            metrics.observe("kernel_batch_size", len(extended), DEFAULT_SIZE_BUCKETS)
+        for table, cols, weights in checks[j]:
+            local = extended[:, cols]
+            extended = extended[table.verdicts(local @ weights, local, stats)]
+            if not len(extended):
+                break
+        if len(extended):
+            stack.append((extended, j + 1))
+
+
+def labelings_from_rows(
+    blocks: Iterable,
     graph,
     alphabet: list,
     node_order: tuple,
@@ -82,17 +166,17 @@ def batch_unanimous_labelings(
     stabilizer: tuple | None,
     account,
     np,
-    stats: PerfStats | None = None,
     block_size: int | None = None,
 ) -> Iterator[Labeling]:
-    """Unanimously accepted labelings of one base, by prefix-pruned join.
+    """The per-base tail: turn the join's accepted row *blocks* into
+    this base's labelings.
 
-    Matches the labeling-by-labeling scan (and its orbit-pruned
-    variant) exactly: the yielded stream, the ``seen`` mutations, and
-    the *account* state observable at each yield and at exhaustion are
-    identical.  The space must satisfy :func:`kernel_supports`.
+    Keeps the stabilizer-orbit representatives, skips keys already in
+    *seen* (updated in place), commits the
+    :class:`~repro.symmetry.prune.SymmetryAccount` ranges and builds each
+    :class:`~repro.local.labeling.Labeling`.  *blocks* may be a live
+    join or the materialized blocks of an earlier base's join.
     """
-    stats = stats or GLOBAL_STATS
     a = len(alphabet)
     nodes = graph.nodes
     n = len(nodes)
@@ -102,19 +186,10 @@ def batch_unanimous_labelings(
     if not total:
         return  # an empty alphabet labels no node
     block = block_size or KERNEL_BLOCK_SIZE
-    metrics = stats.metrics
 
     # Column place values: candidate index i has digit row
     # (i // a**(n-1)) % a, ..., i % a — product(alphabet, repeat=n) order.
     place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # Per-stage checks: a node's verdict is decidable once the last of
-    # its layout columns is assigned; it is table[row[cols] @ weights].
-    checks = [[] for _ in range(n)]
-    for template, order in layouts.values():
-        cols = layout_label_columns(order, node_index)
-        table = acceptance_table(decoder, template, tuple(alphabet), stats=stats)
-        weights = a ** np.arange(len(order) - 1, -1, -1, dtype=np.int64)
-        checks[max(cols)].append((table, np.array(cols, dtype=np.intp), weights))
 
     perms = None
     others = ()
@@ -139,42 +214,10 @@ def batch_unanimous_labelings(
             count += len(indices) - int(np.count_nonzero(representatives(digits, indices)))
         return count
 
-    def accepted_rows() -> Iterator:
-        # Depth-first join; pops (prefix rows, columns assigned).
-        chunk = max(1, block // a)
-        digit_column = np.arange(a, dtype=np.int64)
-        stack = [(np.zeros((1, 0), dtype=np.int64), 0)]
-        while stack:
-            rows, j = stack.pop()
-            if j == n:
-                yield rows
-                continue
-            if len(rows) > chunk:
-                stack.extend(
-                    (rows[lo : lo + chunk], j)
-                    for lo in reversed(range(0, len(rows), chunk))
-                )
-                continue
-            grid = np.empty((len(rows), a, j + 1), dtype=np.int64)
-            grid[:, :, :j] = rows[:, None, :]
-            grid[:, :, j] = digit_column
-            extended = grid.reshape(len(rows) * a, j + 1)
-            stats.incr("kernel_batches")
-            stats.incr("kernel_labelings", len(extended))
-            if metrics is not None:
-                metrics.observe("kernel_batch_size", len(extended), DEFAULT_SIZE_BUCKETS)
-            for table, cols, weights in checks[j]:
-                local = extended[:, cols]
-                extended = extended[table.verdicts(local @ weights, local, stats)]
-                if not len(extended):
-                    break
-            if len(extended):
-                stack.append((extended, j + 1))
-
     # ``cursor`` is the first candidate index whose labelings_total /
     # labelings_pruned increments have not been committed yet.
     cursor = 0
-    for rows in accepted_rows():
+    for rows in blocks:
         positions = rows @ place
         if perms is not None:
             is_rep = representatives(rows, positions)
@@ -217,3 +260,38 @@ def batch_unanimous_labelings(
         account.labelings_total += total - cursor
         if perms is not None:
             account.labelings_pruned += non_representatives(cursor, total)
+
+
+def batch_unanimous_labelings(
+    decoder,
+    layouts: dict,
+    graph,
+    alphabet: list,
+    node_order: tuple,
+    seen: set,
+    stabilizer: tuple | None,
+    account,
+    np,
+    stats: PerfStats | None = None,
+    block_size: int | None = None,
+) -> Iterator[Labeling]:
+    """Unanimously accepted labelings of one base: the join
+    (:func:`accepted_rows`) fed straight into the tail
+    (:func:`labelings_from_rows`).
+
+    Matches the labeling-by-labeling scan (and its orbit-pruned
+    variant) exactly: the yielded stream, the ``seen`` mutations, and
+    the *account* state observable at each yield and at exhaustion are
+    identical.  The space must satisfy :func:`kernel_supports`.
+    """
+    yield from labelings_from_rows(
+        accepted_rows(decoder, layouts, graph, alphabet, np, stats, block_size),
+        graph,
+        alphabet,
+        node_order,
+        seen,
+        stabilizer,
+        account,
+        np,
+        block_size,
+    )

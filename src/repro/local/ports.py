@@ -22,23 +22,24 @@ class PortAssignment:
     """An immutable port assignment for a fixed graph.
 
     Stored as ``{v: {neighbor: port}}``; both directions of an edge carry
-    their own independent port.
+    their own independent port.  The reverse map ``{v: {port: neighbor}}``
+    of :meth:`neighbor_at` is built on its first call: a sweep keeps many
+    assignments alive and never asks it.
     """
 
     __slots__ = ("_ports", "_by_port")
 
     def __init__(self, ports: dict[Node, dict[Node, int]]) -> None:
         self._ports = {v: dict(nbrs) for v, nbrs in ports.items()}
-        self._by_port: dict[Node, dict[int, Node]] = {}
+        self._by_port: dict[Node, dict[int, Node]] | None = None
         for v, nbrs in self._ports.items():
-            reverse: dict[int, Node] = {}
-            for u, p in nbrs.items():
-                if p in reverse:
-                    raise PortAssignmentError(
-                        f"node {v!r} uses port {p} for both {reverse[p]!r} and {u!r}"
-                    )
-                reverse[p] = u
-            self._by_port[v] = reverse
+            if len(set(nbrs.values())) != len(nbrs):
+                _reverse(v, nbrs)  # raises, naming the first repeated port
+
+    def _reverse_map(self) -> dict[Node, dict[int, Node]]:
+        if self._by_port is None:
+            self._by_port = {v: _reverse(v, nbrs) for v, nbrs in self._ports.items()}
+        return self._by_port
 
     # ------------------------------------------------------------------
     # Queries
@@ -54,7 +55,7 @@ class PortAssignment:
     def neighbor_at(self, v: Node, port: int) -> Node:
         """The neighbor reached from *v* through *port*."""
         try:
-            return self._by_port[v][port]
+            return self._reverse_map()[v][port]
         except KeyError:
             raise PortAssignmentError(f"node {v!r} has no port {port}") from None
 
@@ -130,6 +131,18 @@ class PortAssignment:
 
     def __repr__(self) -> str:
         return f"PortAssignment(nodes={len(self._ports)})"
+
+
+def _reverse(v: Node, nbrs: dict[Node, int]) -> dict[int, Node]:
+    """``{port: neighbor}`` of node *v*; raises on a port used twice."""
+    reverse: dict[int, Node] = {}
+    for u, p in nbrs.items():
+        if p in reverse:
+            raise PortAssignmentError(
+                f"node {v!r} uses port {p} for both {reverse[p]!r} and {u!r}"
+            )
+        reverse[p] = u
+    return reverse
 
 
 def all_port_assignments(graph: Graph) -> Iterator[PortAssignment]:

@@ -152,6 +152,11 @@ def labeled_yes_instances(
       them back into ``Provenance.instances_scanned``.
     * Kernel: the unanimity sweep runs the prefix-pruned numpy join of
       :mod:`repro.kernel.batch`; *stats* receives its batch counters.
+      A port-oblivious decoder
+      (:attr:`~repro.certification.decoder.Decoder.port_oblivious`) is
+      joined once per ``(graph, ids)`` — once per graph when anonymous —
+      and the graph's later port bases reuse the accepted rows
+      (``kernel_joins_shared``).
     * Skipped passes: with *include_all_accepted_labelings*, each base
       whose exhaustive pass does not run is counted on *stats* —
       ``labelings_capped`` over the limit, ``labelings_prover_only``
@@ -196,6 +201,9 @@ def labeled_yes_instances(
         #: representative base (yields + suppressed), charged whole to
         #: every later automorphic duplicate.
         base_counts: dict[tuple, int] = {}
+        #: accepted row blocks of this graph's unanimity join, shared by
+        #: its port bases when the decoder is port-oblivious.
+        joins: dict = {}
         for ports in ports_list:
             for ids in id_list:
                 base = Instance(graph=graph, ports=ports, ids=ids, id_bound=bound)
@@ -248,6 +256,7 @@ def labeled_yes_instances(
                         stabilizer=stabilizer,
                         account=account,
                         stats=stats,
+                        joins=joins,
                     ):
                         produced += 1
                         yield base.with_labeling(labeling)

@@ -100,9 +100,11 @@ def reference_unanimous_labelings(
     stabilizer: tuple | None = None,
     account=None,
     stats=None,
+    joins=None,
 ):
     """:func:`~repro.certification.enumeration.unanimously_accepted_labelings`
-    by scanning every labeling (*stats* is accepted and unused)."""
+    by scanning every labeling, on every base (*stats* and *joins* are
+    accepted and unused: the scan shares nothing across port bases)."""
     layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
     node_order = node_sort_order(instance.graph)
     if seen is None:

@@ -60,6 +60,14 @@ class TestKColoring:
         with pytest.raises(GraphError):
             k_coloring(path_graph(2), -1)
 
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # The search keeps one frame per colored node; an odd cycle of
+        # 3,001 nodes is not bipartite, so all of them go on the stack.
+        graph = cycle_graph(3001)
+        coloring = k_coloring(graph, 3)
+        assert coloring is not None and proper_coloring_ok(graph, coloring)
+        assert k_coloring(cycle_graph(3001), 2) is None
+
 
 class TestChromaticNumber:
     @pytest.mark.parametrize(

@@ -48,6 +48,27 @@ class TestPortAssignment:
         with pytest.raises(PortAssignmentError):
             PortAssignment({0: {1: 1, 2: 1}, 1: {0: 1}, 2: {0: 1}})
 
+    def test_duplicate_port_message_names_both_neighbors(self):
+        with pytest.raises(
+            PortAssignmentError, match=r"^node 0 uses port 2 for both 1 and 3$"
+        ):
+            PortAssignment({0: {1: 2, 2: 1, 3: 2}, 1: {0: 1}, 2: {0: 1}, 3: {0: 1}})
+        with pytest.raises(
+            PortAssignmentError, match=r"^node 'b' uses port 1 for both 'a' and 'c'$"
+        ):
+            PortAssignment({"a": {"b": 1}, "b": {"a": 1, "c": 1}, "c": {"b": 1}})
+
+    def test_reverse_map_is_built_on_first_lookup(self):
+        g = star_graph(3)
+        ports = PortAssignment.canonical(g)
+        assert ports._by_port is None
+        assert ports.neighbor_at(0, ports.port(0, 2)) == 2
+        assert ports._by_port is not None
+        with pytest.raises(PortAssignmentError, match="node 0 has no port 4"):
+            ports.neighbor_at(0, 4)
+        with pytest.raises(PortAssignmentError, match="node 9 has no port 1"):
+            ports.neighbor_at(9, 1)
+
     def test_validate_out_of_range(self):
         g = path_graph(2)
         ports = PortAssignment({0: {1: 2}, 1: {0: 1}})
