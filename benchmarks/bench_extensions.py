@@ -28,7 +28,7 @@ def test_ext_decoder_universe_experiment(benchmark):
 def test_chromatic_number_of_neighborhood_graph(benchmark):
     from repro.core import DegreeOneLCP
 
-    verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan(early_exit=False)).legacy
+    verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan(early_exit=False))
     graph = verdict.ngraph.to_graph()
     chi = benchmark(lambda: chromatic_number(graph, max_k=6))
     assert chi == 3

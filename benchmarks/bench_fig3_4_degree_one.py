@@ -37,7 +37,7 @@ def test_odd_cycle_detection(benchmark):
 
 def test_full_lemma31_sweep_n4(benchmark):
     verdict = benchmark.pedantic(
-        lambda: decide_hiding(DegreeOneLCP(), 4, ExecutionPlan(early_exit=False)).legacy,
+        lambda: decide_hiding(DegreeOneLCP(), 4, ExecutionPlan(early_exit=False)),
         rounds=1,
         iterations=1,
     )

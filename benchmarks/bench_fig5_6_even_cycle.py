@@ -41,7 +41,7 @@ def test_witness_neighborhood_graph(benchmark):
 
 def test_full_lemma31_sweep_n6(benchmark):
     verdict = benchmark.pedantic(
-        lambda: decide_hiding(EvenCycleLCP(), 6, ExecutionPlan(early_exit=False)).legacy,
+        lambda: decide_hiding(EvenCycleLCP(), 6, ExecutionPlan(early_exit=False)),
         rounds=1,
         iterations=1,
     )

@@ -20,7 +20,7 @@ def test_lem32_experiment(benchmark):
 
 def test_revealing_sweep_and_compile(benchmark):
     def compile_decoder():
-        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan(early_exit=False)).legacy
+        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan(early_exit=False))
         return build_extraction_decoder(verdict.ngraph, 2)
 
     decoder = benchmark.pedantic(compile_decoder, rounds=1, iterations=1)
@@ -29,7 +29,7 @@ def test_revealing_sweep_and_compile(benchmark):
 
 def test_extraction_execution(benchmark):
     lcp = RevealingLCP()
-    verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False)).legacy
+    verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False))
     decoder = build_extraction_decoder(verdict.ngraph, 2)
     instance = Instance.build(cycle_graph(4), id_bound=4)
     labeled = instance.with_labeling(lcp.prover.certify(instance))
@@ -39,7 +39,7 @@ def test_extraction_execution(benchmark):
 
 def test_extraction_table_lookup_throughput(benchmark):
     lcp = RevealingLCP()
-    verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False)).legacy
+    verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False))
     decoder = build_extraction_decoder(verdict.ngraph, 2)
     instance = Instance.build(path_graph(4), id_bound=4)
     labeled = instance.with_labeling(lcp.prover.certify(instance))

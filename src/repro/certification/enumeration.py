@@ -107,7 +107,9 @@ def unanimously_accepted_labelings(
     if rows is not None:
         (stats or GLOBAL_STATS).incr("kernel_joins_shared")
     else:
-        layouts = default_layout_cache().layouts_for(instance, radius, include_ids)
+        layouts = default_layout_cache().layouts_for(
+            instance, radius, include_ids, stats=stats
+        )
         rows = accepted_rows(decoder, layouts, graph, alphabet, np, stats)
         if shared:
             rows = joins[key] = list(rows)

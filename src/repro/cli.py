@@ -254,7 +254,6 @@ def cmd_hiding(args: argparse.Namespace) -> int:
     if traced:
         report = RunReport.from_run(
             tracer=tracer,
-            metrics=ctx.metrics,
             stats=stats,
             verdict=verdict,
             plan=plan,

@@ -35,7 +35,6 @@ from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
 from ..obs.progress import counting_instances
-from ..perf.stats import GLOBAL_STATS
 from ..kernel import KERNEL_BATCH
 from ..kernel.batch import KERNEL_BLOCK_SIZE
 from ..symmetry.prune import SymmetryAccount
@@ -158,12 +157,12 @@ def _envelope(
     lcp: LCP,
     n: int,
     plan: ExecutionPlan,
-    legacy: HidingVerdict,
+    result: HidingVerdict,
     elapsed: float,
     ctx: RunContext | None = None,
     **flags,
 ) -> Verdict:
-    g = legacy.ngraph
+    g = result.ngraph
     provenance = Provenance(
         backend=plan.backend,
         n=n,
@@ -178,13 +177,12 @@ def _envelope(
         **flags,
     )
     return Verdict(
-        k=legacy.k,
-        hiding=legacy.hiding,
-        witness=legacy.odd_cycle,
-        coloring=legacy.coloring,
+        k=result.k,
+        hiding=result.hiding,
+        witness=result.odd_cycle,
+        coloring=result.coloring,
         ngraph=g,
         provenance=provenance,
-        legacy=legacy,
     )
 
 
@@ -215,40 +213,6 @@ def _apply_symmetry_account(ngraph, account: SymmetryAccount | None, ctx: RunCon
             ctx.stats.incr("symmetry_labelings_pruned", account.labelings_pruned)
         if account.bases_pruned:
             ctx.stats.incr("symmetry_bases_pruned", account.bases_pruned)
-
-
-class _ThroughputMeter:
-    """Per-op throughput of one sweep: kernel labelings evaluated per
-    second and canonical forms computed per second.
-
-    Labelings are counted on the context stats (the batch kernel's
-    ``kernel_labelings``); canonicalizations on :data:`GLOBAL_STATS`,
-    where the orderly generator records them regardless of which stats
-    handle the engine threads (generation is process-memoized, so a
-    warm sweep honestly reports none).  The computed gauges land in the
-    context metrics registry and in ``Provenance`` — single-core hosts
-    track per-op perf trajectory even when wall-clock comparisons are
-    noisy."""
-
-    def __init__(self, ctx: RunContext) -> None:
-        self.ctx = ctx
-        self.labelings = ctx.stats.get("kernel_labelings")
-        self.canonicalizations = GLOBAL_STATS.get("canonicalizations")
-
-    def flags(self, elapsed: float) -> dict:
-        labelings = self.ctx.stats.get("kernel_labelings") - self.labelings
-        canon = GLOBAL_STATS.get("canonicalizations") - self.canonicalizations
-        out: dict = {}
-        if elapsed > 0.0:
-            if labelings:
-                out["labelings_per_sec"] = labelings / elapsed
-            if canon:
-                out["canonicalizations_per_sec"] = canon / elapsed
-        metrics = self.ctx.stats.metrics
-        if metrics is not None:
-            for name, value in out.items():
-                metrics.set_gauge(name, value)
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +302,6 @@ class StreamingBackend:
         pruned = _symmetry_effective(lcp, plan)
         account = SymmetryAccount() if pruned else None
         symmetry = plan.symmetry if pruned else "off"
-        meter = _ThroughputMeter(ctx)
         with ctx.stats.time_stage("streaming_sweep"):
             with ctx.tracer.span("sweep", n=n, early_exit=plan.early_exit) as sweep:
                 if state is not None and state.n <= n:
@@ -394,7 +357,7 @@ class StreamingBackend:
                     edges=engine.ngraph.size,
                 )
         with ctx.tracer.span("decide", method="incremental"):
-            legacy = engine.verdict(exhaustive=True)
+            result = engine.verdict(exhaustive=True)
         if plan.warm_start and lcp.anonymous:
             _WARM_STATES[family] = _SweepState(n=n, engine=engine)
         elapsed = time.perf_counter() - start
@@ -402,12 +365,11 @@ class StreamingBackend:
             lcp,
             n,
             plan,
-            legacy,
+            result,
             elapsed,
             ctx,
             warm_started=warm_started,
             symmetry_pruned=pruned,
-            **meter.flags(elapsed),
         )
 
 

@@ -1,5 +1,5 @@
-"""Explicit run context for the engine: config + stats + metrics +
-tracer + cache tiers.
+"""Explicit run context for the engine: config + stats + tracer +
+progress bus + cache tiers.
 
 Pre-engine code threaded the perf knobs and counters through two mutable
 module globals (``repro.perf.CONFIG`` and ``GLOBAL_STATS``), which every
@@ -11,13 +11,15 @@ engine writes a module global.  ``RunContext.default()`` binds the
 process-wide objects, so call sites that never build a context keep the
 historical behavior; tests and benchmarks build isolated contexts
 instead of save/restore dances.
+
+``ctx.stats`` is the run's one counter record: a run report dumps it
+and the CLI's ``--perf-stats`` block renders it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from ..obs.progress import GLOBAL_PROGRESS, ProgressBus
 from ..obs.trace import NULL_TRACER, Tracer
 from ..perf.config import CONFIG, PerfConfig
@@ -38,10 +40,6 @@ class RunContext:
       (default: the live global ``CONFIG``, read once per decision).
     * ``stats`` — the :class:`PerfStats` sink for every counter and
       stage timer of the run.
-    * ``metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry` for
-      structured measurements (decision-latency histograms, gauges);
-      bind the stats handle to it (``stats.bind_metrics(metrics)``) to
-      mirror every counter into the registry.
     * ``tracer`` — the :class:`~repro.obs.trace.Tracer` collecting the
       run's span tree; the default :data:`~repro.obs.trace.NULL_TRACER`
       records nothing at zero cost.
@@ -59,7 +57,6 @@ class RunContext:
 
     config: PerfConfig = field(default_factory=lambda: CONFIG)
     stats: PerfStats = field(default_factory=lambda: GLOBAL_STATS)
-    metrics: MetricsRegistry = field(default_factory=lambda: GLOBAL_METRICS)
     tracer: Tracer = field(default=NULL_TRACER)
     progress: ProgressBus = field(default_factory=lambda: GLOBAL_PROGRESS)
     memory: MemoryVerdictStore | None = None
@@ -72,13 +69,12 @@ class RunContext:
 
     @classmethod
     def isolated(cls, config: PerfConfig | None = None) -> "RunContext":
-        """A context with private stats, metrics, and memo tiers (tests,
-        benchmarks) — nothing it records leaks into the process state."""
-        metrics = MetricsRegistry()
+        """A context with private stats, progress bus, and memo tier
+        (tests, benchmarks) — nothing it records leaks into the process
+        state."""
         return cls(
             config=config if config is not None else CONFIG,
-            stats=PerfStats().bind_metrics(metrics),
-            metrics=metrics,
+            stats=PerfStats(),
             progress=ProgressBus(),
             memory=MemoryVerdictStore(),
         )
@@ -90,8 +86,8 @@ class RunContext:
         config: PerfConfig | None = None,
     ) -> "RunContext":
         """An isolated context wired for observability: a live tracer
-        plus a fresh metrics registry backing a fresh stats handle —
-        what the CLI's ``--trace``/``--trace-out`` builds per run."""
+        plus a fresh stats handle — what the CLI's
+        ``--trace``/``--trace-out`` builds per run."""
         ctx = cls.isolated(config=config)
         return replace(ctx, tracer=tracer if tracer is not None else Tracer())
 

@@ -19,9 +19,8 @@ Observability: the whole decision runs inside the context tracer's
 (plan resolution, memory, shortcut, disk, backend, write-back) so a
 traced run's span tree accounts for essentially all of its wall time.
 Fresh verdicts are stamped with the tracer's ``trace_id`` (linking them
-to their run report), every decision lands in the context metrics as a
-``decision_latency_seconds`` observation, and the routing outcome is
-logged on the ``repro.engine`` logger.
+to their run report), and the routing outcome is logged on the
+``repro.engine`` logger.
 """
 
 from __future__ import annotations
@@ -77,10 +76,9 @@ def decide_hiding(
     native value) decides the scheme as registered.  *ctx* defaults to
     the process-wide context (global config, stats, shared cache tiers).
 
-    Returns the unified :class:`~repro.engine.verdict.Verdict` envelope;
-    pre-engine consumers read ``verdict.legacy``.  Raises
-    :class:`ValueError` for ``n < 1``: no sweep is empty enough to
-    decide, so a bound below one has no conclusive verdict.
+    Returns the unified :class:`~repro.engine.verdict.Verdict` envelope.
+    Raises :class:`ValueError` for ``n < 1``: no sweep is empty enough
+    to decide, so a bound below one has no conclusive verdict.
     """
     if n < 1:
         raise ValueError(f"decide_hiding: n must be >= 1, got {n}")
@@ -111,9 +109,6 @@ def decide_hiding(
             verdict = _decide(lcp, n, plan, ctx, root)
             return verdict
     finally:
-        elapsed = time.perf_counter() - start
-        ctx.metrics.incr("decisions_total")
-        ctx.metrics.observe("decision_latency_seconds", elapsed)
         ctx.progress.emit(
             "decision_finished",
             label=f"{lcp.name} k={lcp.k} n<={n}",
@@ -121,7 +116,7 @@ def decide_hiding(
             n=n,
             k=lcp.k,
             hiding=verdict.hiding if verdict is not None else None,
-            wall_time_s=elapsed,
+            wall_time_s=time.perf_counter() - start,
             trace_id=tracer.trace_id if tracer.active else None,
         )
 

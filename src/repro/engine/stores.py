@@ -27,7 +27,6 @@ from operator import lt
 from typing import Protocol, runtime_checkable
 
 from ..graphs.properties import is_odd_closed_walk, proper_coloring_ok
-from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import NeighborhoodGraph
 from ..obs.logs import get_logger
 from ..perf.stats import GLOBAL_STATS, PerfStats
@@ -262,9 +261,6 @@ def _verdict_from_body(key: dict, body) -> Verdict:
     # consumers that trace views back to instances must run fresh.
     ngraph.has_provenance = False
     witness = None if odd_cycle is None else tuple(views[i] for i in odd_cycle)
-    legacy = HidingVerdict(
-        k=k, hiding=hiding, ngraph=ngraph, odd_cycle=witness, coloring=coloring
-    )
     provenance = Provenance(
         backend="streaming",
         n=key.get("n", -1),
@@ -282,7 +278,6 @@ def _verdict_from_body(key: dict, body) -> Verdict:
         coloring=coloring,
         ngraph=ngraph,
         provenance=provenance,
-        legacy=legacy,
     )
     verdict._remember_digest(_payload_digest(body))
     return verdict

@@ -4,9 +4,7 @@ A :class:`Verdict` carries the decision (*is the scheme hiding up to
 ``n``?*), the canonical witness, the scanned (sub-)graph of ``V(D, n)``,
 and a :class:`Provenance` record saying how the answer was produced —
 which backend ran, how much was scanned, which cache tier served it, and
-how long it took.  The legacy
-:class:`~repro.neighborhood.hiding.HidingVerdict` stays available as
-``verdict.legacy`` so every pre-engine consumer keeps working unchanged.
+how long it took.
 
 Canonical witness
 -----------------
@@ -18,8 +16,7 @@ of :mod:`repro.neighborhood.streaming` — which finds this walk by
 construction and keeps it when a full sweep (``early_exit=False``) scans
 on.  Its coloring is the engine's own too (the union-find parity
 classes for ``k = 2``), so witness and coloring are byte-identical
-across every plan (early exit × cache tiers);
-``verdict.legacy.odd_cycle`` is the same walk.
+across every plan (early exit × cache tiers).
 
 Decision digest
 ---------------
@@ -39,7 +36,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..local.views import View
-from ..neighborhood.hiding import HidingVerdict
+from ..neighborhood.hiding import verdict_summary
 from ..neighborhood.ngraph import NeighborhoodGraph
 from ..obs.trace import format_seconds
 
@@ -138,14 +135,6 @@ class Provenance:
     #: then includes the suppressed orbit mates (multiplied back in), not
     #: only the instances physically decided.
     symmetry_pruned: bool = False
-    #: Per-op throughput gauges of the producing sweep (``None`` when
-    #: the corresponding op never ran — a sweep whose labeling spaces
-    #: are all capped evaluates no kernel labelings, a generation-warm
-    #: sweep canonicalizes nothing).
-    #: Mirrored into the context metrics registry as gauges of the same
-    #: names, so single-core hosts track per-op perf trajectory.
-    labelings_per_sec: float | None = None
-    canonicalizations_per_sec: float | None = None
     wall_time_s: float = 0.0
     trace_id: str | None = None
 
@@ -166,10 +155,6 @@ class Provenance:
             f"{self.views} views / {self.edges} edges, "
             f"{format_seconds(self.wall_time_s)}"
         )
-        if self.labelings_per_sec is not None:
-            text += f", {self.labelings_per_sec:,.0f} labelings/s"
-        if self.canonicalizations_per_sec is not None:
-            text += f", {self.canonicalizations_per_sec:,.0f} canon/s"
         if self.trace_id is not None:
             text += f", trace {self.trace_id}"
         return text
@@ -191,14 +176,12 @@ class Verdict:
     coloring: dict[int, int] | None
     ngraph: NeighborhoodGraph
     provenance: Provenance
-    #: The pre-engine envelope, for pre-engine consumers.
-    legacy: HidingVerdict = field(repr=False)
     #: Cached :meth:`digest`.  Not an init field, so ``replace`` never
     #: carries it silently onto changed content.
     _digest: str | None = field(default=None, init=False, repr=False)
 
     def summary(self) -> str:
-        return self.legacy.summary()
+        return verdict_summary(self.k, self.hiding, self.witness)
 
     def decision_fingerprint(self) -> bytes:
         """Canonical bytes of the *decision content* — identical across

@@ -67,7 +67,6 @@ from collections.abc import Iterable, Iterator
 
 from ..local.labeling import Labeling
 from ..local.views import layout_label_columns
-from ..obs.metrics import DEFAULT_SIZE_BUCKETS
 from ..perf.stats import GLOBAL_STATS, PerfStats
 from .tables import acceptance_table
 
@@ -114,7 +113,6 @@ def accepted_rows(
     if not a:
         return  # an empty alphabet labels no node
     block = block_size or KERNEL_BLOCK_SIZE
-    metrics = stats.metrics
     node_index = {v: i for i, v in enumerate(graph.nodes)}
     # Per-stage checks: a node's verdict is decidable once the last of
     # its layout columns is assigned; it is table[row[cols] @ weights].
@@ -146,8 +144,6 @@ def accepted_rows(
         extended = grid.reshape(len(rows) * a, j + 1)
         stats.incr("kernel_batches")
         stats.incr("kernel_labelings", len(extended))
-        if metrics is not None:
-            metrics.observe("kernel_batch_size", len(extended), DEFAULT_SIZE_BUCKETS)
         for table, cols, weights in checks[j]:
             local = extended[:, cols]
             extended = extended[table.verdicts(local @ weights, local, stats)]

@@ -41,16 +41,22 @@ class HidingVerdict:
     coloring: dict[int, int] | None = None
 
     def summary(self) -> str:
-        if self.hiding:
-            witness = (
-                f"odd closed walk of {len(self.odd_cycle) - 1} views"
-                if self.odd_cycle
-                else "non-k-colorable neighborhood graph"
-            )
-            return f"hiding (k={self.k}): YES — {witness}"
-        if self.hiding is False:
-            return f"hiding (k={self.k}): NO — V(D, n) is {self.k}-colorable"
-        return f"hiding (k={self.k}): inconclusive on partial scan"
+        return verdict_summary(self.k, self.hiding, self.odd_cycle)
+
+
+def verdict_summary(k: int, hiding: bool | None, walk) -> str:
+    """One line stating a hiding verdict; *walk* is the odd closed walk
+    of a ``k = 2`` hiding verdict (or ``None``)."""
+    if hiding:
+        witness = (
+            f"odd closed walk of {len(walk) - 1} views"
+            if walk
+            else "non-k-colorable neighborhood graph"
+        )
+        return f"hiding (k={k}): YES — {witness}"
+    if hiding is False:
+        return f"hiding (k={k}): NO — V(D, n) is {k}-colorable"
+    return f"hiding (k={k}): inconclusive on partial scan"
 
 
 def hiding_verdict_from_instances(

@@ -42,17 +42,6 @@ from .hiding import HidingVerdict
 from .ngraph import GraphConsumer, NeighborhoodGraph
 
 
-def __getattr__(name: str):
-    # Back-compat: the canonical engine revision now lives in
-    # repro.engine (imported lazily — the engine package imports this
-    # module's StreamingHidingEngine).
-    if name == "ENGINE_VERSION":
-        from ..engine import ENGINE_VERSION  # noqa: PLC0415
-
-        return ENGINE_VERSION
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class StreamingHidingEngine(GraphConsumer):
     """Consumes builder events and decides ``k``-colorability on the fly.
 

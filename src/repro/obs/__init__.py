@@ -1,16 +1,16 @@
-"""Observability for the hiding-decision engine: tracing, metrics,
-logging, and run reports — stdlib-only, zero-cost when off.
+"""Observability for the hiding-decision engine: tracing, logging,
+progress events, and run reports — stdlib-only, zero-cost when off.
+
+The counters and stage timers of a run have one record, the run's
+:class:`~repro.perf.stats.PerfStats`.  A run report embeds its dump and
+checks the verdict's provenance counts against it.
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`: the
   hierarchical span tree of a run (``decide_hiding`` → plan resolution →
   backend → sweep → cache spans), thread-safe, with a JSONL exporter.
   :data:`NULL_TRACER` is the free disabled default.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges,
-  and fixed-bucket histograms.  Backs :class:`~repro.perf.stats.PerfStats`
-  via :meth:`PerfStats.bind_metrics`, so the existing counter vocabulary
-  feeds the registry without touching call sites.
-* :mod:`repro.obs.report` — :class:`RunReport`: span tree + metrics +
-  provenance + plan fingerprint, content-addressed under
+* :mod:`repro.obs.report` — :class:`RunReport`: span tree + stats
+  counters + provenance + plan fingerprint, content-addressed under
   ``.repro_runs/``, with :func:`diff_reports` (decision drift vs perf
   deltas) and :func:`validate_report` (the CI schema gate).
 * :mod:`repro.obs.logs` — the ``repro.*`` logger hierarchy
@@ -28,15 +28,6 @@ logging, and run reports — stdlib-only, zero-cost when off.
 """
 
 from .logs import ROOT_LOGGER_NAME, get_logger, parse_level, setup_logging
-from .metrics import (
-    DEFAULT_SIZE_BUCKETS,
-    DEFAULT_TIME_BUCKETS,
-    GLOBAL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .profile import (
     folded_stacks,
     render_profile,
@@ -78,10 +69,7 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_SIZE_BUCKETS",
-    "DEFAULT_TIME_BUCKETS",
     "EVENT_KINDS",
-    "GLOBAL_METRICS",
     "GLOBAL_PROGRESS",
     "NO_PROGRESS_ENV",
     "NULL_PROGRESS",
@@ -90,11 +78,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "ROOT_LOGGER_NAME",
     "SPAN_FIELDS",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "JSONLSink",
-    "MetricsRegistry",
     "ProgressBus",
     "RunReport",
     "Span",

@@ -5,13 +5,14 @@ decision (or one benchmark/runner batch) into a single payload:
 
 * the **span tree** recorded by the run's :class:`~repro.obs.trace.Tracer`
   (flat records; rebuild with :func:`~repro.obs.trace.span_tree`),
-* the **metrics** registry dump and the raw :class:`PerfStats` counters,
+* the run's :class:`~repro.perf.stats.PerfStats` dump (counters and
+  stage timers — the run's one counter record),
 * the decision itself — ``hiding`` flag, canonical-witness length, and a
   digest of :meth:`~repro.engine.verdict.Verdict.decision_fingerprint` —
   plus the full :class:`~repro.engine.verdict.Provenance` record,
 * the resolved :class:`~repro.engine.plan.ExecutionPlan` and its
   fingerprint, so two reports can be compared plan-for-plan,
-* a **consistency** block cross-checking the metrics counters against
+* a **consistency** block cross-checking the stats counters against
   the provenance counts (they must agree exactly on a fresh sweep).
 
 Reports are written under ``.repro_runs/`` (or ``$REPRO_RUNS_DIR``) with
@@ -20,6 +21,10 @@ reports and separates *decision drift* (different answer, witness, plan,
 or scan counts — a correctness signal) from informational perf deltas
 (wall time, cache-tier traffic).  :func:`validate_report` is the schema
 gate CI runs against freshly emitted reports.
+
+:func:`diff_reports` and ``repro report list`` read only keys that
+schema v1 reports carry too, so those still diff and list;
+:func:`validate_report` accepts the current schema alone.
 """
 
 from __future__ import annotations
@@ -33,13 +38,12 @@ from pathlib import Path
 from typing import Any
 
 from .logs import get_logger
-from .metrics import MetricsRegistry
 from .trace import Tracer, format_seconds, render_span_tree, span_tree, tree_coverage, validate_span
 
 log = get_logger("obs.report")
 
 #: Schema identifier embedded in (and required of) every report.
-REPORT_SCHEMA = "repro.run-report/v1"
+REPORT_SCHEMA = "repro.run-report/v2"
 
 #: Top-level keys every report must carry.
 REQUIRED_KEYS = (
@@ -50,14 +54,13 @@ REQUIRED_KEYS = (
     "plan_fingerprint",
     "decision",
     "provenance",
-    "metrics",
     "stats",
     "spans",
     "wall_time_s",
     "span_coverage",
 )
 
-#: provenance field → stats/metrics counter expected to agree exactly.
+#: provenance field → stats counter expected to agree exactly.
 _CONSISTENCY_MAP = (
     ("instances_scanned", "instances_scanned"),
     ("views", "stream_views"),
@@ -101,7 +104,6 @@ class RunReport:
         cls,
         *,
         tracer: Tracer,
-        metrics: MetricsRegistry | None = None,
         stats=None,
         verdict=None,
         plan=None,
@@ -133,11 +135,6 @@ class RunReport:
         stats_dump = (
             stats.as_dict() if stats is not None else {"counters": {}, "timers": {}}
         )
-        metrics_dump = (
-            metrics.as_dict()
-            if metrics is not None
-            else {"counters": {}, "gauges": {}, "histograms": {}}
-        )
         payload = {
             "schema": REPORT_SCHEMA,
             "created": time.time(),
@@ -150,12 +147,11 @@ class RunReport:
             "plan_fingerprint": plan_fingerprint(plan),
             "decision": decision,
             "provenance": provenance,
-            "metrics": metrics_dump,
             "stats": stats_dump,
             "spans": spans,
             "wall_time_s": wall,
             "span_coverage": round(tree_coverage(spans), 4),
-            "consistency": _consistency(provenance, stats_dump, metrics_dump),
+            "consistency": _consistency(provenance, stats_dump["counters"]),
         }
         if meta:
             payload["meta"] = meta
@@ -206,7 +202,7 @@ class RunReport:
     # ------------------------------------------------------------------
 
     def render(self) -> str:
-        """Human summary: header, consistency, metrics counters, spans."""
+        """Human summary: header, consistency, stats counters, spans."""
         p = self.payload
         lines = [
             f"run report {self.digest}",
@@ -254,20 +250,15 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _consistency(
-    provenance: dict | None, stats_dump: dict, metrics_dump: dict
-) -> dict | None:
-    """Cross-check provenance counts against the run's counters.
+def _consistency(provenance: dict | None, counters: dict) -> dict | None:
+    """Cross-check provenance counts against the run's stats counters.
 
     Only counters the run actually recorded participate (a disk reload
-    scans nothing),
-    so a passing block means every comparable pair agreed exactly.
+    scans nothing), so a passing block means every comparable pair
+    agreed exactly.
     """
     if provenance is None:
         return None
-    counters = dict(metrics_dump.get("counters", {}))
-    for name, value in stats_dump.get("counters", {}).items():
-        counters.setdefault(name, value)
     checks = {}
     for provenance_field, counter_name in _CONSISTENCY_MAP:
         if counter_name not in counters:
@@ -334,16 +325,14 @@ def validate_report(payload: dict) -> list[str]:
         isinstance(coverage, (int, float)) and 0.0 <= coverage <= 1.0
     ):
         errors.append(f"span_coverage must be in [0, 1], got {coverage!r}")
-    for section, keys in (("metrics", ("counters", "gauges", "histograms")),
-                          ("stats", ("counters", "timers"))):
-        block = payload.get(section)
-        if block is not None:
-            if not isinstance(block, dict):
-                errors.append(f"{section} must be an object")
-            else:
-                for key in keys:
-                    if key not in block:
-                        errors.append(f"{section} missing {key!r}")
+    stats = payload.get("stats")
+    if stats is not None:
+        if not isinstance(stats, dict):
+            errors.append("stats must be an object")
+        else:
+            for key in ("counters", "timers"):
+                if key not in stats:
+                    errors.append(f"stats missing {key!r}")
     decision = payload.get("decision")
     if decision is not None:
         for key in ("hiding", "k", "fingerprint"):

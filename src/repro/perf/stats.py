@@ -7,12 +7,9 @@ by default; callers who want isolated measurements (benchmarks, tests)
 pass their own instance — the engine's :class:`~repro.engine.context.
 RunContext` threads one stats handle through the whole decision path.
 
-A stats object can additionally be *bound* to a
-:class:`~repro.obs.metrics.MetricsRegistry`
-(:meth:`PerfStats.bind_metrics`): every counter increment is then
-mirrored into a registry counter and every ``time_stage`` interval is
-observed into a ``<stage>_seconds`` histogram, which is how the metrics
-layer subsumes this counter bag without touching any call site.
+It is the one counter record of a run: the run report dumps it and
+checks the verdict's provenance counts against it, and the end-to-end
+benchmark reads its per-layer counts from :data:`GLOBAL_STATS`.
 """
 
 from __future__ import annotations
@@ -24,33 +21,21 @@ from contextlib import contextmanager
 class PerfStats:
     """Mutable bag of counters and stage timings."""
 
-    __slots__ = ("counters", "timers", "metrics")
+    __slots__ = ("counters", "timers")
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
         self.timers: dict[str, float] = {}
-        #: Optional MetricsRegistry mirror (see :meth:`bind_metrics`).
-        self.metrics = None
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
 
-    def bind_metrics(self, registry) -> "PerfStats":
-        """Mirror every future increment/stage time into *registry*
-        (pass ``None`` to unbind); returns self."""
-        self.metrics = registry
-        return self
-
     def incr(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-        if self.metrics is not None:
-            self.metrics.incr(name, amount)
 
     def add_time(self, stage: str, seconds: float) -> None:
         self.timers[stage] = self.timers.get(stage, 0.0) + seconds
-        if self.metrics is not None:
-            self.metrics.observe(f"{stage}_seconds", seconds)
 
     @contextmanager
     def time_stage(self, stage: str):

@@ -221,12 +221,12 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
     ngraph = reference_build(lcp, instances)
     if account is not None:
         ngraph.instances_scanned += account.instances_suppressed
-    legacy = classic_verdict(lcp, ngraph, exhaustive=True)
+    classic = classic_verdict(lcp, ngraph, exhaustive=True)
     return Verdict(
-        k=legacy.k,
-        hiding=legacy.hiding,
-        witness=legacy.odd_cycle,
-        coloring=legacy.coloring,
+        k=classic.k,
+        hiding=classic.hiding,
+        witness=classic.odd_cycle,
+        coloring=classic.coloring,
         ngraph=ngraph,
         provenance=Provenance(
             backend="oracle",
@@ -237,7 +237,6 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
             edges=ngraph.size,
             symmetry_pruned=pruned,
         ),
-        legacy=legacy,
     )
 
 

@@ -118,7 +118,7 @@ class TestDecoderCases:
 
 class TestHiding:
     def test_hiding_at_n6(self, lcp):
-        verdict = decide_hiding(lcp, 6, ExecutionPlan()).legacy
+        verdict = decide_hiding(lcp, 6, ExecutionPlan())
         assert verdict.hiding is True
 
     def test_no_node_learns_its_color(self, lcp):

@@ -51,7 +51,7 @@ class TestRevealing:
         assert report.passed
 
     def test_not_hiding(self):
-        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan())
         assert verdict.hiding is False
         assert verdict.coloring is not None
 
@@ -161,7 +161,7 @@ class TestRevealingGeneralK:
         lcp = RevealingLCP(k=3)
         verdict = decide_hiding(
             lcp, 4, ExecutionPlan(early_exit=False, labeling_limit=5_000)
-        ).legacy
+        )
         assert verdict.hiding is False
         decoder = build_extraction_decoder(verdict.ngraph, 3)
         assert decoder is not None

@@ -394,8 +394,6 @@ def test_provenance_fields_are_pinned():
         "warm_started",
         "warm_witness_hit",
         "symmetry_pruned",
-        "labelings_per_sec",
-        "canonicalizations_per_sec",
         "wall_time_s",
         "trace_id",
     ]
@@ -557,7 +555,7 @@ def _assert_stale_then_replaced(tmp_path, version: int) -> None:
         reloaded = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
     assert reloaded.provenance.disk_cache_hit is True
     assert reloaded.decision_fingerprint() == fresh.decision_fingerprint()
-    assert reloaded.legacy.odd_cycle == fresh.legacy.odd_cycle
+    assert reloaded.witness == fresh.witness
 
 
 def test_materialized_disk_entries_do_not_collide_with_streaming(tmp_path):
@@ -646,15 +644,17 @@ def test_unknown_backend_is_rejected():
         ExecutionPlan(backend="quantum").resolve()
 
 
-def test_legacy_envelope_is_attached():
-    lcp = make_lcp("degree-one")
-    v = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False, disk_cache=False))
-    assert v.legacy.hiding == v.hiding
-    # One route, one walk: the legacy envelope carries the canonical
-    # stream-order witness (11 views on the Figure 3–4 instance).
-    assert len(v.witness) == 12
-    assert v.legacy.odd_cycle == v.witness
-    assert v.summary() == v.legacy.summary()
+def test_summary_text_is_pinned():
+    """``Verdict.summary()`` renders from the envelope's own fields: the
+    canonical stream-order witness (11 views on the Figure 3–4
+    instance) on a hiding verdict, the colorability claim otherwise."""
+    plan = ExecutionPlan(early_exit=False, disk_cache=False)
+    hiding = decide_hiding(make_lcp("degree-one"), 4, plan)
+    assert len(hiding.witness) == 12
+    assert hiding.summary() == "hiding (k=2): YES — odd closed walk of 11 views"
+    colorable = decide_hiding(make_lcp("revealing"), 4, plan)
+    assert colorable.witness is None
+    assert colorable.summary() == "hiding (k=2): NO — V(D, n) is 2-colorable"
 
 
 if HAVE_HYPOTHESIS:

@@ -48,8 +48,8 @@ def test_all_lcps_factory():
 def test_hiding_landscape():
     """The paper's headline landscape in one assertion block: the
     revealing baseline is extractable, the paper's schemes are not."""
-    revealed = decide_hiding(RevealingLCP(), 4, ExecutionPlan(early_exit=False)).legacy
-    hidden = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
+    revealed = decide_hiding(RevealingLCP(), 4, ExecutionPlan(early_exit=False))
+    hidden = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan())
     assert revealed.hiding is False
     assert hidden.hiding is True
 

@@ -174,13 +174,13 @@ class TestNeighborhoodGraph:
 
 class TestHidingVerdicts:
     def test_hiding_lcp_positive(self):
-        verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(DegreeOneLCP(), 4, ExecutionPlan())
         assert verdict.hiding is True
-        assert verdict.odd_cycle is not None
+        assert verdict.witness is not None
         assert "YES" in verdict.summary()
 
     def test_non_hiding_exhaustive_negative(self):
-        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(RevealingLCP(), 4, ExecutionPlan())
         assert verdict.hiding is False
         assert verdict.coloring is not None
         assert "NO" in verdict.summary()
@@ -195,9 +195,9 @@ class TestHidingVerdicts:
         assert "inconclusive" in verdict.summary()
 
     def test_odd_cycle_views_are_adjacent(self):
-        verdict = decide_hiding(EvenCycleLCP(), 4, ExecutionPlan()).legacy
+        verdict = decide_hiding(EvenCycleLCP(), 4, ExecutionPlan())
         assert verdict.hiding is True
-        walk = verdict.odd_cycle
+        walk = verdict.witness
         ngraph = verdict.ngraph
         for a, b in zip(walk, walk[1:]):
             i, j = ngraph.index[a], ngraph.index[b]
@@ -209,7 +209,7 @@ class TestExtraction:
     @pytest.fixture(scope="class")
     def revealing_setup(self):
         lcp = RevealingLCP()
-        verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False)).legacy
+        verdict = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False))
         decoder = build_extraction_decoder(verdict.ngraph, 2)
         return lcp, decoder
 
@@ -245,7 +245,7 @@ class TestExtraction:
     def test_no_extraction_decoder_for_hiding_lcp(self):
         verdict = decide_hiding(
             DegreeOneLCP(), 4, ExecutionPlan(early_exit=False)
-        ).legacy
+        )
         assert build_extraction_decoder(verdict.ngraph, 2) is None
 
     def test_table_size(self, revealing_setup):
@@ -258,10 +258,10 @@ def test_sweep_cache_distinguishes_weakened_decoders():
     deliberately weakened variants (their decoder names differ)."""
     from repro.core import DegreeOneLCP
 
-    strict = decide_hiding(DegreeOneLCP(), 3, ExecutionPlan()).legacy
+    strict = decide_hiding(DegreeOneLCP(), 3, ExecutionPlan())
     weak = decide_hiding(
         DegreeOneLCP(require_common_beta=False), 3, ExecutionPlan()
-    ).legacy
+    )
     assert strict is not weak
-    again = decide_hiding(DegreeOneLCP(), 3, ExecutionPlan()).legacy
+    again = decide_hiding(DegreeOneLCP(), 3, ExecutionPlan())
     assert again is strict  # memo hit for identical parameters

@@ -1,11 +1,12 @@
-"""The observability layer: tracer, metrics, run reports, logging, and
-their wiring through the hiding-decision engine.
+"""The observability layer: tracer, the stats record, run reports,
+logging, and their wiring through the hiding-decision engine.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,7 +16,6 @@ from repro.engine.verdict import Provenance
 from repro.obs import (
     NULL_TRACER,
     SPAN_FIELDS,
-    MetricsRegistry,
     RunReport,
     Tracer,
     diff_reports,
@@ -27,7 +27,7 @@ from repro.obs import (
     tree_coverage,
     validate_report,
 )
-from repro.perf import PerfStats
+from repro.perf import GLOBAL_STATS
 
 
 @pytest.fixture(autouse=True)
@@ -121,36 +121,50 @@ def test_null_tracer_records_nothing():
 
 
 # ----------------------------------------------------------------------
-# Metrics + the PerfStats bridge
+# The run context's one counter record
 # ----------------------------------------------------------------------
 
 
-def test_metrics_registry_instruments():
-    registry = MetricsRegistry()
-    registry.incr("hits")
-    registry.incr("hits", 4)
-    registry.set_gauge("views", 17)
-    registry.observe("latency_seconds", 0.004)
-    registry.observe("latency_seconds", 0.004)
-    dump = registry.as_dict()
-    assert dump["counters"] == {"hits": 5}
-    assert dump["gauges"] == {"views": 17}
-    hist = dump["histograms"]["latency_seconds"]
-    assert hist["count"] == 2
-    assert hist["sum"] == pytest.approx(0.008)
-    assert sum(hist["counts"]) == 2
+def test_run_context_fields_are_pinned():
+    assert [f.name for f in fields(RunContext)] == [
+        "config",
+        "stats",
+        "tracer",
+        "progress",
+        "memory",
+        "disk",
+    ]
 
 
-def test_perfstats_bind_metrics_mirrors_counters_and_timers():
-    registry = MetricsRegistry()
-    stats = PerfStats().bind_metrics(registry)
-    stats.incr("instances_scanned", 7)
-    with stats.time_stage("sweep"):
-        pass
-    assert registry.as_dict()["counters"]["instances_scanned"] == 7
-    assert registry.as_dict()["histograms"]["sweep_seconds"]["count"] == 1
-    stats.add_time("sweep", 0.1)
-    assert registry.as_dict()["histograms"]["sweep_seconds"]["count"] == 2
+#: Counters of the process-wide graph generation and its caches, which
+#: serve every run and so always count on ``GLOBAL_STATS``.
+PROCESS_WIDE_COUNTERS = {
+    "family_cache_hits",
+    "family_cache_misses",
+    "orderly_generations",
+    "orderly_levels_vectorized",
+    "generation_batches",
+    "canonicalizations",
+    "canonical_hits",
+    "canonical_misses",
+    "aut_cache_hits",
+    "aut_cache_misses",
+}
+
+
+def test_isolated_counters_stay_out_of_global_stats():
+    before = dict(GLOBAL_STATS.counters)
+    ctx = RunContext.isolated()
+    verdict = decide_hiding(DegreeOneLCP(), 4, _plan(early_exit=False), ctx=ctx)
+    recorded = ctx.stats.counters
+    assert recorded["instances_scanned"] == verdict.provenance.instances_scanned
+    assert recorded["kernel_labelings"] > 0
+    grown = {
+        name for name, value in GLOBAL_STATS.counters.items()
+        if value != before.get(name, 0)
+    }
+    assert grown <= PROCESS_WIDE_COUNTERS
+    assert not grown & set(recorded)
 
 
 # ----------------------------------------------------------------------
@@ -219,10 +233,8 @@ def test_traced_decision_is_stamped_and_covered():
     child_names = {c["name"] for c in roots[0]["children"]}
     assert "backend:streaming" in child_names
     assert tree_coverage(records) >= 0.95
-    # the decision landed in the metrics too
-    dump = ctx.metrics.as_dict()
-    assert dump["counters"]["decisions_total"] == 1
-    assert dump["histograms"]["decision_latency_seconds"]["count"] == 1
+    # the sweep's counters landed on the context's stats
+    assert ctx.stats.get("instances_scanned") == verdict.provenance.instances_scanned
 
 
 def test_memo_hit_keeps_original_trace_id():
@@ -253,7 +265,7 @@ def test_traced_full_sweep_is_one_valid_tree_with_the_untraced_decision():
     assert all(r["trace_id"] == tracer.trace_id for r in records)
     assert len(span_tree(records)) == 1
     report = RunReport.from_run(
-        tracer=tracer, metrics=ctx.metrics, stats=ctx.stats,
+        tracer=tracer, stats=ctx.stats,
         verdict=traced, plan=plan, scheme=lcp.name, n=5,
     )
     assert validate_report(report.payload) == []
@@ -271,7 +283,6 @@ def _traced_run(n: int = 4, **plan_overrides):
     verdict = decide_hiding(DegreeOneLCP(), n, plan, ctx=ctx)
     return RunReport.from_run(
         tracer=tracer,
-        metrics=ctx.metrics,
         stats=ctx.stats,
         verdict=verdict,
         plan=plan,
@@ -286,12 +297,69 @@ def test_run_report_validates_and_is_consistent():
     assert report.payload["span_coverage"] >= 0.95
     consistency = report.payload["consistency"]
     assert consistency["ok"] is True
-    # the metrics counters match provenance exactly on a fresh sweep
+    # the stats counters match provenance exactly on a fresh sweep
     checks = consistency["checks"]
     assert checks["instances_scanned"]["metric"] == checks["instances_scanned"]["provenance"]
     assert checks["views"]["metric"] == checks["views"]["provenance"]
     assert checks["edges"]["metric"] == checks["edges"]["provenance"]
     assert "run report" in report.render()
+    assert report.payload["schema"] == "repro.run-report/v2"
+    assert "metrics" not in report.payload
+
+
+def test_drifted_provenance_is_a_consistency_mismatch():
+    """A report whose provenance disagrees with the stats counters fails
+    the consistency block and renders as a mismatch."""
+    tracer = Tracer()
+    ctx = RunContext.observed(tracer)
+    plan = _plan()
+    verdict = decide_hiding(DegreeOneLCP(), 4, plan, ctx=ctx)
+    views = ctx.stats.get("stream_views")
+    assert verdict.provenance.views == views
+    drifted = replace(verdict, provenance=replace(verdict.provenance, views=views + 1))
+    report = RunReport.from_run(
+        tracer=tracer, stats=ctx.stats, verdict=drifted, plan=plan, n=4
+    )
+    consistency = report.payload["consistency"]
+    assert consistency["ok"] is False
+    assert consistency["checks"]["views"] == {"metric": views, "provenance": views + 1}
+    edges = consistency["checks"]["edges"]
+    assert edges["metric"] == edges["provenance"]
+    assert "consistency:   MISMATCH" in report.render()
+    assert validate_report(report.payload) == []
+
+
+def _as_v1(payload: dict) -> dict:
+    """*payload* as schema v1 wrote it: a ``metrics`` registry dump and
+    the throughput fields in provenance."""
+    old = json.loads(json.dumps(payload))
+    old["schema"] = "repro.run-report/v1"
+    old["metrics"] = {"counters": old["stats"]["counters"], "gauges": {}, "histograms": {}}
+    old["provenance"].update(labelings_per_sec=1.0, canonicalizations_per_sec=None)
+    return old
+
+
+def test_validate_report_rejects_a_v1_payload():
+    old = _as_v1(_traced_run().payload)
+    assert validate_report(old) == [
+        "schema must be 'repro.run-report/v2', got 'repro.run-report/v1'"
+    ]
+
+
+def test_v1_reports_still_diff_and_list(tmp_path, capsys):
+    from repro.cli import main
+
+    report = _traced_run()
+    old = RunReport(_as_v1(report.payload))
+    diff = diff_reports(old, report)
+    assert diff["decision_drift"] is False
+    old.write(directory=tmp_path)
+    report.write(directory=tmp_path)
+    capsys.readouterr()
+    assert main(["report", "list", "--runs-dir", str(tmp_path)]) == 0
+    listing = capsys.readouterr().out
+    assert old.digest in listing and "repro.run-report/v1" in listing
+    assert report.digest in listing and "repro.run-report/v2" in listing
 
 
 def test_run_report_write_load_round_trip(runs_dir):
@@ -364,8 +432,8 @@ def test_cli_hiding_trace_out_end_to_end(tmp_path, runs_dir, capsys):
     assert validate_report(payload) == []
     assert payload["span_coverage"] >= 0.95
     assert payload["consistency"]["ok"] is True
-    # metrics counters match provenance exactly
-    counters = payload["metrics"]["counters"]
+    # stats counters match provenance exactly
+    counters = payload["stats"]["counters"]
     provenance = payload["provenance"]
     assert counters["instances_scanned"] == provenance["instances_scanned"]
     assert counters["stream_views"] == provenance["views"]

@@ -34,10 +34,10 @@ def _fresh_engine_state():
 
 
 def _decide(lcp, n, stats=None, **plan):
-    """``decide_hiding(lcp, n, ExecutionPlan(**plan)).legacy``, counting
-    on *stats* when given."""
+    """``decide_hiding(lcp, n, ExecutionPlan(**plan))``, counting on
+    *stats* when given."""
     ctx = RunContext(stats=stats) if stats is not None else None
-    return decide_hiding(lcp, n, ExecutionPlan(**plan), ctx=ctx).legacy
+    return decide_hiding(lcp, n, ExecutionPlan(**plan), ctx=ctx)
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +47,7 @@ def _decide(lcp, n, stats=None, **plan):
 
 
 def _assert_parity(lcp, n, ctx=None):
-    materialized = oracle_verdict(lcp, n).legacy
+    materialized = oracle_verdict(lcp, n)
     plan = ExecutionPlan(
         backend="streaming",
         warm_start=False,
@@ -56,26 +56,25 @@ def _assert_parity(lcp, n, ctx=None):
     )
     verdict = decide_hiding(lcp, n, plan, ctx=ctx)
     assert verdict.provenance.backend == "streaming"
-    streamed = verdict.legacy
-    assert verdict.hiding == streamed.hiding == materialized.hiding
-    if streamed.hiding:
+    assert verdict.hiding == materialized.hiding
+    if verdict.hiding:
         # The witness need not be the identical walk, but it must be a
         # genuine odd closed walk of adjacent views in the streamed graph.
         if lcp.k == 2:
-            assert streamed.odd_cycle is not None
-            g = streamed.ngraph
-            walk = [g.index[view] for view in streamed.odd_cycle]
+            assert verdict.witness is not None
+            g = verdict.ngraph
+            walk = [g.index[view] for view in verdict.witness]
             assert is_odd_closed_walk(g.to_graph(), walk)
         # Early exit: never scan more than the full enumeration.
         assert (
-            streamed.ngraph.instances_scanned
+            verdict.ngraph.instances_scanned
             <= materialized.ngraph.instances_scanned
         )
     else:
         # Non-hiding sweeps must materialize the exact same V(D, n).
-        assert streamed.ngraph.views == materialized.ngraph.views
-        assert streamed.ngraph.edges == materialized.ngraph.edges
-        assert streamed.coloring == materialized.coloring
+        assert verdict.ngraph.views == materialized.ngraph.views
+        assert verdict.ngraph.edges == materialized.ngraph.edges
+        assert verdict.coloring == materialized.coloring
 
 
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
@@ -106,7 +105,6 @@ def test_traced_early_exit_sweeps_write_a_valid_run_report(tmp_path, capsys):
                 checks += 1
     report = RunReport.from_run(
         tracer=tracer,
-        metrics=ctx.metrics,
         stats=ctx.stats,
         meta={"kind": "smoke", "checks": checks},
     )
@@ -123,7 +121,7 @@ def test_non_hiding_extraction_decoders_are_equal():
     """On non-hiding sweeps the streamed graph feeds the extraction
     direction of Lemma 3.2 exactly as the materialized one does."""
     lcp = RevealingLCP()
-    materialized = oracle_verdict(lcp, 4).legacy
+    materialized = oracle_verdict(lcp, 4)
     streamed = _decide(
         lcp, 4, warm_start=False, disk_cache=False, backend="streaming"
     )
@@ -148,7 +146,7 @@ def test_backend_routes_agree():
     """The explicit backend and the auto route both go through the one
     engine; the flag agrees with the oracle either way."""
     lcp = DegreeOneLCP()
-    materialized = oracle_verdict(lcp, 4).legacy
+    materialized = oracle_verdict(lcp, 4)
     routed = _decide(lcp, 4, backend="streaming")
     assert routed.hiding == materialized.hiding
     via_auto = _decide(lcp, 4)
@@ -342,7 +340,7 @@ class TestPersistentCache:
         assert second.hiding == first.hiding
         assert second.ngraph.views == first.ngraph.views
         assert second.ngraph.edges == first.ngraph.edges
-        assert second.odd_cycle == first.odd_cycle
+        assert second.witness == first.witness
         assert first.ngraph.has_provenance
         assert not second.ngraph.has_provenance
 
@@ -425,9 +423,9 @@ class TestWitnessRegressions:
         assert verdict.hiding is True
         # The stream-order witness [v0, ..., v10, v0]: 12 entries,
         # 11 views, 11 edges.
-        assert len(verdict.odd_cycle) == 12
-        assert verdict.odd_cycle[0] == verdict.odd_cycle[-1]
-        assert (len(verdict.odd_cycle) - 1) % 2 == 1
+        assert len(verdict.witness) == 12
+        assert verdict.witness[0] == verdict.witness[-1]
+        assert (len(verdict.witness) - 1) % 2 == 1
         assert "odd closed walk of 11 views" in verdict.summary()
 
     def test_even_cycle_n6_loop_witness(self):
@@ -435,17 +433,17 @@ class TestWitnessRegressions:
         assert verdict.hiding is True
         # The 2-labeled-cycles witness collapses to a self-loop: a view
         # adjacent to itself is an odd closed walk of length 1.
-        assert len(verdict.odd_cycle) == 2
-        assert verdict.odd_cycle[0] == verdict.odd_cycle[-1]
+        assert len(verdict.witness) == 2
+        assert verdict.witness[0] == verdict.witness[-1]
         assert "odd closed walk of 1 views" in verdict.summary()
 
     def test_summary_counts_edges_not_entries(self):
-        """``len(odd_cycle) - 1`` is the number of edges of the closed
+        """``len(witness) - 1`` is the number of edges of the closed
         walk, which equals the number of distinct view *slots* traversed
         — the convention `summary()` reports.  (Checked against the
         stream witness's ``[v0, ..., vk, v0]`` shape.)"""
         verdict = _decide(DegreeOneLCP(), 4, early_exit=False)
-        walk = [verdict.ngraph.index[v] for v in verdict.odd_cycle]
+        walk = [verdict.ngraph.index[v] for v in verdict.witness]
         edge_count = len(walk) - 1
         assert is_odd_closed_walk(verdict.ngraph.to_graph(), walk)
         assert f"odd closed walk of {edge_count} views" in verdict.summary()
