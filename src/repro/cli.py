@@ -267,11 +267,11 @@ def cmd_hiding(args: argparse.Namespace) -> int:
         coverage = report.payload["span_coverage"]
         print(f"report:    {canonical}  (span coverage {coverage:.1%})")
         if args.profile:
-            from .obs import render_profile, write_folded  # noqa: PLC0415
+            from .obs import render_profile, root_duration, write_folded  # noqa: PLC0415
 
             spans = tracer.finished_spans()
             print()
-            print(render_profile(spans, wall_time_s=verdict.provenance.wall_time_s))
+            print(render_profile(spans, wall_time_s=root_duration(spans)))
             folded = (
                 args.folded_out
                 if args.folded_out is not None
@@ -477,12 +477,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 1
         raise SystemExit(f"repro report {args.action}: {exc}")
     if args.action == "profile":
-        from .obs import render_profile, write_folded  # noqa: PLC0415
+        from .obs import render_profile, root_duration, write_folded  # noqa: PLC0415
 
         spans = report.payload.get("spans") or []
-        provenance = report.payload.get("provenance") or {}
-        wall = provenance.get("wall_time_s")
-        if not wall:
+        wall = root_duration(spans)
+        if wall is None:
             wall = report.payload.get("wall_time_s")
         print(render_profile(spans, wall_time_s=wall))
         if args.folded_out is not None:

@@ -43,6 +43,7 @@ def _k_coloring(graph: Graph, k: int) -> dict[Node, int] | None:
             return None
 
     order = sorted(graph.nodes, key=lambda v: (-graph.degree(v), repr(v)))
+    rank = {v: i for i, v in enumerate(order)}
     coloring: dict[Node, int] = {}
     # DSATUR bookkeeping: for every uncolored node, how many colored
     # neighbors use each color.  Maintained on assign/unassign, so picking
@@ -51,37 +52,46 @@ def _k_coloring(graph: Graph, k: int) -> dict[Node, int] | None:
     # in strict stack order, so while a node is colored its own counts go
     # untouched and are exact again by the time it is uncolored.
     neighbor_colors: dict[Node, dict[int, int]] = {v: {} for v in order}
+    # Saturation buckets: bit i of buckets[s] is set iff order[i] is
+    # uncolored with saturation s.  `order` is sorted by (degree desc,
+    # repr), so the lowest bit of the highest non-empty bucket is the
+    # (-saturation, -degree, repr) minimum without scanning the nodes.
+    buckets = [0] * (k + 1)
+    buckets[0] = (1 << len(order)) - 1
 
     def assign(v: Node, color: int) -> None:
         coloring[v] = color
+        buckets[len(neighbor_colors[v])] ^= 1 << rank[v]
         for u in graph.neighbors(v):
             if u not in coloring:
                 counts = neighbor_colors[u]
-                counts[color] = counts.get(color, 0) + 1
+                if color in counts:
+                    counts[color] += 1
+                else:
+                    bit = 1 << rank[u]
+                    buckets[len(counts)] ^= bit
+                    counts[color] = 1
+                    buckets[len(counts)] |= bit
 
     def unassign(v: Node, color: int) -> None:
         del coloring[v]
+        buckets[len(neighbor_colors[v])] |= 1 << rank[v]
         for u in graph.neighbors(v):
             if u not in coloring:
                 counts = neighbor_colors[u]
                 if counts[color] == 1:
+                    bit = 1 << rank[u]
+                    buckets[len(counts)] ^= bit
                     del counts[color]
+                    buckets[len(counts)] |= bit
                 else:
                     counts[color] -= 1
 
     def choose_next() -> Node | None:
-        # `order` is sorted by (degree desc, repr), so scanning it and
-        # keeping the first strict maximum reproduces the original
-        # (-saturation, -degree, repr) tie-break exactly.
-        best = None
-        best_saturation = -1
-        for v in order:
-            if v in coloring:
-                continue
-            saturation = len(neighbor_colors[v])
-            if saturation > best_saturation:
-                best, best_saturation = v, saturation
-        return best
+        for bits in reversed(buckets):
+            if bits:
+                return order[(bits & -bits).bit_length() - 1]
+        return None
 
     # Depth-first search on an explicit stack — one frame per colored
     # node, so the depth is the graph's order and must not recurse.

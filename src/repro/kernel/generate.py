@@ -12,6 +12,12 @@ still ties for the minimum is extended one position per step, extension
 bit-strings are packed into integer keys, and a vectorized per-graph
 minimum filters the frontier.
 
+Isolated nodes tie at every position they can take, so a graph with
+``z`` of them has ``z!`` times the minimizing assignments of its core:
+:func:`batch_colex_core` searches one arrangement of them and
+:func:`expand_isolated` rebuilds the others exactly (see
+:func:`batch_colex_canonical`).
+
 Exactness, not approximation: a depth-first search with best-prefix
 pruning keeps exactly the assignments whose every prefix equals the
 running minimum, and the frontier *is* that set, synchronized by
@@ -28,6 +34,8 @@ cycles.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 #: Largest node count the packed int64 bit arithmetic supports.  The
 #: emission mask needs ``n * (n - 1) / 2`` bits and the frontier keys
@@ -65,6 +73,20 @@ def _group_starts(gid, batch: int, np):
     return np.searchsorted(gid, np.arange(batch, dtype=np.int64), side="left")
 
 
+def _extension_keys(row_bits, assigned, state, np):
+    """Per candidate, its adjacency bits against the nodes its state
+    assigned, packed with ``assigned``'s first column most significant.
+
+    Packed one column at a time, so no ``(candidates, depth)`` temporary
+    is ever built: the candidate vectors are a frontier's largest arrays.
+    """
+    keys = np.zeros(len(state), dtype=np.int64)
+    for column in assigned.T:
+        keys <<= 1
+        keys |= (row_bits >> column[state]) & 1
+    return keys
+
+
 def _min_filter(keys, gid, batch: int, np):
     """Keep the frontier rows whose key equals their graph's minimum —
     the vectorized best-prefix pruning step."""
@@ -73,18 +95,19 @@ def _min_filter(keys, gid, batch: int, np):
     return keys == mins[gid]
 
 
-def batch_colex_canonical(rows, n: int, np, stats=None):
-    """All minimizing degree-respecting assignments of every graph in
-    *rows*, in the scalar DFS order.
+def batch_colex_core(rows, n: int, np, stats=None):
+    """The minimizing degree-respecting assignments of every graph in
+    *rows* with its isolated nodes held in one arrangement.
 
     *rows* is a ``(batch, n)`` int64 adjacency bitset matrix.  Returns
     ``(perms, gid)``: ``perms`` is a ``(total, n)`` int64 matrix of
     position-to-node assignments and ``gid[t]`` the graph index of row
-    ``t``.  Rows are grouped by graph in ascending graph order, and
-    within one graph appear in exactly the order
-    :func:`repro.symmetry.canon.colex_canonical` appends them (its DFS
-    tries nodes in ascending order, so minimizers come out
-    assignment-lexicographic — which is the frontier order here).
+    ``t``, grouped by graph in ascending order.  A degree-0 position
+    takes only the smallest unused isolated node, so the ``z`` isolated
+    nodes of a graph sit in ascending order at positions ``0 .. z - 1``
+    and each graph keeps exactly its core minimizers, in the scalar DFS
+    order.  :func:`batch_colex_canonical` rebuilds the other ``z! - 1``
+    arrangements exactly (see *Isolated nodes* there).
     """
     batch = rows.shape[0]
     if batch == 0:
@@ -105,12 +128,16 @@ def batch_colex_canonical(rows, n: int, np, stats=None):
         # next position block demands (the scalar loop's two `continue`s).
         cand = ((used[:, None] >> node_shifts[None, :]) & 1) == 0
         cand &= degs[gid] == pos_deg[gid, p][:, None]
+        at_zero = np.flatnonzero(pos_deg[gid, p] == 0)
+        if len(at_zero):
+            # Isolated nodes tie everywhere: keep the smallest one only.
+            first = cand[at_zero].argmax(axis=1)
+            cand[at_zero] = False
+            cand[at_zero, first] = True
         state, v = np.nonzero(cand)  # row-major: state-major, node-ascending
         new_gid = gid[state]
         if p:
-            row_bits = rows[new_gid, v]
-            ext = (row_bits[:, None] >> assigned[state]) & 1
-            keys = ext @ (np.int64(1) << np.arange(p - 1, -1, -1, dtype=np.int64))
+            keys = _extension_keys(rows[new_gid, v], assigned, state, np)
             keep = _min_filter(keys, new_gid, batch, np)
             state, v, new_gid = state[keep], v[keep], new_gid[keep]
         assigned = np.concatenate(
@@ -119,6 +146,82 @@ def batch_colex_canonical(rows, n: int, np, stats=None):
         used = used[state] | (np.int64(1) << v)
         gid = new_gid
     return assigned, gid
+
+
+@cache
+def isolated_arrangements(z: int, np):
+    """``(z!, z)`` uint8 matrix of every permutation of ``range(z)`` in
+    lexicographic order (the order ``itertools.permutations`` yields),
+    built column block by column block and cached per *z*."""
+    arrangements = np.zeros((1, min(z, 1)), dtype=np.uint8)
+    for size in range(2, z + 1):
+        # Lexicographic order of `size` symbols: the first symbol is the
+        # outer loop, the remaining symbols (ascending) follow in the
+        # order of size - 1 symbols.
+        rest = np.array(
+            [[r for r in range(size) if r != f] for f in range(size)], dtype=np.uint8
+        )  # (size, size - 1): remaining symbols per first symbol
+        heads = np.repeat(np.arange(size, dtype=np.uint8), len(arrangements))
+        tails = rest[:, arrangements].reshape(-1, size - 1)
+        arrangements = np.column_stack([heads, tails])
+    arrangements.flags.writeable = False
+    return arrangements
+
+
+def expand_isolated(block, cols, isolated, np):
+    """Rebuild every arrangement of a graph's isolated nodes.
+
+    *block* holds rows for one arrangement (the isolated nodes
+    *isolated*, ascending, at columns *cols*).  Returns ``z!`` copies of
+    the block, one per permutation ``pi`` of *isolated* in lexicographic
+    order with ``pi`` written into *cols*: the arrangements are the outer
+    loop, the block rows the inner one.  For minimizing assignments
+    *cols* are the positions ``0 .. z - 1``; for automorphisms they are
+    the isolated nodes themselves.
+    """
+    isolated = np.asarray(isolated, dtype=block.dtype)
+    pis = isolated[isolated_arrangements(len(isolated), np)]  # (z!, z)
+    out = np.tile(block, (len(pis), 1))
+    out[:, cols] = np.repeat(pis, len(block), axis=0)
+    return out
+
+
+def batch_colex_canonical(rows, n: int, np, stats=None):
+    """All minimizing degree-respecting assignments of every graph in
+    *rows*, in the scalar DFS order.
+
+    *rows* is a ``(batch, n)`` int64 adjacency bitset matrix.  Returns
+    ``(perms, gid)``: ``perms`` is a ``(total, n)`` int64 matrix of
+    position-to-node assignments and ``gid[t]`` the graph index of row
+    ``t``.  Rows are grouped by graph in ascending graph order, and
+    within one graph appear in exactly the order
+    :func:`repro.symmetry.canon.colex_canonical` appends them (its DFS
+    tries nodes in ascending order, so minimizers come out
+    assignment-lexicographic — which is the frontier order here).
+
+    *Isolated nodes.*  The ``z`` isolated nodes of a graph have degree 0,
+    so the degree-respecting search places them at positions
+    ``0 .. z - 1``, where every key bit is 0 and each choice ties; and
+    their key bits against every later node are 0 too, so the core
+    search below them is the same for each arrangement.  The minimizer
+    list is therefore each permutation of the isolated nodes, in
+    lexicographic order (the DFS's outer loops), times the core
+    minimizers of :func:`batch_colex_core` in DFS order — which
+    :func:`expand_isolated` rebuilds without a ``z!``-row frontier.
+    """
+    perms, gid = batch_colex_core(rows, n, np, stats=stats)
+    counts = (rows == 0).sum(axis=1)
+    if not (counts >= 2).any():  # nothing to rebuild (or no graphs)
+        return perms, gid
+    bounds = np.searchsorted(gid, np.arange(len(rows) + 1)).tolist()
+    parts, gids = [], []
+    for g, z in enumerate(counts.tolist()):
+        part = perms[bounds[g] : bounds[g + 1]]
+        if z >= 2:
+            part = expand_isolated(part, np.arange(z), part[0, :z], np)
+        parts.append(part)
+        gids.append(np.full(len(part), g, dtype=np.int64))
+    return np.concatenate(parts), np.concatenate(gids)
 
 
 def batch_deletion_flags(perms, gid, batch: int, last: int, np):
@@ -177,6 +280,23 @@ def orbit_minimal_subsets(bits, perms, np):
     return keep
 
 
+def lowest_isolated_subsets(bits, isolated, np):
+    """Boolean mask over subsets ``0 .. 2^m - 1``: are the subset's
+    members among the nodes *isolated* the lowest ones of *isolated*?
+
+    *bits* is the :func:`subset_bit_matrix` for ``m``.  This is exactly
+    orbit-minimality under ``Sym(isolated)``.  For a group
+    ``Aut(core) x Sym(isolated)`` a subset is orbit-minimal iff it is
+    minimal under each factor, because the two factors move disjoint
+    bits: pair this mask with :func:`orbit_minimal_subsets` over the core
+    automorphisms.
+    """
+    weights = np.int64(1) << np.asarray(isolated, dtype=np.int64)
+    on_isolated = bits[:, isolated]
+    lowest = np.concatenate([[0], np.cumsum(weights)])
+    return on_isolated @ weights == lowest[on_isolated.sum(axis=1)]
+
+
 def batch_min_edge_mask(rows, n: int, firsts, np, stats=None):
     """Minimal edge-subset masks and final minimizing assignments of a
     batch of graphs — the batched :func:`repro.symmetry.canon.
@@ -212,11 +332,9 @@ def batch_min_edge_mask(rows, n: int, firsts, np, stats=None):
         cand = ((used[:, None] >> node_shifts[None, :]) & 1) == 0
         state, v = np.nonzero(cand)
         new_gid = gid[state]
-        row_bits = rows[new_gid, v]
         # Bits against positions n-1 .. p+1 — assigned's column order is
         # already descending-position, i.e. most significant first.
-        ext = (row_bits[:, None] >> assigned[state]) & 1
-        keys = ext @ (np.int64(1) << np.arange(depth - 1, -1, -1, dtype=np.int64))
+        keys = _extension_keys(rows[new_gid, v], assigned, state, np)
         keep = _min_filter(keys, new_gid, batch, np)
         state, v, new_gid = state[keep], v[keep], new_gid[keep]
         assigned = np.concatenate(

@@ -31,6 +31,7 @@ from .logs import ROOT_LOGGER_NAME, get_logger, parse_level, setup_logging
 from .profile import (
     folded_stacks,
     render_profile,
+    root_duration,
     self_times,
     total_self_time,
     write_folded,
@@ -95,6 +96,7 @@ __all__ = [
     "render_diff",
     "render_profile",
     "render_span_tree",
+    "root_duration",
     "runs_dir",
     "self_times",
     "setup_logging",

@@ -34,6 +34,10 @@ mutations and account totals at every yield.  :func:`kernel_route`
 scopes a block to the numpy kernels or to this loop plus the scalar
 orderly DFS, so engine-level suites compare the two routes.
 
+:func:`reference_k_coloring` is the exact ``k``-coloring search picking
+each next node by a scan of every node; the saturation buckets of
+:mod:`repro.graphs.coloring` must return the same coloring.
+
 :func:`reference_fingerprint` serializes a decision the direct way: every
 view is encoded inline (:func:`encode_view`) and the whole payload goes
 through one ``json.dumps(sort_keys=True)``.  The engine assembles the
@@ -54,6 +58,7 @@ from repro.engine import ExecutionPlan, Provenance, Verdict
 from repro.errors import ViewError
 from repro.graphs.families import enumerate_graphs_exactly_reference
 from repro.graphs.graph import FrozenGraph
+from repro.graphs.properties import bipartition
 from repro.graphs.traversal import view_subgraph_nodes_and_edges
 from repro.local.labeling import Labeling, all_labelings, labeling_key, node_sort_order
 from repro.local.views import View, relabel_view
@@ -181,6 +186,97 @@ def _orbit_pruned_labelings(
             yield labeling
         if account is not None:
             account.instances_suppressed += suppressed
+
+
+def reference_k_coloring(graph, k: int) -> dict | None:
+    """:func:`repro.graphs.coloring.k_coloring` picking each next node by
+    a scan of every node — the DSATUR search before saturation buckets.
+    Same search, same ``(-saturation, -degree, repr)`` tie-break, hence
+    the same coloring (uncached: no graph fact is read or written)."""
+    if graph.has_loop():
+        return None
+    if graph.order == 0:
+        return {}
+    if k == 0:
+        return None
+    if k >= 2:
+        split = bipartition(graph)
+        if split.is_bipartite:
+            assert split.coloring is not None
+            return dict(split.coloring)
+        if k == 2:
+            return None
+
+    order = sorted(graph.nodes, key=lambda v: (-graph.degree(v), repr(v)))
+    coloring: dict = {}
+    # DSATUR bookkeeping: for every uncolored node, how many colored
+    # neighbors use each color.  Maintained on assign/unassign, so picking
+    # the next node never rescans neighborhoods — the saturation of v is
+    # just len(neighbor_colors[v]).  The search assigns and unassigns
+    # in strict stack order, so while a node is colored its own counts go
+    # untouched and are exact again by the time it is uncolored.
+    neighbor_colors: dict = {v: {} for v in order}
+
+    def assign(v, color: int) -> None:
+        coloring[v] = color
+        for u in graph.neighbors(v):
+            if u not in coloring:
+                counts = neighbor_colors[u]
+                counts[color] = counts.get(color, 0) + 1
+
+    def unassign(v, color: int) -> None:
+        del coloring[v]
+        for u in graph.neighbors(v):
+            if u not in coloring:
+                counts = neighbor_colors[u]
+                if counts[color] == 1:
+                    del counts[color]
+                else:
+                    counts[color] -= 1
+
+    def choose_next() -> object:
+        # `order` is sorted by (degree desc, repr), so scanning it and
+        # keeping the first strict maximum reproduces the original
+        # (-saturation, -degree, repr) tie-break exactly.
+        best = None
+        best_saturation = -1
+        for v in order:
+            if v in coloring:
+                continue
+            saturation = len(neighbor_colors[v])
+            if saturation > best_saturation:
+                best, best_saturation = v, saturation
+        return best
+
+    # Depth-first search on an explicit stack — one frame per colored
+    # node, so the depth is the graph's order and must not recurse.
+    # Frames are (node, colors its neighbors held when it was picked,
+    # color it holds); the search order is that of the plain recursion.
+    stack: list = []
+    v = choose_next()
+    used = set(neighbor_colors[v]) if v is not None else set()
+    start = 0
+    while v is not None:
+        color = next((c for c in range(start, k) if c not in used), None)
+        if color is not None:
+            assign(v, color)
+            stack.append((v, used, color))
+            v = choose_next()
+            if v is not None:
+                used, start = set(neighbor_colors[v]), 0
+            continue
+        # v has no color left: undo its parent's choice and move on.
+        while True:
+            if not stack:
+                return None
+            v, used, color = stack.pop()
+            unassign(v, color)
+            # Symmetry breaking: a strictly larger fresh color than any
+            # used so far is equivalent to this one, so v fails too.
+            if color <= max(coloring.values(), default=-1):
+                start = color + 1
+                break
+    return dict(coloring)
 
 
 @cache

@@ -137,6 +137,29 @@ class TestHidingBackendFlag:
         assert "verdict" not in capsys.readouterr().out
 
 
+def _reconciled_share(out: str) -> float:
+    """The percentage a profile's ``reconciliation:`` footer prints."""
+    (line,) = [line for line in out.splitlines() if line.startswith("reconciliation:")]
+    return float(line.rsplit("(", 1)[1].rstrip("%)"))
+
+
+class TestProfileReconciliation:
+    def test_footer_reconciles_against_the_root_span(self, tmp_path, monkeypatch, capsys):
+        """Self times sum to the root ``decide_hiding`` span, so the
+        footer reads 100% (up to clock rounding), live and re-read from
+        the report; the backend sweep's wall time alone covers less than
+        the spans do."""
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        trace_out = tmp_path / "run.json"
+        argv = ["hiding", "even-cycle", "--n", "6", "--full-sweep", "--profile"]
+        assert main([*argv, "--no-disk-cache", "--trace-out", str(trace_out)]) == 0
+        live = _reconciled_share(capsys.readouterr().out)
+        assert 99.0 <= live <= 100.5
+        argv = ["report", "profile", str(trace_out), "--runs-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert 99.0 <= _reconciled_share(capsys.readouterr().out) <= 100.5
+
+
 def _unreadable_report(tmp_path, case: str) -> str:
     """A report ref that cannot be read: *case* is ``missing`` (no such
     file), ``unparsable`` (not JSON) or ``non-object`` (JSON, not an

@@ -15,12 +15,18 @@ from repro.graphs import (
     proper_coloring_ok,
     random_graph,
 )
+from repro.core.trivial import RevealingLCP
+from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
+from repro.graphs import coloring
 from repro.graphs.coloring import (
+    _k_coloring,
     chromatic_number,
     greedy_coloring,
     is_k_colorable,
     k_coloring,
 )
+
+from .oracle import reference_k_coloring
 
 
 class TestKColoring:
@@ -112,3 +118,54 @@ class TestChromaticNumber:
 def test_greedy_coloring_proper():
     g = grid_graph(3, 4)
     assert proper_coloring_ok(g, greedy_coloring(g))
+
+
+class TestSaturationBuckets:
+    """The next node comes from saturation buckets instead of a scan of
+    every node; the ``(-saturation, -degree, repr)`` tie-break is the
+    same, so every coloring is the scan's (:func:`tests.oracle.
+    reference_k_coloring`)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        p=st.floats(0.1, 0.9),
+        seed=st.integers(0, 10**5),
+        k=st.integers(1, 4),
+    )
+    def test_random_graphs_color_as_the_scan_does(self, n, p, seed, k):
+        # Up to 16 nodes, so repr order (10 < 2) differs from int order.
+        graph = random_graph(n, p, seed)
+        assert _k_coloring(graph, k) == reference_k_coloring(graph, k)
+
+    @staticmethod
+    def _sweep(n: int):
+        """Full ``V(D, n)`` of ``RevealingLCP(3)``, cold."""
+        clear_engine_state()
+        plan = ExecutionPlan(early_exit=False, disk_cache=False, memory_cache=False)
+        return decide_hiding(RevealingLCP(3), n, plan)
+
+    def test_every_restart_of_a_sweep_colors_as_the_scan_does(self, monkeypatch):
+        calls = []
+
+        def recording(graph, k):
+            result = _k_coloring(graph, k)
+            calls.append((graph.copy(), k, result))
+            return result
+
+        monkeypatch.setattr(coloring, "_k_coloring", recording)
+        self._sweep(4)
+        assert len(calls) > 20
+        for graph, k, result in calls:
+            assert result == reference_k_coloring(graph, k)
+
+    def test_full_revealing_sweep_colors_as_the_scan_does(self):
+        # 2,217 views: the sweep whose restarts the scan made quadratic.
+        verdict = self._sweep(5)
+        assert verdict.hiding is False
+        assert verdict.digest() == "5d14e9a37ccc539267fa1db376bf5a2b"
+        graph = verdict.ngraph.to_graph()
+        assert graph.order == 2217
+        final = _k_coloring(graph, 3)
+        assert final is not None
+        assert final == reference_k_coloring(graph, 3)
