@@ -232,7 +232,6 @@ def cmd_hiding(args: argparse.Namespace) -> int:
     plan = ExecutionPlan(
         early_exit=not args.full_sweep,
         disk_cache=not args.no_disk_cache,
-        symmetry=args.symmetry,
     ).resolve()
     detach_progress = _attach_progress(ctx.progress)
     try:
@@ -309,10 +308,7 @@ def cmd_frontier_run(args: argparse.Namespace) -> int:
     schemes = tuple(part for part in args.schemes.split(",") if part)
     families = tuple(part for part in args.family.split(",") if part)
     with CONFIG.overridden(disk_cache_dir=args.cache_dir):
-        plan = ExecutionPlan(
-            disk_cache=False if args.no_disk_cache else None,
-            symmetry=args.symmetry,
-        ).resolve()
+        plan = ExecutionPlan(disk_cache=False if args.no_disk_cache else None).resolve()
         spec = CampaignSpec.sweep(
             schemes,
             n_max=args.n_max,
@@ -619,13 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the persistent .repro_cache/ for this run",
     )
     hiding_parser.add_argument(
-        "--symmetry",
-        choices=["auto", "on", "off"],
-        default=None,
-        help="automorphism-orbit pruning (auto prunes anonymous schemes "
-        "only; default: the session config)",
-    )
-    hiding_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR", help="cache directory override"
     )
     hiding_parser.add_argument(
@@ -706,10 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A1,A2",
         help="comma-separated caps on the certificate alphabet "
         "(default: the full alphabet)",
-    )
-    fr_run.add_argument(
-        "--symmetry", choices=["auto", "on", "off"], default=None,
-        help="symmetry reduction for the sweeps (default: the session config)",
     )
     fr_run.add_argument(
         "--no-disk-cache", action="store_true",

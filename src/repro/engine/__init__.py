@@ -8,9 +8,10 @@ behind a single serial pipeline::
     print(verdict.summary())
     print(verdict.provenance.summary())   # backend, cache tier, wall time
 
-* :class:`ExecutionPlan` — *how* to decide: early-exit/warm-start ×
-  symmetry × cache tiers.  Unset fields resolve against the
-  session's :class:`~repro.perf.config.PerfConfig`.
+* :class:`ExecutionPlan` — *how* to decide: early exit × cache tiers ×
+  enumeration bounds.  Orbit pruning and warm starts are not plan
+  fields: both follow ``lcp.anonymous``.  An unset ``disk_cache``
+  resolves against the session's :class:`~repro.perf.config.PerfConfig`.
 * :func:`decide_hiding` — *what* to decide; returns a :class:`Verdict`
   envelope (decision + canonical witness + graph + :class:`Provenance`).
 * :class:`RunContext` — explicit config/stats/cache carriers for callers
@@ -19,12 +20,7 @@ behind a single serial pipeline::
   ship, new tiers plug into a context.
 """
 
-from .backends import (
-    ENGINE_VERSION,
-    StreamingBackend,
-    available_backends,
-    clear_warm_states,
-)
+from .backends import ENGINE_VERSION, StreamingBackend, available_backends
 from .context import RunContext
 from .core import clear_engine_state, decide_hiding
 from .plan import BACKEND_AUTO, BACKEND_STREAMING, ExecutionPlan
@@ -45,6 +41,5 @@ __all__ = [
     "VerdictStore",
     "available_backends",
     "clear_engine_state",
-    "clear_warm_states",
     "decide_hiding",
 ]

@@ -4,13 +4,20 @@ The backend answers one question — *is* ``V(D, n)`` *k-colorable?* — with
 the fused incremental engine of :mod:`repro.neighborhood.streaming`:
 each view and edge feeds an incremental decision the moment the builders
 discover it (union-find parity for ``k = 2``, DSATUR with restarts
-otherwise), optionally resuming from a smaller-``n`` sweep (warm start).
+otherwise).
 ``ExecutionPlan.early_exit`` picks how far it scans: ``True`` stops at
 the first witness, ``False`` builds the complete ``V(D, n)``.  Either
 way the witness is the stream-order first odd closed walk and the
 coloring is the engine's own, so the ``hiding`` flag, the witness, and
 (on conclusive non-hiding sweeps) the complete graph and coloring are
 byte-identical across cache tiers.
+
+Both sweep accelerations follow from one property of the scheme, never
+from a knob: for an anonymous scheme the decoder cannot see identifiers,
+so automorphic ``(ports, ids)`` bases and stabilizer-orbit labelings add
+no view or edge (orbit pruning), and the sweep at ``n`` extends the
+sweep at ``n - 1`` (the warm start, parked per family in the context's
+memo tier, :meth:`RunContext.memory_store`).
 
 The numpy kernels of :mod:`repro.kernel` run every unanimity sweep as a
 prefix-pruned join and orderly generation's canonicalization searches in
@@ -21,13 +28,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from ..certification.lcp import LCP
 from ..graphs.families import warm_graph_families
 from ..neighborhood.aviews import (
     bipartite_generation,
-    symmetry_pruning_effective,
     yes_instances_between,
     yes_instances_up_to,
 )
@@ -58,17 +63,11 @@ ENGINE_VERSION = 1
 # ----------------------------------------------------------------------
 
 
-def _symmetry_effective(lcp: LCP, plan: ExecutionPlan) -> bool:
-    """Whether the resolved plan's symmetry mode turns orbit pruning on
-    for this scheme."""
-    return symmetry_pruning_effective(lcp, plan.symmetry or "off")
-
-
 def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
     """The sweep identity *without* ``n``: one key per (scheme, decoder,
-    enumeration bounds, early-exit mode) family.  Orbit pruning is part
-    of the identity (early-exit counts may differ between regimes); the
-    kernel route is not (byte-identical streams)."""
+    enumeration bounds, early-exit mode) family.  Orbit pruning follows
+    ``lcp.anonymous``, already part of the identity; the kernel route is
+    not (byte-identical streams)."""
     return (
         ENGINE_VERSION,
         type(lcp).__name__,
@@ -81,7 +80,6 @@ def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
         plan.id_order_types,
         plan.labeling_limit,
         plan.early_exit,
-        _symmetry_effective(lcp, plan),
         plan.graph_family,
         plan.alphabet_limit,
     )
@@ -112,10 +110,11 @@ def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
         "labeling_limit": plan.labeling_limit,
         "early_exit": plan.early_exit,
     }
-    # Only when orbit pruning is effective: pre-symmetry entries keep
-    # their content addresses and are never misread by pruned sweeps
-    # (whose early-exit instance counts can legitimately differ).
-    if _symmetry_effective(lcp, plan):
+    # Only for anonymous schemes, the ones whose sweeps are orbit-pruned:
+    # pre-symmetry entries keep their content addresses and are never
+    # misread by pruned sweeps (whose early-exit instance counts can
+    # legitimately differ).
+    if lcp.anonymous:
         key["symmetry"] = "on"
     # Campaign axes, only when off their defaults: the default cell —
     # full family, full alphabet — keeps the pre-campaign content
@@ -220,28 +219,14 @@ def _apply_symmetry_account(ngraph, account: SymmetryAccount | None, ctx: RunCon
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _SweepState:
-    """Last finished streaming sweep for one sweep family."""
-
-    n: int
-    engine: object  # StreamingHidingEngine
-
-
-#: Warm-start states per family key (without ``n``); process-wide like
-#: the memo tiers, cleared via :func:`clear_warm_states`.
-_WARM_STATES: dict[tuple, _SweepState] = {}
-
-
-def clear_warm_states() -> None:
-    _WARM_STATES.clear()
-
-
 class StreamingBackend:
     """Fused incremental decision with early exit and warm starts.
 
-    :meth:`shortcut` may answer from the warm-start witness before any
-    cache tier is consulted; :meth:`run` sweeps."""
+    Anonymous schemes only warm-start: the last finished sweep per
+    family key (without ``n``) is parked in ``ctx.memory_store()``, so
+    an isolated context starts cold.  :meth:`shortcut` may answer from
+    the warm-start witness before any cache tier is consulted;
+    :meth:`run` sweeps."""
 
     name = "streaming"
 
@@ -270,45 +255,45 @@ class StreamingBackend:
         odd walk intact.  A full sweep (``early_exit=False``) promises
         the complete ``V(D, n)``, which the smaller state does not hold,
         so it warm-starts in :meth:`run` instead."""
-        if not (plan.early_exit and plan.warm_start and lcp.anonymous):
+        if not (plan.early_exit and lcp.anonymous):
             return None
-        state = _WARM_STATES.get(family_key(lcp, plan))
-        if state is None or state.n > n or not state.engine.witness_found:
+        state = ctx.memory_store().warm.get(family_key(lcp, plan))
+        if state is None:
+            return None
+        warm_n, engine = state
+        if warm_n > n or not engine.witness_found:
             return None
         ctx.stats.incr("warm_witness_hits")
         log.debug(
-            "%s: warm-start witness from n=%d answers n=%d", lcp.name, state.n, n
+            "%s: warm-start witness from n=%d answers n=%d", lcp.name, warm_n, n
         )
         return _envelope(
             lcp,
             n,
             plan,
-            state.engine.verdict(exhaustive=True),
+            engine.verdict(exhaustive=True),
             0.0,
             ctx,
             warm_witness_hit=True,
-            symmetry_pruned=_symmetry_effective(lcp, plan),
+            symmetry_pruned=True,
         )
 
     def run(self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict:
         from ..neighborhood.streaming import StreamingHidingEngine  # noqa: PLC0415
 
         family = family_key(lcp, plan)
-        state = (
-            _WARM_STATES.get(family) if plan.warm_start and lcp.anonymous else None
-        )
+        warm = ctx.memory_store().warm
+        state = warm.get(family) if lcp.anonymous else None
         start = time.perf_counter()
         warm_started = False
-        pruned = _symmetry_effective(lcp, plan)
-        account = SymmetryAccount() if pruned else None
-        symmetry = plan.symmetry if pruned else "off"
+        account = SymmetryAccount() if lcp.anonymous else None
         with ctx.stats.time_stage("streaming_sweep"):
             with ctx.tracer.span("sweep", n=n, early_exit=plan.early_exit) as sweep:
-                if state is not None and state.n <= n:
+                if state is not None and state[0] <= n:
                     ctx.stats.incr("warm_starts")
                     warm_started = True
-                    lo = state.n
-                    engine = state.engine.clone()
+                    lo, engine = state
+                    engine = engine.clone()
                     engine.stats = ctx.stats
                 else:
                     lo = 0
@@ -319,7 +304,7 @@ class StreamingBackend:
                         early_exit=plan.early_exit,
                         stats=ctx.stats,
                     )
-                with ctx.tracer.span("symmetry:generate", n=n, mode=plan.symmetry) as gen:
+                with ctx.tracer.span("symmetry:generate", n=n) as gen:
                     # Early-exit sweeps generate lazily: pre-building
                     # every family would waste the exit.
                     gen.set_attributes(
@@ -330,7 +315,6 @@ class StreamingBackend:
                     )
                 sweep_args = dict(
                     **_enumeration_bounds(plan),
-                    symmetry=symmetry,
                     account=account,
                     stats=ctx.stats,
                 )
@@ -358,8 +342,8 @@ class StreamingBackend:
                 )
         with ctx.tracer.span("decide", method="incremental"):
             result = engine.verdict(exhaustive=True)
-        if plan.warm_start and lcp.anonymous:
-            _WARM_STATES[family] = _SweepState(n=n, engine=engine)
+        if lcp.anonymous:
+            warm[family] = (n, engine)
         elapsed = time.perf_counter() - start
         return _envelope(
             lcp,
@@ -369,7 +353,7 @@ class StreamingBackend:
             elapsed,
             ctx,
             warm_started=warm_started,
-            symmetry_pruned=pruned,
+            symmetry_pruned=account is not None,
         )
 
 

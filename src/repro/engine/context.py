@@ -50,8 +50,8 @@ class RunContext:
       renderer or sink there to observe any default-context run.
       Purely observational: nothing downstream of an event feeds back
       into decisions or cache identities.
-    * ``memory`` — the memo tier; ``None`` falls back to the shared
-      process-wide store.
+    * ``memory`` — the memo tier, which also parks the warm-start
+      states; ``None`` falls back to the shared process-wide store.
     * ``disk`` — the persistent tier.
     """
 
@@ -71,7 +71,8 @@ class RunContext:
     def isolated(cls, config: PerfConfig | None = None) -> "RunContext":
         """A context with private stats, progress bus, and memo tier
         (tests, benchmarks) — nothing it records leaks into the process
-        state."""
+        state, and its first sweep starts cold: the warm-start states
+        live in the memo tier."""
         return cls(
             config=config if config is not None else CONFIG,
             stats=PerfStats(),

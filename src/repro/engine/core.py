@@ -6,9 +6,10 @@ function.  The tier order per decision:
 
 1. **memory memo** — a hit returns the originally produced envelope
    object as-is (``is``-level memo semantics);
-2. **backend shortcut** — backend-private state that answers without a
-   sweep (the warm-start witness, early-exit sweeps only); counts as
-   fresh for the write-back tiers below;
+2. **backend shortcut** — the warm-start witness parked in the
+   context's memo tier answers without a sweep (early-exit sweeps of
+   anonymous schemes only); counts as fresh for the write-back tiers
+   below;
 3. **disk store** — a hit is recorded in the envelope's provenance and
    memoized, but never written back to disk;
 4. **backend sweep** — compute, then populate memory and (when the plan
@@ -30,7 +31,7 @@ from dataclasses import replace
 
 from ..certification.lcp import LCP
 from ..obs.logs import get_logger
-from .backends import STREAMING, clear_warm_states, disk_key, memory_key
+from .backends import STREAMING, disk_key, memory_key
 from .context import _SHARED_MEMORY_STORE, RunContext
 from .plan import ExecutionPlan
 from .verdict import Verdict
@@ -170,8 +171,7 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
 
 
 def clear_engine_state() -> None:
-    """Drop every shared in-process engine state: the memo tier and the
-    warm-start states (benchmarks, test isolation).  The persistent disk
-    store is left alone (``repro cache clear``)."""
+    """Drop the shared in-process engine state: the memo tier, which also
+    holds the warm-start states (benchmarks, test isolation).  The
+    persistent disk store is left alone (``repro cache clear``)."""
     _SHARED_MEMORY_STORE.clear()
-    clear_warm_states()

@@ -54,10 +54,14 @@ class MemoryVerdictStore:
 
     Hits bump the ``stream_memo_hits`` counter, which keeps its
     pre-engine name so existing dashboards and tests read unchanged.
+    ``warm`` holds the streaming backend's warm-start states next to the
+    memo: the last finished sweep per family key (without ``n``) as
+    ``(n, engine)``.  Both go with :meth:`clear`.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple, Verdict] = {}
+        self.warm: dict[tuple, tuple] = {}
 
     def load(self, key, stats: PerfStats | None = None) -> Verdict | None:
         stats = stats or GLOBAL_STATS
@@ -72,6 +76,7 @@ class MemoryVerdictStore:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.warm.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

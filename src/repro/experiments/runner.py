@@ -35,10 +35,7 @@ def config_overrides(plan: ExecutionPlan | None) -> dict:
     """
     if plan is None:
         return {}
-    return {
-        "disk_cache": plan.disk_cache,
-        "symmetry": plan.symmetry,
-    }
+    return {"disk_cache": plan.disk_cache}
 
 
 def run_all(
@@ -48,7 +45,7 @@ def run_all(
 ) -> list[ExperimentResult]:
     """Run every registered experiment, in id order.
 
-    *plan* scopes the batch: its cache and symmetry fields become the
+    *plan* scopes the batch: its ``disk_cache`` field becomes the
     session config for the duration of the call (``CONFIG.overridden``),
     so a runner invocation can no longer leak knobs into subsequent
     in-process work.
@@ -162,12 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persist sweep verdicts under .repro_cache/",
     )
     parser.add_argument(
-        "--symmetry",
-        choices=["auto", "on", "off"],
-        default=None,
-        help="orbit pruning for the sweeps (default: the session config)",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE",
@@ -184,10 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.logs import setup_logging  # noqa: PLC0415
 
         setup_logging(args.log_level)
-    plan = ExecutionPlan(
-        disk_cache=True if args.disk_cache else None,
-        symmetry=args.symmetry,
-    )
+    plan = ExecutionPlan(disk_cache=True if args.disk_cache else None)
     ok = run_all_and_save(args.target, plan=plan, trace_out=args.trace_out)
     print(f"report written to {args.target}")
     return 0 if ok else 1

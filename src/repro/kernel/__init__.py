@@ -34,7 +34,6 @@ KERNEL_BATCH = "batch"
 from .batch import batch_unanimous_labelings, kernel_supports  # noqa: E402
 from .generate import (  # noqa: E402
     MAX_GENERATION_NODES,
-    batch_colex_canonical,
     batch_min_edge_mask,
     generation_supported,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "KERNEL_BATCH",
     "MAX_GENERATION_NODES",
     "acceptance_table",
-    "batch_colex_canonical",
     "batch_min_edge_mask",
     "batch_unanimous_labelings",
     "clear_kernel_tables",

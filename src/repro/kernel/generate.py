@@ -15,8 +15,7 @@ minimum filters the frontier.
 Isolated nodes tie at every position they can take, so a graph with
 ``z`` of them has ``z!`` times the minimizing assignments of its core:
 :func:`batch_colex_core` searches one arrangement of them and
-:func:`expand_isolated` rebuilds the others exactly (see
-:func:`batch_colex_canonical`).
+:func:`expand_isolated` rebuilds the others exactly.
 
 Exactness, not approximation: a depth-first search with best-prefix
 pruning keeps exactly the assignments whose every prefix equals the
@@ -106,8 +105,16 @@ def batch_colex_core(rows, n: int, np, stats=None):
     takes only the smallest unused isolated node, so the ``z`` isolated
     nodes of a graph sit in ascending order at positions ``0 .. z - 1``
     and each graph keeps exactly its core minimizers, in the scalar DFS
-    order.  :func:`batch_colex_canonical` rebuilds the other ``z! - 1``
-    arrangements exactly (see *Isolated nodes* there).
+    order.
+
+    *Isolated nodes.*  The degree-respecting search places them at
+    positions ``0 .. z - 1``, where every key bit is 0 and each choice
+    ties; and their key bits against every later node are 0 too, so the
+    core search below them is the same for each arrangement.  The full
+    minimizer list of :func:`repro.symmetry.canon.colex_canonical` is
+    therefore each permutation of the isolated nodes, in lexicographic
+    order (the DFS's outer loops), times these core minimizers, which
+    :func:`expand_isolated` rebuilds without a ``z!``-row frontier.
     """
     batch = rows.shape[0]
     if batch == 0:
@@ -184,44 +191,6 @@ def expand_isolated(block, cols, isolated, np):
     out = np.tile(block, (len(pis), 1))
     out[:, cols] = np.repeat(pis, len(block), axis=0)
     return out
-
-
-def batch_colex_canonical(rows, n: int, np, stats=None):
-    """All minimizing degree-respecting assignments of every graph in
-    *rows*, in the scalar DFS order.
-
-    *rows* is a ``(batch, n)`` int64 adjacency bitset matrix.  Returns
-    ``(perms, gid)``: ``perms`` is a ``(total, n)`` int64 matrix of
-    position-to-node assignments and ``gid[t]`` the graph index of row
-    ``t``.  Rows are grouped by graph in ascending graph order, and
-    within one graph appear in exactly the order
-    :func:`repro.symmetry.canon.colex_canonical` appends them (its DFS
-    tries nodes in ascending order, so minimizers come out
-    assignment-lexicographic — which is the frontier order here).
-
-    *Isolated nodes.*  The ``z`` isolated nodes of a graph have degree 0,
-    so the degree-respecting search places them at positions
-    ``0 .. z - 1``, where every key bit is 0 and each choice ties; and
-    their key bits against every later node are 0 too, so the core
-    search below them is the same for each arrangement.  The minimizer
-    list is therefore each permutation of the isolated nodes, in
-    lexicographic order (the DFS's outer loops), times the core
-    minimizers of :func:`batch_colex_core` in DFS order — which
-    :func:`expand_isolated` rebuilds without a ``z!``-row frontier.
-    """
-    perms, gid = batch_colex_core(rows, n, np, stats=stats)
-    counts = (rows == 0).sum(axis=1)
-    if not (counts >= 2).any():  # nothing to rebuild (or no graphs)
-        return perms, gid
-    bounds = np.searchsorted(gid, np.arange(len(rows) + 1)).tolist()
-    parts, gids = [], []
-    for g, z in enumerate(counts.tolist()):
-        part = perms[bounds[g] : bounds[g + 1]]
-        if z >= 2:
-            part = expand_isolated(part, np.arange(z), part[0, :z], np)
-        parts.append(part)
-        gids.append(np.full(len(part), g, dtype=np.int64))
-    return np.concatenate(parts), np.concatenate(gids)
 
 
 def batch_deletion_flags(perms, gid, batch: int, last: int, np):

@@ -39,14 +39,6 @@ from ..local.ports import PortAssignment, all_port_assignments, count_port_assig
 from ..perf.stats import GLOBAL_STATS
 
 
-def symmetry_pruning_effective(lcp: LCP, symmetry: str) -> bool:
-    """Whether orbit pruning applies: ``"on"`` forces it, ``"auto"``
-    activates it for anonymous schemes (whose decoders cannot see the
-    identifiers that would break orbit equivalence cheaply), ``"off"``
-    never."""
-    return symmetry == "on" or (symmetry == "auto" and lcp.anonymous)
-
-
 def bipartite_generation(lcp: LCP) -> bool:
     """Whether the Lemma 3.1 sweep of *lcp* may enumerate bipartite
     graphs only.
@@ -120,7 +112,6 @@ def labeled_yes_instances(
     id_bound: int | None = None,
     include_all_accepted_labelings: bool = False,
     labeling_limit: int = 20_000,
-    symmetry: str = "off",
     account=None,
     stats=None,
     family: str = "all",
@@ -139,16 +130,15 @@ def labeled_yes_instances(
     * Labelings: the prover's full certification set; plus, when
       *include_all_accepted_labelings* and the alphabet is finite and the
       space fits *labeling_limit*, every unanimously accepted labeling.
-    * Symmetry (``"auto"`` | ``"on"`` | ``"off"``; see
-      :func:`symmetry_pruning_effective`): when pruning is effective,
+    * Orbit pruning, exactly when an *account*
+      (:class:`repro.symmetry.prune.SymmetryAccount`) is passed:
       ``(ports, ids)`` bases that are automorphic images of an earlier
       base are skipped whole, and labelings within a base are pruned to
       stabilizer-orbit minima.  The yielded stream is a subsequence of
       the brute stream whose suppressed members contribute no new
       canonical views or edges, so builder event order — and with it
       early-exit witnesses and verdict fingerprints — is unchanged.
-      Suppressed counts accumulate on *account*
-      (:class:`repro.symmetry.prune.SymmetryAccount`); the engine folds
+      Suppressed counts accumulate on *account*; the engine folds
       them back into ``Provenance.instances_scanned``.
     * Kernel: the unanimity sweep runs the prefix-pruned numpy join of
       :mod:`repro.kernel.batch`; *stats* receives its batch counters.
@@ -170,11 +160,6 @@ def labeled_yes_instances(
     """
     predicate = graph_family_predicate(family)
     coverage_stats = stats or GLOBAL_STATS
-    pruning = symmetry_pruning_effective(lcp, symmetry)
-    if pruning and account is None:
-        from ..symmetry.prune import SymmetryAccount  # noqa: PLC0415
-
-        account = SymmetryAccount()
     include_ids = not lcp.anonymous
     for graph in graphs:
         if predicate is not None and not predicate(graph):
@@ -183,7 +168,7 @@ def labeled_yes_instances(
             continue
         node_order = node_sort_order(graph)
         group = None
-        if pruning:
+        if account is not None:
             from ..symmetry.groups import automorphism_group  # noqa: PLC0415
 
             group = automorphism_group(graph)
@@ -272,7 +257,6 @@ def yes_instances_up_to(
     port_limit: int = 64,
     id_order_types: bool = False,
     labeling_limit: int = 20_000,
-    symmetry: str = "off",
     account=None,
     stats=None,
     family: str = "all",
@@ -300,7 +284,6 @@ def yes_instances_up_to(
         id_bound=n,
         include_all_accepted_labelings=True,
         labeling_limit=labeling_limit,
-        symmetry=symmetry,
         account=account,
         stats=stats,
         family=family,
@@ -315,7 +298,6 @@ def yes_instances_between(
     port_limit: int = 64,
     id_order_types: bool = False,
     labeling_limit: int = 20_000,
-    symmetry: str = "off",
     account=None,
     stats=None,
     family: str = "all",
@@ -345,7 +327,6 @@ def yes_instances_between(
         id_bound=hi,
         include_all_accepted_labelings=True,
         labeling_limit=labeling_limit,
-        symmetry=symmetry,
         account=account,
         stats=stats,
         family=family,

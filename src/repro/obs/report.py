@@ -220,12 +220,9 @@ class RunReport:
             )
         plan = p.get("plan")
         if plan:
-            provenance = p.get("provenance") or {}
-            symmetry = plan.get("symmetry") or "auto"
-            pruned = provenance.get("symmetry_pruned", False)
+            pruned = (p.get("provenance") or {}).get("symmetry_pruned", False)
             lines.append(
-                f"  plan:          backend={plan.get('backend')} "
-                f"symmetry={symmetry}"
+                f"  plan:          backend={plan.get('backend')}"
                 f"{' (orbit-pruned)' if pruned else ''}"
             )
         if p.get("plan_fingerprint"):

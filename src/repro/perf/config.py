@@ -1,10 +1,10 @@
 """Tunable knobs for the V(D, n) fast path.
 
-One module-level :class:`PerfConfig` holds the defaults every
-:class:`~repro.engine.plan.ExecutionPlan` resolves against: warm
-starts, the disk tier and orbit pruning.  No field picks a kernel
-route: every sweep runs the numpy kernels of :mod:`repro.kernel`,
-serially in the calling process.
+One module-level :class:`PerfConfig` holds the disk-tier defaults every
+:class:`~repro.engine.plan.ExecutionPlan` resolves against.  No field
+picks a kernel route, orbit pruning or warm starts: every sweep runs the
+numpy kernels of :mod:`repro.kernel`, serially in the calling process,
+and prunes and warm-starts exactly when its scheme is anonymous.
 Experiments and the CLI mutate it through :func:`configure` or scope
 changes with :func:`overridden`.  The in-process caches (view layouts,
 the decision memo, graph families, canonical forms) are always on;
@@ -21,27 +21,15 @@ from dataclasses import dataclass, fields
 class PerfConfig:
     """Switches for the performance subsystem.
 
-    * ``warm_start`` — let consecutive sweeps of the same LCP
-      at growing ``n`` resume from the previous state instead of
-      recoloring from scratch (anonymous schemes only; ``V(D, n-1)``
-      embeds into ``V(D, n)``).
     * ``disk_cache`` — persist sweep verdicts under
       ``.repro_cache/`` so repeated processes skip re-enumeration
       entirely (see :mod:`repro.perf.persist`).
     * ``disk_cache_dir`` — override the cache directory (default:
       ``$REPRO_CACHE_DIR`` or ``./.repro_cache``).
-    * ``symmetry`` — the orbit-pruning mode (``"auto"`` | ``"on"`` |
-      ``"off"``) plans resolve their ``symmetry`` field against:
-      automorphism-orbit pruning of bases and labelings with exact
-      suppressed-count accounting (see :mod:`repro.symmetry`) — for
-      ``"auto"`` only on anonymous schemes, for ``"on"`` always, for
-      ``"off"`` never.  Graph generation is orderly in every mode.
     """
 
-    warm_start: bool = True
     disk_cache: bool = False
     disk_cache_dir: str | None = None
-    symmetry: str = "auto"
 
     def apply(self, **kwargs) -> "PerfConfig":
         """Update fields in place (unknown names raise); returns self."""

@@ -16,10 +16,9 @@ package exploits that:
 * :mod:`~repro.symmetry.prune` — labeling-orbit and base-signature
   pruning with exact suppressed-instance accounting.
 
-Surface: the ``symmetry`` knob of
-:class:`repro.engine.plan.ExecutionPlan` / ``perf.CONFIG.symmetry``
-(``auto`` | ``on`` | ``off``) switches orbit pruning; generation is
-always orderly.
+No knob: the engine prunes orbits exactly when the scheme is anonymous
+(it hands the sweep a :class:`SymmetryAccount`); generation is always
+orderly.
 """
 
 from .canon import colex_canonical, min_edge_mask

@@ -34,6 +34,11 @@ mutations and account totals at every yield.  :func:`kernel_route`
 scopes a block to the numpy kernels or to this loop plus the scalar
 orderly DFS, so engine-level suites compare the two routes.
 
+:func:`batch_colex_canonical` is the batched canonicalization with every
+arrangement of isolated nodes enumerated: the scalar
+:func:`~repro.symmetry.canon.colex_canonical`'s minimizer list, which the
+orderly generator's factored search must reproduce.
+
 :func:`reference_k_coloring` is the exact ``k``-coloring search picking
 each next node by a scan of every node; the saturation buckets of
 :mod:`repro.graphs.coloring` must return the same coloring.
@@ -60,12 +65,18 @@ from repro.graphs.families import enumerate_graphs_exactly_reference
 from repro.graphs.graph import FrozenGraph
 from repro.graphs.properties import bipartition
 from repro.graphs.traversal import view_subgraph_nodes_and_edges
+from repro.kernel.generate import batch_colex_core, expand_isolated
 from repro.local.labeling import Labeling, all_labelings, labeling_key, node_sort_order
 from repro.local.views import View, relabel_view
-from repro.neighborhood import aviews, labeled_yes_instances, yes_instances_up_to
-from repro.neighborhood.aviews import symmetry_pruning_effective
+from repro.neighborhood import (
+    aviews,
+    build_neighborhood_graph,
+    labeled_yes_instances,
+    yes_instances_up_to,
+)
 from repro.neighborhood.hiding import classic_verdict
 from repro.neighborhood.ngraph import NeighborhoodGraph
+from repro.neighborhood.streaming import StreamingHidingEngine
 from repro.perf.cache import default_layout_cache, memoized_decide
 from repro.perf.persist import encode_label
 from repro.symmetry import SymmetryAccount, orderly
@@ -289,16 +300,50 @@ def reference_graphs(n: int, connected_only: bool = True) -> tuple[FrozenGraph, 
     )
 
 
-def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
-    """Build all of ``V(D, n)`` under *symmetry* (default: brute force
-    over the edge-subset walk), then decide; wrapped as an engine
+def batch_colex_canonical(rows, n: int, np, stats=None):
+    """All minimizing degree-respecting assignments of every graph in
+    *rows*, in the scalar DFS order: the batched
+    :func:`repro.symmetry.canon.colex_canonical`.
+
+    *rows* is a ``(batch, n)`` int64 adjacency bitset matrix.  Returns
+    ``(perms, gid)``: ``perms`` is a ``(total, n)`` int64 matrix of
+    position-to-node assignments and ``gid[t]`` the graph index of row
+    ``t``, grouped by graph in ascending graph order and, within one
+    graph, in exactly the order ``colex_canonical`` appends them.  The
+    orderly generator keeps the core minimizers of
+    :func:`~repro.kernel.generate.batch_colex_core`; this rebuilds every
+    arrangement of each graph's isolated nodes on top of them (see
+    *Isolated nodes* there), so parity suites compare the factored
+    search against the scalar one.
+    """
+    perms, gid = batch_colex_core(rows, n, np, stats=stats)
+    counts = (rows == 0).sum(axis=1)
+    if not (counts >= 2).any():  # nothing to rebuild (or no graphs)
+        return perms, gid
+    bounds = np.searchsorted(gid, np.arange(len(rows) + 1)).tolist()
+    parts, gids = [], []
+    for g, z in enumerate(counts.tolist()):
+        part = perms[bounds[g] : bounds[g + 1]]
+        if z >= 2:
+            part = expand_isolated(part, np.arange(z), part[0, :z], np)
+        parts.append(part)
+        gids.append(np.full(len(part), g, dtype=np.int64))
+    return np.concatenate(parts), np.concatenate(gids)
+
+
+def oracle_verdict(lcp, n: int, prune: bool = False, **bounds) -> Verdict:
+    """Build all of ``V(D, n)``, then decide; wrapped as an engine
     :class:`Verdict` (witness = the BFS walk) so engine assertions
-    apply.  *bounds* override the default plan's enumeration bounds.
+    apply.  By default brute force over the edge-subset walk; with
+    *prune* the orderly sweep orbit-pruned through a
+    :class:`SymmetryAccount`, whatever the scheme (anonymous or not).
+    *bounds* override the default plan's enumeration bounds.
     Suppressed orbit mates are folded back into ``instances_scanned``."""
-    pruned = symmetry_pruning_effective(lcp, symmetry)
-    account = SymmetryAccount() if pruned else None
+    account = SymmetryAccount() if prune else None
     bounds = {**DEFAULT_BOUNDS, **bounds}
-    if symmetry == "off":
+    if prune:
+        instances = yes_instances_up_to(lcp, n, **bounds, account=account)
+    else:
         instances = labeled_yes_instances(
             lcp,
             (g for size in range(1, n + 1) for g in reference_graphs(size)),
@@ -306,32 +351,52 @@ def oracle_verdict(lcp, n: int, symmetry: str = "off", **bounds) -> Verdict:
             include_all_accepted_labelings=True,
             **bounds,
         )
-    else:
-        instances = yes_instances_up_to(
-            lcp,
-            n,
-            **bounds,
-            symmetry=symmetry if pruned else "off",
-            account=account,
-        )
     ngraph = reference_build(lcp, instances)
+    return _full_sweep_verdict(
+        classic_verdict(lcp, ngraph, exhaustive=True), n, account, "oracle"
+    )
+
+
+def streaming_verdict(lcp, n: int, prune: bool = False, **bounds) -> Verdict:
+    """The engine's full sweep outside the engine: the streaming decider
+    fed the orderly Lemma 3.1 stream, orbit-pruned exactly when *prune*
+    (anonymous scheme or not) — where the engine prunes exactly the
+    anonymous schemes.  Same witness rule as the engine (stream-order
+    first odd walk), so pruned and unpruned runs compare byte for byte."""
+    account = SymmetryAccount() if prune else None
+    engine = StreamingHidingEngine(
+        lcp.k, lcp.radius, not lcp.anonymous, early_exit=False
+    )
+    build_neighborhood_graph(
+        lcp,
+        yes_instances_up_to(lcp, n, **{**DEFAULT_BOUNDS, **bounds}, account=account),
+        consumer=engine,
+        into=engine.ngraph,
+    )
+    return _full_sweep_verdict(engine.verdict(exhaustive=True), n, account, "streaming")
+
+
+def _full_sweep_verdict(result, n: int, account, backend: str) -> Verdict:
+    """Wrap a finished full sweep's :class:`HidingVerdict` as an engine
+    :class:`Verdict`, folding suppressed orbit mates back into
+    ``instances_scanned``."""
+    ngraph = result.ngraph
     if account is not None:
         ngraph.instances_scanned += account.instances_suppressed
-    classic = classic_verdict(lcp, ngraph, exhaustive=True)
     return Verdict(
-        k=classic.k,
-        hiding=classic.hiding,
-        witness=classic.odd_cycle,
-        coloring=classic.coloring,
+        k=result.k,
+        hiding=result.hiding,
+        witness=result.odd_cycle,
+        coloring=result.coloring,
         ngraph=ngraph,
         provenance=Provenance(
-            backend="oracle",
+            backend=backend,
             n=n,
             early_exit=False,
             instances_scanned=ngraph.instances_scanned,
             views=ngraph.order,
             edges=ngraph.size,
-            symmetry_pruned=pruned,
+            symmetry_pruned=account is not None,
         ),
     )
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.certification.lcp import LCP, parametrized
 from repro.core.registry import make_lcp, scheme_names
-from repro.engine import ExecutionPlan, RunContext, clear_engine_state, decide_hiding
+from repro.engine import ExecutionPlan, RunContext, decide_hiding
 from repro.engine.backends import disk_key
 from repro.graphs.families import (
     all_graphs_up_to,
@@ -75,13 +75,7 @@ def _digest(data: bytes) -> str:
 
 
 def _decision_digests(lcp: LCP, n: int) -> tuple:
-    plan = ExecutionPlan(
-        backend="streaming",
-        warm_start=False,
-        memory_cache=False,
-        disk_cache=False,
-    )
-    clear_engine_state()
+    plan = ExecutionPlan(backend="streaming", memory_cache=False, disk_cache=False)
     verdict = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
     witness = (
         None

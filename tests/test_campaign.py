@@ -172,6 +172,65 @@ def test_default_cell_disk_key_is_the_precampaign_address():
     assert digest_for(cell_key) == "cb449e10c82a527cf3fbbfc4d3f4415f"
 
 
+#: Content addresses of the default-plan cells of the benchmark campaign
+#: (five schemes, n = 3..5, k = 2, 3), as computed while orbit pruning
+#: was still a plan field.  Pruning now follows ``lcp.anonymous``, and
+#: the disk key's ``symmetry`` tag with it, so every address is kept.
+CAMPAIGN_DISK_KEYS = (
+    ("even-cycle[all] n=3 k=2 r=1", "5177a8e2acfe4fa181c3bd91110419d0"),
+    ("even-cycle[all] n=4 k=2 r=1", "110cebf1578a2eca38cfe1629b5b15e0"),
+    ("even-cycle[all] n=5 k=2 r=1", "d008c73534608907242faafa7115a996"),
+    ("even-cycle[all] n=3 k=3 r=1", "8bfd1e325ced840b5a7adc786e26b268"),
+    ("even-cycle[all] n=4 k=3 r=1", "c6bbcdfe430d73a4de97189ec1ec5549"),
+    ("even-cycle[all] n=5 k=3 r=1", "5247aeb0f952172a2a0ec11e607b42d5"),
+    ("union[all] n=3 k=2 r=1", "ebef42fd3d746a8d715ee3d83f326b1a"),
+    ("union[all] n=4 k=2 r=1", "75d84aa83b781a73ebe48d0627dc052b"),
+    ("union[all] n=5 k=2 r=1", "16d60e70e9e2fab8038a15f59ddab6a9"),
+    ("union[all] n=3 k=3 r=1", "b86a2e9ea6bdcd9470871b6689d13bc3"),
+    ("union[all] n=4 k=3 r=1", "e427f9129267e2a8e31007f6d253f6ee"),
+    ("union[all] n=5 k=3 r=1", "1b427616534e220a13d748596def35b5"),
+    ("revealing[all] n=3 k=2 r=1", "dc688c93bda245bce5e320d060a90ad5"),
+    ("revealing[all] n=4 k=2 r=1", "834ba95017194cdc2270acd73f94b9dc"),
+    ("revealing[all] n=5 k=2 r=1", "4260b51c7339e2b9b295df8719ad7293"),
+    ("revealing[all] n=3 k=3 r=1", "1d9a15023db74fd11d843a167ac0283e"),
+    ("revealing[all] n=4 k=3 r=1", "68964ef2011e71467fc737fe31b1944b"),
+    ("revealing[all] n=5 k=3 r=1", "83a5781b48025918966c23b7d34ad677"),
+    ("shatter[all] n=3 k=2 r=1", "fca52d965b480c5d66a4afed91f09c3a"),
+    ("shatter[all] n=4 k=2 r=1", "f0548f98ad0c85ea38d0e85b268c42d5"),
+    ("shatter[all] n=5 k=2 r=1", "3d227ae88475e1112abdc637f886feab"),
+    ("shatter[all] n=3 k=3 r=1", "36af516e71f33ab3aa0a81a81b6e6e82"),
+    ("shatter[all] n=4 k=3 r=1", "47c24846dcb2fe2de5374a107e88b02a"),
+    ("shatter[all] n=5 k=3 r=1", "91ff4b14acc6764cb6904922865354a7"),
+    ("watermelon[all] n=3 k=2 r=1", "bbcbab25948e3842b200fbcb2a6055e7"),
+    ("watermelon[all] n=4 k=2 r=1", "59184e0cf00958cad2d01d25ac948ee3"),
+    ("watermelon[all] n=5 k=2 r=1", "aa02093f8d16cedb913f81dc92fdd739"),
+    ("watermelon[all] n=3 k=3 r=1", "bea349ec75f88da24ac2de8ed30d5030"),
+    ("watermelon[all] n=4 k=3 r=1", "48af4407db6af677fd5b845a254099d9"),
+    ("watermelon[all] n=5 k=3 r=1", "f87618aec4f5707e3a566f1d20a1d0f5"),
+)
+
+
+def test_campaign_disk_keys_are_pinned():
+    """Every default-plan cell of the benchmark campaign keeps its
+    content address, so a ``.repro_cache/`` filled before orbit pruning
+    and warm starts became scheme-derived still serves; the ``symmetry``
+    tag is present exactly on the anonymous schemes."""
+    spec = CampaignSpec.sweep(
+        ("even-cycle", "union", "revealing", "shatter", "watermelon"),
+        n_min=3,
+        n_max=5,
+        k_values=(2, 3),
+        plan=ExecutionPlan(disk_cache=True),
+    )
+    plan = spec.plan.resolve()
+    got = []
+    for cell in spec.cells():
+        key = disk_key(cell.lcp(), cell.n, cell.plan(plan))
+        assert ("symmetry" in key) == cell.lcp().anonymous, cell.label()
+        got.append((cell.label(), digest_for(key)))
+    assert tuple(got) == CAMPAIGN_DISK_KEYS
+
+
 def test_off_default_cells_get_distinct_addresses():
     """Off-native k and non-default family/alphabet axes each move the
     content address — a campaign can never poison a default entry."""
@@ -202,9 +261,7 @@ def test_precampaign_disk_entries_still_resolve(tmp_path):
     default campaign cell: write through a plain plan, read through the
     cell-scoped plan."""
     with overridden(disk_cache_dir=str(tmp_path)):
-        plan = ExecutionPlan(
-            backend="streaming", warm_start=False, memory_cache=False, disk_cache=True
-        )
+        plan = ExecutionPlan(backend="streaming", memory_cache=False, disk_cache=True)
         first = decide_hiding(
             make_lcp("degree-one"), 4, plan, ctx=RunContext.isolated()
         )
@@ -368,6 +425,26 @@ def test_frontier_report_round_trips(tmp_path):
     assert loaded.digest == report.digest
     assert validate_frontier_report(loaded.payload) == []
     assert "frontier report" in loaded.render()
+
+
+def test_frontier_show_renders_a_report_with_retired_plan_fields(tmp_path, capsys):
+    """A frontier report written while plans still carried ``symmetry``
+    and ``warm_start`` validates and renders: the plan is stored as
+    plain data and no reader looks those keys up."""
+    import json
+
+    from repro.cli import main
+
+    spec = CampaignSpec.sweep(("even-cycle",), n_max=4, n_min=3, plan=NO_CACHE)
+    payload = build_frontier_report(run_campaign(spec, ctx=RunContext.isolated())).payload
+    payload["plan"] = {**payload["plan"], "warm_start": True, "symmetry": "auto"}
+    path = tmp_path / "old_frontier.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["frontier", "show", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("frontier report ")
+    assert "even-cycle[all] n=4" in out
 
 
 def test_find_flips_skips_errored_and_undecided_cells():

@@ -64,7 +64,7 @@ def _reference(verdict: Verdict) -> str:
 
 
 def _plan(**overrides) -> ExecutionPlan:
-    fields = {"warm_start": False, "disk_cache": True, "memory_cache": True}
+    fields = {"disk_cache": True, "memory_cache": True}
     fields.update(overrides)
     return ExecutionPlan(**fields)
 
@@ -148,7 +148,9 @@ def test_body_round_trips_through_the_strict_decoder():
     set of shape tuples per distinct shape."""
     for scheme in ("watermelon", "union", "shatter"):
         lcp = make_lcp(scheme)
-        fresh = decide_hiding(lcp, 4, ExecutionPlan(early_exit=False, warm_start=False))
+        fresh = decide_hiding(
+            lcp, 4, ExecutionPlan(early_exit=False), ctx=RunContext.isolated()
+        )
         body = json.loads(json.dumps(_body_from_verdict(fresh)))
         assert len(body["shapes"]) < len(body["views"]) == len(body["view_shapes"])
         decoded = _verdict_from_body({"n": 4}, body)
@@ -411,7 +413,7 @@ def test_malformed_body_is_a_miss(tmp_path, caplog, case):
 @cache
 def _body_text(scheme: str) -> str:
     fresh = decide_hiding(
-        make_lcp(scheme), 4, ExecutionPlan(early_exit=False, warm_start=False)
+        make_lcp(scheme), 4, ExecutionPlan(early_exit=False), ctx=RunContext.isolated()
     )
     return json.dumps(_body_from_verdict(fresh))
 
@@ -596,7 +598,9 @@ def test_unpersistable_labels_skip_the_store(tmp_path):
     instead of failing the decision."""
     from repro.engine.stores import DiskVerdictStore
 
-    fresh = decide_hiding(make_lcp("union"), 4, ExecutionPlan(warm_start=False))
+    fresh = decide_hiding(
+        make_lcp("union"), 4, ExecutionPlan(), ctx=RunContext.isolated()
+    )
     view = fresh.ngraph.views[0]
     object.__setattr__(view, "labels", (object(),) + view.labels[1:])
     object.__setattr__(view, "_hash", None)

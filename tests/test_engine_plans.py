@@ -75,7 +75,6 @@ def _plan_grid(tmp_path):
             label = f"{sweep}-{kernel}-{tier}"
             plan = ExecutionPlan(
                 early_exit=SWEEPS[sweep],
-                warm_start=False,
                 memory_cache=memory_cache,
                 disk_cache=disk_cache,
             )
@@ -134,7 +133,6 @@ def test_every_campaign_cell_is_plan_equivalent(tmp_path):
                 label = f"{sweep}-{kernel}-{tier}"
                 base = ExecutionPlan(
                     early_exit=SWEEPS[sweep],
-                    warm_start=False,
                     memory_cache=memory_cache,
                     disk_cache=disk_cache,
                 )
@@ -161,14 +159,13 @@ def test_plan_equivalence_at_n5_serial(scheme, tmp_path):
     lcp = make_lcp(scheme)
     fps = set()
     for sweep, kernel in GRID:
-        clear_engine_state()
-        plan = ExecutionPlan(
-            early_exit=SWEEPS[sweep],
-            warm_start=False,
-            disk_cache=False,
-        )
+        plan = ExecutionPlan(early_exit=SWEEPS[sweep], disk_cache=False)
         with kernel_route(kernel):
-            fps.add(decide_hiding(lcp, 5, plan).decision_fingerprint())
+            fps.add(
+                decide_hiding(
+                    lcp, 5, plan, ctx=RunContext.isolated()
+                ).decision_fingerprint()
+            )
     assert len(fps) == 1
 
 
@@ -180,35 +177,24 @@ WATERMELON_N6_DIGEST = "c032512099dd92e2"
 def test_watermelon_n6_full_sweep_has_one_coloring():
     """Full ``V(D, 6)`` of watermelon is 2-colorable with 22 components,
     so its coloring is where two deciders could pick different colors.
-    Every plan — cold, warm-started from n=4, scalar kernel, no orbit
-    pruning — reports the same coloring."""
+    Every plan — cold, after an n=4 sweep on the same context, scalar
+    kernel — reports the same coloring.  Watermelon is not anonymous, so
+    none of them prunes orbits or warm-starts."""
     lcp = make_lcp("watermelon")
-    base = {
-        "early_exit": False,
-        "warm_start": False,
-        "memory_cache": False,
-        "disk_cache": False,
-    }
-    variants = {
-        "cold": ("auto", {}),
-        "kernel-off": ("off", {}),
-        "symmetry-off": ("auto", {"symmetry": "off"}),
-    }
+    plan = ExecutionPlan(early_exit=False, memory_cache=False, disk_cache=False)
     digests = {}
-    for label, (kernel, overrides) in variants.items():
-        clear_engine_state()
+    for kernel in ("auto", "off"):
         with kernel_route(kernel):
-            verdict = decide_hiding(
-                lcp, 6, ExecutionPlan(**{**base, **overrides}), ctx=RunContext.isolated()
-            )
-        assert verdict.hiding is False, label
-        digests[label] = hashlib.sha256(verdict.decision_fingerprint()).hexdigest()
-    clear_engine_state()
+            verdict = decide_hiding(lcp, 6, plan, ctx=RunContext.isolated())
+        assert verdict.hiding is False, kernel
+        assert verdict.provenance.symmetry_pruned is False
+        digests["cold" if kernel == "auto" else "kernel-off"] = hashlib.sha256(
+            verdict.decision_fingerprint()
+        ).hexdigest()
     ctx = RunContext.isolated()
-    warm_plan = ExecutionPlan(**{**base, "warm_start": True})
-    decide_hiding(lcp, 4, warm_plan, ctx=ctx)
-    warm = decide_hiding(lcp, 6, warm_plan, ctx=ctx)
-    assert warm.provenance.warm_started == lcp.anonymous
+    decide_hiding(lcp, 4, plan, ctx=ctx)
+    warm = decide_hiding(lcp, 6, plan, ctx=ctx)
+    assert warm.provenance.warm_started is False
     digests["warm-from-4"] = hashlib.sha256(warm.decision_fingerprint()).hexdigest()
     assert {label: d[:16] for label, d in digests.items()} == {
         label: WATERMELON_N6_DIGEST for label in digests
@@ -216,26 +202,23 @@ def test_watermelon_n6_full_sweep_has_one_coloring():
 
 
 @pytest.mark.parametrize("scheme", sorted(all_lcps()))
-@pytest.mark.parametrize("symmetry", ["off", "on"])
-def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
+def test_vectorized_matches_streaming_exactly(scheme):
     """The batch kernel is a drop-in for the scalar reference loops on
     the streaming backend: same decision bytes, same witness, and the same
     ``Provenance.instances_scanned`` under early exit (the kernel must
-    stop at the same instance) — with and without orbit pruning.  With
-    early exit off, the build-then-decide oracle agrees on the graph and
-    the count too."""
+    stop at the same instance); the engine prunes orbits exactly on the
+    anonymous schemes.  With early exit off, the build-then-decide
+    oracle agrees on the graph and the count too, on both routes, with
+    and without (forced) orbit pruning."""
     lcp = make_lcp(scheme)
     for n, early_exit in itertools.product((3, 4), (True, False)):
         verdicts = {}
         for kernel in ("auto", "off"):
-            clear_engine_state()
             plan = ExecutionPlan(
                 backend=BACKEND_STREAMING,
                 early_exit=early_exit,
-                warm_start=False,
                 memory_cache=False,
                 disk_cache=False,
-                symmetry=symmetry,
             )
             with kernel_route(kernel):
                 verdicts[kernel] = decide_hiding(
@@ -247,8 +230,12 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
         assert (
             vec.provenance.instances_scanned == stream.provenance.instances_scanned
         )
-        if not early_exit:
-            mat = oracle_verdict(lcp, n, symmetry=symmetry)
+        assert vec.provenance.symmetry_pruned == lcp.anonymous
+        if early_exit:
+            continue
+        for prune, kernel in itertools.product((False, True), ("auto", "off")):
+            with kernel_route(kernel):
+                mat = oracle_verdict(lcp, n, prune=prune)
             assert vec.hiding == mat.hiding
             assert vec.ngraph.views == mat.ngraph.views
             assert vec.ngraph.edges == mat.ngraph.edges
@@ -261,38 +248,48 @@ def test_vectorized_matches_streaming_exactly(scheme, symmetry, tmp_path):
 
 def test_warm_started_chain_keeps_the_fingerprint():
     """Warm-started sweeps (including the witness shortcut) answer with
-    the same decision bytes as cold ones, and say so in provenance."""
+    the same decision bytes as cold ones, and say so in provenance.  Cold
+    sweeps run on fresh isolated contexts, the warm chain on the default
+    one."""
     lcp = make_lcp("degree-one")
+    plan = ExecutionPlan(backend="streaming", disk_cache=False)
     cold = {}
     for n in (3, 4, 5):
-        clear_engine_state()
-        cold[n] = decide_hiding(
-            lcp,
-            n,
-            ExecutionPlan(backend="streaming", warm_start=False, disk_cache=False),
-        )
-    clear_engine_state()
-    warm4 = None
+        cold[n] = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
+        assert not cold[n].provenance.warm_started
+        assert not cold[n].provenance.warm_witness_hit
+    warm = {n: decide_hiding(lcp, n, plan) for n in (3, 4, 5)}
     for n in (3, 4, 5):
-        warm = decide_hiding(
-            lcp,
-            n,
-            ExecutionPlan(backend="streaming", warm_start=True, disk_cache=False),
-        )
-        assert warm.decision_fingerprint() == cold[n].decision_fingerprint()
-        if n == 4:
-            warm4 = warm
+        assert warm[n].decision_fingerprint() == cold[n].decision_fingerprint()
+    assert warm[4].provenance.warm_started
     # degree-one hides at n = 4, so n = 5 was answered by the witness
     # shortcut without a sweep.
-    assert warm4.hiding is True
+    assert warm[4].hiding is True
+    assert warm[5].provenance.warm_witness_hit is True
     last = decide_hiding(
-        lcp,
-        5,
-        ExecutionPlan(
-            backend="streaming", warm_start=True, disk_cache=False, memory_cache=False
-        ),
+        lcp, 5, ExecutionPlan(backend="streaming", disk_cache=False, memory_cache=False)
     )
     assert last.provenance.warm_witness_hit is True
+
+
+def test_isolated_contexts_start_cold():
+    """Warm-start states live in a context's memo tier: a fresh isolated
+    context never resumes another context's sweep, while the same
+    context — isolated or the default one — resumes its own."""
+    lcp = make_lcp("even-cycle")
+    # A full sweep: an early-exit one would take the witness shortcut.
+    plan = ExecutionPlan(early_exit=False, disk_cache=False)
+    first = RunContext.isolated()
+    assert not decide_hiding(lcp, 4, plan, ctx=first).provenance.warm_started
+    fresh = decide_hiding(lcp, 5, plan, ctx=RunContext.isolated())
+    assert fresh.provenance.warm_started is False
+    same = decide_hiding(lcp, 5, plan, ctx=first)
+    assert same.provenance.warm_started is True
+    assert same.decision_fingerprint() == fresh.decision_fingerprint()
+    decide_hiding(lcp, 4, plan)
+    assert decide_hiding(lcp, 5, plan).provenance.warm_started is True
+    clear_engine_state()
+    assert decide_hiding(lcp, 5, plan).provenance.warm_started is False
 
 
 def test_provenance_reports_the_backend_that_ran():
@@ -312,7 +309,7 @@ def test_auto_backend_resolves_to_streaming():
     """``"auto"`` has one route to pick; the default plan is an early-exit
     sweep whatever the session config says."""
     lcp = make_lcp("degree-one")
-    for config in (PerfConfig(), PerfConfig(warm_start=False, symmetry="off")):
+    for config in (PerfConfig(), PerfConfig(disk_cache=True, disk_cache_dir="x")):
         plan = ExecutionPlan().resolve(config)
         assert plan.backend == BACKEND_STREAMING
         assert plan.early_exit is True
@@ -326,7 +323,7 @@ def test_kernel_modes_share_one_disk_address(sweep, tmp_path):
     """The kernel route never enters a cache identity: a verdict written
     by the scalar reference route is a disk hit on the numpy route."""
     lcp = make_lcp("degree-one")
-    plan = ExecutionPlan(early_exit=SWEEPS[sweep], warm_start=False, disk_cache=True)
+    plan = ExecutionPlan(early_exit=SWEEPS[sweep], disk_cache=True)
     with overridden(disk_cache_dir=str(tmp_path)):
         with kernel_route("off"):
             written = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
@@ -358,24 +355,28 @@ def test_retired_option_values_are_rejected(field, value):
 
 
 def test_plan_fields_are_pinned():
-    """The plan surface is eleven fields.  Every sweep admits all
-    unanimously accepted labelings, so no plan field switches that off
+    """The plan surface is nine fields.  Every sweep admits all
+    unanimously accepted labelings, and orbit pruning and warm starts
+    follow ``lcp.anonymous``, so no plan field switches any of them
     (the session config's fields are pinned in test_perf_caches)."""
     assert [f.name for f in fields(ExecutionPlan)] == [
         "backend",
         "early_exit",
-        "warm_start",
         "memory_cache",
         "disk_cache",
         "port_limit",
         "id_order_types",
         "labeling_limit",
-        "symmetry",
         "graph_family",
         "alphabet_limit",
     ]
-    with pytest.raises(TypeError, match="include_all_accepted_labelings"):
-        ExecutionPlan(include_all_accepted_labelings=True)
+    for name, value in (
+        ("include_all_accepted_labelings", True),
+        ("symmetry", "off"),
+        ("warm_start", False),
+    ):
+        with pytest.raises(TypeError, match=name):
+            ExecutionPlan(**{name: value})
 
 
 def test_provenance_fields_are_pinned():
@@ -416,9 +417,7 @@ def test_kernel_route_reaches_the_route_it_names(kernel):
     (The generation half of the swap is pinned in
     test_generation_kernel.)"""
     stats = PerfStats()
-    plan = ExecutionPlan(
-        early_exit=False, warm_start=False, memory_cache=False, disk_cache=False
-    )
+    plan = ExecutionPlan(early_exit=False, memory_cache=False, disk_cache=False)
     with kernel_route(kernel):
         decide_hiding(make_lcp("degree-one"), 4, plan, ctx=RunContext(stats=stats))
     assert (stats.get("kernel_labelings") > 0) == (kernel == "auto")
@@ -443,17 +442,15 @@ def test_memory_tier_returns_the_identical_object():
 
 def test_disk_tier_round_trip_marks_provenance(tmp_path):
     lcp = make_lcp("degree-one")
-    plan = ExecutionPlan(
-        backend="streaming", warm_start=False, disk_cache=True, memory_cache=False
-    )
+    plan = ExecutionPlan(backend="streaming", disk_cache=True, memory_cache=False)
     with overridden(disk_cache_dir=str(tmp_path)):
-        stats = PerfStats()
-        first = decide_hiding(lcp, 4, plan, ctx=RunContext(stats=stats))
-        assert stats.get("persist_writes") == 1
+        ctx = RunContext.isolated()
+        first = decide_hiding(lcp, 4, plan, ctx=ctx)
+        assert ctx.stats.get("persist_writes") == 1
         assert first.provenance.disk_cache_hit is False
-        stats = PerfStats()
-        second = decide_hiding(lcp, 4, plan, ctx=RunContext(stats=stats))
-        assert stats.get("disk_hits") == 1
+        ctx = RunContext.isolated()
+        second = decide_hiding(lcp, 4, plan, ctx=ctx)
+        assert ctx.stats.get("disk_hits") == 1
     assert second.provenance.disk_cache_hit is True
     assert second.decision_fingerprint() == first.decision_fingerprint()
     assert first.ngraph.has_provenance
@@ -529,7 +526,7 @@ def _assert_stale_then_replaced(tmp_path, version: int) -> None:
 
     lcp = make_lcp("degree-one")
     plan = ExecutionPlan(
-        backend="streaming", warm_start=False, disk_cache=True, memory_cache=False
+        backend="streaming", disk_cache=True, memory_cache=False
     ).resolve()
     with overridden(disk_cache_dir=str(tmp_path)):
         fresh = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
@@ -567,23 +564,15 @@ def test_materialized_disk_entries_do_not_collide_with_streaming(tmp_path):
         mat = decide_hiding(
             lcp,
             4,
-            ExecutionPlan(
-                early_exit=False,
-                warm_start=False,
-                disk_cache=True,
-                memory_cache=False,
-            ),
+            ExecutionPlan(early_exit=False, disk_cache=True, memory_cache=False),
+            ctx=RunContext.isolated(),
         )
         assert mat.provenance.disk_cache_hit is False
         stream = decide_hiding(
             lcp,
             4,
-            ExecutionPlan(
-                backend="streaming",
-                warm_start=False,
-                disk_cache=True,
-                memory_cache=False,
-            ),
+            ExecutionPlan(backend="streaming", disk_cache=True, memory_cache=False),
+            ctx=RunContext.isolated(),
         )
     assert stream.provenance.disk_cache_hit is False
     assert mat.ngraph.order > stream.ngraph.order
@@ -662,36 +651,29 @@ if HAVE_HYPOTHESIS:
     @given(
         backend=st.sampled_from(["auto", BACKEND_STREAMING]),
         early_exit=st.booleans(),
-        warm_start=st.sampled_from([None, True, False]),
         disk_cache=st.sampled_from([None, True, False]),
-        config_warm_start=st.booleans(),
+        config_disk_cache=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_resolve_plan_invariants(
         backend,
         early_exit,
-        warm_start,
         disk_cache,
-        config_warm_start,
+        config_disk_cache,
     ):
         """``ExecutionPlan.resolve`` always produces a fully resolved plan
         honoring the explicit-beats-config precedence, and resolution is
         idempotent."""
-        config = PerfConfig(warm_start=config_warm_start)
+        config = PerfConfig(disk_cache=config_disk_cache)
         plan = ExecutionPlan(
             backend=backend,
             early_exit=early_exit,
-            warm_start=warm_start,
             disk_cache=disk_cache,
         ).resolve(config)
         assert plan.backend in available_backends()
         assert plan.backend == BACKEND_STREAMING
         assert plan.early_exit == early_exit
-        assert plan.warm_start == (
-            warm_start if warm_start is not None else config_warm_start
-        )
         assert plan.disk_cache == (
-            disk_cache if disk_cache is not None else config.disk_cache
+            disk_cache if disk_cache is not None else config_disk_cache
         )
-        assert plan.symmetry == config.symmetry
         assert plan.resolve(config) == plan

@@ -28,13 +28,12 @@ import numpy as np
 import pytest
 
 from repro.core.even_cycle import EvenCycleLCP
-from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
+from repro.engine import ExecutionPlan, RunContext, clear_engine_state, decide_hiding
 from repro.engine.backends import disk_key, family_key
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_bipartite
 from repro.kernel.generate import (
     MAX_GENERATION_NODES,
-    batch_colex_canonical,
     batch_colex_core,
     batch_min_edge_mask,
     generation_supported,
@@ -66,7 +65,7 @@ from repro.symmetry.orderly import (
     unpack_perms,
 )
 
-from .oracle import kernel_route, reference_graphs
+from .oracle import batch_colex_canonical, kernel_route, reference_graphs
 
 #: Isomorphism classes on exactly n nodes, n = 1..7 (OEIS A000088).
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -432,16 +431,14 @@ class TestKernelLabelingLimit:
         # labeling_limit admits the exhaustive unanimity pass.  The
         # numpy join and the reference loops must then decide identically.
         def sweep():
-            clear_engine_state()
             plan = ExecutionPlan(
                 backend="streaming",
                 early_exit=False,
-                warm_start=False,
                 memory_cache=False,
                 disk_cache=False,
                 labeling_limit=70_000,
             )
-            return decide_hiding(EvenCycleLCP(), 4, plan)
+            return decide_hiding(EvenCycleLCP(), 4, plan, ctx=RunContext.isolated())
 
         batch = sweep()
         with kernel_route("off"):

@@ -164,9 +164,7 @@ def test_a_repeated_sweep_extracts_no_layouts():
     of the same question: fresh port objects would re-extract all 41
     bases."""
     lcp = make_lcp("degree-one")
-    plan = ExecutionPlan(
-        early_exit=False, warm_start=False, memory_cache=False, disk_cache=False
-    )
+    plan = ExecutionPlan(early_exit=False, memory_cache=False, disk_cache=False)
     runs = []
     for _ in range(2):
         ctx = RunContext.isolated()
@@ -189,9 +187,7 @@ def test_anonymous_sweeps_share_layouts_across_n():
     8 at n = 5); the other 6 hits at n = 5 are the bases of n = 4."""
     clear_shared_caches()
     lcp = make_lcp("degree-one")
-    plan = ExecutionPlan(
-        early_exit=False, warm_start=False, memory_cache=False, disk_cache=False
-    )
+    plan = ExecutionPlan(early_exit=False, memory_cache=False, disk_cache=False)
     counts = []
     for n in (4, 5):
         ctx = RunContext.isolated()

@@ -45,9 +45,7 @@ def runs_dir(tmp_path, monkeypatch):
 
 
 def _plan(**overrides) -> ExecutionPlan:
-    base = dict(
-        backend="streaming", warm_start=False, disk_cache=False, memory_cache=False
-    )
+    base = dict(backend="streaming", disk_cache=False, memory_cache=False)
     base.update(overrides)
     return ExecutionPlan(**base)
 
@@ -485,6 +483,30 @@ def test_cli_report_show_and_diff(tmp_path, runs_dir, capsys):
     capsys.readouterr()
     assert main(["report", "diff", str(a), str(b)]) == 0
     assert "no decision drift" in capsys.readouterr().out
+
+
+def test_cli_report_show_renders_retired_plan_fields(tmp_path, runs_dir, capsys):
+    """A v2 run report whose plan still has the retired ``symmetry`` and
+    ``warm_start`` keys renders; "orbit-pruned" comes from the verdict's
+    provenance alone."""
+    from repro.cli import main
+
+    out = tmp_path / "old.json"
+    assert (
+        main(["hiding", "degree-one", "--n", "3", "--no-disk-cache", "--trace-out", str(out)])
+        == 0
+    )
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == "repro.run-report/v2"
+    assert payload["provenance"]["symmetry_pruned"] is True
+    payload["plan"] = {**payload["plan"], "warm_start": True, "symmetry": "off"}
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "show", str(out)]) == 0
+    plan_line = next(
+        line for line in capsys.readouterr().out.splitlines() if "plan:" in line
+    )
+    assert plan_line.split() == ["plan:", "backend=streaming", "(orbit-pruned)"]
 
 
 def test_cli_report_validate_rejects_garbage(tmp_path, capsys):

@@ -295,17 +295,18 @@ class TestStatsAndConfig:
             configure(not_a_real_knob=1)
 
     def test_config_has_exactly_the_plan_defaults(self):
-        """The caches are always on and their sizes are module constants:
-        what is left are the defaults plans resolve against."""
-        assert {f.name for f in fields(PerfConfig)} == {
-            "warm_start",
-            "disk_cache",
-            "disk_cache_dir",
-            "symmetry",
-        }
+        """The caches are always on and their sizes are module constants,
+        and orbit pruning and warm starts follow ``lcp.anonymous``: what
+        is left are the disk-tier defaults plans resolve against."""
+        assert [f.name for f in fields(PerfConfig)] == ["disk_cache", "disk_cache_dir"]
         for retired in ("layout_cache", "decision_memo", "kernel_block_size"):
             with pytest.raises(TypeError):
                 configure(**{retired: False})
+        for retired, value in (("symmetry", "off"), ("warm_start", False)):
+            with pytest.raises(TypeError, match=retired):
+                configure(**{retired: value})
+            with pytest.raises(TypeError, match=retired):
+                ExecutionPlan(**{retired: value})
         # Every sweep runs in one process: the pool knobs are gone from
         # the config and from plans alike.
         for retired in ("workers", "sharding", "shard_depth"):
@@ -315,24 +316,24 @@ class TestStatsAndConfig:
                 ExecutionPlan(**{retired: 2})
 
     def test_overridden_restores(self):
-        before = CONFIG.symmetry
-        with overridden(symmetry="off"):
-            assert CONFIG.symmetry == "off"
-        assert CONFIG.symmetry == before
+        before = CONFIG.disk_cache
+        with overridden(disk_cache=not before):
+            assert CONFIG.disk_cache is (not before)
+        assert CONFIG.disk_cache == before
 
     def test_overridden_none_leaves_knob_alone(self):
         """None means "don't touch" — call sites forward optional CLI
         arguments unfiltered, so None must neither set nor restore."""
-        before_warm, before_dir = CONFIG.warm_start, CONFIG.disk_cache_dir
-        with overridden(warm_start=None, disk_cache_dir="elsewhere"):
-            assert CONFIG.warm_start == before_warm
+        before_disk, before_dir = CONFIG.disk_cache, CONFIG.disk_cache_dir
+        with overridden(disk_cache=None, disk_cache_dir="elsewhere"):
+            assert CONFIG.disk_cache == before_disk
             assert CONFIG.disk_cache_dir == "elsewhere"
             # A mutation made inside the scope to an un-overridden knob
             # survives the exit (nothing was saved for it).
-            CONFIG.warm_start = not before_warm
-        assert CONFIG.warm_start == (not before_warm)
+            CONFIG.disk_cache = not before_disk
+        assert CONFIG.disk_cache == (not before_disk)
         assert CONFIG.disk_cache_dir == before_dir
-        CONFIG.warm_start = before_warm
+        CONFIG.disk_cache = before_disk
 
     def test_overridden_scopes_nest_and_restore_on_error(self):
         before = CONFIG.disk_cache_dir

@@ -136,7 +136,7 @@ def _sweep_stream(lcp, n: int, kernel: str) -> tuple[list, tuple]:
     account = SymmetryAccount()
     stream = []
     with kernel_route(kernel):
-        for instance in yes_instances_up_to(lcp, n, symmetry="auto", account=account):
+        for instance in yes_instances_up_to(lcp, n, account=account):
             order = node_sort_order(instance.graph)
             stream.append(
                 (instance.ports, labeling_key(instance.labeling, order), astuple(account))
@@ -164,11 +164,8 @@ SYMMETRY_COUNTERS = (
 
 
 def _decide(lcp, n: int, kernel: str, early_exit: bool):
-    plan = ExecutionPlan(
-        early_exit=early_exit, warm_start=False, memory_cache=False, disk_cache=False
-    )
+    plan = ExecutionPlan(early_exit=early_exit, memory_cache=False, disk_cache=False)
     ctx = RunContext.isolated()
-    clear_engine_state()
     with kernel_route(kernel):
         verdict = decide_hiding(lcp, n, plan, ctx=ctx)
     prov = verdict.provenance

@@ -159,9 +159,7 @@ def test_render_profile_empty():
 
 def test_traced_decision_profile_reconciles():
     ctx = RunContext.observed()
-    plan = ExecutionPlan(
-        backend="streaming", warm_start=False, disk_cache=False, memory_cache=False
-    )
+    plan = ExecutionPlan(backend="streaming", disk_cache=False, memory_cache=False)
     verdict = decide_hiding(EvenCycleLCP(), n=6, plan=plan, ctx=ctx)
     records = ctx.tracer.finished_spans()
     agg = self_times(records)

@@ -44,9 +44,7 @@ def _fresh_engine_state():
 
 
 def _plan(**overrides) -> ExecutionPlan:
-    base = dict(
-        backend="streaming", warm_start=False, disk_cache=False, memory_cache=False
-    )
+    base = dict(backend="streaming", disk_cache=False, memory_cache=False)
     base.update(overrides)
     return ExecutionPlan(**base)
 
@@ -276,11 +274,11 @@ def _decide_with_recorder(plan: ExecutionPlan, n: int = 6):
     records: list[dict] = []
     ctx.progress.subscribe(records.append)
     verdict = decide_hiding(EvenCycleLCP(), n=n, plan=plan, ctx=ctx)
-    return verdict, records
+    return verdict, records, ctx.stats
 
 
 def test_decision_emits_started_and_finished():
-    verdict, records = _decide_with_recorder(_plan())
+    verdict, records, _ = _decide_with_recorder(_plan())
     kinds = [r["event"] for r in records]
     assert kinds[0] == "decision_started"
     assert kinds[-1] == "decision_finished"
@@ -291,17 +289,20 @@ def test_decision_emits_started_and_finished():
 
 
 def test_instance_deltas_sum_to_provenance_count():
-    # symmetry off: provenance counts physically scanned instances only
-    # (with pruning on it would multiply suppressed orbit mates back in).
-    verdict, records = _decide_with_recorder(
-        _plan(early_exit=False, symmetry="off"), n=6
-    )
+    # The deltas count physically scanned instances; provenance also
+    # counts the orbit mates pruning suppressed (even-cycle is anonymous).
+    verdict, records, stats = _decide_with_recorder(_plan(early_exit=False), n=6)
     kinds = [r["event"] for r in records]
     assert kinds[0] == "decision_started"
     assert kinds[-1] == "decision_finished"
     assert set(kinds[1:-1]) == {"instances_scanned"}
     scanned = [r for r in records if r["event"] == "instances_scanned"]
-    assert sum(r["delta"] for r in scanned) == verdict.provenance.instances_scanned
+    suppressed = stats.get("symmetry_instances_suppressed")
+    assert suppressed > 0
+    assert (
+        sum(r["delta"] for r in scanned) + suppressed
+        == verdict.provenance.instances_scanned
+    )
     totals = [r["total"] for r in scanned]
     assert totals == sorted(totals)  # monotone running totals
 

@@ -10,6 +10,8 @@ regressions pinning the paper's Figure 3–6 odd walks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.registry import all_lcps, make_lcp
@@ -17,7 +19,13 @@ from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP
 from repro.graphs.graph import Graph
 from repro.graphs.incremental import IncrementalKColoring, ParityForest
 from repro.graphs.properties import is_odd_closed_walk
-from repro.engine import ExecutionPlan, RunContext, clear_engine_state, decide_hiding
+from repro.engine import (
+    ExecutionPlan,
+    MemoryVerdictStore,
+    RunContext,
+    clear_engine_state,
+    decide_hiding,
+)
 from repro.neighborhood import build_extraction_decoder
 from repro.obs import RunReport, Tracer, validate_report
 from repro.perf import PerfStats, overridden
@@ -33,10 +41,11 @@ def _fresh_engine_state():
     clear_engine_state()
 
 
-def _decide(lcp, n, stats=None, **plan):
-    """``decide_hiding(lcp, n, ExecutionPlan(**plan))``, counting on
-    *stats* when given."""
-    ctx = RunContext(stats=stats) if stats is not None else None
+def _decide(lcp, n, stats=None, ctx=None, **plan):
+    """``decide_hiding(lcp, n, ExecutionPlan(**plan))`` on *ctx*, or on
+    the default context counting on *stats* when given."""
+    if ctx is None and stats is not None:
+        ctx = RunContext(stats=stats)
     return decide_hiding(lcp, n, ExecutionPlan(**plan), ctx=ctx)
 
 
@@ -47,14 +56,18 @@ def _decide(lcp, n, stats=None, **plan):
 
 
 def _assert_parity(lcp, n, ctx=None):
+    """A cold sweep on *ctx* (default: a fresh isolated context) matches
+    the oracle; a given *ctx* lends its stats and tracer to a fresh memo
+    tier, so no sweep resumes an earlier one."""
     materialized = oracle_verdict(lcp, n)
-    plan = ExecutionPlan(
-        backend="streaming",
-        warm_start=False,
-        disk_cache=False,
-        memory_cache=False,
+    plan = ExecutionPlan(backend="streaming", disk_cache=False, memory_cache=False)
+    ctx = (
+        dataclasses.replace(ctx, memory=MemoryVerdictStore())
+        if ctx is not None
+        else RunContext.isolated()
     )
     verdict = decide_hiding(lcp, n, plan, ctx=ctx)
+    assert not verdict.provenance.warm_started
     assert verdict.provenance.backend == "streaming"
     assert verdict.hiding == materialized.hiding
     if verdict.hiding:
@@ -123,7 +136,7 @@ def test_non_hiding_extraction_decoders_are_equal():
     lcp = RevealingLCP()
     materialized = oracle_verdict(lcp, 4)
     streamed = _decide(
-        lcp, 4, warm_start=False, disk_cache=False, backend="streaming"
+        lcp, 4, ctx=RunContext.isolated(), disk_cache=False, backend="streaming"
     )
     dec_m = build_extraction_decoder(materialized.ngraph, k=2)
     dec_s = build_extraction_decoder(streamed.ngraph, k=2)
@@ -133,12 +146,10 @@ def test_non_hiding_extraction_decoders_are_equal():
 def test_early_exit_scans_fewer_instances():
     lcp = DegreeOneLCP()
     full = _decide(lcp, 4, early_exit=False, disk_cache=False)
-    stats = PerfStats()
-    streamed = _decide(
-        lcp, 4, stats=stats, warm_start=False, disk_cache=False, backend="streaming"
-    )
+    ctx = RunContext.isolated()
+    streamed = _decide(lcp, 4, ctx=ctx, disk_cache=False, backend="streaming")
     assert streamed.hiding is True
-    assert stats.get("streaming_early_exits") >= 1
+    assert ctx.stats.get("streaming_early_exits") >= 1
     assert streamed.ngraph.instances_scanned < full.ngraph.instances_scanned
 
 
@@ -316,27 +327,12 @@ class TestPersistentCache:
     def test_streaming_disk_round_trip_preserves_verdict(self, tmp_path):
         lcp = DegreeOneLCP()
         with overridden(disk_cache_dir=str(tmp_path)):
-            stats = PerfStats()
-            first = _decide(
-                lcp,
-                4,
-                stats=stats,
-                warm_start=False,
-                disk_cache=True,
-                backend="streaming",
-            )
-            assert stats.get("persist_writes") == 1
-            clear_engine_state()
-            stats = PerfStats()
-            second = _decide(
-                lcp,
-                4,
-                stats=stats,
-                warm_start=False,
-                disk_cache=True,
-                backend="streaming",
-            )
-            assert stats.get("disk_hits") == 1
+            ctx = RunContext.isolated()
+            first = _decide(lcp, 4, ctx=ctx, disk_cache=True, backend="streaming")
+            assert ctx.stats.get("persist_writes") == 1
+            ctx = RunContext.isolated()
+            second = _decide(lcp, 4, ctx=ctx, disk_cache=True, backend="streaming")
+            assert ctx.stats.get("disk_hits") == 1
         assert second.hiding == first.hiding
         assert second.ngraph.views == first.ngraph.views
         assert second.ngraph.edges == first.ngraph.edges
@@ -353,27 +349,19 @@ class TestPersistentCache:
 class TestWarmStart:
     def test_chain_matches_cold_runs(self):
         lcp = RevealingLCP()
-        cold = {}
-        for n in (3, 4, 5):
-            clear_engine_state()
-            cold[n] = _decide(
-                lcp, n, warm_start=False, disk_cache=False, backend="streaming"
+        cold = {
+            n: _decide(
+                lcp, n, ctx=RunContext.isolated(), disk_cache=False, backend="streaming"
             )
-        clear_engine_state()
-        stats = PerfStats()
+            for n in (3, 4, 5)
+        }
+        ctx = RunContext.isolated()
         for n in (3, 4, 5):
-            warm = _decide(
-                lcp,
-                n,
-                stats=stats,
-                warm_start=True,
-                disk_cache=False,
-                backend="streaming",
-            )
+            warm = _decide(lcp, n, ctx=ctx, disk_cache=False, backend="streaming")
             assert warm.hiding == cold[n].hiding
             assert warm.ngraph.views == cold[n].ngraph.views
             assert warm.ngraph.edges == cold[n].ngraph.edges
-        assert stats.get("warm_starts") == 2
+        assert ctx.stats.get("warm_starts") == 2
 
     def test_witness_short_circuits_larger_n(self):
         lcp = DegreeOneLCP()
@@ -463,7 +451,7 @@ class TestWitnessRegressions:
 
         monkeypatch.setattr(ParityForest, "_tree_path", counting)
         lcp = DegreeOneLCP()
-        plan = dict(warm_start=False, disk_cache=False)
+        plan = dict(disk_cache=False)
         full = decide_hiding(
             lcp, 5, ExecutionPlan(early_exit=False, **plan), ctx=RunContext.isolated()
         )

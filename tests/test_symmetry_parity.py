@@ -1,13 +1,14 @@
 """Property suite: orbit-pruned sweeps match the brute-force oracle.
 
 The symmetry layer is only allowed to change *how fast* a verdict is
-reached, never *what* is reached.  For every registry scheme and both
-routes — the engine's full sweep (no early exit, no cache tiers) and the
-build-then-decide oracle of :mod:`tests.oracle` — this suite runs with
-symmetry off and on and demands byte-identical verdicts:
-same hiding decision, same canonical witness walk, same
-``decision_fingerprint``, and the same effective instance/view/edge
-counts (suppressed instances folded back into ``instances_scanned``).
+reached, never *what* is reached.  For every registry scheme, the
+build-then-decide oracle of :mod:`tests.oracle` runs brute force and
+forced orbit pruning (anonymous or not), and the engine's full sweep (no
+early exit, no cache tiers) prunes exactly when the scheme is anonymous;
+all three must give byte-identical verdicts: same hiding decision, same
+canonical witness walk, same ``decision_fingerprint``, and the same
+effective instance/view/edge counts (suppressed instances folded back
+into ``instances_scanned``).
 
 A second group pins the two pruning mechanisms individually —
 labeling-orbit minima inside a base, and automorphic-duplicate bases —
@@ -21,55 +22,47 @@ import pytest
 from repro.certification.enumeration import unanimously_accepted_labelings
 from repro.core import make_lcp
 from repro.core.registry import all_lcps
-from repro.engine import ExecutionPlan, clear_engine_state, decide_hiding
+from repro.engine import ExecutionPlan, RunContext, decide_hiding
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.local.instance import Instance
 from repro.local.labeling import labeling_key, node_sort_order
 from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
-from repro.neighborhood.aviews import symmetry_pruning_effective
 from repro.symmetry import (
     SymmetryAccount,
     automorphism_group,
     instance_stabilizer,
 )
 
-from .oracle import kernel_route, oracle_verdict, reference_unanimous_labelings
+from .oracle import (
+    kernel_route,
+    oracle_verdict,
+    reference_unanimous_labelings,
+    streaming_verdict,
+)
 
 SCHEMES = sorted(all_lcps())
-#: "materialized" = the oracle (complete graph, then decide);
-#: "streaming" = the engine's incremental full sweep.
-BACKENDS = ["materialized", "streaming"]
+#: "materialized" = the oracle (complete graph, then decide; brute force
+#: unpruned); "streaming" = the incremental full sweep of
+#: :func:`tests.oracle.streaming_verdict`.  Both prune on demand, the
+#: non-anonymous schemes included.
+SWEEPERS = {"materialized": oracle_verdict, "streaming": streaming_verdict}
 
 #: Full-sweep ceiling per scheme; the two workhorse schemes get n = 5.
 DEPTH = {name: 4 for name in SCHEMES}
 DEPTH["degree-one"] = 5
 DEPTH["even-cycle"] = 5
 
-
-def _full_sweep_plan(symmetry: str) -> ExecutionPlan:
-    """A deterministic cold sweep: serial, no early exit, no cache tiers."""
-    return ExecutionPlan(
-        early_exit=False,
-        warm_start=False,
-        memory_cache=False,
-        disk_cache=False,
-        symmetry=symmetry,
-    )
+#: A deterministic full sweep: serial, no early exit, no cache tiers (run
+#: on a fresh isolated context, so it also starts cold).
+FULL_SWEEP = ExecutionPlan(early_exit=False, memory_cache=False, disk_cache=False)
 
 
-def _sweep(scheme: str, backend: str, symmetry: str):
-    clear_engine_state()
-    lcp = make_lcp(scheme)
-    if backend == "materialized":
-        return lcp, oracle_verdict(lcp, DEPTH[scheme], symmetry=symmetry)
-    return lcp, decide_hiding(lcp, DEPTH[scheme], _full_sweep_plan(symmetry))
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(SWEEPERS))
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_pruned_sweep_matches_brute_force(scheme, backend):
-    lcp, off = _sweep(scheme, backend, "off")
-    _, on = _sweep(scheme, backend, "on")
+    lcp = make_lcp(scheme)
+    off = SWEEPERS[backend](lcp, DEPTH[scheme])
+    on = SWEEPERS[backend](lcp, DEPTH[scheme], prune=True)
 
     assert on.hiding == off.hiding
     assert on.witness == off.witness
@@ -89,36 +82,35 @@ def test_pruned_graph_is_the_brute_force_graph_at_n4(scheme):
     the orbit-pruned ``V(D, 4)`` has the brute-force view list, edge set
     and effective instance count, not only the same fingerprint."""
     lcp = make_lcp(scheme)
-    graphs = {}
-    for mode in ("off", "on"):
-        account = SymmetryAccount()
-        with kernel_route("off"):
-            graph = build_neighborhood_graph(
-                lcp,
-                yes_instances_up_to(
-                    lcp,
-                    4,
-                    symmetry=mode,
-                    account=account,
-                ),
-            )
-        graph.instances_scanned += account.instances_suppressed
-        graphs[mode] = graph
-    assert account.instances_suppressed  # the "on" sweep did prune
-    off, on = graphs["off"], graphs["on"]
+    account = SymmetryAccount()
+    with kernel_route("off"):
+        off = build_neighborhood_graph(lcp, yes_instances_up_to(lcp, 4))
+        on = build_neighborhood_graph(
+            lcp, yes_instances_up_to(lcp, 4, account=account)
+        )
+    on.instances_scanned += account.instances_suppressed
+    assert account.instances_suppressed  # the pruned sweep did prune
     assert on.views == off.views
     assert on.edges == off.edges
     assert on.instances_scanned == off.instances_scanned
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_auto_mode_prunes_exactly_the_anonymous_schemes(scheme):
-    lcp, auto = _sweep(scheme, "streaming", "auto")
-    _, off = _sweep(scheme, "streaming", "off")
-    assert auto.provenance.symmetry_pruned == lcp.anonymous
-    assert auto.provenance.symmetry_pruned == symmetry_pruning_effective(lcp, "auto")
-    assert auto.decision_fingerprint() == off.decision_fingerprint()
-    assert auto.provenance.instances_scanned == off.provenance.instances_scanned
+def test_engine_prunes_exactly_the_anonymous_schemes(scheme):
+    """Orbit pruning is not a plan field: the engine prunes exactly when
+    the scheme is anonymous, and its full sweep is byte-identical to the
+    unpruned one."""
+    lcp = make_lcp(scheme)
+    engine = decide_hiding(
+        lcp, DEPTH[scheme], FULL_SWEEP, ctx=RunContext.isolated()
+    )
+    unpruned = streaming_verdict(lcp, DEPTH[scheme])
+    assert engine.provenance.symmetry_pruned == lcp.anonymous
+    assert engine.witness == unpruned.witness
+    assert engine.decision_fingerprint() == unpruned.decision_fingerprint()
+    assert (
+        engine.provenance.instances_scanned == unpruned.provenance.instances_scanned
+    )
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -129,16 +121,12 @@ def test_instance_stream_is_a_counted_subsequence(scheme):
     n = 4
     brute = [
         (tuple(i.graph.edges), labeling_key(i.labeling, node_sort_order(i.graph)))
-        for i in yes_instances_up_to(
-            lcp, n, symmetry="off"
-        )
+        for i in yes_instances_up_to(lcp, n)
     ]
     account = SymmetryAccount()
     pruned = [
         (tuple(i.graph.edges), labeling_key(i.labeling, node_sort_order(i.graph)))
-        for i in yes_instances_up_to(
-            lcp, n, symmetry="on", account=account
-        )
+        for i in yes_instances_up_to(lcp, n, account=account)
     ]
     assert len(brute) == len(pruned) + account.instances_suppressed
     it = iter(brute)
@@ -251,11 +239,9 @@ class TestOrbitPruningMechanics:
         lcp = make_lcp("degree-one")
         account = SymmetryAccount()
         pruned = list(
-            yes_instances_up_to(
-                lcp, 3, id_order_types=True, symmetry="on", account=account
-            )
+            yes_instances_up_to(lcp, 3, id_order_types=True, account=account)
         )
-        brute = list(yes_instances_up_to(lcp, 3, id_order_types=True, symmetry="off"))
+        brute = list(yes_instances_up_to(lcp, 3, id_order_types=True))
         assert account.bases_total > 0
         assert account.bases_pruned > 0  # e.g. the two id orders of K2
         assert len(brute) == len(pruned) + account.instances_suppressed
