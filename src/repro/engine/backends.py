@@ -16,8 +16,7 @@ Both sweep accelerations follow from one property of the scheme, never
 from a knob: for an anonymous scheme the decoder cannot see identifiers,
 so automorphic ``(ports, ids)`` bases and stabilizer-orbit labelings add
 no view or edge (orbit pruning), and the sweep at ``n`` extends the
-sweep at ``n - 1`` (the warm start, parked per family in the context's
-memo tier, :meth:`RunContext.memory_store`).
+sweep at ``n - 1`` (the warm start).
 
 The numpy kernels of :mod:`repro.kernel` run every unanimity sweep as a
 prefix-pruned join and orderly generation's canonicalization searches in
@@ -283,7 +282,7 @@ class StreamingBackend:
 
         family = family_key(lcp, plan)
         warm = ctx.memory_store().warm
-        state = warm.get(family) if lcp.anonymous else None
+        state = warm.get(family)  # parked for anonymous schemes only
         start = time.perf_counter()
         warm_started = False
         account = SymmetryAccount() if lcp.anonymous else None
