@@ -271,11 +271,12 @@ class TestFrozenFamilies:
             again = tuple(all_graphs_exactly(4, mutable=False, bipartite=bipartite))
             assert first and all(a is b for a, b in zip(first, again))
 
-    def test_family_stream_is_generator_independent(self):
+    @pytest.mark.parametrize("connected_only", [True, False])
+    def test_family_stream_is_generator_independent(self, connected_only):
         """Generation is orderly whatever the scheme: a rebuilt family
-        emits the edge-subset walk's stream."""
+        emits the edge-subset walk's stream, disconnected graphs too."""
         clear_family_cache()
-        stream = [g.edges for g in all_graphs_exactly(5)]
+        stream = [g.edges for g in all_graphs_exactly(5, connected_only)]
         clear_family_cache()
-        assert [g.edges for g in all_graphs_exactly(5)] == stream
-        assert stream == [g.edges for g in reference_graphs(5)]
+        assert [g.edges for g in all_graphs_exactly(5, connected_only)] == stream
+        assert stream == [g.edges for g in reference_graphs(5, connected_only)]
