@@ -61,6 +61,12 @@ class LCP(ABC):
     radius: int = 1
     #: Whether the decoder may depend on identifiers.
     anonymous: bool = False
+    #: The :data:`repro.graphs.families.GRAPH_FAMILIES` entry equal to
+    #: the promise class ``H``, or ``None`` when no entry names it.  When
+    #: that entry is built directly, the Lemma 3.1 sweep enumerates it
+    #: instead of generating every graph (read it through
+    #: :func:`promise_family`).
+    promise_family: str | None = None
 
     @property
     @abstractmethod
@@ -140,6 +146,18 @@ class LCP(ABC):
         return max(
             self.certificate_bits(labeling.of(v), n, id_bound) for v in labeling.nodes()
         )
+
+
+def promise_family(lcp: LCP) -> str | None:
+    """*lcp*'s :attr:`LCP.promise_family`, unless a subclass redefines
+    ``promise`` or ``is_yes_instance`` below the class that named it —
+    the name then no longer describes the yes-instances, and the sweep
+    keeps generating every graph."""
+    kind = type(lcp)
+    owner = next(cls for cls in kind.__mro__ if "promise_family" in vars(cls))
+    if kind.promise is owner.promise and kind.is_yes_instance is owner.is_yes_instance:
+        return lcp.promise_family
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +245,10 @@ class ParametrizedLCP(LCP):
 
     def promise(self, graph: Graph) -> bool:
         return self.base.promise(graph)
+
+    @property
+    def promise_family(self) -> str | None:
+        return promise_family(self.base)
 
     def certificate_alphabet(self, graph: Graph) -> list[Certificate] | None:
         return self.base.certificate_alphabet(graph)

@@ -180,6 +180,8 @@ def _cycle_order(graph: Graph) -> list:
 class EvenCycleLCP(LCP):
     """Anonymous, one-round, constant-size strong & hiding LCP for H2."""
 
+    promise_family = "even-cycles"
+
     def __init__(self) -> None:
         self.k = 2
         self.radius = 1

@@ -355,6 +355,8 @@ class ShatterLCP(LCP):
     non-anonymous (certificates embed the shatter point's identifier).
     """
 
+    promise_family = "shatter"
+
     def __init__(self, anchored_type0_id: bool = True, common_touch_color: bool = True) -> None:
         self.k = 2
         self.radius = 1

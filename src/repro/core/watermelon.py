@@ -229,6 +229,8 @@ class WatermelonProver(Prover):
 class WatermelonLCP(LCP):
     """Theorem 1.4: strong & hiding one-round LCP for watermelon graphs."""
 
+    promise_family = "watermelons"
+
     def __init__(self) -> None:
         self.k = 2
         self.radius = 1

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from ..certification.lcp import LCP
 from ..graphs.families import warm_graph_families
 from ..neighborhood.aviews import (
-    bipartite_generation,
+    graph_source,
     yes_instances_between,
     yes_instances_up_to,
 )
@@ -309,7 +309,9 @@ class StreamingBackend:
                     gen.set_attributes(
                         sizes_warmed=0
                         if plan.early_exit
-                        else warm_graph_families(lo, n, bipartite=bipartite_generation(lcp)),
+                        else warm_graph_families(
+                            lo, n, **graph_source(lcp, plan.graph_family)
+                        ),
                         deferred=plan.early_exit,
                     )
                 sweep_args = dict(

@@ -18,11 +18,21 @@ which is all a ``k = 2`` sweep ever keeps; the generator then builds the
 bipartite augmentation tree alone.  Generation is practical up to
 ``n = 8`` for all graphs and up to ``n = 9`` for bipartite ones (1,119
 classes on 9 nodes instead of 274,668).
+
+Some named families (:data:`GRAPH_FAMILIES`) are also built directly:
+cycles and even cycles in a closed-form labeling, watermelons from
+their path lengths.  A direct family yields exactly the members the
+filtered orderly stream would, in the same labeling and order, without
+generating the other graphs, so a sweep over it is not bounded by the
+sizes above (a full even-cycle ``V(D, 12)`` sweeps in well under a
+second).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from ..perf.stats import GLOBAL_STATS
@@ -37,13 +47,15 @@ from .properties import (
 from .shatter import has_shatter_point
 from .watermelon import is_watermelon
 
-#: ``(n, connected_only, bipartite) -> tuple of frozen
-#: representatives``.  The Lemma 3.1 sweeps re-enumerate the same
-#: families for every scheme and every bound; caching the representative
-#: lists makes repeat sweeps enumeration-free.  Entries are
-#: :class:`FrozenGraph` — ``mutable=True`` hits yield defensive copies,
-#: ``mutable=False`` hits yield the cached objects themselves.
-_FAMILY_CACHE: dict[tuple[int, bool, bool], tuple[FrozenGraph, ...]] = {}
+#: ``(n, connected_only, bipartite, family) -> tuple of frozen
+#: representatives`` (*family* is ``None`` for orderly generation, else
+#: the name of the directly built family).  The Lemma 3.1 sweeps
+#: re-enumerate the same families for every scheme and every bound;
+#: caching the representative lists makes repeat sweeps
+#: enumeration-free.  Entries are :class:`FrozenGraph` — ``mutable=True``
+#: hits yield defensive copies, ``mutable=False`` hits yield the cached
+#: objects themselves.
+_FAMILY_CACHE: dict[tuple[int, bool, bool, str | None], tuple[FrozenGraph, ...]] = {}
 
 
 def clear_family_cache() -> None:
@@ -53,19 +65,28 @@ def clear_family_cache() -> None:
 
 
 def warm_graph_families(
-    lo: int, hi: int, connected_only: bool = True, bipartite: bool = False
+    lo: int,
+    hi: int,
+    connected_only: bool = True,
+    bipartite: bool = False,
+    family: str | None = None,
 ) -> int:
     """Enumerate (and cache) the families of sizes ``lo+1 .. hi``.
 
     The engine calls this under its ``symmetry:generate`` span so
     generation cost is attributed to generation rather than smeared over
-    the sweep.  No-op per size already cached; returns the number of
-    sizes enumerated."""
+    the sweep.  The arguments are those of :func:`all_graphs_exactly`.
+    No-op per size already cached; returns the number of sizes
+    enumerated."""
     warmed = 0
     for size in range(max(1, lo + 1), hi + 1):
-        if (size, connected_only, bipartite) not in _FAMILY_CACHE:
+        if (size, connected_only, bipartite, family) not in _FAMILY_CACHE:
             for _ in all_graphs_exactly(
-                size, connected_only=connected_only, mutable=False, bipartite=bipartite
+                size,
+                connected_only=connected_only,
+                mutable=False,
+                bipartite=bipartite,
+                family=family,
             ):
                 pass
             warmed += 1
@@ -77,6 +98,7 @@ def all_graphs_exactly(
     connected_only: bool = True,
     mutable: bool = True,
     bipartite: bool = False,
+    family: str | None = None,
 ) -> Iterator[Graph]:
     """All simple graphs on exactly *n* nodes, up to isomorphism.
 
@@ -85,8 +107,15 @@ def all_graphs_exactly(
     generator never builds them).  Loops are not generated (a loop is
     never 2-colorable, and the paper's instances are simple).
 
-    Results are cached per ``(n, connected_only, bipartite)``.  With
-    ``mutable=True`` every yielded graph is an independent copy;
+    *family* names a :data:`GRAPH_FAMILIES` entry with a direct
+    generator: the stream is then only that family's members, built
+    directly instead of generated — the subsequence of the orderly
+    stream that the family's predicate keeps, in the same labeling and
+    order (see :class:`GraphFamily`).  Direct families are connected, so
+    *family* requires *connected_only*.
+
+    Results are cached per ``(n, connected_only, bipartite, family)``.
+    With ``mutable=True`` every yielded graph is an independent copy;
     ``mutable=False`` yields shared :class:`FrozenGraph` objects instead —
     the fast path for the sweep, which never mutates representatives.
     """
@@ -94,7 +123,7 @@ def all_graphs_exactly(
 
     if n <= 0:
         return
-    key = (n, connected_only, bipartite)
+    key = (n, connected_only, bipartite, family)
     cached = _FAMILY_CACHE.get(key)
     if cached is not None:
         GLOBAL_STATS.incr("family_cache_hits")
@@ -102,11 +131,20 @@ def all_graphs_exactly(
             yield g.copy() if mutable else g
         return
     GLOBAL_STATS.incr("family_cache_misses")
+    if family is not None:
+        if not connected_only:
+            raise ValueError(f"the direct family {family!r} is connected only")
+        _FAMILY_CACHE[key] = members = _direct_family(n, family, bipartite)
+        for g in members:
+            yield g.copy() if mutable else g
+        return
     # The bipartite family is the bipartite subsequence of the full one,
     # representative for representative.  When it is cached, the full
     # family adopts its objects, so the graph facts (and the layouts
     # keyed by them) a k = 2 sweep derived serve a later k >= 3 sweep.
-    adopt = iter(() if bipartite else _FAMILY_CACHE.get((n, connected_only, True), ()))
+    adopt = iter(
+        () if bipartite else _FAMILY_CACHE.get((n, connected_only, True, None), ())
+    )
     candidate = next(adopt, None)
     representatives: list[FrozenGraph] = []
     for g in orderly_graphs_exactly(n, connected_only, bipartite):
@@ -169,11 +207,17 @@ def all_graphs_up_to(
     connected_only: bool = True,
     mutable: bool = True,
     bipartite: bool = False,
+    family: str | None = None,
 ) -> Iterator[Graph]:
-    """All simple graphs on at most *n* nodes, up to isomorphism."""
+    """All simple graphs on at most *n* nodes, up to isomorphism (the
+    arguments are those of :func:`all_graphs_exactly`)."""
     for k in range(1, n + 1):
         yield from all_graphs_exactly(
-            k, connected_only=connected_only, mutable=mutable, bipartite=bipartite
+            k,
+            connected_only=connected_only,
+            mutable=mutable,
+            bipartite=bipartite,
+            family=family,
         )
 
 
@@ -277,21 +321,148 @@ def watermelon_family_up_to(n: int) -> Iterator[Graph]:
 # Named graph families (the campaign layer's family axis)
 # ----------------------------------------------------------------------
 
-#: name -> membership predicate (``None`` means "no filter": every graph
-#: the Lemma 3.1 sweep would enumerate).  A campaign cell names one of
-#: these to restrict the sweep's graph part; the predicate composes with
-#: — it never replaces — the scheme's own ``is_yes_instance`` filter.
-GRAPH_FAMILIES: dict[str, Callable[[Graph], bool] | None] = {
-    "all": None,
-    "bipartite": is_bipartite,
-    "trees": is_tree,
-    "paths": is_path_graph,
-    "cycles": is_cycle_graph,
-    "even-cycles": is_even_cycle,
-    "min-degree-one": lambda g: g.order >= 2 and g.min_degree() == 1,
-    "shatter": has_shatter_point,
-    "watermelons": is_watermelon,
+def cycle_edges(m: int) -> list[tuple[int, int]]:
+    """The edges ``(a, b)``, ``a < b``, of the cycle ``C_m`` (``m >= 3``)
+    in its minimal-edge-mask labeling, in closed form.
+
+    The mask's most significant bits are the pairs among the highest
+    nodes, so the ``h = m // 2`` high nodes ``m - 1 .. m - h`` are
+    pairwise non-adjacent, and high node ``m - 1 - j`` joins the low
+    nodes ``j - 1`` and ``j + 1`` (clamped to the low range
+    ``0 .. m - h - 1``): a zigzag ladder, which an odd cycle closes with
+    the edge ``(h - 1, h)``.  The orderly representative of ``C_8`` is
+    the cycle 7-0-6-2-4-3-5-1.  The tests check the form against
+    :func:`repro.symmetry.canon.min_edge_mask`, whose search grows
+    exponentially on cycles."""
+    h = m // 2
+    last = m - h - 1  # the highest low node
+    edges = set()
+    for j in range(h):
+        high = m - 1 - j
+        edges.add((max(j - 1, 0), high))
+        edges.add((min(j + 1, last), high))
+    if m % 2:
+        edges.add((h - 1, h))
+    return sorted(edges)
+
+
+def _edge_mask(edges: list[tuple[int, int]], n: int) -> int:
+    """The edge-subset mask of *edges* (``a < b``) on *n* nodes."""
+    return sum(1 << (a * (2 * n - a - 1) // 2 + b - a - 1) for a, b in edges)
+
+
+def _cycle_automorphisms(edges: list[tuple[int, int]], m: int) -> tuple:
+    """The ``2m`` rotations and reflections of the cycle *edges*,
+    identity first."""
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = [0, adj[0][0]]
+    while len(order) < m:
+        a, b = adj[order[-1]]
+        order.append(b if a == order[-2] else a)
+    perms = []
+    for step in (1, -1):
+        for shift in range(m):
+            sigma = [0] * m
+            for i, v in enumerate(order):
+                sigma[v] = order[(shift + step * i) % m]
+            perms.append(tuple(sigma))
+    return tuple(perms)
+
+
+def _cycles_exactly(n: int, even: bool = False) -> Iterator[tuple[int, tuple]]:
+    """The direct generator of ``cycles`` (``even-cycles`` with *even*)."""
+    if n >= 3 and not (even and n % 2):
+        edges = cycle_edges(n)
+        yield _edge_mask(edges, n), _cycle_automorphisms(edges, n)
+
+
+def _watermelons_exactly(n: int) -> Iterator[tuple[int, tuple]]:
+    """The direct generator of ``watermelons``: the members of
+    :func:`watermelon_family_up_to` on *n* nodes, each relabeled by its
+    minimal edge mask (a canonical form, counted as such)."""
+    from ..symmetry.canon import min_edge_mask  # noqa: PLC0415
+    from ..symmetry.groups import automorphism_group  # noqa: PLC0415
+    from ..symmetry.orderly import transport_automorphisms  # noqa: PLC0415
+
+    for g in watermelon_family_up_to(n):
+        if g.order != n:
+            continue
+        group = automorphism_group(g)
+        index = {v: i for i, v in enumerate(group.nodes)}
+        adj = [0] * n
+        for u, v in g.edges:
+            adj[index[u]] |= 1 << index[v]
+            adj[index[v]] |= 1 << index[u]
+        GLOBAL_STATS.incr("canonicalizations")
+        mask, perm = min_edge_mask(adj, n, first_candidates=group.orbit_representatives())
+        yield mask, transport_automorphisms(group.perms, perm)
+
+
+@dataclass(frozen=True)
+class GraphFamily:
+    """One named graph family of the campaign layer's family axis.
+
+    *predicate* is the membership test (``None``: every graph the Lemma
+    3.1 sweep would enumerate).  *direct*, when present, builds the
+    family without generating every graph: ``direct(n)`` yields
+    ``(mask, automorphisms)`` for each connected member on exactly ``n``
+    nodes, where *mask* is the member's minimal edge mask — the labeling
+    orderly generation emits — and *automorphisms* its group as node
+    permutations in that labeling.  The members, ordered by mask, are
+    the subsequence of :func:`all_graphs_exactly` that *predicate*
+    keeps (the tests check it graph for graph)."""
+
+    predicate: Callable[[Graph], bool] | None
+    direct: Callable[[int], Iterator[tuple[int, tuple]]] | None = None
+
+
+#: name -> :class:`GraphFamily`.  A campaign cell names one of these to
+#: restrict the sweep's graph part; the predicate composes with — it
+#: never replaces — the scheme's own ``is_yes_instance`` filter.  A
+#: scheme names the entry equal to its promise class in
+#: :attr:`repro.certification.lcp.LCP.promise_family`.
+GRAPH_FAMILIES: dict[str, GraphFamily] = {
+    "all": GraphFamily(None),
+    "bipartite": GraphFamily(is_bipartite),
+    "trees": GraphFamily(is_tree),
+    "paths": GraphFamily(is_path_graph),
+    "cycles": GraphFamily(is_cycle_graph, _cycles_exactly),
+    "even-cycles": GraphFamily(is_even_cycle, partial(_cycles_exactly, even=True)),
+    "min-degree-one": GraphFamily(lambda g: g.order >= 2 and g.min_degree() == 1),
+    "shatter": GraphFamily(has_shatter_point),
+    "watermelons": GraphFamily(is_watermelon, _watermelons_exactly),
 }
+
+
+def _direct_family(n: int, name: str, bipartite: bool) -> tuple[FrozenGraph, ...]:
+    """The members of the direct family *name* on *n* nodes (only the
+    bipartite ones with *bipartite*), in mask order.  Each is built the
+    way orderly emission builds it, with its automorphism group seeded;
+    a member some cached family of size *n* already holds is adopted, so
+    its graph facts serve both streams."""
+    from ..symmetry.groups import seed_automorphisms  # noqa: PLC0415
+    from ..symmetry.orderly import mask_graph  # noqa: PLC0415
+
+    adoptable = {
+        tuple(g.edges): g
+        for key, members in _FAMILY_CACHE.items()
+        if key[0] == n
+        for g in members
+    }
+    out = []
+    for mask, perms in sorted(GRAPH_FAMILIES[name].direct(n)):
+        graph = mask_graph(mask, n)
+        if bipartite and not is_bipartite(graph):
+            continue
+        frozen = adoptable.get(tuple(graph.edges))
+        if frozen is None:
+            seed_automorphisms(graph, perms)
+            frozen = FrozenGraph.freeze(graph)
+        out.append(frozen)
+    return tuple(out)
 
 
 def graph_family_names() -> list[str]:
@@ -305,7 +476,7 @@ def graph_family_predicate(name: str) -> Callable[[Graph], bool] | None:
     ``None`` for ``"all"``; raises ``ValueError`` for unknown names so
     a typo in a campaign spec fails before any sweep runs."""
     try:
-        return GRAPH_FAMILIES[name]
+        return GRAPH_FAMILIES[name].predicate
     except KeyError:
         raise ValueError(
             f"unknown graph family {name!r}; known: "

@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from ..certification.enumeration import unanimously_accepted_labelings
-from ..certification.lcp import LCP, sweep_certifications
+from ..certification.lcp import LCP, promise_family, sweep_certifications
 from ..graphs.families import (
+    GRAPH_FAMILIES,
     all_graphs_exactly,
     all_graphs_up_to,
     graph_family_predicate,
@@ -50,6 +51,33 @@ def bipartite_generation(lcp: LCP) -> bool:
     ``lcp.k`` — a property of the input, not a knob.  A subclass that
     redefines ``is_yes_instance`` keeps the full family."""
     return lcp.k == 2 and type(lcp).is_yes_instance is LCP.is_yes_instance
+
+
+def graph_source(lcp: LCP, family: str = "all") -> dict:
+    """Where the Lemma 3.1 sweep of *lcp* over the campaign *family*
+    takes its graphs: the keyword arguments it passes to
+    :func:`~repro.graphs.families.all_graphs_up_to`,
+    :func:`~repro.graphs.families.all_graphs_exactly` and
+    :func:`~repro.graphs.families.warm_graph_families`.
+
+    * ``bipartite`` — :func:`bipartite_generation`.
+    * ``family`` — a family that holds every graph the sweep keeps and is
+      built directly: the scheme's promise class
+      (:func:`~repro.certification.lcp.promise_family`) or else the
+      campaign *family*, when either has a direct generator; ``None``
+      (orderly generation of every graph) otherwise.
+
+    A direct family yields the subsequence of the orderly stream its
+    predicate keeps, so the instance stream is unchanged;
+    ``is_yes_instance`` and the campaign predicate stay the filters.
+    Follows the scheme and the cell, never a knob."""
+    direct = None
+    for name in (promise_family(lcp), family):
+        entry = GRAPH_FAMILIES.get(name)
+        if entry is not None and entry.direct is not None:
+            direct = name
+            break
+    return {"bipartite": bipartite_generation(lcp), "family": direct}
 
 
 def _admitted_alphabet(
@@ -268,7 +296,9 @@ def yes_instances_up_to(
     filtered by :meth:`LCP.is_yes_instance` (promise class +
     ``k``-colorability — bipartiteness for the paper's ``k = 2``, where
     only bipartite graphs are generated in the first place; see
-    :func:`bipartite_generation`).  Labelings are exhaustive: the
+    :func:`bipartite_generation`).  A promise class that is built
+    directly is enumerated instead of all graphs
+    (:func:`graph_source`).  Labelings are exhaustive: the
     prover's plus every unanimously accepted one within
     *labeling_limit* (the prover-only stream of the witness regime is
     :func:`labeled_yes_instances` without
@@ -278,7 +308,7 @@ def yes_instances_up_to(
     # itself, and filtering twice would double the bipartiteness checks.
     yield from labeled_yes_instances(
         lcp,
-        all_graphs_up_to(n, mutable=False, bipartite=bipartite_generation(lcp)),
+        all_graphs_up_to(n, mutable=False, **graph_source(lcp, family)),
         port_limit=port_limit,
         id_order_types=id_order_types,
         id_bound=n,
@@ -313,11 +343,11 @@ def yes_instances_between(
     the two sweeps cannot reach the neighborhood graph.
     """
 
-    bipartite = bipartite_generation(lcp)
+    source = graph_source(lcp, family)
 
     def suffix_graphs() -> Iterator[Graph]:
         for size in range(lo + 1, hi + 1):
-            yield from all_graphs_exactly(size, mutable=False, bipartite=bipartite)
+            yield from all_graphs_exactly(size, mutable=False, **source)
 
     yield from labeled_yes_instances(
         lcp,

@@ -349,10 +349,13 @@ def validate_report(payload: dict) -> list[str]:
 def diff_reports(a: "RunReport | dict", b: "RunReport | dict") -> dict:
     """Compare two reports; separates decision drift from perf deltas.
 
-    *Decision drift* — the two runs answered differently: scheme/n, plan
-    fingerprint, hiding flag, decision fingerprint, witness length, or
-    the provenance scan counts disagree.  Everything else (wall time,
-    cache-tier traffic, span counts) is reported as information only.
+    *Decision drift* — the two runs answered differently: scheme/n,
+    hiding flag, decision fingerprint, witness length, or the provenance
+    scan counts disagree.  Everything else (the plan fingerprint, wall
+    time, cache-tier traffic, span counts) is reported as information
+    only: a plan field added or retired between versions changes the
+    plan fingerprint without changing the answer, and when the answer
+    does change the decision fields say so.
     """
     pa = a.payload if isinstance(a, RunReport) else a
     pb = b.payload if isinstance(b, RunReport) else b
@@ -365,7 +368,9 @@ def diff_reports(a: "RunReport | dict", b: "RunReport | dict") -> dict:
 
     check("scheme", pa.get("scheme"), pb.get("scheme"))
     check("n", pa.get("n"), pb.get("n"))
-    check("plan_fingerprint", pa.get("plan_fingerprint"), pb.get("plan_fingerprint"))
+    plan_a, plan_b = pa.get("plan_fingerprint"), pb.get("plan_fingerprint")
+    if plan_a != plan_b:
+        info.append(f"plan fingerprint: {plan_a} vs {plan_b}")
     da, db = pa.get("decision"), pb.get("decision")
     if (da is None) != (db is None):
         drift.append("decision: present in one report only")

@@ -89,6 +89,7 @@ route never enters any cache identity.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -353,6 +354,32 @@ def _bitset_connected(rows: tuple[int, ...], n: int) -> bool:
     return reach == full
 
 
+@lru_cache(maxsize=None)
+def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
+    """The node pairs of bits ``0, 1, ...`` of an *n*-node edge mask."""
+    return tuple(combinations(range(n), 2))
+
+
+def mask_graph(mask: int, n: int) -> Graph:
+    """The graph on nodes ``0..n-1`` whose edge mask is *mask* (bit
+    ``i`` = ``combinations(range(n), 2)[i]``), edges inserted in bit
+    order — the object the edge-subset walk builds for that mask."""
+    return Graph(
+        nodes=range(n),
+        edges=[e for i, e in enumerate(_edge_slots(n)) if mask >> i & 1],
+    )
+
+
+def transport_automorphisms(perms, perm) -> tuple[tuple[int, ...], ...]:
+    """Node permutations *perms* of a graph, relabeled into the labeling
+    whose node ``p`` is the graph's node ``perm[p]``."""
+    n = len(perm)
+    pos = [0] * n
+    for p, v in enumerate(perm):
+        pos[v] = p
+    return tuple(tuple(pos[sigma[perm[p]]] for p in range(n)) for sigma in perms)
+
+
 def emit_entries(
     entries: Entries,
     n: int,
@@ -365,7 +392,6 @@ def emit_entries(
     Emitted graphs carry their transported automorphism group into the
     cache of :mod:`repro.symmetry.groups`.
     """
-    possible_edges = list(combinations(range(n), 2))
     vectorized = generation_supported(n)
     nodes = tuple(range(n))
     cols = np.arange(n) if vectorized else None
@@ -404,22 +430,15 @@ def emit_entries(
             labeled.append((mask, perm, rows, auts))
     labeled.sort(key=lambda entry: entry[0])
     for mask, perm, rows, auts in labeled:
-        graph = Graph(
-            nodes=range(n),
-            edges=[e for i, e in enumerate(possible_edges) if mask >> i & 1],
-        )
+        graph = mask_graph(mask, n)
         # Transport the group through the emission labeling: emitted node
         # p is generation node perm[p].
-        pos = [0] * n
-        for p, v in enumerate(perm):
-            pos[v] = p
         if vectorized:
-            emitted = np.array(pos)[auts[:, perm]].tolist()
-            emitted_auts = tuple(map(tuple, emitted))
+            pos = np.empty(n, dtype=np.int64)
+            pos[list(perm)] = np.arange(n)
+            emitted_auts = tuple(map(tuple, pos[auts[:, perm]].tolist()))
         else:
-            emitted_auts = tuple(
-                tuple(pos[sigma[perm[p]]] for p in range(n)) for sigma in auts
-            )
+            emitted_auts = transport_automorphisms(auts, perm)
         seed_automorphisms(graph, emitted_auts)
         yield mask, graph
 

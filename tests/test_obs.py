@@ -390,6 +390,42 @@ def test_diff_flags_decision_drift():
     assert "DECISION DRIFT" in render_diff(diff)
 
 
+def test_diff_reports_a_plan_change_as_information(tmp_path, capsys):
+    from repro.cli import main
+
+    a = _traced_run()
+    payload = json.loads(json.dumps(a.payload))
+    payload["plan_fingerprint"] = "0" * len(payload["plan_fingerprint"])
+    diff = diff_reports(a, payload)
+    assert diff["decision_drift"] is False
+    assert diff["drift"] == []
+    assert any(item.startswith("plan fingerprint:") for item in diff["info"])
+    assert "no decision drift" in render_diff(diff)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps(a.payload))
+    paths[1].write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "diff", *map(str, paths)]) == 0
+    assert "plan fingerprint:" in capsys.readouterr().out
+
+
+def test_diff_still_flags_a_decision_fingerprint_change(tmp_path, capsys):
+    from repro.cli import main
+
+    a = _traced_run()
+    payload = json.loads(json.dumps(a.payload))
+    payload["decision"]["fingerprint"] = "0" * len(payload["decision"]["fingerprint"])
+    diff = diff_reports(a, payload)
+    assert diff["decision_drift"] is True
+    assert any(item.startswith("decision.fingerprint:") for item in diff["drift"])
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps(a.payload))
+    paths[1].write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", "diff", *map(str, paths)]) == 1
+    assert "DECISION DRIFT" in capsys.readouterr().out
+
+
 def test_validate_report_rejects_broken_payloads():
     assert validate_report([]) == ["report payload must be a JSON object"]
     errors = validate_report({"schema": "nope"})
@@ -523,7 +559,23 @@ def test_cli_report_validate_rejects_garbage(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
-def test_setup_logging_is_idempotent():
+@pytest.fixture()
+def _restore_repro_logger(monkeypatch):
+    """Put the ``repro`` logger back as it was: ``setup_logging`` turns
+    its propagation off, which would hide later records from
+    ``caplog`` (it listens on the stdlib root)."""
+    from repro.obs import logs
+
+    root = logging.getLogger(logs.ROOT_LOGGER_NAME)
+    saved = (root.propagate, root.level, list(root.handlers))
+    monkeypatch.setattr(logs, "_HANDLER", logs._HANDLER)
+    yield
+    root.propagate, level, handlers = saved
+    root.setLevel(level)
+    root.handlers[:] = handlers
+
+
+def test_setup_logging_is_idempotent(_restore_repro_logger):
     root = setup_logging("info")
     handlers_after_first = list(root.handlers)
     root_again = setup_logging("debug")
@@ -532,7 +584,6 @@ def test_setup_logging_is_idempotent():
     assert root.level == logging.DEBUG
     child = logging.getLogger("repro.engine")
     assert child.getEffectiveLevel() == logging.DEBUG
-    setup_logging("warning")
 
 
 def test_get_logger_namespaces_under_repro():
