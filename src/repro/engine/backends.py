@@ -63,25 +63,15 @@ ENGINE_VERSION = 1
 
 
 def family_key(lcp: LCP, plan: ExecutionPlan) -> tuple:
-    """The sweep identity *without* ``n``: one key per (scheme, decoder,
-    enumeration bounds, early-exit mode) family.  Orbit pruning follows
-    ``lcp.anonymous``, already part of the identity; the kernel route is
-    not (byte-identical streams)."""
-    return (
-        ENGINE_VERSION,
-        type(lcp).__name__,
-        lcp.name,
-        lcp.decoder.name,
-        lcp.k,
-        lcp.radius,
-        lcp.anonymous,
-        plan.port_limit,
-        plan.id_order_types,
-        plan.labeling_limit,
-        plan.early_exit,
-        plan.graph_family,
-        plan.alphabet_limit,
-    )
+    """The sweep identity *without* ``n``: the sorted items of
+    :func:`disk_key` but ``n``, so every tier keys a sweep by the same
+    fields (scheme, decoder, enumeration bounds, early-exit mode,
+    campaign axes).  Orbit pruning follows ``lcp.anonymous``, already
+    part of the identity; the kernel route is not (byte-identical
+    streams)."""
+    key = disk_key(lcp, 0, plan)
+    del key["n"]
+    return tuple(sorted(key.items()))
 
 
 def memory_key(lcp: LCP, n: int, plan: ExecutionPlan) -> tuple:

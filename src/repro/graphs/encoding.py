@@ -12,22 +12,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from ..perf.cache import LRUCache
-from ..perf.stats import GLOBAL_STATS
 from .graph import Graph, Node
-
-#: Entries :data:`_CANONICAL_CACHE` keeps.
-CANONICAL_CACHE_SIZE = 65536
-
-#: Canonical forms memoized by labelled graph key.  Family enumeration and
-#: the isomorphism tests recompute canonical forms of the same labelled
-#: graphs across sweeps; the cache turns repeat calls into dict lookups.
-_CANONICAL_CACHE = LRUCache(CANONICAL_CACHE_SIZE)
-
-
-def clear_canonical_cache() -> None:
-    """Drop all memoized canonical forms (benchmarks measuring cold paths)."""
-    _CANONICAL_CACHE.clear()
 
 
 def adjacency_matrix(graph: Graph, order: list[Node] | None = None) -> list[list[int]]:
@@ -60,23 +45,7 @@ def canonical_form(graph: Graph) -> tuple[int, ...]:
     The key is ``(n, *edge_codes)`` minimized over all node permutations.
     Degree-sequence pre-partitioning prunes the permutation search: only
     permutations mapping nodes to same-degree positions can win.
-
-    Results are memoized by labelled graph key (equal labelled graphs have
-    equal canonical forms).
     """
-    key = graph_key(graph)
-    cached = _CANONICAL_CACHE.get(key)
-    if cached is not None:
-        GLOBAL_STATS.incr("canonical_hits")
-        return cached
-    GLOBAL_STATS.incr("canonical_misses")
-    form = _canonical_form_uncached(graph)
-    _CANONICAL_CACHE.put(key, form)
-    return form
-
-
-def _canonical_form_uncached(graph: Graph) -> tuple[int, ...]:
-    """The permutation search behind :func:`canonical_form`."""
     nodes = graph.nodes
     n = len(nodes)
     if n == 0:

@@ -52,8 +52,9 @@ from .watermelon import is_watermelon
 #: the name of the directly built family).  The Lemma 3.1 sweeps
 #: re-enumerate the same families for every scheme and every bound;
 #: caching the representative lists makes repeat sweeps
-#: enumeration-free.  Entries are :class:`FrozenGraph` — ``mutable=True``
-#: hits yield defensive copies, ``mutable=False`` hits yield the cached
+#: enumeration-free.  Entries are the :class:`FrozenGraph` objects
+#: generation emits, each holding its automorphism group as a fact —
+#: ``mutable=True`` yields defensive copies, ``mutable=False`` the cached
 #: objects themselves.
 _FAMILY_CACHE: dict[tuple[int, bool, bool, str | None], tuple[FrozenGraph, ...]] = {}
 
@@ -149,12 +150,10 @@ def all_graphs_exactly(
     representatives: list[FrozenGraph] = []
     for g in orderly_graphs_exactly(n, connected_only, bipartite):
         if candidate is not None and candidate == g:
-            frozen = candidate
+            g = candidate
             candidate = next(adopt, None)
-        else:
-            frozen = FrozenGraph.freeze(g)
-        representatives.append(frozen)
-        yield g if mutable else frozen
+        representatives.append(g)
+        yield g.copy() if mutable else g
     # Commit only after full exhaustion, so an abandoned generator
     # never caches a truncated family.
     _FAMILY_CACHE[key] = tuple(representatives)
@@ -440,9 +439,9 @@ GRAPH_FAMILIES: dict[str, GraphFamily] = {
 def _direct_family(n: int, name: str, bipartite: bool) -> tuple[FrozenGraph, ...]:
     """The members of the direct family *name* on *n* nodes (only the
     bipartite ones with *bipartite*), in mask order.  Each is built the
-    way orderly emission builds it, with its automorphism group seeded;
-    a member some cached family of size *n* already holds is adopted, so
-    its graph facts serve both streams."""
+    way orderly emission builds it, a frozen graph with its automorphism
+    group seeded as a fact; a member some cached family of size *n*
+    already holds is adopted, so its graph facts serve both streams."""
     from ..symmetry.groups import seed_automorphisms  # noqa: PLC0415
     from ..symmetry.orderly import mask_graph  # noqa: PLC0415
 
@@ -457,10 +456,8 @@ def _direct_family(n: int, name: str, bipartite: bool) -> tuple[FrozenGraph, ...
         graph = mask_graph(mask, n)
         if bipartite and not is_bipartite(graph):
             continue
-        frozen = adoptable.get(tuple(graph.edges))
-        if frozen is None:
-            seed_automorphisms(graph, perms)
-            frozen = FrozenGraph.freeze(graph)
+        frozen = adoptable.get(tuple(graph.edges), graph)
+        seed_automorphisms(frozen, perms)
         out.append(frozen)
     return tuple(out)
 

@@ -39,8 +39,7 @@ insertion order (the column order of
    reading its verdicts from the node's lazily filled
    :class:`~repro.kernel.tables.AcceptanceTable`, and drops the rejected
    rows.  A table decides the entries a stage meets for the first time
-   in one ``Decoder.decide_columns`` call; the join shares no decision
-   memo with the neighborhood-graph builder.
+   in one ``Decoder.decide_columns`` call.
 
 A stage never holds more than :data:`KERNEL_BLOCK_SIZE` rows (or one
 row's ``|alphabet|`` children, when that is larger): a wider prefix is

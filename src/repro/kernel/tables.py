@@ -15,9 +15,8 @@ indexes them (:meth:`AcceptanceTable.verdicts`): each join stage hands
 its fresh entries to one :meth:`~repro.certification.decoder.Decoder.
 decide_columns` call, which the constant-size schemes answer with
 column operations and every other decoder with its ``decide`` loop.
-Table fills do not go through the neighborhood-graph builder's decision
-memo: the builder decides the few distinct views it indexes on its own.
-Most entries of a table are never read: the join drops rejected
+The neighborhood-graph builder decides the few distinct views it
+indexes on its own.  Most entries of a table are never read: the join drops rejected
 prefixes before the later nodes' views are formed.
 
 Tables are cached process-wide per ``(decoder, template, alphabet)`` by
@@ -35,7 +34,7 @@ from ..perf.stats import GLOBAL_STATS, PerfStats
 
 #: ``(id(decoder), template, alphabet) -> table``.  The table keeps the
 #: decoder alive so its ``id`` cannot be recycled while the entry is
-#: mapped (same identity-key discipline as the decision memo).
+#: mapped (the identity-key discipline of :mod:`repro.perf.cache`).
 _TABLES = LRUCache(1024)
 
 class AcceptanceTable:

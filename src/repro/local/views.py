@@ -54,10 +54,10 @@ class View:
     id_bound: int | None
     labels: tuple[Hashable, ...]
 
-    # Views are the dict keys of the neighborhood graph and the decision
-    # memo; each object gets hashed several times per sweep, so the hash
-    # is computed once and cached (eq=False above hands __eq__/__hash__
-    # to these definitions).
+    # Views are the dict keys of the neighborhood graph and of its
+    # builder's interning tables; each object gets hashed several times
+    # per sweep, so the hash is computed once and cached (eq=False above
+    # hands __eq__/__hash__ to these definitions).
 
     def __eq__(self, other: object) -> bool:
         if self is other:

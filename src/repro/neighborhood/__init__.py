@@ -10,11 +10,7 @@ from .extraction import (
     build_extraction_decoder,
     run_extraction,
 )
-from .hiding import (
-    HidingVerdict,
-    hiding_verdict_from_instances,
-    hiding_verdict_on_witnesses,
-)
+from .hiding import HidingVerdict, hiding_verdict_from_instances
 from .ngraph import GraphConsumer, NeighborhoodGraph, build_neighborhood_graph
 from .streaming import StreamingHidingEngine
 
@@ -29,7 +25,6 @@ __all__ = [
     "build_extraction_decoder",
     "build_neighborhood_graph",
     "hiding_verdict_from_instances",
-    "hiding_verdict_on_witnesses",
     "labeled_yes_instances",
     "run_extraction",
     "yes_instances_between",

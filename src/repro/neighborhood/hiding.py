@@ -17,11 +17,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..certification.lcp import LCP
-from ..graphs.graph import Graph
 from ..local.instance import Instance
 from ..local.views import View
-from .aviews import labeled_yes_instances
 from .ngraph import NeighborhoodGraph, build_neighborhood_graph
+
 
 @dataclass(frozen=True)
 class HidingVerdict:
@@ -65,17 +64,6 @@ def hiding_verdict_from_instances(
     """Check hiding over the neighborhood subgraph spanned by *labeled*."""
     ngraph = build_neighborhood_graph(lcp, labeled)
     return classic_verdict(lcp, ngraph, exhaustive=exhaustive)
-
-
-def hiding_verdict_on_witnesses(
-    lcp: LCP, graphs: Iterable[Graph], id_bound: int, port_limit: int = 16
-) -> HidingVerdict:
-    """Check hiding over prover-labeled instances of chosen graphs."""
-    labeled = labeled_yes_instances(
-        lcp, graphs, port_limit=port_limit, id_bound=id_bound
-    )
-    ngraph = build_neighborhood_graph(lcp, labeled)
-    return classic_verdict(lcp, ngraph, exhaustive=False)
 
 
 def classic_verdict(

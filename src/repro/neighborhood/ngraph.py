@@ -20,7 +20,7 @@ from ..graphs.properties import bipartition
 from ..local.instance import Instance
 from ..local.views import View, view_with_labels
 from ..obs.trace import NULL_TRACER, Tracer
-from ..perf.cache import ViewLayoutCache, default_layout_cache, memoized_decide
+from ..perf.cache import ViewLayoutCache, default_layout_cache
 from ..perf.stats import GLOBAL_STATS, PerfStats
 
 
@@ -141,6 +141,14 @@ class NeighborhoodGraph:
         return [self.views[j] for j in self.adjacency.get(idx, [])]
 
 
+def memoized_decide(decoder):
+    """The builder's decide hook: ``decoder.decide`` itself, since the
+    builder interns views and so decides each distinct view once per
+    build.  The end-to-end benchmark harness times decoder calls through
+    this name."""
+    return decoder.decide
+
+
 class GraphConsumer:
     """Contract for consumers driven by the neighborhood-graph builder.
 
@@ -192,17 +200,17 @@ def build_neighborhood_graph(
     instances on one ``(graph, ports, ids)`` base (through the shared
     layout cache), and a view is a layout template plus a label tuple,
     so each distinct ``(template, labels)`` pair of the call is cloned,
-    decided (through the shared decision memo) and indexed once, however
-    many (labeling, node) pairs hold it.  ``views_built`` counts the
-    clones.  Interning is semantics-preserving: layouts never depend on
-    labels, and decoders are pure functions of the view.
+    decided and indexed once, however many (labeling, node) pairs hold
+    it.  ``views_built`` counts the clones.  Interning is
+    semantics-preserving: layouts never depend on labels, and decoders
+    are pure functions of the view.
     """
     stats = stats or GLOBAL_STATS
     tracer = tracer if tracer is not None else NULL_TRACER
     ngraph = into if into is not None else NeighborhoodGraph(
         radius=lcp.radius, include_ids=not lcp.anonymous
     )
-    decide = memoized_decide(lcp.decoder, stats=stats)
+    decide = memoized_decide(lcp.decoder)
     layout_cache = default_layout_cache()
     radius, include_ids = lcp.radius, not lcp.anonymous
     # Views are interned per call.  A view is a template plus a label

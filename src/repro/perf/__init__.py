@@ -8,21 +8,17 @@ run as fast as the hardware allows without changing a single result:
   :func:`configure`, :func:`overridden`);
 * :mod:`repro.perf.stats` — counters and stage timers
   (:class:`PerfStats`, :data:`GLOBAL_STATS`);
-* :mod:`repro.perf.cache` — the view-layout template cache and the
-  decoder decision memo;
+* :mod:`repro.perf.cache` — the view-layout template cache;
 * :mod:`repro.perf.persist` — the on-disk verdict store.
 
 Every sweep runs serially in the calling process.
 """
 
 from .cache import (
-    DecisionMemo,
     LRUCache,
     ViewLayoutCache,
     clear_shared_caches,
     default_layout_cache,
-    memoized_decide,
-    shared_decision_memo,
 )
 from .config import CONFIG, PerfConfig, configure, overridden
 from .persist import (
@@ -36,7 +32,6 @@ from .stats import GLOBAL_STATS, PerfStats
 __all__ = [
     "CACHE_VERSION",
     "CONFIG",
-    "DecisionMemo",
     "GLOBAL_STATS",
     "LRUCache",
     "PerfConfig",
@@ -48,8 +43,6 @@ __all__ = [
     "configure",
     "default_layout_cache",
     "default_verdict_cache",
-    "memoized_decide",
     "overridden",
-    "shared_decision_memo",
 ]
 

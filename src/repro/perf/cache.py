@@ -1,33 +1,30 @@
 """Caches for the V(D, n) hot path.
 
-Three layers, all bounded LRUs:
+Two layers:
 
-* :class:`LRUCache` — the generic store (also used by
-  :mod:`repro.graphs.encoding` for canonical forms);
+* :class:`LRUCache` — the generic bounded store (also used by
+  :mod:`repro.kernel.tables` for acceptance tables);
 * :class:`ViewLayoutCache` — view-layout templates per
   ``(graph, ports, ids, id_bound, radius, include_ids)`` base, so a sweep
   that re-labels one base thousands of times extracts and canonicalizes
   its views exactly once and instantiates the rest with cheap
-  :func:`repro.local.views.relabel_view` calls;
-* :class:`DecisionMemo` — ``decoder.decide`` verdicts per canonical view,
-  for the views the neighborhood-graph builder decides.  The kernel's
-  acceptance tables decide their entries in bulk
-  (``Decoder.decide_columns``) without it, and the builder's view
-  interning already decides each view once per sweep, so the memo
-  serves repeat sweeps: a cold full degree-one ``V(D, 6)`` makes 0 hits
-  against 414 misses.
+  :func:`repro.local.views.relabel_view` calls.
 
-Identity keys.  Bases and decoders are keyed by ``id()`` of their
-component objects; every cache entry keeps a strong reference to those
-objects, so an id can never be recycled while its entry is alive.
-Imports of :mod:`repro.local.views` are deferred to call time to keep
-this module importable from the bottom graph layer.
+Decoder verdicts are not cached here: the neighborhood-graph builder
+interns views and decides each distinct view once per build, and the
+kernel's acceptance tables decide their entries in bulk
+(``Decoder.decide_columns``).
+
+Identity keys.  Bases are keyed by ``id()`` of their component objects;
+every cache entry keeps a strong reference to those objects, so an id
+can never be recycled while its entry is alive.  Imports of
+:mod:`repro.local.views` are deferred to call time to keep this module
+importable from the bottom graph layer.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable
 
 from .stats import GLOBAL_STATS, PerfStats
 
@@ -36,9 +33,6 @@ _MISSING = object()
 #: Bases a :class:`ViewLayoutCache` keeps; a sweep reuses one base's
 #: templates across all its labelings, so recency is all that matters.
 LAYOUT_CACHE_SIZE = 4096
-
-#: Canonical views a :class:`DecisionMemo` keeps per decoder.
-DECISION_MEMO_SIZE = 65536
 
 
 class LRUCache:
@@ -69,13 +63,6 @@ class LRUCache:
         self._data[key] = value
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
-
-    def get_or_compute(self, key, compute: Callable[[], Any]):
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = compute()
-            self.put(key, value)
-        return value
 
     def __len__(self) -> int:
         return len(self._data)
@@ -174,57 +161,11 @@ class ViewLayoutCache:
         self._lru.clear()
 
 
-class DecisionMemo:
-    """Memoized ``decoder.decide``, keyed by canonical view.
-
-    Sound exactly when the decoder is a pure function of the view — the
-    defining property of a decoder in the LCP model.  One memo belongs to
-    one decoder object; use :func:`shared_decision_memo` to get the
-    process-wide memo for a given decoder.
-    """
-
-    __slots__ = ("decoder", "_lru")
-
-    def __init__(self, decoder, maxsize: int | None = None) -> None:
-        self.decoder = decoder
-        self._lru = LRUCache(maxsize or DECISION_MEMO_SIZE)
-
-    def decide(self, view, stats: PerfStats | None = None) -> bool:
-        stats = stats or GLOBAL_STATS
-        verdict = self._lru.get(view, _MISSING)
-        if verdict is not _MISSING:
-            stats.incr("memo_hits")
-            return verdict
-        stats.incr("memo_misses")
-        verdict = self.decoder.decide(view)
-        self._lru.put(view, verdict)
-        return verdict
-
-    @property
-    def hits(self) -> int:
-        return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        return self._lru.misses
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-
 # ----------------------------------------------------------------------
 # Shared process-wide instances
 # ----------------------------------------------------------------------
 
 _DEFAULT_LAYOUT_CACHE: ViewLayoutCache | None = None
-
-#: Decoder-object id -> DecisionMemo; bounded so abandoned decoders from
-#: long sessions eventually drop out.  Each memo keeps the decoder alive
-#: (its `decoder` attribute), so ids cannot be recycled while mapped.
-_MEMO_REGISTRY = LRUCache(64)
 
 
 def default_layout_cache() -> ViewLayoutCache:
@@ -235,51 +176,9 @@ def default_layout_cache() -> ViewLayoutCache:
     return _DEFAULT_LAYOUT_CACHE
 
 
-def shared_decision_memo(decoder) -> DecisionMemo:
-    """The process-wide memo for *decoder* (created on first use).
-
-    Memos are keyed per decoder object, so a scheme and its deliberately
-    weakened variants (distinct decoder instances) never share verdicts.
-    """
-    return _MEMO_REGISTRY.get_or_compute(id(decoder), lambda: DecisionMemo(decoder))
-
-
 def clear_shared_caches() -> None:
-    """Drop every process-wide cache (benchmarks measuring cold paths)."""
+    """Drop the process-wide layout cache (benchmarks measuring cold
+    paths)."""
     if _DEFAULT_LAYOUT_CACHE is not None:
         _DEFAULT_LAYOUT_CACHE.clear()
-    _MEMO_REGISTRY.clear()
 
-
-# ----------------------------------------------------------------------
-# The decide closure used by the neighborhood-graph builder
-# ----------------------------------------------------------------------
-
-
-def memoized_decide(decoder, stats: PerfStats | None = None) -> Callable[[Any], bool]:
-    """``decoder.decide`` through the shared memo.
-
-    The returned closure inlines the memo's hit path — one dict probe,
-    no intermediate frames — because every view the builder indexes is
-    decided through it.
-    """
-    memo = shared_decision_memo(decoder)
-    lru = memo._lru
-    data = lru._data
-    raw_decide = decoder.decide
-    counters = (stats or GLOBAL_STATS).counters
-
-    def decide(view) -> bool:
-        verdict = data.get(view, _MISSING)
-        if verdict is not _MISSING:
-            data.move_to_end(view)
-            lru.hits += 1
-            counters["memo_hits"] = counters.get("memo_hits", 0) + 1
-            return verdict
-        lru.misses += 1
-        counters["memo_misses"] = counters.get("memo_misses", 0) + 1
-        verdict = raw_decide(view)
-        lru.put(view, verdict)
-        return verdict
-
-    return decide

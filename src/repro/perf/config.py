@@ -7,7 +7,7 @@ numpy kernels of :mod:`repro.kernel`, serially in the calling process,
 and prunes and warm-starts exactly when its scheme is anonymous.
 Experiments and the CLI mutate it through :func:`configure` or scope
 changes with :func:`overridden`.  The in-process caches (view layouts,
-the decision memo, graph families, canonical forms) are always on;
+acceptance tables, graph families, generation levels) are always on;
 their sizes are constants of the modules that own them.
 """
 

@@ -1,7 +1,7 @@
 """Lightweight counters and stage timers for the V(D, n) pipeline.
 
 A :class:`PerfStats` object accumulates integer counters (instances
-scanned, views extracted vs. relabeled, memo hits/misses, ...) and
+scanned, views extracted vs. relabeled, layout hits/misses, ...) and
 wall-clock time per named stage.  The builders update :data:`GLOBAL_STATS`
 by default; callers who want isolated measurements (benchmarks, tests)
 pass their own instance — the engine's :class:`~repro.engine.context.
@@ -74,7 +74,7 @@ class PerfStats:
         lines = ["perf stats:"]
         for name in sorted(self.counters):
             lines.append(f"  {name:<28s} {self.counters[name]}")
-        for prefix in ("layout", "memo", "family_cache", "canonical", "disk"):
+        for prefix in ("layout", "family_cache", "disk"):
             rate = self.hit_rate(prefix)
             if rate is not None:
                 lines.append(f"  {prefix + '_hit_rate':<28s} {rate:.1%}")

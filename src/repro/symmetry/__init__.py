@@ -12,7 +12,7 @@ package exploits that:
   each isomorphism class generated exactly once, no post-hoc dedup,
   byte-identical to the edge-subset walk's stream;
 * :mod:`~repro.symmetry.groups` — automorphism groups (generators +
-  node orbits), memoized and seeded by the generator;
+  node orbits), held as graph facts and seeded by the generator;
 * :mod:`~repro.symmetry.prune` — labeling-orbit and base-signature
   pruning with exact suppressed-instance accounting.
 
@@ -22,12 +22,7 @@ orderly.
 """
 
 from .canon import colex_canonical, min_edge_mask
-from .groups import (
-    AutomorphismGroup,
-    automorphism_group,
-    clear_automorphism_cache,
-    seed_automorphisms,
-)
+from .groups import AutomorphismGroup, automorphism_group, seed_automorphisms
 from .orderly import clear_orderly_cache, count_classes, orderly_graphs_exactly
 from .prune import SymmetryAccount, base_signature, instance_stabilizer
 
@@ -36,7 +31,6 @@ __all__ = [
     "SymmetryAccount",
     "automorphism_group",
     "base_signature",
-    "clear_automorphism_cache",
     "clear_orderly_cache",
     "colex_canonical",
     "count_classes",

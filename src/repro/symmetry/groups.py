@@ -8,33 +8,25 @@ unanimously_accepted_labelings`, and base signatures collapse isomorphic
 ``(ports, ids)`` bases (see :mod:`repro.symmetry.prune`).
 
 Groups come from :func:`repro.symmetry.canon.colex_canonical` — the set
-of minimizing assignments *is* the automorphism group — and are memoized
-by labelled :func:`repro.graphs.encoding.graph_key`.  The orderly
-generator seeds the cache at emission time (it has just computed every
-group anyway), so a sweep over generated families never recomputes one.
+of minimizing assignments *is* the automorphism group — and are a graph
+fact (:meth:`repro.graphs.graph.Graph.fact`): a :class:`FrozenGraph`
+keeps its group for its lifetime, a mutable graph recomputes it per
+call.  Orderly emission and the direct families seed the fact on every
+representative they build (generation has just computed the group), so
+a sweep over cached families never computes one; ``automorphism_groups``
+on :data:`~repro.perf.stats.GLOBAL_STATS` counts the groups computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..graphs.encoding import graph_key
 from ..graphs.graph import Graph, Node
-from ..perf.cache import LRUCache
 from ..perf.stats import GLOBAL_STATS
 from .canon import automorphisms_from_perms, colex_canonical
 
-#: ``graph_key -> tuple of index permutations``.  The key identifies the
-#: labelled graph up to insertion-order indices, which is exactly the
-#: space the stored permutations act on, so one entry serves every graph
-#: object with the same labelled structure regardless of node names.
-_AUT_CACHE = LRUCache(65536)
-
-
-def clear_automorphism_cache() -> None:
-    """Drop all memoized automorphism groups (tests and cold-process
-    isolation)."""
-    _AUT_CACHE.clear()
+#: The :meth:`~repro.graphs.graph.Graph.fact` key of the group.
+GROUP_FACT = "automorphism_group"
 
 
 @dataclass(frozen=True)
@@ -74,14 +66,13 @@ class AutomorphismGroup:
 
 
 def automorphism_group(graph: Graph) -> AutomorphismGroup:
-    """The automorphism group of *graph* (memoized by labelled key)."""
+    """The automorphism group of *graph* (a graph fact)."""
+    return graph.fact(GROUP_FACT, lambda: _compute_group(graph))
+
+
+def _compute_group(graph: Graph) -> AutomorphismGroup:
+    GLOBAL_STATS.incr("automorphism_groups")
     nodes = tuple(graph.nodes)
-    key = graph_key(graph)
-    perms = _AUT_CACHE.get(key)
-    if perms is not None:
-        GLOBAL_STATS.incr("aut_cache_hits")
-        return AutomorphismGroup(nodes=nodes, perms=perms)
-    GLOBAL_STATS.incr("aut_cache_misses")
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
     adj = [0] * n
@@ -90,11 +81,12 @@ def automorphism_group(graph: Graph) -> AutomorphismGroup:
         adj[index[v]] |= 1 << index[u]
     _, min_perms = colex_canonical(adj, n)
     perms = automorphisms_from_perms(min_perms, n) if n else ((),)
-    _AUT_CACHE.put(key, perms)
     return AutomorphismGroup(nodes=nodes, perms=perms)
 
 
 def seed_automorphisms(graph: Graph, perms: tuple[tuple[int, ...], ...]) -> None:
-    """Pre-populate the cache (the orderly generator calls this at
-    emission time with the group it computed during generation)."""
-    _AUT_CACHE.put(graph_key(graph), perms)
+    """Set the group fact of *graph* to *perms* (permutations of its
+    insertion-order indices, identity first).  Generation calls this on
+    the frozen representatives it emits; on a mutable graph, which keeps
+    no facts, it does nothing."""
+    graph.fact(GROUP_FACT, lambda: AutomorphismGroup(nodes=tuple(graph.nodes), perms=perms))

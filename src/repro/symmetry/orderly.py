@@ -22,8 +22,10 @@ its minimal edge mask (:func:`repro.symmetry.canon.min_edge_mask`) — the
 exact representative the mask walk of
 :func:`repro.graphs.families.enumerate_graphs_exactly_reference` keeps —
 and classes are emitted in ascending mask order, so the stream is the
-one the tests' reference walk produces.  The automorphism group computed during generation is
-transported to the emitted labeling and seeded into the group cache.
+one the tests' reference walk produces.  Emitted graphs are
+:class:`~repro.graphs.graph.FrozenGraph` objects: the automorphism group
+computed during generation is transported to the emitted labeling and
+seeded as the graph's group fact (:mod:`repro.symmetry.groups`).
 
 *Packed groups.*  A level entry keeps its class's automorphism group as
 one ``bytes`` block of ``|Aut| * n`` bytes: row-major node
@@ -32,7 +34,7 @@ permutations, one byte per image index, identity first, in the order
 routes read and write that one form (:func:`pack_perms` /
 :func:`unpack_perms`); numpy views it without a copy as a
 ``(|Aut|, n)`` uint8 matrix, so the kernel route never converts a
-group to Python tuples until emission seeds the group cache.
+group to Python tuples until emission seeds the group fact.
 
 *Bipartite pruning.*  Every yes-instance of a ``k = 2`` LCP is
 bipartite, so its sweeps build with ``bipartite=True``: a third
@@ -95,7 +97,7 @@ from math import factorial
 
 import numpy as np
 
-from ..graphs.graph import Graph
+from ..graphs.graph import FrozenGraph
 from ..obs.progress import GLOBAL_PROGRESS
 from ..kernel.generate import (
     batch_automorphisms,
@@ -360,11 +362,11 @@ def _edge_slots(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(n), 2))
 
 
-def mask_graph(mask: int, n: int) -> Graph:
-    """The graph on nodes ``0..n-1`` whose edge mask is *mask* (bit
-    ``i`` = ``combinations(range(n), 2)[i]``), edges inserted in bit
-    order — the object the edge-subset walk builds for that mask."""
-    return Graph(
+def mask_graph(mask: int, n: int) -> FrozenGraph:
+    """The frozen graph on nodes ``0..n-1`` whose edge mask is *mask*
+    (bit ``i`` = ``combinations(range(n), 2)[i]``), edges inserted in
+    bit order — the graph the edge-subset walk builds for that mask."""
+    return FrozenGraph(
         nodes=range(n),
         edges=[e for i, e in enumerate(_edge_slots(n)) if mask >> i & 1],
     )
@@ -384,13 +386,13 @@ def emit_entries(
     entries: Entries,
     n: int,
     connected_only: bool = True,
-) -> Iterator[tuple[int, Graph]]:
+) -> Iterator[tuple[int, FrozenGraph]]:
     """Label and emit generation *entries* of size *n* as
-    ``(min_edge_mask, Graph)`` pairs in ascending mask order.
+    ``(min_edge_mask, FrozenGraph)`` pairs in ascending mask order.
 
     This is the emission half of :func:`orderly_graphs_exactly`.
-    Emitted graphs carry their transported automorphism group into the
-    cache of :mod:`repro.symmetry.groups`.
+    Each emitted graph carries its transported automorphism group as
+    its group fact (:func:`repro.symmetry.groups.seed_automorphisms`).
     """
     vectorized = generation_supported(n)
     nodes = tuple(range(n))
@@ -445,7 +447,7 @@ def emit_entries(
 
 def orderly_graphs_exactly(
     n: int, connected_only: bool = True, bipartite: bool = False
-) -> Iterator[Graph]:
+) -> Iterator[FrozenGraph]:
     """All graphs on exactly *n* nodes up to isomorphism, emitted in the
     edge-subset walk's exact order and labeling.
 
@@ -454,9 +456,8 @@ def orderly_graphs_exactly(
     but visits each isomorphism class once instead of all
     ``2^(n choose 2)`` masks.
     With *bipartite* only the bipartite classes are built and emitted:
-    the bipartite subsequence of the full stream.  Emitted graphs carry
-    their automorphism group into the cache of
-    :mod:`repro.symmetry.groups`.
+    the bipartite subsequence of the full stream.  Emitted graphs are
+    frozen and carry their automorphism group as a graph fact.
     """
     if n <= 0:
         return

@@ -77,7 +77,7 @@ from repro.neighborhood import (
 from repro.neighborhood.hiding import classic_verdict
 from repro.neighborhood.ngraph import NeighborhoodGraph
 from repro.neighborhood.streaming import StreamingHidingEngine
-from repro.perf.cache import default_layout_cache, memoized_decide
+from repro.perf.cache import default_layout_cache
 from repro.perf.persist import encode_label
 from repro.symmetry import SymmetryAccount, orderly
 
@@ -125,7 +125,7 @@ def reference_unanimous_labelings(
     node_order = node_sort_order(instance.graph)
     if seen is None:
         seen = set()
-    decide = memoized_decide(decoder)
+    decide = decoder.decide
     if stabilizer is not None and len(stabilizer) > 1:
         yield from _orbit_pruned_labelings(
             decide, layouts, instance.graph, alphabet, node_order, seen,
@@ -408,7 +408,7 @@ def reference_build(lcp, labeled_instances, consumer=None, into=None) -> Neighbo
     ngraph = into if into is not None else NeighborhoodGraph(
         radius=lcp.radius, include_ids=not lcp.anonymous
     )
-    decide = memoized_decide(lcp.decoder)
+    decide = lcp.decoder.decide
     scanned = 0
     stopped = False
     for instance in labeled_instances:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from dataclasses import fields
 
 import pytest
@@ -379,6 +380,41 @@ def test_plan_fields_are_pinned():
     ):
         with pytest.raises(TypeError, match=name):
             ExecutionPlan(**{name: value})
+
+
+#: Two values per plan field, the first the default.
+PLAN_GRID = {
+    "backend": ("auto", "streaming"),
+    "early_exit": (True, False),
+    "memory_cache": (True, False),
+    "disk_cache": (None, True),
+    "port_limit": (64, 8),
+    "id_order_types": (False, True),
+    "labeling_limit": (20_000, 0),
+    "graph_family": ("all", "even-cycles"),
+    "alphabet_limit": (None, 2),
+}
+
+
+def test_family_keys_match_disk_keys_without_n():
+    """One sweep identity: over every registry scheme and the grid of
+    all nine plan fields, two family keys are equal exactly when the
+    disk keys without ``n`` are, and the memory key adds only ``n``."""
+    from repro.engine.backends import disk_key, family_key, memory_key
+
+    assert list(PLAN_GRID) == [f.name for f in fields(ExecutionPlan)]
+    pairs = set()
+    for lcp in all_lcps().values():
+        for values in itertools.product(*PLAN_GRID.values()):
+            plan = ExecutionPlan(**dict(zip(PLAN_GRID, values)))
+            key = disk_key(lcp, 5, plan)
+            assert key.pop("n") == 5
+            family = family_key(lcp, plan)
+            assert memory_key(lcp, 5, plan) == family + (5,)
+            pairs.add((family, json.dumps(key, sort_keys=True)))
+    families = {family for family, _ in pairs}
+    disk_keys = {disk for _, disk in pairs}
+    assert len(families) == len(disk_keys) == len(pairs)
 
 
 def test_provenance_fields_are_pinned():

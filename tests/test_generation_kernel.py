@@ -48,11 +48,7 @@ from repro.symmetry.canon import (
     colex_canonical,
     min_edge_mask,
 )
-from repro.symmetry.groups import (
-    AutomorphismGroup,
-    automorphism_group,
-    clear_automorphism_cache,
-)
+from repro.symmetry.groups import AutomorphismGroup, automorphism_group
 from repro.symmetry.orderly import (
     _build_level,
     _build_level_batched,
@@ -78,11 +74,9 @@ def _fresh_generation_caches():
     """The kernel-vs-scalar comparisons below rebuild the memoized
     levels under different routes; never let one leak into other tests."""
     clear_orderly_cache()
-    clear_automorphism_cache()
     clear_engine_state()
     yield
     clear_orderly_cache()
-    clear_automorphism_cache()
     clear_engine_state()
 
 
@@ -376,7 +370,6 @@ class TestBipartiteLevelBuild:
 def _emission_stream(n: int, connected_only: bool, kernel: str):
     """(edges, seeded automorphisms) per emitted graph, in stream order."""
     clear_orderly_cache()
-    clear_automorphism_cache()
     with kernel_route(kernel):
         return [
             (tuple(g.edges), automorphism_group(g).perms)

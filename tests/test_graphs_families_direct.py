@@ -39,7 +39,7 @@ from repro.neighborhood.aviews import (
 )
 from repro.perf.stats import GLOBAL_STATS
 from repro.symmetry.canon import min_edge_mask
-from repro.symmetry.groups import automorphism_group, clear_automorphism_cache
+from repro.symmetry.groups import automorphism_group
 
 DIRECT = [name for name, family in GRAPH_FAMILIES.items() if family.direct is not None]
 
@@ -48,16 +48,10 @@ EVEN_CYCLE_DIGEST = "17988d03caac585774abe3831d0eb79d"
 
 
 def _labeled(graphs) -> list[tuple[tuple, frozenset]]:
-    """``(edges, automorphism group as a set)`` per graph; the groups
-    are read before anything else can seed the cache."""
+    """``(edges, automorphism group as a set)`` per graph."""
     return [
         (tuple(g.edges), frozenset(automorphism_group(g).perms)) for g in graphs
     ]
-
-
-def _cold() -> None:
-    clear_family_cache()
-    clear_automorphism_cache()
 
 
 def test_the_direct_families():
@@ -73,8 +67,8 @@ def _drop_generated():
 @lru_cache(maxsize=None)
 def _generated(n: int, bipartite: bool) -> tuple:
     """``(graph, (edges, group))`` for the orderly stream on *n* nodes,
-    emitted cold so each group is the one generation seeded."""
-    _cold()
+    emitted cold, each group the one generation seeded."""
+    clear_family_cache()
     graphs = list(all_graphs_exactly(n, mutable=False, bipartite=bipartite))
     return tuple(zip(graphs, _labeled(graphs)))
 
@@ -88,7 +82,7 @@ def _generated(n: int, bipartite: bool) -> tuple:
 def test_direct_stream_equals_the_filtered_orderly_stream(name, n, bipartite):
     predicate = graph_family_predicate(name)
     generated = [labeled for g, labeled in _generated(n, bipartite) if predicate(g)]
-    _cold()
+    clear_family_cache()
     direct = _labeled(
         all_graphs_exactly(n, mutable=False, bipartite=bipartite, family=name)
     )
@@ -107,7 +101,7 @@ def test_closed_form_cycle_labeling_is_the_minimal_edge_mask(m):
 
 
 def test_direct_family_is_cached_and_counts_no_canonical_form():
-    _cold()
+    clear_family_cache()
     before = GLOBAL_STATS.get("canonicalizations")
     first = list(all_graphs_up_to(12, mutable=False, bipartite=True, family="even-cycles"))
     assert [g.order for g in first] == [4, 6, 8, 10, 12]
@@ -118,7 +112,7 @@ def test_direct_family_is_cached_and_counts_no_canonical_form():
 
 
 def test_direct_family_adopts_generated_objects():
-    _cold()
+    clear_family_cache()
     generated = [
         g for g in all_graphs_exactly(6, mutable=False, bipartite=True) if g.size == 6
     ]

@@ -21,7 +21,6 @@ import pytest
 from repro.certification.lcp import parametrized
 from repro.core import make_lcp
 from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
-from repro.neighborhood import ngraph as ngraph_module
 from repro.neighborhood.ngraph import GraphConsumer
 from repro.perf import PerfStats
 from repro.perf.cache import default_layout_cache
@@ -164,24 +163,19 @@ def test_a_consumer_stopping_after_any_event_sees_the_same_prefix(scheme, k, n, 
 @pytest.mark.parametrize("veto", [False, True], ids=["scheme", "veto"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_each_distinct_view_is_decided_once_per_build(scheme, veto, monkeypatch):
-    """The builder's decide closure sees each distinct view of the
+    """The builder calls ``decoder.decide`` on each distinct view of the
     stream once — not once per (labeling, node) pair — and
     ``views_built`` counts exactly those views."""
     lcp = _lcp(scheme, 2, veto)
     instances = _instances(scheme, 2, 4)
     calls: Counter = Counter()
-    memoized_decide = ngraph_module.memoized_decide
+    decide = lcp.decoder.decide
 
-    def counting_decide(decoder, stats=None):
-        decide = memoized_decide(decoder, stats=stats)
+    def counted(view):
+        calls[view] += 1
+        return decide(view)
 
-        def counted(view):
-            calls[view] += 1
-            return decide(view)
-
-        return counted
-
-    monkeypatch.setattr(ngraph_module, "memoized_decide", counting_decide)
+    monkeypatch.setattr(lcp.decoder, "decide", counted)
     stats = PerfStats()
     graph = build_neighborhood_graph(lcp, instances, stats=stats)
     distinct = {

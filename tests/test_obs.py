@@ -143,10 +143,7 @@ PROCESS_WIDE_COUNTERS = {
     "orderly_levels_vectorized",
     "generation_batches",
     "canonicalizations",
-    "canonical_hits",
-    "canonical_misses",
-    "aut_cache_hits",
-    "aut_cache_misses",
+    "automorphism_groups",
 }
 
 

@@ -1,9 +1,9 @@
-"""The perf layer: LRU store, layout cache, decision memo, stats, config.
+"""The perf layer: LRU store, layout cache, stats, config.
 
 Every cache here must be *semantics-preserving*: the tests check each
 one against the uncached computation it replaces, plus the isolation
-properties (per-decoder memos, copy-on-yield family cache) that keep the
-hiding experiments sound.
+properties (copy-on-yield family cache) that keep the hiding
+experiments sound.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ import pytest
 from repro.core import DegreeOneLCP
 from repro.engine import ExecutionPlan
 from repro.graphs import cycle_graph, path_graph
-from repro.graphs.encoding import (
-    _canonical_form_uncached,
-    canonical_form,
-    clear_canonical_cache,
-)
+from repro.graphs.encoding import canonical_form
 from repro.graphs.families import (
     all_graphs_exactly,
     clear_family_cache,
@@ -38,13 +34,7 @@ from repro.perf import (
     configure,
     overridden,
 )
-from repro.perf.cache import (
-    DecisionMemo,
-    LRUCache,
-    ViewLayoutCache,
-    memoized_decide,
-    shared_decision_memo,
-)
+from repro.perf.cache import LRUCache, ViewLayoutCache
 
 
 # ----------------------------------------------------------------------
@@ -67,14 +57,6 @@ class TestLRUCache:
         lru.get("a")  # refresh a; b becomes LRU
         lru.put("c", 3)
         assert "a" in lru and "c" in lru and "b" not in lru
-
-    def test_get_or_compute_computes_once(self):
-        lru = LRUCache(2)
-        calls = []
-        for _ in range(3):
-            value = lru.get_or_compute("k", lambda: calls.append(1) or 42)
-        assert value == 42
-        assert len(calls) == 1
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
@@ -118,63 +100,6 @@ class TestViewLayoutCache:
         assert cache.labeled_views(a, 1, True) == extract_all_views(a, 1, True)
         assert cache.labeled_views(b, 1, True) == extract_all_views(b, 1, True)
         assert len(cache) == 2
-
-
-# ----------------------------------------------------------------------
-# DecisionMemo
-# ----------------------------------------------------------------------
-
-
-class TestDecisionMemo:
-    def _views(self, n=4):
-        lcp = DegreeOneLCP()
-        instance = Instance.build(path_graph(n))
-        labeled = instance.with_labeling(lcp.prover.certify(instance))
-        return lcp, extract_all_views(labeled, lcp.radius, include_ids=True)
-
-    def test_memo_agrees_with_decoder_and_counts(self):
-        lcp, views = self._views()
-        memo = DecisionMemo(lcp.decoder, 64)
-        stats = PerfStats()
-        for view in views.values():
-            assert memo.decide(view, stats) == lcp.decoder.decide(view)
-        repeat_hits_before = stats.get("memo_hits")
-        for view in views.values():
-            memo.decide(view, stats)
-        assert stats.get("memo_hits") == repeat_hits_before + len(views)
-
-    def test_shared_memos_are_per_decoder_object(self):
-        d1 = DegreeOneLCP().decoder
-        d2 = DegreeOneLCP().decoder
-        assert shared_decision_memo(d1) is shared_decision_memo(d1)
-        assert shared_decision_memo(d1) is not shared_decision_memo(d2)
-
-    def test_memoized_decide_mixed_certificate_alphabet(self):
-        """Views whose labels mix ints, strings, and tuples memoize by
-        view identity — no cross-type comparison or key collision (the
-        neighborhood-graph builder decides its views through this path)."""
-        from itertools import product
-
-        lcp = DegreeOneLCP()
-        graph = path_graph(3)
-        base = Instance.build(graph)
-        layouts = extract_view_layouts(base, lcp.radius, include_ids=True)
-        stats = PerfStats()
-        decide = memoized_decide(lcp.decoder, stats)
-        alphabet = [0, "far", ("d1", 1)]
-        views = []
-        for combo in product(alphabet, repeat=graph.order):
-            labeling = Labeling(dict(zip(graph.nodes, combo)))
-            for template, order in layouts.values():
-                view = relabel_view(template, order, labeling)
-                views.append(view)
-                assert decide(view) == lcp.decoder.decide(view)
-        # The replay must be answered entirely from the memo.
-        misses = stats.get("memo_misses")
-        for view in views:
-            decide(view)
-        assert stats.get("memo_misses") == misses
-        assert stats.get("memo_hits") >= len(views)
 
 
 # ----------------------------------------------------------------------
@@ -258,20 +183,19 @@ class TestFamilyEnumeration:
 
 
 # ----------------------------------------------------------------------
-# Canonical-form cache
+# Canonical forms
 # ----------------------------------------------------------------------
 
 
-def test_canonical_cache_transparent():
-    clear_canonical_cache()
+def test_canonical_form_is_computed_without_a_cache():
+    """Nothing memoizes canonical forms: a call records no counter, and
+    relabeled copies of one graph get the same form."""
+    before = dict(GLOBAL_STATS.counters)
     g = cycle_graph(5)
-    misses_before = GLOBAL_STATS.get("canonical_misses")
-    cold = canonical_form(g)
-    assert GLOBAL_STATS.get("canonical_misses") == misses_before + 1
-    hits_before = GLOBAL_STATS.get("canonical_hits")
-    warm = canonical_form(g)
-    assert GLOBAL_STATS.get("canonical_hits") == hits_before + 1
-    assert _canonical_form_uncached(g) == cold == warm
+    form = canonical_form(g)
+    assert canonical_form(g.relabeled({v: (v * 2) % 5 for v in g.nodes})) == form
+    assert canonical_form(path_graph(5)) != form
+    assert GLOBAL_STATS.counters == before
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +206,13 @@ def test_canonical_cache_transparent():
 class TestStatsAndConfig:
     def test_hit_rate_and_render(self):
         stats = PerfStats()
-        stats.incr("memo_hits", 3)
-        stats.incr("memo_misses", 1)
-        assert stats.hit_rate("memo") == pytest.approx(0.75)
+        stats.incr("layout_hits", 3)
+        stats.incr("layout_misses", 1)
+        assert stats.hit_rate("layout") == pytest.approx(0.75)
         with stats.time_stage("neighborhood_build"):
             pass
         text = stats.render()
-        assert "memo" in text and "neighborhood_build" in text
+        assert "layout_hit_rate" in text and "neighborhood_build" in text
 
     def test_configure_rejects_unknown_field(self):
         with pytest.raises(TypeError):

@@ -29,9 +29,9 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import FrozenGraph, Graph, GraphError
 from repro.graphs.properties import is_bipartite
+from repro.perf.stats import GLOBAL_STATS
 from repro.symmetry import (
     automorphism_group,
-    clear_automorphism_cache,
     clear_orderly_cache,
     count_classes,
     orderly_graphs_exactly,
@@ -81,7 +81,6 @@ class TestOrderlyGeneration:
                 for g in orderly_graphs_exactly(n, connected_only)
                 if is_bipartite(g)
             ]
-            clear_automorphism_cache()
             pruned = [
                 (tuple(g.edges), automorphism_group(g).perms)
                 for g in orderly_graphs_exactly(n, connected_only, bipartite=True)
@@ -127,14 +126,47 @@ class TestOrderlyGeneration:
         legacy = [tuple(g.edges) for g in reference_graphs(6, True)]
         assert orderly == legacy
 
-    def test_generator_seeds_true_automorphism_groups(self):
-        # The groups seeded at emission time must equal the groups
-        # computed from scratch on the emitted graph.
-        for g in orderly_graphs_exactly(5):
-            seeded = automorphism_group(g)
-            clear_automorphism_cache()
-            fresh = automorphism_group(g)
-            assert set(seeded.perms) == set(fresh.perms)
+
+# ---------------------------------------------------------------------------
+# Seeded groups: every representative generation hands out
+# ---------------------------------------------------------------------------
+
+
+def _assert_seeded_groups_are_true(graphs) -> int:
+    """Each graph is frozen and its group fact, set where it was built,
+    equals (as a set) a fresh computation on a mutable copy."""
+    count = 0
+    for g in graphs:
+        assert isinstance(g, FrozenGraph)
+        assert "automorphism_group" in g._facts
+        fresh = automorphism_group(g.copy())
+        assert set(automorphism_group(g).perms) == set(fresh.perms)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "n, bipartite",
+    [(n, False) for n in range(1, 9)] + [(n, True) for n in range(1, 10)],
+)
+def test_generator_seeds_true_automorphism_groups(n, bipartite):
+    """The groups seeded at emission equal the groups computed from
+    scratch, for every emitted class, connected or not: all graphs up to
+    8 nodes, bipartite ones up to 9."""
+    count = (BIPARTITE_COUNTS + [1119])[n - 1] if bipartite else (ALL_COUNTS + [12346])[n]
+    emitted = orderly_graphs_exactly(n, connected_only=False, bipartite=bipartite)
+    assert _assert_seeded_groups_are_true(emitted) == count
+
+
+@pytest.mark.parametrize("family", ["cycles", "even-cycles", "watermelons"])
+def test_direct_family_groups_equal_fresh_computations(family):
+    """Direct members are built cold (no orderly family to adopt from)."""
+    clear_family_cache()
+    members = [
+        g for n in range(1, 10) for g in all_graphs_exactly(n, mutable=False, family=family)
+    ]
+    assert _assert_seeded_groups_are_true(members) == len(members) > 0
+    clear_family_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +189,6 @@ class TestAutomorphismGroups:
         ],
     )
     def test_group_orders(self, graph, order):
-        clear_automorphism_cache()
         group = automorphism_group(graph)
         assert group.order == order
         # Every permutation really is an automorphism.
@@ -201,13 +232,19 @@ class TestAutomorphismGroups:
         assert group.order == 1
 
     def test_seed_automorphisms_short_circuits_recomputation(self):
-        clear_automorphism_cache()
-        g = cycle_graph(4)
         fake = ((0, 1, 2, 3),)  # deliberately wrong: identity only
-        seed_automorphisms(g, fake)
-        assert automorphism_group(g).perms == fake
-        clear_automorphism_cache()
-        assert automorphism_group(g).order == 8
+        frozen = FrozenGraph.freeze(cycle_graph(4))
+        computed = GLOBAL_STATS.get("automorphism_groups")
+        seed_automorphisms(frozen, fake)
+        assert automorphism_group(frozen).perms == fake
+        assert GLOBAL_STATS.get("automorphism_groups") == computed
+        # A mutable graph keeps no facts: the seed is dropped and every
+        # call recomputes.
+        mutable = cycle_graph(4)
+        seed_automorphisms(mutable, fake)
+        assert automorphism_group(mutable).order == 8
+        assert automorphism_group(mutable).order == 8
+        assert GLOBAL_STATS.get("automorphism_groups") == computed + 2
 
 
 # ---------------------------------------------------------------------------
