@@ -34,11 +34,6 @@ def bits_needed(value: int) -> int:
     return max(1, value.bit_length())
 
 
-def normalize_edge(u: int, v: int) -> tuple[int, int]:
-    """Return the canonical (sorted) form of an undirected edge."""
-    return (u, v) if u <= v else (v, u)
-
-
 def is_sorted(seq: Sequence[T]) -> bool:
     """True if *seq* is non-decreasing."""
     return all(a <= b for a, b in pairwise(seq))

@@ -7,7 +7,8 @@ base plan, re-scoped per cell for the family/alphabet axes, with the
 :class:`CellResult` carrying the verdict, the decision fingerprint, and
 the provenance the engine recorded (backend, scan counts, cache tier,
 wall time); a cell that raises is recorded as an errored result instead
-of aborting the campaign.
+of aborting the campaign.  The campaign's lifecycle events go to
+:data:`~repro.obs.progress.GLOBAL_PROGRESS`.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..core.registry import make_lcp
 from ..engine.context import RunContext
 from ..engine.core import decide_hiding
 from ..engine.plan import ExecutionPlan
 from ..obs.logs import get_logger
+from ..obs.progress import GLOBAL_PROGRESS
 from .spec import CampaignSpec, Cell
 
 log = get_logger("campaign")
@@ -33,7 +34,6 @@ _PROVENANCE_FIELDS = (
     "instances_scanned",
     "views",
     "edges",
-    "memory_cache_hit",
     "disk_cache_hit",
     "warm_started",
     "warm_witness_hit",
@@ -107,18 +107,14 @@ class CampaignRun:
         return [result for result in self.results if not result.ok]
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    ctx: RunContext | None = None,
-    progress: Callable[[CellResult], None] | None = None,
-) -> CampaignRun:
+def run_campaign(spec: CampaignSpec, ctx: RunContext | None = None) -> CampaignRun:
     """Execute every cell of *spec*; never aborts on a cell error.
 
     The spec's base plan is resolved once against ``ctx.config`` and
     re-scoped per cell (:meth:`Cell.plan`); ``k``/``r`` travel as
     decision inputs so native-parameter cells answer from the exact
-    pre-campaign cache addresses.  *progress* (when given) is called
-    with each finished :class:`CellResult` — the CLI's live table.
+    pre-campaign cache addresses.  Each finished cell is announced as a
+    ``cell_finished`` event — what the CLI's per-cell lines subscribe to.
     """
     if ctx is None:
         ctx = RunContext.default()
@@ -128,8 +124,7 @@ def run_campaign(
     # The cell stream is deterministic and cheap to expand; materialize
     # it so the bus can announce the total count (the ETA denominator).
     cells = list(spec.cells())
-    bus = ctx.progress
-    bus.emit(
+    GLOBAL_PROGRESS.emit(
         "campaign_started",
         total_cells=len(cells),
         schemes=list(spec.schemes),
@@ -137,10 +132,10 @@ def run_campaign(
     )
     with ctx.tracer.span("campaign", schemes=",".join(spec.schemes)) as root:
         for cell in cells:
-            bus.emit("cell_started", label=cell.label(), cell=cell.axes())
+            GLOBAL_PROGRESS.emit("cell_started", label=cell.label(), cell=cell.axes())
             result = _run_cell(cell, base, ctx)
             results.append(result)
-            bus.emit(
+            GLOBAL_PROGRESS.emit(
                 "cell_finished",
                 label=cell.label(),
                 cell=cell.axes(),
@@ -149,13 +144,11 @@ def run_campaign(
                 wall_time_s=result.wall_time_s,
                 trace_id=result.trace_id,
             )
-            if progress is not None:
-                progress(result)
         root.set_attributes(
             cells=len(results), errors=sum(1 for r in results if not r.ok)
         )
     elapsed = time.perf_counter() - start
-    bus.emit(
+    GLOBAL_PROGRESS.emit(
         "campaign_finished",
         cells=len(results),
         errors=sum(1 for r in results if not r.ok),

@@ -162,36 +162,40 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 0 if result.unanimous else 1
 
 
-def _attach_progress(*buses, events_out: str | None = None):
-    """Wire the stock progress subscribers to *buses* (plus the global
-    bus, where the orderly generator announces — deduplicated when a
-    context already uses it).  The TTY renderer attaches only on a
-    terminal with ``REPRO_NO_PROGRESS`` unset; the JSONL sink only when
-    *events_out* is given.  Returns a detach callable (idempotent
+def _attach_progress(events_out: str | None = None, cell_lines: bool = False):
+    """Wire the stock progress subscribers to ``GLOBAL_PROGRESS``.  The
+    TTY renderer attaches only on a terminal with ``REPRO_NO_PROGRESS``
+    unset; the JSONL sink only when *events_out* is given; with
+    *cell_lines*, one stderr line per finished campaign cell, unless the
+    live renderer supersedes it.  Returns a detach callable (idempotent
     cleanup for a ``finally`` block)."""
     from .obs import GLOBAL_PROGRESS, JSONLSink, TTYRenderer, progress_enabled  # noqa: PLC0415
 
-    targets = list(dict.fromkeys((*buses, GLOBAL_PROGRESS)))
     renderer = TTYRenderer() if progress_enabled() else None
     sink = JSONLSink(events_out) if events_out is not None else None
-    for bus in targets:
-        if renderer is not None:
-            bus.subscribe(renderer)
-        if sink is not None:
-            bus.subscribe(sink)
+    scroll = _print_cell_line if cell_lines and renderer is None else None
+    subscribers = [each for each in (renderer, sink, scroll) if each is not None]
+    for subscriber in subscribers:
+        GLOBAL_PROGRESS.subscribe(subscriber)
 
     def detach() -> None:
-        for bus in targets:
-            if renderer is not None:
-                bus.unsubscribe(renderer)
-            if sink is not None:
-                bus.unsubscribe(sink)
+        for subscriber in subscribers:
+            GLOBAL_PROGRESS.unsubscribe(subscriber)
         if renderer is not None:
             renderer.close()
         if sink is not None:
             sink.close()
 
     return detach
+
+
+def _print_cell_line(record: dict) -> None:
+    """The off-terminal per-cell scroll of ``frontier run``."""
+    if record["event"] != "cell_finished":
+        return
+    error = record.get("error")
+    verdict = f"ERROR {error}" if error is not None else f"hiding={record.get('hiding')}"
+    print(f"  {record.get('label')}: {verdict}", file=sys.stderr)
 
 
 def _resolve_hiding_scheme(args: argparse.Namespace) -> str:
@@ -233,7 +237,7 @@ def cmd_hiding(args: argparse.Namespace) -> int:
         early_exit=not args.full_sweep,
         disk_cache=not args.no_disk_cache,
     ).resolve()
-    detach_progress = _attach_progress(ctx.progress)
+    detach_progress = _attach_progress()
     try:
         with CONFIG.overridden(disk_cache_dir=args.cache_dir):
             verdict = decide_hiding(lcp, args.n, plan, ctx=ctx)
@@ -323,24 +327,13 @@ def cmd_frontier_run(args: argparse.Namespace) -> int:
         if errors:
             raise SystemExit("repro frontier run: " + "; ".join(errors))
 
-        def progress(result) -> None:
-            verdict = (
-                f"ERROR {result.error}"
-                if result.error is not None
-                else f"hiding={result.hiding}"
-            )
-            print(f"  {result.cell.label()}: {verdict}", file=sys.stderr)
-
-        from .obs import progress_enabled  # noqa: PLC0415
-
         # On a terminal the live single-line renderer supersedes the
         # per-cell scroll; off-terminal (CI logs) the scroll remains.
-        live = progress_enabled()
-        detach_progress = _attach_progress(events_out=args.events_out)
+        detach_progress = _attach_progress(
+            events_out=args.events_out, cell_lines=not args.quiet
+        )
         try:
-            run = run_campaign(
-                spec, progress=progress if not (args.quiet or live) else None
-            )
+            run = run_campaign(spec)
         finally:
             detach_progress()
     report = build_frontier_report(run)

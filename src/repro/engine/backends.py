@@ -26,7 +26,6 @@ batches.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 
 from ..certification.lcp import LCP
 from ..graphs.families import warm_graph_families
@@ -38,9 +37,6 @@ from ..neighborhood.aviews import (
 from ..neighborhood.hiding import HidingVerdict
 from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
-from ..obs.progress import counting_instances
-from ..kernel import KERNEL_BATCH
-from ..kernel.batch import KERNEL_BLOCK_SIZE
 from ..symmetry.prune import SymmetryAccount
 from .context import RunContext
 from .plan import ExecutionPlan
@@ -115,22 +111,6 @@ def disk_key(lcp: LCP, n: int, plan: ExecutionPlan) -> dict:
     return key
 
 
-def _with_progress(instances, lcp: LCP, n: int, ctx: RunContext):
-    """Wrap an instance stream with ``instances_scanned`` progress
-    deltas — only when someone is listening, so an unobserved sweep
-    keeps the raw generator (and its exact early-exit behavior; the
-    wrapper yields the stream unchanged either way)."""
-    if not ctx.progress.active:
-        return instances
-    return counting_instances(
-        instances,
-        ctx.progress,
-        scheme=lcp.name,
-        n=n,
-        trace_id=ctx.tracer.trace_id if ctx.tracer.active else None,
-    )
-
-
 def _enumeration_bounds(plan: ExecutionPlan) -> dict:
     return {
         "port_limit": plan.port_limit,
@@ -183,24 +163,16 @@ def _apply_symmetry_account(ngraph, account: SymmetryAccount | None, ctx: RunCon
     before the engine state is parked for warm starts."""
     if account is None:
         return
-    with ctx.tracer.span(
-        "symmetry:orbit-prune",
-        bases_pruned=account.bases_pruned,
-        labelings_pruned=account.labelings_pruned,
-        instances_suppressed=account.instances_suppressed,
-    ):
-        if account.instances_suppressed:
-            ngraph.instances_scanned += account.instances_suppressed
-            ctx.stats.incr("instances_scanned", account.instances_suppressed)
-            ctx.stats.incr(
-                "symmetry_instances_suppressed", account.instances_suppressed
-            )
-        if account.labelings_total:
-            ctx.stats.incr("symmetry_labelings_total", account.labelings_total)
-        if account.labelings_pruned:
-            ctx.stats.incr("symmetry_labelings_pruned", account.labelings_pruned)
-        if account.bases_pruned:
-            ctx.stats.incr("symmetry_bases_pruned", account.bases_pruned)
+    if account.instances_suppressed:
+        ngraph.instances_scanned += account.instances_suppressed
+        ctx.stats.incr("instances_scanned", account.instances_suppressed)
+        ctx.stats.incr("symmetry_instances_suppressed", account.instances_suppressed)
+    if account.labelings_total:
+        ctx.stats.incr("symmetry_labelings_total", account.labelings_total)
+    if account.labelings_pruned:
+        ctx.stats.incr("symmetry_labelings_pruned", account.labelings_pruned)
+    if account.bases_pruned:
+        ctx.stats.incr("symmetry_bases_pruned", account.bases_pruned)
 
 
 # ----------------------------------------------------------------------
@@ -218,23 +190,6 @@ class StreamingBackend:
     :meth:`run` sweeps."""
 
     name = "streaming"
-
-    @contextmanager
-    def _kernel_span(self, ctx: RunContext):
-        """Wrap the build in a ``kernel:batch`` span whose attributes
-        report the batch counters the sweep accumulated."""
-        before_batches = ctx.stats.get("kernel_batches")
-        before_labelings = ctx.stats.get("kernel_labelings")
-        with ctx.tracer.span(
-            f"kernel:{KERNEL_BATCH}", block_size=KERNEL_BLOCK_SIZE
-        ) as span:
-            try:
-                yield span
-            finally:
-                span.set_attributes(
-                    batches=ctx.stats.get("kernel_batches") - before_batches,
-                    labelings=ctx.stats.get("kernel_labelings") - before_labelings,
-                )
 
     def shortcut(
         self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext
@@ -314,23 +269,16 @@ class StreamingBackend:
                     if warm_started
                     else yes_instances_up_to(lcp, n, **sweep_args)
                 )
-                with self._kernel_span(ctx):
-                    build_neighborhood_graph_auto(
-                        lcp,
-                        _with_progress(instances, lcp, n, ctx),
-                        stats=ctx.stats,
-                        consumer=engine,
-                        into=engine.ngraph,
-                        tracer=ctx.tracer,
-                    )
-                _apply_symmetry_account(engine.ngraph, account, ctx)
-                sweep.set_attributes(
-                    warm_started=warm_started,
-                    witness_found=engine.witness_found,
-                    instances_scanned=engine.ngraph.instances_scanned,
-                    views=engine.ngraph.order,
-                    edges=engine.ngraph.size,
+                build_neighborhood_graph_auto(
+                    lcp,
+                    instances,
+                    stats=ctx.stats,
+                    consumer=engine,
+                    into=engine.ngraph,
+                    tracer=ctx.tracer,
                 )
+                _apply_symmetry_account(engine.ngraph, account, ctx)
+                sweep.set_attribute("witness_found", engine.witness_found)
         with ctx.tracer.span("decide", method="incremental"):
             result = engine.verdict(exhaustive=True)
         if lcp.anonymous:

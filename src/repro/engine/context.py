@@ -1,5 +1,5 @@
 """Explicit run context for the engine: config + stats + tracer +
-progress bus + cache tiers.
+cache tiers.
 
 Pre-engine code threaded the perf knobs and counters through two mutable
 module globals (``repro.perf.CONFIG`` and ``GLOBAL_STATS``), which every
@@ -12,15 +12,17 @@ process-wide objects, so call sites that never build a context keep the
 historical behavior; tests and benchmarks build isolated contexts
 instead of save/restore dances.
 
-``ctx.stats`` is the run's one counter record: a run report dumps it
-and the CLI's ``--perf-stats`` block renders it.
+``ctx.stats`` is the run's one counter record: a run report dumps it,
+the CLI's ``--perf-stats`` block renders it, and a live tracer bound to
+it stores each span's share of it.  Progress events go to the
+process-wide :data:`~repro.obs.progress.GLOBAL_PROGRESS` bus; a context
+carries no bus of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..obs.progress import GLOBAL_PROGRESS, ProgressBus
 from ..obs.trace import NULL_TRACER, Tracer
 from ..perf.config import CONFIG, PerfConfig
 from ..perf.stats import GLOBAL_STATS, PerfStats
@@ -42,14 +44,8 @@ class RunContext:
       stage timer of the run.
     * ``tracer`` — the :class:`~repro.obs.trace.Tracer` collecting the
       run's span tree; the default :data:`~repro.obs.trace.NULL_TRACER`
-      records nothing at zero cost.
-    * ``progress`` — the :class:`~repro.obs.progress.ProgressBus` for
-      live telemetry events.  The default is the process-wide
-      :data:`~repro.obs.progress.GLOBAL_PROGRESS` bus, which with no
-      subscribers costs one truthiness test per emission — subscribe a
-      renderer or sink there to observe any default-context run.
-      Purely observational: nothing downstream of an event feeds back
-      into decisions or cache identities.
+      records nothing at zero cost.  A live tracer that holds no stats
+      yet is bound to ``stats``, so its spans record their counters.
     * ``memory`` — the memo tier, which also parks the warm-start
       states; ``None`` falls back to the shared process-wide store.
     * ``disk`` — the persistent tier.
@@ -58,9 +54,12 @@ class RunContext:
     config: PerfConfig = field(default_factory=lambda: CONFIG)
     stats: PerfStats = field(default_factory=lambda: GLOBAL_STATS)
     tracer: Tracer = field(default=NULL_TRACER)
-    progress: ProgressBus = field(default_factory=lambda: GLOBAL_PROGRESS)
     memory: MemoryVerdictStore | None = None
     disk: VerdictStore = field(default_factory=lambda: _SHARED_DISK_STORE)
+
+    def __post_init__(self) -> None:
+        if self.tracer.active and self.tracer.stats is None:
+            self.tracer.stats = self.stats
 
     @classmethod
     def default(cls) -> "RunContext":
@@ -69,14 +68,13 @@ class RunContext:
 
     @classmethod
     def isolated(cls, config: PerfConfig | None = None) -> "RunContext":
-        """A context with private stats, progress bus, and memo tier
-        (tests, benchmarks) — nothing it records leaks into the process
+        """A context with private stats and memo tier (tests,
+        benchmarks) — nothing it records leaks into the process
         state, and its first sweep starts cold: the warm-start states
         live in the memo tier."""
         return cls(
             config=config if config is not None else CONFIG,
             stats=PerfStats(),
-            progress=ProgressBus(),
             memory=MemoryVerdictStore(),
         )
 
@@ -87,7 +85,7 @@ class RunContext:
         config: PerfConfig | None = None,
     ) -> "RunContext":
         """An isolated context wired for observability: a live tracer
-        plus a fresh stats handle — what the CLI's
+        bound to a fresh stats handle — what the CLI's
         ``--trace``/``--trace-out`` builds per run."""
         ctx = cls.isolated(config=config)
         return replace(ctx, tracer=tracer if tracer is not None else Tracer())

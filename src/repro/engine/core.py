@@ -18,10 +18,13 @@ function.  The tier order per decision:
 Observability: the whole decision runs inside the context tracer's
 ``decide_hiding`` root span, with one child span per tier consulted
 (plan resolution, memory, shortcut, disk, backend, write-back) so a
-traced run's span tree accounts for essentially all of its wall time.
-Fresh verdicts are stamped with the tracer's ``trace_id`` (linking them
-to their run report), and the routing outcome is logged on the
-``repro.engine`` logger.
+traced run's span tree accounts for essentially all of its wall time;
+a tier's hit counters (``stream_memo_hits``, ``warm_witness_hits``,
+``disk_hits``/``disk_misses``) land in its span's ``counters``.  Fresh
+verdicts are stamped with the tracer's ``trace_id`` (linking them to
+their run report), the routing outcome is logged on the
+``repro.engine`` logger, and ``decision_started``/``decision_finished``
+go to :data:`~repro.obs.progress.GLOBAL_PROGRESS`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import replace
 
 from ..certification.lcp import LCP
 from ..obs.logs import get_logger
+from ..obs.progress import GLOBAL_PROGRESS
 from .backends import STREAMING, disk_key, memory_key
 from .context import _SHARED_MEMORY_STORE, RunContext
 from .plan import ExecutionPlan
@@ -91,7 +95,7 @@ def decide_hiding(
         ctx = RunContext.default()
     tracer = ctx.tracer
     start = time.perf_counter()
-    ctx.progress.emit(
+    GLOBAL_PROGRESS.emit(
         "decision_started",
         label=f"{lcp.name} k={lcp.k} n<={n}",
         scheme=lcp.name,
@@ -110,7 +114,7 @@ def decide_hiding(
             verdict = _decide(lcp, n, plan, ctx, root)
             return verdict
     finally:
-        ctx.progress.emit(
+        GLOBAL_PROGRESS.emit(
             "decision_finished",
             label=f"{lcp.name} k={lcp.k} n<={n}",
             scheme=lcp.name,
@@ -127,9 +131,8 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
     memory = ctx.memory_store() if plan.memory_cache else None
     mem_key = memory_key(lcp, n, plan)
     if memory is not None:
-        with tracer.span("memory-tier") as span:
+        with tracer.span("memory-tier"):
             cached = memory.load(mem_key, stats=ctx.stats)
-            span.set_attribute("hit", cached is not None)
         if cached is not None:
             log.debug(
                 "%s n=%d: memory-tier hit (%s backend)", lcp.name, n, plan.backend
@@ -137,16 +140,14 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
             root.set_attribute("served_by", "memory")
             return cached
 
-    with tracer.span("backend-shortcut") as span:
+    with tracer.span("backend-shortcut"):
         verdict = STREAMING.shortcut(lcp, n, plan, ctx)
-        span.set_attribute("hit", verdict is not None)
     if verdict is not None:
         log.debug("%s n=%d: %s shortcut answered", lcp.name, n, plan.backend)
         root.set_attribute("served_by", "shortcut")
     elif plan.disk_cache:
-        with tracer.span("disk-tier") as span:
+        with tracer.span("disk-tier"):
             loaded = ctx.disk.load(disk_key(lcp, n, plan), stats=ctx.stats)
-            span.set_attribute("hit", loaded is not None)
         if loaded is not None:
             log.debug("%s n=%d: disk-tier hit", lcp.name, n)
             root.set_attribute("served_by", "disk")

@@ -127,7 +127,6 @@ class Provenance:
     instances_scanned: int
     views: int
     edges: int
-    memory_cache_hit: bool = False
     disk_cache_hit: bool = False
     warm_started: bool = False
     warm_witness_hit: bool = False

@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..engine.context import RunContext
 from ..engine.plan import ExecutionPlan
 from ..obs.progress import GLOBAL_PROGRESS
 from ..obs.trace import NULL_TRACER, Tracer
@@ -103,21 +104,24 @@ def run_all_and_save(
 
     With *trace_out*, the batch also runs traced: a
     :class:`~repro.obs.report.RunReport` (one span per experiment under
-    a ``run-all`` root) is written to that path, plus the
-    content-addressed copy under ``.repro_runs/``.
+    a ``run-all`` root, then the campaign's spans, each holding its
+    share of the ``GLOBAL_STATS`` counters) is written to that path,
+    plus the content-addressed copy under ``.repro_runs/``.
 
     Returns True iff every experiment reproduced OK (and, when a
     campaign ran, every cell decided without error).
     """
     GLOBAL_STATS.reset()
-    tracer = Tracer() if trace_out is not None else None
+    tracer = Tracer(stats=GLOBAL_STATS) if trace_out is not None else None
     results = run_all(plan=plan, verbose=verbose, tracer=tracer)
     report = render_results(results) + "\n\n" + render_perf_stats(GLOBAL_STATS)
     ok = all(r.ok for r in results)
     if campaign is not None:
         from ..campaign import build_frontier_report, run_campaign  # noqa: PLC0415
 
-        run = run_campaign(campaign)
+        run = run_campaign(
+            campaign, ctx=RunContext(tracer=tracer) if tracer is not None else None
+        )
         frontier = build_frontier_report(run)
         canonical = frontier.write()
         summary = frontier.payload["summary"]

@@ -276,11 +276,6 @@ def watermelon_graphs_up_to(n: int) -> Iterator[Graph]:
     return _filtered(n, is_watermelon)
 
 
-def count_family(family: Iterator[Graph]) -> int:
-    """Number of graphs in an enumerated family (consumes the iterator)."""
-    return sum(1 for _ in family)
-
-
 def watermelon_family_up_to(n: int) -> Iterator[Graph]:
     """Watermelon graphs on at most *n* nodes by direct construction.
 

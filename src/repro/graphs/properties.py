@@ -215,15 +215,6 @@ def has_at_least_two_cycles(graph: Graph) -> bool:
     return cycle_count_lower_bound(graph) >= 2
 
 
-def odd_components_all_bipartite(graph: Graph, accepted: set[Node]) -> bool:
-    """True iff the subgraph induced by *accepted* is bipartite.
-
-    This is exactly the strong (promise) soundness condition of Section 2.3
-    specialized to 2-col: the accepting nodes must induce a bipartite graph.
-    """
-    return is_bipartite(graph.induced_subgraph(accepted))
-
-
 def distance_profile(graph: Graph, v: Node) -> list[int]:
     """Histogram of distances from *v*: entry ``d`` counts nodes at dist d."""
     dist = bfs_distances(graph, v)

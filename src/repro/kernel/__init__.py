@@ -27,20 +27,15 @@ reference (``tests/oracle.py``).
 
 from __future__ import annotations
 
-#: Name of the unanimity-join evaluator, as carried by the sweep's
-#: ``kernel:batch`` trace span.
-KERNEL_BATCH = "batch"
-
-from .batch import batch_unanimous_labelings, kernel_supports  # noqa: E402
-from .generate import (  # noqa: E402
+from .batch import batch_unanimous_labelings, kernel_supports
+from .generate import (
     MAX_GENERATION_NODES,
     batch_min_edge_mask,
     generation_supported,
 )
-from .tables import acceptance_table, clear_kernel_tables  # noqa: E402
+from .tables import acceptance_table, clear_kernel_tables
 
 __all__ = [
-    "KERNEL_BATCH",
     "MAX_GENERATION_NODES",
     "acceptance_table",
     "batch_min_edge_mask",

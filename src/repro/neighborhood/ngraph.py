@@ -19,9 +19,14 @@ from ..graphs.coloring import k_coloring
 from ..graphs.properties import bipartition
 from ..local.instance import Instance
 from ..local.views import View, view_with_labels
+from ..obs.progress import GLOBAL_PROGRESS
 from ..obs.trace import NULL_TRACER, Tracer
 from ..perf.cache import ViewLayoutCache, default_layout_cache
 from ..perf.stats import GLOBAL_STATS, PerfStats
+
+#: The builder announces ``instances_scanned`` progress every this many
+#: scanned instances (plus a final remainder).
+PROGRESS_EVERY = 256
 
 
 @dataclass
@@ -204,6 +209,13 @@ def build_neighborhood_graph(
     it.  ``views_built`` counts the clones.  Interning is
     semantics-preserving: layouts never depend on labels, and decoders
     are pure functions of the view.
+
+    The scan runs in one ``build:serial`` span, so the
+    ``instances_scanned``, ``views_built`` and ``streaming_early_exits``
+    counters it records are that span's.  When
+    :data:`~repro.obs.progress.GLOBAL_PROGRESS` has subscribers as the
+    build starts, the same ``scanned`` count is announced as
+    ``instances_scanned`` deltas every :data:`PROGRESS_EVERY` instances.
     """
     stats = stats or GLOBAL_STATS
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -230,10 +242,14 @@ def build_neighborhood_graph(
     built = 0
     scanned = 0
     stopped = False
-    with tracer.span("build:serial") as build_span:
+    observed = GLOBAL_PROGRESS.active
+    trace_id = tracer.trace_id if tracer.active else None
+    with tracer.span("build:serial"):
         with stats.time_stage("neighborhood_build"):
             for instance in labeled_instances:
                 scanned += 1
+                if observed and not scanned % PROGRESS_EVERY:
+                    _announce(lcp, PROGRESS_EVERY, scanned, trace_id)
                 key = ViewLayoutCache.base_key(instance, radius, include_ids)
                 if key != base_key:
                     base, base_key = instance, key
@@ -281,18 +297,18 @@ def build_neighborhood_graph(
                 if stopped:
                     stats.incr("streaming_early_exits")
                     break
-        build_span.set_attributes(
-            instances_scanned=scanned,
-            views=ngraph.order,
-            edges=ngraph.size,
-            early_exit=stopped,
-        )
-        if stopped:
-            build_span.set_attribute("early_exit_at_instance", scanned)
+        if observed and scanned % PROGRESS_EVERY:
+            _announce(lcp, scanned % PROGRESS_EVERY, scanned, trace_id)
+        stats.incr("instances_scanned", scanned)
+        stats.incr("views_built", built)
     ngraph.instances_scanned += scanned
-    stats.incr("instances_scanned", scanned)
-    stats.incr("views_built", built)
     return ngraph
+
+
+def _announce(lcp: LCP, delta: int, total: int, trace_id: str | None) -> None:
+    GLOBAL_PROGRESS.emit(
+        "instances_scanned", delta=delta, total=total, scheme=lcp.name, trace_id=trace_id
+    )
 
 
 def _no_label(_node: Node) -> None:

@@ -3,12 +3,15 @@ progress events, and run reports — stdlib-only, zero-cost when off.
 
 The counters and stage timers of a run have one record, the run's
 :class:`~repro.perf.stats.PerfStats`.  A run report embeds its dump and
-checks the verdict's provenance counts against it.
+checks the verdict's provenance counts against it; a span's
+``counters`` attribute is its own share of that record, and progress
+events carry the instance count the neighborhood-graph builder feeds it.
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`: the
   hierarchical span tree of a run (``decide_hiding`` → plan resolution →
-  backend → sweep → cache spans), thread-safe, with a JSONL exporter.
-  :data:`NULL_TRACER` is the free disabled default.
+  backend → sweep → cache spans), thread-safe, with a JSONL exporter;
+  bound to the run's stats, each span records its exclusive counter
+  increments.  :data:`NULL_TRACER` is the free disabled default.
 * :mod:`repro.obs.report` — :class:`RunReport`: span tree + stats
   counters + provenance + plan fingerprint, content-addressed under
   ``.repro_runs/``, with :func:`diff_reports` (decision drift vs perf
@@ -18,8 +21,8 @@ checks the verdict's provenance counts against it.
 * :mod:`repro.obs.progress` — :class:`ProgressBus`: the live-telemetry
   pub/sub bus (``cell_started`` / ``instances_scanned`` deltas /
   ``cell_finished`` / ETA), with the :class:`TTYRenderer` and
-  :class:`JSONLSink` stock subscribers.  :data:`NULL_PROGRESS` is the
-  free disabled default; :data:`GLOBAL_PROGRESS` the process-wide bus.
+  :class:`JSONLSink` stock subscribers.  Every emitter announces on the
+  one process-wide bus, :data:`GLOBAL_PROGRESS`.
 * :mod:`repro.obs.profile` — span self-time profiling over
   :meth:`Tracer.finished_spans`: exclusive time per span name
   (:func:`self_times`), flamegraph-compatible folded stacks
@@ -40,11 +43,9 @@ from .progress import (
     EVENT_KINDS,
     GLOBAL_PROGRESS,
     NO_PROGRESS_ENV,
-    NULL_PROGRESS,
     JSONLSink,
     ProgressBus,
     TTYRenderer,
-    counting_instances,
     progress_enabled,
 )
 from .report import (
@@ -73,7 +74,6 @@ __all__ = [
     "EVENT_KINDS",
     "GLOBAL_PROGRESS",
     "NO_PROGRESS_ENV",
-    "NULL_PROGRESS",
     "NULL_SPAN",
     "NULL_TRACER",
     "REPORT_SCHEMA",
@@ -85,7 +85,6 @@ __all__ = [
     "Span",
     "TTYRenderer",
     "Tracer",
-    "counting_instances",
     "diff_reports",
     "folded_stacks",
     "format_seconds",

@@ -2,16 +2,18 @@
 JSONL subscribers.
 
 Long campaigns and deep sweeps previously ran dark — the only feedback
-was the final report.  A :class:`ProgressBus` gives every layer a place
-to announce structured events (``campaign_started``, ``cell_started``,
-``instances_scanned`` deltas, ``cell_finished``, ``decision_*``,
-``generation_level``) without knowing who, if anyone, is listening.
-Design constraints mirror :mod:`repro.obs.trace`:
+was the final report.  The process-wide :data:`GLOBAL_PROGRESS` bus
+gives every layer one place to announce structured events
+(``campaign_started``, ``cell_started``, ``instances_scanned`` deltas,
+``cell_finished``, ``decision_*``, ``generation_level``) without
+knowing who, if anyone, is listening.  Design constraints mirror
+:mod:`repro.obs.trace`:
 
 1. **Zero cost when off.**  ``emit()`` starts with one truthiness test
    on the subscriber list; with no subscribers nothing else runs — no
-   dict is built, no timestamp is read.  :data:`NULL_PROGRESS` is the
-   inert null object for call sites that want a bus-shaped default.
+   dict is built, no timestamp is read.  The one hot emitter, the
+   neighborhood-graph builder, reads :attr:`ProgressBus.active` once
+   per build and then pays one boolean test per scanned instance.
 2. **Purely observational.**  Events never feed back into decisions:
    cache keys, verdicts, and decision fingerprints are byte-identical
    whether a bus has a thousand subscribers or none (the acceptance
@@ -37,7 +39,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable
 
 #: Environment variable that force-disables progress rendering (any
 #: non-empty value).  Checked by :func:`progress_enabled`, not by the
@@ -113,34 +115,8 @@ class ProgressBus:
         return f"ProgressBus(subscribers={len(self._subscribers)})"
 
 
-class _NullProgressBus(ProgressBus):
-    """The disabled bus: emission is a no-op and subscription refuses —
-    :data:`NULL_PROGRESS` is shared process-wide, so accepting a
-    subscriber would silently leak it into unrelated runs."""
-
-    __slots__ = ()
-
-    def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        raise RuntimeError(
-            "NULL_PROGRESS is the shared disabled bus; build a ProgressBus() "
-            "(or use GLOBAL_PROGRESS) to subscribe"
-        )
-
-    def emit(self, event: str, **payload) -> None:
-        pass
-
-    @property
-    def active(self) -> bool:
-        return False
-
-
-#: The inert default for bus-shaped parameters.
-NULL_PROGRESS = _NullProgressBus()
-
-#: Process-wide bus for call sites with no :class:`RunContext` in reach
-#: (the orderly generator, module-level helpers).  Contexts default to
-#: this bus too, so one subscription observes a whole process unless a
-#: run opts into an isolated bus.
+#: The process's one bus: every emitter announces here, so one
+#: subscription observes a whole process.
 GLOBAL_PROGRESS = ProgressBus()
 
 
@@ -152,30 +128,6 @@ def progress_enabled(stream: IO | None = None) -> bool:
     stream = stream if stream is not None else sys.stderr
     isatty = getattr(stream, "isatty", None)
     return bool(isatty and isatty())
-
-
-def counting_instances(
-    instances: Iterable,
-    bus: ProgressBus,
-    every: int = 256,
-    **fields,
-) -> Iterator:
-    """Wrap an instance stream, emitting ``instances_scanned`` deltas on
-    *bus* every *every* instances (plus a final flush).  The wrapper
-    yields the stream unchanged — consumers cannot tell it is there —
-    and call sites should only install it when ``bus.active``.
-    """
-    count = 0
-    pending = 0
-    for instance in instances:
-        yield instance
-        count += 1
-        pending += 1
-        if pending >= every:
-            bus.emit("instances_scanned", delta=pending, total=count, **fields)
-            pending = 0
-    if pending:
-        bus.emit("instances_scanned", delta=pending, total=count, **fields)
 
 
 def _format_eta(seconds: float) -> str:

@@ -2,9 +2,8 @@
 
 A :class:`Tracer` records a tree of :class:`Span` objects — one span per
 pipeline stage (``decide_hiding`` → plan resolution → backend → sweep →
-cache tiers) — with wall-clock timing and free-form attributes
-(instances scanned, early-exit point, cache tier hit).  Design
-constraints, in order:
+cache tiers) — with wall-clock timing and free-form attributes (scheme,
+``n``, which tier served the decision).  Design constraints, in order:
 
 1. **Zero cost when off.**  Every instrumented call site holds a tracer
    reference; the default is the process-wide :data:`NULL_TRACER`, whose
@@ -20,6 +19,13 @@ constraints, in order:
    per line.  :func:`span_tree` rebuilds the hierarchy from the flat
    list, and :func:`tree_coverage` measures how much of a root span's
    wall time its children account for.
+4. **Counts live in one place.**  A tracer bound to the run's
+   :class:`~repro.perf.stats.PerfStats` stores under each span's
+   ``counters`` attribute the counter increments made while that span
+   was innermost — its own, not its child spans'.  The ``counters`` of
+   a run's spans therefore sum exactly to its stats record, the way
+   self times sum to the root's wall time; no span copies a count by
+   hand.
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ class Span:
         "status",
         "attributes",
         "_t0",
+        "_counters_at_open",
+        "_nested",
     )
 
     def __init__(self, name: str, trace_id: str, parent_id: str | None) -> None:
@@ -74,6 +82,11 @@ class Span:
         self.status = "ok"
         self.attributes: dict = {}
         self._t0 = time.perf_counter()
+        #: The bound stats' counters when the span opened (``None`` when
+        #: the tracer records no counters), and the increments its
+        #: finished child spans made in total.
+        self._counters_at_open: dict | None = None
+        self._nested: dict[str, int] = {}
 
     def set_attribute(self, key: str, value) -> None:
         self.attributes[key] = value
@@ -116,12 +129,18 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects a span tree for one run (``active`` is True)."""
+    """Collects a span tree for one run (``active`` is True).
+
+    *stats* is the run's :class:`~repro.perf.stats.PerfStats`; while it
+    is bound (``RunContext`` binds its own), every span records its
+    exclusive counter increments under the ``counters`` attribute.
+    """
 
     active = True
 
-    def __init__(self, trace_id: str | None = None) -> None:
+    def __init__(self, trace_id: str | None = None, stats=None) -> None:
         self.trace_id = trace_id if trace_id is not None else _new_id()
+        self.stats = stats
         self._lock = threading.Lock()
         self._finished: list[dict] = []
         self._local = threading.local()
@@ -148,6 +167,9 @@ class Tracer:
         span = Span(name, self.trace_id, parent)
         if attributes:
             span.attributes.update(attributes)
+        stats = self.stats
+        if stats is not None:
+            span._counters_at_open = dict(stats.counters)
         stack.append(span)
         try:
             yield span
@@ -156,9 +178,35 @@ class Tracer:
             raise
         finally:
             stack.pop()
+            # Inside the span's own duration, so its parent's self time
+            # does not grow with the bookkeeping.
+            if span._counters_at_open is not None:
+                self._record_counters(span, stack[-1] if stack else None)
             span.finish()
             with self._lock:
                 self._finished.append(span.to_dict())
+
+    def _record_counters(self, span: Span, parent: Span | None) -> None:
+        """Store *span*'s own increments and hand its inclusive ones to
+        *parent*, which subtracts them from its own in turn.  A counter
+        first created by an increment of zero is listed (as 0) by the
+        span that created it, so the spans' counters sum to the stats
+        record key for key."""
+        before = span._counters_at_open
+        inclusive = {
+            name: value - before.get(name, 0)
+            for name, value in self.stats.counters.items()
+            if name not in before or value != before[name]
+        }
+        nested = span._nested
+        span.attributes["counters"] = {
+            name: own
+            for name, value in inclusive.items()
+            if (own := value - nested.get(name, 0)) or name not in nested
+        }
+        if parent is not None:
+            for name, value in inclusive.items():
+                parent._nested[name] = parent._nested.get(name, 0) + value
 
     # ------------------------------------------------------------------
     # Export
@@ -186,8 +234,9 @@ class _NullTracer(Tracer):
 
     active = False
 
-    def __init__(self) -> None:  # no lock, no storage
+    def __init__(self) -> None:  # no lock, no storage, no stats
         self.trace_id = None
+        self.stats = None
 
     @contextmanager
     def span(self, name: str, **attributes):
@@ -245,7 +294,10 @@ def render_span_tree(records: list[dict], indent: str = "  ") -> str:
 
     def walk(node: dict, depth: int) -> None:
         duration = node["duration_s"] or 0.0
-        attrs = ", ".join(f"{k}={v}" for k, v in sorted(node["attributes"].items()))
+        attributes = dict(node["attributes"])
+        counters = attributes.pop("counters", {})
+        pairs = [*sorted(attributes.items()), *sorted(counters.items())]
+        attrs = ", ".join(f"{k}={v}" for k, v in pairs)
         suffix = f"  [{attrs}]" if attrs else ""
         marker = "" if node["status"] == "ok" else f"  !{node['status']}"
         lines.append(

@@ -38,23 +38,19 @@ LAYOUT_CACHE_SIZE = 4096
 class LRUCache:
     """A bounded mapping with least-recently-used eviction."""
 
-    __slots__ = ("maxsize", "_data", "hits", "misses")
+    __slots__ = ("maxsize", "_data")
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError("LRUCache needs maxsize >= 1")
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key, default=None):
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
-            self.misses += 1
             return default
         self._data.move_to_end(key)
-        self.hits += 1
         return value
 
     def put(self, key, value) -> None:
@@ -72,8 +68,6 @@ class LRUCache:
 
     def clear(self) -> None:
         self._data.clear()
-        self.hits = 0
-        self.misses = 0
 
 
 class ViewLayoutCache:

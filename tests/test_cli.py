@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main, parse_graph_spec
@@ -158,6 +160,40 @@ class TestProfileReconciliation:
         argv = ["report", "profile", str(trace_out), "--runs-dir", str(tmp_path)]
         assert main(argv) == 0
         assert 99.0 <= _reconciled_share(capsys.readouterr().out) <= 100.5
+
+
+class TestFrontierRunProgress:
+    """``frontier run`` reports each finished cell through the progress
+    bus: a stderr line per cell off a terminal (none with ``--quiet``),
+    and one ``cell_finished`` event per cell in ``--events-out``."""
+
+    ARGV = ["frontier", "run", "even-cycle", "--n-min", "3", "--n-max", "5",
+            "--k", "2", "--no-disk-cache"]
+
+    def _run(self, tmp_path, monkeypatch, capsys, *extra) -> list[str]:
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_PROGRESS", raising=False)
+        assert main([*self.ARGV, *extra]) == 0
+        err = capsys.readouterr().err
+        return [line for line in err.splitlines() if line.startswith("  even-cycle")]
+
+    def test_off_terminal_prints_one_line_per_cell(self, tmp_path, monkeypatch, capsys):
+        lines = self._run(tmp_path, monkeypatch, capsys)
+        assert len(lines) == 3
+        assert all(": hiding=" in line for line in lines)
+
+    def test_quiet_prints_no_cell_lines(self, tmp_path, monkeypatch, capsys):
+        assert self._run(tmp_path, monkeypatch, capsys, "--quiet") == []
+
+    def test_events_out_holds_one_cell_finished_per_cell(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        events = tmp_path / "events.jsonl"
+        lines = self._run(tmp_path, monkeypatch, capsys, "--events-out", str(events))
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        finished = [r for r in records if r["event"] == "cell_finished"]
+        assert [f"  {r['label']}: hiding={r['hiding']}" for r in finished] == lines
+        assert len(finished) == 3
 
 
 def _unreadable_report(tmp_path, case: str) -> str:

@@ -428,7 +428,6 @@ def test_provenance_fields_are_pinned():
         "instances_scanned",
         "views",
         "edges",
-        "memory_cache_hit",
         "disk_cache_hit",
         "warm_started",
         "warm_witness_hit",

@@ -27,7 +27,8 @@ from repro.obs import (
     tree_coverage,
     validate_report,
 )
-from repro.perf import GLOBAL_STATS
+from repro.perf import GLOBAL_STATS, PerfStats
+from repro.perf.config import CONFIG
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +110,37 @@ def test_jsonl_export_round_trips(tmp_path):
     assert record["attributes"] == {"n": 3}
 
 
+def test_spans_record_their_own_counter_increments():
+    stats = PerfStats()
+    tracer = Tracer(stats=stats)
+    stats.incr("before", 5)  # outside every span: nobody's
+    with tracer.span("root"):
+        stats.incr("a")
+        with tracer.span("child"):
+            stats.incr("a", 2)
+            stats.incr("b")
+            with tracer.span("grandchild"):
+                stats.incr("b", 3)
+                stats.incr("zero", 0)
+        stats.incr("b", 10)
+    by_name = {r["name"]: r["attributes"]["counters"] for r in tracer.finished_spans()}
+    assert by_name == {
+        "grandchild": {"b": 3, "zero": 0},
+        "child": {"a": 2, "b": 1},
+        "root": {"a": 1, "b": 10},
+    }
+    assert _span_counter_sum(tracer.finished_spans()) == {"a": 3, "b": 14, "zero": 0}
+
+
+def test_tracer_without_stats_records_no_counters():
+    tracer = Tracer()
+    with tracer.span("root"):
+        with tracer.span("child"):
+            pass
+    assert all("counters" not in r["attributes"] for r in tracer.finished_spans())
+    assert "counters=" not in render_span_tree(tracer.finished_spans())
+
+
 def test_null_tracer_records_nothing():
     assert NULL_TRACER.active is False
     with NULL_TRACER.span("anything", x=1) as span:
@@ -128,10 +160,84 @@ def test_run_context_fields_are_pinned():
         "config",
         "stats",
         "tracer",
-        "progress",
         "memory",
         "disk",
     ]
+
+
+def test_run_context_binds_a_live_tracer_to_its_stats():
+    tracer = Tracer()
+    ctx = RunContext.observed(tracer)
+    assert tracer.stats is ctx.stats
+    stats = PerfStats()
+    assert RunContext(tracer=Tracer(stats=stats)).tracer.stats is stats
+    assert RunContext().tracer.stats is None  # NULL_TRACER stays unbound
+
+
+def _span_counter_sum(records: list[dict]) -> dict:
+    total: dict = {}
+    for record in records:
+        for name, value in record["attributes"]["counters"].items():
+            total[name] = total.get(name, 0) + value
+    return total
+
+
+def _spans_by_name(records: list[dict]) -> dict:
+    by_name: dict = {}
+    for record in records:
+        by_name.setdefault(record["name"], []).append(record)
+    return by_name
+
+
+def test_span_counters_sum_to_the_stats_record_on_a_full_sweep():
+    """Full degree-one ``V(D, 6)``, traced and cold: the spans' counters
+    are the stats record split by span, and the scan's instance count
+    is the builder's scanned instances plus the sweep's orbit mates."""
+    ctx = RunContext.observed()
+    verdict = decide_hiding(DegreeOneLCP(), 6, _plan(early_exit=False), ctx=ctx)
+    records = ctx.tracer.finished_spans()
+    assert _span_counter_sum(records) == ctx.stats.counters
+    by_name = _spans_by_name(records)
+    (build,) = by_name["build:serial"]
+    (sweep,) = by_name["sweep"]
+    scanned = build["attributes"]["counters"]["instances_scanned"]
+    mates = sweep["attributes"]["counters"]["instances_scanned"]
+    assert (scanned, mates) == (1863, 2841)
+    assert scanned + mates == verdict.provenance.instances_scanned == 4704
+    assert (verdict.provenance.views, verdict.provenance.edges) == (414, 2863)
+    assert "kernel:batch" not in by_name and "symmetry:orbit-prune" not in by_name
+    # Counts live only under ``counters``: no other attribute repeats one.
+    assert build["attributes"] == {"counters": build["attributes"]["counters"]}
+    assert set(sweep["attributes"]) == {"n", "early_exit", "witness_found", "counters"}
+
+
+def test_early_exit_lands_on_the_build_span():
+    ctx = RunContext.observed()
+    verdict = decide_hiding(DegreeOneLCP(), 5, _plan(), ctx=ctx)
+    assert verdict.hiding is True
+    records = ctx.tracer.finished_spans()
+    (build,) = _spans_by_name(records)["build:serial"]
+    counters = build["attributes"]["counters"]
+    assert counters["streaming_early_exits"] == 1
+    assert 0 < counters["instances_scanned"] <= verdict.provenance.instances_scanned
+    assert _span_counter_sum(records) == ctx.stats.counters
+
+
+def test_span_counters_sum_across_a_disk_write_and_reload(tmp_path):
+    plan = _plan(disk_cache=True)
+    with CONFIG.overridden(disk_cache_dir=str(tmp_path)):
+        for served_by, tier in (("sweep", "store-back"), ("disk", "disk-tier")):
+            clear_engine_state()
+            ctx = RunContext.observed()
+            decide_hiding(DegreeOneLCP(), 5, plan, ctx=ctx)
+            records = ctx.tracer.finished_spans()
+            assert _span_counter_sum(records) == ctx.stats.counters
+            by_name = _spans_by_name(records)
+            assert by_name["decide_hiding"][0]["attributes"]["served_by"] == served_by
+            assert "hit" not in by_name["disk-tier"][0]["attributes"]
+            assert by_name[tier][0]["attributes"]["counters"]
+    reload_counters = by_name["disk-tier"][0]["attributes"]["counters"]
+    assert reload_counters["disk_hits"] == 1
 
 
 #: Counters of the process-wide graph generation and its caches, which

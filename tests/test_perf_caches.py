@@ -43,12 +43,14 @@ from repro.perf.cache import LRUCache, ViewLayoutCache
 
 
 class TestLRUCache:
-    def test_get_put_and_counters(self):
+    def test_get_and_put(self):
         lru = LRUCache(4)
         assert lru.get("a") is None
+        assert lru.get("a", 0) == 0
         lru.put("a", 1)
         assert lru.get("a") == 1
-        assert (lru.hits, lru.misses) == (1, 1)
+        lru.put("a", 2)
+        assert lru.get("a") == 2 and len(lru) == 1
 
     def test_eviction_is_least_recently_used(self):
         lru = LRUCache(2)

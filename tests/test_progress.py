@@ -2,10 +2,11 @@
 
 Pins the live-telemetry contract: bus semantics (in-line fan-out in
 subscription order, raising subscribers counted but never fatal), the
-`instances_scanned` delta wrapper, the TTY renderer's EMA-based ETA,
-the JSONL sink's joinability via ``trace_id``, event ordering of a full
-sweep, and — the acceptance invariant — byte-identical
-decision fingerprints whether anyone is watching or not.
+builder's `instances_scanned` deltas on the process-wide bus, the TTY
+renderer's EMA-based ETA, the JSONL sink's joinability via
+``trace_id``, event ordering of a full sweep, and — the acceptance
+invariant — byte-identical decision fingerprints whether anyone is
+watching or not.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from repro.engine import (
 from repro.obs import (
     EVENT_KINDS,
     GLOBAL_PROGRESS,
-    NULL_PROGRESS,
     JSONLSink,
     ProgressBus,
     TTYRenderer,
-    counting_instances,
     progress_enabled,
 )
 from repro.obs.progress import _format_eta
@@ -41,6 +40,15 @@ def _fresh_engine_state():
     clear_engine_state()
     yield
     clear_engine_state()
+
+
+@pytest.fixture()
+def recorded():
+    """Every event on the process-wide bus while the test runs."""
+    records: list[dict] = []
+    subscriber = GLOBAL_PROGRESS.subscribe(records.append)
+    yield records
+    GLOBAL_PROGRESS.unsubscribe(subscriber)
 
 
 def _plan(**overrides) -> ExecutionPlan:
@@ -113,51 +121,10 @@ def test_unsubscribe_is_idempotent():
     assert not bus.active
 
 
-def test_null_progress_refuses_subscribers():
-    assert not NULL_PROGRESS.active
-    NULL_PROGRESS.emit("cell_started")  # no-op
-    with pytest.raises(RuntimeError):
-        NULL_PROGRESS.subscribe(lambda record: None)
-
-
-def test_isolated_context_gets_private_bus():
-    ctx = RunContext()
-    assert ctx.progress is GLOBAL_PROGRESS
-    iso = ctx.isolated()
-    assert iso.progress is not GLOBAL_PROGRESS
-    assert isinstance(iso.progress, ProgressBus)
-
-
 def test_event_kinds_vocabulary_is_stable():
     assert "instances_scanned" in EVENT_KINDS
     assert "campaign_started" in EVENT_KINDS
     assert "generation_level" in EVENT_KINDS
-
-
-# ----------------------------------------------------------------------
-# counting_instances
-# ----------------------------------------------------------------------
-
-
-def test_counting_instances_yields_stream_unchanged():
-    bus = ProgressBus()
-    records = []
-    bus.subscribe(records.append)
-    out = list(counting_instances(iter(range(10)), bus, every=4, scheme="s"))
-    assert out == list(range(10))
-    deltas = [r["delta"] for r in records]
-    assert deltas == [4, 4, 2]  # two full blocks plus the final flush
-    assert [r["total"] for r in records] == [4, 8, 10]
-    assert all(r["event"] == "instances_scanned" for r in records)
-    assert all(r["scheme"] == "s" for r in records)
-
-
-def test_counting_instances_empty_stream_emits_nothing():
-    bus = ProgressBus()
-    records = []
-    bus.subscribe(records.append)
-    assert list(counting_instances(iter(()), bus, every=4)) == []
-    assert records == []
 
 
 # ----------------------------------------------------------------------
@@ -269,35 +236,34 @@ def test_jsonl_sink_accepts_open_stream():
 # ----------------------------------------------------------------------
 
 
-def _decide_with_recorder(plan: ExecutionPlan, n: int = 6):
+def _decide(plan: ExecutionPlan, n: int = 6):
     ctx = RunContext.observed()
-    records: list[dict] = []
-    ctx.progress.subscribe(records.append)
     verdict = decide_hiding(EvenCycleLCP(), n=n, plan=plan, ctx=ctx)
-    return verdict, records, ctx.stats
+    return verdict, ctx
 
 
-def test_decision_emits_started_and_finished():
-    verdict, records, _ = _decide_with_recorder(_plan())
-    kinds = [r["event"] for r in records]
+def test_decision_emits_started_and_finished(recorded):
+    verdict, _ = _decide(_plan())
+    kinds = [r["event"] for r in recorded]
     assert kinds[0] == "decision_started"
     assert kinds[-1] == "decision_finished"
-    done = records[-1]
+    done = recorded[-1]
     assert done["hiding"] == verdict.hiding
     assert done["wall_time_s"] > 0
     assert done["trace_id"] is not None
 
 
-def test_instance_deltas_sum_to_provenance_count():
-    # The deltas count physically scanned instances; provenance also
-    # counts the orbit mates pruning suppressed (even-cycle is anonymous).
-    verdict, records, stats = _decide_with_recorder(_plan(early_exit=False), n=6)
-    kinds = [r["event"] for r in records]
+def test_instance_deltas_sum_to_provenance_count(recorded):
+    # The builder announces the instances it physically scanned;
+    # provenance also counts the orbit mates pruning suppressed
+    # (even-cycle is anonymous).
+    verdict, ctx = _decide(_plan(early_exit=False), n=6)
+    kinds = [r["event"] for r in recorded]
     assert kinds[0] == "decision_started"
     assert kinds[-1] == "decision_finished"
     assert set(kinds[1:-1]) == {"instances_scanned"}
-    scanned = [r for r in records if r["event"] == "instances_scanned"]
-    suppressed = stats.get("symmetry_instances_suppressed")
+    scanned = [r for r in recorded if r["event"] == "instances_scanned"]
+    suppressed = ctx.stats.get("symmetry_instances_suppressed")
     assert suppressed > 0
     assert (
         sum(r["delta"] for r in scanned) + suppressed
@@ -305,15 +271,19 @@ def test_instance_deltas_sum_to_provenance_count():
     )
     totals = [r["total"] for r in scanned]
     assert totals == sorted(totals)  # monotone running totals
+    assert all(r["delta"] <= 256 for r in scanned)
+    # ``n`` travels on decision_started only.
+    assert {(r["scheme"], r["trace_id"], "n" in r) for r in scanned} == {
+        (EvenCycleLCP().name, ctx.tracer.trace_id, False)
+    }
 
 
-def test_unobserved_run_skips_instance_wrapper():
-    ctx = RunContext.observed()
-    # No subscribers: the backend must not pay for the counting wrapper,
-    # and emission must leave no trace on the bus.
-    verdict = decide_hiding(EvenCycleLCP(), n=5, plan=_plan(), ctx=ctx)
+def test_unobserved_run_skips_instance_announcements():
+    assert not GLOBAL_PROGRESS.active
+    errors = GLOBAL_PROGRESS.errors
+    verdict, _ = _decide(_plan(), n=5)
     assert verdict.provenance.instances_scanned > 0
-    assert ctx.progress.errors == 0
+    assert GLOBAL_PROGRESS.errors == errors
 
 
 # ----------------------------------------------------------------------
@@ -325,12 +295,16 @@ def test_fingerprints_identical_with_and_without_observers(monkeypatch):
     def run(observed: bool) -> bytes:
         clear_engine_state()
         ctx = RunContext.observed()
+        subscriber = None
         if observed:
             monkeypatch.delenv("REPRO_NO_PROGRESS", raising=False)
-            ctx.progress.subscribe(lambda record: None)
+            subscriber = GLOBAL_PROGRESS.subscribe(lambda record: None)
         else:
             monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
-        verdict = decide_hiding(DegreeOneLCP(), n=6, plan=_plan(), ctx=ctx)
+        try:
+            verdict = decide_hiding(DegreeOneLCP(), n=6, plan=_plan(), ctx=ctx)
+        finally:
+            GLOBAL_PROGRESS.unsubscribe(subscriber)
         return verdict.decision_fingerprint()
 
     assert run(observed=True) == run(observed=False)
@@ -341,12 +315,10 @@ def test_fingerprints_identical_with_and_without_observers(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_campaign_emits_cell_lifecycle_events():
+def test_campaign_emits_cell_lifecycle_events(recorded):
     spec = CampaignSpec(schemes=("even-cycle",), n_values=(4, 5, 6), k_values=(2,))
-    ctx = RunContext.observed()
-    records: list[dict] = []
-    ctx.progress.subscribe(records.append)
-    run = run_campaign(spec, ctx=ctx)
+    run = run_campaign(spec, ctx=RunContext.observed())
+    records = recorded
     kinds = [r["event"] for r in records]
     assert kinds[0] == "campaign_started"
     assert kinds[-1] == "campaign_finished"

@@ -172,7 +172,6 @@ def test_clear_engine_state_leaves_the_default_route_cold():
     clear_engine_state()
     second = decide_hiding(lcp, 4, ExecutionPlan())
     assert second is not first
-    assert second.provenance.memory_cache_hit is False
     assert second.provenance.warm_witness_hit is False
     assert second.provenance.disk_cache_hit is False
     assert second.decision_fingerprint() == first.decision_fingerprint()
