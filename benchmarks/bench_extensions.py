@@ -1,14 +1,13 @@
 """Benchmarks for the extension experiments: χ(V(D, n)) computation, the
-exhaustive decoder sub-universe, the universal O(n²) scheme, and the
-asynchronous engine."""
+exhaustive decoder sub-universe, the universal O(n²) scheme, quantified
+hiding and certificate erasure."""
 
 from repro.core import UniversalLCP
 from repro.engine import ExecutionPlan, decide_hiding
 from repro.experiments import run_experiment
-from repro.graphs import grid_graph, cycle_graph
+from repro.graphs import grid_graph
 from repro.graphs.coloring import chromatic_number
 from repro.local import Instance
-from repro.local.async_simulator import simulate_views_async
 
 
 def test_ext_chromatic_experiment(benchmark):
@@ -21,6 +20,20 @@ def test_ext_chromatic_experiment(benchmark):
 def test_ext_decoder_universe_experiment(benchmark):
     result = benchmark.pedantic(
         lambda: run_experiment("ext_decoder_universe"), rounds=1, iterations=1
+    )
+    assert result.ok
+
+
+def test_tbl_hiding_fraction_experiment(benchmark):
+    result = benchmark.pedantic(
+        lambda: run_experiment("tbl_hiding_fraction"), rounds=1, iterations=1
+    )
+    assert result.ok
+
+
+def test_tbl_resilience_experiment(benchmark):
+    result = benchmark.pedantic(
+        lambda: run_experiment("tbl_resilience"), rounds=1, iterations=1
     )
     assert result.ok
 
@@ -47,14 +60,3 @@ def test_universal_verification_grid(benchmark):
     labeled = instance.with_labeling(lcp.prover.certify(instance))
     result = benchmark(lambda: lcp.check(labeled))
     assert result.unanimous
-
-
-def test_async_flooding_radius2(benchmark):
-    instance = Instance.build(cycle_graph(24))
-
-    def run():
-        return simulate_views_async(instance, 2, seed=5)
-
-    views, stats = benchmark(run)
-    assert len(views) == 24
-    assert stats.events_processed == stats.messages_sent

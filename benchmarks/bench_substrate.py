@@ -2,30 +2,16 @@
 
 Not tied to one paper artifact; these quantify the costs that determine
 how far the neighborhood-graph enumerations and adversarial sweeps scale
-(canonicalization, exhaustive relabeling, coloring, family enumeration).
+(exhaustive relabeling, coloring, family enumeration).
 """
 
 from repro.certification import ExhaustiveAdversary, FastVerifier, check_strong_soundness
 from repro.core import DegreeOneLCP
 from repro.graphs import complete_graph, cycle_graph, grid_graph, random_graph
 from repro.graphs.coloring import k_coloring
-from repro.graphs.encoding import canonical_form, find_isomorphism
 from repro.graphs.families import all_graphs_exactly
 from repro.local import Instance, Labeling
 from repro.local.views import extract_view_layouts, relabel_view
-
-
-def test_canonical_form_grid(benchmark):
-    graph = grid_graph(3, 3)
-    key = benchmark(lambda: canonical_form(graph))
-    assert key[0] == 9
-
-
-def test_find_isomorphism_cycles(benchmark):
-    g = cycle_graph(12)
-    h = g.relabeled({i: (i * 5) % 12 for i in range(12)})
-    iso = benchmark(lambda: find_isomorphism(g, h))
-    assert iso is not None
 
 
 def test_family_enumeration_n5(benchmark):

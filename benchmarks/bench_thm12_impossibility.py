@@ -1,5 +1,6 @@
 """Benchmark for Theorems 1.2/6.3: the impossibility dichotomy probe and
-its ingredients (adversarial refutation, hiding witness search)."""
+its ingredients (adversarial refutation, hiding witness search, the
+Lemma 6.2 Ramsey reduction)."""
 
 from repro.certification import (
     ConstantDecoder,
@@ -14,6 +15,11 @@ from repro.neighborhood import build_neighborhood_graph, labeled_yes_instances
 
 def test_thm12_experiment(benchmark):
     result = benchmark.pedantic(lambda: run_experiment("thm12"), rounds=1, iterations=1)
+    assert result.ok
+
+
+def test_lem62_experiment(benchmark):
+    result = benchmark.pedantic(lambda: run_experiment("lem62"), rounds=1, iterations=1)
     assert result.ok
 
 

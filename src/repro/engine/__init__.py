@@ -14,17 +14,17 @@ behind a single serial pipeline::
   resolves against the session's :class:`~repro.perf.config.PerfConfig`.
 * :func:`decide_hiding` — *what* to decide; returns a :class:`Verdict`
   envelope (decision + canonical witness + graph + :class:`Provenance`).
-* :class:`RunContext` — explicit config/stats/cache carriers for callers
-  that must not touch process-wide state.
-* :class:`VerdictStore` — the cache-tier protocol; memory and disk tiers
-  ship, new tiers plug into a context.
+* :class:`RunContext` — explicit config/stats/tracer/memo-tier carriers
+  for callers that must not touch process-wide state.
+* :class:`MemoryVerdictStore` and :class:`DiskVerdictStore` — the memo
+  and persistent cache tiers.
 """
 
 from .backends import ENGINE_VERSION, StreamingBackend, available_backends
 from .context import RunContext
 from .core import clear_engine_state, decide_hiding
 from .plan import BACKEND_AUTO, BACKEND_STREAMING, ExecutionPlan
-from .stores import DiskVerdictStore, MemoryVerdictStore, VerdictStore
+from .stores import DiskVerdictStore, MemoryVerdictStore
 from .verdict import Provenance, Verdict
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "RunContext",
     "StreamingBackend",
     "Verdict",
-    "VerdictStore",
     "available_backends",
     "clear_engine_state",
     "decide_hiding",

@@ -6,8 +6,9 @@ module globals (``repro.perf.CONFIG`` and ``GLOBAL_STATS``), which every
 layer imported and mutated on its own.  A :class:`RunContext` carries
 them explicitly: :func:`repro.engine.decide_hiding` resolves its plan
 against ``ctx.config`` once, records counters on ``ctx.stats``, and
-consults ``ctx.memory_store()`` / ``ctx.disk`` — nothing in the
-engine writes a module global.  ``RunContext.default()`` binds the
+consults ``ctx.memory_store()`` — nothing in the engine writes a module
+global.  The disk tier is one shared store over ``.repro_cache/``,
+whose directory the config names.  ``RunContext.default()`` binds the
 process-wide objects, so call sites that never build a context keep the
 historical behavior; tests and benchmarks build isolated contexts
 instead of save/restore dances.
@@ -26,12 +27,10 @@ from dataclasses import dataclass, field, replace
 from ..obs.trace import NULL_TRACER, Tracer
 from ..perf.config import CONFIG, PerfConfig
 from ..perf.stats import GLOBAL_STATS, PerfStats
-from .stores import DiskVerdictStore, MemoryVerdictStore, VerdictStore
+from .stores import MemoryVerdictStore
 
 #: Process-wide memo tier (cleared by ``clear_engine_state``).
 _SHARED_MEMORY_STORE = MemoryVerdictStore()
-
-_SHARED_DISK_STORE = DiskVerdictStore()
 
 
 @dataclass
@@ -48,14 +47,12 @@ class RunContext:
       yet is bound to ``stats``, so its spans record their counters.
     * ``memory`` — the memo tier, which also parks the warm-start
       states; ``None`` falls back to the shared process-wide store.
-    * ``disk`` — the persistent tier.
     """
 
     config: PerfConfig = field(default_factory=lambda: CONFIG)
     stats: PerfStats = field(default_factory=lambda: GLOBAL_STATS)
     tracer: Tracer = field(default=NULL_TRACER)
     memory: MemoryVerdictStore | None = None
-    disk: VerdictStore = field(default_factory=lambda: _SHARED_DISK_STORE)
 
     def __post_init__(self) -> None:
         if self.tracer.active and self.tracer.stats is None:

@@ -38,9 +38,14 @@ from ..obs.progress import GLOBAL_PROGRESS
 from .backends import STREAMING, disk_key, memory_key
 from .context import _SHARED_MEMORY_STORE, RunContext
 from .plan import ExecutionPlan
+from .stores import DiskVerdictStore
 from .verdict import Verdict
 
 log = get_logger("engine")
+
+#: The persistent tier, shared by every context; it resolves the cache
+#: directory from the live config on each operation.
+_DISK_STORE = DiskVerdictStore()
 
 
 def _stamp_trace(verdict: Verdict, ctx: RunContext) -> Verdict:
@@ -147,7 +152,7 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
         root.set_attribute("served_by", "shortcut")
     elif plan.disk_cache:
         with tracer.span("disk-tier"):
-            loaded = ctx.disk.load(disk_key(lcp, n, plan), stats=ctx.stats)
+            loaded = _DISK_STORE.load(disk_key(lcp, n, plan), stats=ctx.stats)
         if loaded is not None:
             log.debug("%s n=%d: disk-tier hit", lcp.name, n)
             root.set_attribute("served_by", "disk")
@@ -167,7 +172,7 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
         if memory is not None:
             memory.store(mem_key, verdict, stats=ctx.stats)
         if plan.disk_cache:
-            ctx.disk.store(disk_key(lcp, n, plan), verdict, stats=ctx.stats)
+            _DISK_STORE.store(disk_key(lcp, n, plan), verdict, stats=ctx.stats)
     return verdict
 
 

@@ -1,6 +1,9 @@
-"""Verdict cache tiers behind one :class:`VerdictStore` protocol.
+"""The engine's two verdict cache tiers.
 
-Two tiers ship with the engine:
+Both have ``load(key, stats)`` and ``store(key, verdict, stats)``; *key*
+is tier-specific — the memory tier hashes a tuple, the disk tier digests
+a readable dict — and always produced by the engine's key builders,
+never by callers.
 
 * :class:`MemoryVerdictStore` — an in-process dict keyed by the resolved
   sweep identity.  Exact object round trip: a hit returns the very
@@ -14,9 +17,6 @@ Two tiers ship with the engine:
   envelope's :class:`~repro.engine.verdict.Provenance` records the disk
   hit.  The on-disk key layout is byte-compatible with the pre-engine
   cache, so existing ``.repro_cache/`` entries keep serving.
-
-New tiers (remote stores, sharded stores) implement the same two
-methods and plug into :class:`~repro.engine.context.RunContext`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain
 from operator import lt
-from typing import Protocol, runtime_checkable
 
 from ..graphs.properties import is_odd_closed_walk, proper_coloring_ok
 from ..neighborhood.ngraph import NeighborhoodGraph
@@ -33,20 +32,6 @@ from ..perf.stats import GLOBAL_STATS, PerfStats
 from .verdict import Provenance, Verdict, fingerprint_bytes, fingerprint_digest
 
 log = get_logger("engine.stores")
-
-
-@runtime_checkable
-class VerdictStore(Protocol):
-    """One cache tier: load/store engine verdicts by sweep identity.
-
-    *key* is tier-specific — the memory tier hashes a tuple, the disk
-    tier digests a readable dict — and always produced by the engine's
-    key builders, never by callers.
-    """
-
-    def load(self, key, stats: PerfStats | None = None) -> Verdict | None: ...
-
-    def store(self, key, verdict: Verdict, stats: PerfStats | None = None) -> bool: ...
 
 
 class MemoryVerdictStore:

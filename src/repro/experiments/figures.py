@@ -24,7 +24,6 @@ from ..graphs import (
 )
 from ..graphs.forgetful import forgetful_report
 from ..local.instance import Instance
-from ..local.simulator import simulate_views
 from ..local.views import extract_view
 from ..neighborhood.aviews import labeled_yes_instances
 from ..neighborhood.hiding import hiding_verdict_from_instances
@@ -125,14 +124,14 @@ def run_fig1() -> ExperimentResult:
 )
 def run_fig2() -> ExperimentResult:
     """Reconstruct Fig. 2's phenomenon: an edge between two distance-2
-    nodes is invisible in a radius-2 view, and the message-passing
-    simulator reproduces exactly the same view."""
+    nodes is invisible in a radius-2 view.  That two flooding rounds
+    rebuild exactly this view at every center is checked by the tests'
+    message-passing simulators."""
     graph = cycle_graph(5)
     instance = Instance.build(graph)
     view = extract_view(instance, 0, 2)
     visible_edges = len(view.edges)
     total_edges = graph.size
-    simulated, stats = simulate_views(instance, 2)
     rows = [
         {
             "graph": "C5",
@@ -142,17 +141,10 @@ def run_fig2() -> ExperimentResult:
             "visible_edges": visible_edges,
             "graph_edges": total_edges,
             "invisible_edges": total_edges - visible_edges,
-            "simulator_matches": simulated[0] == view,
-            "messages": stats.total_messages,
         }
     ]
     # The invisible edge is (2, 3): both endpoints at distance 2 from 0.
-    ok = (
-        view.size == 5
-        and visible_edges == 4
-        and simulated[0] == view
-        and all(simulated[v] == extract_view(instance, v, 2) for v in graph.nodes)
-    )
+    ok = view.size == 5 and visible_edges == 4
     return ExperimentResult(
         exp_id="fig2",
         title="Radius-2 views and invisible boundary edges",

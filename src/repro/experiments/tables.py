@@ -1,12 +1,12 @@
-"""Table experiments: certificate sizes, simulator validation, and the
-quantified-hiding / erasure-resilience extensions.
+"""Table experiments: certificate sizes and the quantified-hiding /
+erasure-resilience extensions.
 
 The brief announcement has no measured tables; its implicit results
 table is the certificate-size column of Section 1.3 (constant / constant
 / ``O(min{Δ², n} + log n)`` / ``O(log n)``), which ``tbl_cert``
-regenerates with measured bit counts over an ``n``-sweep.  ``tbl_sim``
-validates the message-passing substrate, and the two extension tables
-implement the future-work directions named in Sections 1.1–1.2.
+regenerates with measured bit counts over an ``n``-sweep; the two
+extension tables implement the future-work directions named in
+Sections 1.1–1.2.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from ..core.union import UnionLCP
 from ..core.watermelon import WatermelonLCP
 from ..graphs import (
     cycle_graph,
-    caterpillar_graph,
     path_graph,
     spider_graph,
     watermelon_graph,
 )
 from ..local.instance import Instance
-from ..local.simulator import ERASED, simulate_views
 from ..local.views import extract_all_views
 from .registry import ExperimentResult, register
+
+ERASED = ("__erased__",)
+"""Sentinel certificate carried by nodes whose label was erased by a fault."""
 
 
 def _certificate_row(lcp, graph, label):
@@ -123,57 +124,6 @@ def run_tbl_cert() -> ExperimentResult:
 
 
 @register(
-    "tbl_sim",
-    "Message-passing simulator vs direct view extraction",
-    "Section 2.2 (model validation)",
-)
-def run_tbl_sim() -> ExperimentResult:
-    """The flooding simulator must reconstruct exactly the views the
-    definition prescribes; rows record message complexity per graph and
-    radius."""
-    rows = []
-    ok = True
-    cases = [
-        ("P8", path_graph(8)),
-        ("C10", cycle_graph(10)),
-        ("caterpillar(5)", caterpillar_graph(5)),
-        ("spider(3,3)", spider_graph(3, 3)),
-    ]
-    from ..local.async_simulator import simulate_views_async  # noqa: PLC0415
-
-    for name, graph in cases:
-        instance = Instance.build(graph)
-        for radius in (1, 2, 3):
-            simulated, stats = simulate_views(instance, radius)
-            direct = extract_all_views(instance, radius)
-            match = simulated == direct
-            async_views, async_stats = simulate_views_async(
-                instance, radius, seed=radius * 31
-            )
-            async_match = async_views == direct
-            ok = ok and match and async_match
-            rows.append(
-                {
-                    "graph": name,
-                    "radius": radius,
-                    "sync_match": match,
-                    "async_match": async_match,
-                    "messages": stats.total_messages,
-                    "record_units": stats.total_record_units,
-                    "async_round_skew": async_stats.max_round_skew,
-                }
-            )
-    return ExperimentResult(
-        exp_id="tbl_sim",
-        title="Message-passing simulator vs direct view extraction",
-        paper_claim="r flooding rounds reconstruct exactly view_r (incl. "
-        "invisible boundary edges); asynchrony + α-synchronizer changes nothing",
-        ok=ok,
-        rows=rows,
-    )
-
-
-@register(
     "tbl_hiding_fraction",
     "Quantified hiding: fraction of nodes whose color leaks",
     "Section 1.1 (future-work direction, made executable)",
@@ -242,6 +192,10 @@ def run_tbl_hiding_fraction() -> ExperimentResult:
 def run_tbl_resilience() -> ExperimentResult:
     """Erase ``f`` certificates and count rejecting nodes.
 
+    An erased node carries the :data:`ERASED` sentinel instead of its
+    certificate, and every node decides its radius-1 view of that
+    labeling.
+
     The paper contrasts its soundness-side requirements with resilient
     labeling schemes' completeness-side ones; this experiment quantifies
     the contrast: the paper's schemes are *not* erasure-resilient — a
@@ -259,10 +213,13 @@ def run_tbl_resilience() -> ExperimentResult:
     for name, lcp, graph in cases:
         instance = Instance.build(graph)
         labeling = lcp.prover.certify(instance)
-        labeled = instance.with_labeling(labeling)
         for erased_count in (0, 1, 2):
-            erased = set(list(graph.nodes)[:erased_count])
-            views, _stats = simulate_views(labeled, 1, include_ids=False, erased_nodes=erased)
+            erased = labeling
+            for v in graph.nodes[:erased_count]:
+                erased = erased.with_label(v, ERASED)
+            views = extract_all_views(
+                instance.with_labeling(erased), 1, include_ids=False
+            )
             votes = {v: lcp.decoder.decide(view) for v, view in views.items()}
             accepting = {v for v, vote in votes.items() if vote}
             still_bipartite = bipartition(graph.induced_subgraph(accepting)).is_bipartite

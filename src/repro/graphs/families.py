@@ -9,8 +9,7 @@ watermelons).
 
 Enumeration is exact and deterministic: the orderly generator of
 :mod:`repro.symmetry.orderly` constructs each isomorphism class exactly
-once, in the order of the edge-subset walk
-:func:`enumerate_graphs_exactly_reference` (all ``2^(n choose 2)``
+once, in the order of the edge-subset walk (all ``2^(n choose 2)``
 masks, deduplicated by isomorphism), which the tests keep as the
 differential oracle.  With ``bipartite=True`` only the bipartite
 classes are enumerated — the bipartite subsequence of the full stream —
@@ -33,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 from ..perf.stats import GLOBAL_STATS
 from .graph import FrozenGraph, Graph
@@ -157,48 +155,6 @@ def all_graphs_exactly(
     # Commit only after full exhaustion, so an abandoned generator
     # never caches a truncated family.
     _FAMILY_CACHE[key] = tuple(representatives)
-
-
-def _iso_invariant(g: Graph) -> tuple:
-    """Cheap isomorphism invariant: per-node (degree, sorted neighbor
-    degrees), sorted."""
-    deg = {v: g.degree(v) for v in g.nodes}
-    profile = sorted(
-        (deg[v], tuple(sorted(deg[u] for u in g.neighbors(v)))) for v in g.nodes
-    )
-    return (g.order, g.size, tuple(profile))
-
-
-def enumerate_graphs_exactly_reference(n: int, connected_only: bool = True) -> Iterator[Graph]:
-    """Object-based reference enumeration (the pre-bitset algorithm).
-
-    Builds a :class:`Graph` for every edge subset and deduplicates with
-    the exact isomorphism search.  Kept as the differential-testing
-    oracle of orderly generation (same representatives, same order);
-    never used on the hot path.
-    """
-    from .encoding import find_isomorphism  # noqa: PLC0415
-    from .properties import is_connected  # noqa: PLC0415
-
-    if n <= 0:
-        return
-    if n == 1:
-        yield Graph(nodes=[0])
-        return
-    possible_edges = list(combinations(range(n), 2))
-    buckets: dict[tuple, list[Graph]] = {}
-    for mask in range(1 << len(possible_edges)):
-        g = Graph(
-            nodes=range(n),
-            edges=[e for i, e in enumerate(possible_edges) if mask >> i & 1],
-        )
-        if connected_only and not is_connected(g):
-            continue
-        bucket = buckets.setdefault(_iso_invariant(g), [])
-        if any(find_isomorphism(g, h) is not None for h in bucket):
-            continue
-        bucket.append(g)
-        yield g
 
 
 def all_graphs_up_to(

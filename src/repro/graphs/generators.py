@@ -12,7 +12,7 @@ The families map onto the paper as follows:
 * grids and trees — the ``r``-forgetful graphs of the lower bound
   (Theorem 1.2, Fig. 1);
 * watermelon graphs — Theorem 1.4;
-* theta / tadpole / barbell and friends — graphs with shatter points and
+* theta / pan / barbell and friends — graphs with shatter points and
   the no-instance stock for soundness checks.
 """
 
@@ -129,11 +129,6 @@ def pan_graph(cycle_len: int, tail_len: int = 1) -> Graph:
         g.add_edge(prev, nxt)
         prev = nxt
     return g
-
-
-def tadpole_graph(cycle_len: int, tail_len: int) -> Graph:
-    """Alias of :func:`pan_graph` under its other common name."""
-    return pan_graph(cycle_len, tail_len)
 
 
 def theta_graph(a: int, b: int, c: int) -> Graph:

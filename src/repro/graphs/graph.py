@@ -276,7 +276,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:  # pragma: no cover - explicit unhashability
-        raise TypeError("Graph is mutable and unhashable; use encoding.graph_key()")
+        raise TypeError("Graph is mutable and unhashable; use FrozenGraph.freeze()")
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, size={self.size})"

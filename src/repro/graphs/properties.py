@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import GraphError
 from .graph import Graph, Node, sealed_coloring
-from .traversal import bfs_distances, connected_components, is_connected
+from .traversal import connected_components, is_connected
 
 
 @dataclass(frozen=True)
@@ -213,14 +213,3 @@ def cycle_count_lower_bound(graph: Graph) -> int:
 def has_at_least_two_cycles(graph: Graph) -> bool:
     """True iff the cycle space of *graph* has dimension at least 2."""
     return cycle_count_lower_bound(graph) >= 2
-
-
-def distance_profile(graph: Graph, v: Node) -> list[int]:
-    """Histogram of distances from *v*: entry ``d`` counts nodes at dist d."""
-    dist = bfs_distances(graph, v)
-    if not dist:
-        return []
-    profile = [0] * (max(dist.values()) + 1)
-    for d in dist.values():
-        profile[d] += 1
-    return profile

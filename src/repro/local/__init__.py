@@ -1,13 +1,6 @@
 """LOCAL-model substrate: ports, identifiers, labelings, instances, views,
-local algorithms, and the synchronous message-passing simulator."""
+and local algorithms."""
 
-from .async_simulator import (
-    AsyncSimulationError,
-    AsyncSimulator,
-    AsyncStats,
-    DelaySchedule,
-    simulate_views_async,
-)
 from .algorithms import (
     FunctionAlgorithm,
     LocalAlgorithm,
@@ -30,36 +23,18 @@ from .labeling import (
     labeling_key,
     node_sort_order,
 )
-from .messages import EdgeRecord, Message, NodeRecord, RoundStats, RunStats
 from .ports import PortAssignment, all_port_assignments, count_port_assignments
-from .simulator import (
-    ERASED,
-    SyncSimulator,
-    run_algorithm_distributed,
-    simulate_views,
-)
 from .views import View, extract_all_views, extract_view
 
 __all__ = [
-    "AsyncSimulationError",
-    "AsyncSimulator",
-    "AsyncStats",
     "Certificate",
-    "DelaySchedule",
-    "EdgeRecord",
-    "ERASED",
     "FunctionAlgorithm",
     "IdentifierAssignment",
     "Instance",
     "Labeling",
     "LocalAlgorithm",
-    "Message",
-    "NodeRecord",
     "OrderInvariantLift",
     "PortAssignment",
-    "RoundStats",
-    "RunStats",
-    "SyncSimulator",
     "View",
     "all_identifier_assignments",
     "all_labelings",
@@ -73,8 +48,5 @@ __all__ = [
     "extract_view",
     "is_anonymous_on",
     "is_order_invariant_on",
-    "run_algorithm_distributed",
     "same_order_type",
-    "simulate_views",
-    "simulate_views_async",
 ]

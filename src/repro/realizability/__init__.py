@@ -6,7 +6,6 @@ from .compatibility import (
     identifiers_in,
     node_compatible_with,
     occurrences_of_identifier,
-    views_compatible,
 )
 from .realize import (
     RealizationResult,
@@ -50,6 +49,5 @@ __all__ = [
     "order_preserving_remap",
     "realize_views",
     "realize_walk_component_wise",
-    "views_compatible",
     "walk_length",
 ]

@@ -48,12 +48,6 @@ def node_compatible_with(view1: View, u_local: int, view2: View) -> bool:
     return True
 
 
-def views_compatible(view1: View, view2: View, u_local: int) -> bool:
-    """``μ1`` is compatible with ``μ2`` with respect to ``u`` (paper's
-    phrasing for :func:`node_compatible_with`)."""
-    return node_compatible_with(view1, u_local, view2)
-
-
 def occurrences_of_identifier(view: View, identifier: int) -> list[int]:
     """Local nodes of *view* carrying *identifier* (0 or 1 of them)."""
     if view.ids is None:

@@ -8,8 +8,7 @@ Two complementary canonical labelings drive the orderly generator
   position ``p`` contributes the column bits ``(0,p) .. (p-1,p)``, so a
   partial assignment fixes a prefix of the form and the DFS prunes on
   it.  The search is restricted to degree-respecting assignments (nodes
-  sorted by ascending degree get contiguous position blocks, mirroring
-  the block convention of :func:`repro.graphs.encoding.canonical_form`);
+  sorted by ascending degree get contiguous position blocks);
   the restricted minimum is still an exact isomorphism invariant because
   the restricted assignment set is itself isomorphism-invariant.  All
   minimizing assignments are returned, which yields the full
@@ -18,9 +17,9 @@ Two complementary canonical labelings drive the orderly generator
 * :func:`min_edge_mask` — the *emission* form: the smallest edge-subset
   mask (bit ``i`` = ``combinations(range(n), 2)[i]``) over all
   relabelings.  This is exactly the representative the edge-subset
-  walk (:func:`repro.graphs.families.enumerate_graphs_exactly_reference`)
-  keeps (it walks masks in ascending order and yields the first of each
-  class), so the orderly generator reproduces that stream byte for byte.
+  walk keeps (it walks masks in ascending order and yields the first of
+  each class; the tests keep it as the oracle), so the orderly generator
+  reproduces that stream byte for byte.
   Minimizing the mask integer means comparing bits most-significant
   first — rows descending, columns descending — so here positions are
   assigned in *descending* order and no degree restriction applies (the

@@ -19,10 +19,9 @@ Levels memoize *all* graphs (disconnected parents breed connected
 children); connectivity is filtered at emission only.  Emission
 reproduces the edge-subset walk byte for byte: each class is labeled by
 its minimal edge mask (:func:`repro.symmetry.canon.min_edge_mask`) — the
-exact representative the mask walk of
-:func:`repro.graphs.families.enumerate_graphs_exactly_reference` keeps —
-and classes are emitted in ascending mask order, so the stream is the
-one the tests' reference walk produces.  Emitted graphs are
+exact representative the edge-subset mask walk keeps — and classes are
+emitted in ascending mask order, so the stream is the one the tests'
+reference walk produces.  Emitted graphs are
 :class:`~repro.graphs.graph.FrozenGraph` objects: the automorphism group
 computed during generation is transported to the emitted labeling and
 seeded as the graph's group fact (:mod:`repro.symmetry.groups`).
@@ -451,9 +450,8 @@ def orderly_graphs_exactly(
     """All graphs on exactly *n* nodes up to isomorphism, emitted in the
     edge-subset walk's exact order and labeling.
 
-    Byte-identical to
-    :func:`repro.graphs.families.enumerate_graphs_exactly_reference`,
-    but visits each isomorphism class once instead of all
+    Byte-identical to the edge-subset walk (the tests' oracle), but
+    visits each isomorphism class once instead of all
     ``2^(n choose 2)`` masks.
     With *bipartite* only the bipartite classes are built and emitted:
     the bipartite subsequence of the full stream.  Emitted graphs are

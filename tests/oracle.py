@@ -9,7 +9,7 @@ bipartition walk for ``k = 2``, exact coloring otherwise).  Parity
 suites compare the engine against it.
 
 Its brute-force side draws graphs from
-:func:`~repro.graphs.families.enumerate_graphs_exactly_reference` — every
+:func:`~tests.isomorphism.enumerate_graphs_exactly_reference` — every
 edge subset, deduplicated by isomorphism — so it stays independent of
 orderly generation, which emits the same stream.
 
@@ -61,7 +61,6 @@ import pytest
 
 from repro.engine import ExecutionPlan, Provenance, Verdict
 from repro.errors import ViewError
-from repro.graphs.families import enumerate_graphs_exactly_reference
 from repro.graphs.graph import FrozenGraph
 from repro.graphs.properties import bipartition
 from repro.graphs.traversal import view_subgraph_nodes_and_edges
@@ -80,6 +79,8 @@ from repro.neighborhood.streaming import StreamingHidingEngine
 from repro.perf.cache import default_layout_cache
 from repro.perf.persist import encode_label
 from repro.symmetry import SymmetryAccount, orderly
+
+from .isomorphism import enumerate_graphs_exactly_reference
 
 _PLAN = ExecutionPlan()
 

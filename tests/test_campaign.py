@@ -8,7 +8,7 @@ The load-bearing properties:
   ``decide_hiding`` call, and its disk key digests to the exact
   pre-campaign content address (existing ``.repro_cache/`` entries keep
   serving);
-* cell verdicts round-trip both ``VerdictStore`` tiers, including cells
+* cell verdicts round-trip both verdict store tiers, including cells
   off the native parameters;
 * the frontier report locates real verdict flips, survives a
   write/load round-trip, and satisfies its own validator.
@@ -282,7 +282,7 @@ def test_precampaign_disk_entries_still_resolve(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# VerdictStore round-trips
+# Verdict store round-trips
 # ----------------------------------------------------------------------
 
 

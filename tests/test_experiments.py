@@ -21,7 +21,6 @@ FAST_EXPERIMENTS = [
     "fig1",
     "fig2",
     "fig7",
-    "tbl_sim",
     "tbl_hiding_fraction",
     "tbl_resilience",
 ]

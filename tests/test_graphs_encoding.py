@@ -1,4 +1,4 @@
-"""Tests for canonical forms, isomorphism, and family enumeration."""
+"""Tests for the brute-force isomorphism oracle and family enumeration."""
 
 import networkx as nx
 import pytest
@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
-    are_isomorphic,
-    canonical_form,
-    complete_graph,
     cycle_graph,
-    find_isomorphism,
-    graph_key,
     path_graph,
     random_graph,
     star_graph,
 )
-from repro.graphs.encoding import adjacency_matrix
 from repro.graphs.families import (
     all_graphs_exactly,
     all_graphs_up_to,
@@ -27,6 +21,14 @@ from repro.graphs.families import (
     non_bipartite_graphs_up_to,
     shatter_graphs_up_to,
     watermelon_graphs_up_to,
+)
+
+from .isomorphism import (
+    adjacency_matrix,
+    are_isomorphic,
+    canonical_form,
+    find_isomorphism,
+    graph_key,
 )
 
 

@@ -30,7 +30,6 @@ from repro.graphs.families import (
     watermelon_family_up_to,
     watermelon_graphs_up_to,
 )
-from repro.graphs.encoding import are_isomorphic
 from repro.graphs.watermelon import is_watermelon
 from repro.neighborhood.aviews import (
     graph_source,
@@ -40,6 +39,8 @@ from repro.neighborhood.aviews import (
 from repro.perf.stats import GLOBAL_STATS
 from repro.symmetry.canon import min_edge_mask
 from repro.symmetry.groups import automorphism_group
+
+from .isomorphism import are_isomorphic
 
 DIRECT = [name for name, family in GRAPH_FAMILIES.items() if family.direct is not None]
 

@@ -5,7 +5,7 @@ realizability, mirroring the examples."""
 from repro.certification import ConstantDecoder, EnumerativeLCP
 from repro.core import DegreeOneLCP, RevealingLCP, UnionLCP, all_lcps, make_lcp, scheme_names
 from repro.graphs import cycle_graph, grid_graph, is_bipartite, path_graph, theta_graph
-from repro.local import Instance, run_algorithm_distributed
+from repro.local import Instance
 from repro.engine import ExecutionPlan, decide_hiding
 from repro.neighborhood import (
     build_extraction_decoder,
@@ -14,6 +14,8 @@ from repro.neighborhood import (
     run_extraction,
 )
 from repro.realizability import candidates_from_witnesses, realize_views
+
+from .simulator import run_algorithm_distributed
 
 
 def test_registry_round_trip_all_schemes():

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from repro.core import EvenCycleLCP
 from repro.graphs import cycle_graph, grid_graph, path_graph, random_graph, spider_graph
 from repro.graphs.traversal import is_connected
-from repro.local import ERASED, Instance, extract_all_views
-from repro.local.async_simulator import (
+from repro.local import Instance, extract_all_views
+
+from .async_simulator import (
     AsyncSimulationError,
     AsyncSimulator,
     AsyncStats,
     DelaySchedule,
+    _Event,
     simulate_views_async,
 )
+from .simulator import ERASED, NodeRecord
 
 
 class TestEquivalence:
@@ -82,9 +85,6 @@ class TestSynchronizer:
         instance = Instance.build(path_graph(2))
         simulator = AsyncSimulator(instance, DelaySchedule(seed=0))
         simulator.run(1)
-        from repro.local.async_simulator import _Event
-        from repro.local.messages import NodeRecord
-
         rogue = _Event(
             time=99.0,
             sequence=999,

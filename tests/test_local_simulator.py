@@ -1,12 +1,14 @@
-"""Tests for the message-passing simulator: exact equivalence with direct
+"""Tests for the message-passing simulators: exact equivalence with direct
 view extraction, message accounting, and fault injection."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EvenCycleLCP, RevealingLCP
+from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP
+from repro.experiments import tables
 from repro.graphs import (
+    caterpillar_graph,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -15,27 +17,37 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs.traversal import is_connected
-from repro.local import (
-    ERASED,
-    Instance,
-    Labeling,
-    SyncSimulator,
-    extract_all_views,
-    run_algorithm_distributed,
-    simulate_views,
-)
+from repro.local import Instance, Labeling, extract_all_views, extract_view
+
+from .async_simulator import simulate_views_async
+from .simulator import ERASED, SyncSimulator, run_algorithm_distributed, simulate_views
+
+#: Graphs whose views both engines must reconstruct at radius 1..3.
+GRAPHS = {
+    "P7": lambda: path_graph(7),
+    "C9": lambda: cycle_graph(9),
+    "grid(3,3)": lambda: grid_graph(3, 3),
+    "spider(3,2)": lambda: spider_graph(3, 2),
+    "star(4)": lambda: star_graph(4),
+    "P8": lambda: path_graph(8),
+    "C10": lambda: cycle_graph(10),
+    "caterpillar(5)": lambda: caterpillar_graph(5),
+    "spider(3,3)": lambda: spider_graph(3, 3),
+}
 
 
 class TestEquivalence:
+    @pytest.mark.parametrize("engine", ["sync", "async"])
     @pytest.mark.parametrize("radius", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "graph_fn",
-        [lambda: path_graph(7), lambda: cycle_graph(9), lambda: grid_graph(3, 3),
-         lambda: spider_graph(3, 2), lambda: star_graph(4)],
-    )
-    def test_simulated_views_equal_direct(self, graph_fn, radius):
-        instance = Instance.build(graph_fn())
-        simulated, _stats = simulate_views(instance, radius)
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_simulated_views_equal_direct(self, graph, radius, engine):
+        """``radius`` flooding rounds, synchronous or under the
+        α-synchronizer, reconstruct exactly the extracted views."""
+        instance = Instance.build(GRAPHS[graph]())
+        if engine == "sync":
+            simulated, _ = simulate_views(instance, radius)
+        else:
+            simulated, _ = simulate_views_async(instance, radius, seed=radius * 31)
         assert simulated == extract_all_views(instance, radius)
 
     @settings(max_examples=25, deadline=None)
@@ -61,12 +73,17 @@ class TestEquivalence:
         assert simulated == extract_all_views(instance, 1, include_ids=False)
         assert all(view.is_anonymous for view in simulated.values())
 
-    def test_invisible_far_edge_in_simulation(self):
-        """An edge between two distance-r nodes needs r+1 rounds to reach
-        the center — the simulator must NOT show it at round r."""
+    @pytest.mark.parametrize("center", range(5))
+    def test_invisible_far_edge_in_simulation(self, center):
+        """Fig. 2: an edge between two distance-r nodes needs r+1 rounds
+        to reach the center — the simulator must NOT show it at round r.
+        On C5 at r = 2 every center sees all 5 nodes and 4 of 5 edges."""
         instance = Instance.build(cycle_graph(5))
         simulated, _ = simulate_views(instance, 2)
-        assert len(simulated[0].edges) == 4
+        view = simulated[center]
+        assert view == extract_view(instance, center, 2)
+        assert view.size == 5
+        assert len(view.edges) == 4
 
 
 class TestAccounting:
@@ -97,6 +114,34 @@ class TestFaultInjection:
         assert ERASED in [
             views[1].label_of(w) for w in views[1].neighbors_in_view(0)
         ]
+
+    @pytest.mark.parametrize("erased_count", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "lcp, graph",
+        [(DegreeOneLCP(), path_graph(8)), (EvenCycleLCP(), cycle_graph(8))],
+        ids=["degree-one", "even-cycle"],
+    )
+    def test_erasure_equals_extraction_of_the_erased_labeling(self, lcp, graph, erased_count):
+        """``tbl_resilience`` extracts views of the labeling with the
+        erased certificates replaced by its sentinel; that is what the
+        erasure fault model floods."""
+        instance = Instance.build(graph)
+        labeling = lcp.prover.certify(instance)
+        erased = set(graph.nodes[:erased_count])
+        direct = extract_all_views(
+            instance.with_labeling(
+                Labeling({
+                    v: tables.ERASED if v in erased else labeling.of(v)
+                    for v in graph.nodes
+                })
+            ),
+            1,
+            include_ids=False,
+        )
+        simulated, _ = simulate_views(
+            instance.with_labeling(labeling), 1, include_ids=False, erased_nodes=erased
+        )
+        assert simulated == direct
 
     def test_erasure_trips_decoder(self):
         lcp = EvenCycleLCP()

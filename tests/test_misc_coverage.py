@@ -26,7 +26,8 @@ from repro.errors import (
 )
 from repro.graphs import cycle_graph, path_graph
 from repro.local import Instance, Labeling
-from repro.local.messages import EdgeRecord, Message, NodeRecord
+
+from .simulator import EdgeRecord, Message, NodeRecord
 
 
 class TestErrorHierarchy:
@@ -173,3 +174,26 @@ class TestReprs:
 
         assert "PortAssignment" in repr(PortAssignment.canonical(path_graph(2)))
         assert "max=2" in repr(IdentifierAssignment.canonical(path_graph(2)))
+
+
+class TestRunnerUtilities:
+    def test_format_table(self):
+        from repro._util import format_table
+
+        text = format_table(["a", "bb"], [[1, 22], [333, 4]])
+        lines = text.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("a")
+
+    def test_run_all_and_save(self, tmp_path, monkeypatch):
+        """The runner writes a report; patched to two fast experiments."""
+        from repro.experiments import registry as reg
+        from repro.experiments import runner
+
+        fast = [reg.get_experiment("fig2"), reg.get_experiment("fig7")]
+        monkeypatch.setattr(runner, "all_experiments", lambda: fast)
+        target = tmp_path / "report.txt"
+        ok = runner.run_all_and_save(target, verbose=False)
+        assert ok
+        text = target.read_text()
+        assert "fig2" in text and "summary" in text

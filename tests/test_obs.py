@@ -161,7 +161,6 @@ def test_run_context_fields_are_pinned():
         "stats",
         "tracer",
         "memory",
-        "disk",
     ]
 
 

@@ -15,26 +15,21 @@ import pytest
 from repro.core import DegreeOneLCP
 from repro.engine import ExecutionPlan
 from repro.graphs import cycle_graph, path_graph
-from repro.graphs.encoding import canonical_form
-from repro.graphs.families import (
-    all_graphs_exactly,
-    clear_family_cache,
-    enumerate_graphs_exactly_reference,
-)
-from repro.graphs.encoding import are_isomorphic
+from repro.graphs.families import all_graphs_exactly, clear_family_cache
 from repro.local import Labeling, labeling_key, node_sort_order
 from repro.local.instance import Instance
 from repro.local.views import extract_all_views, extract_view_layouts, relabel_view
 from repro.neighborhood import build_neighborhood_graph, yes_instances_up_to
 from repro.perf import (
     CONFIG,
-    GLOBAL_STATS,
     PerfConfig,
     PerfStats,
     configure,
     overridden,
 )
 from repro.perf.cache import LRUCache, ViewLayoutCache
+
+from .isomorphism import are_isomorphic, enumerate_graphs_exactly_reference
 
 
 # ----------------------------------------------------------------------
@@ -182,22 +177,6 @@ class TestFamilyEnumeration:
         clear_family_cache()
         counts = [len(list(all_graphs_exactly(n))) for n in range(1, 7)]
         assert counts == [1, 1, 2, 6, 21, 112]
-
-
-# ----------------------------------------------------------------------
-# Canonical forms
-# ----------------------------------------------------------------------
-
-
-def test_canonical_form_is_computed_without_a_cache():
-    """Nothing memoizes canonical forms: a call records no counter, and
-    relabeled copies of one graph get the same form."""
-    before = dict(GLOBAL_STATS.counters)
-    g = cycle_graph(5)
-    form = canonical_form(g)
-    assert canonical_form(g.relabeled({v: (v * 2) % 5 for v in g.nodes})) == form
-    assert canonical_form(path_graph(5)) != form
-    assert GLOBAL_STATS.counters == before
 
 
 # ----------------------------------------------------------------------

@@ -9,21 +9,16 @@ and labeling — the skeleton the theorem experiments stand on:
 * accepting sets of the paper's schemes always induce bipartite graphs.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DegreeOneLCP, EvenCycleLCP, RevealingLCP, UnionLCP
-from repro.graphs import Graph, is_bipartite, random_graph
+from repro.graphs import is_bipartite, random_graph
 from repro.graphs.properties import bipartition
 from repro.graphs.traversal import is_connected
-from repro.local import (
-    Instance,
-    Labeling,
-    PortAssignment,
-    extract_all_views,
-    simulate_views,
-)
+from repro.local import Instance, Labeling, PortAssignment, extract_all_views
+
+from .simulator import simulate_views
 
 
 def connected_graphs(min_n=2, max_n=8):

@@ -15,7 +15,6 @@ import pickle
 
 import pytest
 
-from repro.graphs.encoding import are_isomorphic
 from repro.graphs.families import (
     all_graphs_exactly,
     clear_family_cache,
@@ -38,6 +37,7 @@ from repro.symmetry import (
     seed_automorphisms,
 )
 
+from .isomorphism import are_isomorphic
 from .oracle import reference_graphs
 
 # OEIS A000088 (graphs on n nodes) and A001349 (connected graphs).

@@ -16,10 +16,10 @@ from repro.local import (
     PortAssignment,
     extract_view,
 )
-from repro.local.simulator import simulate_views
 from repro.local.views import extract_view_layouts, relabel_view
 
 from .oracle import reference_view
+from .simulator import simulate_views
 
 
 def _connected(n, p, seed):
