@@ -14,7 +14,6 @@ from .driver import CampaignRun, CellResult, run_campaign
 from .frontier import (
     FRONTIER_SCHEMA,
     FrontierReport,
-    build_frontier_report,
     validate_frontier_report,
 )
 from .spec import CampaignSpec, Cell
@@ -27,6 +26,5 @@ __all__ = [
     "run_campaign",
     "FrontierReport",
     "FRONTIER_SCHEMA",
-    "build_frontier_report",
     "validate_frontier_report",
 ]

@@ -4,25 +4,20 @@ A :class:`FrontierReport` freezes one finished campaign into a single
 machine-readable payload: the spec, the resolved base plan (and its
 fingerprint), every cell's verdict + provenance, and the **frontier**
 itself — each pair of axis-adjacent cells whose hiding verdicts (equiv.
-``V(D, n)`` ``k``-colorability) disagree.  Reports share the run-report
-infrastructure of :mod:`repro.obs.report`: content-addressed JSON under
-``.repro_runs/`` (``$REPRO_RUNS_DIR``), a declared schema, and a
-validator the tests gate on (:func:`validate_frontier_report`).
+``V(D, n)`` ``k``-colorability) disagree.  It is stored like a run
+report (:class:`~repro.obs.report.StoredReport`: content-addressed JSON
+under ``.repro_runs/`` or ``$REPRO_RUNS_DIR``), with a declared schema
+and a validator the tests gate on (:func:`validate_frontier_report`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
-from pathlib import Path
 from typing import Any
 
-from ..obs.logs import get_logger
-from ..obs.report import _digest, plan_fingerprint, runs_dir
+from ..obs.report import StoredReport, plan_fingerprint
 from .driver import CampaignRun, CellResult
-
-log = get_logger("campaign.frontier")
 
 #: Schema identifier embedded in (and required of) every frontier report.
 FRONTIER_SCHEMA = "repro.frontier-report/v1"
@@ -92,13 +87,10 @@ def find_flips(results: tuple[CellResult, ...] | list[CellResult]) -> list[dict]
     return flips
 
 
-class FrontierReport:
-    """An immutable-by-convention frontier payload plus IO helpers
-    (same content-addressing discipline as
-    :class:`repro.obs.report.RunReport`)."""
+class FrontierReport(StoredReport):
+    """One finished campaign's frontier, stored like a run report."""
 
-    def __init__(self, payload: dict) -> None:
-        self.payload = payload
+    kind = "frontier report"
 
     # ------------------------------------------------------------------
     # Construction
@@ -136,48 +128,6 @@ class FrontierReport:
         if meta:
             payload["meta"] = meta
         return cls(payload)
-
-    # ------------------------------------------------------------------
-    # IO
-    # ------------------------------------------------------------------
-
-    @property
-    def digest(self) -> str:
-        return _digest(self.payload)
-
-    def write(
-        self, path: str | Path | None = None, directory: str | Path | None = None
-    ) -> Path:
-        """Write the content-addressed canonical file (and, when *path*
-        is given, an identical copy there).  Returns the canonical path."""
-        blob = json.dumps(self.payload, indent=2, sort_keys=True, ensure_ascii=False)
-        root = Path(directory) if directory is not None else runs_dir()
-        root.mkdir(parents=True, exist_ok=True)
-        canonical = root / f"{self.digest}.json"
-        canonical.write_text(blob + "\n", encoding="utf-8")
-        if path is not None:
-            out = Path(path)
-            if out.parent != Path(""):
-                out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(blob + "\n", encoding="utf-8")
-        log.info("frontier report %s written to %s", self.digest, canonical)
-        return canonical
-
-    @classmethod
-    def load(
-        cls, ref: str | Path, directory: str | Path | None = None
-    ) -> "FrontierReport":
-        """Load a report by path, or by digest under the runs dir."""
-        path = Path(ref)
-        if not path.is_file():
-            root = Path(directory) if directory is not None else runs_dir()
-            candidate = root / f"{ref}.json"
-            if not candidate.is_file():
-                raise FileNotFoundError(
-                    f"no frontier report at {ref!r} or {candidate}"
-                )
-            path = candidate
-        return cls(json.loads(path.read_text(encoding="utf-8")))
 
     # ------------------------------------------------------------------
     # Rendering
@@ -233,11 +183,6 @@ class FrontierReport:
                 f"alphabet={cell['alphabet_limit'] or 'full'}: {verdict}{detail}"
             )
         return "\n".join(lines)
-
-
-def build_frontier_report(run: CampaignRun, meta: dict | None = None) -> FrontierReport:
-    """Functional alias for :meth:`FrontierReport.from_run`."""
-    return FrontierReport.from_run(run, meta=meta)
 
 
 def validate_frontier_report(payload: dict) -> list[str]:

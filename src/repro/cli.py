@@ -305,7 +305,7 @@ def _csv_ints(text: str | None) -> tuple[int | None, ...]:
 
 
 def cmd_frontier_run(args: argparse.Namespace) -> int:
-    from .campaign import CampaignSpec, build_frontier_report, run_campaign  # noqa: PLC0415
+    from .campaign import CampaignSpec, FrontierReport, run_campaign  # noqa: PLC0415
     from .engine import ExecutionPlan  # noqa: PLC0415
     from .perf.config import CONFIG  # noqa: PLC0415
 
@@ -336,7 +336,7 @@ def cmd_frontier_run(args: argparse.Namespace) -> int:
             run = run_campaign(spec)
         finally:
             detach_progress()
-    report = build_frontier_report(run)
+    report = FrontierReport.from_run(run)
     canonical = report.write(path=args.out)
     print(report.render())
     print(f"report:    {canonical}")
@@ -498,17 +498,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from .perf import default_verdict_cache  # noqa: PLC0415
-    from .perf.config import CONFIG  # noqa: PLC0415
+    from .engine.stores import DiskVerdictStore  # noqa: PLC0415
 
-    with CONFIG.overridden(disk_cache_dir=args.cache_dir):
-        cache = default_verdict_cache()
+    cache = DiskVerdictStore(args.cache_dir)
     if args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached sweep(s) from {cache.root}")
-        leftovers = cache.clear_shard_checkpoints()
-        if leftovers:
-            print(f"removed {leftovers} stale shard checkpoint(s) from {cache.root}")
         return 0
     summary = cache.stats_summary()
     print(f"directory:       {summary['directory']}")
@@ -548,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--perf-stats",
         action="store_true",
-        help="print cache hit rates and stage timings after the reports",
+        help="print counters and cache hit rates after the reports",
     )
     run_parser.add_argument(
         "--disk-cache",
@@ -613,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     hiding_parser.add_argument(
         "--perf-stats",
         action="store_true",
-        help="print counters and stage timings after the verdict",
+        help="print counters and cache hit rates after the verdict",
     )
     hiding_parser.add_argument(
         "--trace",

@@ -17,10 +17,15 @@ behind a single serial pipeline::
 * :class:`RunContext` — explicit config/stats/tracer/memo-tier carriers
   for callers that must not touch process-wide state.
 * :class:`MemoryVerdictStore` and :class:`DiskVerdictStore` — the memo
-  and persistent cache tiers.
+  and persistent cache tiers.  :mod:`repro.engine.stores` is the whole
+  disk tier: the file layout, the label/view codec, the strict decoder
+  and the certificate checks a reload must pass.
+* :mod:`repro.engine.backends` — the sweep itself
+  (:func:`~repro.engine.backends.sweep`) and the warm-start witness
+  that can answer before it (:func:`~repro.engine.backends.warm_witness`).
 """
 
-from .backends import ENGINE_VERSION, StreamingBackend, available_backends
+from .backends import ENGINE_VERSION, available_backends
 from .context import RunContext
 from .core import clear_engine_state, decide_hiding
 from .plan import BACKEND_AUTO, BACKEND_STREAMING, ExecutionPlan
@@ -36,7 +41,6 @@ __all__ = [
     "MemoryVerdictStore",
     "Provenance",
     "RunContext",
-    "StreamingBackend",
     "Verdict",
     "available_backends",
     "clear_engine_state",

@@ -1,10 +1,12 @@
 """The engine backend: one way to decide Lemma 3.2.
 
-The backend answers one question — *is* ``V(D, n)`` *k-colorable?* — with
-the fused incremental engine of :mod:`repro.neighborhood.streaming`:
-each view and edge feeds an incremental decision the moment the builders
-discover it (union-find parity for ``k = 2``, DSATUR with restarts
-otherwise).
+The backend is two functions.  :func:`sweep` answers one question — *is*
+``V(D, n)`` *k-colorable?* — with the fused incremental engine of
+:mod:`repro.neighborhood.streaming`: each view and edge feeds an
+incremental decision the moment the builders discover it (union-find
+parity for ``k = 2``, DSATUR with restarts otherwise).
+:func:`warm_witness` lets a witness an earlier sweep found answer a
+larger early-exit one without sweeping.
 ``ExecutionPlan.early_exit`` picks how far it scans: ``True`` stops at
 the first witness, ``False`` builds the complete ``V(D, n)``.  Either
 way the witness is the stream-order first odd closed walk and the
@@ -39,7 +41,7 @@ from ..neighborhood.ngraph import build_neighborhood_graph
 from ..obs.logs import get_logger
 from ..symmetry.prune import SymmetryAccount
 from .context import RunContext
-from .plan import ExecutionPlan
+from .plan import BACKEND_STREAMING, ExecutionPlan
 from .verdict import Provenance, Verdict
 
 log = get_logger("engine.backends")
@@ -176,131 +178,113 @@ def _apply_symmetry_account(ngraph, account: SymmetryAccount | None, ctx: RunCon
 
 
 # ----------------------------------------------------------------------
-# Streaming backend (early exit, warm starts)
+# The streaming sweep (early exit, warm starts)
 # ----------------------------------------------------------------------
+#
+# Anonymous schemes only warm-start: the last finished sweep per family
+# key (without ``n``) is parked in ``ctx.memory_store()``, so an isolated
+# context starts cold.
 
 
-class StreamingBackend:
-    """Fused incremental decision with early exit and warm starts.
+def warm_witness(lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict | None:
+    """The warm-start witness's answer, before any cache tier is
+    consulted: a witness found at ``m <= n`` answers every larger
+    early-exit sweep instantly, because ``V(D, n) ⊇ V(D, m)`` keeps the
+    odd walk intact.  A full sweep (``early_exit=False``) promises the
+    complete ``V(D, n)``, which the smaller state does not hold, so it
+    warm-starts in :func:`sweep` instead."""
+    if not (plan.early_exit and lcp.anonymous):
+        return None
+    state = ctx.memory_store().warm.get(family_key(lcp, plan))
+    if state is None:
+        return None
+    warm_n, engine = state
+    if warm_n > n or not engine.witness_found:
+        return None
+    ctx.stats.incr("warm_witness_hits")
+    log.debug("%s: warm-start witness from n=%d answers n=%d", lcp.name, warm_n, n)
+    return _envelope(
+        lcp,
+        n,
+        plan,
+        engine.verdict(exhaustive=True),
+        0.0,
+        ctx,
+        warm_witness_hit=True,
+        symmetry_pruned=True,
+    )
 
-    Anonymous schemes only warm-start: the last finished sweep per
-    family key (without ``n``) is parked in ``ctx.memory_store()``, so
-    an isolated context starts cold.  :meth:`shortcut` may answer from
-    the warm-start witness before any cache tier is consulted;
-    :meth:`run` sweeps."""
 
-    name = "streaming"
+def sweep(lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict:
+    """Scan ``V(D, n)`` with the fused incremental engine, from the
+    parked warm-start state when there is one."""
+    from ..neighborhood.streaming import StreamingHidingEngine  # noqa: PLC0415
 
-    def shortcut(
-        self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext
-    ) -> Verdict | None:
-        """A previously found witness answers every larger early-exit
-        sweep instantly: ``V(D, m) ⊇ V(D, n)`` for ``m ≥ n`` keeps the
-        odd walk intact.  A full sweep (``early_exit=False``) promises
-        the complete ``V(D, n)``, which the smaller state does not hold,
-        so it warm-starts in :meth:`run` instead."""
-        if not (plan.early_exit and lcp.anonymous):
-            return None
-        state = ctx.memory_store().warm.get(family_key(lcp, plan))
-        if state is None:
-            return None
-        warm_n, engine = state
-        if warm_n > n or not engine.witness_found:
-            return None
-        ctx.stats.incr("warm_witness_hits")
-        log.debug(
-            "%s: warm-start witness from n=%d answers n=%d", lcp.name, warm_n, n
+    family = family_key(lcp, plan)
+    warm = ctx.memory_store().warm
+    state = warm.get(family)  # parked for anonymous schemes only
+    start = time.perf_counter()
+    warm_started = False
+    account = SymmetryAccount() if lcp.anonymous else None
+    with ctx.tracer.span("sweep", n=n, early_exit=plan.early_exit) as span:
+        if state is not None and state[0] <= n:
+            ctx.stats.incr("warm_starts")
+            warm_started = True
+            lo, engine = state
+            engine = engine.clone()
+            engine.stats = ctx.stats
+        else:
+            lo = 0
+            engine = StreamingHidingEngine(
+                lcp.k,
+                lcp.radius,
+                not lcp.anonymous,
+                early_exit=plan.early_exit,
+                stats=ctx.stats,
+            )
+        with ctx.tracer.span("symmetry:generate", n=n) as gen:
+            # Early-exit sweeps generate lazily: pre-building every
+            # family would waste the exit.
+            gen.set_attributes(
+                sizes_warmed=0
+                if plan.early_exit
+                else warm_graph_families(lo, n, **graph_source(lcp, plan.graph_family)),
+                deferred=plan.early_exit,
+            )
+        sweep_args = dict(**_enumeration_bounds(plan), account=account, stats=ctx.stats)
+        instances = (
+            yes_instances_between(lcp, lo, n, **sweep_args)
+            if warm_started
+            else yes_instances_up_to(lcp, n, **sweep_args)
         )
-        return _envelope(
+        build_neighborhood_graph_auto(
             lcp,
-            n,
-            plan,
-            engine.verdict(exhaustive=True),
-            0.0,
-            ctx,
-            warm_witness_hit=True,
-            symmetry_pruned=True,
+            instances,
+            stats=ctx.stats,
+            consumer=engine,
+            into=engine.ngraph,
+            tracer=ctx.tracer,
         )
-
-    def run(self, lcp: LCP, n: int, plan: ExecutionPlan, ctx: RunContext) -> Verdict:
-        from ..neighborhood.streaming import StreamingHidingEngine  # noqa: PLC0415
-
-        family = family_key(lcp, plan)
-        warm = ctx.memory_store().warm
-        state = warm.get(family)  # parked for anonymous schemes only
-        start = time.perf_counter()
-        warm_started = False
-        account = SymmetryAccount() if lcp.anonymous else None
-        with ctx.stats.time_stage("streaming_sweep"):
-            with ctx.tracer.span("sweep", n=n, early_exit=plan.early_exit) as sweep:
-                if state is not None and state[0] <= n:
-                    ctx.stats.incr("warm_starts")
-                    warm_started = True
-                    lo, engine = state
-                    engine = engine.clone()
-                    engine.stats = ctx.stats
-                else:
-                    lo = 0
-                    engine = StreamingHidingEngine(
-                        lcp.k,
-                        lcp.radius,
-                        not lcp.anonymous,
-                        early_exit=plan.early_exit,
-                        stats=ctx.stats,
-                    )
-                with ctx.tracer.span("symmetry:generate", n=n) as gen:
-                    # Early-exit sweeps generate lazily: pre-building
-                    # every family would waste the exit.
-                    gen.set_attributes(
-                        sizes_warmed=0
-                        if plan.early_exit
-                        else warm_graph_families(
-                            lo, n, **graph_source(lcp, plan.graph_family)
-                        ),
-                        deferred=plan.early_exit,
-                    )
-                sweep_args = dict(
-                    **_enumeration_bounds(plan),
-                    account=account,
-                    stats=ctx.stats,
-                )
-                instances = (
-                    yes_instances_between(lcp, lo, n, **sweep_args)
-                    if warm_started
-                    else yes_instances_up_to(lcp, n, **sweep_args)
-                )
-                build_neighborhood_graph_auto(
-                    lcp,
-                    instances,
-                    stats=ctx.stats,
-                    consumer=engine,
-                    into=engine.ngraph,
-                    tracer=ctx.tracer,
-                )
-                _apply_symmetry_account(engine.ngraph, account, ctx)
-                sweep.set_attribute("witness_found", engine.witness_found)
-        with ctx.tracer.span("decide", method="incremental"):
-            result = engine.verdict(exhaustive=True)
-        if lcp.anonymous:
-            warm[family] = (n, engine)
-        elapsed = time.perf_counter() - start
-        return _envelope(
-            lcp,
-            n,
-            plan,
-            result,
-            elapsed,
-            ctx,
-            warm_started=warm_started,
-            symmetry_pruned=account is not None,
-        )
-
-
-#: The engine's one backend instance (:func:`repro.engine.decide_hiding`).
-STREAMING = StreamingBackend()
+        _apply_symmetry_account(engine.ngraph, account, ctx)
+        span.set_attribute("witness_found", engine.witness_found)
+    with ctx.tracer.span("decide", method="incremental"):
+        result = engine.verdict(exhaustive=True)
+    if lcp.anonymous:
+        warm[family] = (n, engine)
+    elapsed = time.perf_counter() - start
+    return _envelope(
+        lcp,
+        n,
+        plan,
+        result,
+        elapsed,
+        ctx,
+        warm_started=warm_started,
+        symmetry_pruned=account is not None,
+    )
 
 
 def available_backends() -> list[str]:
     """Backend names :meth:`ExecutionPlan.resolve` accepts besides
     ``"auto"``."""
-    return [STREAMING.name]
+    return [BACKEND_STREAMING]

@@ -39,8 +39,8 @@ class RunContext:
 
     * ``config`` — the :class:`PerfConfig` plans resolve against
       (default: the live global ``CONFIG``, read once per decision).
-    * ``stats`` — the :class:`PerfStats` sink for every counter and
-      stage timer of the run.
+    * ``stats`` — the :class:`PerfStats` sink for every counter of the
+      run.
     * ``tracer`` — the :class:`~repro.obs.trace.Tracer` collecting the
       run's span tree; the default :data:`~repro.obs.trace.NULL_TRACER`
       records nothing at zero cost.  A live tracer that holds no stats

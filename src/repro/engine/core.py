@@ -7,13 +7,14 @@ function.  The tier order per decision:
 1. **memory memo** — a hit returns the originally produced envelope
    object as-is (``is``-level memo semantics);
 2. **backend shortcut** — the warm-start witness parked in the
-   context's memo tier answers without a sweep (early-exit sweeps of
+   context's memo tier answers without a sweep
+   (:func:`~repro.engine.backends.warm_witness`; early-exit sweeps of
    anonymous schemes only); counts as fresh for the write-back tiers
    below;
 3. **disk store** — a hit is recorded in the envelope's provenance and
    memoized, but never written back to disk;
-4. **backend sweep** — compute, then populate memory and (when the plan
-   says so) disk.
+4. **backend sweep** — compute (:func:`~repro.engine.backends.sweep`),
+   then populate memory and (when the plan says so) disk.
 
 Observability: the whole decision runs inside the context tracer's
 ``decide_hiding`` root span, with one child span per tier consulted
@@ -35,7 +36,7 @@ from dataclasses import replace
 from ..certification.lcp import LCP
 from ..obs.logs import get_logger
 from ..obs.progress import GLOBAL_PROGRESS
-from .backends import STREAMING, disk_key, memory_key
+from .backends import disk_key, memory_key, sweep, warm_witness
 from .context import _SHARED_MEMORY_STORE, RunContext
 from .plan import ExecutionPlan
 from .stores import DiskVerdictStore
@@ -146,7 +147,7 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
             return cached
 
     with tracer.span("backend-shortcut"):
-        verdict = STREAMING.shortcut(lcp, n, plan, ctx)
+        verdict = warm_witness(lcp, n, plan, ctx)
     if verdict is not None:
         log.debug("%s n=%d: %s shortcut answered", lcp.name, n, plan.backend)
         root.set_attribute("served_by", "shortcut")
@@ -165,7 +166,7 @@ def _decide(lcp: LCP, n: int, plan, ctx: RunContext, root) -> Verdict:
         log.debug("%s n=%d: running %s backend", lcp.name, n, plan.backend)
         root.set_attribute("served_by", "sweep")
         with tracer.span(f"backend:{plan.backend}", n=n):
-            verdict = STREAMING.run(lcp, n, plan, ctx)
+            verdict = sweep(lcp, n, plan, ctx)
     verdict = _stamp_trace(verdict, ctx)
 
     with tracer.span("store-back", disk=bool(plan.disk_cache)):

@@ -24,7 +24,7 @@ Decision digest
 :meth:`Verdict.decision_fingerprint`, cached on the envelope.  There is
 one way to compute it: :func:`fingerprint_bytes` over the shape- and
 label-interned encoding of the disk body
-(:func:`~repro.perf.persist.encode_views`).  A fresh verdict runs that
+(:func:`~repro.engine.stores.encode_views`).  A fresh verdict runs that
 encoder first; the disk tier fills the cache from the body payload it
 just wrote or parsed, so a write or reload never re-encodes a view.
 """
@@ -55,7 +55,7 @@ def _shape_fragments(shape: dict) -> tuple[str, str]:
 
 def _render_views(encoded: tuple, which) -> str:
     """JSON list of the views at indices *which* of an
-    :func:`~repro.perf.persist.encode_views` result, assembled from one
+    :func:`~repro.engine.stores.encode_views` result, assembled from one
     fragment pair per shape and one text per label."""
     labels, shapes, view_shapes, view_labels = encoded
     texts = list(map(_dumps, labels))
@@ -80,7 +80,7 @@ def fingerprint_bytes(
 ) -> bytes:
     """Canonical bytes of a decision, from encoded content.
 
-    *encoded* is an :func:`~repro.perf.persist.encode_views` result (the
+    *encoded* is an :func:`~repro.engine.stores.encode_views` result (the
     ``labels``/``shapes``/``view_shapes``/``views`` columns of a disk
     body), *witness* the walk as view indices into it, *edges* the
     sorted view-index pairs and *coloring* the sorted ``(view, color)``
@@ -192,7 +192,7 @@ class Verdict:
         and, on hiding verdicts, graph coverage — an early-exit sweep
         soundly stops at a prefix of ``V(D, n)``.
         """
-        from ..perf.persist import encode_views  # noqa: PLC0415
+        from .stores import encode_views  # noqa: PLC0415
 
         if self.hiding is False:
             g = self.ngraph

@@ -39,8 +39,8 @@ def render_perf_stats(stats) -> str:
     """The performance-layer counters as a report section.
 
     *stats* is a :class:`repro.perf.PerfStats` (usually the process-wide
-    ``GLOBAL_STATS``); the section shows cache hit rates, counter totals,
-    and stage timings accumulated across the rendered experiments.
+    ``GLOBAL_STATS``); the section shows the counter totals and cache hit
+    rates accumulated across the rendered experiments.
     """
     return "== performance\n" + _indent(stats.render(), "   ")
 

@@ -117,12 +117,12 @@ def run_all_and_save(
     report = render_results(results) + "\n\n" + render_perf_stats(GLOBAL_STATS)
     ok = all(r.ok for r in results)
     if campaign is not None:
-        from ..campaign import build_frontier_report, run_campaign  # noqa: PLC0415
+        from ..campaign import FrontierReport, run_campaign  # noqa: PLC0415
 
         run = run_campaign(
             campaign, ctx=RunContext(tracer=tracer) if tracer is not None else None
         )
-        frontier = build_frontier_report(run)
+        frontier = FrontierReport.from_run(run)
         canonical = frontier.write()
         summary = frontier.payload["summary"]
         report += (

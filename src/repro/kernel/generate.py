@@ -1,11 +1,14 @@
-"""Batched canonicalization for the generation-bound sweep path.
+"""Batched canonicalization for orderly graph generation.
 
-The even-cycle sweeps that dominate Lemma 3.1 wall time never enter the
-labeling kernel (their ``16^n`` spaces exceed the admission limit); their
-cost is the *generator* — :func:`repro.symmetry.canon.colex_canonical`
-inside the orderly level build and :func:`repro.symmetry.canon.
-min_edge_mask` at emission, both scalar per-graph DFS.  This module runs
-the same searches over a whole batch of graphs at once: adjacency
+A Lemma 3.1 sweep reads its graphs from a directly built family when
+its promise class or campaign family has one
+(:func:`repro.neighborhood.aviews.graph_source`): even-cycle and
+watermelon sweeps generate nothing.  Every other sweep takes them from
+the orderly generator, whose searches are
+:func:`repro.symmetry.canon.colex_canonical` inside the level build and
+:func:`repro.symmetry.canon.min_edge_mask` at emission, both scalar
+per-graph DFS.  This module runs the same searches over a whole batch
+of graphs at once: adjacency
 bitsets are stacked into ``(batch, nodes)`` int64 matrices and each DFS
 becomes a *level-synchronous frontier* — every partial assignment that
 still ties for the minimum is extended one position per step, extension

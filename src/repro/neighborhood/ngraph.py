@@ -245,58 +245,57 @@ def build_neighborhood_graph(
     observed = GLOBAL_PROGRESS.active
     trace_id = tracer.trace_id if tracer.active else None
     with tracer.span("build:serial"):
-        with stats.time_stage("neighborhood_build"):
-            for instance in labeled_instances:
-                scanned += 1
-                if observed and not scanned % PROGRESS_EVERY:
-                    _announce(lcp, PROGRESS_EVERY, scanned, trace_id)
-                key = ViewLayoutCache.base_key(instance, radius, include_ids)
-                if key != base_key:
-                    base, base_key = instance, key
-                    layouts = layout_cache.layouts_for(
-                        instance, radius, include_ids, stats=stats
+        for instance in labeled_instances:
+            scanned += 1
+            if observed and not scanned % PROGRESS_EVERY:
+                _announce(lcp, PROGRESS_EVERY, scanned, trace_id)
+            key = ViewLayoutCache.base_key(instance, radius, include_ids)
+            if key != base_key:
+                base, base_key = instance, key
+                layouts = layout_cache.layouts_for(
+                    instance, radius, include_ids, stats=stats
+                )
+                plan = [
+                    (v, order, template, slots.setdefault(template, {}))
+                    for v, (template, order) in layouts.items()
+                ]
+                edges = instance.graph.edges
+            labeling = instance.labeling
+            label_of = labeling.of if labeling is not None else _no_label
+            indices = {}
+            for v, order, template, table in plan:
+                labels = tuple(map(label_of, order))
+                idx = table.get(labels)
+                if idx is None:
+                    view = view_with_labels(template, labels)
+                    built += 1
+                    idx, created = -1, False
+                    if decide(view):
+                        idx, created = ngraph.add_view_tracked(view, instance, v)
+                    table[labels] = idx
+                    if created and consumer is not None:
+                        consumer.on_view(idx, view)
+                        if consumer.done:
+                            stopped = True
+                            break
+                if idx >= 0:
+                    indices[v] = idx
+            if stopped:
+                stats.incr("streaming_early_exits")
+                break
+            for u, v in edges:
+                if u in indices and v in indices:
+                    created = ngraph.add_edge_tracked(
+                        indices[u], indices[v], instance, (u, v)
                     )
-                    plan = [
-                        (v, order, template, slots.setdefault(template, {}))
-                        for v, (template, order) in layouts.items()
-                    ]
-                    edges = instance.graph.edges
-                labeling = instance.labeling
-                label_of = labeling.of if labeling is not None else _no_label
-                indices = {}
-                for v, order, template, table in plan:
-                    labels = tuple(map(label_of, order))
-                    idx = table.get(labels)
-                    if idx is None:
-                        view = view_with_labels(template, labels)
-                        built += 1
-                        idx, created = -1, False
-                        if decide(view):
-                            idx, created = ngraph.add_view_tracked(view, instance, v)
-                        table[labels] = idx
-                        if created and consumer is not None:
-                            consumer.on_view(idx, view)
-                            if consumer.done:
-                                stopped = True
-                                break
-                    if idx >= 0:
-                        indices[v] = idx
-                if stopped:
-                    stats.incr("streaming_early_exits")
-                    break
-                for u, v in edges:
-                    if u in indices and v in indices:
-                        created = ngraph.add_edge_tracked(
-                            indices[u], indices[v], instance, (u, v)
-                        )
-                        if created and consumer is not None:
-                            consumer.on_edge(indices[u], indices[v])
-                            if consumer.done:
-                                stopped = True
-                                break
-                if stopped:
-                    stats.incr("streaming_early_exits")
-                    break
+                    if created and consumer is not None:
+                        consumer.on_edge(indices[u], indices[v])
+                        if consumer.done:
+                            stopped = True
+                            break
+            if stopped:
+                stats.incr("streaming_early_exits")
+                break
         if observed and scanned % PROGRESS_EVERY:
             _announce(lcp, scanned % PROGRESS_EVERY, scanned, trace_id)
         stats.incr("instances_scanned", scanned)

@@ -21,9 +21,9 @@ the engine here fuses the two phases:
    state: a found witness answers instantly for every larger ``n``, and a
    completed coloring is extended instead of re-derived from scratch.
 3. **Persistent cross-run cache.** Completed sweeps are written to the
-   on-disk store of :mod:`repro.perf.persist` (content-addressed,
-   JSON-lines, versioned), so repeated experiment/CLI runs skip the
-   enumeration entirely.
+   engine's disk tier, :class:`repro.engine.stores.DiskVerdictStore`
+   (content-addressed, JSON-lines, versioned), so repeated
+   experiment/CLI runs skip the enumeration entirely.
 
 Parity guarantee: for every LCP, the streaming verdict's ``hiding`` flag
 equals the build-then-color decision on the complete graph, the witness

@@ -1,8 +1,8 @@
 """Observability for the hiding-decision engine: tracing, logging,
 progress events, and run reports — stdlib-only, zero-cost when off.
 
-The counters and stage timers of a run have one record, the run's
-:class:`~repro.perf.stats.PerfStats`.  A run report embeds its dump and
+The counters of a run have one record, the run's
+:class:`~repro.perf.stats.PerfStats`, and its times another, the spans.  A run report embeds its dump and
 checks the verdict's provenance counts against it; a span's
 ``counters`` attribute is its own share of that record, and progress
 events carry the instance count the neighborhood-graph builder feeds it.

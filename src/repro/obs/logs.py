@@ -11,7 +11,7 @@ above to stderr via the last-resort handler), and the CLI's
 Logger names mirror the package layout::
 
     repro.engine          decision routing, cache-tier hits
-    repro.perf.persist    disk store reads/writes/skips
+    repro.engine.stores   disk store reads/writes/skips
     repro.obs.report      run-report emission
 """
 

@@ -5,8 +5,8 @@ decision (or one benchmark/runner batch) into a single payload:
 
 * the **span tree** recorded by the run's :class:`~repro.obs.trace.Tracer`
   (flat records; rebuild with :func:`~repro.obs.trace.span_tree`),
-* the run's :class:`~repro.perf.stats.PerfStats` dump (counters and
-  stage timers — the run's one counter record),
+* the run's :class:`~repro.perf.stats.PerfStats` dump (its counters —
+  the run's one counter record),
 * the decision itself — ``hiding`` flag, canonical-witness length, and a
   digest of :meth:`~repro.engine.verdict.Verdict.decision_fingerprint` —
   plus the full :class:`~repro.engine.verdict.Provenance` record,
@@ -16,7 +16,8 @@ decision (or one benchmark/runner batch) into a single payload:
   the provenance counts (they must agree exactly on a fresh sweep).
 
 Reports are written under ``.repro_runs/`` (or ``$REPRO_RUNS_DIR``) with
-the content digest as the file name; :func:`diff_reports` compares two
+the content digest as the file name (:class:`StoredReport`, which the
+campaign's frontier reports share); :func:`diff_reports` compares two
 reports and separates *decision drift* (different answer, witness, plan,
 or scan counts — a correctness signal) from informational perf deltas
 (wall time, cache-tier traffic).  :func:`validate_report` is the schema
@@ -89,11 +90,57 @@ def plan_fingerprint(plan: Any) -> str | None:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-class RunReport:
-    """An immutable-by-convention report payload plus IO helpers."""
+class StoredReport:
+    """An immutable-by-convention JSON payload stored under its content
+    digest in the runs directory.  Subclasses name their *kind* for log
+    and error messages."""
+
+    kind = "report"
 
     def __init__(self, payload: dict) -> None:
         self.payload = payload
+
+    @property
+    def digest(self) -> str:
+        return _digest(self.payload)
+
+    def write(
+        self, path: str | Path | None = None, directory: str | Path | None = None
+    ) -> Path:
+        """Write the content-addressed canonical file (and, when *path*
+        is given, an identical copy there).  Returns the canonical path."""
+        blob = json.dumps(self.payload, indent=2, sort_keys=True, ensure_ascii=False)
+        root = Path(directory) if directory is not None else runs_dir()
+        root.mkdir(parents=True, exist_ok=True)
+        canonical = root / f"{self.digest}.json"
+        canonical.write_text(blob + "\n", encoding="utf-8")
+        if path is not None:
+            out = Path(path)
+            if out.parent != Path(""):
+                out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(blob + "\n", encoding="utf-8")
+        log.info("%s %s written to %s", self.kind, self.digest, canonical)
+        return canonical
+
+    @classmethod
+    def load(
+        cls, ref: str | Path, directory: str | Path | None = None
+    ) -> "StoredReport":
+        """Load a report by path, or by digest under the runs dir."""
+        path = Path(ref)
+        if not path.is_file():
+            root = Path(directory) if directory is not None else runs_dir()
+            candidate = root / f"{ref}.json"
+            if not candidate.is_file():
+                raise FileNotFoundError(f"no {cls.kind} at {ref!r} or {candidate}")
+            path = candidate
+        return cls(json.loads(path.read_text(encoding="utf-8")))
+
+
+class RunReport(StoredReport):
+    """One observed run's report."""
+
+    kind = "run report"
 
     # ------------------------------------------------------------------
     # Construction
@@ -132,9 +179,7 @@ class RunReport:
                 ),
                 "fingerprint": verdict.digest(),
             }
-        stats_dump = (
-            stats.as_dict() if stats is not None else {"counters": {}, "timers": {}}
-        )
+        stats_dump = stats.as_dict() if stats is not None else {"counters": {}}
         payload = {
             "schema": REPORT_SCHEMA,
             "created": time.time(),
@@ -156,46 +201,6 @@ class RunReport:
         if meta:
             payload["meta"] = meta
         return cls(payload)
-
-    # ------------------------------------------------------------------
-    # IO
-    # ------------------------------------------------------------------
-
-    @property
-    def digest(self) -> str:
-        return _digest(self.payload)
-
-    def write(
-        self, path: str | Path | None = None, directory: str | Path | None = None
-    ) -> Path:
-        """Write the content-addressed canonical file (and, when *path*
-        is given, an identical copy there).  Returns the canonical path."""
-        blob = json.dumps(self.payload, indent=2, sort_keys=True, ensure_ascii=False)
-        root = Path(directory) if directory is not None else runs_dir()
-        root.mkdir(parents=True, exist_ok=True)
-        canonical = root / f"{self.digest}.json"
-        canonical.write_text(blob + "\n", encoding="utf-8")
-        if path is not None:
-            out = Path(path)
-            if out.parent != Path(""):
-                out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(blob + "\n", encoding="utf-8")
-        log.info("run report %s written to %s", self.digest, canonical)
-        return canonical
-
-    @classmethod
-    def load(
-        cls, ref: str | Path, directory: str | Path | None = None
-    ) -> "RunReport":
-        """Load a report by path, or by digest under the runs dir."""
-        path = Path(ref)
-        if not path.is_file():
-            root = Path(directory) if directory is not None else runs_dir()
-            candidate = root / f"{ref}.json"
-            if not candidate.is_file():
-                raise FileNotFoundError(f"no run report at {ref!r} or {candidate}")
-            path = candidate
-        return cls(json.loads(path.read_text(encoding="utf-8")))
 
     # ------------------------------------------------------------------
     # Rendering
@@ -326,10 +331,8 @@ def validate_report(payload: dict) -> list[str]:
     if stats is not None:
         if not isinstance(stats, dict):
             errors.append("stats must be an object")
-        else:
-            for key in ("counters", "timers"):
-                if key not in stats:
-                    errors.append(f"stats missing {key!r}")
+        elif "counters" not in stats:
+            errors.append("stats missing 'counters'")
     decision = payload.get("decision")
     if decision is not None:
         for key in ("hiding", "k", "fingerprint"):

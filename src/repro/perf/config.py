@@ -23,7 +23,7 @@ class PerfConfig:
 
     * ``disk_cache`` — persist sweep verdicts under
       ``.repro_cache/`` so repeated processes skip re-enumeration
-      entirely (see :mod:`repro.perf.persist`).
+      entirely (see :class:`repro.engine.stores.DiskVerdictStore`).
     * ``disk_cache_dir`` — override the cache directory (default:
       ``$REPRO_CACHE_DIR`` or ``./.repro_cache``).
     """

@@ -77,7 +77,7 @@ from repro.neighborhood.hiding import classic_verdict
 from repro.neighborhood.ngraph import NeighborhoodGraph
 from repro.neighborhood.streaming import StreamingHidingEngine
 from repro.perf.cache import default_layout_cache
-from repro.perf.persist import encode_label
+from repro.engine.stores import encode_label
 from repro.symmetry import SymmetryAccount, orderly
 
 from .isomorphism import enumerate_graphs_exactly_reference

@@ -25,7 +25,6 @@ from repro.campaign import (
     CampaignSpec,
     Cell,
     FrontierReport,
-    build_frontier_report,
     run_campaign,
     validate_frontier_report,
 )
@@ -38,9 +37,8 @@ from repro.engine import (
     decide_hiding,
 )
 from repro.engine.backends import ENGINE_VERSION, disk_key
-from repro.engine.stores import DiskVerdictStore, MemoryVerdictStore
+from repro.engine.stores import DiskVerdictStore, MemoryVerdictStore, digest_for
 from repro.perf import overridden
-from repro.perf.persist import digest_for
 
 
 @pytest.fixture(autouse=True)
@@ -375,7 +373,7 @@ def test_frontier_locates_the_even_cycle_flip():
     """The acceptance campaign: even-cycle, n <= 6, k in {2, 3} — the
     hiding verdict flips along n at 3 -> 4 for both k values."""
     run = _even_cycle_run()
-    report = build_frontier_report(run)
+    report = FrontierReport.from_run(run)
     assert validate_frontier_report(report.payload) == []
     flips = report.payload["flips"]
     assert len(flips) >= 1
@@ -401,7 +399,7 @@ def test_frontier_of_both_theorem_schemes_validates_and_flips():
     )
     run = run_campaign(spec, ctx=RunContext.isolated())
     assert not run.errors
-    report = build_frontier_report(run)
+    report = FrontierReport.from_run(run)
     assert validate_frontier_report(report.payload) == []
     summary = report.payload["summary"]
     assert summary["cells"] == 12
@@ -417,7 +415,7 @@ def test_frontier_of_both_theorem_schemes_validates_and_flips():
 
 def test_frontier_report_round_trips(tmp_path):
     run = _even_cycle_run()
-    report = build_frontier_report(run)
+    report = FrontierReport.from_run(run)
     canonical = report.write(directory=tmp_path)
     assert canonical.name == f"{report.digest}.json"
     loaded = FrontierReport.load(report.digest, directory=tmp_path)
@@ -436,7 +434,7 @@ def test_frontier_show_renders_a_report_with_retired_plan_fields(tmp_path, capsy
     from repro.cli import main
 
     spec = CampaignSpec.sweep(("even-cycle",), n_max=4, n_min=3, plan=NO_CACHE)
-    payload = build_frontier_report(run_campaign(spec, ctx=RunContext.isolated())).payload
+    payload = FrontierReport.from_run(run_campaign(spec, ctx=RunContext.isolated())).payload
     payload["plan"] = {**payload["plan"], "warm_start": True, "symmetry": "auto"}
     path = tmp_path / "old_frontier.json"
     path.write_text(json.dumps(payload))
@@ -466,7 +464,7 @@ def test_find_flips_skips_errored_and_undecided_cells():
 
 def test_validator_flags_corrupt_payloads():
     run = _even_cycle_run()
-    payload = build_frontier_report(run).payload
+    payload = FrontierReport.from_run(run).payload
     assert validate_frontier_report(payload) == []
 
     bad = dict(payload, schema="bogus/v0")

@@ -10,7 +10,6 @@ from repro.certification import (
     ConstantDecoder,
     EnumerativeLCP,
     ExhaustiveAdversary,
-    FunctionDecoder,
     GreedyAdversary,
     RandomAdversary,
     check_completeness,

@@ -14,6 +14,7 @@ digest, and the strict decoder.
 * A body the strict decoder, the certificate check or the checksum
   rejects is a miss followed by a correct fresh verdict that overwrites
   the entry.
+* The bytes of an entry and its file name are pinned.
 """
 
 from __future__ import annotations
@@ -27,19 +28,21 @@ import pytest
 
 from repro.core.registry import make_lcp, scheme_names
 from repro.engine import ExecutionPlan, RunContext, clear_engine_state, decide_hiding
+from repro.engine import stores
 from repro.engine.backends import disk_key
-from repro.engine.stores import _body_from_verdict, _verdict_from_body
-from repro.engine.verdict import Verdict, fingerprint_bytes
-from repro.local.views import View
-from repro.perf import PerfStats, overridden, persist
-from repro.perf.persist import (
+from repro.engine.stores import (
+    DiskVerdictStore,
     MalformedEntry,
+    _body_from_verdict,
+    _verdict_from_body,
     decode_label,
     decode_views,
-    default_verdict_cache,
     encode_label,
     encode_views,
 )
+from repro.engine.verdict import Verdict, fingerprint_bytes
+from repro.local.views import View
+from repro.perf import PerfStats, overridden
 
 from .oracle import reference_fingerprint, reference_fingerprint_bytes
 
@@ -160,7 +163,7 @@ def test_body_round_trips_through_the_strict_decoder():
         views = decoded.ngraph.views
         labels = [label for view in views for label in view.labels]
         assert len({id(label) for label in labels}) <= len(body["labels"])
-        for name in persist.SHAPE_FIELDS[1:5]:
+        for name in stores.SHAPE_FIELDS[1:5]:
             assert len({id(getattr(view, name)) for view in views}) <= len(body["shapes"])
 
 
@@ -272,7 +275,7 @@ def test_interning_shares_shapes_by_identity_and_by_value():
     """Clones of one template share its tuples and one shape slot; an
     equal shape built separately lands in the same slot."""
     template = _view((None, None, None))
-    clone = View(*(getattr(template, name) for name in persist.SHAPE_FIELDS), ("a", "b", "c"))
+    clone = View(*(getattr(template, name) for name in stores.SHAPE_FIELDS), ("a", "b", "c"))
     rebuilt = _view(("x", "y", "z"))
     other = _view(("x", "y"))
     assert rebuilt.dist is not template.dist
@@ -313,7 +316,7 @@ def _entry(tmp_path, scheme="union", n=4):
     with overridden(disk_cache_dir=str(tmp_path)):
         fresh = decide_hiding(lcp, n, plan, ctx=RunContext.isolated())
         (path,) = (tmp_path / "hiding").glob("*.jsonl")
-        assert default_verdict_cache()._path(disk_key(lcp, n, plan)) == path
+        assert DiskVerdictStore()._path(disk_key(lcp, n, plan)) == path
     return lcp, plan, path, fresh
 
 
@@ -596,8 +599,6 @@ def test_checksum_turns_corruption_into_a_miss(tmp_path, caplog, fault):
 def test_unpersistable_labels_skip_the_store(tmp_path):
     """A label the codec cannot encode skips the write (``persist_skips``)
     instead of failing the decision."""
-    from repro.engine.stores import DiskVerdictStore
-
     fresh = decide_hiding(
         make_lcp("union"), 4, ExecutionPlan(), ctx=RunContext.isolated()
     )
@@ -626,52 +627,30 @@ def test_cache_stats_survives_hand_damaged_headers(tmp_path, capsys):
     assert "entries:         3" in out
 
 
-def test_cache_clear_removes_leftover_shard_checkpoints(tmp_path, capsys):
-    """Older versions checkpointed pool shards as ``shards/*.pkl`` under
-    the cache root.  ``repro cache clear`` deletes them unread, along
-    with the sweep entries, and drops the emptied directory."""
-    from repro import cli
-
-    entries = tmp_path / "hiding"
-    entries.mkdir()
-    (entries / "sweep.jsonl").write_text("{}\n{}\n", encoding="utf-8")
-    shards = tmp_path / "shards"
-    shards.mkdir()
-    (shards / "x.pkl").write_bytes(b"not a pickle")
-    assert cli.main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "removed 1 cached sweep(s)" in out
-    assert "removed 1 stale shard checkpoint(s)" in out
-    assert not (shards / "x.pkl").exists()
-    assert not shards.exists()
-    assert not (entries / "sweep.jsonl").exists()
-
-
 def test_concurrent_stores_of_one_key_use_their_own_temp_files(tmp_path, monkeypatch):
     """A second writer storing the same key between the first writer's
     write and its rename must not replace the first one's temp file:
     both stores succeed, and the entry left behind is whole."""
     lcp, plan, path, fresh = _entry(tmp_path)
-    body = _body_from_verdict(fresh)
     key = disk_key(lcp, 4, plan)
-    cache = persist.PersistentVerdictCache(tmp_path)
+    cache = DiskVerdictStore(tmp_path)
     stats = PerfStats()
-    replace = persist.os.replace
+    replace = stores.os.replace
     interleaved = []
 
     def replace_after_a_second_store(src, dst):
         if not interleaved:
             interleaved.append(src)
-            assert cache.store(key, body, stats=stats) is True
+            assert cache.store(key, fresh, stats=stats) is True
         replace(src, dst)
 
-    monkeypatch.setattr(persist.os, "replace", replace_after_a_second_store)
-    assert cache.store(key, body, stats=stats) is True
-    monkeypatch.setattr(persist.os, "replace", replace)
+    monkeypatch.setattr(stores.os, "replace", replace_after_a_second_store)
+    assert cache.store(key, fresh, stats=stats) is True
+    monkeypatch.setattr(stores.os, "replace", replace)
     assert interleaved and stats.get("persist_writes") == 2
     assert stats.get("persist_skips") == 0
     assert list((tmp_path / "hiding").glob("*.tmp")) == []
-    loaded = cache.load(key, stats=stats, decode=lambda b: _verdict_from_body(key, b))
+    loaded = cache.load(key, stats=stats)
     assert loaded.digest() == fresh.digest()
 
 
@@ -681,5 +660,37 @@ def test_cache_clear_removes_orphaned_temp_files(tmp_path):
     _entry(tmp_path)
     entries = tmp_path / "hiding"
     (entries / "0123.4567-89abcdef.tmp").write_bytes(b"half a wri")
-    assert persist.PersistentVerdictCache(tmp_path).clear() == 1
+    assert DiskVerdictStore(tmp_path).clear() == 1
     assert list(entries.iterdir()) == []
+
+
+#: ``(scheme, n, early_exit) -> (file name, sha256 of the whole entry)``
+#: of format version 3.  A change that moves them changes what existing
+#: ``.repro_cache/`` entries mean, so it must bump ``CACHE_VERSION``.
+ENTRY_BYTES = {
+    ("degree-one", 5, False): (
+        "cff3b77a75a626fea57faa1327841cf3.jsonl",
+        "a8690c19b528a13916161e30abdabd9ca1a0e3e3bfe085076dbcb7198bf5812e",
+    ),
+    ("union", 4, True): (
+        "75d84aa83b781a73ebe48d0627dc052b.jsonl",
+        "1af890b60f76dc2a74260fc3f1c3c88956d6c2b52898d83286a11efa1e2fedb5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_BYTES), ids=lambda case: f"{case[0]}-n{case[1]}")
+def test_entry_bytes_and_file_name_are_pinned(tmp_path, case):
+    """A full degree-one ``V(D, 5)`` and an early-exit union ``n = 4``
+    write exactly the pinned entry: any change to the header, the body
+    layout or the content address moves these values."""
+    scheme, n, early_exit = case
+    with overridden(disk_cache_dir=str(tmp_path)):
+        decide_hiding(
+            make_lcp(scheme),
+            n,
+            ExecutionPlan(early_exit=early_exit, disk_cache=True),
+            ctx=RunContext.isolated(),
+        )
+    (path,) = (tmp_path / "hiding").iterdir()
+    assert (path.name, hashlib.sha256(path.read_bytes()).hexdigest()) == ENTRY_BYTES[case]

@@ -501,7 +501,7 @@ def _old_format_entries(fresh, key) -> dict:
     carry their own shape fields)."""
     import json
 
-    from repro.perf.persist import encode_label
+    from repro.engine.stores import encode_label
 
     from .oracle import encode_view
 
@@ -559,7 +559,7 @@ def _assert_stale_then_replaced(tmp_path, version: int) -> None:
     import json
 
     from repro.engine.backends import disk_key
-    from repro.perf.persist import CACHE_VERSION, default_verdict_cache
+    from repro.engine.stores import CACHE_VERSION, DiskVerdictStore
 
     lcp = make_lcp("degree-one")
     plan = ExecutionPlan(
@@ -571,11 +571,11 @@ def _assert_stale_then_replaced(tmp_path, version: int) -> None:
         assert "backend" not in key
         assert key["engine_version"] == 1
         header, body = _old_format_entries(fresh, key)[version]
-        path = default_verdict_cache()._path(key)
+        path = DiskVerdictStore()._path(key)
         path.write_text(
             json.dumps(header) + "\n" + json.dumps(body, separators=(",", ":")) + "\n"
         )
-        assert default_verdict_cache().stats_summary()["stale_entries"] == 1
+        assert DiskVerdictStore().stats_summary()["stale_entries"] == 1
 
         ctx = RunContext.isolated()
         again = decide_hiding(lcp, 4, plan, ctx=ctx)
@@ -584,7 +584,7 @@ def _assert_stale_then_replaced(tmp_path, version: int) -> None:
         header, body = (json.loads(line) for line in path.read_text().splitlines())
         assert header["version"] == CACHE_VERSION == 3
         assert "body_sha256" in header and "shapes" in body and "labels" in body
-        assert default_verdict_cache().stats_summary()["stale_entries"] == 0
+        assert DiskVerdictStore().stats_summary()["stale_entries"] == 0
 
         reloaded = decide_hiding(lcp, 4, plan, ctx=RunContext.isolated())
     assert reloaded.provenance.disk_cache_hit is True

@@ -462,6 +462,19 @@ def test_v1_reports_still_diff_and_list(tmp_path, capsys):
     assert report.digest in listing and "repro.run-report/v2" in listing
 
 
+def test_stats_dump_is_counters_only_and_older_dumps_still_validate():
+    """The stats dump holds the counters alone (spans time the stages);
+    a v2 report written while the dump also carried stage ``timers``
+    still validates, and one without ``counters`` does not."""
+    payload = _traced_run().payload
+    assert list(payload["stats"]) == ["counters"]
+    older = json.loads(json.dumps(payload))
+    older["stats"]["timers"] = {"streaming_sweep": 0.01}
+    assert validate_report(older) == []
+    del older["stats"]["counters"]
+    assert validate_report(older) == ["stats missing 'counters'"]
+
+
 def test_run_report_write_load_round_trip(runs_dir):
     report = _traced_run()
     canonical = report.write()

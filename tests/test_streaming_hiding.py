@@ -3,8 +3,7 @@
 Covers the parity guarantee (streaming verdict == the build-then-decide
 oracle of :mod:`tests.oracle` for every registry scheme), the
 incremental structures underneath (union-find with parity; incremental
-DSATUR), the persistent verdict cache (round trip + version
-invalidation), the cross-``n`` warm start, and the witness-length
+DSATUR), the disk tier (round trip + version invalidation), the cross-``n`` warm start, and the witness-length
 regressions pinning the paper's Figure 3–6 odd walks.
 """
 
@@ -20,6 +19,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.incremental import IncrementalKColoring, ParityForest
 from repro.graphs.properties import is_odd_closed_walk
 from repro.engine import (
+    DiskVerdictStore,
     ExecutionPlan,
     MemoryVerdictStore,
     RunContext,
@@ -28,8 +28,8 @@ from repro.engine import (
 )
 from repro.neighborhood import build_extraction_decoder
 from repro.obs import RunReport, Tracer, validate_report
+from repro.engine import stores
 from repro.perf import PerfStats, overridden
-from repro.perf.persist import PersistentVerdictCache
 
 from .oracle import oracle_verdict
 
@@ -286,40 +286,68 @@ class TestIncrementalKColoring:
 # ----------------------------------------------------------------------
 
 
+def _fresh_verdict():
+    """A fresh ``k = 2`` hiding verdict of degree-one at ``n = 4``."""
+    return decide_hiding(
+        DegreeOneLCP(), 4, ExecutionPlan(memory_cache=False), ctx=RunContext.isolated()
+    )
+
+
 class TestPersistentCache:
     def test_round_trip(self, tmp_path):
-        cache = PersistentVerdictCache(tmp_path)
+        cache = DiskVerdictStore(tmp_path)
         key = {"lcp_name": "x", "n": 4}
-        body = {"hiding": True, "views": [1, 2], "edges": [[0, 1]]}
-        assert cache.store(key, body)
-        assert cache.load(key) == body
+        fresh = _fresh_verdict()
+        assert cache.store(key, fresh)
+        loaded = cache.load(key)
+        assert loaded.provenance.disk_cache_hit
+        assert loaded.hiding is fresh.hiding is True
+        assert loaded.witness == fresh.witness
+        assert loaded.ngraph.views == fresh.ngraph.views
+        assert loaded.ngraph.edges == fresh.ngraph.edges
+        assert loaded.digest() == fresh.digest()
         assert cache.load({"lcp_name": "x", "n": 5}) is None
 
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
-        from repro.perf import persist
-
-        cache = PersistentVerdictCache(tmp_path)
+        cache = DiskVerdictStore(tmp_path)
         key = {"lcp_name": "x", "n": 4}
-        assert cache.store(key, {"hiding": False, "views": [], "edges": []})
+        assert cache.store(key, _fresh_verdict())
         assert cache.load(key) is not None
-        monkeypatch.setattr(persist, "CACHE_VERSION", persist.CACHE_VERSION + 1)
-        # Same digest input would now differ too, but even a forced read
-        # of the old file must reject the stale version header.
+        path = cache._path(key)
+        monkeypatch.setattr(stores, "CACHE_VERSION", stores.CACHE_VERSION + 1)
+        # The bump moves the content address, and the old entry is stale.
+        assert cache._path(key) != path
         assert cache.load(key) is None
+        assert cache.stats_summary()["stale_entries"] == 1
+        # Even a forced read of the old file rejects its version header.
+        monkeypatch.setattr(stores, "digest_for", lambda key: path.stem)
+        stats = PerfStats()
+        assert cache.load(key, stats=stats) is None
+        assert stats.get("disk_misses") == 1
 
     def test_unserializable_labels_are_skipped(self, tmp_path):
-        cache = PersistentVerdictCache(tmp_path)
+        cache = DiskVerdictStore(tmp_path)
+        fresh = _fresh_verdict()
+        view = fresh.ngraph.views[0]
+        object.__setattr__(view, "labels", (object(),) + view.labels[1:])
+        object.__setattr__(view, "_hash", None)
         stats = PerfStats()
-        assert not cache.store({"n": 1}, {"views": [object()]}, stats=stats)
+        assert not cache.store({"n": 1}, fresh, stats=stats)
         assert stats.get("persist_skips") == 1
+        assert cache.stats_summary()["entries"] == 0
 
     def test_stats_and_clear(self, tmp_path):
-        cache = PersistentVerdictCache(tmp_path)
-        cache.store({"n": 1}, {"views": [], "edges": []})
-        cache.store({"n": 2}, {"views": [], "edges": []})
+        cache = DiskVerdictStore(tmp_path)
+        fresh = _fresh_verdict()
+        cache.store({"n": 1}, fresh)
+        cache.store({"n": 2}, fresh)
         summary = cache.stats_summary()
         assert summary["entries"] == 2
         assert summary["stale_entries"] == 0
+        assert summary["bytes"] == sum(entry["bytes"] for entry in cache.entries()) > 0
+        assert [entry["key"] for entry in cache.entries()] == sorted(
+            ({"n": 1}, {"n": 2}), key=lambda key: cache._path(key).name
+        )
         assert cache.clear() == 2
         assert cache.stats_summary()["entries"] == 0
 
